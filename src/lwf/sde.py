@@ -16,6 +16,10 @@ sub-cutoff jumps, reported as a diagnostic).  The diffusion step is followed
 by a projection onto the simplex (clamp negatives, renormalize) whose bias
 near the boundary is dominated by the Euler error; jump steps are convex
 combinations and preserve the simplex exactly.
+
+The integrator never forms the ``(K, K)`` factor: it applies ``zeta(x)`` to
+the Gaussian increment in O(K) per replicate, from the same suffix sums.
+:func:`zeta` builds the full matrix and is the reference for that product.
 """
 
 from __future__ import annotations
@@ -33,6 +37,19 @@ from .trajectory import Trajectory
 _TINY = 1e-14
 
 
+def _factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and column weights of :func:`zeta`, from the suffix sums of ``x``."""
+    S = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x[..., ::-1], axis=-1, out=S[..., -2::-1])
+    S, S_next = S[..., :-1], S[..., 1:]
+    denom = S * S_next
+    diag = np.divide(x * S_next, S, out=np.zeros(x.shape), where=S > _TINY)
+    col = np.divide(x, denom, out=np.zeros(x.shape), where=denom > _TINY)
+    for v in (diag, col):
+        np.sqrt(np.maximum(v, 0.0, out=v), out=v)
+    return diag, col
+
+
 def zeta(x) -> np.ndarray:
     """Lower-triangular square root of the resampling covariance.
 
@@ -45,23 +62,27 @@ def zeta(x) -> np.ndarray:
     Entries whose denominators vanish are set to zero, which is the limit of
     the formula on the simplex (the numerators vanish at least as fast).
     Batch aware: ``x`` may have shape ``(..., K)``.
+
+    The integrator never builds this matrix: :func:`_apply_zeta` applies the
+    same factor to the noise in O(K).  ``zeta`` is the reference that the
+    factorization criterion and the tests check it against.
     """
     x = np.asarray(x, dtype=float)
     K = x.shape[-1]
-    S = np.flip(np.cumsum(np.flip(x, -1), axis=-1), -1)
-    S_next = np.concatenate([S[..., 1:], np.zeros(x.shape[:-1] + (1,))], axis=-1)
-
-    safe_S = np.where(S > _TINY, S, 1.0)
-    diag = np.sqrt(np.clip(np.where(S > _TINY, x * S_next / safe_S, 0.0), 0.0, None))
-
-    denom = S * S_next
-    safe_denom = np.where(denom > _TINY, denom, 1.0)
-    col = np.sqrt(np.clip(np.where(denom > _TINY, x / safe_denom, 0.0), 0.0, None))
-
+    diag, col = _factor(x)
     out = np.where(np.tri(K, K, -1, dtype=bool), -x[..., :, None] * col[..., None, :], 0.0)
     idx = np.arange(K)
     out[..., idx, idx] = diag
     return out
+
+
+def _apply_zeta(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """``zeta(x) @ xi`` per row in O(K): ``diag * xi - x * (col * xi summed over j < i)``."""
+    diag, col = _factor(x)
+    v = col * xi
+    before = np.zeros(v.shape)
+    np.cumsum(v[..., :-1], axis=-1, out=before[..., 1:])
+    return diag * xi - x * before
 
 
 @dataclass
@@ -117,22 +138,14 @@ class SdeConfig:
         return self.size_law.truncated_mass
 
 
-def _project(Y: np.ndarray) -> np.ndarray:
-    np.maximum(Y, 0.0, out=Y)
-    s = Y.sum(axis=1)
-    need = s != 1.0
-    if need.any():
-        Y[need] /= s[need, None]
-    return Y
-
-
 def _advance(cfg: SdeConfig, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One Euler step plus the jumps binned into it, for active rows."""
     Y = X + cfg.dt * np.asarray(cfg.drift(X), dtype=float)
     if cfg.sigma > 0.0:
-        noise = rng.standard_normal(X.shape)
-        Y += math.sqrt(cfg.sigma * cfg.dt) * np.einsum("rij,rj->ri", zeta(X), noise)
-    Y = _project(Y)
+        Y += math.sqrt(cfg.sigma * cfg.dt) * _apply_zeta(X, rng.standard_normal(X.shape))
+    # project onto the simplex; rows that already sum to 1 divide by 1 exactly
+    np.maximum(Y, 0.0, out=Y)
+    Y /= Y.sum(axis=1, keepdims=True)
     if cfg.jump_rate > 0.0:
         n_jumps = rng.poisson(cfg.jump_rate * cfg.dt, X.shape[0])
         round_ = 1
@@ -159,10 +172,17 @@ def step_em(cfg: SdeConfig, x, rng: np.random.Generator) -> np.ndarray:
 class BatchSde:
     """Replicates of one configuration advanced in lockstep.
 
-    Tracks, per replicate, the time each coordinate hit zero, the fixation
-    time and winning type, and whether the extinction clamp fired.  Fixed
-    replicates stop consuming random numbers, so runs are reproducible for a
-    given stream regardless of how far others have progressed.
+    ``x0`` is one start state for every replicate or an ``(R, K)`` array of
+    starts.  Tracks, per replicate, the time each coordinate hit zero, the
+    fixation time and winning type, and whether the extinction clamp fired.
+    Fixed replicates stop consuming random numbers, so runs are reproducible
+    for a given stream regardless of how far others have progressed.
+
+    The replicates still active form one compact block: their states, their
+    row indices and the coordinates already seen at zero, in row order.  A
+    step advances and settles the block in place; it shrinks only on steps
+    where a replicate fixes.  ``X`` writes the block back into the full
+    state array when read.
 
     Vertices are treated as absorbing, which is exact for mutation-free
     drifts (drift, diffusion and jumps all vanish there).
@@ -170,57 +190,62 @@ class BatchSde:
 
     def __init__(self, cfg: SdeConfig, x0, replicates: int, rng: np.random.Generator):
         self.cfg = cfg
-        x0 = freqs_of(x0)
-        if x0.size != cfg.K:
-            raise ValueError(f"state has {x0.size} coordinates, config says {cfg.K}")
         self.rng = rng
         self.R = int(replicates)
-        self.X = np.tile(x0, (self.R, 1))
+        starts = np.array([freqs_of(x) for x in x0]) if np.ndim(x0) == 2 else freqs_of(x0)[None, :]
+        if starts.shape[1] != cfg.K:
+            raise ValueError(f"state has {starts.shape[1]} coordinates, config says {cfg.K}")
+        if starts.shape[0] not in (1, self.R):
+            raise ValueError(f"{starts.shape[0]} start states for {self.R} replicates")
+        self._X = np.array(np.broadcast_to(starts, (self.R, cfg.K)))
         self.steps = 0
-        self.extinction_time = np.tile(np.where(x0 == 0.0, 0.0, np.nan), (self.R, 1))
+        self.extinction_time = np.where(self._X == 0.0, 0.0, np.nan)
         self.fixation_time = np.full(self.R, np.nan)
         self.winner = np.full(self.R, -1, dtype=np.int64)
         self.clamp_fired = np.zeros(self.R, dtype=bool)
-        self._settle(np.arange(self.R))
+        self._rows = np.arange(self.R)
+        self._seen = self._X == 0.0
+        self._settle(self._X.copy())
+
+    @property
+    def X(self) -> np.ndarray:
+        """Current states of all replicates, shape ``(R, K)``."""
+        self._X[self._rows] = self._Y
+        return self._X
 
     @property
     def t(self) -> float:
         return self.steps * self.cfg.dt
 
-    @property
-    def active(self) -> np.ndarray:
-        return self.winner < 0
-
-    def _settle(self, rows: np.ndarray) -> None:
-        """Apply the extinction clamp and record boundary events on rows."""
-        if rows.size == 0:
-            return
-        X = self.X[rows]
+    def _settle(self, Y: np.ndarray) -> None:
+        """Clamp the advanced block, record its boundary events, drop fixed rows."""
         if self.cfg.tol_ext > 0.0:
-            small = (X > 0.0) & (X <= self.cfg.tol_ext)
-            hit = small.any(axis=1)
-            if hit.any():
-                X[small] = 0.0
-                X[hit] /= X[hit].sum(axis=1, keepdims=True)
-                self.clamp_fired[rows[hit]] = True
-                self.X[rows] = X
-        newly_zero = (X == 0.0) & np.isnan(self.extinction_time[rows])
+            small = (Y > 0.0) & (Y <= self.cfg.tol_ext)
+            if small.any():
+                hit = small.any(axis=1)
+                Y[small] = 0.0
+                Y[hit] /= Y[hit].sum(axis=1, keepdims=True)
+                self.clamp_fired[self._rows[hit]] = True
+        newly_zero = (Y == 0.0) & ~self._seen
         if newly_zero.any():
-            ext = self.extinction_time[rows]
-            ext[newly_zero] = self.t
-            self.extinction_time[rows] = ext
-        done = (X == 1.0).any(axis=1)
-        if done.any():
-            sub = rows[done]
-            self.winner[sub] = self.X[sub].argmax(axis=1)
-            self.fixation_time[sub] = self.t
+            r, i = np.nonzero(newly_zero)
+            self.extinction_time[self._rows[r], i] = self.t
+            self._seen |= newly_zero
+        at_vertex = Y == 1.0
+        if at_vertex.any():
+            done = at_vertex.any(axis=1)
+            fixed = self._rows[done]
+            self._X[fixed] = Y[done]
+            self.winner[fixed] = Y[done].argmax(axis=1)
+            self.fixation_time[fixed] = self.t
+            keep = ~done
+            self._rows, Y, self._seen = self._rows[keep], Y[keep], self._seen[keep]
+        self._Y = Y
 
     def step(self) -> None:
-        rows = np.flatnonzero(self.active)
         self.steps += 1
-        if rows.size:
-            self.X[rows] = _advance(self.cfg, self.X[rows], self.rng)
-            self._settle(rows)
+        if self._rows.size:
+            self._settle(_advance(self.cfg, self._Y, self.rng))
 
     def advance_to(self, t_target: float) -> None:
         n_target = int(round(t_target / self.cfg.dt))
@@ -230,9 +255,9 @@ class BatchSde:
     def run_to_fixation(self, max_time: float | None = None) -> int:
         """Step until every replicate is fixed; returns the unfixed count."""
         limit = math.inf if max_time is None else int(round(max_time / self.cfg.dt))
-        while self.active.any() and self.steps < limit:
+        while self._rows.size and self.steps < limit:
             self.step()
-        return int(self.active.sum())
+        return self._rows.size
 
     def boundary_hit(self) -> np.ndarray:
         """Replicates that have lost at least one type (or been clamped)."""
@@ -257,11 +282,12 @@ def simulate_sde(cfg: SdeConfig, x0, record_every: int, rng: np.random.Generator
     n_steps = int(round(cfg.horizon / cfg.dt))
     times = [0.0]
     states = [batch.X[0].copy()]
-    for s in range(1, n_steps + 1):
-        batch.step()
-        if s % record_every == 0:
-            times.append(batch.t)
-            states.append(batch.X[0].copy())
+    # stepping stops at fixation: the remaining records repeat the vertex
+    for s in range(record_every, n_steps + 1, record_every):
+        batch.run_to_fixation(s * cfg.dt)
+        times.append(s * cfg.dt)
+        states.append(batch.X[0].copy())
+    batch.run_to_fixation(cfg.horizon)
     winner = int(batch.winner[0])
     return SdeRun(
         trajectory=Trajectory(np.array(times), np.array(states)),

@@ -26,11 +26,14 @@ def mu_transitive(kappa: float, increments, x) -> np.ndarray:
     (sample size ``j + 1``).  With cumulative frequencies ``c_i``:
     ``mu_i = kappa * sum_j w_j * (c_i**(j+1) - c_(i-1)**(j+1) - x_i)``.
     """
-    x = _as_batch(x)
+    return _transitive(kappa, _iter_weights(increments), _as_batch(x))
+
+
+def _transitive(kappa: float, items, x: np.ndarray) -> np.ndarray:
     cum = np.cumsum(x, axis=-1)
     cum_prev = cum - x
     out = np.zeros_like(x)
-    for j, w in _iter_weights(increments):
+    for j, w in items:
         out += w * (cum ** (j + 1) - cum_prev ** (j + 1) - x)
     return kappa * out
 
@@ -46,6 +49,11 @@ def mu_logistic(kappa: float, win_probs, x) -> np.ndarray:
     return kappa * x * (1.0 - x - 2.0 * losses)
 
 
+# predecessor and successor of each type on the cycle 1 -> 2 -> 3 -> 1
+_PRED = np.array([2, 0, 1])
+_SUCC = np.array([1, 2, 0])
+
+
 def mu_rps(kappa: float, x) -> np.ndarray:
     """Cyclic three-type contest drift: each type feeds on its predecessor.
 
@@ -55,9 +63,7 @@ def mu_rps(kappa: float, x) -> np.ndarray:
     x = _as_batch(x)
     if x.shape[-1] != 3:
         raise ValueError("the cyclic contest drift is defined for K = 3")
-    pred = np.roll(x, 1, axis=-1)
-    succ = np.roll(x, -1, axis=-1)
-    return kappa * x * (pred - succ)
+    return kappa * x * (x[..., _PRED] - x[..., _SUCC])
 
 
 def mu_food_web(kappa: float, beats, x) -> np.ndarray:
@@ -67,12 +73,19 @@ def mu_food_web(kappa: float, beats, x) -> np.ndarray:
     incomparable pairs are fair coin flips and cancel.
     """
     x = _as_batch(x)
-    K = x.shape[-1]
+    return _food_web(kappa, _beats_matrix(x.shape[-1], beats), x)
+
+
+def _beats_matrix(K: int, beats) -> np.ndarray:
     matrix = np.zeros((K, K))
     for winner, loser in beats:
         matrix[int(winner), int(loser)] = 1.0
     if np.any((matrix > 0) & (matrix.T > 0)):
         raise ValueError("beats relation must be antisymmetric")
+    return matrix
+
+
+def _food_web(kappa: float, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     prey = x @ matrix.T
     predators = x @ matrix
     return kappa * x * (prey - predators)
@@ -199,7 +212,7 @@ class DriftFunction:
         return cls(
             "transitive",
             K,
-            lambda x: mu_transitive(kappa, items, x),
+            lambda x: _transitive(kappa, items, _as_batch(x)),
             {"kappa": kappa, "increments": {str(j): w for j, w in items}},
         )
 
@@ -215,10 +228,11 @@ class DriftFunction:
     @classmethod
     def food_web(cls, kappa: float, beats, K: int) -> "DriftFunction":
         pairs = [(int(w), int(l)) for w, l in beats]
+        matrix = _beats_matrix(K, pairs)
         return cls(
             "food_web",
             K,
-            lambda x: mu_food_web(kappa, pairs, x),
+            lambda x: _food_web(kappa, matrix, _as_batch(x)),
             {"kappa": kappa, "beats": [[w + 1, l + 1] for w, l in pairs]},
         )
 

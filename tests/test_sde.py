@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from lwf.core import random_interior_points
 from lwf.measures import FiniteAtoms, PointMass, ZeroMeasure
 from lwf.rng import RngStream
-from lwf.sde import BatchSde, SdeConfig, simulate_sde, step_em, zeta
+from lwf.sde import BatchSde, SdeConfig, _advance, _apply_zeta, simulate_sde, step_em, zeta
 from lwf.selection import DriftFunction
 
 
@@ -31,6 +32,7 @@ def test_zeta_simple_examples():
 
 def test_zeta_factorization_random_and_near_boundary():
     rng = RngStream(1).generator()
+    noise_rng = RngStream(2).generator()
     for K in (2, 3, 4, 6):
         pts = rng.dirichlet(np.ones(K), size=2000)
         # push some points very close to the boundary
@@ -40,6 +42,18 @@ def test_zeta_factorization_random_and_near_boundary():
         outer = np.einsum("rij,rkj->rik", Z, Z)
         target = squeezed[:, :, None] * (np.eye(K) - squeezed[:, None, :])
         assert np.abs(outer - target).max() < 1e-8
+
+        # the integrator applies the same factor in O(K); add exact vertices,
+        # zero coordinates and coordinates of 1e-15
+        zeros, tiny = pts[:200].copy(), pts[200:400].copy()
+        hit = np.arange(200) % K
+        zeros[np.arange(200), hit] = 0.0
+        tiny[np.arange(200), hit] = 1e-15
+        edge = np.concatenate([squeezed, np.eye(K), zeros, tiny])
+        edge /= edge.sum(axis=1, keepdims=True)
+        xi = noise_rng.standard_normal(edge.shape)
+        direct = np.einsum("rij,rj->ri", zeta(edge), xi)
+        assert np.abs(_apply_zeta(edge, xi) - direct).max() < 1e-14
 
 
 def test_frozen_dynamics_identity():
@@ -130,6 +144,79 @@ def test_extinction_clamp_records_events():
         assert np.all(np.isfinite(losses))
         assert math.isnan(batch.extinction_time[r][batch.winner[r]])
         assert batch.fixation_time[r] == pytest.approx(np.max(losses))
+
+
+def test_simulate_sde_stops_at_fixation_with_the_records_of_stepping_through():
+    cfg = SdeConfig(
+        K=3, drift=DriftFunction.rps(1.0), sigma=1.0, measure=PointMass(0.5, 1.0), dt=1e-3, horizon=5.0, tol_ext=1e-6
+    )
+    record_every = 7  # does not divide the 5000 steps
+    run = simulate_sde(cfg, [0.2, 0.3, 0.5], record_every, RngStream(11).generator())
+    assert run.fixation_time < cfg.horizon - 1.0  # a long absorbed stretch
+
+    batch = BatchSde(cfg, [0.2, 0.3, 0.5], 1, RngStream(11).generator())
+    times, states = [0.0], [batch.X[0].copy()]
+    for s in range(1, int(round(cfg.horizon / cfg.dt)) + 1):
+        batch.step()
+        if s % record_every == 0:
+            times.append(batch.t)
+            states.append(batch.X[0].copy())
+    assert np.array_equal(run.trajectory.times, np.array(times))
+    assert np.array_equal(run.trajectory.states, np.array(states))
+    assert np.array_equal(run.extinction_times, batch.extinction_time[0], equal_nan=True)
+    assert (run.fixation_time, run.winner) == (batch.fixation_time[0], batch.winner[0])
+
+
+def test_compact_active_set_bookkeeping_matches_observed_states():
+    # vertex, edge and interior starts with diffusion, jumps and a clamp that fires
+    starts = [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]] + [[0.2, 0.3, 0.5], [0.6, 0.2, 0.2], [1 / 3, 1 / 3, 1 / 3]] * 2
+    R, tol = len(starts), 2e-3
+    cfg = SdeConfig(
+        K=3, drift=DriftFunction.rps(1.0), sigma=1.0, measure=PointMass(0.5, 1.0), dt=5e-3, horizon=3.0, tol_ext=tol
+    )
+    batch = BatchSde(cfg, starts, R, RngStream(12).generator())
+    X = batch.X.copy()
+    first_zero = np.where(X == 0.0, 0.0, np.nan)
+    first_vertex = np.where((X == 1.0).any(axis=1), 0.0, np.nan)
+    snapshots = {0: X}
+    while batch.steps < 600:
+        active = batch.winner < 0
+        clamped = batch.clamp_fired.copy()
+        rng = copy.deepcopy(batch.rng)
+        batch.step()
+        prev, X, t = X, batch.X.copy(), batch.t
+        snapshots[batch.steps] = X
+
+        # the active rows took one step from their observed states, in row order
+        Y = _advance(cfg, prev[active], rng)
+        small = (Y > 0.0) & (Y <= tol)
+        hit = small.any(axis=1)
+        Y[small] = 0.0
+        Y[hit] /= Y[hit].sum(axis=1, keepdims=True)
+        assert np.array_equal(X[active], Y)
+        assert np.array_equal(X[~active], prev[~active])
+        clamped[np.flatnonzero(active)[hit]] = True
+        assert np.array_equal(batch.clamp_fired, clamped)
+
+        first_zero[np.isnan(first_zero) & (X == 0.0)] = t
+        first_vertex[np.isnan(first_vertex) & (X == 1.0).any(axis=1)] = t
+        assert np.array_equal(batch.extinction_time, first_zero, equal_nan=True)
+        assert np.array_equal(batch.fixation_time, first_vertex, equal_nan=True)
+        fixed = ~np.isnan(first_vertex)
+        assert np.array_equal(batch.winner[fixed], X[fixed].argmax(axis=1))
+        assert np.all(batch.winner[~fixed] == -1)
+
+    assert batch.fixation_time[0] == 0.0 and batch.extinction_time[1, 1] == 0.0
+    assert batch.clamp_fired.any() and not batch.clamp_fired.all()
+    # replicates fixed one by one, so the block shrank several times
+    assert np.unique(batch.fixation_time[1:]).size == R - 1 and batch.winner.min() >= 0
+
+    replay = BatchSde(cfg, starts, R, RngStream(12).generator())
+    for steps in (1, 57, 250, 600):
+        replay.advance_to(steps * cfg.dt)
+        assert np.array_equal(replay.X, snapshots[steps])
+    with pytest.raises(ValueError):
+        BatchSde(cfg, starts, R + 1, RngStream(12).generator())
 
 
 def test_jump_duality_against_chain_matrix_exponential():

@@ -96,6 +96,34 @@ def test_zero_sum_and_absent_type_invariants():
         assert np.allclose(drift(killed)[:, 0], 0.0, atol=1e-12), drift.kind
 
 
+def test_drift_closures_equal_the_direct_formulas_exactly():
+    # the closures build their constants once; the values must not change by a bit
+    rng = RngStream(9).generator()
+    pts3 = np.concatenate([rng.dirichlet(np.ones(3), size=200), np.eye(3), [[0.0, 0.4, 0.6]]])
+    rps = 1.3 * pts3 * (np.roll(pts3, 1, axis=-1) - np.roll(pts3, -1, axis=-1))
+    assert np.array_equal(mu_rps(1.3, pts3), rps)
+    assert np.array_equal(DriftFunction.rps(1.3)(pts3), rps)
+
+    pts4 = rng.dirichlet(np.ones(4), size=200)
+    beats = [(1, 0), (2, 0), (3, 1)]
+    matrix = np.zeros((4, 4))
+    matrix[tuple(np.transpose(beats))] = 1.0
+    food_web = 0.7 * pts4 * (pts4 @ matrix.T - pts4 @ matrix)
+    assert np.array_equal(mu_food_web(0.7, beats, pts4), food_web)
+    assert np.array_equal(DriftFunction.food_web(0.7, beats, 4)(pts4), food_web)
+    with pytest.raises(ValueError):
+        DriftFunction.food_web(1.0, [(0, 1), (1, 0)], 3)
+
+    increments = {3: 0.75, 1: 0.25}
+    cum = np.cumsum(pts4, axis=-1)
+    transitive = np.zeros_like(pts4)
+    for j, w in sorted(increments.items()):
+        transitive += w * (cum ** (j + 1) - (cum - pts4) ** (j + 1) - pts4)
+    transitive = 0.9 * transitive
+    assert np.array_equal(mu_transitive(0.9, increments, pts4), transitive)
+    assert np.array_equal(DriftFunction.transitive(0.9, increments, 4)(pts4), transitive)
+
+
 def test_selection_strength_bounds():
     rng = RngStream(6).generator()
     pts = rng.dirichlet(np.ones(3), size=10_000)
