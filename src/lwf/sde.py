@@ -172,11 +172,10 @@ def step_em(cfg: SdeConfig, x, rng: np.random.Generator) -> np.ndarray:
 class BatchSde:
     """Replicates of one configuration advanced in lockstep.
 
-    ``x0`` is one start state for every replicate or an ``(R, K)`` array of
-    starts.  Tracks, per replicate, the time each coordinate hit zero, the
-    fixation time and winning type, and whether the extinction clamp fired.
-    Fixed replicates stop consuming random numbers, so runs are reproducible
-    for a given stream regardless of how far others have progressed.
+    Tracks, per replicate, the time each coordinate hit zero, the fixation
+    time and winning type, and whether the extinction clamp fired.  Fixed
+    replicates stop consuming random numbers, so runs are reproducible for a
+    given stream regardless of how far others have progressed.
 
     The replicates still active form one compact block: their states, their
     row indices and the coordinates already seen at zero, in row order.  A
@@ -190,16 +189,14 @@ class BatchSde:
 
     def __init__(self, cfg: SdeConfig, x0, replicates: int, rng: np.random.Generator):
         self.cfg = cfg
+        x0 = freqs_of(x0)
+        if x0.size != cfg.K:
+            raise ValueError(f"state has {x0.size} coordinates, config says {cfg.K}")
         self.rng = rng
         self.R = int(replicates)
-        starts = np.array([freqs_of(x) for x in x0]) if np.ndim(x0) == 2 else freqs_of(x0)[None, :]
-        if starts.shape[1] != cfg.K:
-            raise ValueError(f"state has {starts.shape[1]} coordinates, config says {cfg.K}")
-        if starts.shape[0] not in (1, self.R):
-            raise ValueError(f"{starts.shape[0]} start states for {self.R} replicates")
-        self._X = np.array(np.broadcast_to(starts, (self.R, cfg.K)))
+        self._X = np.tile(x0, (self.R, 1))
         self.steps = 0
-        self.extinction_time = np.where(self._X == 0.0, 0.0, np.nan)
+        self.extinction_time = np.tile(np.where(x0 == 0.0, 0.0, np.nan), (self.R, 1))
         self.fixation_time = np.full(self.R, np.nan)
         self.winner = np.full(self.R, -1, dtype=np.int64)
         self.clamp_fired = np.zeros(self.R, dtype=bool)
@@ -209,9 +206,15 @@ class BatchSde:
 
     @property
     def X(self) -> np.ndarray:
-        """Current states of all replicates, shape ``(R, K)``."""
+        """States of all replicates, shape ``(R, K)``, as of the last step.
+
+        A read-only snapshot: the next ``step`` does not update it, so read
+        ``X`` again after stepping.
+        """
         self._X[self._rows] = self._Y
-        return self._X
+        snapshot = self._X.view()
+        snapshot.flags.writeable = False
+        return snapshot
 
     @property
     def t(self) -> float:

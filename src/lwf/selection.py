@@ -73,19 +73,12 @@ def mu_food_web(kappa: float, beats, x) -> np.ndarray:
     incomparable pairs are fair coin flips and cancel.
     """
     x = _as_batch(x)
-    return _food_web(kappa, _beats_matrix(x.shape[-1], beats), x)
-
-
-def _beats_matrix(K: int, beats) -> np.ndarray:
+    K = x.shape[-1]
     matrix = np.zeros((K, K))
     for winner, loser in beats:
         matrix[int(winner), int(loser)] = 1.0
     if np.any((matrix > 0) & (matrix.T > 0)):
         raise ValueError("beats relation must be antisymmetric")
-    return matrix
-
-
-def _food_web(kappa: float, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     prey = x @ matrix.T
     predators = x @ matrix
     return kappa * x * (prey - predators)
@@ -228,11 +221,10 @@ class DriftFunction:
     @classmethod
     def food_web(cls, kappa: float, beats, K: int) -> "DriftFunction":
         pairs = [(int(w), int(l)) for w, l in beats]
-        matrix = _beats_matrix(K, pairs)
         return cls(
             "food_web",
             K,
-            lambda x: _food_web(kappa, matrix, _as_batch(x)),
+            lambda x: mu_food_web(kappa, pairs, x),
             {"kappa": kappa, "beats": [[w + 1, l + 1] for w, l in pairs]},
         )
 

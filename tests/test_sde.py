@@ -167,19 +167,14 @@ def test_simulate_sde_stops_at_fixation_with_the_records_of_stepping_through():
     assert (run.fixation_time, run.winner) == (batch.fixation_time[0], batch.winner[0])
 
 
-def test_compact_active_set_bookkeeping_matches_observed_states():
-    # vertex, edge and interior starts with diffusion, jumps and a clamp that fires
-    starts = [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]] + [[0.2, 0.3, 0.5], [0.6, 0.2, 0.2], [1 / 3, 1 / 3, 1 / 3]] * 2
-    R, tol = len(starts), 2e-3
-    cfg = SdeConfig(
-        K=3, drift=DriftFunction.rps(1.0), sigma=1.0, measure=PointMass(0.5, 1.0), dt=5e-3, horizon=3.0, tol_ext=tol
-    )
-    batch = BatchSde(cfg, starts, R, RngStream(12).generator())
+def _check_bookkeeping_per_step(cfg, x0, R, seed, n_steps):
+    """Step a batch, checking its records against the observed ``X`` after every step."""
+    batch = BatchSde(cfg, x0, R, RngStream(seed).generator())
     X = batch.X.copy()
     first_zero = np.where(X == 0.0, 0.0, np.nan)
     first_vertex = np.where((X == 1.0).any(axis=1), 0.0, np.nan)
     snapshots = {0: X}
-    while batch.steps < 600:
+    while batch.steps < n_steps:
         active = batch.winner < 0
         clamped = batch.clamp_fired.copy()
         rng = copy.deepcopy(batch.rng)
@@ -189,7 +184,7 @@ def test_compact_active_set_bookkeeping_matches_observed_states():
 
         # the active rows took one step from their observed states, in row order
         Y = _advance(cfg, prev[active], rng)
-        small = (Y > 0.0) & (Y <= tol)
+        small = (Y > 0.0) & (Y <= cfg.tol_ext)
         hit = small.any(axis=1)
         Y[small] = 0.0
         Y[hit] /= Y[hit].sum(axis=1, keepdims=True)
@@ -206,17 +201,33 @@ def test_compact_active_set_bookkeeping_matches_observed_states():
         assert np.array_equal(batch.winner[fixed], X[fixed].argmax(axis=1))
         assert np.all(batch.winner[~fixed] == -1)
 
-    assert batch.fixation_time[0] == 0.0 and batch.extinction_time[1, 1] == 0.0
-    assert batch.clamp_fired.any() and not batch.clamp_fired.all()
-    # replicates fixed one by one, so the block shrank several times
-    assert np.unique(batch.fixation_time[1:]).size == R - 1 and batch.winner.min() >= 0
-
-    replay = BatchSde(cfg, starts, R, RngStream(12).generator())
-    for steps in (1, 57, 250, 600):
+    replay = BatchSde(cfg, x0, R, RngStream(seed).generator())
+    for steps in sorted({1, n_steps // 10, n_steps // 2, n_steps}):
         replay.advance_to(steps * cfg.dt)
         assert np.array_equal(replay.X, snapshots[steps])
+    return batch
+
+
+def test_compact_active_set_bookkeeping_matches_observed_states():
+    # diffusion, jumps and an extinction clamp that fires
+    cfg = SdeConfig(
+        K=3, drift=DriftFunction.rps(1.0), sigma=1.0, measure=PointMass(0.5, 1.0), dt=5e-3, horizon=3.0, tol_ext=2e-3
+    )
+    # a vertex start: every row is fixed at construction and never moves
+    vertex = _check_bookkeeping_per_step(cfg, [0.0, 1.0, 0.0], 3, 12, 20)
+    assert np.all(vertex.fixation_time == 0.0) and np.all(vertex.winner == 1)
+    assert vertex.run_to_fixation() == 0
+
+    # an edge start: the missing type is extinct from time 0 and stays so
+    edge = _check_bookkeeping_per_step(cfg, [0.5, 0.0, 0.5], 4, 13, 300)
+    assert np.all(edge.extinction_time[:, 1] == 0.0)
+
+    # interior starts: replicates fix one by one, so the block shrinks several times
+    interior = _check_bookkeeping_per_step(cfg, [0.2, 0.3, 0.5], 8, 14, 600)
+    assert interior.clamp_fired.any() and not interior.clamp_fired.all()
+    assert np.unique(interior.fixation_time).size == 8 and interior.winner.min() >= 0
     with pytest.raises(ValueError):
-        BatchSde(cfg, starts, R + 1, RngStream(12).generator())
+        interior.X[0, 0] = 0.5
 
 
 def test_jump_duality_against_chain_matrix_exponential():

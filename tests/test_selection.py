@@ -105,15 +105,6 @@ def test_drift_closures_equal_the_direct_formulas_exactly():
     assert np.array_equal(DriftFunction.rps(1.3)(pts3), rps)
 
     pts4 = rng.dirichlet(np.ones(4), size=200)
-    beats = [(1, 0), (2, 0), (3, 1)]
-    matrix = np.zeros((4, 4))
-    matrix[tuple(np.transpose(beats))] = 1.0
-    food_web = 0.7 * pts4 * (pts4 @ matrix.T - pts4 @ matrix)
-    assert np.array_equal(mu_food_web(0.7, beats, pts4), food_web)
-    assert np.array_equal(DriftFunction.food_web(0.7, beats, 4)(pts4), food_web)
-    with pytest.raises(ValueError):
-        DriftFunction.food_web(1.0, [(0, 1), (1, 0)], 3)
-
     increments = {3: 0.75, 1: 0.25}
     cum = np.cumsum(pts4, axis=-1)
     transitive = np.zeros_like(pts4)
