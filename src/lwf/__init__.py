@@ -25,7 +25,7 @@ from .core import (
     random_interior_points,
     round_to_counts,
 )
-from .discrete import DiscreteModel, empirical_drift, simulate_discrete, step_generation
+from .discrete import DiscreteModel, empirical_drift, simulate_discrete
 from .errors import ConfigError, LwfError, RateExplosionError, ScheduleError, TransienceError
 from .measures import (
     BetaLaw,
@@ -56,7 +56,7 @@ from .rules import (
     colour_distribution,
     offspring_type_prob,
 )
-from .sde import BatchSde, SdeConfig, simulate_sde, step_em, zeta
+from .sde import BatchSde, SdeConfig, simulate_sde, zeta
 from .selection import (
     DriftFunction,
     cyclic_contest_map,

@@ -1,0 +1,38 @@
+"""Fixed-width replicate batches on per-batch random streams.
+
+Replicates are split into batches of ``BATCH`` rows whatever the thread
+count.  Batch ``b`` of a lane draws from ``stream.derive(lane, b)`` alone and
+results come back in batch order, so every output reproduces byte-for-byte on
+any number of threads.  The lanes keep the streams of the different kinds of
+work apart.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+
+from .rng import RngStream
+
+BATCH = 500  # replicate batch width; independent of thread count by design
+
+LANE_POINTS, LANE_DISCRETE, LANE_SDE, LANE_ANCESTRAL, LANE_DRIFT = range(1, 6)
+
+
+def pmap(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, on a pool of ``threads`` threads."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def map_batches(fn, replicates: int, stream: RngStream, lane: int, threads: int) -> list:
+    """``fn(width, rng)`` for every batch of ``replicates``, in batch order."""
+    full, rest = divmod(replicates, BATCH)
+    widths = [BATCH] * full + ([rest] if rest else [])
+
+    def run(item):
+        index, width = item
+        return fn(width, stream.derive(lane, index).generator())
+
+    return pmap(run, list(enumerate(widths)), threads)

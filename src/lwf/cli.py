@@ -6,8 +6,12 @@
 ``report.json`` plus a ``meta.json`` sidecar carrying wall-clock timing
 (kept out of the report so identical seeds reproduce it byte-for-byte).
 
-Exit codes: 0 all assertions pass, 1 an experiment assertion failed,
-2 configuration error.
+Simulation subcommands draw their replicates in fixed-width batches, one
+random stream per batch, so their output does not depend on ``--threads``.
+
+Exit codes: 0 all assertions pass, 1 an experiment assertion failed (or an
+unexpected error, re-raised), 2 configuration error.  ``meta.json`` is
+written on every exit, with the error class and message on failure.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import experiments as xp
 from .ancestral import AncestralModel, simulate_ancestral, stationary_and_pgf
+from .batches import LANE_DISCRETE, LANE_SDE, map_batches
 from .config import (
     ConfigError,
     forbid_blocks,
@@ -31,7 +37,7 @@ from .config import (
     parse_x0,
     take_block,
 )
-from .core import make_schedule
+from .core import freqs_of, make_schedule
 from .discrete import DiscreteModel, simulate_discrete
 from .errors import LwfError
 from .rng import RngStream
@@ -75,6 +81,22 @@ def _seed_replicates(args, block, default_replicates=1):
     return seed, replicates
 
 
+def _model_count(block, key: str, minimum: int, default: int | None = None) -> int:
+    value = int(block.get(key, default))
+    if value < minimum:
+        raise ConfigError(f"invalid 'model' block: {key} must be >= {minimum}, got {value}")
+    return value
+
+
+@contextmanager
+def _building(blocks: str):
+    """Report a ValueError raised while building from config ``blocks`` as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid {blocks}: {exc}") from exc
+
+
 def _check_name(block, expected):
     name = block.get("name")
     if name is not None and name != expected:
@@ -92,27 +114,31 @@ def _run_simulate_discrete(args, cfg, out: Path) -> int:
     seed, replicates = _seed_replicates(args, exp_block)
 
     K = int(model_block["K"])
-    x0 = parse_x0(model_block, K)
+    with _building("'model' block"):
+        x0 = freqs_of(parse_x0(model_block, K))
     rule = parse_rule(cfg, K)
     measure = parse_measure(cfg)
-    schedule = make_schedule(
-        int(model_block["N"]),
-        float(sched_block["alpha"]),
-        float(sched_block["kappa"]),
-        float(sched_block["sigma"]),
-        measure,
-        parse_tail(sched_block),
-        b=float(sched_block["b"]) if "b" in sched_block else None,
+    with _building("'schedule' block"):
+        schedule = make_schedule(
+            int(model_block["N"]),
+            float(sched_block["alpha"]),
+            float(sched_block["kappa"]),
+            float(sched_block["sigma"]),
+            measure,
+            parse_tail(sched_block),
+            b=float(sched_block["b"]) if "b" in sched_block else None,
+        )
+        model = DiscreteModel.from_schedule(schedule, rule)
+    generations = _model_count(model_block, "generations", 0)
+    record_every = _model_count(model_block, "record_every", 1, default=1)
+    batches = map_batches(
+        lambda width, rng: simulate_discrete(model, x0, width, generations, record_every, rng),
+        replicates,
+        RngStream(seed),
+        LANE_DISCRETE,
+        args.threads,
     )
-    model = DiscreteModel.from_schedule(schedule, rule)
-    generations = int(model_block["generations"])
-    record_every = int(model_block.get("record_every", 1))
-    stream = RngStream(seed)
-    trajectories = [
-        simulate_discrete(model, x0, generations, record_every, stream.derive(r).generator())
-        for r in range(replicates)
-    ]
-    write_trajectories_csv(out / "trajectories.csv", trajectories)
+    write_trajectories_csv(out / "trajectories.csv", [t for batch in batches for t in batch])
     return 0
 
 
@@ -129,23 +155,29 @@ def _run_simulate_sde(args, cfg, out: Path) -> int:
     seed, replicates = _seed_replicates(args, exp_block)
 
     K = int(model_block["K"])
-    x0 = parse_x0(model_block, K)
     drift = parse_drift(cfg, K)
     measure = parse_measure(cfg)
-    sde = SdeConfig(
-        K=K,
-        drift=drift,
-        sigma=float(model_block["sigma"]),
-        measure=measure,
-        dt=float(model_block["dt"]),
-        horizon=float(model_block["horizon"]),
-        eps_jump=float(model_block.get("eps_jump", 1e-3)),
-        tol_ext=float(model_block.get("tol_ext", 0.0)),
+    with _building("'model' block"):
+        x0 = freqs_of(parse_x0(model_block, K))
+        sde = SdeConfig(
+            K=K,
+            drift=drift,
+            sigma=float(model_block["sigma"]),
+            measure=measure,
+            dt=float(model_block["dt"]),
+            horizon=float(model_block["horizon"]),
+            eps_jump=float(model_block.get("eps_jump", 1e-3)),
+            tol_ext=float(model_block.get("tol_ext", 0.0)),
+        )
+    record_every = _model_count(model_block, "record_every", 1, default=1)
+    batches = map_batches(
+        lambda width, rng: simulate_sde(sde, x0, width, record_every, rng)[0],
+        replicates,
+        RngStream(seed),
+        LANE_SDE,
+        args.threads,
     )
-    record_every = int(model_block.get("record_every", 1))
-    stream = RngStream(seed)
-    runs = [simulate_sde(sde, x0, record_every, stream.derive(r).generator()) for r in range(replicates)]
-    write_trajectories_csv(out / "trajectories.csv", [run.trajectory for run in runs])
+    write_trajectories_csv(out / "trajectories.csv", [t for batch in batches for t in batch])
     return 0
 
 
@@ -165,13 +197,14 @@ def _run_ancestral(args, cfg, out: Path) -> int:
     measure = parse_measure(cfg)
     tail = parse_tail(sched_block)
     increments = {k - 1: p for k, p in tail.items()}
-    model = AncestralModel(
-        float(model_block["kappa"]),
-        float(model_block["sigma"]),
-        increments,
-        measure,
-        n_cap=int(model_block.get("n_cap", 10_000)),
-    )
+    with _building("'model' or 'schedule' block"):
+        model = AncestralModel(
+            float(model_block["kappa"]),
+            float(model_block["sigma"]),
+            increments,
+            measure,
+            n_cap=int(model_block.get("n_cap", 10_000)),
+        )
     stream = RngStream(seed)
     horizon = float(model_block["horizon"])
     paths = [
@@ -336,31 +369,43 @@ def _run_experiment(args, cfg, out: Path, name: str) -> int:
     return 0 if report.passed else 1
 
 
+def _run(args, out: Path) -> int:
+    cfg = load_config(args.config)
+    if args.subcommand == "simulate-discrete":
+        return _run_simulate_discrete(args, cfg, out)
+    if args.subcommand == "simulate-sde":
+        return _run_simulate_sde(args, cfg, out)
+    if args.subcommand == "ancestral":
+        return _run_ancestral(args, cfg, out)
+    return _run_experiment(args, cfg, out, args.subcommand)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     started = time.monotonic()
+    out.mkdir(parents=True, exist_ok=True)
+
+    def write_meta(code: int, error: Exception | None = None) -> None:
+        meta = {
+            "subcommand": args.subcommand,
+            "threads": args.threads,
+            "wall_clock_seconds": time.monotonic() - started,
+            "exit_code": code,
+            "error": None if error is None else {"class": type(error).__name__, "message": str(error)},
+        }
+        (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        cfg = load_config(args.config)
-        if args.subcommand == "simulate-discrete":
-            code = _run_simulate_discrete(args, cfg, out)
-        elif args.subcommand == "simulate-sde":
-            code = _run_simulate_sde(args, cfg, out)
-        elif args.subcommand == "ancestral":
-            code = _run_ancestral(args, cfg, out)
-        else:
-            code = _run_experiment(args, cfg, out, args.subcommand)
+        code = _run(args, out)
     except LwfError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        write_meta(2, exc)
         return 2
-    meta = {
-        "subcommand": args.subcommand,
-        "threads": args.threads,
-        "wall_clock_seconds": time.monotonic() - started,
-        "exit_code": code,
-    }
-    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    except Exception as exc:
+        write_meta(1, exc)
+        raise
+    write_meta(code)
     return code
 
 

@@ -96,15 +96,3 @@ def parse_x0(block: dict, K: int | None = None):
         raise ConfigError(f"x0 has {len(x0)} coordinates but K = {K}")
     return x0
 
-
-def require_positive(block: dict, key: str, *, integer: bool = False):
-    if key not in block:
-        raise ConfigError(f"missing required key {key!r}")
-    value = block[key]
-    try:
-        value = int(value) if integer else float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key {key!r} must be a number: {exc}") from exc
-    if value <= 0:
-        raise ConfigError(f"key {key!r} must be positive, got {value}")
-    return value

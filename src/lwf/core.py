@@ -160,9 +160,6 @@ class OffspringLaw:
         """Conditional law reindexed by the extra-parent count ``k - 1``."""
         return {k - 1: p for k, p in self.tail}
 
-    def with_rho(self, rho: float) -> "OffspringLaw":
-        return OffspringLaw(rho, self.tail)
-
     def to_config(self) -> dict:
         return {str(k): p for k, p in self.tail}
 

@@ -68,12 +68,6 @@ def _class_table(model: DiscreteModel) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ks), np.array(ps)
 
 
-def step_generation(model: DiscreteModel, x, rng: np.random.Generator) -> np.ndarray:
-    """Advance the frequency vector by one generation."""
-    x = freqs_of(x)
-    return step_generation_batch(model, x[None, :], rng)[0]
-
-
 def step_generation_batch(model: DiscreteModel, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized generation step for a batch of replicate states ``(R, K)``."""
     R, K = X.shape
@@ -119,6 +113,23 @@ def step_generation_batch(model: DiscreteModel, X: np.ndarray, rng: np.random.Ge
     return counts / float(N)
 
 
+def step_unabsorbed(model: DiscreteModel, X: np.ndarray, rng: np.random.Generator) -> bool:
+    """Advance the rows of ``X`` that can still move by one generation, in place.
+
+    Under a mutation-free rule a monomorphic row is absorbed: it keeps its
+    state and draws nothing.  Returns False, having drawn nothing, once every
+    row is absorbed.
+    """
+    if not model.rule.mutation_free:
+        X[:] = step_generation_batch(model, X, rng)
+        return True
+    active = ~np.any(X == 1.0, axis=1)
+    if not active.any():
+        return False
+    X[active] = step_generation_batch(model, X[active], rng)
+    return True
+
+
 def _categorical_rows(P: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     cdf = np.cumsum(P, axis=1)
     u = rng.random(P.shape[0]) * cdf[:, -1]
@@ -139,31 +150,30 @@ def _per_individual(rule: ColouringRule, k: int, X: np.ndarray, n_k: np.ndarray,
 def simulate_discrete(
     model: DiscreteModel,
     x0,
+    replicates: int,
     generations: int,
     record_every: int,
     rng: np.random.Generator,
-) -> Trajectory:
-    """Run the chain and record every ``record_every``-th generation.
+) -> list[Trajectory]:
+    """Run a batch of replicates and record every ``record_every``-th generation.
 
     The initial state is apportioned to the 1/N lattice by largest
-    remainders.  Once a mutation-free run is monomorphic it is absorbed and
-    the remaining records are filled without further sampling.
+    remainders.  Absorbed rows (see :func:`step_unabsorbed`) stop drawing and
+    repeat their state in the remaining records.  Generations after the last
+    record are not run.  Returns one trajectory per replicate.
     """
-    if generations < 0 or record_every < 1:
-        raise ValueError("need generations >= 0 and record_every >= 1")
-    x = round_to_counts(x0, model.N) / float(model.N)
-    times = [0.0]
-    states = [x.copy()]
-    absorbed = model.rule.mutation_free and bool(np.any(x == 1.0))
-    for g in range(1, generations + 1):
-        if not absorbed:
-            x = step_generation(model, x, rng)
-            if model.rule.mutation_free and np.any(x == 1.0):
-                absorbed = True
-        if g % record_every == 0:
-            times.append(float(g))
-            states.append(x.copy())
-    return Trajectory(np.array(times), np.array(states))
+    if replicates < 1 or generations < 0 or record_every < 1:
+        raise ValueError("need replicates >= 1, generations >= 0 and record_every >= 1")
+    X = np.tile(round_to_counts(x0, model.N) / float(model.N), (replicates, 1))
+    states = np.empty((generations // record_every + 1,) + X.shape)
+    states[0] = X
+    moving = True
+    for j in range(1, states.shape[0]):
+        for _ in range(record_every):
+            moving = moving and step_unabsorbed(model, X, rng)
+        states[j] = X
+    times = np.arange(states.shape[0]) * float(record_every)
+    return [Trajectory(times, states[:, r]) for r in range(replicates)]
 
 
 class DriftEstimate:

@@ -14,14 +14,14 @@ the underlying limit statements are qualitative.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ancestral import AncestralModel, dual_moment, fixation_probabilities
-from .core import OffspringLaw, freqs_of, make_schedule, random_interior_points
-from .discrete import DiscreteModel, empirical_drift, step_generation_batch
+from .batches import LANE_ANCESTRAL, LANE_DISCRETE, LANE_DRIFT, LANE_POINTS, LANE_SDE, map_batches, pmap
+from .core import OffspringLaw, freqs_of, make_schedule, random_interior_points, round_to_counts
+from .discrete import DiscreteModel, empirical_drift, step_unabsorbed
 from .errors import ConfigError
 from .measures import LambdaMeasure, ZeroMeasure
 from .rng import RngStream
@@ -29,14 +29,10 @@ from .rules import ColouringRule, bernstein_rule, LogisticRule, NegFreqDepRule, 
 from .sde import BatchSde, SdeConfig
 from .selection import DriftFunction, cyclic_contest_map, transitive_pair_map
 
-BATCH = 500  # replicate batch width; independent of thread count by design
-
 Z_99_TWO_SIDED = 2.5758293035489004
 Z_99_ONE_SIDED = 2.3263478740408408
 FOUR_SE = 4.0
 KS_NOISE = 1.36  # one-sample Kolmogorov-Smirnov noise scale / sqrt(R)
-
-_LANE_POINTS, _LANE_DISCRETE, _LANE_SDE, _LANE_ANCESTRAL, _LANE_DRIFT = range(1, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +105,6 @@ def _jsonable(value):
     return value
 
 
-def _batch_widths(replicates: int) -> list[int]:
-    full, rest = divmod(replicates, BATCH)
-    return [BATCH] * full + ([rest] if rest else [])
-
-
-def _pmap(fn, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Shared replicate drivers
 # ---------------------------------------------------------------------------
@@ -129,14 +113,12 @@ def _pmap(fn, items, threads: int) -> list:
 def _sde_fixation_batches(cfg: SdeConfig, x0, replicates: int, stream: RngStream, threads: int, max_time: float):
     """Run replicate batches to fixation; merge winners and event times."""
 
-    def run(args):
-        index, width = args
-        batch = BatchSde(cfg, x0, width, stream.derive(_LANE_SDE, index).generator())
+    def run(width, rng):
+        batch = BatchSde(cfg, x0, width, rng)
         unfixed = batch.run_to_fixation(max_time)
         return batch.winner, batch.fixation_time, batch.extinction_time, unfixed
 
-    widths = _batch_widths(replicates)
-    results = _pmap(run, list(enumerate(widths)), threads)
+    results = map_batches(run, replicates, stream, LANE_SDE, threads)
     winners = np.concatenate([r[0] for r in results])
     fix_times = np.concatenate([r[1] for r in results])
     ext_times = np.concatenate([r[2] for r in results])
@@ -148,41 +130,30 @@ def _sde_snapshots(cfg: SdeConfig, x0, replicates: int, stream: RngStream, threa
     """States of all replicates at each requested time: list of (R, K)."""
     times = list(times)
 
-    def run(args):
-        index, width = args
-        batch = BatchSde(cfg, x0, width, stream.derive(_LANE_SDE, index).generator())
+    def run(width, rng):
+        batch = BatchSde(cfg, x0, width, rng)
         snaps = []
         for t in times:
             batch.advance_to(t)
             snaps.append(batch.X.copy())
         return snaps
 
-    widths = _batch_widths(replicates)
-    results = _pmap(run, list(enumerate(widths)), threads)
+    results = map_batches(run, replicates, stream, LANE_SDE, threads)
     return [np.concatenate([res[j] for res in results]) for j in range(len(times))]
 
 
 def _discrete_finals(model: DiscreteModel, x0, generations: int, replicates: int, stream: RngStream, threads: int):
     """Final states of replicate batches of the finite-population chain."""
-    from .core import round_to_counts
-
     start = round_to_counts(x0, model.N) / float(model.N)
 
-    def run(args):
-        index, width = args
-        rng = stream.derive(_LANE_DISCRETE, index).generator()
+    def run(width, rng):
         X = np.tile(start, (width, 1))
-        active = np.ones(width, dtype=bool)
         for _ in range(generations):
-            if model.rule.mutation_free:
-                active = ~np.any(X == 1.0, axis=1)
-            if not active.any():
+            if not step_unabsorbed(model, X, rng):
                 break
-            X[active] = step_generation_batch(model, X[active], rng)
         return X
 
-    widths = _batch_widths(replicates)
-    return np.concatenate(_pmap(run, list(enumerate(widths)), threads))
+    return np.concatenate(map_batches(run, replicates, stream, LANE_DISCRETE, threads))
 
 
 def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -257,18 +228,18 @@ def run_drift_oracle(
         offspring = OffspringLaw(1.0, pair["tail"])
         model = DiscreteModel(N=2, rule=rule, offspring=offspring)
         xs = random_interior_points(
-            stream.derive(_LANE_POINTS, p_idx).generator(), rule.K, points, min_coord
+            stream.derive(LANE_POINTS, p_idx).generator(), rule.K, points, min_coord
         )
 
         def check(args):
             j, x = args
-            rng = stream.derive(_LANE_DRIFT, p_idx, j).generator()
+            rng = stream.derive(LANE_DRIFT, p_idx, j).generator()
             est = empirical_drift(model, x, samples, rng)
             dev = np.abs(drift(x) - scale * est.values)
             tol = FOUR_SE * scale * est.stderr + 1e-9
             return dev, tol
 
-        results = _pmap(check, list(enumerate(xs)), threads)
+        results = pmap(check, list(enumerate(xs)), threads)
         ratios = np.array([(dev / tol).max() for dev, tol in results])
         worst = float(ratios.max())
         metrics.append(
@@ -422,7 +393,7 @@ def run_fixation(
 
     dual = AncestralModel(kappa, sigma, increments if kappa > 0 else {1: 1.0}, measure)
     prediction = fixation_probabilities(
-        dual, x0, rng=stream.derive(_LANE_ANCESTRAL).generator(), total_time=stationary_time
+        dual, x0, rng=stream.derive(LANE_ANCESTRAL).generator(), total_time=stationary_time
     )
 
     metrics = [
@@ -557,7 +528,7 @@ def run_duality(
                         )
                     )
                     continue
-                rng = stream.derive(_LANE_ANCESTRAL, x_idx, t_idx, n0).generator()
+                rng = stream.derive(LANE_ANCESTRAL, x_idx, t_idx, n0).generator()
                 dual_mean, dual_se = dual_moment(dual, x, n0, t, dual_replicates, rng)
                 combined = math.sqrt(sde_se**2 + dual_se**2)
                 dev = abs(sde_mean - dual_mean)
@@ -632,9 +603,8 @@ def run_rps_lyapunov(
     times = [T * (j + 1) / grid_points for j in range(grid_points)]
     noisy = sigma > 0.0 or not measure.is_zero
 
-    def run(args):
-        index, width = args
-        batch = BatchSde(cfg, x0, width, stream.derive(_LANE_SDE, index).generator())
+    def run(width, rng):
+        batch = BatchSde(cfg, x0, width, rng)
         values = np.full((width, len(times)), np.nan)
         for j, t in enumerate(times):
             batch.advance_to(t)
@@ -643,8 +613,7 @@ def run_rps_lyapunov(
                 values[ok, j] = np.log(batch.X[ok]).sum(axis=1)
         return values
 
-    widths = _batch_widths(replicates)
-    values = np.concatenate(_pmap(run, list(enumerate(widths)), threads))
+    values = np.concatenate(map_batches(run, replicates, stream, LANE_SDE, threads))
     excluded = np.isnan(values).sum(axis=0)
     tarr = np.array(times)
 

@@ -17,7 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special
+
+# scipy.stats and scipy.integrate are imported inside the functions that use
+# them: loading them here would more than double the time and memory that
+# `import lwf` takes.
 
 
 class LambdaMeasure:
@@ -87,8 +91,10 @@ def _check_nk(n: int, k: int) -> None:
 
 
 def _atom_collision_rates(n: int, z: float, weight_over_z2: float) -> np.ndarray:
+    from scipy.stats import binom
+
     ks = np.arange(2, n + 1)
-    return weight_over_z2 * stats.binom.pmf(ks, n, z)
+    return weight_over_z2 * binom.pmf(ks, n, z)
 
 
 @dataclass(frozen=True)
@@ -293,7 +299,9 @@ class BetaLaw(LambdaMeasure):
             return self.mass * scale * tail
         if lo <= 0.0:
             return math.inf
-        val, _ = integrate.quad(lambda y: self.density(y) / y**2, lo, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)
+        from scipy.integrate import quad
+
+        val, _ = quad(lambda y: self.density(y) / y**2, lo, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)
         return float(val)
 
     def density(self, y):
@@ -322,7 +330,9 @@ class BetaLaw(LambdaMeasure):
         # Integrand ~ y**(a-2) near zero: integrable only for a > 1.
         if self.a <= 1.0:
             return math.inf
-        val, _ = integrate.quad(
+        from scipy.integrate import quad
+
+        val, _ = quad(
             lambda y: -math.log1p(-y) * float(self.density(y)) / y**2,
             0.0,
             1.0,
@@ -419,7 +429,9 @@ def lambda_nk_quadrature(measure: LambdaMeasure, n: int, k: int, rel_tol: float 
     for z, w in measure.atoms():
         total += w * z ** (k - 2) * (1.0 - z) ** (n - k)
     if measure.has_continuous_part:
-        val, _ = integrate.quad(
+        from scipy.integrate import quad
+
+        val, _ = quad(
             lambda y: float(measure.density(y)) * y ** (k - 2) * (1.0 - y) ** (n - k),
             0.0,
             1.0,
@@ -463,7 +475,9 @@ def kappa_star_quadrature(measure: LambdaMeasure, beta: float) -> float:
         probe = measure.density(np.array([1e-9])) * 1e-9  # ~ y * density(y) / y**2 * y
         if probe[0] > 1e-12:
             return math.inf
-        val, _ = integrate.quad(
+        from scipy.integrate import quad
+
+        val, _ = quad(
             lambda y: -math.log1p(-y) * float(measure.density(y)) / y**2,
             0.0,
             1.0,

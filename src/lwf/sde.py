@@ -163,12 +163,6 @@ def _advance(cfg: SdeConfig, X: np.ndarray, rng: np.random.Generator) -> np.ndar
     return Y
 
 
-def step_em(cfg: SdeConfig, x, rng: np.random.Generator) -> np.ndarray:
-    """Advance a single state by one time step ``dt``."""
-    x = freqs_of(x)
-    return _advance(cfg, np.array(x)[None, :], rng)[0]
-
-
 class BatchSde:
     """Replicates of one configuration advanced in lockstep.
 
@@ -267,34 +261,25 @@ class BatchSde:
         return ~np.isnan(self.extinction_time).all(axis=1) | self.clamp_fired
 
 
-@dataclass
-class SdeRun:
-    """A recorded single-replicate run with its boundary events."""
+def simulate_sde(
+    cfg: SdeConfig, x0, replicates: int, record_every: int, rng: np.random.Generator
+) -> tuple[list[Trajectory], BatchSde]:
+    """Integrate a batch of replicates to the horizon, recording every r-th step.
 
-    trajectory: Trajectory
-    extinction_times: np.ndarray
-    fixation_time: float
-    winner: int
-
-
-def simulate_sde(cfg: SdeConfig, x0, record_every: int, rng: np.random.Generator) -> SdeRun:
-    """Integrate one path to the horizon, recording every r-th step."""
+    Returns one trajectory per replicate and the batch, whose boundary
+    events (extinction and fixation times, winners, clamps) cover the whole
+    horizon.  Stepping stops once every replicate is fixed: the remaining
+    records repeat the vertices.
+    """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    batch = BatchSde(cfg, x0, 1, rng)
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    times = [0.0]
-    states = [batch.X[0].copy()]
-    # stepping stops at fixation: the remaining records repeat the vertex
-    for s in range(record_every, n_steps + 1, record_every):
+    batch = BatchSde(cfg, x0, replicates, rng)
+    recorded = np.arange(0, int(round(cfg.horizon / cfg.dt)) + 1, record_every)
+    states = np.empty((recorded.size, batch.R, cfg.K))
+    states[0] = batch.X
+    for j, s in enumerate(recorded[1:].tolist(), start=1):
         batch.run_to_fixation(s * cfg.dt)
-        times.append(s * cfg.dt)
-        states.append(batch.X[0].copy())
+        states[j] = batch.X
     batch.run_to_fixation(cfg.horizon)
-    winner = int(batch.winner[0])
-    return SdeRun(
-        trajectory=Trajectory(np.array(times), np.array(states)),
-        extinction_times=batch.extinction_time[0].copy(),
-        fixation_time=float(batch.fixation_time[0]),
-        winner=winner,
-    )
+    times = recorded * cfg.dt
+    return [Trajectory(times, states[:, r]) for r in range(batch.R)], batch

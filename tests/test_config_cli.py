@@ -1,9 +1,15 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lwf
+from lwf import cli
+from lwf.batches import BATCH
 from lwf.cli import main
 from lwf.config import load_config
 from lwf.errors import ConfigError
@@ -156,6 +162,99 @@ def test_cli_simulate_discrete_writes_trajectories(tmp_path):
         assert abs(value - round(value)) < 1e-9
 
 
+SIMULATE_PAYLOADS = {
+    "simulate-sde": {
+        "model": {"K": 3, "x0": [0.2, 0.3, 0.5], "dt": 0.01, "horizon": 0.04, "sigma": 1.0, "record_every": 2,
+                  "tol_ext": 0.05},
+        "drift": {"kind": "rps", "kappa": 1.0},
+        "lambda": {"kind": "point_mass", "z": 0.5, "mass": 1.0},
+    },
+    "simulate-discrete": {
+        "model": {"K": 3, "x0": [0.2, 0.3, 0.5], "N": 20, "generations": 4, "record_every": 2},
+        "rule": {"kind": "transitive"},
+        "lambda": {"kind": "point_mass", "z": 0.5, "mass": 1.0},
+        "schedule": {"alpha": 0.25, "kappa": 1.0, "sigma": 1.0, "tail": {"2": 1.0}},
+    },
+}
+
+
+@pytest.mark.parametrize("subcommand", list(SIMULATE_PAYLOADS))
+def test_cli_simulate_bytes_reproduce_across_runs_and_threads(tmp_path, subcommand):
+    cfg = write_config(tmp_path / "c.json", SIMULATE_PAYLOADS[subcommand])
+    replicates = 2 * BATCH + 7  # three batches, the last one partial
+    outs = []
+    for name, threads in (("a", "1"), ("b", "1"), ("c", "3")):
+        out = tmp_path / name
+        argv = [subcommand, "--config", cfg, "--out", str(out), "--seed", "5", "--replicates", str(replicates)]
+        assert main(argv + ["--threads", threads]) == 0
+        assert json.loads((out / "meta.json").read_text())["threads"] == int(threads)
+        outs.append((out / "trajectories.csv").read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+    rows = list(csv.reader(outs[0].decode().splitlines()))
+    assert rows[0] == ["t", "x_1", "x_2", "x_3", "replicate"]
+    ids = [int(row[-1]) for row in rows[1:]]
+    assert ids == sorted(ids) and set(ids) == set(range(replicates))
+    assert len(ids) == 3 * replicates  # t = 0 and two records each
+    states = np.array([row[1:-1] for row in rows[1:]], dtype=float)
+    assert states.min() >= 0.0 and np.allclose(states.sum(axis=1), 1.0, atol=1e-12)
+    # equal-width batches draw from streams of their own, not the same one again
+    assert not np.array_equal(states[3 * BATCH : 6 * BATCH], states[: 3 * BATCH])
+
+
+@pytest.mark.parametrize(
+    "subcommand,block,change",
+    [
+        ("simulate-sde", "model", {"dt": 0.0}),
+        ("simulate-sde", "model", {"x0": [0.5, 0.6, 0.1]}),
+        ("simulate-discrete", "schedule", {"tail": {"2": -1.0}}),
+        ("simulate-discrete", "model", {"record_every": 0}),
+        ("ancestral", "model", {"kappa": -1.0}),
+    ],
+    ids=["sde-dt", "sde-x0", "discrete-tail", "discrete-record-every", "ancestral-kappa"],
+)
+def test_cli_bad_model_values_are_config_errors_naming_the_block(tmp_path, capsys, subcommand, block, change):
+    if subcommand == "ancestral":
+        payload = {"model": {"n0": 5, "horizon": 1.0, "kappa": 0.2, "sigma": 1.0}, "schedule": {"tail": {"2": 1.0}}}
+    else:
+        payload = json.loads(json.dumps(SIMULATE_PAYLOADS[subcommand]))
+    payload[block].update(change)
+    cfg = write_config(tmp_path / "c.json", payload)
+    out = tmp_path / "run"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{block}'" in err and "Traceback" not in err
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["exit_code"] == 2 and meta["error"]["class"] == "ConfigError"
+    assert f"'{block}'" in meta["error"]["message"]
+    assert not (out / "trajectories.csv").exists()
+
+
+def test_cli_unexpected_error_is_reraised_after_writing_meta(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("integrator broke")
+
+    monkeypatch.setattr(cli, "simulate_sde", fail)
+    cfg = write_config(tmp_path / "c.json", SIMULATE_PAYLOADS["simulate-sde"])
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="integrator broke"):
+        main(["simulate-sde", "--config", cfg, "--out", str(out)])
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["exit_code"] == 1
+    assert meta["error"] == {"class": "RuntimeError", "message": "integrator broke"}
+
+
+def test_importing_the_cli_loads_no_scipy_stats_or_integrate():
+    code = (
+        "import sys, lwf, lwf.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    env = {"PYTHONPATH": str(Path(lwf.__file__).resolve().parents[1]), "PATH": ""}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_cli_ancestral_writes_paths_and_stationary(tmp_path):
     cfg = write_config(
         tmp_path / "c.json",
@@ -194,12 +293,17 @@ def test_cli_experiment_report_and_exit_codes(tmp_path):
     bad["experiment"] = {"name": "successive-extinction", "seed": 6, "replicates": 60, "min_fraction": 1.01}
     cfg = write_config(tmp_path / "bad.json", bad)
     assert main(["successive-extinction", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
+    meta = json.loads((tmp_path / "bad" / "meta.json").read_text())
+    assert (meta["exit_code"], meta["error"]) == (1, None)
 
     # wrong experiment name for the subcommand -> config error
     wrong = dict(payload)
     wrong["experiment"] = {"name": "duality"}
     cfg = write_config(tmp_path / "wrong.json", wrong)
     assert main(["successive-extinction", "--config", cfg, "--out", str(tmp_path / "wrong")]) == 2
+    meta = json.loads((tmp_path / "wrong" / "meta.json").read_text())
+    assert meta["exit_code"] == 2 and meta["error"]["class"] == "ConfigError"
+    assert "duality" in meta["error"]["message"]
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from lwf.core import OffspringLaw, make_schedule
-from lwf.discrete import DiscreteModel, empirical_drift, simulate_discrete, step_generation, step_generation_batch
+from lwf.core import OffspringLaw, make_schedule, round_to_counts
+from lwf.discrete import DiscreteModel, empirical_drift, simulate_discrete, step_generation_batch
 from lwf.measures import PointMass, TruncatedSizeLaw, ZeroMeasure
 from lwf.rng import RngStream
 from lwf.rules import NeutralRule, PartialOrderRule, TransitiveRule
@@ -19,12 +19,12 @@ def neutral_model(N, K=2, rho=0.1):
 def test_step_returns_lattice_frequencies():
     model = DiscreteModel(N=64, rule=TransitiveRule(3), offspring=OffspringLaw(0.3, {2: 0.6, 3: 0.4}))
     rng = RngStream(1).generator()
-    x = np.array([0.25, 0.25, 0.5])
+    X = np.tile([0.25, 0.25, 0.5], (4, 1))
     for _ in range(50):
-        x = step_generation(model, x, rng)
-        counts = x * model.N
+        X = step_generation_batch(model, X, rng)
+        counts = X * model.N
         assert np.allclose(counts, np.round(counts), atol=1e-9)
-        assert int(np.round(counts).sum()) == model.N
+        assert np.all(np.round(counts).sum(axis=1) == model.N)
 
 
 def test_monomorphic_is_absorbing():
@@ -36,19 +36,19 @@ def test_monomorphic_is_absorbing():
         size_law=TruncatedSizeLaw(PointMass(0.5, 1.0), 0.01),
     )
     rng = RngStream(2).generator()
-    x = np.array([1.0, 0.0])
+    X = np.tile([1.0, 0.0], (50, 1))
     for _ in range(20):
-        x = step_generation(model, x, rng)
-        assert np.array_equal(x, [1.0, 0.0])
+        X = step_generation_batch(model, X, rng)
+        assert np.all(X == [1.0, 0.0])
 
 
 def test_support_conservation_mutation_free():
     model = DiscreteModel(N=50, rule=PartialOrderRule.rps(), offspring=OffspringLaw(0.4, {2: 1.0}))
     rng = RngStream(3).generator()
-    x = np.array([0.5, 0.5, 0.0])
+    X = np.tile([0.5, 0.5, 0.0], (8, 1))
     for _ in range(100):
-        x = step_generation(model, x, rng)
-        assert x[2] == 0.0
+        X = step_generation_batch(model, X, rng)
+        assert np.all(X[:, 2] == 0.0)
 
 
 def test_neutral_mean_preserved():
@@ -72,13 +72,10 @@ def test_forced_extreme_event_with_unit_size():
     )
     rng = RngStream(5).generator()
     x = np.array([0.2, 0.3, 0.5])
-    hits = np.zeros(3)
-    for _ in range(300):
-        y = step_generation(model, x, rng)
-        assert set(np.unique(y)) <= {0.0, 1.0}
-        hits += y
+    Y = step_generation_batch(model, np.tile(x, (300, 1)), rng)
+    assert set(np.unique(Y)) <= {0.0, 1.0}
     # winner frequencies follow the parent law x
-    p_hat = hits / 300
+    p_hat = Y.mean(axis=0)
     assert np.all(np.abs(p_hat - x) <= 4.5 * np.sqrt(x * (1 - x) / 300))
 
 
@@ -130,7 +127,7 @@ def test_mutation_rule_escapes_vertices():
 
     rule = TransitiveWithMutationRule(2, 0.2, [[0.0, 1.0], [1.0, 0.0]])
     model = DiscreteModel(N=100, rule=rule, offspring=OffspringLaw(0.5, {2: 1.0}))
-    traj = simulate_discrete(model, [1.0, 0.0], 30, 1, RngStream(20).generator())
+    (traj,) = simulate_discrete(model, [1.0, 0.0], 1, 30, 1, RngStream(20).generator())
     # no absorption short-circuit: mutation keeps reintroducing type 2
     assert traj.states[1:, 1].max() > 0.0
 
@@ -152,17 +149,61 @@ def test_per_individual_fallback_matches_exact_law(monkeypatch):
 def test_simulate_discrete_trivia():
     model = neutral_model(N=20)
     rng = RngStream(8).generator()
-    traj = simulate_discrete(model, [0.5, 0.5], 0, 1, rng)
+    (traj,) = simulate_discrete(model, [0.5, 0.5], 1, 0, 1, rng)
     assert len(traj) == 1 and np.allclose(traj.states[0], [0.5, 0.5])
 
-    traj = simulate_discrete(model, [1.0, 0.0], 50, 10, rng)
-    assert np.all(traj.states[:, 0] == 1.0)
-    assert traj.times.tolist() == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
+    trajectories = simulate_discrete(model, [1.0, 0.0], 3, 55, 10, rng)
+    assert len(trajectories) == 3
+    for traj in trajectories:
+        assert np.all(traj.states[:, 0] == 1.0)
+        assert traj.times.tolist() == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
+
+    for bad in ((0, 5, 1), (1, -1, 1), (1, 5, 0)):
+        with pytest.raises(ValueError):
+            simulate_discrete(model, [0.5, 0.5], *bad, rng)
+
+
+def _records_of_stepping_through(model, x0, R, generations, record_every, seed):
+    """Step a batch by hand, absorbed rows of mutation-free rules held fixed."""
+    X = np.tile(round_to_counts(x0, model.N) / model.N, (R, 1))
+    rng = RngStream(seed).generator()
+    records = [X.copy()]
+    for g in range(1, generations + 1):
+        moving = ~np.any(X == 1.0, axis=1) if model.rule.mutation_free else np.ones(R, dtype=bool)
+        if moving.any():
+            X[moving] = step_generation_batch(model, X[moving], rng)
+        if g % record_every == 0:
+            records.append(X.copy())
+    return np.array(records)
+
+
+def test_simulate_discrete_records_the_batch_stepped_by_hand():
+    from lwf.rules import TransitiveWithMutationRule
+
+    offspring = OffspringLaw(0.5, {2: 1.0})
+    absorbing = DiscreteModel(N=12, rule=TransitiveRule(2), offspring=offspring)
+    mutating = DiscreteModel(
+        N=12, rule=TransitiveWithMutationRule(2, 0.2, [[0.0, 1.0], [1.0, 0.0]]), offspring=offspring
+    )
+    R, generations, record_every = 8, 100, 3  # 3 does not divide 100
+    for model, x0 in ((absorbing, [0.5, 0.5]), (mutating, [1.0, 0.0])):
+        trajectories = simulate_discrete(model, x0, R, generations, record_every, RngStream(13).generator())
+        expected = _records_of_stepping_through(model, x0, R, generations, record_every, 13)
+        assert len(trajectories) == R
+        for r, traj in enumerate(trajectories):
+            assert traj.times.tolist() == [float(g) for g in range(0, generations + 1, record_every)]
+            assert np.array_equal(traj.states, expected[:, r])
+        fixed = (expected == 1.0).any(axis=2)
+        if model is absorbing:
+            first = fixed.argmax(axis=0)
+            assert fixed[-1].all() and np.unique(first).size >= 3  # rows absorb at different records
+        else:
+            assert not fixed[1:].all()  # the mutation rule leaves the vertex it started at
 
 
 def test_simulate_discrete_rounds_initial_state():
     model = neutral_model(N=10, K=3)
-    traj = simulate_discrete(model, [0.21, 0.33, 0.46], 0, 1, RngStream(9).generator())
+    (traj,) = simulate_discrete(model, [0.21, 0.33, 0.46], 1, 0, 1, RngStream(9).generator())
     assert np.allclose(traj.states[0], [0.2, 0.3, 0.5])
 
 

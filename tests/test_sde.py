@@ -7,7 +7,7 @@ import pytest
 from lwf.core import random_interior_points
 from lwf.measures import FiniteAtoms, PointMass, ZeroMeasure
 from lwf.rng import RngStream
-from lwf.sde import BatchSde, SdeConfig, _advance, _apply_zeta, simulate_sde, step_em, zeta
+from lwf.sde import BatchSde, SdeConfig, _advance, _apply_zeta, simulate_sde, zeta
 from lwf.selection import DriftFunction
 
 
@@ -58,9 +58,9 @@ def test_zeta_factorization_random_and_near_boundary():
 
 def test_frozen_dynamics_identity():
     cfg = SdeConfig(K=3, drift=None, sigma=0.0, measure=ZeroMeasure(), dt=0.01, horizon=1.0)
-    x = np.array([0.5, 0.25, 0.25])
-    y = step_em(cfg, x, RngStream(2).generator())
-    assert np.array_equal(x, y)
+    X = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0]])
+    Y = _advance(cfg, X, RngStream(2).generator())
+    assert np.array_equal(X, Y)
 
 
 def test_jump_is_exact_convex_combination():
@@ -69,8 +69,7 @@ def test_jump_is_exact_convex_combination():
     rng = RngStream(3).generator()
     x = np.array([0.5, 0.25, 0.25])
     single, jumped = 0, 0
-    for _ in range(2000):
-        y = step_em(cfg, x, rng)
+    for y in _advance(cfg, np.tile(x, (2000, 1)), rng):
         if np.array_equal(y, x):
             continue
         jumped += 1
@@ -109,17 +108,20 @@ def test_every_recorded_state_is_on_the_simplex():
         dt=1e-3,
         horizon=1.0,
     )
-    run = simulate_sde(cfg, [0.5, 0.25, 0.25], 10, RngStream(5).generator())
-    states = run.trajectory.states
-    assert states.min() >= 0.0
-    assert np.allclose(states.sum(axis=1), 1.0, atol=1e-12)
+    trajectories, _ = simulate_sde(cfg, [0.5, 0.25, 0.25], 4, 10, RngStream(5).generator())
+    assert len(trajectories) == 4
+    for trajectory in trajectories:
+        assert len(trajectory) == 101
+        assert trajectory.states.min() >= 0.0
+        assert np.allclose(trajectory.states.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_vertex_start_stays_fixed():
     cfg = SdeConfig(K=3, drift=DriftFunction.rps(1.0), sigma=1.0, measure=PointMass(0.5, 1.0), dt=1e-3, horizon=0.2)
-    run = simulate_sde(cfg, [0.0, 1.0, 0.0], 1, RngStream(6).generator())
-    assert np.all(run.trajectory.states[:, 1] == 1.0)
-    assert run.winner == 1 and run.fixation_time == 0.0
+    trajectories, batch = simulate_sde(cfg, [0.0, 1.0, 0.0], 2, 1, RngStream(6).generator())
+    for trajectory in trajectories:
+        assert np.all(trajectory.states[:, 1] == 1.0)
+    assert np.all(batch.winner == 1) and np.all(batch.fixation_time == 0.0)
 
 
 def test_cyclic_relabelling_symmetry():
@@ -127,10 +129,10 @@ def test_cyclic_relabelling_symmetry():
     # law; with a common seed the two runs agree after relabelling because
     # the integrator treats coordinates symmetrically up to the noise basis.
     cfg = SdeConfig(K=3, drift=DriftFunction.rps(1.0), sigma=0.0, measure=ZeroMeasure(), dt=1e-3, horizon=1.0)
-    base = simulate_sde(cfg, [0.5, 0.25, 0.25], 100, RngStream(7).generator())
-    rolled = simulate_sde(cfg, [0.25, 0.5, 0.25], 100, RngStream(7).generator())
-    assert np.allclose(np.roll(base.trajectory.states, 1, axis=1), rolled.trajectory.states, atol=1e-12)
-    assert np.allclose(base.trajectory.states.sum(axis=1), 1.0, atol=1e-12)
+    (base,), _ = simulate_sde(cfg, [0.5, 0.25, 0.25], 1, 100, RngStream(7).generator())
+    (rolled,), _ = simulate_sde(cfg, [0.25, 0.5, 0.25], 1, 100, RngStream(7).generator())
+    assert np.allclose(np.roll(base.states, 1, axis=1), rolled.states, atol=1e-12)
+    assert np.allclose(base.states.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_extinction_clamp_records_events():
@@ -150,21 +152,28 @@ def test_simulate_sde_stops_at_fixation_with_the_records_of_stepping_through():
     cfg = SdeConfig(
         K=3, drift=DriftFunction.rps(1.0), sigma=1.0, measure=PointMass(0.5, 1.0), dt=1e-3, horizon=5.0, tol_ext=1e-6
     )
-    record_every = 7  # does not divide the 5000 steps
-    run = simulate_sde(cfg, [0.2, 0.3, 0.5], record_every, RngStream(11).generator())
-    assert run.fixation_time < cfg.horizon - 1.0  # a long absorbed stretch
+    R, record_every = 6, 7  # 7 does not divide the 5000 steps
+    trajectories, run = simulate_sde(cfg, [0.2, 0.3, 0.5], R, record_every, RngStream(11).generator())
+    fixed = run.fixation_time[run.winner >= 0]
+    assert np.unique(fixed).size >= 3  # rows fix at different steps ...
+    assert fixed.min() < cfg.horizon - 1.0  # ... and some sit absorbed for long stretches
 
-    batch = BatchSde(cfg, [0.2, 0.3, 0.5], 1, RngStream(11).generator())
-    times, states = [0.0], [batch.X[0].copy()]
+    batch = BatchSde(cfg, [0.2, 0.3, 0.5], R, RngStream(11).generator())
+    times, states = [0.0], [batch.X.copy()]
     for s in range(1, int(round(cfg.horizon / cfg.dt)) + 1):
         batch.step()
         if s % record_every == 0:
             times.append(batch.t)
-            states.append(batch.X[0].copy())
-    assert np.array_equal(run.trajectory.times, np.array(times))
-    assert np.array_equal(run.trajectory.states, np.array(states))
-    assert np.array_equal(run.extinction_times, batch.extinction_time[0], equal_nan=True)
-    assert (run.fixation_time, run.winner) == (batch.fixation_time[0], batch.winner[0])
+            states.append(batch.X.copy())
+    states = np.array(states)
+    assert len(trajectories) == R
+    for r, trajectory in enumerate(trajectories):
+        assert np.array_equal(trajectory.times, np.array(times))
+        assert np.array_equal(trajectory.states, states[:, r])
+    assert np.array_equal(run.extinction_time, batch.extinction_time, equal_nan=True)
+    assert np.array_equal(run.fixation_time, batch.fixation_time, equal_nan=True)
+    assert np.array_equal(run.winner, batch.winner)
+    assert np.array_equal(run.clamp_fired, batch.clamp_fired)
 
 
 def _check_bookkeeping_per_step(cfg, x0, R, seed, n_steps):
