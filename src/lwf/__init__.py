@@ -8,12 +8,12 @@ chain for fixation probabilities, and a statistical experiment harness.
 from .ancestral import (
     AncestralModel,
     FixationPrediction,
-    StationaryEstimate,
+    StationaryLaw,
     ancestral_rates,
     dual_moment,
     fixation_probabilities,
     simulate_ancestral,
-    stationary_and_pgf,
+    stationary_law,
 )
 from .bernstein import PolynomialMap, bernstein_table, evaluate_bernstein
 from .core import (
@@ -26,7 +26,7 @@ from .core import (
     round_to_counts,
 )
 from .discrete import DiscreteModel, empirical_drift, simulate_discrete
-from .errors import ConfigError, LwfError, RateExplosionError, ScheduleError, TransienceError
+from .errors import ConfigError, LwfError, RateExplosionError, ScheduleError
 from .measures import (
     BetaLaw,
     FiniteAtoms,

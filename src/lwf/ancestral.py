@@ -26,15 +26,18 @@ the highest labelled type present at time zero fixes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import OffspringLaw, freqs_of
-from .errors import RateExplosionError, TransienceError
+from .errors import RateExplosionError
 from .measures import LambdaMeasure, ZeroMeasure, kappa_star as _kappa_star
 
 STATE_GUARD = 10**7
+N_START = 64  # first truncation level of the stationary solve
+N_CAP = 2048  # default ceiling of the solve: a dense generator of 32 MB
+STATIONARY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -45,12 +48,14 @@ class AncestralModel:
     sigma: float
     increments: tuple[tuple[int, float], ...]
     measure: LambdaMeasure
-    n_cap: int = 10_000
+    n_cap: int = N_CAP
     per_lineage_branching: bool = True
 
-    def __init__(self, kappa, sigma, increments, measure=None, n_cap=10_000, per_lineage_branching=True):
+    def __init__(self, kappa, sigma, increments, measure=None, n_cap=N_CAP, per_lineage_branching=True):
         if kappa < 0 or sigma < 0:
             raise ValueError("kappa and sigma must be nonnegative")
+        if n_cap < 2 * N_START:
+            raise ValueError(f"n_cap must be >= {2 * N_START}, got {n_cap}")
         if isinstance(increments, OffspringLaw):
             items = sorted(increments.increments().items())
         elif isinstance(increments, dict):
@@ -101,25 +106,18 @@ class AncestralModel:
 
 
 def _build_rates(model: AncestralModel, n: int):
+    """Moves out of state n in a fixed order: branching, pair coalescence, collisions by k."""
     if n < 1:
         raise ValueError(f"state must be >= 1, got {n}")
-    targets, rates = [], []
     scale = n if model.per_lineage_branching else 1
-    for j, w in model.increments:
-        rate = model.kappa * w * scale
-        if rate > 0:
-            targets.append(n + j)
-            rates.append(rate)
+    targets = [n + np.array([j for j, _ in model.increments], dtype=np.int64)]
+    rates = [model.kappa * np.array([w for _, w in model.increments], dtype=float) * scale]
     if n >= 2:
-        if model.sigma > 0:
-            targets.append(n - 1)
-            rates.append(model.sigma * n * (n - 1) / 2.0)
-        collision = model.measure.collision_rate_vector(n)  # k = 2..n
-        for k_off, rate in enumerate(collision):
-            if rate > 0.0:
-                targets.append(n - (k_off + 2) + 1)
-                rates.append(float(rate))
-    return np.array(targets, dtype=np.int64), np.array(rates, dtype=float)
+        targets += [np.array([n - 1]), np.arange(n - 1, 0, -1)]  # collisions k = 2..n land on n - k + 1
+        rates += [np.array([model.sigma * n * (n - 1) / 2.0]), model.measure.collision_rate_vector(n)]
+    targets, rates = np.concatenate(targets), np.concatenate(rates)
+    keep = rates > 0.0
+    return targets[keep], rates[keep]
 
 
 def ancestral_rates(model: AncestralModel, n: int) -> list[tuple[int, float]]:
@@ -178,23 +176,24 @@ def dual_moment(
     total = 0.0
     total_sq = 0.0
     for _ in range(replicates):
-        n, s = int(n0), 0.0
-        while True:
-            targets, _, cum, rate = model.rates(n)
-            if rate <= 0.0:
-                break
-            s += rng.exponential(1.0 / rate)
-            if s >= t:
-                break
-            n = int(targets[np.searchsorted(cum, rng.random() * rate)])
-            if n > STATE_GUARD:
-                raise RateExplosionError(f"lineage count passed {STATE_GUARD}")
+        n = int(simulate_ancestral(model, n0, t, rng)[1][-1])
         val = x**n
         total += val
         total_sq += val * val
     mean = total / replicates
     var = max(total_sq / replicates - mean * mean, 0.0)
     return mean, math.sqrt(var / replicates)
+
+
+def _generator(model: AncestralModel, n_max: int) -> np.ndarray:
+    """Dense generator of the chain on states 1..n_max; moves above n_max are dropped."""
+    Q = np.zeros((n_max, n_max))
+    for n in range(1, n_max + 1):
+        targets, rates, _, _ = model.rates(n)
+        keep = targets <= n_max
+        Q[n - 1] = np.bincount(targets[keep] - 1, rates[keep], minlength=n_max)
+        Q[n - 1, n - 1] -= rates[keep].sum()
+    return Q
 
 
 def dual_moment_exact(model: AncestralModel, x: float, n0: int, t: float, n_max: int = 400) -> float:
@@ -205,14 +204,7 @@ def dual_moment_exact(model: AncestralModel, x: float, n0: int, t: float, n_max:
     """
     from scipy.linalg import expm
 
-    Q = np.zeros((n_max, n_max))
-    for n in range(1, n_max + 1):
-        targets, rates, _, _ = model.rates(n)
-        for tgt, rate in zip(targets, rates):
-            if tgt <= n_max:
-                Q[n - 1, tgt - 1] += rate
-                Q[n - 1, n - 1] -= rate
-    P = expm(Q * t)
+    P = expm(_generator(model, n_max) * t)
     vals = x ** np.arange(1, n_max + 1)
     return float(P[n0 - 1] @ vals)
 
@@ -222,114 +214,66 @@ def dual_moment_exact(model: AncestralModel, x: float, n0: int, t: float, n_max:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StationaryEstimate:
-    """Occupation-time estimate of the stationary law with batch-means errors."""
-
-    states: np.ndarray
-    occupation: np.ndarray
-    stderr: np.ndarray
-    batch_occupation: np.ndarray = field(repr=False)
-    total_time: float = 0.0
-    burn_in: float = 0.0
-
-    def pgf(self, s: float) -> tuple[float, float]:
-        """``phi(s) = sum_n nu(n) s**n`` with a propagated standard error."""
-        vals = self.batch_occupation @ (float(s) ** self.states)
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
-
-    def pgf_increments(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Increments of the pgf across consecutive points, with errors."""
-        points = np.asarray(points, dtype=float)
-        per_batch = np.stack([self.batch_occupation @ (p**self.states) for p in points], axis=1)
-        inc = np.diff(np.concatenate([np.zeros((per_batch.shape[0], 1)), per_batch], axis=1), axis=1)
-        return inc.mean(axis=0), inc.std(axis=0, ddof=1) / math.sqrt(inc.shape[0])
+def _pgf_increments(nu: np.ndarray, points) -> np.ndarray:
+    """Increments of ``phi(s) = sum_n nu(n) s**n`` across ``points``, for a law on states 1..len(nu)."""
+    phi = np.power.outer(np.asarray(points, dtype=float), np.arange(1, nu.size + 1)) @ nu
+    return np.diff(phi, prepend=0.0)
 
 
-def stationary_and_pgf(
-    model: AncestralModel,
-    n0: int,
-    total_time: float,
-    burn_in: float | None,
-    rng: np.random.Generator,
-    *,
-    batches: int = 50,
-) -> StationaryEstimate:
-    """Occupation-time estimate of the stationary law of the chain.
+def _solve_stationary(model: AncestralModel, n_max: int) -> np.ndarray:
+    """Null vector of the truncated generator: ``nu Q = 0`` with ``sum(nu) = 1``."""
+    A = _generator(model, n_max).T
+    A[-1] = 1.0  # the balance equation of state n_max gives way to the normalisation
+    b = np.zeros(n_max)
+    b[-1] = 1.0
+    nu = np.clip(np.linalg.solve(A, b), 0.0, None)  # rounding can leave -1e-17 in the far tail
+    return nu / nu.sum()
 
-    Post-burn-in time is split into equal windows; per-window occupation
-    fractions give batch-means standard errors.  Aborts with
-    :class:`TransienceError` if the state escapes past the model's cap,
-    which a positive recurrent chain at these parameters will not reach.
+
+@dataclass(frozen=True)
+class StationaryLaw:
+    """Stationary law of the chain solved on states 1..n_max, with its truncation error.
+
+    ``change`` is how far the probed quantities moved when ``n_max`` last
+    doubled; an unresolved law is the one at the ceiling ``n_cap``.
     """
-    if burn_in is None:
-        burn_in = 0.1 * total_time
-    if not 0.0 <= burn_in < total_time:
-        raise ValueError("need 0 <= burn_in < total_time")
-    if batches < 2:
-        raise ValueError("need at least two batches")
-    window = (total_time - burn_in) / batches
-    occ: dict[int, np.ndarray] = {}
 
-    def deposit(state: int, a: float, b: float) -> None:
-        row = occ.get(state)
-        if row is None:
-            row = occ.setdefault(state, np.zeros(batches))
-        i = int((a - burn_in) / window)
-        while a < b - 1e-18 and i < batches:
-            edge = burn_in + (i + 1) * window
-            row[i] += min(b, edge) - a
-            a = edge
-            i += 1
+    occupation: np.ndarray  # nu(n) for n = 1..n_max
+    change: np.ndarray
+    resolved: bool
 
-    t, n = 0.0, int(n0)
-    while t < total_time:
-        targets, _, cum, total = model.rates(n)
-        if total <= 0.0:
-            hold = total_time - t
-            nxt = n
-        else:
-            hold = rng.exponential(1.0 / total)
-            nxt = int(targets[np.searchsorted(cum, rng.random() * total)])
-        a, b = max(t, burn_in), min(t + hold, total_time)
-        if b > a:
-            deposit(n, a, b)
-        t += hold
-        n = nxt
-        if n > model.n_cap:
-            raise TransienceError(
-                f"lineage count escaped past {model.n_cap}: the chain looks transient",
-                state=n,
-                time=t,
-            )
-
-    states = np.array(sorted(occ), dtype=np.int64)
-    batch_occ = np.stack([occ[s] for s in states], axis=1) / window
-    occupation = batch_occ.mean(axis=0)
-    stderr = batch_occ.std(axis=0, ddof=1) / math.sqrt(batches)
-    return StationaryEstimate(
-        states=states,
-        occupation=occupation,
-        stderr=stderr,
-        batch_occupation=batch_occ,
-        total_time=total_time,
-        burn_in=burn_in,
-    )
+    @property
+    def n_max(self) -> int:
+        return self.occupation.size
 
 
-def stationary_exact(model: AncestralModel, n_max: int) -> np.ndarray:
-    """Stationary law of the generator truncated at ``n_max`` (test oracle)."""
-    Q = np.zeros((n_max, n_max))
-    for n in range(1, n_max + 1):
-        targets, rates, _, _ = model.rates(n)
-        for tgt, rate in zip(targets, rates):
-            if tgt <= n_max:
-                Q[n - 1, tgt - 1] += rate
-                Q[n - 1, n - 1] -= rate
-    A = np.vstack([Q.T, np.ones(n_max)])
-    b = np.concatenate([np.zeros(n_max), [1.0]])
-    nu, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return np.clip(nu, 0.0, None) / np.clip(nu, 0.0, None).sum()
+def stationary_law(model: AncestralModel, points=None) -> StationaryLaw:
+    """Stationary law of a positive recurrent chain from truncated linear solves.
+
+    ``n_max`` doubles from ``N_START`` until the probed quantities move by at
+    most ``STATIONARY_TOL`` between ``n_max / 2`` and ``n_max``, or ``n_max`` reaches
+    the model's ``n_cap``.  The probe is the vector of pgf increments across
+    ``points`` (cumulative frequencies) when given, else the distribution
+    function, whose change bounds that of every pgf increment by a factor 2.
+    """
+    if not model.is_positive_recurrent():
+        raise ValueError(
+            f"the chain is transient (kappa = {model.kappa:g} >= kappa* = {model.kappa_star:g}, sigma = 0):"
+            " it has no stationary law"
+        )
+    probe = np.cumsum if points is None else lambda nu: _pgf_increments(nu, points)
+    n_max = N_START
+    before = probe(_solve_stationary(model, n_max))
+    while True:
+        n_max = min(2 * n_max, model.n_cap)
+        nu = _solve_stationary(model, n_max)
+        after = probe(nu)
+        # A distribution function on 1..n_max/2 is 1 above it, so its first entries carry the whole change.
+        change = np.abs(after[: before.size] - before)
+        resolved = bool(change.max() <= STATIONARY_TOL)
+        if resolved or n_max == model.n_cap:
+            return StationaryLaw(nu, change, resolved)
+        before = after
 
 
 @dataclass
@@ -337,27 +281,23 @@ class FixationPrediction:
     """Predicted fixation probabilities with their provenance."""
 
     probs: np.ndarray
-    stderr: np.ndarray
-    regime: str  # "recurrent" or "transient"
+    stderr: np.ndarray  # truncation error of the stationary solve
+    regime: str  # "recurrent", "transient" or "unresolved"
     kappa_star: float
+    n_max: int = 0  # states in the solved stationary law (0: no solve needed)
 
 
-def fixation_probabilities(
-    model: AncestralModel,
-    x0,
-    *,
-    drift_kind: str = "transitive",
-    rng: np.random.Generator | None = None,
-    total_time: float = 2e5,
-    burn_in: float | None = None,
-    batches: int = 50,
-) -> FixationPrediction:
+def fixation_probabilities(model: AncestralModel, x0, *, drift_kind: str = "transitive") -> FixationPrediction:
     """Fixation probability of each type under ordered contests.
 
     Positive recurrent regime: the probability that type i fixes is the pgf
-    increment ``phi(c_i) - phi(c_(i-1))`` across the cumulative initial
-    frequencies.  Transient regime (``sigma = 0`` and ``kappa >=
-    kappa_star``): the highest labelled type present fixes surely.
+    increment ``phi(c_i) - phi(c_(i-1))`` of the stationary law across the
+    cumulative initial frequencies, solved by :func:`stationary_law` with
+    its truncation error as ``stderr``; regime ``"unresolved"`` when the
+    solve reaches ``n_cap`` first, as it does near ``kappa_star``, where the
+    law is heavy-tailed.  Transient regime (``sigma = 0`` and ``kappa >=
+    kappa_star``, decided in closed form): the highest labelled type present
+    fixes surely.
 
     Only the ordered-contest (transitive) scheme has this dual description;
     other drift kinds are refused.
@@ -370,11 +310,10 @@ def fixation_probabilities(
         # Pure-death dual: stationary law is concentrated at 1, pgf(s) = s.
         return FixationPrediction(x0.copy(), np.zeros_like(x0), "recurrent", ks)
     if model.is_positive_recurrent():
-        if rng is None:
-            raise ValueError("the recurrent branch estimates the stationary pgf: pass an rng")
-        est = stationary_and_pgf(model, 1, total_time, burn_in, rng, batches=batches)
-        probs, stderr = est.pgf_increments(np.cumsum(x0))
-        return FixationPrediction(probs, stderr, "recurrent", ks)
+        law = stationary_law(model, np.cumsum(x0))
+        probs = _pgf_increments(law.occupation, np.cumsum(x0))
+        regime = "recurrent" if law.resolved else "unresolved"
+        return FixationPrediction(probs, law.change, regime, ks, law.n_max)
     probs = np.zeros_like(x0)
     probs[np.flatnonzero(x0 > 0.0).max()] = 1.0
     return FixationPrediction(probs, np.zeros_like(x0), "transient", ks)

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import experiments as xp
-from .ancestral import AncestralModel, simulate_ancestral, stationary_and_pgf
+from .ancestral import AncestralModel, simulate_ancestral, stationary_law
 from .batches import LANE_DISCRETE, LANE_SDE, map_batches
 from .config import (
     ConfigError,
@@ -186,13 +186,17 @@ def _run_ancestral(args, cfg, out: Path) -> int:
     model_block = take_block(
         cfg,
         "model",
-        ("n0", "horizon", "kappa", "sigma", "n_cap", "stationary_time", "burn_in"),
+        ("n0", "horizon", "kappa", "sigma", "n_cap", "stationary", "stationary_time", "burn_in"),
         ("n0", "horizon", "kappa", "sigma"),
     )
     sched_block = take_block(cfg, "schedule", ("tail",), ("tail",))
     exp_block = _experiment_block(cfg)
     _check_name(exp_block, "ancestral")
     seed, replicates = _seed_replicates(args, exp_block)
+    # stationary_time (with burn_in, both ignored) sized the simulation that estimated the law
+    wants_law = model_block.get("stationary", "stationary_time" in model_block)
+    if not isinstance(wants_law, bool):
+        raise ConfigError(f"invalid 'model' block: stationary must be true or false, got {wants_law!r}")
 
     measure = parse_measure(cfg)
     tail = parse_tail(sched_block)
@@ -203,8 +207,9 @@ def _run_ancestral(args, cfg, out: Path) -> int:
             float(model_block["sigma"]),
             increments,
             measure,
-            n_cap=int(model_block.get("n_cap", 10_000)),
+            n_cap=int(model_block.get("n_cap", AncestralModel.n_cap)),
         )
+        law = stationary_law(model) if wants_law else None
     stream = RngStream(seed)
     horizon = float(model_block["horizon"])
     paths = [
@@ -212,20 +217,13 @@ def _run_ancestral(args, cfg, out: Path) -> int:
         for r in range(replicates)
     ]
     write_ancestral_csv(out / "paths.csv", paths)
-    if "stationary_time" in model_block:
-        est = stationary_and_pgf(
-            model,
-            int(model_block["n0"]),
-            float(model_block["stationary_time"]),
-            float(model_block["burn_in"]) if "burn_in" in model_block else None,
-            stream.derive(10**6).generator(),
-        )
+    if law is not None:
         payload = {
-            "states": est.states.tolist(),
-            "occupation": est.occupation.tolist(),
-            "stderr": est.stderr.tolist(),
-            "total_time": est.total_time,
-            "burn_in": est.burn_in,
+            "states": list(range(1, law.n_max + 1)),
+            "occupation": law.occupation.tolist(),
+            "n_max": law.n_max,
+            "truncation_error": float(law.change.max()),
+            "resolved": law.resolved,
         }
         (out / "stationary.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
@@ -264,7 +262,7 @@ def _run_experiment(args, cfg, out: Path, name: str) -> int:
         model_block = take_block(
             cfg,
             "model",
-            ("x0", "kappa", "sigma", "dt", "eps_jump", "tol_ext", "max_time", "stationary_time"),
+            ("x0", "kappa", "sigma", "dt", "eps_jump", "tol_ext", "max_time", "stationary_time"),  # last one ignored
             ("x0", "kappa", "sigma", "dt"),
         )
         sched_block = take_block(cfg, "schedule", ("tail",), ("tail",))
@@ -282,7 +280,6 @@ def _run_experiment(args, cfg, out: Path, name: str) -> int:
             eps_jump=float(model_block.get("eps_jump", 1e-3)),
             tol_ext=float(model_block.get("tol_ext", 1e-8)),
             max_time=float(model_block.get("max_time", 500.0)),
-            stationary_time=float(model_block.get("stationary_time", 2e5)),
             replicates=replicates,
             seed=seed,
             threads=args.threads,

@@ -13,14 +13,5 @@ class ScheduleError(LwfError):
     """Raised when scaling parameters are infeasible (e.g. event probability > 1)."""
 
 
-class TransienceError(LwfError):
-    """Raised when the lineage-count chain escapes upward instead of equilibrating."""
-
-    def __init__(self, message: str, *, state: int, time: float):
-        super().__init__(message)
-        self.state = state
-        self.time = time
-
-
 class RateExplosionError(LwfError):
     """Raised when a simulated chain exceeds the hard state guard."""

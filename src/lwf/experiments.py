@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ancestral import AncestralModel, dual_moment, fixation_probabilities
+from .ancestral import STATIONARY_TOL, AncestralModel, dual_moment, fixation_probabilities
 from .batches import LANE_ANCESTRAL, LANE_DISCRETE, LANE_DRIFT, LANE_POINTS, LANE_SDE, map_batches, pmap
 from .core import OffspringLaw, freqs_of, make_schedule, random_interior_points, round_to_counts
 from .discrete import DiscreteModel, empirical_drift, step_unabsorbed
@@ -108,6 +108,14 @@ def _jsonable(value):
 # ---------------------------------------------------------------------------
 # Shared replicate drivers
 # ---------------------------------------------------------------------------
+
+
+def _build(factory, *args, **kwargs):
+    """``factory(*args, **kwargs)``, a model value it rejects reported as a ConfigError."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {factory.__qualname__} value: {exc}") from exc
 
 
 def _sde_fixation_batches(cfg: SdeConfig, x0, replicates: int, stream: RngStream, threads: int, max_time: float):
@@ -299,14 +307,14 @@ def run_convergence(
     """
     x0 = freqs_of(x0)
     stream = RngStream(seed)
-    cfg = SdeConfig(K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump)
+    cfg = _build(SdeConfig, K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump)
     sde_final = _sde_snapshots(cfg, x0, replicates, stream.derive(0), threads, [T])[0]
 
     ks_by_N = []
     generations_by_N = []
     for idx, N in enumerate(N_grid):
-        schedule = make_schedule(int(N), alpha, kappa, sigma, measure, tail)
-        model = DiscreteModel.from_schedule(schedule, rule)
+        schedule = _build(make_schedule, int(N), alpha, kappa, sigma, measure, tail)
+        model = _build(DiscreteModel.from_schedule, schedule, rule)
         generations = int(math.floor(kappa * T / schedule.rho))
         finals = _discrete_finals(model, x0, generations, replicates, stream.derive(1 + idx), threads)
         ks_by_N.append([_ks_distance(finals[:, i], sde_final[:, i]) for i in range(x0.size)])
@@ -366,7 +374,7 @@ def run_fixation(
     tol_ext: float = 1e-8,
     max_time: float = 500.0,
     replicates: int = 2000,
-    stationary_time: float = 2e5,
+    stationary_time: float | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> ExperimentReport:
@@ -374,27 +382,38 @@ def run_fixation(
 
     Runs replicates of the limit process to fixation and compares the
     empirical fixation vector with the dual-chain prediction: the pgf
-    increments of the stationary lineage-count law in the recurrent regime,
-    the top-present-label indicator in the transient one (where the check
-    is that the top label wins every replicate).  ``kappa = 0`` is the
-    neutral case with the initial frequencies as exact prediction.
+    increments of the solved stationary lineage-count law in the recurrent
+    regime, within 4 combined standard errors with the solve's truncation
+    error as the prediction's; the top-present-label indicator in the
+    transient one (where the check is that the top label wins every
+    replicate).  ``kappa = 0`` is the neutral case with the initial
+    frequencies as exact prediction and a 99% binomial band.  A stationary
+    law the solve cannot resolve below ``n_cap`` (near ``kappa_star``) is a
+    failing ``stationary_law_resolved`` metric, not a number.
+
+    ``stationary_time`` is accepted and ignored: it set the length of the
+    simulation that estimated the stationary law before the law was solved.
     """
     x0 = freqs_of(x0)
     stream = RngStream(seed)
     drift = DriftFunction.neutral(x0.size) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, x0.size)
-    cfg = SdeConfig(
-        K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt,
+    cfg = _build(
+        SdeConfig, K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt,
         horizon=max_time, eps_jump=eps_jump, tol_ext=tol_ext,
     )
+    dual = _build(AncestralModel, kappa, sigma, increments if kappa > 0 else {1: 1.0}, measure)
     winners, _, _, unfixed = _sde_fixation_batches(cfg, x0, replicates, stream, threads, max_time)
     counts = np.bincount(winners[winners >= 0], minlength=x0.size)
     empirical = counts / replicates
     emp_se = np.sqrt(empirical * (1.0 - empirical) / replicates)
-
-    dual = AncestralModel(kappa, sigma, increments if kappa > 0 else {1: 1.0}, measure)
-    prediction = fixation_probabilities(
-        dual, x0, rng=stream.derive(LANE_ANCESTRAL).generator(), total_time=stationary_time
-    )
+    prediction = fixation_probabilities(dual, x0)
+    details = {  # prediction_stderr is the truncation error of the stationary solve
+        "prediction": prediction.probs.tolist(),
+        "prediction_stderr": prediction.stderr.tolist(),
+        "prediction_n_max": prediction.n_max,
+        "kappa_star": prediction.kappa_star,
+        "regime": prediction.regime,
+    }
 
     metrics = [
         Metric(
@@ -420,7 +439,22 @@ def run_fixation(
                 details={"kappa_star": prediction.kappa_star, "regime": "transient"},
             )
         )
-    elif float(np.max(prediction.stderr)) == 0.0:
+    elif prediction.regime == "unresolved":
+        metrics.append(
+            Metric(
+                name="stationary_law_resolved",
+                value=float(np.max(prediction.stderr)),
+                stderr=None,
+                tolerance=(
+                    f"pgf increments move by <= {STATIONARY_TOL:g} when the truncation n_max doubles,"
+                    f" before n_max reaches n_cap = {dual.n_cap}"
+                ),
+                provenance="harness",
+                passed=False,
+                details=dict(details, empirical=empirical.tolist()),
+            )
+        )
+    elif kappa == 0.0:
         half = Z_99_TWO_SIDED * np.sqrt(prediction.probs * (1.0 - prediction.probs) / replicates)
         ok = bool(np.all(np.abs(empirical - prediction.probs) <= half + 1e-12))
         metrics.append(
@@ -446,12 +480,7 @@ def run_fixation(
                 tolerance="within 4 combined standard errors of the pgf-increment prediction",
                 provenance="harness",
                 passed=ok,
-                details={
-                    "prediction": prediction.probs.tolist(),
-                    "prediction_stderr": prediction.stderr.tolist(),
-                    "kappa_star": prediction.kappa_star,
-                    "regime": prediction.regime,
-                },
+                details=details,
             )
         )
     return ExperimentReport(
@@ -461,7 +490,6 @@ def run_fixation(
             "kappa": kappa, "increments": {str(k): v for k, v in sorted(dict(increments).items())},
             "sigma": sigma, "lambda": measure.to_config(), "x0": x0.tolist(),
             "dt": dt, "eps_jump": eps_jump, "tol_ext": tol_ext, "max_time": max_time,
-            "stationary_time": stationary_time,
         },
         sample_sizes={"replicates": replicates},
         metrics=metrics,
@@ -501,10 +529,10 @@ def run_duality(
     """
     stream = RngStream(seed)
     drift = DriftFunction.neutral(2) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, 2)
-    dual = AncestralModel(kappa, sigma, increments if kappa > 0 else {1: 1.0}, measure)
+    dual = _build(AncestralModel, kappa, sigma, increments if kappa > 0 else {1: 1.0}, measure)
     metrics = []
     for x_idx, x in enumerate(xs):
-        cfg = SdeConfig(K=2, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=max(ts), eps_jump=eps_jump)
+        cfg = _build(SdeConfig, K=2, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=max(ts), eps_jump=eps_jump)
         snaps = _sde_snapshots(cfg, [x, 1.0 - x], replicates, stream.derive(10 + x_idx), threads, list(ts))
         for t_idx, t in enumerate(ts):
             weak = snaps[t_idx][:, 0]
@@ -599,7 +627,9 @@ def run_rps_lyapunov(
     """
     x0 = np.array([1.0 / 3.0 + delta, 1.0 / 3.0, 1.0 / 3.0 - delta])
     stream = RngStream(seed)
-    cfg = SdeConfig(K=3, drift=DriftFunction.rps(kappa), sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump)
+    cfg = _build(
+        SdeConfig, K=3, drift=DriftFunction.rps(kappa), sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump
+    )
     times = [T * (j + 1) / grid_points for j in range(grid_points)]
     noisy = sigma > 0.0 or not measure.is_zero
 
@@ -700,8 +730,8 @@ def run_successive_extinction(
         raise ConfigError("successive-extinction runs need sigma > 0")
     x0 = freqs_of(x0)
     stream = RngStream(seed)
-    cfg = SdeConfig(
-        K=x0.size, drift=drift, sigma=sigma, measure=ZeroMeasure(), dt=dt,
+    cfg = _build(
+        SdeConfig, K=x0.size, drift=drift, sigma=sigma, measure=ZeroMeasure(), dt=dt,
         horizon=max_time, tol_ext=tol_ext,
     )
     winners, _, ext_times, unfixed = _sde_fixation_batches(cfg, x0, replicates, stream, threads, max_time)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-# scipy.stats and scipy.integrate are imported inside the functions that use
-# them: loading them here would more than double the time and memory that
-# `import lwf` takes.
+# scipy.integrate is imported inside the functions that use it: loading it
+# here would add to the time and memory that `import lwf` takes.
 
 
 class LambdaMeasure:
@@ -90,11 +89,40 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
 
 
-def _atom_collision_rates(n: int, z: float, weight_over_z2: float) -> np.ndarray:
-    from scipy.stats import binom
+def _stirling_error(m) -> np.ndarray:
+    """``log(m!) - (m + 1/2) log(m) + m - log(2 pi) / 2`` for m >= 1 (inf at m = 0).
 
-    ks = np.arange(2, n + 1)
-    return weight_over_z2 * binom.pmf(ks, n, z)
+    The asymptotic series from m = 16 on: the plain difference would cancel
+    terms as large as log(2048!) ~ 1.4e4 and lose most of its digits.
+    """
+    m = np.asarray(m, dtype=float)
+    small = m < 16
+    big = np.where(small, 16.0, m)
+    inv2 = 1.0 / (big * big)
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv2 / 1188) * inv2) * inv2) * inv2) / big
+    low = np.where(small, m, 1.0)
+    direct = special.gammaln(low + 1.0) - (low + 0.5) * np.log(low) + low - 0.5 * math.log(2.0 * math.pi)
+    return np.where(small, direct, series)
+
+
+def _atom_collision_rates(n: int, z: float, weight_over_z2: float) -> np.ndarray:
+    """``weight_over_z2 * P(Binomial(n, z) = k)`` for k = 2..n.
+
+    Loader's saddle-point form, Stirling errors plus ``k log(k / (n z))``
+    terms: no two large logarithms cancel, so it stays within 1e-12 of the
+    exact value up to n = 2048, where a plain ``gammaln`` difference is off
+    by 5e-12.
+    """
+    ks = np.arange(2, n + 1, dtype=float)
+    rest = n - ks
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = (
+            _stirling_error(n) - _stirling_error(ks) - _stirling_error(rest)
+            - special.xlogy(ks, ks / (n * z)) - special.xlogy(rest, rest / (n * (1.0 - z)))
+        )
+        pmf = np.exp(log_p) * np.sqrt(n / (2.0 * math.pi * ks * rest))
+    pmf[-1] = z**n  # k = n, where the form above reads inf * 0
+    return weight_over_z2 * pmf
 
 
 @dataclass(frozen=True)

@@ -110,8 +110,12 @@ class SdeConfig:
     def __post_init__(self):
         if self.K < 2:
             raise ValueError("need at least two types")
-        if self.sigma < 0 or self.dt <= 0 or self.horizon < 0:
-            raise ValueError("need sigma >= 0, dt > 0, horizon >= 0")
+        if self.sigma < 0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if self.dt <= 0:
+            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if self.horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         if not 0.0 < self.eps_jump < 1.0:
             raise ValueError("eps_jump must lie in (0, 1)")
         if self.tol_ext < 0:

@@ -45,8 +45,8 @@ def write_trajectories_csv(path, trajectories, replicate_ids=None) -> None:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"x_{i + 1}" for i in range(K)] + ["replicate"])
         for rep, traj in zip(replicate_ids, trajectories):
-            for t, state in zip(traj.times, traj.states):
-                writer.writerow([repr(float(t))] + [repr(float(v)) for v in state] + [rep])
+            # csv writes a Python float as its repr, the shortest string that reads back exactly
+            writer.writerows(row + [rep] for row in np.column_stack((traj.times, traj.states)).tolist())
 
 
 def write_ancestral_csv(path, paths, replicate_ids=None) -> None:

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from lwf.ancestral import (
+    N_START,
+    STATIONARY_TOL,
     AncestralModel,
     ancestral_rates,
     dual_moment,
     dual_moment_exact,
     fixation_probabilities,
     simulate_ancestral,
-    stationary_and_pgf,
-    stationary_exact,
+    stationary_law,
 )
-from lwf.errors import RateExplosionError, TransienceError
-from lwf.measures import PointMass, ZeroMeasure, lambda_nk
+from lwf.errors import RateExplosionError
+from lwf.measures import FiniteAtoms, PointMass, UniformLaw, ZeroMeasure, lambda_nk
 from lwf.rng import RngStream
 
 
@@ -86,31 +87,124 @@ def test_rate_explosion_guard():
         simulate_ancestral(model, 1, 1e9, RngStream(3).generator(), state_guard=500)
 
 
-def test_transience_detector_aborts_stationary_run():
+def test_rates_equal_the_per_move_construction_exactly():
+    # the moves listed one at a time, in the order the Gillespie sampler relies on
+    def per_move(model, n):
+        targets, rates = [], []
+        scale = n if model.per_lineage_branching else 1
+        for j, w in model.increments:
+            if model.kappa * w * scale > 0:
+                targets.append(n + j)
+                rates.append(model.kappa * w * scale)
+        if n >= 2:
+            if model.sigma > 0:
+                targets.append(n - 1)
+                rates.append(model.sigma * n * (n - 1) / 2.0)
+            for k_off, rate in enumerate(model.measure.collision_rate_vector(n)):
+                if rate > 0.0:
+                    targets.append(n - (k_off + 2) + 1)
+                    rates.append(float(rate))
+        return targets, rates
+
+    models = [
+        AncestralModel(kappa=0.7, sigma=1.3, increments={1: 0.25, 3: 0.75}, measure=PointMass(0.5, 1.0)),
+        AncestralModel(kappa=0.7, sigma=0.0, increments={2: 1.0}, measure=FiniteAtoms([(1.0, 0.5), (0.3, 2.0)])),
+        AncestralModel(kappa=1.1, sigma=0.4, increments={1: 1.0}, measure=UniformLaw(), per_lineage_branching=False),
+        AncestralModel(kappa=0.0, sigma=2.0, increments={}, measure=ZeroMeasure()),
+    ]
+    for model in models:
+        for n in (1, 2, 3, 7, 40, 300):
+            targets, rates, cum, total = model.rates(n)
+            want_targets, want_rates = per_move(model, n)
+            assert targets.dtype == np.int64 and targets.tolist() == want_targets
+            assert rates.tolist() == want_rates
+            assert cum.tolist() == np.cumsum(want_rates).tolist() and total == (cum[-1] if rates.size else 0.0)
+
+
+def test_stationary_law_of_a_transient_chain_is_refused():
     # kappa far above the threshold 4 log 2: the count grows without bound
-    model = AncestralModel(kappa=50.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0), n_cap=300)
-    with pytest.raises(TransienceError):
-        stationary_and_pgf(model, 1, 5000.0, None, RngStream(4).generator())
+    model = AncestralModel(kappa=50.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
+    with pytest.raises(ValueError, match=r"kappa = 50 >= kappa\* = 2\.77"):
+        stationary_law(model)
+
+
+def test_n_cap_must_allow_one_doubling():
+    with pytest.raises(ValueError, match="n_cap"):
+        AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0), n_cap=2 * N_START - 1)
 
 
 def test_stationary_pure_death_concentrates_at_one():
     model = AncestralModel(kappa=0.0, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure())
-    est = stationary_and_pgf(model, 8, 2000.0, None, RngStream(5).generator())
-    mass_at_1 = est.occupation[est.states.tolist().index(1)]
-    assert mass_at_1 > 0.99
-    val, _ = est.pgf(0.37)
-    assert val == pytest.approx(0.37, abs=0.01)
-    assert est.pgf(1.0)[0] == pytest.approx(1.0, abs=1e-12)
+    law = stationary_law(model)
+    assert law.resolved and law.n_max == 2 * N_START
+    assert law.occupation[0] == pytest.approx(1.0, abs=1e-12)
+    assert law.occupation.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(law.change <= 1e-12)
 
 
-def test_stationary_matches_truncated_linear_solve():
-    model = AncestralModel(kappa=0.05, sigma=1.0, increments={2: 1.0}, measure=ZeroMeasure())
-    nu = stationary_exact(model, 60)
-    est = stationary_and_pgf(model, 1, 30_000.0, None, RngStream(6).generator())
-    for idx, state in enumerate(est.states):
-        if est.occupation[idx] > 5e-4:
-            tol = 4.0 * est.stderr[idx] + 1e-3
-            assert abs(est.occupation[idx] - nu[state - 1]) <= tol
+def _occupation_fractions(model, paths, burn_in, horizon, n_max):
+    """Time each path spends in states 1..n_max after burn_in, as fractions: (paths, n_max)."""
+    out = np.zeros((len(paths), n_max))
+    for row, (times, states) in zip(out, paths):
+        start = np.maximum(times, burn_in)
+        end = np.append(times[1:], horizon)
+        held = np.clip(end - start, 0.0, None)
+        assert states.max() <= n_max
+        np.add.at(row, states - 1, held)
+    return out / (horizon - burn_in)
+
+
+def test_stationary_law_matches_occupation_times_of_simulated_paths():
+    model = AncestralModel(kappa=0.8, sigma=0.0, increments={1: 0.5, 2: 0.5}, measure=PointMass(0.5, 1.0))
+    law = stationary_law(model)
+    assert law.resolved
+    horizon, burn_in, R = 400.0, 20.0, 40
+    paths = [simulate_ancestral(model, 1, horizon, RngStream(6).derive(r).generator()) for r in range(R)]
+    occ = _occupation_fractions(model, paths, burn_in, horizon, law.n_max)
+    mean, se = occ.mean(axis=0), occ.std(axis=0, ddof=1) / math.sqrt(R)
+    checked = mean > 1e-3
+    assert checked.sum() >= 5
+    assert np.all(np.abs(mean - law.occupation)[checked] <= 4.0 * se[checked] + 1e-3)
+    # and the pgf at a few points
+    for s in (0.3, 0.6, 0.9):
+        per_path = occ @ s ** np.arange(1, law.n_max + 1)
+        exact = law.occupation @ s ** np.arange(1, law.n_max + 1)
+        assert abs(per_path.mean() - exact) <= 4.0 * per_path.std(ddof=1) / math.sqrt(R)
+
+
+def test_stationary_law_is_the_large_time_limit_of_the_dual_moment():
+    model = AncestralModel(kappa=0.6, sigma=0.5, increments={1: 1.0}, measure=PointMass(0.4, 1.0))
+    law = stationary_law(model)
+    states = np.arange(1, law.n_max + 1)
+    for x in (0.2, 0.7):
+        phi = law.occupation @ x**states
+        for n0 in (1, 5):
+            assert dual_moment_exact(model, x, n0, 200.0, n_max=256) == pytest.approx(phi, abs=1e-9)
+
+
+def test_sigma_keeps_a_supercritical_chain_recurrent_and_resolved():
+    model = AncestralModel(kappa=10.0, sigma=1.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
+    assert model.kappa > model.kappa_star and model.is_positive_recurrent()
+    pred = fixation_probabilities(model, [0.2, 0.3, 0.5])
+    assert pred.regime == "recurrent" and pred.n_max >= 2 * N_START
+    assert np.all(pred.stderr <= STATIONARY_TOL)
+    assert pred.probs.sum() == pytest.approx(1.0, abs=1e-12) and np.all(pred.probs >= 0.0)
+    assert pred.probs[0] < 0.2 and pred.probs[2] > 0.5
+
+
+@pytest.mark.parametrize("kappa", [2.5, 2.7])
+def test_near_threshold_the_solve_is_unresolved_not_transient(kappa):
+    model = AncestralModel(kappa=kappa, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
+    assert kappa < model.kappa_star == pytest.approx(4.0 * math.log(2.0))
+    assert model.is_positive_recurrent()
+    pred = fixation_probabilities(model, [0.2, 0.3, 0.5])
+    assert pred.regime == "unresolved"
+    assert pred.n_max == model.n_cap
+    assert pred.stderr.max() > STATIONARY_TOL
+    # a lower ceiling stops there
+    low = AncestralModel(kappa=kappa, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0), n_cap=200)
+    law = stationary_law(low, [0.2, 0.5, 1.0])
+    assert (law.n_max, law.resolved) == (200, False)
 
 
 def test_dual_moment_matches_matrix_exponential():
@@ -145,8 +239,9 @@ def test_fixation_probabilities_transient_picks_top_present_label():
 def test_fixation_probabilities_recurrent_sums_to_one():
     model = AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
     assert model.is_positive_recurrent()
-    pred = fixation_probabilities(model, [0.2, 0.3, 0.5], rng=RngStream(9).generator(), total_time=2e4)
+    pred = fixation_probabilities(model, [0.2, 0.3, 0.5])
     assert pred.regime == "recurrent"
+    assert np.all(pred.stderr <= STATIONARY_TOL)
     assert pred.probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(pred.probs >= 0.0)
     # ordered contests penalize low labels

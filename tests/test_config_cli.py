@@ -255,23 +255,98 @@ def test_importing_the_cli_loads_no_scipy_stats_or_integrate():
     assert done.stdout.strip() == "[]"
 
 
-def test_cli_ancestral_writes_paths_and_stationary(tmp_path):
-    cfg = write_config(
-        tmp_path / "c.json",
-        {
-            "model": {"n0": 5, "horizon": 3.0, "kappa": 0.2, "sigma": 1.0, "stationary_time": 500.0},
-            "schedule": {"tail": {"2": 1.0}},
-            "experiment": {"seed": 4, "replicates": 4},
-        },
+def test_a_small_fixation_run_loads_no_scipy_stats():
+    code = (
+        "import sys; from lwf.experiments import run_fixation; from lwf.measures import PointMass; "
+        "r = run_fixation(kappa=1.0, increments={1: 1.0}, sigma=0.0, measure=PointMass(0.5, 1.0), "
+        "x0=[0.3, 0.7], dt=5e-3, replicates=4, seed=1); "
+        "print(r.metrics[-1].details['regime'], 'scipy.stats' in sys.modules)"
     )
+    env = {"PYTHONPATH": str(Path(lwf.__file__).resolve().parents[1]), "PATH": ""}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["recurrent", "False"]
+
+
+def test_csv_rows_are_the_repr_of_every_value(tmp_path):
+    from lwf.trajectory import Trajectory, write_trajectories_csv
+
+    states = np.array([[0.1 + 0.2, 5e-324, 0.7 - 5e-324], [1e-300, 1.0, 0.0], [1.0 / 3.0, 2.0 / 3.0, 0.0]])
+    trajectories = [Trajectory(np.array([0, 1, 2]), states), Trajectory(np.array([0.5, 1e-7, 3.0]), states[::-1])]
+    path = tmp_path / "t.csv"
+    write_trajectories_csv(path, trajectories, replicate_ids=[4, 9])
+    lines = ["t,x_1,x_2,x_3,replicate"]  # the per-value formatting the writer must reproduce
+    for rep, traj in zip([4, 9], trajectories):
+        for t, state in zip(traj.times, traj.states):
+            lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in state] + [str(rep)]))
+    assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+    assert lines[1] == "0.0,0.30000000000000004,5e-324,0.7,4"
+
+
+ANCESTRAL_PAYLOAD = {
+    "model": {"n0": 5, "horizon": 3.0, "kappa": 0.2, "sigma": 1.0, "stationary": True},
+    "schedule": {"tail": {"2": 1.0}},
+    "experiment": {"seed": 4, "replicates": 4},
+}
+
+
+@pytest.mark.parametrize(
+    "request_law", [{"stationary": True}, {"stationary_time": 500.0, "burn_in": 50.0}], ids=["stationary", "legacy"]
+)
+def test_cli_ancestral_writes_paths_and_stationary(tmp_path, request_law):
+    payload = json.loads(json.dumps(ANCESTRAL_PAYLOAD))
+    del payload["model"]["stationary"]
+    payload["model"].update(request_law)
+    cfg = write_config(tmp_path / "c.json", payload)
     out = tmp_path / "run"
     assert main(["ancestral", "--config", cfg, "--out", str(out)]) == 0
     with open(out / "paths.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "n", "replicate"]
     stationary = json.loads((out / "stationary.json").read_text())
-    assert abs(sum(stationary["occupation"]) - 1.0) < 1e-9
-    assert stationary["states"][0] == 1
+    assert sorted(stationary) == ["n_max", "occupation", "resolved", "states", "truncation_error"]
+    assert stationary["states"] == list(range(1, stationary["n_max"] + 1))
+    assert abs(sum(stationary["occupation"]) - 1.0) < 1e-12
+    assert stationary["resolved"] is True and stationary["truncation_error"] <= 1e-6
+
+
+def test_cli_ancestral_without_a_request_writes_no_law(tmp_path):
+    payload = json.loads(json.dumps(ANCESTRAL_PAYLOAD))
+    payload["model"]["stationary"] = False
+    out = tmp_path / "run"
+    assert main(["ancestral", "--config", write_config(tmp_path / "c.json", payload), "--out", str(out)]) == 0
+    assert (out / "paths.csv").exists() and not (out / "stationary.json").exists()
+
+
+def test_cli_ancestral_law_of_a_transient_chain_is_a_config_error(tmp_path, capsys):
+    payload = json.loads(json.dumps(ANCESTRAL_PAYLOAD))
+    payload["model"].update({"kappa": 10.0, "sigma": 0.0})
+    payload["lambda"] = {"kind": "point_mass", "z": 0.5, "mass": 1.0}
+    out = tmp_path / "run"
+    assert main(["ancestral", "--config", write_config(tmp_path / "c.json", payload), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "kappa = 10 >= kappa* = 2.77" in err
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["error"]["class"] == "ConfigError" and not (out / "stationary.json").exists()
+
+
+@pytest.mark.parametrize("kappa", [2.5, 2.7])
+def test_cli_fixation_near_the_threshold_exits_1_with_an_unresolved_law(tmp_path, kappa):
+    payload = {
+        "model": {"x0": [0.2, 0.3, 0.5], "kappa": kappa, "sigma": 0.0, "dt": 0.002, "tol_ext": 1e-8,
+                  "stationary_time": 2e5},
+        "lambda": {"kind": "point_mass", "z": 0.5, "mass": 1.0},
+        "schedule": {"tail": {"2": 1.0}},
+        "experiment": {"name": "fixation", "seed": 7, "replicates": 10},
+    }
+    out = tmp_path / "run"
+    assert main(["fixation", "--config", write_config(tmp_path / "c.json", payload), "--out", str(out)]) == 1
+    meta = json.loads((out / "meta.json").read_text())
+    assert (meta["exit_code"], meta["error"]) == (1, None)
+    report = json.loads((out / "report.json").read_text())
+    law = next(m for m in report["metrics"] if m["name"] == "stationary_law_resolved")
+    assert law["passed"] is False and law["details"]["regime"] == "unresolved"
+    assert "stationary_time" not in report["parameters"]
 
 
 def test_cli_experiment_report_and_exit_codes(tmp_path):
@@ -304,6 +379,16 @@ def test_cli_experiment_report_and_exit_codes(tmp_path):
     meta = json.loads((tmp_path / "wrong" / "meta.json").read_text())
     assert meta["exit_code"] == 2 and meta["error"]["class"] == "ConfigError"
     assert "duality" in meta["error"]["message"]
+
+    # a model value the integrator rejects -> config error naming the parameter
+    zero_dt = json.loads(json.dumps(payload))
+    zero_dt["model"]["dt"] = 0.0
+    cfg = write_config(tmp_path / "zero_dt.json", zero_dt)
+    assert main(["successive-extinction", "--config", cfg, "--out", str(tmp_path / "zero_dt")]) == 2
+    meta = json.loads((tmp_path / "zero_dt" / "meta.json").read_text())
+    assert meta["exit_code"] == 2 and meta["error"]["class"] == "ConfigError"
+    assert "dt must be > 0" in meta["error"]["message"]
+    assert not (tmp_path / "zero_dt" / "report.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -158,6 +158,49 @@ def test_fixation_reports_failure_when_horizon_too_short():
     assert not report.passed
 
 
+def test_fixation_at_the_recurrent_side_gates_on_the_solved_prediction():
+    report = run_fixation(
+        kappa=1.0, increments={1: 1.0}, sigma=0.0, measure=PointMass(0.5, 1.0), x0=[0.2, 0.3, 0.5],
+        dt=2e-3, tol_ext=1e-8, replicates=150, stationary_time=123.0, seed=4,
+    )
+    vec = next(m for m in report.metrics if m.name == "fixation_vector")
+    assert vec.tolerance == "within 4 combined standard errors of the pgf-increment prediction"
+    assert np.allclose(vec.details["prediction"], [0.080519, 0.180329, 0.739152], atol=2e-6)
+    assert max(vec.details["prediction_stderr"]) <= 1e-6
+    assert vec.details["prediction_n_max"] >= 128 and vec.details["regime"] == "recurrent"
+    assert "stationary_time" not in report.parameters
+
+
+def test_fixation_near_the_threshold_reports_an_unresolved_law():
+    report = run_fixation(
+        kappa=2.5, increments={1: 1.0}, sigma=0.0, measure=PointMass(0.5, 1.0), x0=[0.2, 0.3, 0.5],
+        dt=2e-3, tol_ext=1e-8, replicates=20, seed=4,
+    )
+    law = next(m for m in report.metrics if m.name == "stationary_law_resolved")
+    assert not law.passed and not report.passed
+    assert law.value > 1e-6
+    assert law.details["regime"] == "unresolved" and law.details["prediction_n_max"] == 2048
+    assert max(law.details["prediction_stderr"]) == law.value
+    assert "fixation_vector" not in [m.name for m in report.metrics]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_successive_extinction(drift=DriftFunction.neutral(3), sigma=1.0, x0=[0.3, 0.3, 0.4], dt=0.0),
+        lambda: run_fixation(kappa=1.0, increments={1: 1.0}, sigma=-1.0, measure=ZeroMeasure(), x0=[0.5, 0.5]),
+        lambda: run_convergence(
+            rule=NeutralRule(2), drift=DriftFunction.neutral(2), measure=ZeroMeasure(), tail={2: 2.0},
+            x0=[0.5, 0.5], T=0.1, N_grid=(50,), dt=5e-3, replicates=10,
+        ),
+    ],
+    ids=["sde-dt", "dual-sigma", "schedule-tail"],
+)
+def test_rejected_model_values_are_config_errors(run):
+    with pytest.raises(ConfigError, match="invalid .* value: .*(dt|sigma|tail)"):
+        run()
+
+
 def test_lyapunov_flat_case_is_exactly_flat():
     report = run_rps_lyapunov(sigma=0.0, measure=ZeroMeasure(), delta=0.0, T=1.0, dt=2e-3, replicates=8, seed=3)
     metric = report.metrics[0]

@@ -74,6 +74,20 @@ def test_collision_rate_vector_matches_direct_combination():
             assert np.allclose(rates, direct, rtol=1e-10, atol=1e-14)
 
 
+def test_atom_collision_rates_match_the_binomial_pmf():
+    from scipy.stats import binom
+
+    from lwf.measures import _atom_collision_rates
+
+    for z in (0.01, 0.5, 1.0):
+        for n in range(2, 2049):
+            got = _atom_collision_rates(n, z, 3.0) / 3.0
+            want = binom.pmf(np.arange(2, n + 1), n, z)
+            normal = want > 1e-300  # below that the reference itself keeps few digits
+            assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal]), (n, z)
+            assert np.all(got[~normal] <= 1e-290), (n, z)
+
+
 def test_kappa_star_examples():
     assert kappa_star(PointMass(0.5, 1.0), 1.0) == pytest.approx(4.0 * math.log(2.0), rel=1e-12)
     assert kappa_star(ZeroMeasure(), 1.0) == 0.0
