@@ -121,7 +121,7 @@ def test_rates_equal_the_per_move_construction_exactly():
             assert cum.tolist() == np.cumsum(want_rates).tolist() and total == (cum[-1] if rates.size else 0.0)
 
 
-def test_stationary_law_of_a_transient_chain_is_refused():
+def test_transience_detector_aborts_stationary_run():
     # kappa far above the threshold 4 log 2: the count grows without bound
     model = AncestralModel(kappa=50.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
     with pytest.raises(ValueError, match=r"kappa = 50 >= kappa\* = 2\.77"):
@@ -154,7 +154,8 @@ def _occupation_fractions(model, paths, burn_in, horizon, n_max):
     return out / (horizon - burn_in)
 
 
-def test_stationary_law_matches_occupation_times_of_simulated_paths():
+def test_stationary_matches_truncated_linear_solve():
+    # occupation times of simulated paths against the law solved on the truncated state space
     model = AncestralModel(kappa=0.8, sigma=0.0, increments={1: 0.5, 2: 0.5}, measure=PointMass(0.5, 1.0))
     law = stationary_law(model)
     assert law.resolved

@@ -290,10 +290,7 @@ ANCESTRAL_PAYLOAD = {
 }
 
 
-@pytest.mark.parametrize(
-    "request_law", [{"stationary": True}, {"stationary_time": 500.0, "burn_in": 50.0}], ids=["stationary", "legacy"]
-)
-def test_cli_ancestral_writes_paths_and_stationary(tmp_path, request_law):
+def _check_ancestral_run_writes_paths_and_stationary(tmp_path, request_law):
     payload = json.loads(json.dumps(ANCESTRAL_PAYLOAD))
     del payload["model"]["stationary"]
     payload["model"].update(request_law)
@@ -308,6 +305,14 @@ def test_cli_ancestral_writes_paths_and_stationary(tmp_path, request_law):
     assert stationary["states"] == list(range(1, stationary["n_max"] + 1))
     assert abs(sum(stationary["occupation"]) - 1.0) < 1e-12
     assert stationary["resolved"] is True and stationary["truncation_error"] <= 1e-6
+
+
+def test_cli_ancestral_writes_paths_and_stationary(tmp_path):
+    _check_ancestral_run_writes_paths_and_stationary(tmp_path, {"stationary": True})
+
+
+def test_cli_ancestral_legacy_stationary_time_still_requests_the_law(tmp_path):
+    _check_ancestral_run_writes_paths_and_stationary(tmp_path, {"stationary_time": 500.0, "burn_in": 50.0})
 
 
 def test_cli_ancestral_without_a_request_writes_no_law(tmp_path):
