@@ -36,7 +36,7 @@ from .measures import LambdaMeasure, ZeroMeasure, kappa_star as _kappa_star
 
 STATE_GUARD = 10**7
 N_START = 64  # first truncation level of the stationary solve
-N_CAP = 2048  # default ceiling of the solve: a dense generator of 32 MB
+N_CAP = 2048  # default and largest ceiling of the solve: the dense generator takes 8 * n_max**2 bytes, 32 MB
 STATIONARY_TOL = 1e-6
 
 
@@ -54,8 +54,8 @@ class AncestralModel:
     def __init__(self, kappa, sigma, increments, measure=None, n_cap=N_CAP, per_lineage_branching=True):
         if kappa < 0 or sigma < 0:
             raise ValueError("kappa and sigma must be nonnegative")
-        if n_cap < 2 * N_START:
-            raise ValueError(f"n_cap must be >= {2 * N_START}, got {n_cap}")
+        if not 2 * N_START <= n_cap <= N_CAP:
+            raise ValueError(f"n_cap must lie in [{2 * N_START}, {N_CAP}], got {n_cap}")
         if isinstance(increments, OffspringLaw):
             items = sorted(increments.increments().items())
         elif isinstance(increments, dict):
@@ -234,11 +234,13 @@ def _solve_stationary(model: AncestralModel, n_max: int) -> np.ndarray:
 class StationaryLaw:
     """Stationary law of the chain solved on states 1..n_max, with its truncation error.
 
-    ``change`` is how far the probed quantities moved when ``n_max`` last
-    doubled; an unresolved law is the one at the ceiling ``n_cap``.
+    ``probe`` holds the probed quantities of this law and ``change`` how far
+    they moved when ``n_max`` last doubled; an unresolved law is the one at
+    the ceiling ``n_cap``.
     """
 
     occupation: np.ndarray  # nu(n) for n = 1..n_max
+    probe: np.ndarray
     change: np.ndarray
     resolved: bool
 
@@ -272,7 +274,7 @@ def stationary_law(model: AncestralModel, points=None) -> StationaryLaw:
         change = np.abs(after[: before.size] - before)
         resolved = bool(change.max() <= STATIONARY_TOL)
         if resolved or n_max == model.n_cap:
-            return StationaryLaw(nu, change, resolved)
+            return StationaryLaw(nu, after, change, resolved)
         before = after
 
 
@@ -311,9 +313,8 @@ def fixation_probabilities(model: AncestralModel, x0, *, drift_kind: str = "tran
         return FixationPrediction(x0.copy(), np.zeros_like(x0), "recurrent", ks)
     if model.is_positive_recurrent():
         law = stationary_law(model, np.cumsum(x0))
-        probs = _pgf_increments(law.occupation, np.cumsum(x0))
         regime = "recurrent" if law.resolved else "unresolved"
-        return FixationPrediction(probs, law.change, regime, ks, law.n_max)
+        return FixationPrediction(law.probe, law.change, regime, ks, law.n_max)
     probs = np.zeros_like(x0)
     probs[np.flatnonzero(x0 > 0.0).max()] = 1.0
     return FixationPrediction(probs, np.zeros_like(x0), "transient", ks)

@@ -186,17 +186,13 @@ def _run_ancestral(args, cfg, out: Path) -> int:
     model_block = take_block(
         cfg,
         "model",
-        ("n0", "horizon", "kappa", "sigma", "n_cap", "stationary", "stationary_time", "burn_in"),
+        ("n0", "horizon", "kappa", "sigma", "n_cap", "stationary_time", "burn_in"),
         ("n0", "horizon", "kappa", "sigma"),
     )
     sched_block = take_block(cfg, "schedule", ("tail",), ("tail",))
     exp_block = _experiment_block(cfg)
     _check_name(exp_block, "ancestral")
     seed, replicates = _seed_replicates(args, exp_block)
-    # stationary_time (with burn_in, both ignored) sized the simulation that estimated the law
-    wants_law = model_block.get("stationary", "stationary_time" in model_block)
-    if not isinstance(wants_law, bool):
-        raise ConfigError(f"invalid 'model' block: stationary must be true or false, got {wants_law!r}")
 
     measure = parse_measure(cfg)
     tail = parse_tail(sched_block)
@@ -209,7 +205,8 @@ def _run_ancestral(args, cfg, out: Path) -> int:
             measure,
             n_cap=int(model_block.get("n_cap", AncestralModel.n_cap)),
         )
-        law = stationary_law(model) if wants_law else None
+        # stationary_time asks for the solved law; its value and burn_in sized the simulation that once estimated it
+        law = stationary_law(model) if "stationary_time" in model_block else None
     stream = RngStream(seed)
     horizon = float(model_block["horizon"])
     paths = [

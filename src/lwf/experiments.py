@@ -383,10 +383,10 @@ def run_fixation(
     Runs replicates of the limit process to fixation and compares the
     empirical fixation vector with the dual-chain prediction: the pgf
     increments of the solved stationary lineage-count law in the recurrent
-    regime, within 4 combined standard errors with the solve's truncation
-    error as the prediction's; the top-present-label indicator in the
-    transient one (where the check is that the top label wins every
-    replicate).  ``kappa = 0`` is the neutral case with the initial
+    regime, within 4 combined standard errors (the binomial one at the
+    predicted probability and the solve's truncation error); the
+    top-present-label indicator in the transient one (where the check is
+    that the top label wins every replicate).  ``kappa = 0`` is the neutral case with the initial
     frequencies as exact prediction and a 99% binomial band.  A stationary
     law the solve cannot resolve below ``n_cap`` (near ``kappa_star``) is a
     failing ``stationary_law_resolved`` metric, not a number.
@@ -407,6 +407,8 @@ def run_fixation(
     empirical = counts / replicates
     emp_se = np.sqrt(empirical * (1.0 - empirical) / replicates)
     prediction = fixation_probabilities(dual, x0)
+    # the gates use the binomial SE at the predicted probability, which is not 0 when a type wins 0 or all replicates
+    null_se = np.sqrt(prediction.probs * (1.0 - prediction.probs) / replicates)
     details = {  # prediction_stderr is the truncation error of the stationary solve
         "prediction": prediction.probs.tolist(),
         "prediction_stderr": prediction.stderr.tolist(),
@@ -455,8 +457,7 @@ def run_fixation(
             )
         )
     elif kappa == 0.0:
-        half = Z_99_TWO_SIDED * np.sqrt(prediction.probs * (1.0 - prediction.probs) / replicates)
-        ok = bool(np.all(np.abs(empirical - prediction.probs) <= half + 1e-12))
+        ok = bool(np.all(np.abs(empirical - prediction.probs) <= Z_99_TWO_SIDED * null_se + 1e-12))
         metrics.append(
             Metric(
                 name="fixation_vector",
@@ -469,7 +470,7 @@ def run_fixation(
             )
         )
     else:
-        combined = np.sqrt(emp_se**2 + prediction.stderr**2)
+        combined = np.sqrt(null_se**2 + prediction.stderr**2)
         dev = np.abs(empirical - prediction.probs)
         ok = bool(np.all(dev <= FOUR_SE * combined + 1e-12))
         metrics.append(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lwf.ancestral import (
+    N_CAP,
     N_START,
     STATIONARY_TOL,
     AncestralModel,
@@ -128,9 +129,10 @@ def test_transience_detector_aborts_stationary_run():
         stationary_law(model)
 
 
-def test_n_cap_must_allow_one_doubling():
-    with pytest.raises(ValueError, match="n_cap"):
-        AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0), n_cap=2 * N_START - 1)
+@pytest.mark.parametrize("n_cap", [2 * N_START - 1, N_CAP + 1, 10_000])
+def test_n_cap_allows_one_doubling_and_bounds_the_dense_generator(n_cap):
+    with pytest.raises(ValueError, match=rf"n_cap must lie in \[{2 * N_START}, {N_CAP}\], got {n_cap}"):
+        AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0), n_cap=n_cap)
 
 
 def test_stationary_pure_death_concentrates_at_one():

@@ -210,8 +210,9 @@ def test_cli_simulate_bytes_reproduce_across_runs_and_threads(tmp_path, subcomma
         ("simulate-discrete", "schedule", {"tail": {"2": -1.0}}),
         ("simulate-discrete", "model", {"record_every": 0}),
         ("ancestral", "model", {"kappa": -1.0}),
+        ("ancestral", "model", {"n_cap": 10_000}),
     ],
-    ids=["sde-dt", "sde-x0", "discrete-tail", "discrete-record-every", "ancestral-kappa"],
+    ids=["sde-dt", "sde-x0", "discrete-tail", "discrete-record-every", "ancestral-kappa", "ancestral-n_cap"],
 )
 def test_cli_bad_model_values_are_config_errors_naming_the_block(tmp_path, capsys, subcommand, block, change):
     if subcommand == "ancestral":
@@ -284,17 +285,14 @@ def test_csv_rows_are_the_repr_of_every_value(tmp_path):
 
 
 ANCESTRAL_PAYLOAD = {
-    "model": {"n0": 5, "horizon": 3.0, "kappa": 0.2, "sigma": 1.0, "stationary": True},
+    "model": {"n0": 5, "horizon": 3.0, "kappa": 0.2, "sigma": 1.0, "stationary_time": 500.0, "burn_in": 50.0},
     "schedule": {"tail": {"2": 1.0}},
     "experiment": {"seed": 4, "replicates": 4},
 }
 
 
-def _check_ancestral_run_writes_paths_and_stationary(tmp_path, request_law):
-    payload = json.loads(json.dumps(ANCESTRAL_PAYLOAD))
-    del payload["model"]["stationary"]
-    payload["model"].update(request_law)
-    cfg = write_config(tmp_path / "c.json", payload)
+def test_cli_ancestral_writes_paths_and_stationary(tmp_path):
+    cfg = write_config(tmp_path / "c.json", ANCESTRAL_PAYLOAD)
     out = tmp_path / "run"
     assert main(["ancestral", "--config", cfg, "--out", str(out)]) == 0
     with open(out / "paths.csv") as fh:
@@ -305,22 +303,6 @@ def _check_ancestral_run_writes_paths_and_stationary(tmp_path, request_law):
     assert stationary["states"] == list(range(1, stationary["n_max"] + 1))
     assert abs(sum(stationary["occupation"]) - 1.0) < 1e-12
     assert stationary["resolved"] is True and stationary["truncation_error"] <= 1e-6
-
-
-def test_cli_ancestral_writes_paths_and_stationary(tmp_path):
-    _check_ancestral_run_writes_paths_and_stationary(tmp_path, {"stationary": True})
-
-
-def test_cli_ancestral_legacy_stationary_time_still_requests_the_law(tmp_path):
-    _check_ancestral_run_writes_paths_and_stationary(tmp_path, {"stationary_time": 500.0, "burn_in": 50.0})
-
-
-def test_cli_ancestral_without_a_request_writes_no_law(tmp_path):
-    payload = json.loads(json.dumps(ANCESTRAL_PAYLOAD))
-    payload["model"]["stationary"] = False
-    out = tmp_path / "run"
-    assert main(["ancestral", "--config", write_config(tmp_path / "c.json", payload), "--out", str(out)]) == 0
-    assert (out / "paths.csv").exists() and not (out / "stationary.json").exists()
 
 
 def test_cli_ancestral_law_of_a_transient_chain_is_a_config_error(tmp_path, capsys):

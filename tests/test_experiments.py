@@ -171,6 +171,18 @@ def test_fixation_at_the_recurrent_side_gates_on_the_solved_prediction():
     assert "stationary_time" not in report.parameters
 
 
+def test_fixation_gate_holds_when_a_small_share_type_wins_no_replicate():
+    # predicted 0.0035 for the 1% type: 100 replicates miss it about 70% of the time, so its empirical SE is 0
+    report = run_fixation(
+        kappa=1.0, increments={1: 1.0}, sigma=0.0, measure=PointMass(0.5, 1.0), x0=[0.01, 0.29, 0.7],
+        dt=2e-3, tol_ext=1e-8, replicates=100, seed=1,
+    )
+    vec = next(m for m in report.metrics if m.name == "fixation_vector")
+    assert vec.value[0] == 0.0 and vec.stderr[0] == 0.0
+    assert vec.details["prediction"][0] == pytest.approx(0.0035, abs=1e-4)
+    assert vec.passed and report.passed
+
+
 def test_fixation_near_the_threshold_reports_an_unresolved_law():
     report = run_fixation(
         kappa=2.5, increments={1: 1.0}, sigma=0.0, measure=PointMass(0.5, 1.0), x0=[0.2, 0.3, 0.5],
