@@ -36,10 +36,8 @@ from .measures import (
     UniformLaw,
     ZeroMeasure,
     kappa_star,
-    kappa_star_signed,
     lambda_nk,
     lambda_nk_quadrature,
-    lambda_total_mass,
 )
 from .rng import RngStream
 from .rules import (
@@ -53,7 +51,6 @@ from .rules import (
     TransitiveRule,
     TransitiveWithMutationRule,
     bernstein_rule,
-    colour_distribution,
     offspring_type_prob,
 )
 from .sde import BatchSde, SdeConfig, simulate_sde, zeta

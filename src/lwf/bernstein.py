@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .combinat import compositions, composition_index, multinomial_coefficients
+from .combinat import composition_index, composition_pmf, compositions, multinomial_coefficients
 
 
 class PolynomialMap:
@@ -95,9 +95,4 @@ def bernstein_table(poly: PolynomialMap, degree: int | None = None) -> tuple[int
 
 def evaluate_bernstein(degree: int, table: np.ndarray, x) -> np.ndarray:
     """Evaluate a Bernstein table at simplex points (batch aware)."""
-    x = np.asarray(x, dtype=float)
-    K = table.shape[1]
-    Z = compositions(K, degree)
-    coefs = multinomial_coefficients(K, degree)
-    basis = coefs * np.prod(x[..., None, :] ** Z, axis=-1)
-    return basis @ table
+    return composition_pmf(table.shape[1], degree, x) @ table

@@ -52,6 +52,17 @@ def multinomial_coefficients(K: int, n: int) -> np.ndarray:
     return out
 
 
+def composition_pmf(K: int, n: int, X: np.ndarray) -> np.ndarray:
+    """Multinomial(n, x) probability of each row of :func:`compositions`.
+
+    ``X`` is one frequency vector ``(K,)`` or a batch ``(R, K)``; the result
+    has shape ``(C,)`` or ``(R, C)``.  A zero frequency gives ``0**0 = 1`` on
+    the multi-indices that leave that type out and 0 on the rest.
+    """
+    X = np.asarray(X, dtype=float)
+    return multinomial_coefficients(K, n) * np.prod(X[..., None, :] ** compositions(K, n), axis=-1)
+
+
 @lru_cache(maxsize=None)
 def composition_index(K: int, n: int) -> dict[tuple[int, ...], int]:
     """Row lookup: multi-index tuple -> row position in :func:`compositions`."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .combinat import composition_pmf, compositions
 from .core import OffspringLaw, ScalingSchedule, freqs_of, round_to_counts
 from .measures import TruncatedSizeLaw
 from .rules import ColouringRule, DEFAULT_K_MAX
@@ -176,14 +177,20 @@ def simulate_discrete(
     return [Trajectory(times, states[:, r]) for r in range(replicates)]
 
 
+@dataclass(frozen=True)
 class DriftEstimate:
-    """Monte Carlo estimate of the per-unit-selection drift at one state."""
+    """Estimate of the per-unit-selection drift at one state.
 
-    def __init__(self, values: np.ndarray, stderr: np.ndarray, samples: int, exact: bool):
-        self.values = values
-        self.stderr = stderr
-        self.samples = samples
-        self.exact = exact
+    ``compositions`` counts the multi-indices the Monte Carlo path drew
+    composition counts over; it is 0 where every size took the per-sample
+    path, and on the exact path.
+    """
+
+    values: np.ndarray
+    stderr: np.ndarray
+    samples: int
+    exact: bool
+    compositions: int = 0
 
 
 def empirical_drift(
@@ -202,6 +209,13 @@ def empirical_drift(
     sample size is drawn from the tail, parent types from multinomial(k, x),
     and the rule's conditional type distribution (not a sampled type) is
     averaged, which is unbiased with strictly smaller variance.
+
+    A sampled multiset is one of the C(K+k-1, k) compositions of k, so for
+    an enumerable size the ``n_k`` samples reduce to one multinomial draw of
+    composition counts ``m`` at the multinomial(k, x) pmf, and the sums over
+    samples to ``m @ table`` and ``m @ table**2`` on the rule's outputs at
+    the compositions: the same law at O(compositions) cost.  Larger sizes
+    draw and evaluate every sample.
 
     ``method="exact"`` instead enumerates every multiset (zero stderr),
     available while the tail sizes stay enumerable.
@@ -228,14 +242,22 @@ def empirical_drift(
         per_k = rng.multinomial(replicates, tail_ps)
     total = np.zeros_like(x)
     total_sq = np.zeros_like(x)
+    drawn_over = 0
     for k, n_k in zip(tail_ks, per_k):
         if n_k == 0:
             continue
-        samples = rng.multinomial(int(k), x, size=int(n_k))
-        rows = model.rule.distribution_batch(samples)
-        total += rows.sum(axis=0)
-        total_sq += (rows**2).sum(axis=0)
+        if k <= DEFAULT_K_MAX and model.rule.supports_enumeration(k):
+            samples = compositions(x.size, k)
+            pmf = composition_pmf(x.size, k, x)
+            m = rng.multinomial(n_k, pmf / pmf.sum())
+            drawn_over += len(samples)
+        else:
+            samples = rng.multinomial(int(k), x, size=int(n_k))
+            m = np.ones(int(n_k))
+        table = model.rule.distribution_batch(samples)
+        total += m @ table
+        total_sq += m @ table**2
     mean = total / replicates
     var = np.maximum(total_sq / replicates - mean**2, 0.0)
     stderr = np.sqrt(var / replicates)
-    return DriftEstimate(mean - x, stderr, replicates, False)
+    return DriftEstimate(mean - x, stderr, replicates, False, drawn_over)

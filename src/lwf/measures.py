@@ -430,11 +430,6 @@ def _reject_unknown(block: dict, allowed, where: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def lambda_total_mass(measure: LambdaMeasure) -> float:
-    """Total mass of the measure."""
-    return measure.total_mass()
-
-
 def lambda_nk(measure: LambdaMeasure, n: int, k: int) -> float:
     """Collision intensity ``∫ y**(k-2) (1-y)**(n-k) L(dy)`` for ``2 <= k <= n``.
 
@@ -477,17 +472,12 @@ def kappa_star(measure: LambdaMeasure, beta: float) -> float:
     Returns ``inf`` (a usable value, not an error) when the integral
     diverges: any atom at 1, any density with too much mass near 0.  The
     absolute value makes the threshold nonnegative so that the recurrence
-    condition ``kappa < kappa_star`` is satisfiable; the opposite
-    orientation is available as :func:`kappa_star_signed`.
+    condition ``kappa < kappa_star`` is satisfiable; the signed integral,
+    with ``log(1-y) <= 0`` kept, is ``-kappa_star``.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     return measure.log_penalty() / beta
-
-
-def kappa_star_signed(measure: LambdaMeasure, beta: float) -> float:
-    """Same integral with ``log(1-y) <= 0`` kept signed (so the value is <= 0)."""
-    return -kappa_star(measure, beta)
 
 
 def kappa_star_quadrature(measure: LambdaMeasure, beta: float) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bernstein import PolynomialMap, bernstein_table
-from .combinat import compositions, composition_index, multinomial_coefficients
+from .combinat import composition_index, composition_pmf, compositions
 from .core import OffspringLaw
 from .errors import ConfigError
 
@@ -78,9 +78,7 @@ class ColouringRule:
         return self.type_law_batch(k, np.asarray(x, dtype=float)[None, :])[0]
 
     def type_law_batch(self, k: int, X: np.ndarray) -> np.ndarray:
-        Z = compositions(self.K, k)
-        pmf = multinomial_coefficients(self.K, k) * np.prod(X[:, None, :] ** Z[None, :, :], axis=-1)
-        law = pmf @ self._table(k)
+        law = composition_pmf(self.K, k, X) @ self._table(k)
         return law / law.sum(axis=1, keepdims=True)
 
     def supports_enumeration(self, k: int) -> bool:
@@ -383,11 +381,6 @@ def bernstein_rule(g, *, degree: int | None = None, tol: float = 1e-9) -> Bernst
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def colour_distribution(rule: ColouringRule, counts) -> np.ndarray:
-    """Offspring-type distribution for one sampled multiset of parents."""
-    return rule.distribution(counts)
 
 
 class OffspringTypeLaw:

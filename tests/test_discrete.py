@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from lwf.combinat import composition_index, composition_pmf, compositions
 from lwf.core import OffspringLaw, make_schedule, round_to_counts
 from lwf.discrete import DiscreteModel, empirical_drift, simulate_discrete, step_generation_batch
 from lwf.measures import PointMass, TruncatedSizeLaw, ZeroMeasure
 from lwf.rng import RngStream
-from lwf.rules import NeutralRule, PartialOrderRule, TransitiveRule
+from lwf.rules import NegFreqDepRule, NeutralRule, PartialOrderRule, TransitiveRule
 from lwf.selection import mu_rps, mu_transitive
 
 
@@ -227,6 +228,54 @@ def test_empirical_drift_matches_closed_forms():
     x = np.array([0.5, 0.25, 0.25])
     est = empirical_drift(rps, x, 200_000, rng)
     assert np.all(np.abs(est.values - mu_rps(1.0, x)) <= 4.5 * est.stderr + 1e-9)
+
+
+def test_composition_count_sums_equal_the_per_sample_sums():
+    # the reduction is exact once the counts are drawn: summing the rule's
+    # outputs over samples equals weighting its outputs at the compositions
+    rule, k = NegFreqDepRule(3), 3
+    samples = RngStream(14).generator().multinomial(k, [0.2, 0.3, 0.5], size=50_000)
+    rows = rule.distribution_batch(samples)
+    index = composition_index(3, k)
+    m = np.bincount([index[tuple(int(v) for v in s)] for s in samples], minlength=len(index))
+    table = rule.distribution_batch(np.asarray(compositions(3, k)))
+    assert np.allclose(m @ table, rows.sum(axis=0), rtol=1e-12, atol=0.0)
+    assert np.allclose(m @ table**2, (rows**2).sum(axis=0), rtol=1e-12, atol=0.0)
+
+
+def test_empirical_drift_draws_one_count_vector_over_the_compositions():
+    model = DiscreteModel(N=2, rule=NegFreqDepRule(3), offspring=OffspringLaw(1.0, {3: 1.0}))
+    x, n = np.array([0.2, 0.3, 0.5]), 10**6
+    est = empirical_drift(model, x, n, RngStream(15).generator())
+    assert est.compositions == len(compositions(3, 3)) == 10
+
+    pmf = composition_pmf(3, 3, x)
+    m = RngStream(15).generator().multinomial(n, pmf / pmf.sum())
+    table = model.rule.distribution_batch(np.asarray(compositions(3, 3)))
+    mean = m @ table / n
+    assert np.allclose(est.values, mean - x, rtol=0.0, atol=1e-15)
+    assert np.allclose(est.stderr, np.sqrt((m @ table**2 / n - mean**2) / n), rtol=1e-12, atol=0.0)
+
+
+def test_empirical_drift_on_the_boundary_leaves_the_absent_type_alone():
+    # x_3 = 0: 0**0 = 1 keeps the pmf on the compositions without type 3
+    model = DiscreteModel(N=2, rule=PartialOrderRule.rps(), offspring=OffspringLaw(1.0, {2: 1.0}))
+    x = np.array([0.6, 0.4, 0.0])
+    est = empirical_drift(model, x, 200_000, RngStream(16).generator())
+    assert np.all(np.isfinite(est.values)) and np.all(np.isfinite(est.stderr))
+    assert est.values[2] == 0.0 and est.stderr[2] == 0.0
+    assert np.all(np.abs(est.values - mu_rps(1.0, x)) <= 4.0 * est.stderr + 1e-9)
+
+
+def test_empirical_drift_beyond_enumeration_takes_the_per_sample_path():
+    # C(202, 2) = 20301 multi-indices: over the enumeration limit
+    model = DiscreteModel(N=2, rule=TransitiveRule(3), offspring=OffspringLaw(1.0, {200: 1.0}))
+    assert not model.rule.supports_enumeration(200)
+    x = np.array([0.001, 0.994, 0.005])  # type 3 is absent from a sample of 200 w.p. 0.37
+    est = empirical_drift(model, x, 20_000, RngStream(17).generator())
+    assert est.compositions == 0 and not est.exact
+    assert np.all(est.stderr[1:] > 0.0)
+    assert np.all(np.abs(est.values - mu_transitive(1.0, {199: 1.0}, x)) <= 4.0 * est.stderr + 1e-9)
 
 
 def test_empirical_drift_exact_path():

@@ -14,7 +14,6 @@ from lwf.rules import (
     TransitiveRule,
     TransitiveWithMutationRule,
     bernstein_rule,
-    colour_distribution,
     offspring_type_prob,
 )
 from lwf.selection import cyclic_contest_map, transitive_pair_map
@@ -36,7 +35,7 @@ ALL_RULES = [
 
 
 def test_transitive_picks_highest_type():
-    assert np.array_equal(colour_distribution(TransitiveRule(3), counts_of([1, 3, 2], 3)), [0, 0, 1])
+    assert np.array_equal(TransitiveRule(3).distribution(counts_of([1, 3, 2], 3)), [0, 0, 1])
 
 
 def test_singleton_is_the_parent_for_mutation_free_rules():
