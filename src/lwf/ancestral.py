@@ -77,6 +77,7 @@ class AncestralModel:
         object.__setattr__(self, "n_cap", int(n_cap))
         object.__setattr__(self, "per_lineage_branching", bool(per_lineage_branching))
         object.__setattr__(self, "_rate_cache", {})
+        object.__setattr__(self, "_jump_cache", {})
 
     @property
     def beta(self) -> float:
@@ -94,15 +95,18 @@ class AncestralModel:
         return self.kappa == 0.0 or self.sigma > 0.0 or self.kappa < self.kappa_star
 
     def rates(self, n: int):
-        """Cached ``(targets, rates, cumulative, total)`` out of state n."""
-        cached = self._rate_cache.get(n)
-        if cached is None:
-            targets, rates = _build_rates(self, n)
+        """Cached ``(targets, rates)`` of the moves out of state n."""
+        if n not in self._rate_cache:
+            self._rate_cache[n] = _build_rates(self, n)
+        return self._rate_cache[n]
+
+    def jumps(self, n: int):
+        """Cached ``(targets, cumulative, total)`` rates out of state n, kept only for states a path visits."""
+        if n not in self._jump_cache:
+            targets, rates = self.rates(n)
             cum = np.cumsum(rates)
-            total = float(cum[-1]) if rates.size else 0.0
-            cached = (targets, rates, cum, total)
-            self._rate_cache[n] = cached
-        return cached
+            self._jump_cache[n] = (targets, cum, float(cum[-1]) if rates.size else 0.0)
+        return self._jump_cache[n]
 
 
 def _build_rates(model: AncestralModel, n: int):
@@ -122,7 +126,7 @@ def _build_rates(model: AncestralModel, n: int):
 
 def ancestral_rates(model: AncestralModel, n: int) -> list[tuple[int, float]]:
     """All (target state, rate) moves out of state n, zero rates dropped."""
-    targets, rates, _, _ = model.rates(n)
+    targets, rates = model.rates(n)
     merged: dict[int, float] = {}
     for t, r in zip(targets, rates):
         merged[int(t)] = merged.get(int(t), 0.0) + float(r)
@@ -148,7 +152,7 @@ def simulate_ancestral(
     times, states = [0.0], [int(n0)]
     t, n = 0.0, int(n0)
     while True:
-        targets, _, cum, total = model.rates(n)
+        targets, cum, total = model.jumps(n)
         if total <= 0.0:
             break
         t += rng.exponential(1.0 / total)
@@ -189,7 +193,7 @@ def _generator(model: AncestralModel, n_max: int) -> np.ndarray:
     """Dense generator of the chain on states 1..n_max; moves above n_max are dropped."""
     Q = np.zeros((n_max, n_max))
     for n in range(1, n_max + 1):
-        targets, rates, _, _ = model.rates(n)
+        targets, rates = model.rates(n)
         keep = targets <= n_max
         Q[n - 1] = np.bincount(targets[keep] - 1, rates[keep], minlength=n_max)
         Q[n - 1, n - 1] -= rates[keep].sum()

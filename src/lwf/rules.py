@@ -10,6 +10,8 @@ engines.
 
 from __future__ import annotations
 
+from math import comb, log2
+
 import numpy as np
 
 from .bernstein import PolynomialMap, bernstein_table
@@ -68,6 +70,8 @@ class ColouringRule:
         """Rule outputs on every multi-index of size k (cached)."""
         table = self._tables.get(k)
         if table is None:
+            if not self.supports_enumeration(k):
+                raise ValueError(f"cannot enumerate samples of size {k} over {self.K} types")
             table = self.distribution_batch(np.asarray(compositions(self.K, k)))
             table.flags.writeable = False
             self._tables[k] = table
@@ -78,13 +82,13 @@ class ColouringRule:
         return self.type_law_batch(k, np.asarray(x, dtype=float)[None, :])[0]
 
     def type_law_batch(self, k: int, X: np.ndarray) -> np.ndarray:
-        law = composition_pmf(self.K, k, X) @ self._table(k)
+        table = self._table(k)
+        law = composition_pmf(self.K, k, X) @ table
         return law / law.sum(axis=1, keepdims=True)
 
     def supports_enumeration(self, k: int) -> bool:
-        from math import comb
-
-        return comb(self.K + k - 1, k) <= _ENUM_LIMIT
+        # the multinomial coefficients sum to K**k, so all are finite floats while K**k < 2**1024
+        return comb(self.K + k - 1, k) <= _ENUM_LIMIT and k * log2(self.K) < 1024
 
     def to_config(self) -> dict:
         raise NotImplementedError

@@ -11,15 +11,15 @@ The process combines three parts:
 
 Jumps below a size cutoff ``eps_jump`` are dropped: for fixed z the jump
 integrand averages to zero over the uniform mark, so truncation discards
-mean-zero noise and introduces no drift bias (only the vanishing variance of
-sub-cutoff jumps, reported as a diagnostic).  The diffusion step is followed
-by a projection onto the simplex (clamp negatives, renormalize) whose bias
-near the boundary is dominated by the Euler error; jump steps are convex
-combinations and preserve the simplex exactly.
+mean-zero noise and introduces no drift bias, only the vanishing variance of
+sub-cutoff jumps.  The diffusion step is followed by a projection onto the
+simplex (clamp negatives, renormalize) whose bias near the boundary is
+dominated by the Euler error; jump steps are convex combinations and preserve
+the simplex exactly.
 
-The integrator never forms the ``(K, K)`` factor: it applies ``zeta(x)`` to
-the Gaussian increment in O(K) per replicate, from the same suffix sums.
-:func:`zeta` builds the full matrix and is the reference for that product.
+The integrator never forms the ``(K, K)`` factor: it applies ``zeta(x)`` to the
+Gaussian increment in O(K) per replicate from the same suffix sums, on column-major
+states; :func:`zeta` builds the full matrix and is the reference for that product.
 """
 
 from __future__ import annotations
@@ -38,14 +38,15 @@ _TINY = 1e-14
 
 
 def _factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and column weights of :func:`zeta`, from the suffix sums of ``x``."""
-    S = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
-    np.cumsum(x[..., ::-1], axis=-1, out=S[..., -2::-1])
-    S, S_next = S[..., :-1], S[..., 1:]
+    """Diagonal and column weights of :func:`zeta` for type-major ``x`` of shape ``(K, ...)``; the last ones are 0."""
+    S = np.empty(x.shape)
+    np.add.accumulate(x[::-1], out=S[::-1])  # suffix sums S_j = x_j + ... + x_(K-1)
+    S, S_next, head = S[:-1], S[1:], x[:-1]
     denom = S * S_next
-    diag = np.divide(x * S_next, S, out=np.zeros(x.shape), where=S > _TINY)
-    col = np.divide(x, denom, out=np.zeros(x.shape), where=denom > _TINY)
-    for v in (diag, col):
+    diag, col = np.zeros(x.shape), np.zeros(x.shape)
+    np.divide(head * S_next, S, out=diag[:-1], where=S > _TINY)
+    np.divide(head, denom, out=col[:-1], where=denom > _TINY)
+    for v in (diag[:-1], col[:-1]):
         np.sqrt(np.maximum(v, 0.0, out=v), out=v)
     return diag, col
 
@@ -69,7 +70,7 @@ def zeta(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     K = x.shape[-1]
-    diag, col = _factor(x)
+    diag, col = (v.T for v in _factor(x.T))
     out = np.where(np.tri(K, K, -1, dtype=bool), -x[..., :, None] * col[..., None, :], 0.0)
     idx = np.arange(K)
     out[..., idx, idx] = diag
@@ -77,12 +78,12 @@ def zeta(x) -> np.ndarray:
 
 
 def _apply_zeta(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """``zeta(x) @ xi`` per row in O(K): ``diag * xi - x * (col * xi summed over j < i)``."""
+    """``zeta(x) @ xi`` per row in O(K): ``diag * xi - x * (col * xi summed over j < i)``, on type-major views."""
+    x, xi = x.T, xi.T
     diag, col = _factor(x)
-    v = col * xi
-    before = np.zeros(v.shape)
-    np.cumsum(v[..., :-1], axis=-1, out=before[..., 1:])
-    return diag * xi - x * before
+    out = diag * xi
+    out[1:] -= x[1:] * np.add.accumulate(col[:-1] * xi[:-1])
+    return out.T
 
 
 @dataclass
@@ -134,36 +135,25 @@ class SdeConfig:
                     stacklevel=2,
                 )
 
-    @property
-    def truncated_jump_mass(self) -> float:
-        """Diagnostic: plain measure mass below the jump cutoff."""
-        if self.size_law is None:
-            return 0.0
-        return self.size_law.truncated_mass
-
 
 def _advance(cfg: SdeConfig, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One Euler step plus the jumps binned into it, for active rows."""
-    Y = X + cfg.dt * np.asarray(cfg.drift(X), dtype=float)
+    """One Euler step plus the jumps binned into it, for active rows; returns them column-major."""
+    Y = np.add(X, cfg.dt * np.asarray(cfg.drift(X), dtype=float), out=np.empty(X.shape[::-1]).T)
     if cfg.sigma > 0.0:
         Y += math.sqrt(cfg.sigma * cfg.dt) * _apply_zeta(X, rng.standard_normal(X.shape))
     # project onto the simplex; rows that already sum to 1 divide by 1 exactly
     np.maximum(Y, 0.0, out=Y)
-    Y /= Y.sum(axis=1, keepdims=True)
+    Y /= np.add.reduce(Y, axis=1, keepdims=True)
     if cfg.jump_rate > 0.0:
         n_jumps = rng.poisson(cfg.jump_rate * cfg.dt, X.shape[0])
-        round_ = 1
-        while True:
+        for round_ in range(1, n_jumps.max(initial=0) + 1):
             rows = np.flatnonzero(n_jumps >= round_)
-            if rows.size == 0:
-                break
             z = cfg.size_law.sample(rng, rows.size)
             cdf = np.cumsum(Y[rows], axis=1)
             target = (cdf < (rng.random(rows.size) * cdf[:, -1])[:, None]).sum(axis=1)
             target = target.clip(max=cfg.K - 1)
             Y[rows] *= (1.0 - z)[:, None]
             Y[rows, target] += z
-            round_ += 1
     return Y
 
 
@@ -176,9 +166,11 @@ class BatchSde:
     given stream regardless of how far others have progressed.
 
     The replicates still active form one compact block: their states, their
-    row indices and the coordinates already seen at zero, in row order.  A
-    step advances and settles the block in place; it shrinks only on steps
-    where a replicate fixes.  ``X`` writes the block back into the full
+    row indices and the coordinates already seen at zero, in row order, with
+    states and seen flags stored column-major.  A step advances the block and
+    settles it only if a coordinate is at or below the clamp without being a
+    zero already seen, or a row is at a vertex; the block shrinks only on
+    steps where a replicate fixes.  ``X`` writes the block back into the full
     state array when read.
 
     Vertices are treated as absorbing, which is exact for mutation-free
@@ -199,8 +191,8 @@ class BatchSde:
         self.winner = np.full(self.R, -1, dtype=np.int64)
         self.clamp_fired = np.zeros(self.R, dtype=bool)
         self._rows = np.arange(self.R)
-        self._seen = self._X == 0.0
-        self._settle(self._X.copy())
+        self._seen = np.asfortranarray(self._X == 0.0)
+        self._settle(np.array(self._X, order="F"))
 
     @property
     def X(self) -> np.ndarray:
@@ -220,18 +212,19 @@ class BatchSde:
 
     def _settle(self, Y: np.ndarray) -> None:
         """Clamp the advanced block, record its boundary events, drop fixed rows."""
-        if self.cfg.tol_ext > 0.0:
-            small = (Y > 0.0) & (Y <= self.cfg.tol_ext)
-            if small.any():
-                hit = small.any(axis=1)
-                Y[small] = 0.0
-                Y[hit] /= Y[hit].sum(axis=1, keepdims=True)
-                self.clamp_fired[self._rows[hit]] = True
+        self._Y, tol = Y, self.cfg.tol_ext
+        # the test also catches a seen zero brought back to (0, tol] by a drift with mutation
+        if not (np.count_nonzero((Y <= tol) > (self._seen & (Y == 0.0))) or np.count_nonzero(Y == 1.0)):
+            return
+        small = (Y > 0.0) & (Y <= tol)
+        hit = small.any(axis=1)
+        Y[small] = 0.0
+        Y[hit] /= Y[hit].sum(axis=1, keepdims=True)
+        self.clamp_fired[self._rows[hit]] = True
         newly_zero = (Y == 0.0) & ~self._seen
-        if newly_zero.any():
-            r, i = np.nonzero(newly_zero)
-            self.extinction_time[self._rows[r], i] = self.t
-            self._seen |= newly_zero
+        r, i = np.nonzero(newly_zero)
+        self.extinction_time[self._rows[r], i] = self.t
+        self._seen |= newly_zero
         at_vertex = Y == 1.0
         if at_vertex.any():
             done = at_vertex.any(axis=1)
@@ -239,9 +232,8 @@ class BatchSde:
             self._X[fixed] = Y[done]
             self.winner[fixed] = Y[done].argmax(axis=1)
             self.fixation_time[fixed] = self.t
-            keep = ~done
-            self._rows, Y, self._seen = self._rows[keep], Y[keep], self._seen[keep]
-        self._Y = Y
+            self._rows = self._rows[~done]
+            self._Y, self._seen = (np.compress(~done, A.T, axis=1).T for A in (Y, self._seen))
 
     def step(self) -> None:
         self.steps += 1

@@ -115,11 +115,23 @@ def test_rates_equal_the_per_move_construction_exactly():
     ]
     for model in models:
         for n in (1, 2, 3, 7, 40, 300):
-            targets, rates, cum, total = model.rates(n)
+            targets, rates = model.rates(n)
             want_targets, want_rates = per_move(model, n)
             assert targets.dtype == np.int64 and targets.tolist() == want_targets
             assert rates.tolist() == want_rates
+            jump_targets, cum, total = model.jumps(n)
+            assert jump_targets is targets
             assert cum.tolist() == np.cumsum(want_rates).tolist() and total == (cum[-1] if rates.size else 0.0)
+
+
+def test_stationary_solve_caches_no_cumulative_rates():
+    # only the Gillespie sampler draws moves; the solve reads targets and rates
+    model = AncestralModel(kappa=2.5, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0), n_cap=256)
+    law = stationary_law(model)
+    assert law.n_max == 256 and len(model._rate_cache) == 256
+    assert not model._jump_cache
+    simulate_ancestral(model, 3, 1.0, RngStream(4).generator())
+    assert 0 < len(model._jump_cache) < 256
 
 
 def test_transience_detector_aborts_stationary_run():

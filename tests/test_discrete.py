@@ -278,6 +278,16 @@ def test_empirical_drift_beyond_enumeration_takes_the_per_sample_path():
     assert np.all(np.abs(est.values - mu_transitive(1.0, {199: 1.0}, x)) <= 4.0 * est.stderr + 1e-9)
 
 
+def test_exact_drift_refuses_a_sample_size_whose_coefficients_overflow():
+    # 2001 multi-indices are few enough, but C(2000, 1000) ~ 1e600 is no float
+    model = DiscreteModel(N=2, rule=TransitiveRule(2), offspring=OffspringLaw(1.0, {2000: 1.0}))
+    assert model.rule.supports_enumeration(500) and not model.rule.supports_enumeration(2000)
+    with pytest.raises(ValueError, match="size 2000"):
+        empirical_drift(model, [0.5, 0.5], 1, method="exact")
+    est = empirical_drift(model, [0.5, 0.5], 200, RngStream(18).generator())
+    assert est.compositions == 0 and np.allclose(est.values, [-0.5, 0.5], atol=1e-12)
+
+
 def test_empirical_drift_exact_path():
     model = DiscreteModel(N=2, rule=NeutralRule(3), offspring=OffspringLaw(1.0, {2: 0.5, 3: 0.5}))
     est = empirical_drift(model, [0.2, 0.3, 0.5], 1, method="exact")

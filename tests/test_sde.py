@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lwf.bernstein import PolynomialMap
 from lwf.core import random_interior_points
 from lwf.measures import FiniteAtoms, PointMass, ZeroMeasure
 from lwf.rng import RngStream
@@ -54,6 +55,25 @@ def test_zeta_factorization_random_and_near_boundary():
         xi = noise_rng.standard_normal(edge.shape)
         direct = np.einsum("rij,rj->ri", zeta(edge), xi)
         assert np.abs(_apply_zeta(edge, xi) - direct).max() < 1e-14
+
+
+@pytest.mark.parametrize("K", [2, 3, 6])
+def test_advance_gives_the_same_bytes_on_a_row_major_and_a_column_major_block(K):
+    # the integrator keeps its block column-major; any layout must step alike
+    pts = RngStream(40 + K).generator().dirichlet(np.ones(K), size=300)
+    hit = np.arange(100) % K
+    pts[np.arange(100), hit] = 0.0
+    pts[np.arange(100, 200), hit] = 1e-15
+    pts[200:200 + K] = np.eye(K)
+    pts /= pts.sum(axis=1, keepdims=True)
+    column_major = np.asfortranarray(pts)
+    assert pts.flags.c_contiguous and not column_major.flags.c_contiguous
+    drift = DriftFunction.negfreq(1.5, K)
+    for sigma, measure in ((1.0, ZeroMeasure()), (0.0, PointMass(0.5, 1.0)), (0.7, FiniteAtoms([(0.2, 0.5), (0.9, 2.0)]))):
+        cfg = SdeConfig(K=K, drift=drift, sigma=sigma, measure=measure, dt=5e-3, horizon=1.0)
+        rows = _advance(cfg, pts, RngStream(50).generator())
+        again = _advance(cfg, column_major, RngStream(50).generator())
+        assert np.ascontiguousarray(rows).tobytes() == np.ascontiguousarray(again).tobytes()
 
 
 def test_frozen_dynamics_identity():
@@ -237,6 +257,57 @@ def test_compact_active_set_bookkeeping_matches_observed_states():
     assert np.unique(interior.fixation_time).size == 8 and interior.winner.min() >= 0
     with pytest.raises(ValueError):
         interior.X[0, 0] = 0.5
+
+
+def test_size_one_jump_fixes_on_the_step_it_fires():
+    # a jump of size 1 replaces the whole population: the vertex is reached
+    # in one step, and every other type dies at that same step
+    cfg = SdeConfig(K=3, drift=None, sigma=0.0, measure=PointMass(1.0, 1.0), dt=0.01, horizon=10.0)
+    batch = _check_bookkeeping_per_step(cfg, [0.2, 0.3, 0.5], 12, 15, 400)
+    fixed = batch.winner >= 0
+    assert fixed.sum() >= 8 and np.all(batch.fixation_time[fixed] > 0.0)
+    for r in np.flatnonzero(fixed):
+        others = np.delete(batch.extinction_time[r], batch.winner[r])
+        assert np.all(others == batch.fixation_time[r])
+        assert math.isnan(batch.extinction_time[r, batch.winner[r]])
+    assert not batch.clamp_fired.any()
+
+
+def test_clamp_onto_a_vertex_records_the_fixation_on_that_step():
+    # a jump of size 0.9 leaves the other types at or below tol_ext, whose
+    # clamp then lands the row on the vertex within the same step
+    cfg = SdeConfig(K=3, drift=None, sigma=0.0, measure=PointMass(0.9, 0.81), dt=0.01, horizon=10.0, tol_ext=0.05)
+    batch = _check_bookkeeping_per_step(cfg, [0.5, 0.25, 0.25], 12, 16, 400)
+    fixed = batch.winner >= 0
+    assert fixed.sum() >= 8
+    assert np.array_equal(batch.clamp_fired, fixed)
+    for r in np.flatnonzero(fixed):
+        assert np.all(np.delete(batch.extinction_time[r], batch.winner[r]) == batch.fixation_time[r])
+
+
+def test_pure_jump_rows_fix_when_the_leading_coordinate_rounds_to_one():
+    # without a clamp, halving jumps leave the losing type at ~1e-16, never
+    # at zero: the row fixes on the step its leading coordinate reads 1.0
+    cfg = SdeConfig(K=2, drift=None, sigma=0.0, measure=PointMass(0.5, 1.0), dt=0.025, horizon=100.0)
+    batch = _check_bookkeeping_per_step(cfg, [0.5, 0.5], 6, 17, 1500)
+    fixed = batch.winner >= 0
+    assert fixed.sum() >= 4
+    assert np.isnan(batch.extinction_time[fixed]).all()
+
+
+def test_clamp_still_fires_on_a_type_revived_by_mutation():
+    # a mutation drift feeds extinct types again: a coordinate already seen
+    # at zero can come back at or below tol_ext, and is clamped there again
+    K, m = 3, 0.05
+    mutation = PolynomialMap(
+        [{tuple(np.eye(K, dtype=int)[j]): (1 - m) * (i == j) + m / K for j in range(K)} for i in range(K)]
+    )
+    cfg = SdeConfig(
+        K=K, drift=DriftFunction.from_polynomial(0.5, mutation), sigma=1.0, measure=ZeroMeasure(), dt=1e-2,
+        horizon=10.0, tol_ext=1e-3,
+    )
+    batch = _check_bookkeeping_per_step(cfg, [0.8, 0.15, 0.05], 10, 18, 400)
+    assert batch.clamp_fired.any() and (batch.winner >= 0).any()
 
 
 def test_jump_duality_against_chain_matrix_exponential():
