@@ -49,9 +49,8 @@ class AncestralModel:
     increments: tuple[tuple[int, float], ...]
     measure: LambdaMeasure
     n_cap: int = N_CAP
-    per_lineage_branching: bool = True
 
-    def __init__(self, kappa, sigma, increments, measure=None, n_cap=N_CAP, per_lineage_branching=True):
+    def __init__(self, kappa, sigma, increments, measure=None, n_cap=N_CAP):
         if kappa < 0 or sigma < 0:
             raise ValueError("kappa and sigma must be nonnegative")
         if not 2 * N_START <= n_cap <= N_CAP:
@@ -75,7 +74,6 @@ class AncestralModel:
         object.__setattr__(self, "increments", tuple(items))
         object.__setattr__(self, "measure", measure if measure is not None else ZeroMeasure())
         object.__setattr__(self, "n_cap", int(n_cap))
-        object.__setattr__(self, "per_lineage_branching", bool(per_lineage_branching))
         object.__setattr__(self, "_rate_cache", {})
         object.__setattr__(self, "_jump_cache", {})
 
@@ -95,10 +93,15 @@ class AncestralModel:
         return self.kappa == 0.0 or self.sigma > 0.0 or self.kappa < self.kappa_star
 
     def rates(self, n: int):
-        """Cached ``(targets, rates)`` of the moves out of state n."""
+        """``(targets, rates)`` out of state n, zero rates dropped; the targets are rebuilt, the rates cached."""
         if n not in self._rate_cache:
-            self._rate_cache[n] = _build_rates(self, n)
-        return self._rate_cache[n]
+            rates = _all_rates(self, n)
+            self._rate_cache[n] = (rates > 0.0, rates[rates > 0.0])
+        keep, rates = self._rate_cache[n]
+        # a fixed order: branching, pair coalescence, collisions k = 2..n landing on n - k + 1
+        up = n + np.array([j for j, _ in self.increments], dtype=np.int64)
+        targets = np.concatenate([up, [n - 1], np.arange(n - 1, 0, -1)]) if n >= 2 else up
+        return targets[keep], rates
 
     def jumps(self, n: int):
         """Cached ``(targets, cumulative, total)`` rates out of state n, kept only for states a path visits."""
@@ -109,19 +112,14 @@ class AncestralModel:
         return self._jump_cache[n]
 
 
-def _build_rates(model: AncestralModel, n: int):
-    """Moves out of state n in a fixed order: branching, pair coalescence, collisions by k."""
+def _all_rates(model: AncestralModel, n: int) -> np.ndarray:
+    """Rates of every move out of state n, zeros included, in the order of :meth:`AncestralModel.rates`."""
     if n < 1:
         raise ValueError(f"state must be >= 1, got {n}")
-    scale = n if model.per_lineage_branching else 1
-    targets = [n + np.array([j for j, _ in model.increments], dtype=np.int64)]
-    rates = [model.kappa * np.array([w for _, w in model.increments], dtype=float) * scale]
-    if n >= 2:
-        targets += [np.array([n - 1]), np.arange(n - 1, 0, -1)]  # collisions k = 2..n land on n - k + 1
-        rates += [np.array([model.sigma * n * (n - 1) / 2.0]), model.measure.collision_rate_vector(n)]
-    targets, rates = np.concatenate(targets), np.concatenate(rates)
-    keep = rates > 0.0
-    return targets[keep], rates[keep]
+    up = model.kappa * np.array([w for _, w in model.increments], dtype=float) * n
+    if n < 2:
+        return up
+    return np.concatenate([up, [model.sigma * n * (n - 1) / 2.0], model.measure.collision_rate_vector(n)])
 
 
 def ancestral_rates(model: AncestralModel, n: int) -> list[tuple[int, float]]:

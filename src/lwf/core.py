@@ -90,6 +90,12 @@ def round_to_counts(x, N: int) -> np.ndarray:
     return counts
 
 
+def _categorical(P: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One type per column of type-major weights ``(K, m)``, by inverse cdf; the weights need not sum to 1."""
+    cdf = np.add.accumulate(P)
+    return np.count_nonzero(cdf < rng.random(P.shape[1]) * cdf[-1], axis=0).clip(max=P.shape[0] - 1)
+
+
 def random_interior_points(rng: np.random.Generator, K: int, n: int, min_coord: float = 0.02) -> np.ndarray:
     """Uniform simplex points conditioned away from the boundary."""
     out = np.empty((n, K))
@@ -235,7 +241,8 @@ def make_schedule(
         rho = N ** (-b)
 
     truncation = N ** (-alpha)
-    event_mass = measure.resampling_mass_above(truncation)
+    size_law = TruncatedSizeLaw(measure, truncation)
+    event_mass = size_law.total_rate
     gamma = event_mass * rho / kappa
     clamped = False
     if gamma > 1.0:
@@ -250,7 +257,6 @@ def make_schedule(
         gamma = 1.0
         clamped = True
 
-    size_law = TruncatedSizeLaw(measure, truncation) if event_mass > 0 else None
     offspring = OffspringLaw(rho, tail)
     return ScalingSchedule(
         N=int(N),
@@ -265,5 +271,5 @@ def make_schedule(
         event_mass=float(event_mass),
         truncation=float(truncation),
         clamped=clamped,
-        size_law=size_law,
+        size_law=size_law if event_mass > 0 else None,
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinat import composition_pmf, compositions
-from .core import OffspringLaw, ScalingSchedule, freqs_of, round_to_counts
+from .core import OffspringLaw, ScalingSchedule, _categorical, freqs_of, round_to_counts
 from .measures import TruncatedSizeLaw
 from .rules import ColouringRule, DEFAULT_K_MAX
 from .trajectory import Trajectory
@@ -45,6 +45,11 @@ class DiscreteModel:
             raise ValueError(f"event probability must lie in [0, 1], got {self.gamma}")
         if self.gamma > 0.0 and self.size_law is None:
             raise ValueError("a size law is required when extreme events can occur")
+        # sample-size classes, singleton class first: sizes, probabilities, and whether a size enumerates
+        ks = (1,) + tuple(k for k, _ in self.offspring.tail)
+        ps = np.array([1.0 - self.offspring.rho] + [self.offspring.rho * p for _, p in self.offspring.tail])
+        enumerable = tuple(k <= DEFAULT_K_MAX and self.rule.supports_enumeration(k) for k in ks)
+        object.__setattr__(self, "_classes", (ks, ps, enumerable))
 
     @classmethod
     def from_schedule(cls, schedule: ScalingSchedule, rule: ColouringRule) -> "DiscreteModel":
@@ -62,56 +67,49 @@ class DiscreteModel:
         return self.rule.K
 
 
-def _class_table(model: DiscreteModel) -> tuple[np.ndarray, np.ndarray]:
-    """Sample-size classes and their probabilities, singleton class first."""
-    ks = [1] + [k for k, _ in model.offspring.tail]
-    ps = [1.0 - model.offspring.rho] + [model.offspring.rho * p for _, p in model.offspring.tail]
-    return np.array(ks), np.array(ps)
-
-
 def step_generation_batch(model: DiscreteModel, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized generation step for a batch of replicate states ``(R, K)``."""
-    R, K = X.shape
+    R = X.shape[0]
     N = model.N
-    counts = np.zeros((R, K), dtype=np.int64)
-
     extreme = rng.random(R) < model.gamma if model.gamma > 0.0 else np.zeros(R, dtype=bool)
+    if not extreme.any():
+        return _ordinary_counts(model, X, rng) / float(N)
+
+    counts = np.empty(X.shape, dtype=np.int64)
     ordinary = ~extreme
-
     if ordinary.any():
-        rows = np.flatnonzero(ordinary)
-        Xo = X[rows]
-        ks, ps = _class_table(model)
-        if ks.size == 1:
-            per_class = np.full((rows.size, 1), N, dtype=np.int64)
-        else:
-            per_class = rng.multinomial(N, np.broadcast_to(ps, (rows.size, ps.size)))
-        for c, k in enumerate(ks):
-            n_k = per_class[:, c]
-            busy = n_k > 0
-            if not busy.any():
-                continue
-            sub = np.flatnonzero(busy)
-            if k == 1:
-                law = Xo[sub]
-            elif k <= DEFAULT_K_MAX and model.rule.supports_enumeration(k):
-                law = model.rule.type_law_batch(k, Xo[sub])
-            else:
-                counts[rows[sub]] += _per_individual(model.rule, k, Xo[sub], n_k[sub], rng)
-                continue
-            counts[rows[sub]] += rng.multinomial(n_k[sub], law)
-
-    if extreme.any():
-        rows = np.flatnonzero(extreme)
-        Xe = X[rows]
-        star_type = _categorical_rows(Xe, rng)
-        sizes = model.size_law.sample(rng, rows.size)
-        block = rng.binomial(N, sizes)
-        rest = rng.multinomial(N - block, Xe)
-        rest[np.arange(rows.size), star_type] += block
-        counts[rows] = rest
-
+        counts[ordinary] = _ordinary_counts(model, X[ordinary], rng)
+    rows = np.flatnonzero(extreme)
+    Xe = X[rows]
+    star_type = _categorical(Xe.T, rng)
+    block = rng.binomial(N, model.size_law.sample(rng, rows.size))
+    rest = rng.multinomial(N - block, Xe)
+    rest[np.arange(rows.size), star_type] += block
+    counts[rows] = rest
     return counts / float(N)
+
+
+def _ordinary_counts(model: DiscreteModel, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Offspring type counts of a generation without an extreme event, for every row of ``X``."""
+    m, N = X.shape[0], model.N
+    ks, ps, enumerable = model._classes
+    per_class = rng.multinomial(N, ps, size=m)  # the tail is never empty: at least two classes
+    counts = np.zeros(X.shape, dtype=np.int64)
+    for k, n_k, exact in zip(ks, per_class.T, enumerable):
+        busy = n_k > 0
+        n_busy = np.count_nonzero(busy)
+        if not n_busy:
+            continue
+        sub = slice(None) if n_busy == m else np.flatnonzero(busy)
+        if k == 1:
+            law = X[sub]
+        elif exact:
+            law = model.rule.type_law_batch(k, X[sub])
+        else:
+            counts[sub] += _per_individual(model.rule, k, X[sub], n_k[sub], rng)
+            continue
+        counts[sub] += rng.multinomial(n_k[sub], law)
+    return counts
 
 
 def step_unabsorbed(model: DiscreteModel, X: np.ndarray, rng: np.random.Generator) -> bool:
@@ -121,20 +119,15 @@ def step_unabsorbed(model: DiscreteModel, X: np.ndarray, rng: np.random.Generato
     state and draws nothing.  Returns False, having drawn nothing, once every
     row is absorbed.
     """
-    if not model.rule.mutation_free:
-        X[:] = step_generation_batch(model, X, rng)
-        return True
-    active = ~np.any(X == 1.0, axis=1)
-    if not active.any():
-        return False
-    X[active] = step_generation_batch(model, X[active], rng)
+    if model.rule.mutation_free:
+        active = ~np.any(X == 1.0, axis=1)
+        if not active.any():
+            return False
+        if not active.all():
+            X[active] = step_generation_batch(model, X[active], rng)
+            return True
+    X[:] = step_generation_batch(model, X, rng)
     return True
-
-
-def _categorical_rows(P: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    cdf = np.cumsum(P, axis=1)
-    u = rng.random(P.shape[0]) * cdf[:, -1]
-    return (cdf < u[:, None]).sum(axis=1).clip(max=P.shape[1] - 1)
 
 
 def _per_individual(rule: ColouringRule, k: int, X: np.ndarray, n_k: np.ndarray, rng) -> np.ndarray:
@@ -143,7 +136,7 @@ def _per_individual(rule: ColouringRule, k: int, X: np.ndarray, n_k: np.ndarray,
     for r in range(X.shape[0]):
         samples = rng.multinomial(k, X[r], size=int(n_k[r]))
         probs = rule.distribution_batch(samples)
-        types = _categorical_rows(probs, rng)
+        types = _categorical(probs.T, rng)
         out[r] = np.bincount(types, minlength=X.shape[1])
     return out
 

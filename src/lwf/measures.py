@@ -530,6 +530,11 @@ class TruncatedSizeLaw:
         self.total_rate = measure.resampling_mass_above(self.eps)
         self._atoms = tuple((z, w / z**2) for z, w in measure.atoms() if z >= self.eps)
         self._atom_rate = sum(w for _, w in self._atoms)
+        if self._atoms:
+            # sizes and the cumulative weights exactly as Generator.choice(p=w / w.sum()) builds them
+            self._atom_sizes, ws = (np.array(v) for v in zip(*self._atoms))
+            self._atom_cdf = np.cumsum(ws / ws.sum())
+            self._atom_cdf /= self._atom_cdf[-1]
         self._grid = None
         if measure.has_continuous_part and self.total_rate > self._atom_rate + 0.0:
             self._build_grid()
@@ -573,10 +578,7 @@ class TruncatedSizeLaw:
         return out
 
     def _sample_atoms(self, rng, size):
-        zs = np.array([z for z, _ in self._atoms])
-        ws = np.array([w for _, w in self._atoms])
-        idx = rng.choice(len(zs), size=size, p=ws / ws.sum())
-        return zs[idx]
+        return self._atom_sizes[self._atom_cdf.searchsorted(rng.random(size), side="right")]
 
     def _sample_continuous(self, rng, size):
         if isinstance(self.measure, UniformLaw):

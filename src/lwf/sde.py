@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import freqs_of
+from .core import _categorical, freqs_of
 from .measures import LambdaMeasure, TruncatedSizeLaw, ZeroMeasure
 from .trajectory import Trajectory
 
@@ -125,9 +125,10 @@ class SdeConfig:
             self.drift = lambda x: np.zeros_like(np.asarray(x, dtype=float))
         if self.measure is None:
             self.measure = ZeroMeasure()
-        self.jump_rate = self.measure.resampling_mass_above(self.eps_jump)
+        size_law = TruncatedSizeLaw(self.measure, self.eps_jump)
+        self.jump_rate = size_law.total_rate
         if self.jump_rate > 0.0:
-            self.size_law = TruncatedSizeLaw(self.measure, self.eps_jump)
+            self.size_law = size_law
             if self.dt * self.jump_rate > 0.1:
                 warnings.warn(
                     f"dt * jump rate = {self.dt * self.jump_rate:.3g} > 0.1: "
@@ -149,11 +150,11 @@ def _advance(cfg: SdeConfig, X: np.ndarray, rng: np.random.Generator) -> np.ndar
         for round_ in range(1, n_jumps.max(initial=0) + 1):
             rows = np.flatnonzero(n_jumps >= round_)
             z = cfg.size_law.sample(rng, rows.size)
-            cdf = np.cumsum(Y[rows], axis=1)
-            target = (cdf < (rng.random(rows.size) * cdf[:, -1])[:, None]).sum(axis=1)
-            target = target.clip(max=cfg.K - 1)
-            Y[rows] *= (1.0 - z)[:, None]
-            Y[rows, target] += z
+            G = Y.T[:, rows]  # one gather and one scatter of contiguous type-major columns per round
+            target = _categorical(G, rng)
+            G *= 1.0 - z
+            G[target, np.arange(rows.size)] += z
+            Y.T[:, rows] = G
     return Y
 
 

@@ -53,10 +53,6 @@ def test_rates_match_collision_integrals():
 def test_branching_rate_scales_with_lineage_count():
     model = AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0}, measure=ZeroMeasure())
     assert dict(ancestral_rates(model, 5))[6] == pytest.approx(5.0)
-    literal = AncestralModel(
-        kappa=1.0, sigma=0.0, increments={1: 1.0}, measure=ZeroMeasure(), per_lineage_branching=False
-    )
-    assert dict(ancestral_rates(literal, 5))[6] == pytest.approx(1.0)
 
 
 def test_pure_death_paths_are_nonincreasing():
@@ -92,11 +88,10 @@ def test_rates_equal_the_per_move_construction_exactly():
     # the moves listed one at a time, in the order the Gillespie sampler relies on
     def per_move(model, n):
         targets, rates = [], []
-        scale = n if model.per_lineage_branching else 1
         for j, w in model.increments:
-            if model.kappa * w * scale > 0:
+            if model.kappa * w * n > 0:
                 targets.append(n + j)
-                rates.append(model.kappa * w * scale)
+                rates.append(model.kappa * w * n)
         if n >= 2:
             if model.sigma > 0:
                 targets.append(n - 1)
@@ -110,7 +105,7 @@ def test_rates_equal_the_per_move_construction_exactly():
     models = [
         AncestralModel(kappa=0.7, sigma=1.3, increments={1: 0.25, 3: 0.75}, measure=PointMass(0.5, 1.0)),
         AncestralModel(kappa=0.7, sigma=0.0, increments={2: 1.0}, measure=FiniteAtoms([(1.0, 0.5), (0.3, 2.0)])),
-        AncestralModel(kappa=1.1, sigma=0.4, increments={1: 1.0}, measure=UniformLaw(), per_lineage_branching=False),
+        AncestralModel(kappa=1.1, sigma=0.4, increments={1: 1.0}, measure=UniformLaw()),
         AncestralModel(kappa=0.0, sigma=2.0, increments={}, measure=ZeroMeasure()),
     ]
     for model in models:
@@ -120,7 +115,7 @@ def test_rates_equal_the_per_move_construction_exactly():
             assert targets.dtype == np.int64 and targets.tolist() == want_targets
             assert rates.tolist() == want_rates
             jump_targets, cum, total = model.jumps(n)
-            assert jump_targets is targets
+            assert jump_targets.tolist() == want_targets
             assert cum.tolist() == np.cumsum(want_rates).tolist() and total == (cum[-1] if rates.size else 0.0)
 
 

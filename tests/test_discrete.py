@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -6,10 +7,16 @@ import pytest
 
 from lwf.combinat import composition_index, composition_pmf, compositions
 from lwf.core import OffspringLaw, make_schedule, round_to_counts
-from lwf.discrete import DiscreteModel, empirical_drift, simulate_discrete, step_generation_batch
-from lwf.measures import PointMass, TruncatedSizeLaw, ZeroMeasure
+from lwf.discrete import (
+    DiscreteModel,
+    empirical_drift,
+    simulate_discrete,
+    step_generation_batch,
+    step_unabsorbed,
+)
+from lwf.measures import FiniteAtoms, PointMass, TruncatedSizeLaw, ZeroMeasure
 from lwf.rng import RngStream
-from lwf.rules import NegFreqDepRule, NeutralRule, PartialOrderRule, TransitiveRule
+from lwf.rules import DEFAULT_K_MAX, NegFreqDepRule, NeutralRule, PartialOrderRule, TransitiveRule
 from lwf.selection import mu_rps, mu_transitive
 
 
@@ -97,6 +104,90 @@ def test_extreme_event_block_statistics():
     var_expected = x[0] * (1 - x[0]) * (z**2 + (1.0 - z**2) / model.N)
     assert abs(finals[:, 0].mean() - 0.5) < 4.5 * math.sqrt(var_expected / 4000)
     assert finals[:, 0].var() == pytest.approx(var_expected, rel=0.15)
+
+
+def _categorical_rows(P, rng):
+    cdf = np.cumsum(P, axis=1)
+    return (cdf < (rng.random(P.shape[0]) * cdf[:, -1])[:, None]).sum(axis=1).clip(max=P.shape[1] - 1)
+
+
+def _reference_step(model, X, rng, kinds):
+    """The gather-and-broadcast generation step: the oracle of the engine's whole-block paths."""
+    R, K = X.shape
+    N = model.N
+    counts = np.zeros((R, K), dtype=np.int64)
+    extreme = rng.random(R) < model.gamma if model.gamma > 0.0 else np.zeros(R, dtype=bool)
+    kinds.add("none" if not extreme.any() else "all" if extreme.all() else "some")
+    ordinary = ~extreme
+    if ordinary.any():
+        rows = np.flatnonzero(ordinary)
+        Xo = X[rows]
+        ks = np.array([1] + [k for k, _ in model.offspring.tail])
+        ps = np.array([1.0 - model.offspring.rho] + [model.offspring.rho * p for _, p in model.offspring.tail])
+        per_class = rng.multinomial(N, np.broadcast_to(ps, (rows.size, ps.size)))
+        for c, k in enumerate(ks):
+            n_k = per_class[:, c]
+            sub = np.flatnonzero(n_k > 0)
+            if not sub.size:
+                continue
+            if k == 1:
+                law = Xo[sub]
+            elif k <= DEFAULT_K_MAX and model.rule.supports_enumeration(k):
+                law = model.rule.type_law_batch(k, Xo[sub])
+            else:
+                kinds.add("per_individual")
+                for r in sub:
+                    samples = rng.multinomial(k, Xo[r], size=int(n_k[r]))
+                    types = _categorical_rows(model.rule.distribution_batch(samples), rng)
+                    counts[rows[r]] += np.bincount(types, minlength=K)
+                continue
+            counts[rows[sub]] += rng.multinomial(n_k[sub], law)
+    if extreme.any():
+        rows = np.flatnonzero(extreme)
+        Xe = X[rows]
+        star_type = _categorical_rows(Xe, rng)
+        block = rng.binomial(N, model.size_law.sample(rng, rows.size))
+        rest = rng.multinomial(N - block, Xe)
+        rest[np.arange(rows.size), star_type] += block
+        counts[rows] = rest
+    return counts / float(N)
+
+
+def _stream_state(rng):
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.6])
+@pytest.mark.parametrize("gamma, expected", [(0.0, {"none"}), (0.02, {"none", "some"}), (0.3, {"some"}), (1.0, {"all"})])
+def test_generation_step_matches_the_gather_and_broadcast_formulation(rho, gamma, expected):
+    # size 20 is beyond enumeration; at rho = 0.05 a class is busy in some rows only
+    model = DiscreteModel(
+        N=30,
+        rule=TransitiveRule(3),
+        offspring=OffspringLaw(rho, {2: 0.5, 20: 0.5}),
+        gamma=gamma,
+        size_law=TruncatedSizeLaw(FiniteAtoms([(0.2, 1.0), (0.6, 0.5)]), 0.1),
+    )
+    start = RngStream(30).generator().dirichlet(np.ones(3), size=6)
+    start[2] = [0.0, 1.0, 0.0]  # absorbed: step_unabsorbed leaves it and steps the others
+    rng, ref = RngStream(31).generator(), RngStream(31).generator()
+    kinds = set()
+    X = start.copy()
+    for _ in range(25):
+        Y = step_generation_batch(model, X, rng)
+        assert Y.tobytes() == _reference_step(model, X, ref, kinds).tobytes()
+        assert _stream_state(rng) == _stream_state(ref)
+        X = Y
+    assert expected <= kinds and (gamma == 1.0 or "per_individual" in kinds)
+
+    X, X_ref = start.copy(), start.copy()
+    for _ in range(25):
+        moving = step_unabsorbed(model, X, rng)
+        active = ~np.any(X_ref == 1.0, axis=1)
+        if active.any():
+            X_ref[active] = _reference_step(model, X_ref[active], ref, kinds)
+        assert moving == active.any() and X.tobytes() == X_ref.tobytes()
+        assert _stream_state(rng) == _stream_state(ref)
 
 
 def test_one_generation_distribution_matches_enumeration():

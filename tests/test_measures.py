@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -154,3 +155,42 @@ def test_truncated_size_law_total_rate_and_diagnostic():
     assert below.truncated_mass == pytest.approx(1.0)
     with pytest.raises(ValueError):
         below.sample(RngStream(0).generator(), 3)
+
+
+def _state(rng):
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
+
+
+class _AtomsOnUniform(UniformLaw):
+    """Uniform density plus two atoms: a law with both an atomic and a continuous part."""
+
+    def atoms(self):
+        return ((0.3, 0.5), (0.8, 1.0))
+
+    def resampling_mass_above(self, lo):
+        return super().resampling_mass_above(lo) + sum(w / z**2 for z, w in self.atoms() if z >= lo)
+
+
+@pytest.mark.parametrize("size", [1, 3, 500])
+@pytest.mark.parametrize(
+    "measure",
+    [PointMass(0.4, 2.0), FiniteAtoms([(0.2, 0.3), (0.5, 1.0), (0.9, 0.7)]), _AtomsOnUniform(1.0)],
+    ids=["point_mass", "three_atoms", "atoms_on_uniform"],
+)
+def test_atom_sampler_draws_what_generator_choice_draws(measure, size):
+    # the sampler inlines Generator.choice(p=...): same sizes, same state of the stream afterwards
+    law = TruncatedSizeLaw(measure, 0.1)
+    zs = np.array([z for z, _ in measure.atoms()])
+    w = np.array([wt / z**2 for z, wt in measure.atoms()])
+    rng, ref = RngStream(23).generator(), RngStream(23).generator()
+    for _ in range(3):
+        got = law.sample(rng, size)
+        if measure.has_continuous_part:
+            want = np.empty(size)
+            pick = ref.random(size) < sum(w) / law.total_rate
+            want[pick] = zs[ref.choice(len(zs), int(pick.sum()), p=w / w.sum())]
+            want[~pick] = law._sample_continuous(ref, size - int(pick.sum()))
+        else:
+            want = zs[ref.choice(len(zs), size, p=w / w.sum())]
+        assert got.tobytes() == want.tobytes()
+        assert _state(rng) == _state(ref)

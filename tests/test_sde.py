@@ -76,6 +76,45 @@ def test_advance_gives_the_same_bytes_on_a_row_major_and_a_column_major_block(K)
         assert np.ascontiguousarray(rows).tobytes() == np.ascontiguousarray(again).tobytes()
 
 
+def _advance_row_major(cfg, X, rng):
+    """``_advance`` on a row-major block, each jump round on gathered rows: its oracle. Returns the rounds run."""
+    Y = X + cfg.dt * np.asarray(cfg.drift(X), dtype=float)
+    if cfg.sigma > 0.0:
+        Y += math.sqrt(cfg.sigma * cfg.dt) * _apply_zeta(X, rng.standard_normal(X.shape))
+    np.maximum(Y, 0.0, out=Y)
+    Y /= np.add.reduce(Y, axis=1, keepdims=True)
+    n_jumps = rng.poisson(cfg.jump_rate * cfg.dt, X.shape[0])
+    for round_ in range(1, n_jumps.max(initial=0) + 1):
+        rows = np.flatnonzero(n_jumps >= round_)
+        z = cfg.size_law.sample(rng, rows.size)
+        cdf = np.cumsum(Y[rows], axis=1)
+        target = (cdf < (rng.random(rows.size) * cdf[:, -1])[:, None]).sum(axis=1).clip(max=cfg.K - 1)
+        Y[rows] *= (1.0 - z)[:, None]
+        Y[rows, target] += z
+    return Y, n_jumps.max(initial=0)
+
+
+@pytest.mark.parametrize("K", [3, 6])
+def test_jump_rounds_give_the_same_bytes_as_the_row_major_formulation(K):
+    # about 1.6 jumps per row and step: many rows jump twice or more
+    pts = RngStream(60 + K).generator().dirichlet(np.ones(K), size=200)
+    pts[:K] = np.eye(K)
+    pts[K:2 * K, 0] = 0.0
+    pts /= pts.sum(axis=1, keepdims=True)
+    for sigma, measure in ((0.0, PointMass(0.5, 1.0)), (0.6, FiniteAtoms([(0.2, 0.06), (0.5, 0.2), (0.9, 0.5)]))):
+        with pytest.warns(UserWarning, match="multiple jumps"):
+            cfg = SdeConfig(K=K, drift=DriftFunction.negfreq(1.5, K), sigma=sigma, measure=measure, dt=0.4, horizon=1.0)
+        rng, ref = RngStream(61).generator(), RngStream(61).generator()
+        X = np.asfortranarray(pts)
+        for _ in range(3):
+            Y = _advance(cfg, X, rng)
+            want, rounds = _advance_row_major(cfg, np.ascontiguousarray(X), ref)
+            assert rounds >= 3
+            assert np.ascontiguousarray(Y).tobytes() == want.tobytes()
+            assert rng.random() == ref.random()
+            X = Y
+
+
 def test_frozen_dynamics_identity():
     cfg = SdeConfig(K=3, drift=None, sigma=0.0, measure=ZeroMeasure(), dt=0.01, horizon=1.0)
     X = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0]])
