@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-# scipy.integrate is imported inside the functions that use it: loading it
-# here would add to the time and memory that `import lwf` takes.
+# scipy.special and scipy.integrate are imported inside the functions that use
+# them: loading either here would roughly double the time and memory that
+# `import lwf` takes, and most models never evaluate a special function.
 
 
 class LambdaMeasure:
@@ -95,6 +95,8 @@ def _stirling_error(m) -> np.ndarray:
     The asymptotic series from m = 16 on: the plain difference would cancel
     terms as large as log(2048!) ~ 1.4e4 and lose most of its digits.
     """
+    from scipy import special
+
     m = np.asarray(m, dtype=float)
     small = m < 16
     big = np.where(small, 16.0, m)
@@ -113,6 +115,8 @@ def _atom_collision_rates(n: int, z: float, weight_over_z2: float) -> np.ndarray
     exact value up to n = 2048, where a plain ``gammaln`` difference is off
     by 5e-12.
     """
+    from scipy import special
+
     ks = np.arange(2, n + 1, dtype=float)
     rest = n - ks
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -279,11 +283,15 @@ class UniformLaw(LambdaMeasure):
         return True
 
     def collision_integral(self, n: int, k: int) -> float:
+        from scipy import special
+
         _check_nk(n, k)
         # ∫ y**(k-2) (1-y)**(n-k) dy = B(k-1, n-k+1)
         return self.mass * math.exp(special.betaln(k - 1, n - k + 1))
 
     def collision_rate_vector(self, n: int) -> np.ndarray:
+        from scipy import special
+
         ks = np.arange(2, n + 1)
         logc = special.gammaln(n + 1) - special.gammaln(ks + 1) - special.gammaln(n - ks + 1)
         return self.mass * np.exp(logc + special.betaln(ks - 1, n - ks + 1))
@@ -316,12 +324,16 @@ class BetaLaw(LambdaMeasure):
         return self.mass
 
     def mass_above(self, lo: float) -> float:
+        from scipy import special
+
         return self.mass * float(special.betainc(self.a, self.b, 1.0) - special.betainc(self.a, self.b, np.clip(lo, 0.0, 1.0)))
 
     def resampling_mass_above(self, lo: float) -> float:
         if lo >= 1.0:
             return 0.0
         if self.a > 2.0:
+            from scipy import special
+
             scale = math.exp(special.betaln(self.a - 2.0, self.b) - special.betaln(self.a, self.b))
             tail = 1.0 - float(special.betainc(self.a - 2.0, self.b, lo)) if lo > 0 else 1.0
             return self.mass * scale * tail
@@ -333,6 +345,8 @@ class BetaLaw(LambdaMeasure):
         return float(val)
 
     def density(self, y):
+        from scipy import special
+
         y = np.asarray(y, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self.mass * np.exp(
@@ -345,11 +359,15 @@ class BetaLaw(LambdaMeasure):
         return True
 
     def collision_integral(self, n: int, k: int) -> float:
+        from scipy import special
+
         _check_nk(n, k)
         # ∫ y**(k-2) (1-y)**(n-k) Beta(a,b)(dy) = B(a+k-2, b+n-k) / B(a, b)
         return self.mass * math.exp(special.betaln(self.a + k - 2, self.b + n - k) - special.betaln(self.a, self.b))
 
     def collision_rate_vector(self, n: int) -> np.ndarray:
+        from scipy import special
+
         ks = np.arange(2, n + 1)
         logc = special.gammaln(n + 1) - special.gammaln(ks + 1) - special.gammaln(n - ks + 1)
         return self.mass * np.exp(logc + special.betaln(self.a + ks - 2, self.b + n - ks) - special.betaln(self.a, self.b))
@@ -376,6 +394,8 @@ class BetaLaw(LambdaMeasure):
 
 
 def _beta_edge(a, b, y, mass):
+    from scipy import special
+
     y = np.asarray(y, dtype=float)
     out = np.zeros_like(y)
     if a == 1.0:
@@ -478,34 +498,6 @@ def kappa_star(measure: LambdaMeasure, beta: float) -> float:
     if beta <= 0:
         raise ValueError("beta must be positive")
     return measure.log_penalty() / beta
-
-
-def kappa_star_quadrature(measure: LambdaMeasure, beta: float) -> float:
-    """Quadrature/summation route for :func:`kappa_star` (test oracle)."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    total = 0.0
-    for z, w in measure.atoms():
-        if z == 1.0:
-            return math.inf
-        total += w * (-math.log1p(-z)) / z**2
-    if measure.has_continuous_part:
-        probe = measure.density(np.array([1e-9])) * 1e-9  # ~ y * density(y) / y**2 * y
-        if probe[0] > 1e-12:
-            return math.inf
-        from scipy.integrate import quad
-
-        val, _ = quad(
-            lambda y: -math.log1p(-y) * float(measure.density(y)) / y**2,
-            0.0,
-            1.0,
-            epsabs=0.0,
-            epsrel=1e-10,
-            limit=400,
-            points=[1e-6, 1.0 - 1e-6],
-        )
-        total += val
-    return total / beta
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,11 @@ class TransitiveWithMutationRule(ColouringRule):
     """Highest label wins, then the offspring mutates with some probability.
 
     ``kernel[i, j]`` is the probability that a type-i winner yields a type-j
-    offspring given that a mutation happens.  Mutation applies to every
-    sample size, singletons included.
+    offspring given that a mutation happens.  Mutation applies to samples of
+    two or more parents only: a one-parent offspring copies its parent, as the
+    engines assume for every rule.  This keeps the drift ``(p(x) - x) / rho``
+    finite as ``rho -> 0``; mutating singletons would add a term of order
+    ``mutation_prob / rho``.
     """
 
     kind = "transitive_mutation"
@@ -155,7 +158,8 @@ class TransitiveWithMutationRule(ColouringRule):
         counts = np.asarray(counts)
         winner = _highest_present(counts)
         base = _onehot_rows(winner, self.K)
-        return (1.0 - self.mutation_prob) * base + self.mutation_prob * self.kernel[winner]
+        mutated = (1.0 - self.mutation_prob) * base + self.mutation_prob * self.kernel[winner]
+        return np.where(counts.sum(axis=1, keepdims=True) == 1, base, mutated)
 
     def to_config(self):
         return {

@@ -269,6 +269,59 @@ def test_a_small_fixation_run_loads_no_scipy_stats():
     assert done.stdout.split() == ["recurrent", "False"]
 
 
+def _fresh_process_stdout(code: str) -> str:
+    env = {"PYTHONPATH": str(Path(lwf.__file__).resolve().parents[1]), "PATH": ""}
+    done = subprocess.run([sys.executable, "-W", "ignore", "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_importing_lwf_and_the_cli_loads_no_scipy_module():
+    assert _fresh_process_stdout(f"import sys, lwf, lwf.cli; print({_SCIPY_LOADED})").strip() == "[]"
+
+
+def test_extinction_and_drift_oracle_runs_load_no_scipy_module():
+    code = (
+        "import sys; from lwf.experiments import run_drift_oracle, run_successive_extinction; "
+        "from lwf.selection import DriftFunction; "
+        "a = run_successive_extinction(drift=DriftFunction.rps(1.0), sigma=1.0, x0=[0.2, 0.3, 0.5], dt=1e-3, "
+        "replicates=20, seed=1); "
+        "b = run_drift_oracle(points=2, samples=1000, seed=1); "
+        f"print(a.experiment, b.experiment, {_SCIPY_LOADED})"
+    )
+    assert _fresh_process_stdout(code).split() == ["successive-extinction", "drift-oracle", "[]"]
+
+
+def test_a_beta_fixation_report_has_the_same_bytes_at_one_and_two_threads():
+    # two 500-wide batches, so two threads really split the work; each run starts with scipy unloaded
+    code = (
+        "import json, sys; from lwf.experiments import run_fixation; from lwf.measures import BetaLaw; "
+        "assert 'scipy' not in sys.modules; "
+        "r = run_fixation(kappa=1.0, increments={1: 1.0}, sigma=0.0, measure=BetaLaw(2.5, 3.0, 1.0), "
+        "x0=[0.3, 0.7], dt=1e-2, replicates=600, seed=3, threads=%d); "
+        "print(json.dumps(r.to_dict(), indent=2, sort_keys=True))"
+    )
+    one, two = (_fresh_process_stdout(code % threads) for threads in (1, 2))
+    assert '"passed": true' in one
+    assert one == two
+
+
+def test_special_functions_first_loaded_on_worker_threads_give_the_serial_values():
+    code = (
+        "import sys; from lwf.batches import pmap; from lwf.measures import BetaLaw, PointMass, UniformLaw; "
+        "measures = [BetaLaw(2.5, 3.0, 1.0), UniformLaw(1.5), PointMass(0.3, 1.0), BetaLaw(0.5, 0.5, 2.0)] * 2; "
+        "rates = lambda m: m.collision_rate_vector(40).tolist() + [m.resampling_mass_above(0.1)]; "
+        "assert 'scipy' not in sys.modules; "
+        "threaded = pmap(rates, measures, 2); "
+        "print(threaded == [rates(m) for m in measures], 'scipy.special' in sys.modules)"
+    )
+    assert _fresh_process_stdout(code).split() == ["True", "True"]
+
+
 def test_csv_rows_are_the_repr_of_every_value(tmp_path):
     from lwf.trajectory import Trajectory, write_trajectories_csv
 

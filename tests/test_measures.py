@@ -12,7 +12,6 @@ from lwf.measures import (
     UniformLaw,
     ZeroMeasure,
     kappa_star,
-    kappa_star_quadrature,
     lambda_nk,
     lambda_nk_quadrature,
 )
@@ -101,9 +100,23 @@ def test_kappa_star_divergent_variants():
     assert kappa_star(FiniteAtoms([(0.3, 1.0), (1.0, 0.5)]), 2.0) == math.inf
 
 
-def test_kappa_star_beta_matches_quadrature():
+def _beta_kappa_star_closed_form(measure, beta):
+    """``kappa_star`` of a Beta(a, b) law with a > 2, without quadrature.
+
+    ``∫ -log(1-y) y**(a-3) (1-y)**(b-1) dy = B(a-2, b) (ψ(a+b-2) - ψ(b))``: the
+    mean of ``-log(1-Y)`` for ``Y ~ Beta(a-2, b)``, times its normaliser.
+    """
+    from scipy.special import betaln, digamma
+
+    a, b = measure.a, measure.b
+    assert a > 2
+    ratio = math.exp(betaln(a - 2.0, b) - betaln(a, b))
+    return measure.mass * ratio * (digamma(a + b - 2.0) - digamma(b)) / beta
+
+
+def test_kappa_star_beta_matches_the_closed_form():
     for measure in (BetaLaw(2.5, 2.0, 1.3), BetaLaw(3.0, 1.0, 0.7)):
-        assert kappa_star(measure, 2.0) == pytest.approx(kappa_star_quadrature(measure, 2.0), rel=1e-8)
+        assert kappa_star(measure, 2.0) == pytest.approx(_beta_kappa_star_closed_form(measure, 2.0), rel=1e-8)
 
 
 def test_kappa_star_rejects_bad_beta():

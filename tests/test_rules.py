@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lwf.bernstein import PolynomialMap, bernstein_table, evaluate_bernstein
+from lwf.combinat import compositions
 from lwf.core import OffspringLaw
 from lwf.rng import RngStream
 from lwf.rules import (
@@ -101,7 +102,22 @@ def test_mutation_rule():
     assert not rule.mutation_free
     # winner is type 2; mutates to type 1 with probability 0.1
     assert np.allclose(rule.distribution(counts_of([1, 2], 2)), [0.1, 0.9])
-    assert np.allclose(rule.distribution(counts_of([1], 2)), [0.9, 0.1])
+    # a one-parent offspring copies its parent
+    assert np.allclose(rule.distribution(counts_of([1], 2)), [1.0, 0.0])
+
+
+def test_mutation_rule_leaves_a_one_parent_offspring_unmutated():
+    kernel = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])
+    rule = TransitiveWithMutationRule(3, 0.5, kernel)
+    x = np.array([0.2, 0.3, 0.5])
+    assert np.array_equal(rule.type_law(1, x), x)
+    assert np.array_equal(rule.distribution_batch(np.eye(3, dtype=np.int64)), np.eye(3))
+    # samples of two or more parents: highest label wins, then mutates with probability 0.5
+    for k in (2, 3, 5):
+        Z = compositions(3, k)
+        winner = np.array([np.flatnonzero(z).max() for z in Z])
+        want = 0.5 * np.eye(3)[winner] + 0.5 * kernel[winner]
+        assert np.array_equal(rule.distribution_batch(Z), want)
 
 
 def test_exchangeability_under_permutation():
