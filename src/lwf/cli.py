@@ -6,6 +6,14 @@
 ``report.json`` plus a ``meta.json`` sidecar carrying wall-clock timing
 (kept out of the report so identical seeds reproduce it byte-for-byte).
 
+``COMMANDS`` is the single schema of the config file: one row per
+subcommand, naming the function it calls, the blocks it forbids and the
+required and optional keys of each block it reads.  A key is converted by
+``CONVERT`` and passed as the keyword of the same name (``K`` only checks
+``x0``, and ``tail`` becomes ``increments`` for a function that takes the
+dual chain's branching law); a key left out takes the default of the
+function's signature.
+
 Simulation subcommands draw their replicates in fixed-width batches, one
 random stream per batch, so their output does not depend on ``--threads``.
 
@@ -17,10 +25,13 @@ written on every exit, with the error class and message on failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
-from contextlib import contextmanager
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import experiments as xp
@@ -28,13 +39,13 @@ from .ancestral import AncestralModel, simulate_ancestral, stationary_law
 from .batches import LANE_DISCRETE, LANE_SDE, map_batches
 from .config import (
     ConfigError,
+    building,
     forbid_blocks,
     load_config,
     parse_drift,
     parse_measure,
     parse_rule,
     parse_tail,
-    parse_x0,
     take_block,
 )
 from .core import freqs_of, make_schedule
@@ -44,175 +55,97 @@ from .rng import RngStream
 from .sde import SdeConfig, simulate_sde
 from .trajectory import write_ancestral_csv, write_trajectories_csv
 
-EXPERIMENTS = (
-    "convergence",
-    "fixation",
-    "duality",
-    "rps-lyapunov",
-    "successive-extinction",
-    "drift-oracle",
-)
-SUBCOMMANDS = ("simulate-discrete", "simulate-sde", "ancestral") + EXPERIMENTS
+# A converter raises ValueError("must be ...") for a bad value; _kwargs names the block and the key.
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lwf", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--seed", type=int, default=None, help="overrides experiment.seed")
-        p.add_argument("--replicates", type=int, default=None, help="overrides experiment.replicates")
-        p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--threads", type=int, default=1)
-    return parser
+def _number(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("must be a number") from None
 
 
-def _experiment_block(cfg, extra_allowed=(), extra_required=()):
-    allowed = ("name", "seed", "replicates") + tuple(extra_allowed)
-    return take_block(cfg, "experiment", allowed, extra_required, optional=True)
-
-
-def _seed_replicates(args, block, default_replicates=1):
-    seed = args.seed if args.seed is not None else int(block.get("seed", 0))
-    replicates = args.replicates if args.replicates is not None else int(block.get("replicates", default_replicates))
-    if replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates}")
-    return seed, replicates
-
-
-def _model_count(block, key: str, minimum: int, default: int | None = None) -> int:
-    value = int(block.get(key, default))
-    if value < minimum:
-        raise ConfigError(f"invalid 'model' block: {key} must be >= {minimum}, got {value}")
+def _integer(value, minimum: int | None = None) -> int:
+    try:
+        integral = isinstance(value, int) or float(value).is_integer()
+    except (TypeError, ValueError):
+        integral = False
+    if not integral:
+        raise ValueError("must be an integer")
+    value = int(value) if isinstance(value, int) else int(float(value))
+    if minimum is not None and value < minimum:
+        raise ValueError(f"must be >= {minimum}")
     return value
 
 
-@contextmanager
-def _building(blocks: str):
-    """Report a ValueError raised while building from config ``blocks`` as a ConfigError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"invalid {blocks}: {exc}") from exc
+def _list_of(item: Callable, what: str) -> Callable:
+    def convert(value) -> list:
+        try:
+            if isinstance(value, list) and value:
+                return [item(v) for v in value]
+        except ValueError:
+            pass
+        raise ValueError(f"must be a nonempty list of {what}")
+
+    return convert
 
 
-def _check_name(block, expected):
-    name = block.get("name")
-    if name is not None and name != expected:
-        raise ConfigError(f"experiment.name is {name!r} but the subcommand is {expected!r}")
+CONVERT = {
+    **dict.fromkeys(
+        ("alpha", "b", "kappa", "sigma", "dt", "horizon", "T", "eps_jump", "tol_ext", "max_time", "stationary_time",
+         "burn_in", "delta", "final_ks_threshold", "min_fraction", "min_coord"),
+        _number,
+    ),
+    **dict.fromkeys(("K", "N", "n_cap", "seed", "replicates", "dual_replicates", "grid_points", "points", "samples"),
+                    _integer),
+    "n0": partial(_integer, minimum=1),
+    "generations": partial(_integer, minimum=0),
+    "record_every": partial(_integer, minimum=1),
+    **dict.fromkeys(("x0", "xs", "ts"), _list_of(_number, "numbers")),
+    **dict.fromkeys(("N_grid", "n0s"), _list_of(_integer, "integers")),
+    "tail": parse_tail,
+}
 
 
-def _run_simulate_discrete(args, cfg, out: Path) -> int:
-    forbid_blocks(cfg, ("drift",), "simulate-discrete")
-    model_block = take_block(
-        cfg, "model", ("K", "x0", "N", "generations", "record_every"), ("K", "x0", "N", "generations")
-    )
-    sched_block = take_block(cfg, "schedule", ("alpha", "kappa", "sigma", "b", "tail"), ("alpha", "kappa", "sigma", "tail"))
-    exp_block = _experiment_block(cfg)
-    _check_name(exp_block, "simulate-discrete")
-    seed, replicates = _seed_replicates(args, exp_block)
-
-    K = int(model_block["K"])
-    with _building("'model' block"):
-        x0 = freqs_of(parse_x0(model_block, K))
-    rule = parse_rule(cfg, K)
-    measure = parse_measure(cfg)
-    with _building("'schedule' block"):
-        schedule = make_schedule(
-            int(model_block["N"]),
-            float(sched_block["alpha"]),
-            float(sched_block["kappa"]),
-            float(sched_block["sigma"]),
-            measure,
-            parse_tail(sched_block),
-            b=float(sched_block["b"]) if "b" in sched_block else None,
-        )
-        model = DiscreteModel.from_schedule(schedule, rule)
-    generations = _model_count(model_block, "generations", 0)
-    record_every = _model_count(model_block, "record_every", 1, default=1)
-    batches = map_batches(
-        lambda width, rng: simulate_discrete(model, x0, width, generations, record_every, rng),
-        replicates,
-        RngStream(seed),
-        LANE_DISCRETE,
-        args.threads,
-    )
+def _write_trajectories(out: Path, simulate, replicates: int, seed: int, lane: int, threads: int) -> None:
+    batches = map_batches(simulate, replicates, RngStream(seed), lane, threads)
     write_trajectories_csv(out / "trajectories.csv", [t for batch in batches for t in batch])
-    return 0
 
 
-def _run_simulate_sde(args, cfg, out: Path) -> int:
-    forbid_blocks(cfg, ("rule", "schedule"), "simulate-sde")
-    model_block = take_block(
-        cfg,
-        "model",
-        ("K", "x0", "dt", "horizon", "sigma", "eps_jump", "tol_ext", "record_every"),
-        ("K", "x0", "dt", "horizon", "sigma"),
+def _simulate_discrete(
+    *, out, threads, x0, rule, measure, N, tail, generations, record_every=1, replicates=1, seed=0, **knobs
+):
+    """``knobs`` are the schedule's ``alpha``, ``kappa``, ``sigma`` and ``b``."""
+    with building("'schedule' block"):
+        model = DiscreteModel.from_schedule(make_schedule(N, measure=measure, tail=tail, **knobs), rule)
+    _write_trajectories(
+        out, lambda width, rng: simulate_discrete(model, x0, width, generations, record_every, rng),
+        replicates, seed, LANE_DISCRETE, threads,
     )
-    exp_block = _experiment_block(cfg)
-    _check_name(exp_block, "simulate-sde")
-    seed, replicates = _seed_replicates(args, exp_block)
 
-    K = int(model_block["K"])
-    drift = parse_drift(cfg, K)
-    measure = parse_measure(cfg)
-    with _building("'model' block"):
-        x0 = freqs_of(parse_x0(model_block, K))
-        sde = SdeConfig(
-            K=K,
-            drift=drift,
-            sigma=float(model_block["sigma"]),
-            measure=measure,
-            dt=float(model_block["dt"]),
-            horizon=float(model_block["horizon"]),
-            eps_jump=float(model_block.get("eps_jump", 1e-3)),
-            tol_ext=float(model_block.get("tol_ext", 0.0)),
-        )
-    record_every = _model_count(model_block, "record_every", 1, default=1)
-    batches = map_batches(
-        lambda width, rng: simulate_sde(sde, x0, width, record_every, rng)[0],
-        replicates,
-        RngStream(seed),
-        LANE_SDE,
-        args.threads,
+
+def _simulate_sde(*, out, threads, x0, drift, measure, record_every=1, replicates=1, seed=0, **sde):
+    """``sde`` holds the remaining :class:`SdeConfig` fields."""
+    with building("'model' block"):
+        cfg = SdeConfig(K=x0.size, drift=drift, measure=measure, **sde)
+    _write_trajectories(
+        out, lambda width, rng: simulate_sde(cfg, x0, width, record_every, rng)[0], replicates, seed, LANE_SDE, threads
     )
-    write_trajectories_csv(out / "trajectories.csv", [t for batch in batches for t in batch])
-    return 0
 
 
-def _run_ancestral(args, cfg, out: Path) -> int:
-    forbid_blocks(cfg, ("rule", "drift",), "ancestral")
-    model_block = take_block(
-        cfg,
-        "model",
-        ("n0", "horizon", "kappa", "sigma", "n_cap", "stationary_time", "burn_in"),
-        ("n0", "horizon", "kappa", "sigma"),
-    )
-    sched_block = take_block(cfg, "schedule", ("tail",), ("tail",))
-    exp_block = _experiment_block(cfg)
-    _check_name(exp_block, "ancestral")
-    seed, replicates = _seed_replicates(args, exp_block)
+def _ancestral(
+    *, out, n0, horizon, increments, measure, stationary_time=None, burn_in=None, replicates=1, seed=0, **chain
+):
+    """``chain`` holds ``kappa``, ``sigma`` and ``n_cap``.
 
-    measure = parse_measure(cfg)
-    tail = parse_tail(sched_block)
-    increments = {k - 1: p for k, p in tail.items()}
-    with _building("'model' or 'schedule' block"):
-        model = AncestralModel(
-            float(model_block["kappa"]),
-            float(model_block["sigma"]),
-            increments,
-            measure,
-            n_cap=int(model_block.get("n_cap", AncestralModel.n_cap)),
-        )
-        # stationary_time asks for the solved law; its value and burn_in sized the simulation that once estimated it
-        law = stationary_law(model) if "stationary_time" in model_block else None
+    A ``stationary_time`` asks for the solved law; its value and ``burn_in``
+    sized the simulation that once estimated it, and are ignored.
+    """
+    with building("'model' or 'schedule' block"):
+        model = AncestralModel(increments=increments, measure=measure, **chain)
+        law = None if stationary_time is None else stationary_law(model)
     stream = RngStream(seed)
-    horizon = float(model_block["horizon"])
-    paths = [
-        simulate_ancestral(model, int(model_block["n0"]), horizon, stream.derive(r).generator())
-        for r in range(replicates)
-    ]
+    paths = [simulate_ancestral(model, n0, horizon, stream.derive(r).generator()) for r in range(replicates)]
     write_ancestral_csv(out / "paths.csv", paths)
     if law is not None:
         payload = {
@@ -223,155 +156,126 @@ def _run_ancestral(args, cfg, out: Path) -> int:
             "resolved": law.resolved,
         }
         (out / "stationary.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return 0
 
 
-def _run_experiment(args, cfg, out: Path, name: str) -> int:
-    if name == "convergence":
-        model_block = take_block(
-            cfg, "model", ("K", "x0", "T", "dt", "sigma", "kappa", "eps_jump"), ("K", "x0", "T", "dt", "sigma", "kappa")
-        )
-        sched_block = take_block(cfg, "schedule", ("alpha", "tail"), ("alpha", "tail"))
-        exp_block = _experiment_block(cfg, ("N_grid", "final_ks_threshold"), ("N_grid",))
-        _check_name(exp_block, name)
-        seed, replicates = _seed_replicates(args, exp_block, 2000)
-        K = int(model_block["K"])
-        report = xp.run_convergence(
-            rule=parse_rule(cfg, K),
-            drift=parse_drift(cfg, K),
-            measure=parse_measure(cfg),
-            tail=parse_tail(sched_block),
-            alpha=float(sched_block["alpha"]),
-            kappa=float(model_block["kappa"]),
-            sigma=float(model_block["sigma"]),
-            x0=parse_x0(model_block, K),
-            T=float(model_block["T"]),
-            N_grid=[int(n) for n in exp_block["N_grid"]],
-            dt=float(model_block["dt"]),
-            eps_jump=float(model_block.get("eps_jump", 1e-3)),
-            final_ks_threshold=float(exp_block.get("final_ks_threshold", 0.06)),
-            replicates=replicates,
-            seed=seed,
-            threads=args.threads,
-        )
-    elif name == "fixation":
-        forbid_blocks(cfg, ("rule", "drift"), name)
-        model_block = take_block(
-            cfg,
-            "model",
-            ("x0", "kappa", "sigma", "dt", "eps_jump", "tol_ext", "max_time", "stationary_time"),  # last one ignored
-            ("x0", "kappa", "sigma", "dt"),
-        )
-        sched_block = take_block(cfg, "schedule", ("tail",), ("tail",))
-        exp_block = _experiment_block(cfg)
-        _check_name(exp_block, name)
-        seed, replicates = _seed_replicates(args, exp_block, 2000)
-        tail = parse_tail(sched_block)
-        report = xp.run_fixation(
-            kappa=float(model_block["kappa"]),
-            increments={k - 1: p for k, p in tail.items()},
-            sigma=float(model_block["sigma"]),
-            measure=parse_measure(cfg),
-            x0=parse_x0(model_block),
-            dt=float(model_block["dt"]),
-            eps_jump=float(model_block.get("eps_jump", 1e-3)),
-            tol_ext=float(model_block.get("tol_ext", 1e-8)),
-            max_time=float(model_block.get("max_time", 500.0)),
-            replicates=replicates,
-            seed=seed,
-            threads=args.threads,
-        )
-    elif name == "duality":
-        forbid_blocks(cfg, ("rule", "drift"), name)
-        model_block = take_block(cfg, "model", ("kappa", "sigma", "dt", "eps_jump"), ("kappa", "sigma", "dt"))
-        sched_block = take_block(cfg, "schedule", ("tail",), ("tail",))
-        exp_block = _experiment_block(cfg, ("xs", "ts", "n0s", "dual_replicates"))
-        _check_name(exp_block, name)
-        seed, replicates = _seed_replicates(args, exp_block, 20000)
-        tail = parse_tail(sched_block)
-        report = xp.run_duality(
-            kappa=float(model_block["kappa"]),
-            increments={k - 1: p for k, p in tail.items()},
-            sigma=float(model_block["sigma"]),
-            measure=parse_measure(cfg),
-            xs=tuple(exp_block.get("xs", (0.3, 0.7))),
-            ts=tuple(exp_block.get("ts", (0.5, 1.0))),
-            n0s=tuple(int(n) for n in exp_block.get("n0s", (1, 2, 3))),
-            dt=float(model_block["dt"]),
-            eps_jump=float(model_block.get("eps_jump", 1e-3)),
-            replicates=replicates,
-            dual_replicates=int(exp_block.get("dual_replicates", replicates)),
-            seed=seed,
-            threads=args.threads,
-        )
-    elif name == "rps-lyapunov":
-        forbid_blocks(cfg, ("rule", "drift", "schedule"), name)
-        model_block = take_block(cfg, "model", ("kappa", "sigma", "dt", "eps_jump"), ("kappa", "sigma", "dt"))
-        exp_block = _experiment_block(cfg, ("delta", "T", "grid_points"), ("delta",))
-        _check_name(exp_block, name)
-        seed, replicates = _seed_replicates(args, exp_block, 2000)
-        report = xp.run_rps_lyapunov(
-            kappa=float(model_block["kappa"]),
-            sigma=float(model_block["sigma"]),
-            measure=parse_measure(cfg),
-            delta=float(exp_block["delta"]),
-            T=float(exp_block.get("T", 2.0)),
-            grid_points=int(exp_block.get("grid_points", 8)),
-            dt=float(model_block["dt"]),
-            eps_jump=float(model_block.get("eps_jump", 1e-3)),
-            replicates=replicates,
-            seed=seed,
-            threads=args.threads,
-        )
-    elif name == "successive-extinction":
-        forbid_blocks(cfg, ("rule", "schedule", "lambda"), name)
-        model_block = take_block(
-            cfg, "model", ("x0", "sigma", "dt", "tol_ext", "max_time"), ("x0", "sigma", "dt")
-        )
-        exp_block = _experiment_block(cfg, ("min_fraction",))
-        _check_name(exp_block, name)
-        seed, replicates = _seed_replicates(args, exp_block, 1000)
-        x0 = parse_x0(model_block)
-        report = xp.run_successive_extinction(
-            drift=parse_drift(cfg, len(x0)),
-            sigma=float(model_block["sigma"]),
-            x0=x0,
-            dt=float(model_block["dt"]),
-            tol_ext=float(model_block.get("tol_ext", 1e-6)),
-            max_time=float(model_block.get("max_time", 200.0)),
-            min_fraction=float(exp_block.get("min_fraction", 0.99)),
-            replicates=replicates,
-            seed=seed,
-            threads=args.threads,
-        )
-    elif name == "drift-oracle":
-        forbid_blocks(cfg, ("rule", "drift", "schedule", "lambda", "model"), name)
-        exp_block = _experiment_block(cfg, ("points", "samples", "min_coord"))
-        _check_name(exp_block, name)
-        seed, _ = _seed_replicates(args, exp_block)
-        report = xp.run_drift_oracle(
-            points=int(exp_block.get("points", 25)),
-            samples=int(exp_block.get("samples", 10**6)),
-            min_coord=float(exp_block.get("min_coord", 0.05)),
-            seed=seed,
-            threads=args.threads,
-        )
-    else:  # pragma: no cover - parser restricts choices
-        raise ConfigError(f"unknown experiment {name!r}")
+@dataclass(frozen=True)
+class Command:
+    """A subcommand's function, its forbidden blocks, and the (required, optional) keys of each block it reads."""
 
-    (out / "report.json").write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-    return 0 if report.passed else 1
+    run: Callable
+    forbid: tuple[str, ...]
+    blocks: dict[str, tuple[str, str]]
+
+
+COMMANDS = {
+    "simulate-discrete": Command(_simulate_discrete, ("drift",), {
+        "model": ("K x0 N generations", "record_every"),
+        "schedule": ("alpha kappa sigma tail", "b"),
+    }),
+    "simulate-sde": Command(_simulate_sde, ("rule", "schedule"), {
+        "model": ("K x0 dt horizon sigma", "eps_jump tol_ext record_every"),
+    }),
+    "ancestral": Command(_ancestral, ("rule", "drift"), {
+        "model": ("n0 horizon kappa sigma", "n_cap stationary_time burn_in"),
+        "schedule": ("tail", ""),
+    }),
+    "convergence": Command(xp.run_convergence, (), {
+        "model": ("K x0 T dt sigma kappa", "eps_jump"),
+        "schedule": ("alpha tail", ""),
+        "experiment": ("N_grid", "final_ks_threshold"),
+    }),
+    "fixation": Command(xp.run_fixation, ("rule", "drift"), {
+        "model": ("x0 kappa sigma dt", "eps_jump tol_ext max_time stationary_time"),
+        "schedule": ("tail", ""),
+    }),
+    "duality": Command(xp.run_duality, ("rule", "drift"), {
+        "model": ("kappa sigma dt", "eps_jump"),
+        "schedule": ("tail", ""),
+        "experiment": ("", "xs ts n0s dual_replicates"),
+    }),
+    "rps-lyapunov": Command(xp.run_rps_lyapunov, ("rule", "drift", "schedule"), {
+        "model": ("kappa sigma dt", "eps_jump"),
+        "experiment": ("delta", "T grid_points"),
+    }),
+    "successive-extinction": Command(xp.run_successive_extinction, ("rule", "schedule", "lambda"), {
+        "model": ("x0 sigma dt", "tol_ext max_time"),
+        "experiment": ("", "min_fraction"),
+    }),
+    "drift-oracle": Command(xp.run_drift_oracle, ("rule", "drift", "schedule", "lambda", "model"), {
+        "experiment": ("", "points samples min_coord"),
+    }),
+}
+
+
+def _kwargs(name: str, cfg: dict, args, out: Path) -> dict:
+    """Validate ``cfg`` against the row of subcommand ``name``; return the keywords of its function."""
+    command = COMMANDS[name]
+    params = inspect.signature(command.run).parameters
+    overridable = ("seed", "replicates") if "replicates" in params else ("seed",)
+    forbid_blocks(cfg, command.forbid, name)
+    blocks = {**command.blocks}
+    blocks.setdefault("experiment", ("", ""))
+    taken = {}
+    for block, (required, optional) in blocks.items():
+        allowed = required.split() + optional.split() + (["name", *overridable] if block == "experiment" else [])
+        optional_block = block == "experiment" and not required
+        taken[block] = take_block(cfg, block, tuple(allowed), tuple(required.split()), optional=optional_block)
+    given = taken["experiment"].get("name")
+    if given is not None and given != name:
+        raise ConfigError(f"experiment.name is {given!r} but the subcommand is {name!r}")
+
+    kwargs = {}
+    for block, values in taken.items():
+        for key, value in values.items():
+            if key == "name":
+                continue
+            try:
+                kwargs[key] = CONVERT[key](value)
+            except ValueError as exc:
+                raise ConfigError(f"invalid {block!r} block: {key} {exc}, got {value!r}") from None
+    for key in ("seed", "replicates"):
+        if getattr(args, key) is not None:
+            if key not in overridable:
+                raise ConfigError(f"--{key} is not used by {name!r}")
+            kwargs[key] = getattr(args, key)
+    if kwargs.get("replicates", 1) < 1:
+        raise ConfigError(f"replicates must be >= 1, got {kwargs['replicates']}")
+
+    K = kwargs.pop("K", None)
+    if "x0" in kwargs:
+        if K is not None and len(kwargs["x0"]) != K:
+            raise ConfigError(f"x0 has {len(kwargs['x0'])} coordinates but K = {K}")
+        with building("'model' block"):
+            kwargs["x0"] = freqs_of(kwargs["x0"])
+        K = kwargs["x0"].size
+    if "tail" in kwargs and "increments" in params:
+        kwargs["increments"] = {k - 1: p for k, p in kwargs.pop("tail").items()}
+    # whole blocks and the run's context, each passed to a function that takes it
+    supplied = {"rule": lambda: parse_rule(cfg, K), "drift": lambda: parse_drift(cfg, K),
+                "measure": lambda: parse_measure(cfg), "out": lambda: out, "threads": lambda: args.threads}
+    kwargs.update((key, supply()) for key, supply in supplied.items() if key in params)
+    return kwargs
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="lwf", description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="path to the JSON config")
+        p.add_argument("--seed", type=int, default=None, help="overrides experiment.seed")
+        p.add_argument("--replicates", type=int, default=None, help="overrides experiment.replicates")
+        p.add_argument("--out", default=".", help="output directory (default: current)")
+        p.add_argument("--threads", type=int, default=1)
+    return parser
 
 
 def _run(args, out: Path) -> int:
-    cfg = load_config(args.config)
-    if args.subcommand == "simulate-discrete":
-        return _run_simulate_discrete(args, cfg, out)
-    if args.subcommand == "simulate-sde":
-        return _run_simulate_sde(args, cfg, out)
-    if args.subcommand == "ancestral":
-        return _run_ancestral(args, cfg, out)
-    return _run_experiment(args, cfg, out, args.subcommand)
+    report = COMMANDS[args.subcommand].run(**_kwargs(args.subcommand, load_config(args.config), args, out))
+    if report is None:  # a simulation subcommand, which wrote its own files
+        return 0
+    (out / "report.json").write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    return 0 if report.passed else 1
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,7 @@ so a typo never silently falls back to a default.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .errors import ConfigError
 from .measures import ZeroMeasure, measure_from_config
@@ -77,8 +78,7 @@ def parse_drift(cfg: dict, K: int):
     return drift_from_config(cfg["drift"], K)
 
 
-def parse_tail(block: dict) -> dict[int, float]:
-    tail = block.get("tail")
+def parse_tail(tail) -> dict[int, float]:
     if not isinstance(tail, dict) or not tail:
         raise ConfigError("schedule block needs a nonempty 'tail' mapping of sample sizes to weights")
     try:
@@ -88,11 +88,10 @@ def parse_tail(block: dict) -> dict[int, float]:
     return out
 
 
-def parse_x0(block: dict, K: int | None = None):
-    x0 = block.get("x0")
-    if x0 is None:
-        raise ConfigError("model block needs 'x0'")
-    if K is not None and len(x0) != K:
-        raise ConfigError(f"x0 has {len(x0)} coordinates but K = {K}")
-    return x0
-
+@contextmanager
+def building(what: str):
+    """Report a ValueError raised while building ``what`` from config values as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc

@@ -20,6 +20,7 @@ import numpy as np
 
 from .ancestral import STATIONARY_TOL, AncestralModel, dual_moment, fixation_probabilities
 from .batches import LANE_ANCESTRAL, LANE_DISCRETE, LANE_DRIFT, LANE_POINTS, LANE_SDE, map_batches, pmap
+from .config import building
 from .core import OffspringLaw, freqs_of, make_schedule, random_interior_points, round_to_counts
 from .discrete import DiscreteModel, empirical_drift, step_unabsorbed
 from .errors import ConfigError
@@ -108,14 +109,6 @@ def _jsonable(value):
 # ---------------------------------------------------------------------------
 # Shared replicate drivers
 # ---------------------------------------------------------------------------
-
-
-def _build(factory, *args, **kwargs):
-    """``factory(*args, **kwargs)``, a model value it rejects reported as a ConfigError."""
-    try:
-        return factory(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid {factory.__qualname__} value: {exc}") from exc
 
 
 def _sde_fixation_batches(cfg: SdeConfig, x0, replicates: int, stream: RngStream, threads: int, max_time: float):
@@ -307,14 +300,17 @@ def run_convergence(
     """
     x0 = freqs_of(x0)
     stream = RngStream(seed)
-    cfg = _build(SdeConfig, K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump)
+    with building("SdeConfig value"):
+        cfg = SdeConfig(K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump)
     sde_final = _sde_snapshots(cfg, x0, replicates, stream.derive(0), threads, [T])[0]
 
     ks_by_N = []
     generations_by_N = []
     for idx, N in enumerate(N_grid):
-        schedule = _build(make_schedule, int(N), alpha, kappa, sigma, measure, tail)
-        model = _build(DiscreteModel.from_schedule, schedule, rule)
+        with building("make_schedule value"):
+            schedule = make_schedule(int(N), alpha, kappa, sigma, measure, tail)
+        with building("DiscreteModel.from_schedule value"):
+            model = DiscreteModel.from_schedule(schedule, rule)
         generations = int(math.floor(kappa * T / schedule.rho))
         finals = _discrete_finals(model, x0, generations, replicates, stream.derive(1 + idx), threads)
         ks_by_N.append([_ks_distance(finals[:, i], sde_final[:, i]) for i in range(x0.size)])
@@ -397,11 +393,13 @@ def run_fixation(
     x0 = freqs_of(x0)
     stream = RngStream(seed)
     drift = DriftFunction.neutral(x0.size) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, x0.size)
-    cfg = _build(
-        SdeConfig, K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt,
-        horizon=max_time, eps_jump=eps_jump, tol_ext=tol_ext,
-    )
-    dual = _build(AncestralModel, kappa, sigma, increments if kappa > 0 else {1: 1.0}, measure)
+    with building("SdeConfig value"):
+        cfg = SdeConfig(
+            K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=max_time, eps_jump=eps_jump,
+            tol_ext=tol_ext,
+        )
+    with building("AncestralModel value"):
+        dual = AncestralModel(kappa, sigma, increments if kappa > 0 else {1: 1.0}, measure)
     winners, _, _, unfixed = _sde_fixation_batches(cfg, x0, replicates, stream, threads, max_time)
     counts = np.bincount(winners[winners >= 0], minlength=x0.size)
     empirical = counts / replicates
@@ -514,7 +512,7 @@ def run_duality(
     dt: float = 1e-3,
     eps_jump: float = 1e-3,
     replicates: int = 20000,
-    dual_replicates: int = 20000,
+    dual_replicates: int | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> ExperimentReport:
@@ -526,14 +524,20 @@ def run_duality(
     Two cells tighten to closed forms when available: at ``kappa = 0`` and
     ``n0 = 1`` the martingale value is x exactly; at ``kappa = 0``,
     ``n0 = 2`` with no jumps the second moment solves
-    ``dm/dt = sigma (x - m)``, checked at 5% relative error.
+    ``dm/dt = sigma (x - m)``, checked at 5% relative error.  The chain's
+    estimates use ``dual_replicates`` paths per cell, by default as many as
+    ``replicates``.
     """
+    if dual_replicates is None:
+        dual_replicates = replicates
     stream = RngStream(seed)
     drift = DriftFunction.neutral(2) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, 2)
-    dual = _build(AncestralModel, kappa, sigma, increments if kappa > 0 else {1: 1.0}, measure)
+    with building("AncestralModel value"):
+        dual = AncestralModel(kappa, sigma, increments if kappa > 0 else {1: 1.0}, measure)
     metrics = []
     for x_idx, x in enumerate(xs):
-        cfg = _build(SdeConfig, K=2, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=max(ts), eps_jump=eps_jump)
+        with building("SdeConfig value"):
+            cfg = SdeConfig(K=2, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=max(ts), eps_jump=eps_jump)
         snaps = _sde_snapshots(cfg, [x, 1.0 - x], replicates, stream.derive(10 + x_idx), threads, list(ts))
         for t_idx, t in enumerate(ts):
             weak = snaps[t_idx][:, 0]
@@ -628,9 +632,10 @@ def run_rps_lyapunov(
     """
     x0 = np.array([1.0 / 3.0 + delta, 1.0 / 3.0, 1.0 / 3.0 - delta])
     stream = RngStream(seed)
-    cfg = _build(
-        SdeConfig, K=3, drift=DriftFunction.rps(kappa), sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump
-    )
+    with building("SdeConfig value"):
+        cfg = SdeConfig(
+            K=3, drift=DriftFunction.rps(kappa), sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump
+        )
     times = [T * (j + 1) / grid_points for j in range(grid_points)]
     noisy = sigma > 0.0 or not measure.is_zero
 
@@ -731,10 +736,10 @@ def run_successive_extinction(
         raise ConfigError("successive-extinction runs need sigma > 0")
     x0 = freqs_of(x0)
     stream = RngStream(seed)
-    cfg = _build(
-        SdeConfig, K=x0.size, drift=drift, sigma=sigma, measure=ZeroMeasure(), dt=dt,
-        horizon=max_time, tol_ext=tol_ext,
-    )
+    with building("SdeConfig value"):
+        cfg = SdeConfig(
+            K=x0.size, drift=drift, sigma=sigma, measure=ZeroMeasure(), dt=dt, horizon=max_time, tol_ext=tol_ext
+        )
     winners, _, ext_times, unfixed = _sde_fixation_batches(cfg, x0, replicates, stream, threads, max_time)
 
     losses = np.sort(ext_times, axis=1)[:, : x0.size - 1]  # winner's slot is NaN, sorted last

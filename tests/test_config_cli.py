@@ -1,4 +1,7 @@
+import ast
+import copy
 import csv
+import inspect
 import json
 import subprocess
 import sys
@@ -389,12 +392,15 @@ def test_cli_fixation_near_the_threshold_exits_1_with_an_unresolved_law(tmp_path
     assert "stationary_time" not in report["parameters"]
 
 
+EXTINCTION_PAYLOAD = {
+    "model": {"x0": [0.3, 0.3, 0.4], "sigma": 1.0, "dt": 0.002},
+    "drift": {"kind": "neutral"},
+    "experiment": {"name": "successive-extinction", "seed": 6, "replicates": 60},
+}
+
+
 def test_cli_experiment_report_and_exit_codes(tmp_path):
-    payload = {
-        "model": {"x0": [0.3, 0.3, 0.4], "sigma": 1.0, "dt": 0.002},
-        "drift": {"kind": "neutral"},
-        "experiment": {"name": "successive-extinction", "seed": 6, "replicates": 60},
-    }
+    payload = EXTINCTION_PAYLOAD
     cfg = write_config(tmp_path / "ok.json", payload)
     out = tmp_path / "ok"
     assert main(["successive-extinction", "--config", cfg, "--out", str(out)]) == 0
@@ -431,53 +437,39 @@ def test_cli_experiment_report_and_exit_codes(tmp_path):
     assert not (tmp_path / "zero_dt" / "report.json").exists()
 
 
-@pytest.mark.parametrize(
-    "subcommand,payload",
-    [
-        (
-            "convergence",
-            {
-                "model": {"K": 2, "x0": [0.5, 0.5], "T": 0.1, "dt": 0.005, "sigma": 1.0, "kappa": 1.0},
-                "rule": {"kind": "neutral"},
-                "drift": {"kind": "neutral"},
-                "schedule": {"alpha": 0.25, "tail": {"2": 1.0}},
-                "experiment": {
-                    "name": "convergence", "seed": 3, "replicates": 150, "N_grid": [50, 100],
-                    "final_ks_threshold": 0.25,
-                },
-            },
-        ),
-        (
-            "fixation",
-            {
-                "model": {"x0": [0.3, 0.7], "kappa": 0.0, "sigma": 1.0, "dt": 0.002},
-                "schedule": {"tail": {"2": 1.0}},
-                "experiment": {"name": "fixation", "seed": 3, "replicates": 120},
-            },
-        ),
-        (
-            "duality",
-            {
-                "model": {"kappa": 0.5, "sigma": 1.0, "dt": 0.002},
-                "schedule": {"tail": {"2": 1.0}},
-                "experiment": {
-                    "name": "duality", "seed": 3, "replicates": 500, "dual_replicates": 500,
-                    "xs": [0.3], "ts": [0.3], "n0s": [2],
-                },
-            },
-        ),
-        (
-            "rps-lyapunov",
-            {
-                "model": {"kappa": 1.0, "sigma": 0.4, "dt": 0.002},
-                "experiment": {"name": "rps-lyapunov", "seed": 3, "replicates": 500, "delta": 0.05, "T": 1.0},
-            },
-        ),
-    ],
-    ids=["convergence", "fixation", "duality", "rps-lyapunov"],
-)
-def test_cli_experiment_subcommands_end_to_end(tmp_path, subcommand, payload):
-    cfg = write_config(tmp_path / "c.json", payload)
+EXPERIMENT_PAYLOADS = {
+    "convergence": {
+        "model": {"K": 2, "x0": [0.5, 0.5], "T": 0.1, "dt": 0.005, "sigma": 1.0, "kappa": 1.0},
+        "rule": {"kind": "neutral"},
+        "drift": {"kind": "neutral"},
+        "schedule": {"alpha": 0.25, "tail": {"2": 1.0}},
+        "experiment": {
+            "name": "convergence", "seed": 3, "replicates": 150, "N_grid": [50, 100], "final_ks_threshold": 0.25,
+        },
+    },
+    "fixation": {
+        "model": {"x0": [0.3, 0.7], "kappa": 0.0, "sigma": 1.0, "dt": 0.002},
+        "schedule": {"tail": {"2": 1.0}},
+        "experiment": {"name": "fixation", "seed": 3, "replicates": 120},
+    },
+    "duality": {
+        "model": {"kappa": 0.5, "sigma": 1.0, "dt": 0.002},
+        "schedule": {"tail": {"2": 1.0}},
+        "experiment": {
+            "name": "duality", "seed": 3, "replicates": 500, "dual_replicates": 500, "xs": [0.3], "ts": [0.3],
+            "n0s": [2],
+        },
+    },
+    "rps-lyapunov": {
+        "model": {"kappa": 1.0, "sigma": 0.4, "dt": 0.002},
+        "experiment": {"name": "rps-lyapunov", "seed": 3, "replicates": 500, "delta": 0.05, "T": 1.0},
+    },
+}
+
+
+@pytest.mark.parametrize("subcommand", list(EXPERIMENT_PAYLOADS))
+def test_cli_experiment_subcommands_end_to_end(tmp_path, subcommand):
+    cfg = write_config(tmp_path / "c.json", EXPERIMENT_PAYLOADS[subcommand])
     out = tmp_path / "run"
     assert main([subcommand, "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
@@ -486,14 +478,211 @@ def test_cli_experiment_subcommands_end_to_end(tmp_path, subcommand, payload):
     assert report["metrics"]
 
 
+ORACLE_PAYLOAD = {"experiment": {"name": "drift-oracle", "seed": 11, "points": 2, "samples": 4000}}
+
+
 def test_cli_report_bytes_reproduce_across_runs_and_threads(tmp_path):
-    payload = {
-        "experiment": {"name": "drift-oracle", "seed": 11, "points": 2, "samples": 4000},
-    }
-    cfg = write_config(tmp_path / "c.json", payload)
+    cfg = write_config(tmp_path / "c.json", ORACLE_PAYLOAD)
+    # integral floats are integers: the same run as the one above
+    floats = write_config(tmp_path / "f.json", {"experiment": {"seed": 11.0, "points": 2.0, "samples": 4e3}})
     outs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+    for name, threads, config in (("a", "1", cfg), ("b", "1", cfg), ("c", "4", cfg), ("d", "1", floats)):
         out = tmp_path / name
-        assert main(["drift-oracle", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        assert main(["drift-oracle", "--config", config, "--out", str(out), "--threads", threads]) == 0
         outs.append((out / "report.json").read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1] == outs[2] == outs[3]
+
+
+# ---------------------------------------------------------------------------
+# The subcommand table
+# ---------------------------------------------------------------------------
+
+PAYLOADS = {
+    **SIMULATE_PAYLOADS, "ancestral": ANCESTRAL_PAYLOAD, **EXPERIMENT_PAYLOADS,
+    "successive-extinction": EXTINCTION_PAYLOAD, "drift-oracle": ORACLE_PAYLOAD,
+}
+
+
+def _edited(subcommand, edit):
+    payload = copy.deepcopy(PAYLOADS[subcommand])
+    edit(payload)
+    return payload
+
+
+def _unknown(block):
+    return lambda p: p.setdefault(block, {}).update(typo=1)
+
+
+def _missing(block, key):
+    return lambda p: p[block].pop(key)
+
+
+def _added(block, value):
+    return lambda p: p.update({block: value})
+
+
+def _named(name):
+    return lambda p: p.setdefault("experiment", {}).update(name=name)
+
+
+NEUTRAL = {"kind": "neutral"}
+# one schema error of each kind per subcommand, with the message the CLI has always printed for it
+SCHEMA_ERRORS = [
+    ("simulate-sde", _unknown("model"), "unknown keys in 'model' block: ['typo'] (allowed: ['K', 'dt', 'eps_jump', "
+     "'horizon', 'record_every', 'sigma', 'tol_ext', 'x0'])"),
+    ("simulate-sde", _missing("model", "dt"), "block 'model' is missing required keys: ['dt']"),
+    ("simulate-sde", _added("rule", NEUTRAL), "blocks ['rule'] are not used by 'simulate-sde'"),
+    ("simulate-sde", _named("duality"), "experiment.name is 'duality' but the subcommand is 'simulate-sde'"),
+    ("simulate-discrete", _unknown("model"),
+     "unknown keys in 'model' block: ['typo'] (allowed: ['K', 'N', 'generations', 'record_every', 'x0'])"),
+    ("simulate-discrete", _missing("schedule", "alpha"), "block 'schedule' is missing required keys: ['alpha']"),
+    ("simulate-discrete", _added("drift", NEUTRAL), "blocks ['drift'] are not used by 'simulate-discrete'"),
+    ("simulate-discrete", _named("duality"), "experiment.name is 'duality' but the subcommand is 'simulate-discrete'"),
+    ("ancestral", _unknown("model"), "unknown keys in 'model' block: ['typo'] (allowed: ['burn_in', 'horizon', "
+     "'kappa', 'n0', 'n_cap', 'sigma', 'stationary_time'])"),
+    ("ancestral", _missing("model", "kappa"), "block 'model' is missing required keys: ['kappa']"),
+    ("ancestral", _added("drift", NEUTRAL), "blocks ['drift'] are not used by 'ancestral'"),
+    ("ancestral", _named("duality"), "experiment.name is 'duality' but the subcommand is 'ancestral'"),
+    ("convergence", _unknown("model"),
+     "unknown keys in 'model' block: ['typo'] (allowed: ['K', 'T', 'dt', 'eps_jump', 'kappa', 'sigma', 'x0'])"),
+    ("convergence", _missing("experiment", "N_grid"), "block 'experiment' is missing required keys: ['N_grid']"),
+    ("convergence", _named("duality"), "experiment.name is 'duality' but the subcommand is 'convergence'"),
+    ("fixation", _unknown("model"), "unknown keys in 'model' block: ['typo'] (allowed: ['dt', 'eps_jump', 'kappa', "
+     "'max_time', 'sigma', 'stationary_time', 'tol_ext', 'x0'])"),
+    ("fixation", _missing("model", "dt"), "block 'model' is missing required keys: ['dt']"),
+    ("fixation", _added("rule", NEUTRAL), "blocks ['rule'] are not used by 'fixation'"),
+    ("fixation", _named("duality"), "experiment.name is 'duality' but the subcommand is 'fixation'"),
+    ("duality", _unknown("model"),
+     "unknown keys in 'model' block: ['typo'] (allowed: ['dt', 'eps_jump', 'kappa', 'sigma'])"),
+    ("duality", _missing("model", "sigma"), "block 'model' is missing required keys: ['sigma']"),
+    ("duality", _added("drift", NEUTRAL), "blocks ['drift'] are not used by 'duality'"),
+    ("duality", _named("fixation"), "experiment.name is 'fixation' but the subcommand is 'duality'"),
+    ("rps-lyapunov", _unknown("model"),
+     "unknown keys in 'model' block: ['typo'] (allowed: ['dt', 'eps_jump', 'kappa', 'sigma'])"),
+    ("rps-lyapunov", _missing("experiment", "delta"), "block 'experiment' is missing required keys: ['delta']"),
+    ("rps-lyapunov", _added("schedule", {"tail": {"2": 1.0}}), "blocks ['schedule'] are not used by 'rps-lyapunov'"),
+    ("rps-lyapunov", _named("duality"), "experiment.name is 'duality' but the subcommand is 'rps-lyapunov'"),
+    ("successive-extinction", _unknown("model"),
+     "unknown keys in 'model' block: ['typo'] (allowed: ['dt', 'max_time', 'sigma', 'tol_ext', 'x0'])"),
+    ("successive-extinction", _missing("model", "x0"), "block 'model' is missing required keys: ['x0']"),
+    ("successive-extinction", _added("lambda", {"kind": "zero"}),
+     "blocks ['lambda'] are not used by 'successive-extinction'"),
+    ("successive-extinction", _named("duality"),
+     "experiment.name is 'duality' but the subcommand is 'successive-extinction'"),
+    # drift-oracle takes no replicates, so they left its allowed keys
+    ("drift-oracle", _unknown("experiment"),
+     "unknown keys in 'experiment' block: ['typo'] (allowed: ['min_coord', 'name', 'points', 'samples', 'seed'])"),
+    ("drift-oracle", _added("model", {}), "blocks ['model'] are not used by 'drift-oracle'"),
+    ("drift-oracle", _named("duality"), "experiment.name is 'duality' but the subcommand is 'drift-oracle'"),
+    ("fixation", lambda p: p.pop("model"), "missing required block 'model'"),
+    ("fixation", _added("experiment", 3), "block 'experiment' must be a JSON object"),
+    ("fixation", lambda p: p["experiment"].update(replicates=0), "replicates must be >= 1, got 0"),
+]
+
+
+def _exit_and_stderr(tmp_path, capsys, subcommand, payload, *flags):
+    code = main([subcommand, "--config", write_config(tmp_path / "c.json", payload), "--out", str(tmp_path / "run"),
+                 *flags])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand,edit,message", SCHEMA_ERRORS,
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(SCHEMA_ERRORS)],
+)
+def test_cli_schema_errors_keep_their_messages(tmp_path, capsys, subcommand, edit, message):
+    code, err = _exit_and_stderr(tmp_path, capsys, subcommand, _edited(subcommand, edit))
+    assert (code, err) == (2, f"error: {message}\n")
+    assert json.loads((tmp_path / "run" / "meta.json").read_text())["error"]["class"] == "ConfigError"
+
+
+MALFORMED = [
+    ("successive-extinction", lambda p: p["model"].update(sigma="abc"),
+     "invalid 'model' block: sigma must be a number, got 'abc'"),
+    ("fixation", lambda p: p["experiment"].update(replicates="many"),
+     "invalid 'experiment' block: replicates must be an integer, got 'many'"),
+    ("fixation", lambda p: p["experiment"].update(seed=1.5),
+     "invalid 'experiment' block: seed must be an integer, got 1.5"),
+    ("simulate-discrete", lambda p: p["model"].update(N=20.5), "invalid 'model' block: N must be an integer, got 20.5"),
+    ("simulate-sde", lambda p: p["model"].update(x0="abc"),
+     "invalid 'model' block: x0 must be a nonempty list of numbers, got 'abc'"),
+    ("convergence", lambda p: p["experiment"].update(N_grid=200),
+     "invalid 'experiment' block: N_grid must be a nonempty list of integers, got 200"),
+    ("duality", lambda p: p["experiment"].update(xs=0.3),
+     "invalid 'experiment' block: xs must be a nonempty list of numbers, got 0.3"),
+    ("duality", lambda p: p["experiment"].update(n0s=[1, 2.5]),
+     "invalid 'experiment' block: n0s must be a nonempty list of integers, got [1, 2.5]"),
+    ("rps-lyapunov", lambda p: p["experiment"].update(grid_points=None),
+     "invalid 'experiment' block: grid_points must be an integer, got None"),
+    ("drift-oracle", lambda p: p["experiment"].update(points=[2]),
+     "invalid 'experiment' block: points must be an integer, got [2]"),
+    ("ancestral", lambda p: p["model"].update(n0=0), "invalid 'model' block: n0 must be >= 1, got 0"),
+    ("fixation", lambda p: p["model"].update(x0=[0.5, 0.6]),
+     "invalid 'model' block: coordinates must sum to 1 (got 1.1)"),
+    # an empty grid crashed the convergence check and gave duality a report with no metrics that passed
+    ("convergence", lambda p: p["experiment"].update(N_grid=[]),
+     "invalid 'experiment' block: N_grid must be a nonempty list of integers, got []"),
+    ("duality", lambda p: p["experiment"].update(ts=[]),
+     "invalid 'experiment' block: ts must be a nonempty list of numbers, got []"),
+    ("convergence", lambda p: p.pop("experiment"), "missing required block 'experiment'"),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand,edit,message", MALFORMED, ids=[f"{case[0]}-{i}" for i, case in enumerate(MALFORMED)]
+)
+def test_cli_malformed_values_are_config_errors_naming_block_and_key(tmp_path, capsys, subcommand, edit, message):
+    code, err = _exit_and_stderr(tmp_path, capsys, subcommand, _edited(subcommand, edit))
+    assert (code, err) == (2, f"error: {message}\n")
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+def test_drift_oracle_rejects_replicates_from_the_config_and_the_flag(tmp_path, capsys):
+    payload = _edited("drift-oracle", lambda p: p["experiment"].update(replicates=3))
+    code, err = _exit_and_stderr(tmp_path, capsys, "drift-oracle", payload)
+    assert code == 2 and err.startswith("error: unknown keys in 'experiment' block: ['replicates']")
+    code, err = _exit_and_stderr(tmp_path, capsys, "drift-oracle", PAYLOADS["drift-oracle"], "--replicates", "3")
+    assert (code, err) == (2, "error: --replicates is not used by 'drift-oracle'\n")
+
+
+EXPERIMENT_ROWS = [name for name, command in cli.COMMANDS.items() if command.run.__module__ == "lwf.experiments"]
+
+
+@pytest.mark.parametrize("subcommand", EXPERIMENT_ROWS)
+def test_the_table_and_the_run_signatures_agree(subcommand):
+    command = cli.COMMANDS[subcommand]
+    params = set(inspect.signature(command.run).parameters)
+    keys = {key for required, optional in command.blocks.values() for key in f"{required} {optional}".split()}
+    assert keys <= set(cli.CONVERT)
+    # K only checks x0; the rule, drift and lambda blocks are parsed whole
+    reached = {"increments" if key == "tail" and "increments" in params else key for key in keys - {"K"}}
+    reached |= {"seed", "replicates"} & params
+    reached |= {kwarg for block, kwarg in (("rule", "rule"), ("drift", "drift"), ("lambda", "measure"))
+                if block not in command.forbid}
+    assert reached <= params
+    assert params - {"seed", "threads", "pairs"} <= reached
+
+
+def _literals(source: str) -> list:
+    """(type, value) of every number, tuple and list literal in ``source``; lists read as tuples."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Constant, ast.Tuple, ast.List)):
+            try:
+                value = ast.literal_eval(node)
+            except ValueError:
+                continue
+            value = tuple(value) if isinstance(value, list) else value
+            found.append((type(value), value))
+    return found
+
+
+def test_cli_restates_no_default_of_a_run_signature():
+    defaults = [
+        (type(param.default), param.default)
+        for subcommand in EXPERIMENT_ROWS
+        for param in inspect.signature(cli.COMMANDS[subcommand].run).parameters.values()
+        if type(param.default) in (int, float, tuple) and param.default not in (0, 1)
+    ]
+    literals = _literals(Path(cli.__file__).read_text())
+    assert len(defaults) > 20 and not [d for d in defaults if d in literals]
