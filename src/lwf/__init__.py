@@ -9,17 +9,15 @@ from .ancestral import (
     AncestralModel,
     FixationPrediction,
     StationaryLaw,
-    ancestral_rates,
     dual_moment,
     fixation_probabilities,
     simulate_ancestral,
     stationary_law,
 )
-from .bernstein import PolynomialMap, bernstein_table, evaluate_bernstein
+from .bernstein import PolynomialMap, bernstein_table
 from .core import (
     OffspringLaw,
     ScalingSchedule,
-    SimplexPoint,
     as_frequencies,
     make_schedule,
     random_interior_points,
@@ -51,7 +49,6 @@ from .rules import (
     TransitiveRule,
     TransitiveWithMutationRule,
     bernstein_rule,
-    offspring_type_prob,
 )
 from .sde import BatchSde, SdeConfig, simulate_sde, zeta
 from .selection import (

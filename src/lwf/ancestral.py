@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OffspringLaw, freqs_of
+from .core import as_frequencies
 from .errors import RateExplosionError
 from .measures import LambdaMeasure, ZeroMeasure, kappa_star as _kappa_star
 
@@ -55,12 +55,7 @@ class AncestralModel:
             raise ValueError("kappa and sigma must be nonnegative")
         if not 2 * N_START <= n_cap <= N_CAP:
             raise ValueError(f"n_cap must lie in [{2 * N_START}, {N_CAP}], got {n_cap}")
-        if isinstance(increments, OffspringLaw):
-            items = sorted(increments.increments().items())
-        elif isinstance(increments, dict):
-            items = sorted((int(j), float(w)) for j, w in increments.items())
-        else:
-            items = sorted((int(j), float(w)) for j, w in increments)
+        items = sorted((int(j), float(w)) for j, w in increments.items())
         items = [(j, w) for j, w in items if w > 0.0]
         for j, w in items:
             if j < 1:
@@ -120,15 +115,6 @@ def _all_rates(model: AncestralModel, n: int) -> np.ndarray:
     if n < 2:
         return up
     return np.concatenate([up, [model.sigma * n * (n - 1) / 2.0], model.measure.collision_rate_vector(n)])
-
-
-def ancestral_rates(model: AncestralModel, n: int) -> list[tuple[int, float]]:
-    """All (target state, rate) moves out of state n, zero rates dropped."""
-    targets, rates = model.rates(n)
-    merged: dict[int, float] = {}
-    for t, r in zip(targets, rates):
-        merged[int(t)] = merged.get(int(t), 0.0) + float(r)
-    return sorted(merged.items())
 
 
 def simulate_ancestral(
@@ -308,7 +294,7 @@ def fixation_probabilities(model: AncestralModel, x0, *, drift_kind: str = "tran
     """
     if drift_kind != "transitive":
         raise ValueError(f"fixation probabilities via the dual chain require the transitive scheme, got {drift_kind!r}")
-    x0 = freqs_of(x0)
+    x0 = as_frequencies(x0)
     ks = model.kappa_star
     if model.kappa == 0.0:
         # Pure-death dual: stationary law is concentrated at 1, pgf(s) = s.

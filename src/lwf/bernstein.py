@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .combinat import composition_index, composition_pmf, compositions, multinomial_coefficients
+from .combinat import composition_index, compositions, multinomial_coefficients
 
 
 class PolynomialMap:
@@ -40,15 +40,6 @@ class PolynomialMap:
         self.components = components
         self.K = K
         self.degree = degree
-
-    @classmethod
-    def identity(cls, K: int) -> "PolynomialMap":
-        comps = []
-        for i in range(K):
-            m = [0] * K
-            m[i] = 1
-            comps.append({tuple(m): 1.0})
-        return cls(comps)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -91,8 +82,3 @@ def bernstein_table(poly: PolynomialMap, degree: int | None = None) -> tuple[int
                 table[idx[z], i] += c * w
     table /= multinomial_coefficients(K, n)[:, None]
     return n, table
-
-
-def evaluate_bernstein(degree: int, table: np.ndarray, x) -> np.ndarray:
-    """Evaluate a Bernstein table at simplex points (batch aware)."""
-    return composition_pmf(table.shape[1], degree, x) @ table

@@ -48,7 +48,7 @@ from .config import (
     parse_tail,
     take_block,
 )
-from .core import freqs_of, make_schedule
+from .core import as_frequencies, make_schedule
 from .discrete import DiscreteModel, simulate_discrete
 from .errors import LwfError
 from .rng import RngStream
@@ -246,7 +246,7 @@ def _kwargs(name: str, cfg: dict, args, out: Path) -> dict:
         if K is not None and len(kwargs["x0"]) != K:
             raise ConfigError(f"x0 has {len(kwargs['x0'])} coordinates but K = {K}")
         with building("'model' block"):
-            kwargs["x0"] = freqs_of(kwargs["x0"])
+            kwargs["x0"] = as_frequencies(kwargs["x0"])
         K = kwargs["x0"].size
     if "tail" in kwargs and "increments" in params:
         kwargs["increments"] = {k - 1: p for k, p in kwargs.pop("tail").items()}

@@ -35,52 +35,13 @@ def as_frequencies(x, *, tol: float = SIMPLEX_TOL) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """Immutable frequency vector over K types."""
-
-    freqs: np.ndarray
-
-    def __post_init__(self):
-        arr = as_frequencies(self.freqs)
-        arr.flags.writeable = False
-        object.__setattr__(self, "freqs", arr)
-
-    @property
-    def K(self) -> int:
-        return self.freqs.size
-
-    @classmethod
-    def uniform(cls, K: int) -> "SimplexPoint":
-        return cls(np.full(K, 1.0 / K))
-
-    @classmethod
-    def vertex(cls, K: int, i: int) -> "SimplexPoint":
-        x = np.zeros(K)
-        x[i] = 1.0
-        return cls(x)
-
-    def __iter__(self):
-        return iter(self.freqs)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.freqs, dtype=dtype)
-
-
-def freqs_of(x) -> np.ndarray:
-    """Accept a SimplexPoint or array-like; return a validated ndarray."""
-    if isinstance(x, SimplexPoint):
-        return np.array(x.freqs)
-    return as_frequencies(x)
-
-
 def round_to_counts(x, N: int) -> np.ndarray:
     """Apportion ``x`` to integer type counts summing to ``N``.
 
     Largest-remainder rounding: floor everything, then hand the leftover
     slots to the largest fractional parts (ties broken by lower index).
     """
-    x = freqs_of(x)
+    x = as_frequencies(x)
     raw = x * N
     counts = np.floor(raw).astype(np.int64)
     short = N - int(counts.sum())
@@ -129,10 +90,7 @@ class OffspringLaw:
     def __init__(self, rho: float, tail):
         if not 0.0 <= rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {rho}")
-        if isinstance(tail, dict):
-            items = sorted((int(k), float(p)) for k, p in tail.items())
-        else:
-            items = sorted((int(k), float(p)) for k, p in tail)
+        items = sorted((int(k), float(p)) for k, p in tail.items())
         items = [(k, p) for k, p in items if p > 0.0]
         if not items:
             raise ValueError("tail must give positive weight to some k >= 2")
@@ -147,27 +105,6 @@ class OffspringLaw:
         items = [(k, p / total) for k, p in items]
         object.__setattr__(self, "rho", float(rho))
         object.__setattr__(self, "tail", tuple(items))
-
-    def pmf(self, k: int) -> float:
-        if k == 1:
-            return 1.0 - self.rho
-        return self.rho * dict(self.tail).get(k, 0.0)
-
-    @property
-    def beta(self) -> float:
-        """Mean number of extra potential parents given more than one."""
-        return sum((k - 1) * p for k, p in self.tail)
-
-    @property
-    def max_k(self) -> int:
-        return self.tail[-1][0]
-
-    def increments(self) -> dict[int, float]:
-        """Conditional law reindexed by the extra-parent count ``k - 1``."""
-        return {k - 1: p for k, p in self.tail}
-
-    def to_config(self) -> dict:
-        return {str(k): p for k, p in self.tail}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinat import composition_pmf, compositions
-from .core import OffspringLaw, ScalingSchedule, _categorical, freqs_of, round_to_counts
+from .core import OffspringLaw, ScalingSchedule, _categorical, as_frequencies, round_to_counts
 from .measures import TruncatedSizeLaw
 from .rules import ColouringRule, DEFAULT_K_MAX
 from .trajectory import Trajectory
@@ -213,7 +213,7 @@ def empirical_drift(
     ``method="exact"`` instead enumerates every multiset (zero stderr),
     available while the tail sizes stay enumerable.
     """
-    x = freqs_of(x)
+    x = as_frequencies(x)
     tail_ks = np.array([k for k, _ in model.offspring.tail])
     tail_ps = np.array([p for _, p in model.offspring.tail])
 

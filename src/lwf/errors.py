@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the unknown-key check of the config kind blocks."""
 
 
 class LwfError(Exception):
@@ -15,3 +15,10 @@ class ScheduleError(LwfError):
 
 class RateExplosionError(LwfError):
     """Raised when a simulated chain exceeds the hard state guard."""
+
+
+def reject_unknown(block: dict, allowed, where: str) -> None:
+    """Raise a :class:`ConfigError` naming the keys of a kind block outside ``allowed``."""
+    unknown = set(block) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where} block: {sorted(unknown)}")

@@ -21,7 +21,7 @@ import numpy as np
 from .ancestral import STATIONARY_TOL, AncestralModel, dual_moment, fixation_probabilities
 from .batches import LANE_ANCESTRAL, LANE_DISCRETE, LANE_DRIFT, LANE_POINTS, LANE_SDE, map_batches, pmap
 from .config import building
-from .core import OffspringLaw, freqs_of, make_schedule, random_interior_points, round_to_counts
+from .core import OffspringLaw, as_frequencies, make_schedule, random_interior_points, round_to_counts
 from .discrete import DiscreteModel, empirical_drift, step_unabsorbed
 from .errors import ConfigError
 from .measures import LambdaMeasure, ZeroMeasure
@@ -298,7 +298,7 @@ def run_convergence(
     within twice the KS sampling noise, and the largest-N distance must fall
     below the configured threshold.
     """
-    x0 = freqs_of(x0)
+    x0 = as_frequencies(x0)
     stream = RngStream(seed)
     with building("SdeConfig value"):
         cfg = SdeConfig(K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump)
@@ -390,7 +390,7 @@ def run_fixation(
     ``stationary_time`` is accepted and ignored: it set the length of the
     simulation that estimated the stationary law before the law was solved.
     """
-    x0 = freqs_of(x0)
+    x0 = as_frequencies(x0)
     stream = RngStream(seed)
     drift = DriftFunction.neutral(x0.size) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, x0.size)
     with building("SdeConfig value"):
@@ -734,7 +734,7 @@ def run_successive_extinction(
     """
     if sigma <= 0:
         raise ConfigError("successive-extinction runs need sigma > 0")
-    x0 = freqs_of(x0)
+    x0 = as_frequencies(x0)
     stream = RngStream(seed)
     with building("SdeConfig value"):
         cfg = SdeConfig(

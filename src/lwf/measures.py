@@ -14,9 +14,11 @@ separate coefficient everywhere in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
+
+from .errors import ConfigError, reject_unknown
 
 # scipy.special and scipy.integrate are imported inside the functions that use
 # them: loading either here would roughly double the time and memory that
@@ -409,40 +411,23 @@ _VARIANTS = {cls.kind: cls for cls in (ZeroMeasure, PointMass, FiniteAtoms, Unif
 
 
 def measure_from_config(block: dict) -> LambdaMeasure:
-    from .errors import ConfigError
-
+    """Deserialize a lambda block; a key left out takes the default of the variant's field."""
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("measure block must be a mapping with a 'kind' key")
     kind = block["kind"]
-    extra = dict(block)
-    extra.pop("kind")
+    if not isinstance(kind, str) or kind not in _VARIANTS:
+        raise ConfigError(f"unknown lambda kind {kind!r} (expected one of {sorted(_VARIANTS)})")
+    extra = {k: v for k, v in block.items() if k != "kind"}
     try:
-        if kind == "zero":
-            _reject_unknown(extra, (), "lambda")
-            return ZeroMeasure()
-        if kind == "point_mass":
-            _reject_unknown(extra, ("z", "mass"), "lambda")
-            return PointMass(float(extra["z"]), float(extra.get("mass", 1.0)))
         if kind == "finite_atoms":
-            _reject_unknown(extra, ("atoms",), "lambda")
+            reject_unknown(extra, ("atoms",), "lambda")
             return FiniteAtoms(extra["atoms"])
-        if kind == "uniform":
-            _reject_unknown(extra, ("mass",), "lambda")
-            return UniformLaw(float(extra.get("mass", 1.0)))
-        if kind == "beta":
-            _reject_unknown(extra, ("a", "b", "mass"), "lambda")
-            return BetaLaw(float(extra["a"]), float(extra["b"]), float(extra.get("mass", 1.0)))
+        reject_unknown(extra, [f.name for f in fields(_VARIANTS[kind])], "lambda")
+        # only the keys given are passed, so a field left out takes its default and a required one raises KeyError
+        names = [f.name for f in fields(_VARIANTS[kind]) if f.name in extra or f.default is MISSING]
+        return _VARIANTS[kind](**{name: float(extra[name]) for name in names})
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad lambda block: {exc}") from exc
-    raise ConfigError(f"unknown lambda kind {kind!r} (expected one of {sorted(_VARIANTS)})")
-
-
-def _reject_unknown(block: dict, allowed, where: str) -> None:
-    from .errors import ConfigError
-
-    unknown = set(block) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where} block: {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ import numpy as np
 
 from .bernstein import PolynomialMap, bernstein_table
 from .combinat import composition_index, composition_pmf, compositions
-from .core import OffspringLaw
-from .errors import ConfigError
+from .errors import ConfigError, reject_unknown
 
 # Exact enumeration of samples of size k over K types is used while the
 # number of multi-indices C(K+k-1, k) stays small.
@@ -216,6 +215,19 @@ class LogisticRule(ColouringRule):
         return {"kind": "logistic", "matrix": self.win_probs.tolist()}
 
 
+def beats_matrix(K: int, beats) -> np.ndarray:
+    """Boolean ``(K, K)`` matrix of 0-based ``(winner, loser)`` pairs; the relation must be antisymmetric."""
+    matrix = np.zeros((K, K), dtype=bool)
+    for winner, loser in beats:
+        w, l = int(winner), int(loser)
+        if not (0 <= w < K and 0 <= l < K) or w == l:
+            raise ValueError(f"bad beats pair ({winner}, {loser})")
+        matrix[w, l] = True
+    if np.any(matrix & matrix.T):
+        raise ValueError("beats relation must be antisymmetric")
+    return matrix
+
+
 class PartialOrderRule(ColouringRule):
     """Contest ordered by an antisymmetric "beats" relation.
 
@@ -230,15 +242,7 @@ class PartialOrderRule(ColouringRule):
 
     def __init__(self, K: int, beats):
         super().__init__(K)
-        matrix = np.zeros((K, K), dtype=bool)
-        for winner, loser in beats:
-            w, l = int(winner), int(loser)
-            if not (0 <= w < K and 0 <= l < K) or w == l:
-                raise ValueError(f"bad beats pair ({winner}, {loser})")
-            matrix[w, l] = True
-        if np.any(matrix & matrix.T):
-            raise ValueError("beats relation must be antisymmetric")
-        self.beats = matrix
+        self.beats = beats_matrix(K, beats)
 
     @classmethod
     def rps(cls) -> "PartialOrderRule":
@@ -327,10 +331,6 @@ class BernsteinRule(ColouringRule):
         self._row_of_code = order
         self.mutation_free = bool(np.all(self.table[np.asarray(Z) == 0] == 0.0))
 
-    def offspring_law(self, rho: float) -> OffspringLaw:
-        """The sampling law this rule is built for: 1 parent, or n of them."""
-        return OffspringLaw(rho, {self.degree: 1.0})
-
     def distribution_batch(self, counts):
         counts = np.asarray(counts)
         totals = counts.sum(axis=1)
@@ -386,56 +386,6 @@ def bernstein_rule(g, *, degree: int | None = None, tol: float = 1e-9) -> Bernst
     return BernsteinRule(n, np.clip(table, 0.0, 1.0))
 
 
-# ---------------------------------------------------------------------------
-# Operations
-# ---------------------------------------------------------------------------
-
-
-class OffspringTypeLaw:
-    """Result of :func:`offspring_type_prob`: probabilities with errors."""
-
-    def __init__(self, probs: np.ndarray, stderr: np.ndarray, exact: bool):
-        self.probs = probs
-        self.stderr = stderr
-        self.exact = exact
-
-
-def offspring_type_prob(
-    rule: ColouringRule,
-    offspring: OffspringLaw,
-    x,
-    *,
-    k_max: int = DEFAULT_K_MAX,
-    mc_samples: int = 10**6,
-    rng: np.random.Generator | None = None,
-) -> OffspringTypeLaw:
-    """Unconditional law of one offspring's type at frequencies ``x``.
-
-    Averages the rule over the sample-size law: exact enumeration for sizes
-    up to ``k_max`` (or wherever enumeration stays small), Monte Carlo with
-    reported standard errors beyond.
-    """
-    x = np.asarray(x, dtype=float)
-    probs = (1.0 - offspring.rho) * x
-    var = np.zeros_like(x)
-    exact = True
-    for k, p in offspring.tail:
-        weight = offspring.rho * p
-        if weight == 0.0:
-            continue
-        if k <= k_max and rule.supports_enumeration(k):
-            probs = probs + weight * rule.type_law(k, x)
-        else:
-            if rng is None:
-                raise ValueError(f"sample size {k} needs Monte Carlo: pass an rng")
-            exact = False
-            draws = rng.multinomial(k, x, size=mc_samples)
-            rows = rule.distribution_batch(draws)
-            probs = probs + weight * rows.mean(axis=0)
-            var = var + (weight * rows.std(axis=0) / np.sqrt(mc_samples)) ** 2
-    return OffspringTypeLaw(probs, np.sqrt(var), exact)
-
-
 _RULE_KINDS = {
     cls.kind: cls
     for cls in (
@@ -457,40 +407,34 @@ def rule_from_config(block: dict, K: int) -> ColouringRule:
         raise ConfigError("rule block must be a mapping with a 'kind' key")
     kind = block["kind"]
     extra = {k: v for k, v in block.items() if k != "kind"}
-
-    def reject_unknown(allowed):
-        unknown = set(extra) - set(allowed)
-        if unknown:
-            raise ConfigError(f"unknown keys in rule block: {sorted(unknown)}")
-
     try:
         if kind == "neutral":
-            reject_unknown(())
+            reject_unknown(extra, (), "rule")
             return NeutralRule(K)
         if kind == "transitive":
-            reject_unknown(())
+            reject_unknown(extra, (), "rule")
             return TransitiveRule(K)
         if kind == "transitive_mutation":
-            reject_unknown(("mutation_prob", "kernel"))
+            reject_unknown(extra, ("mutation_prob", "kernel"), "rule")
             return TransitiveWithMutationRule(K, float(extra["mutation_prob"]), extra["kernel"])
         if kind == "logistic":
-            reject_unknown(("matrix",))
+            reject_unknown(extra, ("matrix",), "rule")
             rule = LogisticRule(extra["matrix"])
             if rule.K != K:
                 raise ConfigError(f"logistic matrix is {rule.K}x{rule.K} but model has K={K}")
             return rule
         if kind == "partial_order":
-            reject_unknown(("beats",))
+            reject_unknown(extra, ("beats",), "rule")
             pairs = [(int(w) - 1, int(l) - 1) for w, l in extra["beats"]]
             return PartialOrderRule(K, pairs)
         if kind == "neg_freq":
-            reject_unknown(())
+            reject_unknown(extra, (), "rule")
             return NegFreqDepRule(K)
         if kind == "pos_freq":
-            reject_unknown(())
+            reject_unknown(extra, (), "rule")
             return PosFreqDepRule(K)
         if kind == "bernstein":
-            reject_unknown(("degree", "table"))
+            reject_unknown(extra, ("degree", "table"), "rule")
             degree = int(extra["degree"])
             idx = composition_index(K, degree)
             table = np.zeros((len(idx), K))

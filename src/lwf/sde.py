@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _categorical, freqs_of
+from .core import _categorical, as_frequencies
 from .measures import LambdaMeasure, TruncatedSizeLaw, ZeroMeasure
 from .trajectory import Trajectory
 
@@ -180,7 +180,7 @@ class BatchSde:
 
     def __init__(self, cfg: SdeConfig, x0, replicates: int, rng: np.random.Generator):
         self.cfg = cfg
-        x0 = freqs_of(x0)
+        x0 = as_frequencies(x0)
         if x0.size != cfg.K:
             raise ValueError(f"state has {x0.size} coordinates, config says {cfg.K}")
         self.rng = rng

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bernstein import PolynomialMap
-from .errors import ConfigError
+from .errors import ConfigError, reject_unknown
+from .rules import beats_matrix
 
 
 def _as_batch(x) -> np.ndarray:
@@ -70,15 +71,14 @@ def mu_food_web(kappa: float, beats, x) -> np.ndarray:
     """Pairwise-contest drift for an arbitrary antisymmetric relation.
 
     ``mu_i = kappa * x_i * (sum over prey x_j - sum over predators x_j)``;
-    incomparable pairs are fair coin flips and cancel.
+    incomparable pairs are fair coin flips and cancel.  ``beats`` holds
+    0-based ``(winner, loser)`` pairs.
     """
     x = _as_batch(x)
-    K = x.shape[-1]
-    matrix = np.zeros((K, K))
-    for winner, loser in beats:
-        matrix[int(winner), int(loser)] = 1.0
-    if np.any((matrix > 0) & (matrix.T > 0)):
-        raise ValueError("beats relation must be antisymmetric")
+    return _food_web(kappa, beats_matrix(x.shape[-1], beats).astype(float), x)
+
+
+def _food_web(kappa: float, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     prey = x @ matrix.T
     predators = x @ matrix
     return kappa * x * (prey - predators)
@@ -114,10 +114,7 @@ def mu_from_polynomial(lam: float, g, x) -> np.ndarray:
 
 
 def _iter_weights(increments):
-    if isinstance(increments, dict):
-        items = sorted((int(j), float(w)) for j, w in increments.items())
-    else:
-        items = sorted((int(j), float(w)) for j, w in increments)
+    items = sorted((int(j), float(w)) for j, w in increments.items())
     total = 0.0
     for j, w in items:
         if j < 1:
@@ -186,13 +183,6 @@ class DriftFunction:
     def __call__(self, x) -> np.ndarray:
         return self._fn(x)
 
-    def selection_strength(self, x) -> np.ndarray:
-        """``mu_i(x) / (x_i (1 - x_i))`` with NaN where undefined."""
-        x = _as_batch(x)
-        denom = x * (1.0 - x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(denom > 0, self(x) / np.where(denom > 0, denom, 1.0), np.nan)
-
     # -- constructors ---------------------------------------------------------
 
     @classmethod
@@ -221,10 +211,11 @@ class DriftFunction:
     @classmethod
     def food_web(cls, kappa: float, beats, K: int) -> "DriftFunction":
         pairs = [(int(w), int(l)) for w, l in beats]
+        matrix = beats_matrix(K, pairs).astype(float)
         return cls(
             "food_web",
             K,
-            lambda x: mu_food_web(kappa, pairs, x),
+            lambda x: _food_web(kappa, matrix, _as_batch(x)),
             {"kappa": kappa, "beats": [[w + 1, l + 1] for w, l in pairs]},
         )
 
@@ -265,43 +256,42 @@ def drift_from_config(block: dict, K: int) -> DriftFunction:
         raise ConfigError("drift block must be a mapping with a 'kind' key")
     kind = block["kind"]
     extra = {k: v for k, v in block.items() if k != "kind"}
-
-    def reject_unknown(allowed):
-        unknown = set(extra) - set(allowed)
-        if unknown:
-            raise ConfigError(f"unknown keys in drift block: {sorted(unknown)}")
-
     try:
         if kind == "neutral":
-            reject_unknown(())
+            reject_unknown(extra, (), "drift")
             return DriftFunction.neutral(K)
         if kind == "transitive":
-            reject_unknown(("kappa", "increments"))
-            increments = {int(j): float(w) for j, w in extra["increments"].items()}
+            reject_unknown(extra, ("kappa", "increments"), "drift")
+            increments = extra["increments"]
+            if not isinstance(increments, dict):
+                raise ConfigError(
+                    f"bad drift block: 'increments' must map extra-parent counts to weights, got {increments!r}"
+                )
+            increments = {int(j): float(w) for j, w in increments.items()}
             return DriftFunction.transitive(float(extra["kappa"]), increments, K)
         if kind == "logistic":
-            reject_unknown(("kappa", "matrix"))
+            reject_unknown(extra, ("kappa", "matrix"), "drift")
             drift = DriftFunction.logistic(float(extra["kappa"]), extra["matrix"])
             if drift.K != K:
                 raise ConfigError(f"logistic matrix is {drift.K}x{drift.K} but model has K={K}")
             return drift
         if kind == "rps":
-            reject_unknown(("kappa",))
+            reject_unknown(extra, ("kappa",), "drift")
             if K != 3:
                 raise ConfigError("rps drift needs K = 3")
             return DriftFunction.rps(float(extra["kappa"]))
         if kind == "food_web":
-            reject_unknown(("kappa", "beats"))
+            reject_unknown(extra, ("kappa", "beats"), "drift")
             pairs = [(int(w) - 1, int(l) - 1) for w, l in extra["beats"]]
             return DriftFunction.food_web(float(extra["kappa"]), pairs, K)
         if kind == "neg_freq":
-            reject_unknown(("kappa",))
+            reject_unknown(extra, ("kappa",), "drift")
             return DriftFunction.negfreq(float(extra["kappa"]), K)
         if kind == "pos_freq":
-            reject_unknown(("kappa",))
+            reject_unknown(extra, ("kappa",), "drift")
             return DriftFunction.posfreq(float(extra["kappa"]), K)
         if kind == "polynomial":
-            reject_unknown(("lambda", "monomials", "degree"))
+            reject_unknown(extra, ("lambda", "monomials", "degree"), "drift")
             comps = [{tuple(int(v) for v in m): float(c) for m, c in comp} for comp in extra["monomials"]]
             g = PolynomialMap(comps)
             if g.K != K:

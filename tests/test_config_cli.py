@@ -577,6 +577,38 @@ SCHEMA_ERRORS = [
     ("fixation", lambda p: p.pop("model"), "missing required block 'model'"),
     ("fixation", _added("experiment", 3), "block 'experiment' must be a JSON object"),
     ("fixation", lambda p: p["experiment"].update(replicates=0), "replicates must be >= 1, got 0"),
+    # the kind blocks: unknown kind, unknown key, missing required key and non-numeric value
+    ("simulate-discrete", _added("rule", {"kind": "mystery"}), "unknown rule kind 'mystery' (expected one of "
+     "['bernstein', 'logistic', 'neg_freq', 'neutral', 'partial_order', 'pos_freq', 'transitive', "
+     "'transitive_mutation'])"),
+    ("simulate-discrete", _added("rule", {"kind": "transitive", "typo": 1}), "unknown keys in rule block: ['typo']"),
+    ("simulate-discrete", _added("rule", {"kind": "transitive_mutation", "kernel": np.eye(3).tolist()}),
+     "bad rule block: 'mutation_prob'"),
+    ("simulate-discrete", _added("rule", {"kind": "transitive_mutation", "mutation_prob": "abc",
+                                          "kernel": np.eye(3).tolist()}),
+     "bad rule block: could not convert string to float: 'abc'"),
+    ("simulate-sde", _added("drift", {"kind": "mystery"}), "unknown drift kind 'mystery'"),
+    ("simulate-sde", _added("drift", {"kind": "rps", "kappa": 1.0, "typo": 1}),
+     "unknown keys in drift block: ['typo']"),
+    ("simulate-sde", _added("drift", {"kind": "rps"}), "bad drift block: 'kappa'"),
+    ("simulate-sde", _added("drift", {"kind": "rps", "kappa": "abc"}),
+     "bad drift block: could not convert string to float: 'abc'"),
+    ("simulate-sde", _added("lambda", {"kind": "mystery"}),
+     "unknown lambda kind 'mystery' (expected one of ['beta', 'finite_atoms', 'point_mass', 'uniform', 'zero'])"),
+    ("simulate-sde", _added("lambda", {"kind": "point_mass", "z": 0.5, "typo": 1}),
+     "unknown keys in lambda block: ['typo']"),
+    ("simulate-sde", _added("lambda", {"kind": "beta", "b": 2.0}), "bad lambda block: 'a'"),
+    ("simulate-sde", _added("lambda", {"kind": "point_mass", "z": "abc"}),
+     "bad lambda block: could not convert string to float: 'abc'"),
+    # the three drift rows exited 1 with a traceback or ran a wrong drift; the rule block refuses the same beats pair
+    ("simulate-sde", _added("drift", {"kind": "transitive", "kappa": 1, "increments": [1, 2]}),
+     "bad drift block: 'increments' must map extra-parent counts to weights, got [1, 2]"),
+    ("simulate-sde", _added("drift", {"kind": "food_web", "kappa": 1, "beats": [[0, 1]]}),
+     "bad drift block: bad beats pair (-1, 0)"),
+    ("simulate-discrete", _added("rule", {"kind": "partial_order", "beats": [[0, 1]]}),
+     "bad rule block: bad beats pair (-1, 0)"),
+    ("simulate-sde", _added("drift", {"kind": "food_web", "kappa": 1, "beats": [[2, 1], [1, 2]]}),
+     "bad drift block: beats relation must be antisymmetric"),
 ]
 
 

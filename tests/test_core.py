@@ -1,41 +1,31 @@
 import numpy as np
 import pytest
 
+from lwf.ancestral import AncestralModel
 from lwf.core import (
     OffspringLaw,
-    SimplexPoint,
     as_frequencies,
     make_schedule,
     random_interior_points,
     round_to_counts,
 )
+from lwf.discrete import DiscreteModel
 from lwf.errors import ScheduleError
 from lwf.measures import PointMass, ZeroMeasure
 from lwf.rng import RngStream
+from lwf.rules import NeutralRule
 
 
 def test_simplex_point_invariants():
-    p = SimplexPoint(np.array([0.2, 0.3, 0.5]))
-    assert p.K == 3
+    assert as_frequencies([0.2, 0.3, 0.5]).size == 3
     with pytest.raises(ValueError):
-        SimplexPoint(np.array([0.2, 0.3, 0.4]))  # sums to 0.9
+        as_frequencies([0.2, 0.3, 0.4])  # sums to 0.9
     with pytest.raises(ValueError):
-        SimplexPoint(np.array([-0.1, 0.6, 0.5]))
+        as_frequencies([-0.1, 0.6, 0.5])
     with pytest.raises(ValueError):
-        SimplexPoint(np.array([1.0]))  # K >= 2
+        as_frequencies([1.0])  # K >= 2
     with pytest.raises(ValueError):
         as_frequencies([0.5, np.nan])
-
-
-def test_simplex_point_is_immutable():
-    p = SimplexPoint(np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        p.freqs[0] = 0.9
-
-
-def test_vertex_and_uniform():
-    assert np.array_equal(SimplexPoint.vertex(3, 1).freqs, [0.0, 1.0, 0.0])
-    assert np.allclose(SimplexPoint.uniform(4).freqs, 0.25)
 
 
 def test_round_to_counts_largest_remainder():
@@ -56,12 +46,16 @@ def test_random_interior_points_stay_interior():
 
 
 def test_offspring_law_basic():
-    q = OffspringLaw(0.1, {2: 0.5, 4: 0.5})
-    assert q.pmf(1) == pytest.approx(0.9)
-    assert q.pmf(2) == pytest.approx(0.05)
-    assert q.beta == pytest.approx(0.5 * 1 + 0.5 * 3)
-    assert q.increments() == {1: 0.5, 3: 0.5}
-    assert q.max_k == 4
+    q = OffspringLaw(0.1, {4: 0.5, 2: 0.5})
+    assert q.tail == ((2, 0.5), (4, 0.5))
+    # the discrete engine draws sample sizes at P(1) = 1 - rho and P(k) = rho * tail[k]
+    ks, ps, _ = DiscreteModel(N=2, rule=NeutralRule(2), offspring=q)._classes
+    assert ks == (1, 2, 4)
+    assert ps == pytest.approx([0.9, 0.05, 0.05])
+    # the dual chain branches by k - 1 extra parents, with mean beta
+    increments = {k - 1: p for k, p in q.tail}
+    assert AncestralModel(1.0, 0.0, increments).increments == ((1, 0.5), (3, 0.5))
+    assert AncestralModel(1.0, 0.0, increments).beta == pytest.approx(0.5 * 1 + 0.5 * 3)
     with pytest.raises(ValueError):
         OffspringLaw(1.5, {2: 1.0})
     with pytest.raises(ValueError):

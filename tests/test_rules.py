@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lwf.bernstein import PolynomialMap, bernstein_table, evaluate_bernstein
-from lwf.combinat import compositions
+from lwf.bernstein import PolynomialMap, bernstein_table
+from lwf.combinat import composition_pmf, compositions
 from lwf.core import OffspringLaw
+from lwf.discrete import DiscreteModel, empirical_drift
 from lwf.rng import RngStream
 from lwf.rules import (
     BernsteinRule,
@@ -15,7 +16,6 @@ from lwf.rules import (
     TransitiveRule,
     TransitiveWithMutationRule,
     bernstein_rule,
-    offspring_type_prob,
 )
 from lwf.selection import cyclic_contest_map, transitive_pair_map
 
@@ -157,39 +157,46 @@ def test_distribution_batch_matches_single():
             assert np.allclose(row, rule.distribution(counts))
 
 
-def test_offspring_type_prob_neutral_is_identity():
+def offspring_type_law(rule, offspring, x, samples=1, rng=None):
+    """Law of one offspring's type, ``p(x) = x + rho * drift``, with the drift's stderr scaled alike."""
+    model = DiscreteModel(N=2, rule=rule, offspring=offspring)
+    est = empirical_drift(model, x, samples, rng, method="exact" if rng is None else "mc")
+    return x + offspring.rho * est.values, offspring.rho * est.stderr, est.exact
+
+
+def test_offspring_type_law_neutral_is_identity():
     q = OffspringLaw(0.3, {2: 0.5, 3: 0.5})
     x = np.array([0.2, 0.3, 0.5])
-    res = offspring_type_prob(NeutralRule(3), q, x)
-    assert res.exact
-    assert np.allclose(res.probs, x, atol=1e-12)
+    probs, _, exact = offspring_type_law(NeutralRule(3), q, x)
+    assert exact
+    assert np.allclose(probs, x, atol=1e-12)
 
 
-def test_offspring_type_prob_transitive_pair():
+def test_offspring_type_law_transitive_pair():
     # p_1 = (1 - rho) x_1 + rho x_1^2 = 0.5 - 0.25 rho at x = (1/2, 1/2)
     for rho in (0.0, 0.2, 1.0):
         q = OffspringLaw(rho, {2: 1.0})
-        res = offspring_type_prob(TransitiveRule(2), q, [0.5, 0.5])
-        assert res.probs[0] == pytest.approx(0.5 - 0.25 * rho, abs=1e-12)
+        probs, _, _ = offspring_type_law(TransitiveRule(2), q, np.array([0.5, 0.5]))
+        assert probs[0] == pytest.approx(0.5 - 0.25 * rho, abs=1e-12)
 
 
-def test_offspring_type_prob_monomorphic():
+def test_offspring_type_law_monomorphic():
     q = OffspringLaw(0.4, {3: 1.0})
     for rule in ALL_RULES:
         if rule.kind in ("logistic", "bernstein"):
             continue
         x = np.zeros(rule.K)
         x[1] = 1.0
-        assert np.allclose(offspring_type_prob(rule, q, x).probs, x, atol=1e-12)
+        assert np.allclose(offspring_type_law(rule, q, x)[0], x, atol=1e-12)
 
 
-def test_offspring_type_prob_monte_carlo_branch():
+def test_offspring_type_law_monte_carlo_branch():
     q = OffspringLaw(1.0, {40: 1.0})  # beyond the enumeration cutoff
     x = np.array([0.6, 0.4])
-    res = offspring_type_prob(TransitiveRule(2), q, x, rng=RngStream(11).generator(), mc_samples=20_000)
-    assert not res.exact
+    probs, stderr, exact = offspring_type_law(TransitiveRule(2), q, x, 20_000, RngStream(11).generator())
+    assert not exact
     exact_p1 = 0.6**40
-    assert abs(res.probs[0] - exact_p1) <= 4.5 * max(res.stderr[0], 1e-6)
+    assert abs(probs[0] - exact_p1) <= 4.5 * max(stderr[0], 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +205,7 @@ def test_offspring_type_prob_monte_carlo_branch():
 
 
 def test_bernstein_identity_degree_one_behaves_neutrally_on_singletons():
-    rule = bernstein_rule(PolynomialMap.identity(3))
+    rule = bernstein_rule(PolynomialMap([{(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}, {(0, 0, 1): 1.0}]))
     assert rule.degree == 1
     for i in range(3):
         single = np.zeros(3, dtype=int)
@@ -231,14 +238,14 @@ def test_bernstein_round_trip_evaluation():
     for g in (transitive_pair_map(3), cyclic_contest_map()):
         n, table = bernstein_table(g)
         pts = rng.dirichlet(np.ones(g.K), size=100)
-        assert np.allclose(evaluate_bernstein(n, table, pts), g(pts), atol=1e-10)
+        assert np.allclose(composition_pmf(g.K, n, pts) @ table, g(pts), atol=1e-10)
 
 
 def test_bernstein_degree_elevation_keeps_values():
     g = transitive_pair_map(2)
     n, table = bernstein_table(g, degree=4)
     pts = RngStream(13).generator().dirichlet(np.ones(2), size=50)
-    assert np.allclose(evaluate_bernstein(n, table, pts), g(pts), atol=1e-10)
+    assert np.allclose(composition_pmf(g.K, n, pts) @ table, g(pts), atol=1e-10)
 
 
 def test_bernstein_rule_type_law_matches_map():
@@ -249,11 +256,12 @@ def test_bernstein_rule_type_law_matches_map():
         assert np.allclose(rule.type_law(rule.degree, x), g(x), atol=1e-12)
 
 
-def test_bernstein_paired_offspring_law():
+def test_bernstein_rule_pairs_with_samples_of_one_or_n_parents():
+    # a Bernstein rule of degree n is paired with samples of one parent or of n
     rule = bernstein_rule(cyclic_contest_map())
-    q = rule.offspring_law(0.25)
-    assert q.pmf(1) == pytest.approx(0.75)
-    assert q.pmf(2) == pytest.approx(0.25)
+    ks, ps, _ = DiscreteModel(N=2, rule=rule, offspring=OffspringLaw(0.25, {rule.degree: 1.0}))._classes
+    assert ks == (1, 2)
+    assert ps == pytest.approx([0.75, 0.25])
 
 
 def test_bernstein_row_sum_validation():

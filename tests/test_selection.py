@@ -58,7 +58,8 @@ def test_mu_from_polynomial_trivial_cases():
     from lwf.bernstein import PolynomialMap
 
     x = np.array([0.2, 0.3, 0.5])
-    assert np.allclose(mu_from_polynomial(2.0, PolynomialMap.identity(3), x), 0.0)
+    identity = PolynomialMap([{(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}, {(0, 0, 1): 1.0}])
+    assert np.allclose(mu_from_polynomial(2.0, identity, x), 0.0)
     assert np.allclose(mu_from_polynomial(0.0, cyclic_contest_map(), x), 0.0)
 
 
@@ -114,8 +115,16 @@ def test_drift_closures_equal_the_direct_formulas_exactly():
     assert np.array_equal(mu_transitive(0.9, increments, pts4), transitive)
     assert np.array_equal(DriftFunction.transitive(0.9, increments, 4)(pts4), transitive)
 
+    web = [(1, 0), (2, 0), (3, 1)]
+    matrix = np.zeros((4, 4))
+    for w, l in web:
+        matrix[w, l] = 1.0
+    food_web = 0.7 * pts4 * (pts4 @ matrix.T - pts4 @ matrix)
+    assert np.array_equal(mu_food_web(0.7, web, pts4), food_web)
+    assert np.array_equal(DriftFunction.food_web(0.7, web, 4)(pts4), food_web)
 
-def test_selection_strength_bounds():
+
+def test_drift_bounds_by_x_times_one_minus_x():
     rng = RngStream(6).generator()
     pts = rng.dirichlet(np.ones(3), size=10_000)
     kappa, increments = 1.3, {1: 0.25, 2: 0.75}
