@@ -21,6 +21,9 @@ The chain is positive recurrent when ``sigma > 0`` (quadratic death beats
 linear birth) or ``kappa < kappa_star``, and the frequency process then
 fixes along the pgf of the stationary law; otherwise it is transient and
 the highest labelled type present at time zero fixes.
+
+Both laws come from the truncated generator: the stationary law from a
+linear solve, the transient moment ``E_n[x**D_t]`` from a matrix exponential.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .errors import RateExplosionError
 from .measures import LambdaMeasure, ZeroMeasure, kappa_star as _kappa_star
 
 STATE_GUARD = 10**7
-N_START = 64  # first truncation level of the stationary solve
-N_CAP = 2048  # default and largest ceiling of the solve: the dense generator takes 8 * n_max**2 bytes, 32 MB
+N_START = 64  # first truncation level of the stationary and transient solves
+N_CAP = 2048  # default and largest ceiling of the solves: the dense generator takes 8 * n_max**2 bytes, 32 MB
 STATIONARY_TOL = 1e-6
 
 
@@ -56,10 +59,11 @@ class AncestralModel:
         if not 2 * N_START <= n_cap <= N_CAP:
             raise ValueError(f"n_cap must lie in [{2 * N_START}, {N_CAP}], got {n_cap}")
         items = sorted((int(j), float(w)) for j, w in increments.items())
+        if any(w < 0 for _, w in items):
+            raise ValueError(f"increment weights must be nonnegative, got {dict(items)}")
         items = [(j, w) for j, w in items if w > 0.0]
-        for j, w in items:
-            if j < 1:
-                raise ValueError(f"branching increments must be >= 1, got {j}")
+        if items and items[0][0] < 1:
+            raise ValueError(f"branching increments must be >= 1, got {items[0][0]}")
         if items and abs(sum(w for _, w in items) - 1.0) > 1e-9:
             raise ValueError("increment weights must sum to 1")
         if not items and kappa > 0:
@@ -150,51 +154,45 @@ def simulate_ancestral(
     return np.array(times), np.array(states, dtype=np.int64)
 
 
-def dual_moment(
-    model: AncestralModel,
-    x: float,
-    n0: int,
-    t: float,
-    replicates: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of ``E[x**D_t]`` from ``D_0 = n0`` with stderr."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    total = 0.0
-    total_sq = 0.0
-    for _ in range(replicates):
-        n = int(simulate_ancestral(model, n0, t, rng)[1][-1])
-        val = x**n
-        total += val
-        total_sq += val * val
-    mean = total / replicates
-    var = max(total_sq / replicates - mean * mean, 0.0)
-    return mean, math.sqrt(var / replicates)
-
-
-def _generator(model: AncestralModel, n_max: int) -> np.ndarray:
-    """Dense generator of the chain on states 1..n_max; moves above n_max are dropped."""
+def _generator(model: AncestralModel, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense generator on states 1..n_max, its diagonal from the kept moves alone, and each state's rate above n_max."""
     Q = np.zeros((n_max, n_max))
+    above = np.zeros(n_max)
     for n in range(1, n_max + 1):
         targets, rates = model.rates(n)
         keep = targets <= n_max
         Q[n - 1] = np.bincount(targets[keep] - 1, rates[keep], minlength=n_max)
         Q[n - 1, n - 1] -= rates[keep].sum()
-    return Q
+        above[n - 1] = rates[~keep].sum()
+    return Q, above
 
 
-def dual_moment_exact(model: AncestralModel, x: float, n0: int, t: float, n_max: int = 400) -> float:
-    """Matrix-exponential evaluation of ``E[x**D_t]`` on a truncated state space.
+def dual_moment(model: AncestralModel, x: float, n0: int, t: float) -> tuple[float, float, int]:
+    """``E[x**D_t]`` from ``D_0 = n0`` by killed truncation: ``(value, bound, n_max)``.
 
-    Truncation drops branching moves above ``n_max``; pick ``n_max`` large
-    enough that the chain has negligible mass there.  Test oracle.
+    Every move above ``n_max`` goes to a cemetery, so the whole exit rate
+    stays on the diagonal of ``Q``: ``value = (e^(Qt) x**n)(n0)``, and the
+    mass that left, ``bound = 1 - (e^(Qt) 1)(n0)``, puts the exact moment in
+    ``[value, value + bound]`` since ``0 <= x**n <= 1`` (the finite-state
+    projection of Munsky and Khammash 2006).  ``n_max`` doubles from
+    ``max(N_START, n0)`` until ``bound <= STATIONARY_TOL`` or ``n_max = n_cap``.
     """
     from scipy.linalg import expm
 
-    P = expm(_generator(model, n_max) * t)
-    vals = x ** np.arange(1, n_max + 1)
-    return float(P[n0 - 1] @ vals)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("x must lie in [0, 1]")
+    if not 1 <= n0 <= model.n_cap:
+        raise ValueError(f"initial state must lie in [1, n_cap = {model.n_cap}], got {n0}")
+    n_max = max(N_START, n0)
+    while True:
+        Q, above = _generator(model, n_max)
+        Q[np.diag_indices(n_max)] -= above
+        row = expm(Q * t)[n0 - 1]
+        value = float(row @ x ** np.arange(1, n_max + 1))
+        bound = max(1.0 - float(row.sum()), 0.0)
+        if bound <= STATIONARY_TOL or n_max == model.n_cap:
+            return value, bound, n_max
+        n_max = min(2 * n_max, model.n_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +208,7 @@ def _pgf_increments(nu: np.ndarray, points) -> np.ndarray:
 
 def _solve_stationary(model: AncestralModel, n_max: int) -> np.ndarray:
     """Null vector of the truncated generator: ``nu Q = 0`` with ``sum(nu) = 1``."""
-    A = _generator(model, n_max).T
+    A = _generator(model, n_max)[0].T
     A[-1] = 1.0  # the balance equation of state n_max gives way to the normalisation
     b = np.zeros(n_max)
     b[-1] = 1.0

@@ -15,7 +15,8 @@ from .rng import RngStream
 
 BATCH = 500  # replicate batch width; independent of thread count by design
 
-LANE_POINTS, LANE_DISCRETE, LANE_SDE, LANE_ANCESTRAL, LANE_DRIFT = range(1, 6)
+LANE_POINTS, LANE_DISCRETE, LANE_SDE = range(1, 4)
+LANE_DRIFT = 5  # lane 4 is free: the dual moment draws nothing, and the drift oracle keeps its streams
 
 
 def pmap(fn, items, threads: int) -> list:

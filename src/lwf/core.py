@@ -91,14 +91,13 @@ class OffspringLaw:
         if not 0.0 <= rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {rho}")
         items = sorted((int(k), float(p)) for k, p in tail.items())
+        if any(p < 0 for _, p in items):
+            raise ValueError(f"tail weights must be nonnegative, got {dict(items)}")
         items = [(k, p) for k, p in items if p > 0.0]
         if not items:
             raise ValueError("tail must give positive weight to some k >= 2")
-        for k, p in items:
-            if k < 2:
-                raise ValueError(f"tail sample sizes must be >= 2, got {k}")
-            if p < 0:
-                raise ValueError("tail weights must be nonnegative")
+        if items[0][0] < 2:
+            raise ValueError(f"tail sample sizes must be >= 2, got {items[0][0]}")
         total = sum(p for _, p in items)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"tail weights must sum to 1, got {total}")

@@ -205,10 +205,13 @@ def empirical_drift(
 
     A sampled multiset is one of the C(K+k-1, k) compositions of k, so for
     an enumerable size the ``n_k`` samples reduce to one multinomial draw of
-    composition counts ``m`` at the multinomial(k, x) pmf, and the sums over
-    samples to ``m @ table`` and ``m @ table**2`` on the rule's outputs at
-    the compositions: the same law at O(compositions) cost.  Larger sizes
-    draw and evaluate every sample.
+    composition counts ``m`` at the multinomial(k, x) pmf, and the sum over
+    samples to ``m @ table`` on the rule's outputs at the compositions: the
+    same law at O(compositions) cost.  Larger sizes draw and evaluate every
+    sample.  When every size is enumerable the standard error is exact: the
+    per-sample variance ``sum_k p_k pmf_k @ table_k**2 - (sum_k p_k pmf_k @
+    table_k)**2``.  Otherwise it is the sample's, which reads 0 where no
+    sample drew a type's rare winning compositions.
 
     ``method="exact"`` instead enumerates every multiset (zero stderr),
     available while the tail sizes stay enumerable.
@@ -233,24 +236,25 @@ def empirical_drift(
         per_k = np.array([replicates])
     else:
         per_k = rng.multinomial(replicates, tail_ps)
-    total = np.zeros_like(x)
-    total_sq = np.zeros_like(x)
+    exact_se = all(k <= DEFAULT_K_MAX and model.rule.supports_enumeration(k) for k in tail_ks)
+    total, first, second = np.zeros((3, x.size))  # the sum, and one sample's first two moments
     drawn_over = 0
-    for k, n_k in zip(tail_ks, per_k):
-        if n_k == 0:
+    for k, p, n_k in zip(tail_ks, tail_ps, per_k):
+        if n_k == 0 and not exact_se:
             continue
         if k <= DEFAULT_K_MAX and model.rule.supports_enumeration(k):
             samples = compositions(x.size, k)
             pmf = composition_pmf(x.size, k, x)
-            m = rng.multinomial(n_k, pmf / pmf.sum())
+            pmf = pmf / pmf.sum()
+            m = rng.multinomial(n_k, pmf)
             drawn_over += len(samples)
         else:
             samples = rng.multinomial(int(k), x, size=int(n_k))
             m = np.ones(int(n_k))
         table = model.rule.distribution_batch(samples)
         total += m @ table
-        total_sq += m @ table**2
-    mean = total / replicates
-    var = np.maximum(total_sq / replicates - mean**2, 0.0)
-    stderr = np.sqrt(var / replicates)
-    return DriftEstimate(mean - x, stderr, replicates, False, drawn_over)
+        weights = p * pmf if exact_se else m / replicates  # the composition law, or the sample's
+        first += weights @ table
+        second += weights @ table**2
+    stderr = np.sqrt(np.maximum(second - first**2, 0.0) / replicates)
+    return DriftEstimate(total / replicates - x, stderr, replicates, False, drawn_over)

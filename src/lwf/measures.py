@@ -378,18 +378,16 @@ class BetaLaw(LambdaMeasure):
         # Integrand ~ y**(a-2) near zero: integrable only for a > 1.
         if self.a <= 1.0:
             return math.inf
-        from scipy.integrate import quad
+        from scipy import special
 
-        val, _ = quad(
-            lambda y: -math.log1p(-y) * float(self.density(y)) / y**2,
-            0.0,
-            1.0,
-            epsabs=0.0,
-            epsrel=1e-11,
-            limit=400,
-            points=[1e-6, 1.0 - 1e-6],
-        )
-        return float(val)
+        a, b = self.a, self.b
+        if a == 2.0:
+            # B(2, b) = 1 / (b (b+1)), times the limit psi'(b) of the bracket below
+            return self.mass * b * (b + 1.0) * float(special.polygamma(1, b))
+        # B(a-2, b) (psi(a+b-2) - psi(b)) / B(a, b), continued through a - 2 in (-1, 0): the beta ratio is
+        # (a+b-1)(a+b-2) / ((a-1)(a-2)), and psi(z) = psi(z+1) - 1/z keeps a + b = 2 finite.
+        bracket = (a + b - 2.0) * float(special.digamma(a + b - 1.0) - special.digamma(b)) - 1.0
+        return self.mass * (a + b - 1.0) * bracket / ((a - 1.0) * (a - 2.0))
 
     def to_config(self) -> dict:
         return {"kind": "beta", "a": self.a, "b": self.b, "mass": self.mass}

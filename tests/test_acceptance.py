@@ -182,7 +182,7 @@ def test_06_moment_duality():
     )
     ok = neutral.passed and transitive.passed
     cells = len(neutral.metrics) + len(transitive.metrics)
-    _criterion(6, "moment duality (martingale, moment ODE at 5%, 4 combined SE cells)", ok, f"{cells} cells")
+    _criterion(6, "moment duality (martingale, moment ODE at 5%, 4 SE + truncation bound cells)", ok, f"{cells} cells")
 
 
 def test_07_rps_lyapunov_dichotomy():

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import lwf.ancestral
 from lwf.ancestral import (
     N_CAP,
     N_START,
     STATIONARY_TOL,
     AncestralModel,
     dual_moment,
-    dual_moment_exact,
     fixation_probabilities,
     simulate_ancestral,
     stationary_law,
@@ -194,7 +194,8 @@ def test_stationary_law_is_the_large_time_limit_of_the_dual_moment():
     for x in (0.2, 0.7):
         phi = law.occupation @ x**states
         for n0 in (1, 5):
-            assert dual_moment_exact(model, x, n0, 200.0, n_max=256) == pytest.approx(phi, abs=1e-9)
+            value, bound, _ = dual_moment(model, x, n0, 200.0)
+            assert bound <= 1e-9 and value == pytest.approx(phi, abs=1e-9)
 
 
 def test_sigma_keeps_a_supercritical_chain_recurrent_and_resolved():
@@ -223,15 +224,39 @@ def test_near_threshold_the_solve_is_unresolved_not_transient(kappa):
 
 
 def test_dual_moment_matches_matrix_exponential():
-    model = AncestralModel(kappa=0.5, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure())
-    exact = dual_moment_exact(model, 0.3, 2, 1.0, n_max=200)
-    mc, se = dual_moment(model, 0.3, 2, 1.0, 40_000, RngStream(7).generator())
-    assert abs(mc - exact) <= 4.0 * se
+    # Gillespie paths against the killed-truncation matrix exponential: two independent routes
+    cases = [
+        (AncestralModel(kappa=0.5, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure()), 0.3, 2, 1.0, 7),
+        (AncestralModel(kappa=0.5, sigma=0.5, increments={1: 1.0}, measure=PointMass(0.5, 1.0)), 0.7, 3, 0.8, 8),
+    ]
+    for model, x, n0, t, seed in cases:
+        value, bound, _ = dual_moment(model, x, n0, t)
+        rng = RngStream(seed).generator()
+        vals = np.array([x ** simulate_ancestral(model, n0, t, rng)[1][-1] for _ in range(40_000)])
+        se = vals.std() / math.sqrt(vals.size)
+        assert abs(vals.mean() - value) <= 4.0 * se + bound
 
-    jumps = AncestralModel(kappa=0.5, sigma=0.5, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
-    exact = dual_moment_exact(jumps, 0.7, 3, 0.8, n_max=200)
-    mc, se = dual_moment(jumps, 0.7, 3, 0.8, 40_000, RngStream(8).generator())
-    assert abs(mc - exact) <= 4.0 * se
+
+def test_dual_moment_brackets_the_exact_value_at_a_small_truncation(monkeypatch):
+    # the chain killed above n_max = 16 loses 2e-3 of its mass by t = 1; the moment stays in [v, v + d]
+    model = AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
+    reference, ref_bound, ref_n_max = dual_moment(model, 0.7, 3, 1.0)
+    assert ref_bound <= 1e-10 and ref_n_max == N_START
+    monkeypatch.setattr(lwf.ancestral, "N_START", 8)
+    small = AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0), n_cap=16)
+    value, bound, n_max = dual_moment(small, 0.7, 3, 1.0)
+    assert n_max == 16 and 1e-3 < bound < 3e-3
+    assert value < reference <= value + bound
+    # the mass that left is the bound at x = 1, where every surviving state weighs 1
+    at_one, bound_one, _ = dual_moment(small, 1.0, 3, 1.0)
+    assert bound_one == bound and at_one + bound == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dual_moment_rejects_a_start_beyond_the_ceiling():
+    model = AncestralModel(kappa=1.0, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure(), n_cap=128)
+    with pytest.raises(ValueError, match=r"initial state must lie in \[1, n_cap = 128\], got 129"):
+        dual_moment(model, 0.5, 129, 1.0)
+    assert dual_moment(model, 0.5, 100, 0.0) == (0.5**100, 0.0, 100)  # the solve starts at n0 above N_START
 
 
 def test_fixation_probabilities_neutral_is_initial_state():
@@ -274,6 +299,13 @@ def test_sigma_keeps_the_chain_recurrent_even_with_zero_threshold():
     model = AncestralModel(kappa=1.0, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure())
     assert model.kappa_star == 0.0
     assert model.is_positive_recurrent()
+
+
+def test_negative_increment_weights_are_rejected_not_dropped():
+    with pytest.raises(ValueError, match="increment weights must be nonnegative"):
+        AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0, 2: -0.5}, measure=ZeroMeasure())
+    # a zero weight is still dropped
+    assert AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0, 2: 0.0}).increments == ((1, 1.0),)
 
 
 def test_model_validation():

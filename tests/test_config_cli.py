@@ -214,8 +214,12 @@ def test_cli_simulate_bytes_reproduce_across_runs_and_threads(tmp_path, subcomma
         ("simulate-discrete", "model", {"record_every": 0}),
         ("ancestral", "model", {"kappa": -1.0}),
         ("ancestral", "model", {"n_cap": 10_000}),
+        # a negative weight next to a valid law was dropped, and the run exited 0
+        ("simulate-discrete", "schedule", {"tail": {"2": 1.0, "3": -0.5}}),
+        ("ancestral", "schedule", {"tail": {"2": 1.0, "3": -0.5}}),
     ],
-    ids=["sde-dt", "sde-x0", "discrete-tail", "discrete-record-every", "ancestral-kappa", "ancestral-n_cap"],
+    ids=["sde-dt", "sde-x0", "discrete-tail", "discrete-record-every", "ancestral-kappa", "ancestral-n_cap",
+         "discrete-negative-weight", "ancestral-negative-weight"],
 )
 def test_cli_bad_model_values_are_config_errors_naming_the_block(tmp_path, capsys, subcommand, block, change):
     if subcommand == "ancestral":
@@ -657,6 +661,9 @@ MALFORMED = [
     ("duality", lambda p: p["experiment"].update(ts=[]),
      "invalid 'experiment' block: ts must be a nonempty list of numbers, got []"),
     ("convergence", lambda p: p.pop("experiment"), "missing required block 'experiment'"),
+    # a lineage count the chain cannot start from exited 1 with a traceback
+    ("duality", lambda p: p["experiment"].update(n0s=[0]),
+     "invalid duality cell n0=0,t=0.3,x=0.3: initial state must lie in [1, n_cap = 2048], got 0"),
 ]
 
 

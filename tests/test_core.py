@@ -64,6 +64,12 @@ def test_offspring_law_basic():
         OffspringLaw(0.5, {2: 0.7})
 
 
+def test_offspring_law_rejects_a_negative_weight_before_dropping_zeros():
+    with pytest.raises(ValueError, match="tail weights must be nonnegative"):
+        OffspringLaw(0.5, {2: 1.0, 3: -0.5})
+    assert OffspringLaw(0.5, {2: 1.0, 3: 0.0}).tail == ((2, 1.0),)
+
+
 def test_make_schedule_no_events():
     s = make_schedule(10**4, 0.25, 1.0, 1.0, ZeroMeasure(), {2: 1.0})
     assert s.rho == pytest.approx(1e-4)

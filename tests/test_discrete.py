@@ -345,7 +345,24 @@ def test_empirical_drift_draws_one_count_vector_over_the_compositions():
     table = model.rule.distribution_batch(np.asarray(compositions(3, 3)))
     mean = m @ table / n
     assert np.allclose(est.values, mean - x, rtol=0.0, atol=1e-15)
-    assert np.allclose(est.stderr, np.sqrt((m @ table**2 / n - mean**2) / n), rtol=1e-12, atol=0.0)
+    # the standard error is exact: the per-sample variance under the composition law, over n
+    p = pmf / pmf.sum()
+    assert np.allclose(est.stderr, np.sqrt((p @ table**2 - (p @ table) ** 2) / n), rtol=1e-12, atol=0.0)
+
+
+def test_empirical_drift_standard_error_mixes_the_sample_sizes_exactly():
+    model = DiscreteModel(N=2, rule=TransitiveRule(3), offspring=OffspringLaw(1.0, {2: 0.25, 3: 0.75}))
+    x, n = np.array([0.1, 0.3, 0.6]), 5000
+    est = empirical_drift(model, x, n, RngStream(19).generator())
+    first, second = np.zeros(3), np.zeros(3)
+    for k, w in ((2, 0.25), (3, 0.75)):
+        pmf = composition_pmf(3, k, x)
+        table = model.rule.distribution_batch(np.asarray(compositions(3, k)))
+        first += w * (pmf / pmf.sum()) @ table
+        second += w * (pmf / pmf.sum()) @ table**2
+    assert np.allclose(est.stderr, np.sqrt((second - first**2) / n), rtol=1e-12, atol=0.0)
+    # the exact mean is the type law
+    assert np.allclose(first - x, empirical_drift(model, x, 1, method="exact").values, rtol=0.0, atol=1e-15)
 
 
 def test_empirical_drift_on_the_boundary_leaves_the_absent_type_alone():

@@ -85,6 +85,30 @@ def test_report_structure_carries_tolerance_provenance():
     assert "sample_sizes" in payload
 
 
+@pytest.mark.parametrize("seed", [1, 19])
+def test_drift_oracle_standard_error_does_not_vanish_with_an_undrawn_composition(seed):
+    # at 4000 samples type 1 of the transitive rule wins only when all three parents are type 1, which
+    # was never drawn: the sample SE read 0 and the oracle failed by a ratio of 1e5
+    report = run_drift_oracle(points=2, samples=4000, seed=seed)
+    assert report.passed, [(m.name, m.value) for m in report.metrics]
+
+
+def test_duality_solves_the_chain_side_and_records_its_truncation():
+    def run(dual_replicates):
+        return run_duality(
+            kappa=0.5, increments={1: 1.0}, sigma=1.0, measure=ZeroMeasure(), xs=(0.3,), ts=(0.3,),
+            n0s=(2, 3), dt=2e-3, replicates=500, dual_replicates=dual_replicates, seed=5,
+        )
+
+    report = run(None)
+    assert report.passed and report.sample_sizes == {"sde_replicates": 500}
+    for metric in report.metrics:
+        assert metric.details["n_max"] == 64 and 0.0 <= metric.details["truncation_bound"] <= 1e-12
+        assert "4 SE + d" in metric.tolerance
+    # the chain side draws no random numbers, so the ignored path count changes no byte
+    assert report_bytes(run(1)) == report_bytes(report)
+
+
 def test_convergence_with_selection_and_jumps():
     # full-model check: ordered contests + extreme events against the
     # drift + jump integrator, through the time rescaling and the

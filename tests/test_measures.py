@@ -119,6 +119,38 @@ def test_kappa_star_beta_matches_the_closed_form():
         assert kappa_star(measure, 2.0) == pytest.approx(_beta_kappa_star_closed_form(measure, 2.0), rel=1e-8)
 
 
+def _beta_log_penalty_quadrature(measure):
+    """``∫ -log(1-y) y**-2 Beta(a, b)(dy)`` by two weighted quadratures that never evaluate y = 1.
+
+    On (0, 1/2] the weight is ``y**(a-2)`` and ``-log(1-y)/y`` stays smooth; on
+    [1/2, 1) the variable is ``u = 1 - y`` with weight ``u**(b-1) log(u)``.
+    """
+    from scipy.integrate import quad
+    from scipy.special import betaln
+
+    a, b = measure.a, measure.b
+    head, _ = quad(
+        lambda y: (-math.log1p(-y) / y if y > 0.0 else 1.0) * (1.0 - y) ** (b - 1.0),
+        0.0, 0.5, weight="alg", wvar=(a - 2.0, 0.0), epsabs=0.0, epsrel=1e-13, limit=200,
+    )
+    tail, _ = quad(
+        lambda u: -((1.0 - u) ** (a - 3.0)), 0.0, 0.5, weight="alg-loga", wvar=(b - 1.0, 0.0),
+        epsabs=0.0, epsrel=1e-13, limit=200,
+    )
+    return measure.mass * (head + tail) / math.exp(betaln(a, b))
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    # b < 1 with a <= 3 crashed the old quadrature at y = 1; a + b = 2 and a = 2 are the closed form's edges
+    [(1.5, 0.7), (2.0, 0.5), (3.0, 0.5), (1.5, 0.5), (1.05, 2.0), (2.0, 3.0), (2.5, 2.0), (4.0, 3.0)],
+)
+def test_beta_log_penalty_closed_form_matches_quadrature(a, b):
+    measure = BetaLaw(a, b, 1.3)
+    assert measure.log_penalty() == pytest.approx(_beta_log_penalty_quadrature(measure), rel=1e-12)
+    assert kappa_star(measure, 2.0) == pytest.approx(measure.log_penalty() / 2.0, rel=1e-15)
+
+
 def test_kappa_star_rejects_bad_beta():
     with pytest.raises(ValueError):
         kappa_star(PointMass(0.5), 0.0)
