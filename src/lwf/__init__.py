@@ -63,6 +63,6 @@ from .selection import (
     mu_transitive,
     transitive_pair_map,
 )
-from .trajectory import Trajectory, write_trajectories_csv
+from .trajectory import write_trajectories_csv
 
 __version__ = "0.1.0"

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import experiments as xp
 from .ancestral import AncestralModel, simulate_ancestral, stationary_law
 from .batches import LANE_DISCRETE, LANE_SDE, map_batches
@@ -107,9 +109,10 @@ CONVERT = {
 }
 
 
-def _write_trajectories(out: Path, simulate, replicates: int, seed: int, lane: int, threads: int) -> None:
-    batches = map_batches(simulate, replicates, RngStream(seed), lane, threads)
-    write_trajectories_csv(out / "trajectories.csv", [t for batch in batches for t in batch])
+def _write_trajectories(out: Path, times, simulate, replicates: int, seed: int, lane: int, threads: int) -> None:
+    """Write the blocks ``simulate(width, rng)`` records at ``times``, one per batch, in batch order."""
+    blocks = map_batches(simulate, replicates, RngStream(seed), lane, threads)
+    write_trajectories_csv(out / "trajectories.csv", times, blocks)
 
 
 def _simulate_discrete(
@@ -118,8 +121,9 @@ def _simulate_discrete(
     """``knobs`` are the schedule's ``alpha``, ``kappa``, ``sigma`` and ``b``."""
     with building("'schedule' block"):
         model = DiscreteModel.from_schedule(make_schedule(N, measure=measure, tail=tail, **knobs), rule)
+    records = range(0, generations + 1, record_every)
     _write_trajectories(
-        out, lambda width, rng: simulate_discrete(model, x0, width, generations, record_every, rng),
+        out, records, lambda width, rng: simulate_discrete(model, x0, width, records, rng),
         replicates, seed, LANE_DISCRETE, threads,
     )
 
@@ -128,8 +132,9 @@ def _simulate_sde(*, out, threads, x0, drift, measure, record_every=1, replicate
     """``sde`` holds the remaining :class:`SdeConfig` fields."""
     with building("'model' block"):
         cfg = SdeConfig(K=x0.size, drift=drift, measure=measure, **sde)
+    times = np.arange(0, int(round(cfg.horizon / cfg.dt)) + 1, record_every) * cfg.dt
     _write_trajectories(
-        out, lambda width, rng: simulate_sde(cfg, x0, width, record_every, rng)[0], replicates, seed, LANE_SDE, threads
+        out, times, lambda width, rng: simulate_sde(cfg, x0, width, times, rng)[0], replicates, seed, LANE_SDE, threads
     )
 
 

@@ -24,7 +24,6 @@ from .combinat import composition_pmf, compositions
 from .core import OffspringLaw, ScalingSchedule, _categorical, as_frequencies, round_to_counts
 from .measures import TruncatedSizeLaw
 from .rules import ColouringRule, DEFAULT_K_MAX
-from .trajectory import Trajectory
 
 
 @dataclass(frozen=True)
@@ -141,33 +140,26 @@ def _per_individual(rule: ColouringRule, k: int, X: np.ndarray, n_k: np.ndarray,
     return out
 
 
-def simulate_discrete(
-    model: DiscreteModel,
-    x0,
-    replicates: int,
-    generations: int,
-    record_every: int,
-    rng: np.random.Generator,
-) -> list[Trajectory]:
-    """Run a batch of replicates and record every ``record_every``-th generation.
+def simulate_discrete(model: DiscreteModel, x0, replicates: int, records, rng: np.random.Generator) -> np.ndarray:
+    """Run a batch of replicates and record the block at each generation of ``records``.
 
     The initial state is apportioned to the 1/N lattice by largest
     remainders.  Absorbed rows (see :func:`step_unabsorbed`) stop drawing and
     repeat their state in the remaining records.  Generations after the last
-    record are not run.  Returns one trajectory per replicate.
+    record are not run.  Returns the states, shape ``(len(records),
+    replicates, K)``.
     """
-    if replicates < 1 or generations < 0 or record_every < 1:
-        raise ValueError("need replicates >= 1, generations >= 0 and record_every >= 1")
+    if replicates < 1 or np.any(np.diff(records, prepend=0) < 0):
+        raise ValueError("need replicates >= 1 and nondecreasing records >= 0")
     X = np.tile(round_to_counts(x0, model.N) / float(model.N), (replicates, 1))
-    states = np.empty((generations // record_every + 1,) + X.shape)
-    states[0] = X
-    moving = True
-    for j in range(1, states.shape[0]):
-        for _ in range(record_every):
-            moving = moving and step_unabsorbed(model, X, rng)
+    states = np.empty((len(records),) + X.shape)
+    generation, moving = 0, True
+    for j, g in enumerate(records):
+        while moving and generation < g:
+            moving = step_unabsorbed(model, X, rng)
+            generation += 1
         states[j] = X
-    times = np.arange(states.shape[0]) * float(record_every)
-    return [Trajectory(times, states[:, r]) for r in range(replicates)]
+    return states
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the unknown-key check of the config kind blocks."""
+"""Exception types shared across the package, and the error checks of the config kind blocks."""
 
 
 class LwfError(Exception):
@@ -22,3 +22,9 @@ def reject_unknown(block: dict, allowed, where: str) -> None:
     unknown = set(block) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where} block: {sorted(unknown)}")
+
+
+def bad_block(where: str, exc: Exception) -> ConfigError:
+    """The :class:`ConfigError` of a kind block whose value failed to convert; a ``KeyError`` is a missing key."""
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    return ConfigError(f"bad {where} block: {detail}")

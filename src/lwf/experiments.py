@@ -21,13 +21,13 @@ import numpy as np
 from .ancestral import STATIONARY_TOL, AncestralModel, dual_moment, fixation_probabilities
 from .batches import LANE_DISCRETE, LANE_DRIFT, LANE_POINTS, LANE_SDE, map_batches, pmap
 from .config import building
-from .core import OffspringLaw, as_frequencies, make_schedule, random_interior_points, round_to_counts
-from .discrete import DiscreteModel, empirical_drift, step_unabsorbed
+from .core import OffspringLaw, as_frequencies, make_schedule, random_interior_points
+from .discrete import DiscreteModel, empirical_drift, simulate_discrete
 from .errors import ConfigError
 from .measures import LambdaMeasure, ZeroMeasure
 from .rng import RngStream
 from .rules import ColouringRule, bernstein_rule, LogisticRule, NegFreqDepRule, PartialOrderRule, PosFreqDepRule, TransitiveRule
-from .sde import BatchSde, SdeConfig
+from .sde import SdeConfig, simulate_sde
 from .selection import DriftFunction, cyclic_contest_map, transitive_pair_map
 
 Z_99_TWO_SIDED = 2.5758293035489004
@@ -111,50 +111,18 @@ def _jsonable(value):
 # ---------------------------------------------------------------------------
 
 
-def _sde_fixation_batches(cfg: SdeConfig, x0, replicates: int, stream: RngStream, threads: int, max_time: float):
-    """Run replicate batches to fixation; merge winners and event times."""
+def _sde_batches(cfg: SdeConfig, x0, replicates: int, stream: RngStream, threads: int, times=()):
+    """:func:`~lwf.sde.simulate_sde` over the batches of ``replicates``, merged in batch order.
 
-    def run(width, rng):
-        batch = BatchSde(cfg, x0, width, rng)
-        unfixed = batch.run_to_fixation(max_time)
-        return batch.winner, batch.fixation_time, batch.extinction_time, unfixed
-
-    results = map_batches(run, replicates, stream, LANE_SDE, threads)
-    winners = np.concatenate([r[0] for r in results])
-    fix_times = np.concatenate([r[1] for r in results])
-    ext_times = np.concatenate([r[2] for r in results])
-    unfixed = sum(r[3] for r in results)
-    return winners, fix_times, ext_times, unfixed
-
-
-def _sde_snapshots(cfg: SdeConfig, x0, replicates: int, stream: RngStream, threads: int, times):
-    """States of all replicates at each requested time: list of (R, K)."""
-    times = list(times)
-
-    def run(width, rng):
-        batch = BatchSde(cfg, x0, width, rng)
-        snaps = []
-        for t in times:
-            batch.advance_to(t)
-            snaps.append(batch.X.copy())
-        return snaps
-
-    results = map_batches(run, replicates, stream, LANE_SDE, threads)
-    return [np.concatenate([res[j] for res in results]) for j in range(len(times))]
-
-
-def _discrete_finals(model: DiscreteModel, x0, generations: int, replicates: int, stream: RngStream, threads: int):
-    """Final states of replicate batches of the finite-population chain."""
-    start = round_to_counts(x0, model.N) / float(model.N)
-
-    def run(width, rng):
-        X = np.tile(start, (width, 1))
-        for _ in range(generations):
-            if not step_unabsorbed(model, X, rng):
-                break
-        return X
-
-    return np.concatenate(map_batches(run, replicates, stream, LANE_DISCRETE, threads))
+    Returns the states at ``times``, shape ``(len(times), replicates, K)``, the winners (-1 while unfixed) and
+    the extinction times.
+    """
+    runs = map_batches(lambda width, rng: simulate_sde(cfg, x0, width, times, rng), replicates, stream, LANE_SDE,
+                       threads)
+    states = np.concatenate([block for block, _ in runs], axis=1)
+    winners = np.concatenate([batch.winner for _, batch in runs])
+    extinction_times = np.concatenate([batch.extinction_time for _, batch in runs])
+    return states, winners, extinction_times
 
 
 def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -302,7 +270,7 @@ def run_convergence(
     stream = RngStream(seed)
     with building("SdeConfig value"):
         cfg = SdeConfig(K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump)
-    sde_final = _sde_snapshots(cfg, x0, replicates, stream.derive(0), threads, [T])[0]
+    sde_final = _sde_batches(cfg, x0, replicates, stream.derive(0), threads, [T])[0][0]
 
     ks_by_N = []
     generations_by_N = []
@@ -312,7 +280,10 @@ def run_convergence(
         with building("DiscreteModel.from_schedule value"):
             model = DiscreteModel.from_schedule(schedule, rule)
         generations = int(math.floor(kappa * T / schedule.rho))
-        finals = _discrete_finals(model, x0, generations, replicates, stream.derive(1 + idx), threads)
+        finals = np.concatenate(map_batches(
+            lambda width, rng: simulate_discrete(model, x0, width, [generations], rng)[0],
+            replicates, stream.derive(1 + idx), LANE_DISCRETE, threads,
+        ))
         ks_by_N.append([_ks_distance(finals[:, i], sde_final[:, i]) for i in range(x0.size)])
         generations_by_N.append(generations)
 
@@ -400,7 +371,8 @@ def run_fixation(
         )
     with building("AncestralModel value"):
         dual = AncestralModel(kappa, sigma, increments if kappa > 0 else {1: 1.0}, measure)
-    winners, _, _, unfixed = _sde_fixation_batches(cfg, x0, replicates, stream, threads, max_time)
+    _, winners, _ = _sde_batches(cfg, x0, replicates, stream, threads)
+    unfixed = int(np.count_nonzero(winners < 0))
     counts = np.bincount(winners[winners >= 0], minlength=x0.size)
     empirical = counts / replicates
     emp_se = np.sqrt(empirical * (1.0 - empirical) / replicates)
@@ -525,20 +497,24 @@ def run_duality(
     forms when available: at ``kappa = 0`` and ``n0 = 1`` the martingale
     value is x exactly; at ``kappa = 0``, ``n0 = 2`` with no jumps the
     second moment solves ``dm/dt = sigma (x - m)``, checked at 5% relative
-    error.  ``dual_replicates`` is accepted and ignored: it sized the
+    error.  A cell whose bound d exceeds ``STATIONARY_TOL`` once the
+    truncation reaches ``n_cap`` (a transient chain far out) is a failing
+    ``dual_moment_resolved`` metric, not a band that passes almost any
+    value.  ``dual_replicates`` is accepted and ignored: it sized the
     Gillespie estimate of the chain side before that side was solved.
     """
     stream = RngStream(seed)
     drift = DriftFunction.neutral(2) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, 2)
     with building("AncestralModel value"):
         dual = AncestralModel(kappa, sigma, increments if kappa > 0 else {1: 1.0}, measure)
+    with building("SdeConfig value"):
+        cfg = SdeConfig(K=2, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=max(ts), eps_jump=eps_jump)
+    grid = sorted(set(ts))  # the integrator records forward in time, whatever order the cells come in
     metrics = []
     for x_idx, x in enumerate(xs):
-        with building("SdeConfig value"):
-            cfg = SdeConfig(K=2, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=max(ts), eps_jump=eps_jump)
-        snaps = _sde_snapshots(cfg, [x, 1.0 - x], replicates, stream.derive(10 + x_idx), threads, list(ts))
-        for t_idx, t in enumerate(ts):
-            weak = snaps[t_idx][:, 0]
+        snaps = _sde_batches(cfg, [x, 1.0 - x], replicates, stream.derive(10 + x_idx), threads, grid)[0]
+        for t in ts:
+            weak = snaps[grid.index(t)][:, 0]
             for n0 in n0s:
                 vals = weak**n0
                 sde_mean = float(vals.mean())
@@ -561,6 +537,22 @@ def run_duality(
                     continue
                 with building(f"duality cell {cell}"):
                     dual_mean, bound, n_max = dual_moment(dual, x, n0, t)
+                if bound > STATIONARY_TOL:
+                    metrics.append(
+                        Metric(
+                            name=f"dual_moment_resolved:{cell}",
+                            value=bound,
+                            stderr=None,
+                            tolerance=(
+                                f"killed-truncation bound d <= {STATIONARY_TOL:g} before n_max reaches"
+                                f" n_cap = {dual.n_cap}"
+                            ),
+                            provenance="harness",
+                            passed=False,
+                            details={"integrator": sde_mean, "chain_lower": dual_mean, "n_max": n_max},
+                        )
+                    )
+                    continue
                 dev = abs(sde_mean - dual_mean)
                 metrics.append(
                     Metric(
@@ -637,17 +629,11 @@ def run_rps_lyapunov(
     times = [T * (j + 1) / grid_points for j in range(grid_points)]
     noisy = sigma > 0.0 or not measure.is_zero
 
-    def run(width, rng):
-        batch = BatchSde(cfg, x0, width, rng)
-        values = np.full((width, len(times)), np.nan)
-        for j, t in enumerate(times):
-            batch.advance_to(t)
-            ok = ~batch.boundary_hit()
-            if ok.any():
-                values[ok, j] = np.log(batch.X[ok]).sum(axis=1)
-        return values
-
-    values = np.concatenate(map_batches(run, replicates, stream, LANE_SDE, threads))
+    # a zero coordinate stays zero under the mutation-free drift, so a replicate out at one time is out after it
+    values = np.full((replicates, len(times)), np.nan)
+    for j, snapshot in enumerate(_sde_batches(cfg, x0, replicates, stream, threads, times)[0]):
+        inside = (snapshot > 0.0).all(axis=1)
+        values[inside, j] = np.log(snapshot[inside]).sum(axis=1)
     excluded = np.isnan(values).sum(axis=0)
     tarr = np.array(times)
 
@@ -738,7 +724,8 @@ def run_successive_extinction(
         cfg = SdeConfig(
             K=x0.size, drift=drift, sigma=sigma, measure=ZeroMeasure(), dt=dt, horizon=max_time, tol_ext=tol_ext
         )
-    winners, _, ext_times, unfixed = _sde_fixation_batches(cfg, x0, replicates, stream, threads, max_time)
+    _, winners, ext_times = _sde_batches(cfg, x0, replicates, stream, threads)
+    unfixed = int(np.count_nonzero(winners < 0))
 
     losses = np.sort(ext_times, axis=1)[:, : x0.size - 1]  # winner's slot is NaN, sorted last
     complete = ~np.isnan(losses).any(axis=1) & (winners >= 0)

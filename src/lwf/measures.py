@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, reject_unknown
+from .errors import ConfigError, bad_block, reject_unknown
 
 # scipy.special and scipy.integrate are imported inside the functions that use
 # them: loading either here would roughly double the time and memory that
@@ -425,7 +425,7 @@ def measure_from_config(block: dict) -> LambdaMeasure:
         names = [f.name for f in fields(_VARIANTS[kind]) if f.name in extra or f.default is MISSING]
         return _VARIANTS[kind](**{name: float(extra[name]) for name in names})
     except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad lambda block: {exc}") from exc
+        raise bad_block("lambda", exc) from exc
 
 
 # ---------------------------------------------------------------------------

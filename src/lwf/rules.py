@@ -16,7 +16,7 @@ import numpy as np
 
 from .bernstein import PolynomialMap, bernstein_table
 from .combinat import composition_index, composition_pmf, compositions
-from .errors import ConfigError, reject_unknown
+from .errors import ConfigError, bad_block, reject_unknown
 
 # Exact enumeration of samples of size k over K types is used while the
 # number of multi-indices C(K+k-1, k) stays small.
@@ -216,12 +216,15 @@ class LogisticRule(ColouringRule):
 
 
 def beats_matrix(K: int, beats) -> np.ndarray:
-    """Boolean ``(K, K)`` matrix of 0-based ``(winner, loser)`` pairs; the relation must be antisymmetric."""
+    """Boolean ``(K, K)`` matrix of 0-based ``(winner, loser)`` pairs; the relation must be antisymmetric.
+
+    An error names a pair in the 1-based labels that configs use.
+    """
     matrix = np.zeros((K, K), dtype=bool)
     for winner, loser in beats:
         w, l = int(winner), int(loser)
         if not (0 <= w < K and 0 <= l < K) or w == l:
-            raise ValueError(f"bad beats pair ({winner}, {loser})")
+            raise ValueError(f"bad beats pair ({w + 1}, {l + 1}): need two distinct type labels from 1 to {K}")
         matrix[w, l] = True
     if np.any(matrix & matrix.T):
         raise ValueError("beats relation must be antisymmetric")
@@ -453,5 +456,5 @@ def rule_from_config(block: dict, K: int) -> ColouringRule:
     except ConfigError:
         raise
     except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad rule block: {exc}") from exc
+        raise bad_block("rule", exc) from exc
     raise ConfigError(f"unknown rule kind {kind!r} (expected one of {sorted(_RULE_KINDS)})")

@@ -32,7 +32,6 @@ import numpy as np
 
 from .core import _categorical, as_frequencies
 from .measures import LambdaMeasure, TruncatedSizeLaw, ZeroMeasure
-from .trajectory import Trajectory
 
 _TINY = 1e-14
 
@@ -241,42 +240,28 @@ class BatchSde:
         if self._rows.size:
             self._settle(_advance(self.cfg, self._Y, self.rng))
 
-    def advance_to(self, t_target: float) -> None:
-        n_target = int(round(t_target / self.cfg.dt))
-        while self.steps < n_target:
-            self.step()
-
-    def run_to_fixation(self, max_time: float | None = None) -> int:
-        """Step until every replicate is fixed; returns the unfixed count."""
-        limit = math.inf if max_time is None else int(round(max_time / self.cfg.dt))
+    def run_until(self, t: float) -> int:
+        """Step to time ``t``, or until every replicate is fixed; returns the unfixed count."""
+        limit = int(round(t / self.cfg.dt))
         while self._rows.size and self.steps < limit:
             self.step()
         return self._rows.size
 
-    def boundary_hit(self) -> np.ndarray:
-        """Replicates that have lost at least one type (or been clamped)."""
-        return ~np.isnan(self.extinction_time).all(axis=1) | self.clamp_fired
 
+def simulate_sde(cfg: SdeConfig, x0, replicates: int, times, rng: np.random.Generator) -> tuple[np.ndarray, BatchSde]:
+    """Integrate a batch of replicates, recording the block at each of ``times``.
 
-def simulate_sde(
-    cfg: SdeConfig, x0, replicates: int, record_every: int, rng: np.random.Generator
-) -> tuple[list[Trajectory], BatchSde]:
-    """Integrate a batch of replicates to the horizon, recording every r-th step.
-
-    Returns one trajectory per replicate and the batch, whose boundary
-    events (extinction and fixation times, winners, clamps) cover the whole
-    horizon.  Stepping stops once every replicate is fixed: the remaining
-    records repeat the vertices.
+    Returns the states, shape ``(len(times), replicates, K)``, and the batch,
+    run on to the horizon or until every replicate is fixed, whose boundary
+    events (winners, extinction and fixation times, clamps) cover that run.
+    A record after every replicate fixed repeats the vertices.
     """
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("record times must be nondecreasing")
     batch = BatchSde(cfg, x0, replicates, rng)
-    recorded = np.arange(0, int(round(cfg.horizon / cfg.dt)) + 1, record_every)
-    states = np.empty((recorded.size, batch.R, cfg.K))
-    states[0] = batch.X
-    for j, s in enumerate(recorded[1:].tolist(), start=1):
-        batch.run_to_fixation(s * cfg.dt)
+    states = np.empty((len(times), batch.R, cfg.K))
+    for j, t in enumerate(times):
+        batch.run_until(t)
         states[j] = batch.X
-    batch.run_to_fixation(cfg.horizon)
-    times = recorded * cfg.dt
-    return [Trajectory(times, states[:, r]) for r in range(batch.R)], batch
+    batch.run_until(cfg.horizon)
+    return states, batch

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bernstein import PolynomialMap
-from .errors import ConfigError, reject_unknown
+from .errors import ConfigError, bad_block, reject_unknown
 from .rules import beats_matrix
 
 
@@ -50,11 +50,6 @@ def mu_logistic(kappa: float, win_probs, x) -> np.ndarray:
     return kappa * x * (1.0 - x - 2.0 * losses)
 
 
-# predecessor and successor of each type on the cycle 1 -> 2 -> 3 -> 1
-_PRED = np.array([2, 0, 1])
-_SUCC = np.array([1, 2, 0])
-
-
 def mu_rps(kappa: float, x) -> np.ndarray:
     """Cyclic three-type contest drift: each type feeds on its predecessor.
 
@@ -64,7 +59,11 @@ def mu_rps(kappa: float, x) -> np.ndarray:
     x = _as_batch(x)
     if x.shape[-1] != 3:
         raise ValueError("the cyclic contest drift is defined for K = 3")
-    return kappa * x * (x[..., _PRED] - x[..., _SUCC])
+    gap = np.empty_like(x)  # x_pred(i) - x_succ(i) from column slices, with no fancy-index copy of the block
+    np.subtract(x[..., 2], x[..., 1], out=gap[..., 0])
+    np.subtract(x[..., 0], x[..., 2], out=gap[..., 1])
+    np.subtract(x[..., 1], x[..., 0], out=gap[..., 2])
+    return kappa * x * gap
 
 
 def mu_food_web(kappa: float, beats, x) -> np.ndarray:
@@ -300,5 +299,5 @@ def drift_from_config(block: dict, K: int) -> DriftFunction:
     except ConfigError:
         raise
     except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad drift block: {exc}") from exc
+        raise bad_block("drift", exc) from exc
     raise ConfigError(f"unknown drift kind {kind!r}")

@@ -1,52 +1,29 @@
-"""Recorded paths of the frequency processes and their CSV export."""
+"""CSV export of recorded paths of the frequency processes and of the lineage-count chain."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class Trajectory:
-    """States recorded along one run: ``states[j]`` at ``times[j]``.
+def write_trajectories_csv(path, times, states) -> None:
+    """Write ``t,x_1,...,x_K,replicate`` rows, one replicate after another.
 
-    Times are generation indices for the finite-population chain and real
-    times for the limit process.
+    ``states`` is a sequence of recorded blocks, each of shape ``(len(times),
+    R_b, K)`` and holding consecutive replicates; replicates are numbered
+    from 0 across the blocks.  Times are generation indices for the
+    finite-population chain and real times for the limit process.
     """
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=float)
-        if self.times.shape[0] != self.states.shape[0]:
-            raise ValueError("times and states must have matching length")
-
-    @property
-    def K(self) -> int:
-        return self.states.shape[1]
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
-
-def write_trajectories_csv(path, trajectories, replicate_ids=None) -> None:
-    """Write ``t,x_1,...,x_K,replicate`` rows for one or many trajectories."""
-    trajectories = list(trajectories)
-    if not trajectories:
-        raise ValueError("nothing to write")
-    K = trajectories[0].K
-    if replicate_ids is None:
-        replicate_ids = range(len(trajectories))
+    times = np.asarray(times, dtype=float)
+    K = states[0].shape[2]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"x_{i + 1}" for i in range(K)] + ["replicate"])
-        for rep, traj in zip(replicate_ids, trajectories):
+        replicates = (block[:, r] for block in states for r in range(block.shape[1]))
+        for rep, recorded in enumerate(replicates):
             # csv writes a Python float as its repr, the shortest string that reads back exactly
-            writer.writerows(row + [rep] for row in np.column_stack((traj.times, traj.states)).tolist())
+            writer.writerows(row + [rep] for row in np.column_stack((times, recorded)).tolist())
 
 
 def write_ancestral_csv(path, paths, replicate_ids=None) -> None:

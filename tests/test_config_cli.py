@@ -330,18 +330,19 @@ def test_special_functions_first_loaded_on_worker_threads_give_the_serial_values
 
 
 def test_csv_rows_are_the_repr_of_every_value(tmp_path):
-    from lwf.trajectory import Trajectory, write_trajectories_csv
+    from lwf.trajectory import write_trajectories_csv
 
     states = np.array([[0.1 + 0.2, 5e-324, 0.7 - 5e-324], [1e-300, 1.0, 0.0], [1.0 / 3.0, 2.0 / 3.0, 0.0]])
-    trajectories = [Trajectory(np.array([0, 1, 2]), states), Trajectory(np.array([0.5, 1e-7, 3.0]), states[::-1])]
+    times = [0, 1e-7, 3]
+    blocks = [states[:, None], np.stack([states[::-1], states], axis=1)]  # one replicate, then two more
     path = tmp_path / "t.csv"
-    write_trajectories_csv(path, trajectories, replicate_ids=[4, 9])
+    write_trajectories_csv(path, times, blocks)
     lines = ["t,x_1,x_2,x_3,replicate"]  # the per-value formatting the writer must reproduce
-    for rep, traj in zip([4, 9], trajectories):
-        for t, state in zip(traj.times, traj.states):
+    for rep, path_states in enumerate([states, states[::-1], states]):
+        for t, state in zip(times, path_states):
             lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in state] + [str(rep)]))
     assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
-    assert lines[1] == "0.0,0.30000000000000004,5e-324,0.7,4"
+    assert lines[1] == "0.0,0.30000000000000004,5e-324,0.7,0"
 
 
 ANCESTRAL_PAYLOAD = {
@@ -587,30 +588,30 @@ SCHEMA_ERRORS = [
      "'transitive_mutation'])"),
     ("simulate-discrete", _added("rule", {"kind": "transitive", "typo": 1}), "unknown keys in rule block: ['typo']"),
     ("simulate-discrete", _added("rule", {"kind": "transitive_mutation", "kernel": np.eye(3).tolist()}),
-     "bad rule block: 'mutation_prob'"),
+     "bad rule block: missing key 'mutation_prob'"),
     ("simulate-discrete", _added("rule", {"kind": "transitive_mutation", "mutation_prob": "abc",
                                           "kernel": np.eye(3).tolist()}),
      "bad rule block: could not convert string to float: 'abc'"),
     ("simulate-sde", _added("drift", {"kind": "mystery"}), "unknown drift kind 'mystery'"),
     ("simulate-sde", _added("drift", {"kind": "rps", "kappa": 1.0, "typo": 1}),
      "unknown keys in drift block: ['typo']"),
-    ("simulate-sde", _added("drift", {"kind": "rps"}), "bad drift block: 'kappa'"),
+    ("simulate-sde", _added("drift", {"kind": "rps"}), "bad drift block: missing key 'kappa'"),
     ("simulate-sde", _added("drift", {"kind": "rps", "kappa": "abc"}),
      "bad drift block: could not convert string to float: 'abc'"),
     ("simulate-sde", _added("lambda", {"kind": "mystery"}),
      "unknown lambda kind 'mystery' (expected one of ['beta', 'finite_atoms', 'point_mass', 'uniform', 'zero'])"),
     ("simulate-sde", _added("lambda", {"kind": "point_mass", "z": 0.5, "typo": 1}),
      "unknown keys in lambda block: ['typo']"),
-    ("simulate-sde", _added("lambda", {"kind": "beta", "b": 2.0}), "bad lambda block: 'a'"),
+    ("simulate-sde", _added("lambda", {"kind": "beta", "b": 2.0}), "bad lambda block: missing key 'a'"),
     ("simulate-sde", _added("lambda", {"kind": "point_mass", "z": "abc"}),
      "bad lambda block: could not convert string to float: 'abc'"),
     # the three drift rows exited 1 with a traceback or ran a wrong drift; the rule block refuses the same beats pair
     ("simulate-sde", _added("drift", {"kind": "transitive", "kappa": 1, "increments": [1, 2]}),
      "bad drift block: 'increments' must map extra-parent counts to weights, got [1, 2]"),
     ("simulate-sde", _added("drift", {"kind": "food_web", "kappa": 1, "beats": [[0, 1]]}),
-     "bad drift block: bad beats pair (-1, 0)"),
+     "bad drift block: bad beats pair (0, 1): need two distinct type labels from 1 to 3"),
     ("simulate-discrete", _added("rule", {"kind": "partial_order", "beats": [[0, 1]]}),
-     "bad rule block: bad beats pair (-1, 0)"),
+     "bad rule block: bad beats pair (0, 1): need two distinct type labels from 1 to 3"),
     ("simulate-sde", _added("drift", {"kind": "food_web", "kappa": 1, "beats": [[2, 1], [1, 2]]}),
      "bad drift block: beats relation must be antisymmetric"),
 ]

@@ -219,9 +219,9 @@ def test_mutation_rule_escapes_vertices():
 
     rule = TransitiveWithMutationRule(2, 0.2, [[0.0, 1.0], [1.0, 0.0]])
     model = DiscreteModel(N=100, rule=rule, offspring=OffspringLaw(0.5, {2: 1.0}))
-    (traj,) = simulate_discrete(model, [1.0, 0.0], 1, 30, 1, RngStream(20).generator())
+    states = simulate_discrete(model, [1.0, 0.0], 1, range(31), RngStream(20).generator())
     # no absorption short-circuit: mutation keeps reintroducing type 2
-    assert traj.states[1:, 1].max() > 0.0
+    assert states[1:, 0, 1].max() > 0.0
 
 
 def test_per_individual_fallback_matches_exact_law(monkeypatch):
@@ -241,16 +241,13 @@ def test_per_individual_fallback_matches_exact_law(monkeypatch):
 def test_simulate_discrete_trivia():
     model = neutral_model(N=20)
     rng = RngStream(8).generator()
-    (traj,) = simulate_discrete(model, [0.5, 0.5], 1, 0, 1, rng)
-    assert len(traj) == 1 and np.allclose(traj.states[0], [0.5, 0.5])
+    states = simulate_discrete(model, [0.5, 0.5], 1, [0], rng)
+    assert states.shape == (1, 1, 2) and np.allclose(states[0, 0], [0.5, 0.5])
 
-    trajectories = simulate_discrete(model, [1.0, 0.0], 3, 55, 10, rng)
-    assert len(trajectories) == 3
-    for traj in trajectories:
-        assert np.all(traj.states[:, 0] == 1.0)
-        assert traj.times.tolist() == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
+    states = simulate_discrete(model, [1.0, 0.0], 3, range(0, 56, 10), rng)
+    assert states.shape == (6, 3, 2) and np.all(states[:, :, 0] == 1.0)
 
-    for bad in ((0, 5, 1), (1, -1, 1), (1, 5, 0)):
+    for bad in ((0, [0, 5]), (1, [-1, 5]), (1, [0, 5, 3])):
         with pytest.raises(ValueError):
             simulate_discrete(model, [0.5, 0.5], *bad, rng)
 
@@ -279,12 +276,10 @@ def test_simulate_discrete_records_the_batch_stepped_by_hand():
     )
     R, generations, record_every = 8, 100, 3  # 3 does not divide 100
     for model, x0 in ((absorbing, [0.5, 0.5]), (mutating, [1.0, 0.0])):
-        trajectories = simulate_discrete(model, x0, R, generations, record_every, RngStream(13).generator())
+        records = range(0, generations + 1, record_every)
+        states = simulate_discrete(model, x0, R, records, RngStream(13).generator())
         expected = _records_of_stepping_through(model, x0, R, generations, record_every, 13)
-        assert len(trajectories) == R
-        for r, traj in enumerate(trajectories):
-            assert traj.times.tolist() == [float(g) for g in range(0, generations + 1, record_every)]
-            assert np.array_equal(traj.states, expected[:, r])
+        assert np.array_equal(states, expected)
         fixed = (expected == 1.0).any(axis=2)
         if model is absorbing:
             first = fixed.argmax(axis=0)
@@ -293,10 +288,22 @@ def test_simulate_discrete_records_the_batch_stepped_by_hand():
             assert not fixed[1:].all()  # the mutation rule leaves the vertex it started at
 
 
+def test_simulate_discrete_stops_at_the_last_record():
+    # one record at generation 7, as the convergence experiment asks for its final states
+    model = neutral_model(N=50, K=3)
+    rng, ref = RngStream(14).generator(), RngStream(14).generator()
+    (final,) = simulate_discrete(model, [0.2, 0.3, 0.5], 9, [7], rng)
+    X = np.tile([0.2, 0.3, 0.5], (9, 1))
+    for _ in range(7):
+        step_unabsorbed(model, X, ref)
+    assert np.array_equal(final, X)
+    assert _stream_state(rng) == _stream_state(ref)
+
+
 def test_simulate_discrete_rounds_initial_state():
     model = neutral_model(N=10, K=3)
-    (traj,) = simulate_discrete(model, [0.21, 0.33, 0.46], 1, 0, 1, RngStream(9).generator())
-    assert np.allclose(traj.states[0], [0.2, 0.3, 0.5])
+    states = simulate_discrete(model, [0.21, 0.33, 0.46], 1, [0], RngStream(9).generator())
+    assert np.allclose(states[0, 0], [0.2, 0.3, 0.5])
 
 
 def test_neutral_martingale_over_generations():

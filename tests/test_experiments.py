@@ -109,6 +109,35 @@ def test_duality_solves_the_chain_side_and_records_its_truncation():
     assert report_bytes(run(1)) == report_bytes(report)
 
 
+def test_duality_cell_with_an_unresolved_truncation_bound_fails(monkeypatch):
+    # a transient chain far out leaves d = 0.70 at n_cap, a band that would pass almost any integrator mean
+    import lwf.experiments as xp
+
+    monkeypatch.setattr(xp, "dual_moment", lambda model, x, n0, t: (0.2, 0.7, model.n_cap))
+    report = run_duality(
+        kappa=0.5, increments={1: 1.0}, sigma=1.0, measure=ZeroMeasure(), xs=(0.3,), ts=(0.3,),
+        n0s=(2,), dt=2e-3, replicates=50, seed=5,
+    )
+    (cell,) = report.metrics
+    assert cell.name == "dual_moment_resolved:n0=2,t=0.3,x=0.3"
+    assert not cell.passed and not report.passed
+    assert cell.value == 0.7 and cell.details["n_max"] == 2048 and cell.details["chain_lower"] == 0.2
+    assert "n_cap = 2048" in cell.tolerance
+
+
+def test_duality_cells_read_the_state_at_their_own_time_in_any_order():
+    # each cell reads the integrator at its own time, also when ts is not in increasing order
+    def cells(ts):
+        report = run_duality(
+            kappa=0.0, increments={1: 1.0}, sigma=1.0, measure=ZeroMeasure(), xs=(0.3,), ts=ts,
+            n0s=(2,), dt=5e-3, replicates=2000, seed=5,
+        )
+        assert report.passed
+        return {m.name: m.value for m in report.metrics}
+
+    assert cells((1.0, 0.5)) == cells((0.5, 1.0))
+
+
 def test_convergence_with_selection_and_jumps():
     # full-model check: ordered contests + extreme events against the
     # drift + jump integrator, through the time rescaling and the

@@ -150,7 +150,7 @@ def test_neutral_martingale_and_variance():
     sigma, T, R = 1.0, 0.5, 20_000
     cfg = SdeConfig(K=2, drift=None, sigma=sigma, measure=ZeroMeasure(), dt=1e-3, horizon=T)
     batch = BatchSde(cfg, [0.3, 0.7], R, RngStream(4).generator())
-    batch.advance_to(T)
+    batch.run_until(T)
     vals = batch.X[:, 0]
     assert abs(vals.mean() - 0.3) <= 4.5 * vals.std() / math.sqrt(R)
     # Var X_T = x(1-x)(1 - exp(-sigma T))
@@ -167,20 +167,23 @@ def test_every_recorded_state_is_on_the_simplex():
         dt=1e-3,
         horizon=1.0,
     )
-    trajectories, _ = simulate_sde(cfg, [0.5, 0.25, 0.25], 4, 10, RngStream(5).generator())
-    assert len(trajectories) == 4
-    for trajectory in trajectories:
-        assert len(trajectory) == 101
-        assert trajectory.states.min() >= 0.0
-        assert np.allclose(trajectory.states.sum(axis=1), 1.0, atol=1e-12)
+    states, _ = simulate_sde(cfg, [0.5, 0.25, 0.25], 4, np.arange(0, 1001, 10) * cfg.dt, RngStream(5).generator())
+    assert states.shape == (101, 4, 3)
+    assert states.min() >= 0.0
+    assert np.allclose(states.sum(axis=2), 1.0, atol=1e-12)
 
 
 def test_vertex_start_stays_fixed():
     cfg = SdeConfig(K=3, drift=DriftFunction.rps(1.0), sigma=1.0, measure=PointMass(0.5, 1.0), dt=1e-3, horizon=0.2)
-    trajectories, batch = simulate_sde(cfg, [0.0, 1.0, 0.0], 2, 1, RngStream(6).generator())
-    for trajectory in trajectories:
-        assert np.all(trajectory.states[:, 1] == 1.0)
+    states, batch = simulate_sde(cfg, [0.0, 1.0, 0.0], 2, np.arange(201) * cfg.dt, RngStream(6).generator())
+    assert states.shape == (201, 2, 3) and np.all(states[:, :, 1] == 1.0)
     assert np.all(batch.winner == 1) and np.all(batch.fixation_time == 0.0)
+
+
+def test_simulate_sde_rejects_record_times_that_go_back():
+    cfg = SdeConfig(K=2, drift=None, sigma=1.0, measure=ZeroMeasure(), dt=1e-2, horizon=1.0)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        simulate_sde(cfg, [0.5, 0.5], 2, [0.5, 0.2], RngStream(3).generator())
 
 
 def test_cyclic_relabelling_symmetry():
@@ -188,16 +191,17 @@ def test_cyclic_relabelling_symmetry():
     # law; with a common seed the two runs agree after relabelling because
     # the integrator treats coordinates symmetrically up to the noise basis.
     cfg = SdeConfig(K=3, drift=DriftFunction.rps(1.0), sigma=0.0, measure=ZeroMeasure(), dt=1e-3, horizon=1.0)
-    (base,), _ = simulate_sde(cfg, [0.5, 0.25, 0.25], 1, 100, RngStream(7).generator())
-    (rolled,), _ = simulate_sde(cfg, [0.25, 0.5, 0.25], 1, 100, RngStream(7).generator())
-    assert np.allclose(np.roll(base.states, 1, axis=1), rolled.states, atol=1e-12)
-    assert np.allclose(base.states.sum(axis=1), 1.0, atol=1e-12)
+    times = np.arange(0, 1001, 100) * cfg.dt
+    base, _ = simulate_sde(cfg, [0.5, 0.25, 0.25], 1, times, RngStream(7).generator())
+    rolled, _ = simulate_sde(cfg, [0.25, 0.5, 0.25], 1, times, RngStream(7).generator())
+    assert np.allclose(np.roll(base, 1, axis=2), rolled, atol=1e-12)
+    assert np.allclose(base.sum(axis=2), 1.0, atol=1e-12)
 
 
 def test_extinction_clamp_records_events():
     cfg = SdeConfig(K=3, drift=None, sigma=1.0, measure=ZeroMeasure(), dt=1e-3, horizon=100.0, tol_ext=1e-6)
     batch = BatchSde(cfg, [0.2, 0.3, 0.5], 200, RngStream(8).generator())
-    unfixed = batch.run_to_fixation(100.0)
+    unfixed = batch.run_until(100.0)
     assert unfixed == 0
     assert np.all(batch.winner >= 0)
     for r in range(200):
@@ -212,23 +216,20 @@ def test_simulate_sde_stops_at_fixation_with_the_records_of_stepping_through():
         K=3, drift=DriftFunction.rps(1.0), sigma=1.0, measure=PointMass(0.5, 1.0), dt=1e-3, horizon=5.0, tol_ext=1e-6
     )
     R, record_every = 6, 7  # 7 does not divide the 5000 steps
-    trajectories, run = simulate_sde(cfg, [0.2, 0.3, 0.5], R, record_every, RngStream(11).generator())
+    recorded, run = simulate_sde(
+        cfg, [0.2, 0.3, 0.5], R, np.arange(0, 5001, record_every) * cfg.dt, RngStream(11).generator()
+    )
     fixed = run.fixation_time[run.winner >= 0]
     assert np.unique(fixed).size >= 3  # rows fix at different steps ...
     assert fixed.min() < cfg.horizon - 1.0  # ... and some sit absorbed for long stretches
 
     batch = BatchSde(cfg, [0.2, 0.3, 0.5], R, RngStream(11).generator())
-    times, states = [0.0], [batch.X.copy()]
+    states = [batch.X.copy()]
     for s in range(1, int(round(cfg.horizon / cfg.dt)) + 1):
         batch.step()
         if s % record_every == 0:
-            times.append(batch.t)
             states.append(batch.X.copy())
-    states = np.array(states)
-    assert len(trajectories) == R
-    for r, trajectory in enumerate(trajectories):
-        assert np.array_equal(trajectory.times, np.array(times))
-        assert np.array_equal(trajectory.states, states[:, r])
+    assert np.array_equal(recorded, np.array(states))
     assert np.array_equal(run.extinction_time, batch.extinction_time, equal_nan=True)
     assert np.array_equal(run.fixation_time, batch.fixation_time, equal_nan=True)
     assert np.array_equal(run.winner, batch.winner)
@@ -271,7 +272,7 @@ def _check_bookkeeping_per_step(cfg, x0, R, seed, n_steps):
 
     replay = BatchSde(cfg, x0, R, RngStream(seed).generator())
     for steps in sorted({1, n_steps // 10, n_steps // 2, n_steps}):
-        replay.advance_to(steps * cfg.dt)
+        replay.run_until(steps * cfg.dt)
         assert np.array_equal(replay.X, snapshots[steps])
     return batch
 
@@ -284,7 +285,7 @@ def test_compact_active_set_bookkeeping_matches_observed_states():
     # a vertex start: every row is fixed at construction and never moves
     vertex = _check_bookkeeping_per_step(cfg, [0.0, 1.0, 0.0], 3, 12, 20)
     assert np.all(vertex.fixation_time == 0.0) and np.all(vertex.winner == 1)
-    assert vertex.run_to_fixation() == 0
+    assert vertex.run_until(cfg.horizon) == 0
 
     # an edge start: the missing type is extinct from time 0 and stays so
     edge = _check_bookkeeping_per_step(cfg, [0.5, 0.0, 0.5], 4, 13, 300)
@@ -369,7 +370,7 @@ def test_jump_duality_against_chain_matrix_exponential():
     )
     R = 30_000
     batch = BatchSde(cfg, [x0, 1.0 - x0], R, RngStream(21).generator())
-    batch.advance_to(t)
+    batch.run_until(t)
     vals = batch.X[:, 0] ** n0
     se = vals.std() / math.sqrt(R)
     chain = AncestralModel(kappa, sigma, {1: 1.0}, measure)

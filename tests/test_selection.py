@@ -41,6 +41,16 @@ def test_mu_rps_examples():
         mu_rps(1.0, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_mu_rps_matches_the_fancy_index_formula_bit_for_bit(order):
+    # the column-slice differences are the same subtractions as x[..., pred] - x[..., succ]
+    pred, succ = np.array([2, 0, 1]), np.array([1, 2, 0])
+    pts = np.array(RngStream(3).generator().dirichlet(np.ones(3), size=200), order=order)
+    pts[:3] = np.eye(3)  # vertices, where the gaps hold exact zeros
+    for x in (pts, pts[7], pts.reshape(20, 10, 3)):
+        assert mu_rps(1.7, x).tobytes() == (1.7 * x * (x[..., pred] - x[..., succ])).tobytes()
+
+
 def test_mu_food_web_reduces_to_rps_on_the_cycle():
     beats = [(1, 0), (2, 1), (0, 2)]
     pts = random_interior_points(RngStream(2).generator(), 3, 50)
