@@ -51,18 +51,7 @@ from .rules import (
     bernstein_rule,
 )
 from .sde import BatchSde, SdeConfig, simulate_sde, zeta
-from .selection import (
-    DriftFunction,
-    cyclic_contest_map,
-    mu_food_web,
-    mu_from_polynomial,
-    mu_logistic,
-    mu_negfreq,
-    mu_posfreq,
-    mu_rps,
-    mu_transitive,
-    transitive_pair_map,
-)
+from .selection import DriftFunction, cyclic_contest_map, transitive_pair_map
 from .trajectory import write_trajectories_csv
 
 __version__ = "0.1.0"

@@ -275,7 +275,7 @@ class FixationPrediction:
     n_max: int = 0  # states in the solved stationary law (0: no solve needed)
 
 
-def fixation_probabilities(model: AncestralModel, x0, *, drift_kind: str = "transitive") -> FixationPrediction:
+def fixation_probabilities(model: AncestralModel, x0) -> FixationPrediction:
     """Fixation probability of each type under ordered contests.
 
     Positive recurrent regime: the probability that type i fixes is the pgf
@@ -287,11 +287,8 @@ def fixation_probabilities(model: AncestralModel, x0, *, drift_kind: str = "tran
     kappa_star``, decided in closed form): the highest labelled type present
     fixes surely.
 
-    Only the ordered-contest (transitive) scheme has this dual description;
-    other drift kinds are refused.
+    Only the ordered-contest (transitive) scheme has this dual description.
     """
-    if drift_kind != "transitive":
-        raise ValueError(f"fixation probabilities via the dual chain require the transitive scheme, got {drift_kind!r}")
     x0 = as_frequencies(x0)
     ks = model.kappa_star
     if model.kappa == 0.0:

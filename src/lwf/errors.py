@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the error checks of the config kind blocks."""
+"""Exception types shared across the package, and the one parser of the config kind blocks."""
 
 
 class LwfError(Exception):
@@ -28,3 +28,27 @@ def bad_block(where: str, exc: Exception) -> ConfigError:
     """The :class:`ConfigError` of a kind block whose value failed to convert; a ``KeyError`` is a missing key."""
     detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
     return ConfigError(f"bad {where} block: {detail}")
+
+
+def build_kind(kinds: dict, block, where: str, K: int | None = None):
+    """Build the object a ``rule``, ``drift`` or ``lambda`` block names by its ``kind``.
+
+    ``kinds`` maps each kind to ``(allowed keys, builder)``; the builder takes
+    the block's other keys and ``K``.  With a ``K``, the built object must be
+    for ``K`` types.
+    """
+    if not isinstance(block, dict) or "kind" not in block:
+        raise ConfigError(f"{where} block must be a mapping with a 'kind' key")
+    kind = block["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {where} kind {kind!r} (expected one of {sorted(kinds)})")
+    allowed, builder = kinds[kind]
+    params = {k: v for k, v in block.items() if k != "kind"}
+    reject_unknown(params, allowed, where)
+    try:
+        built = builder(params, K)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise bad_block(where, exc) from exc
+    if K is not None and built.K != K:
+        raise ConfigError(f"{kind} {where} is for K={built.K} but model has K={K}")
+    return built

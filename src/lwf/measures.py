@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, bad_block, reject_unknown
+from .errors import build_kind
 
 # scipy.special and scipy.integrate are imported inside the functions that use
 # them: loading either here would roughly double the time and memory that
@@ -333,18 +333,19 @@ class BetaLaw(LambdaMeasure):
     def resampling_mass_above(self, lo: float) -> float:
         if lo >= 1.0:
             return 0.0
-        if self.a > 2.0:
-            from scipy import special
+        from scipy import special
 
+        if self.a > 2.0:
             scale = math.exp(special.betaln(self.a - 2.0, self.b) - special.betaln(self.a, self.b))
             tail = 1.0 - float(special.betainc(self.a - 2.0, self.b, lo)) if lo > 0 else 1.0
             return self.mass * scale * tail
         if lo <= 0.0:
             return math.inf
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda y: self.density(y) / y**2, lo, 1.0, epsabs=0.0, epsrel=1e-11, limit=200)
-        return float(val)
+        # ∫_lo^1 y**(a-3) (1-y)**(b-1) dy with u = 1 - y: u**b / b * 2F1(3-a, b; b+1; u) at u = 1 - lo
+        u = 1.0 - lo
+        return self.mass * math.exp(-special.betaln(self.a, self.b)) * u**self.b / self.b * float(
+            special.hyp2f1(3.0 - self.a, self.b, self.b + 1.0, u)
+        )
 
     def density(self, y):
         from scipy import special
@@ -405,27 +406,23 @@ def _beta_edge(a, b, y, mass):
     return out
 
 
-_VARIANTS = {cls.kind: cls for cls in (ZeroMeasure, PointMass, FiniteAtoms, UniformLaw, BetaLaw)}
+def _fields_kind(cls):
+    """The allowed keys and builder of a variant whose config keys are its float fields."""
+    names = [f.name for f in fields(cls)]
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    # only the keys given are passed, so a field left out takes its default and a required one raises KeyError
+    return names, lambda p, K: cls(**{name: float(p[name]) for name in names if name in p or name in required})
+
+
+_MEASURE_KINDS = {
+    **{cls.kind: _fields_kind(cls) for cls in (ZeroMeasure, PointMass, UniformLaw, BetaLaw)},
+    "finite_atoms": (("atoms",), lambda p, K: FiniteAtoms(p["atoms"])),
+}
 
 
 def measure_from_config(block: dict) -> LambdaMeasure:
     """Deserialize a lambda block; a key left out takes the default of the variant's field."""
-    if not isinstance(block, dict) or "kind" not in block:
-        raise ConfigError("measure block must be a mapping with a 'kind' key")
-    kind = block["kind"]
-    if not isinstance(kind, str) or kind not in _VARIANTS:
-        raise ConfigError(f"unknown lambda kind {kind!r} (expected one of {sorted(_VARIANTS)})")
-    extra = {k: v for k, v in block.items() if k != "kind"}
-    try:
-        if kind == "finite_atoms":
-            reject_unknown(extra, ("atoms",), "lambda")
-            return FiniteAtoms(extra["atoms"])
-        reject_unknown(extra, [f.name for f in fields(_VARIANTS[kind])], "lambda")
-        # only the keys given are passed, so a field left out takes its default and a required one raises KeyError
-        names = [f.name for f in fields(_VARIANTS[kind]) if f.name in extra or f.default is MISSING]
-        return _VARIANTS[kind](**{name: float(extra[name]) for name in names})
-    except (KeyError, ValueError, TypeError) as exc:
-        raise bad_block("lambda", exc) from exc
+    return build_kind(_MEASURE_KINDS, block, "lambda")
 
 
 # ---------------------------------------------------------------------------

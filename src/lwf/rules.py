@@ -16,7 +16,7 @@ import numpy as np
 
 from .bernstein import PolynomialMap, bernstein_table
 from .combinat import composition_index, composition_pmf, compositions
-from .errors import ConfigError, bad_block, reject_unknown
+from .errors import ConfigError, build_kind
 
 # Exact enumeration of samples of size k over K types is used while the
 # number of multi-indices C(K+k-1, k) stays small.
@@ -389,72 +389,46 @@ def bernstein_rule(g, *, degree: int | None = None, tol: float = 1e-9) -> Bernst
     return BernsteinRule(n, np.clip(table, 0.0, 1.0))
 
 
+def beats_from_labels(pairs) -> list[tuple[int, int]]:
+    """The 0-based ``(winner, loser)`` pairs of a config's 1-based ``beats`` labels."""
+    return [(int(w) - 1, int(l) - 1) for w, l in pairs]
+
+
+def _bernstein_from_config(params: dict, K: int) -> BernsteinRule:
+    """Read a ``[multi-index, coefficient-row]`` table that names every multi-index of the degree once."""
+    degree = int(params["degree"])
+    idx = composition_index(K, degree)
+    table = np.zeros((len(idx), K))
+    seen = set()
+    for z, row in params["table"]:
+        key = tuple(int(v) for v in z)
+        if key not in idx:
+            raise ConfigError(f"multi-index {key} is not a degree-{degree} index over {K} types")
+        if key in seen:
+            raise ConfigError(f"duplicate multi-index {key} in Bernstein table")
+        seen.add(key)
+        table[idx[key]] = row
+    if len(seen) != len(idx):
+        raise ConfigError(f"Bernstein table must cover all {len(idx)} multi-indices, got {len(seen)}")
+    return bernstein_rule((degree, table))
+
+
+# each kind's allowed keys and its builder from those keys and K
 _RULE_KINDS = {
-    cls.kind: cls
-    for cls in (
-        NeutralRule,
-        TransitiveRule,
-        TransitiveWithMutationRule,
-        LogisticRule,
-        PartialOrderRule,
-        NegFreqDepRule,
-        PosFreqDepRule,
-        BernsteinRule,
-    )
+    "neutral": ((), lambda p, K: NeutralRule(K)),
+    "transitive": ((), lambda p, K: TransitiveRule(K)),
+    "transitive_mutation": (
+        ("mutation_prob", "kernel"),
+        lambda p, K: TransitiveWithMutationRule(K, float(p["mutation_prob"]), p["kernel"]),
+    ),
+    "logistic": (("matrix",), lambda p, K: LogisticRule(p["matrix"])),
+    "partial_order": (("beats",), lambda p, K: PartialOrderRule(K, beats_from_labels(p["beats"]))),
+    "neg_freq": ((), lambda p, K: NegFreqDepRule(K)),
+    "pos_freq": ((), lambda p, K: PosFreqDepRule(K)),
+    "bernstein": (("degree", "table"), _bernstein_from_config),
 }
 
 
 def rule_from_config(block: dict, K: int) -> ColouringRule:
     """Deserialize a rule block; type labels in configs are 1-based."""
-    if not isinstance(block, dict) or "kind" not in block:
-        raise ConfigError("rule block must be a mapping with a 'kind' key")
-    kind = block["kind"]
-    extra = {k: v for k, v in block.items() if k != "kind"}
-    try:
-        if kind == "neutral":
-            reject_unknown(extra, (), "rule")
-            return NeutralRule(K)
-        if kind == "transitive":
-            reject_unknown(extra, (), "rule")
-            return TransitiveRule(K)
-        if kind == "transitive_mutation":
-            reject_unknown(extra, ("mutation_prob", "kernel"), "rule")
-            return TransitiveWithMutationRule(K, float(extra["mutation_prob"]), extra["kernel"])
-        if kind == "logistic":
-            reject_unknown(extra, ("matrix",), "rule")
-            rule = LogisticRule(extra["matrix"])
-            if rule.K != K:
-                raise ConfigError(f"logistic matrix is {rule.K}x{rule.K} but model has K={K}")
-            return rule
-        if kind == "partial_order":
-            reject_unknown(extra, ("beats",), "rule")
-            pairs = [(int(w) - 1, int(l) - 1) for w, l in extra["beats"]]
-            return PartialOrderRule(K, pairs)
-        if kind == "neg_freq":
-            reject_unknown(extra, (), "rule")
-            return NegFreqDepRule(K)
-        if kind == "pos_freq":
-            reject_unknown(extra, (), "rule")
-            return PosFreqDepRule(K)
-        if kind == "bernstein":
-            reject_unknown(extra, ("degree", "table"), "rule")
-            degree = int(extra["degree"])
-            idx = composition_index(K, degree)
-            table = np.zeros((len(idx), K))
-            seen = set()
-            for z, row in extra["table"]:
-                key = tuple(int(v) for v in z)
-                if key not in idx:
-                    raise ConfigError(f"multi-index {key} is not a degree-{degree} index over {K} types")
-                if key in seen:
-                    raise ConfigError(f"duplicate multi-index {key} in Bernstein table")
-                seen.add(key)
-                table[idx[key]] = row
-            if len(seen) != len(idx):
-                raise ConfigError(f"Bernstein table must cover all {len(idx)} multi-indices, got {len(seen)}")
-            return bernstein_rule((degree, table))
-    except ConfigError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise bad_block("rule", exc) from exc
-    raise ConfigError(f"unknown rule kind {kind!r} (expected one of {sorted(_RULE_KINDS)})")
+    return build_kind(_RULE_KINDS, block, "rule", K)

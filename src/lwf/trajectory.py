@@ -26,14 +26,10 @@ def write_trajectories_csv(path, times, states) -> None:
             writer.writerows(row + [rep] for row in np.column_stack((times, recorded)).tolist())
 
 
-def write_ancestral_csv(path, paths, replicate_ids=None) -> None:
-    """Write ``t,n,replicate`` rows for block-count paths (times, states)."""
-    paths = list(paths)
-    if replicate_ids is None:
-        replicate_ids = range(len(paths))
+def write_ancestral_csv(path, paths) -> None:
+    """Write ``t,n,replicate`` rows for block-count paths ``(times, states)``, numbered from 0."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "n", "replicate"])
-        for rep, (times, states) in zip(replicate_ids, paths):
-            for t, n in zip(times, states):
-                writer.writerow([repr(float(t)), int(n), rep])
+        for rep, (times, states) in enumerate(paths):
+            writer.writerows([t, n, rep] for t, n in zip(times.tolist(), states.tolist()))

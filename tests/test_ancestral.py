@@ -288,12 +288,6 @@ def test_fixation_probabilities_recurrent_sums_to_one():
     assert pred.probs[0] < 0.2 and pred.probs[2] > 0.5
 
 
-def test_fixation_probabilities_requires_transitive():
-    model = AncestralModel(kappa=1.0, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure())
-    with pytest.raises(ValueError):
-        fixation_probabilities(model, [0.5, 0.5], drift_kind="rps")
-
-
 def test_sigma_keeps_the_chain_recurrent_even_with_zero_threshold():
     # no collisions at all: kappa_star = 0, but pair coalescence dominates
     model = AncestralModel(kappa=1.0, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure())

@@ -16,10 +16,10 @@ from lwf.batches import BATCH
 from lwf.cli import main
 from lwf.config import load_config
 from lwf.errors import ConfigError
-from lwf.measures import BetaLaw, FiniteAtoms, PointMass, UniformLaw, ZeroMeasure, measure_from_config
+from lwf.measures import _MEASURE_KINDS, BetaLaw, FiniteAtoms, PointMass, UniformLaw, ZeroMeasure, measure_from_config
 from lwf.rng import RngStream
-from lwf.rules import bernstein_rule, rule_from_config
-from lwf.selection import DriftFunction, cyclic_contest_map, drift_from_config, transitive_pair_map
+from lwf.rules import _RULE_KINDS, bernstein_rule, rule_from_config
+from lwf.selection import _DRIFT_KINDS, DriftFunction, cyclic_contest_map, drift_from_config, transitive_pair_map
 
 
 def write_config(path, payload):
@@ -33,10 +33,13 @@ def write_config(path, payload):
 
 
 def test_measure_config_round_trip():
-    for measure in (ZeroMeasure(), PointMass(0.5, 2.0), UniformLaw(1.5), BetaLaw(2.0, 3.0, 0.5),
-                    FiniteAtoms([(0.2, 0.3), (0.9, 0.7)])):
+    measures = (ZeroMeasure(), PointMass(0.5, 2.0), UniformLaw(1.5), BetaLaw(2.0, 3.0, 0.5),
+                FiniteAtoms([(0.2, 0.3), (0.9, 0.7)]))
+    assert {measure.kind for measure in measures} == set(_MEASURE_KINDS)
+    for measure in measures:
         clone = measure_from_config(measure.to_config())
         assert clone == measure
+        assert clone.to_config() == measure.to_config()
 
 
 def test_rule_config_round_trip():
@@ -61,10 +64,12 @@ def test_rule_config_round_trip():
         PosFreqDepRule(3),
         bernstein_rule(cyclic_contest_map()),
     ]
+    assert {rule.kind for rule in rules} == set(_RULE_KINDS)
     for rule in rules:
         clone = rule_from_config(rule.to_config(), rule.K)
+        assert clone.to_config() == rule.to_config()
         counts = rng.multinomial(2 if rule.kind in ("logistic", "bernstein") else 3, np.full(rule.K, 1 / rule.K), size=20)
-        assert np.allclose(clone.distribution_batch(counts), rule.distribution_batch(counts))
+        assert np.array_equal(clone.distribution_batch(counts), rule.distribution_batch(counts))
 
 
 def test_drift_config_round_trip():
@@ -78,10 +83,13 @@ def test_drift_config_round_trip():
         DriftFunction.posfreq(1.0, 3),
         DriftFunction.from_polynomial(0.7, transitive_pair_map(3)),
     ]
+    assert {drift.kind for drift in drifts} == set(_DRIFT_KINDS)
     rng = RngStream(2).generator()
     for drift in drifts:
         pts = rng.dirichlet(np.ones(drift.K), size=40)
         clone = drift_from_config(drift.to_config(), drift.K)
+        assert clone.to_config() == drift.to_config()
+        # a polynomial's clone sums its monomials in sorted order, so its last bits may differ
         assert np.allclose(clone(pts), drift(pts), atol=1e-12), drift.kind
 
 
@@ -327,6 +335,19 @@ def test_special_functions_first_loaded_on_worker_threads_give_the_serial_values
         "print(threaded == [rates(m) for m in measures], 'scipy.special' in sys.modules)"
     )
     assert _fresh_process_stdout(code).split() == ["True", "True"]
+
+
+def test_building_the_beta_sde_config_of_the_benchmark_loads_no_quadrature():
+    # Beta(2, 3) has a <= 2, whose event rate above eps_jump is a hypergeometric closed form
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "simulate-sde.json"
+    code = (
+        "import json, sys; from lwf.config import parse_drift, parse_measure; from lwf.sde import SdeConfig; "
+        f"cfg = json.load(open({str(config)!r})); m = cfg['model']; "
+        "c = SdeConfig(K=m['K'], drift=parse_drift(cfg, m['K']), measure=parse_measure(cfg), dt=m['dt'], "
+        "horizon=m['horizon'], sigma=m['sigma']); "
+        "print(c.measure.to_config()['kind'], c.measure.a, c.jump_rate > 0, 'scipy.integrate' in sys.modules)"
+    )
+    assert _fresh_process_stdout(code).split() == ["beta", "2.0", "True", "False"]
 
 
 def test_csv_rows_are_the_repr_of_every_value(tmp_path):
@@ -592,7 +613,8 @@ SCHEMA_ERRORS = [
     ("simulate-discrete", _added("rule", {"kind": "transitive_mutation", "mutation_prob": "abc",
                                           "kernel": np.eye(3).tolist()}),
      "bad rule block: could not convert string to float: 'abc'"),
-    ("simulate-sde", _added("drift", {"kind": "mystery"}), "unknown drift kind 'mystery'"),
+    ("simulate-sde", _added("drift", {"kind": "mystery"}), "unknown drift kind 'mystery' (expected one of "
+     "['food_web', 'logistic', 'neg_freq', 'neutral', 'polynomial', 'pos_freq', 'rps', 'transitive'])"),
     ("simulate-sde", _added("drift", {"kind": "rps", "kappa": 1.0, "typo": 1}),
      "unknown keys in drift block: ['typo']"),
     ("simulate-sde", _added("drift", {"kind": "rps"}), "bad drift block: missing key 'kappa'"),
@@ -614,6 +636,13 @@ SCHEMA_ERRORS = [
      "bad rule block: bad beats pair (0, 1): need two distinct type labels from 1 to 3"),
     ("simulate-sde", _added("drift", {"kind": "food_web", "kappa": 1, "beats": [[2, 1], [1, 2]]}),
      "bad drift block: beats relation must be antisymmetric"),
+    # one check compares the K a rule or drift was built for with the model's
+    ("simulate-discrete", _added("rule", {"kind": "logistic", "matrix": [[0.5, 0.7], [0.3, 0.5]]}),
+     "logistic rule is for K=2 but model has K=3"),
+    ("simulate-sde", lambda p: p["model"].update(K=4, x0=[0.25] * 4), "rps drift is for K=3 but model has K=4"),
+    ("simulate-sde", _added("drift", {"kind": "polynomial", "lambda": 1.0,
+                                      "monomials": [[[[1, 0], 1.0]], [[[0, 1], 1.0]]]}),
+     "polynomial drift is for K=2 but model has K=3"),
 ]
 
 

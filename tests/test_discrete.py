@@ -17,7 +17,7 @@ from lwf.discrete import (
 from lwf.measures import FiniteAtoms, PointMass, TruncatedSizeLaw, ZeroMeasure
 from lwf.rng import RngStream
 from lwf.rules import DEFAULT_K_MAX, NegFreqDepRule, NeutralRule, PartialOrderRule, TransitiveRule
-from lwf.selection import mu_rps, mu_transitive
+from lwf.selection import DriftFunction
 
 
 def neutral_model(N, K=2, rho=0.1):
@@ -325,7 +325,7 @@ def test_empirical_drift_matches_closed_forms():
     rps = DiscreteModel(N=2, rule=PartialOrderRule.rps(), offspring=OffspringLaw(1.0, {2: 1.0}))
     x = np.array([0.5, 0.25, 0.25])
     est = empirical_drift(rps, x, 200_000, rng)
-    assert np.all(np.abs(est.values - mu_rps(1.0, x)) <= 4.5 * est.stderr + 1e-9)
+    assert np.all(np.abs(est.values - DriftFunction.rps(1.0)(x)) <= 4.5 * est.stderr + 1e-9)
 
 
 def test_composition_count_sums_equal_the_per_sample_sums():
@@ -379,7 +379,7 @@ def test_empirical_drift_on_the_boundary_leaves_the_absent_type_alone():
     est = empirical_drift(model, x, 200_000, RngStream(16).generator())
     assert np.all(np.isfinite(est.values)) and np.all(np.isfinite(est.stderr))
     assert est.values[2] == 0.0 and est.stderr[2] == 0.0
-    assert np.all(np.abs(est.values - mu_rps(1.0, x)) <= 4.0 * est.stderr + 1e-9)
+    assert np.all(np.abs(est.values - DriftFunction.rps(1.0)(x)) <= 4.0 * est.stderr + 1e-9)
 
 
 def test_empirical_drift_beyond_enumeration_takes_the_per_sample_path():
@@ -390,7 +390,8 @@ def test_empirical_drift_beyond_enumeration_takes_the_per_sample_path():
     est = empirical_drift(model, x, 20_000, RngStream(17).generator())
     assert est.compositions == 0 and not est.exact
     assert np.all(est.stderr[1:] > 0.0)
-    assert np.all(np.abs(est.values - mu_transitive(1.0, {199: 1.0}, x)) <= 4.0 * est.stderr + 1e-9)
+    mu = DriftFunction.transitive(1.0, {199: 1.0}, 3)(x)
+    assert np.all(np.abs(est.values - mu) <= 4.0 * est.stderr + 1e-9)
 
 
 def test_exact_drift_refuses_a_sample_size_whose_coefficients_overflow():
@@ -411,7 +412,7 @@ def test_empirical_drift_exact_path():
     model = DiscreteModel(N=2, rule=TransitiveRule(3), offspring=OffspringLaw(1.0, {3: 1.0}))
     x = [0.2, 0.3, 0.5]
     est = empirical_drift(model, x, 1, method="exact")
-    assert np.allclose(est.values, mu_transitive(1.0, {2: 1.0}, x), atol=1e-12)
+    assert np.allclose(est.values, DriftFunction.transitive(1.0, {2: 1.0}, 3)(x), atol=1e-12)
 
 
 def test_neutral_fixation_probability_matches_initial_frequency():

@@ -151,6 +151,32 @@ def test_beta_log_penalty_closed_form_matches_quadrature(a, b):
     assert kappa_star(measure, 2.0) == pytest.approx(measure.log_penalty() / 2.0, rel=1e-15)
 
 
+def _beta_event_rate_quadrature(measure, lo):
+    """``∫_[lo,1] Beta(a, b)(dy) / y**2`` by a quadrature weighted by ``(1-y)**(b-1)``: it never evaluates y = 1."""
+    from scipy.integrate import quad
+    from scipy.special import betaln
+
+    val, _ = quad(lambda y: y ** (measure.a - 3.0), lo, 1.0, weight="alg", wvar=(0.0, measure.b - 1.0),
+                  epsabs=0.0, epsrel=1e-13, limit=200)
+    return measure.mass * val / math.exp(betaln(measure.a, measure.b))
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0])
+def test_beta_event_rate_for_a_up_to_2_is_the_closed_form_not_a_quadrature(monkeypatch, a, b):
+    import scipy.integrate
+
+    measure = BetaLaw(a, b, 1.3)
+    cutoffs = (1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9)
+    oracle = [_beta_event_rate_quadrature(measure, lo) for lo in cutoffs]
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the Beta event rate ran a quadrature")
+
+    monkeypatch.setattr(scipy.integrate, "quad", no_quadrature)
+    assert [measure.resampling_mass_above(lo) for lo in cutoffs] == pytest.approx(oracle, rel=1e-12)
+
+
 def test_kappa_star_rejects_bad_beta():
     with pytest.raises(ValueError):
         kappa_star(PointMass(0.5), 0.0)

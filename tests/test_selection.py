@@ -5,84 +5,76 @@ from lwf.core import OffspringLaw, random_interior_points
 from lwf.discrete import DiscreteModel, empirical_drift
 from lwf.rng import RngStream
 from lwf.rules import LogisticRule, NegFreqDepRule, PartialOrderRule, PosFreqDepRule, TransitiveRule
-from lwf.selection import (
-    DriftFunction,
-    cyclic_contest_map,
-    mu_food_web,
-    mu_from_polynomial,
-    mu_logistic,
-    mu_negfreq,
-    mu_posfreq,
-    mu_rps,
-    mu_transitive,
-    transitive_pair_map,
-)
+from lwf.selection import DriftFunction, cyclic_contest_map, transitive_pair_map
 
 
-def test_mu_transitive_pair_example():
-    assert np.allclose(mu_transitive(1.0, {1: 1.0}, [0.5, 0.5]), [-0.25, 0.25])
-    assert np.allclose(mu_transitive(1.0, {1: 1.0}, [0.0, 0.0, 1.0]), 0.0)
+def test_transitive_pair_example():
+    assert np.allclose(DriftFunction.transitive(1.0, {1: 1.0}, 2)([0.5, 0.5]), [-0.25, 0.25])
+    assert np.allclose(DriftFunction.transitive(1.0, {1: 1.0}, 3)([0.0, 0.0, 1.0]), 0.0)
 
 
-def test_mu_logistic_examples():
+def test_logistic_examples():
     P = np.full((3, 3), 0.5)
     pts = random_interior_points(RngStream(1).generator(), 3, 20)
-    assert np.allclose(mu_logistic(2.0, P, pts), 0.0, atol=1e-14)
+    assert np.allclose(DriftFunction.logistic(2.0, P)(pts), 0.0, atol=1e-14)
     # K=2 with p_12 = 1: mu_1 = x_1 (1 - x_1)
-    assert np.allclose(mu_logistic(1.0, [[0.5, 1.0], [0.0, 0.5]], [0.5, 0.5]), [0.25, -0.25])
-    assert np.allclose(mu_logistic(1.0, [[0.5, 1.0], [0.0, 0.5]], [1.0, 0.0]), 0.0)
+    drift = DriftFunction.logistic(1.0, [[0.5, 1.0], [0.0, 0.5]])
+    assert np.allclose(drift([0.5, 0.5]), [0.25, -0.25])
+    assert np.allclose(drift([1.0, 0.0]), 0.0)
 
 
-def test_mu_rps_examples():
-    assert np.allclose(mu_rps(1.0, [1 / 3, 1 / 3, 1 / 3]), 0.0)
-    assert np.allclose(mu_rps(1.0, [0.5, 0.25, 0.25]), [0.0, 1 / 16, -1 / 16])
-    assert np.allclose(mu_rps(1.0, [1.0, 0.0, 0.0]), 0.0)
+def test_rps_examples():
+    drift = DriftFunction.rps(1.0)
+    assert np.allclose(drift([1 / 3, 1 / 3, 1 / 3]), 0.0)
+    assert np.allclose(drift([0.5, 0.25, 0.25]), [0.0, 1 / 16, -1 / 16])
+    assert np.allclose(drift([1.0, 0.0, 0.0]), 0.0)
     with pytest.raises(ValueError):
-        mu_rps(1.0, [0.5, 0.5])
+        drift([0.5, 0.5])
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_mu_rps_matches_the_fancy_index_formula_bit_for_bit(order):
+def test_rps_matches_the_fancy_index_formula_bit_for_bit(order):
     # the column-slice differences are the same subtractions as x[..., pred] - x[..., succ]
     pred, succ = np.array([2, 0, 1]), np.array([1, 2, 0])
     pts = np.array(RngStream(3).generator().dirichlet(np.ones(3), size=200), order=order)
     pts[:3] = np.eye(3)  # vertices, where the gaps hold exact zeros
     for x in (pts, pts[7], pts.reshape(20, 10, 3)):
-        assert mu_rps(1.7, x).tobytes() == (1.7 * x * (x[..., pred] - x[..., succ])).tobytes()
+        assert DriftFunction.rps(1.7)(x).tobytes() == (1.7 * x * (x[..., pred] - x[..., succ])).tobytes()
 
 
-def test_mu_food_web_reduces_to_rps_on_the_cycle():
+def test_food_web_reduces_to_rps_on_the_cycle():
     beats = [(1, 0), (2, 1), (0, 2)]
     pts = random_interior_points(RngStream(2).generator(), 3, 50)
-    assert np.allclose(mu_food_web(1.3, beats, pts), mu_rps(1.3, pts), atol=1e-14)
+    assert np.allclose(DriftFunction.food_web(1.3, beats, 3)(pts), DriftFunction.rps(1.3)(pts), atol=1e-14)
 
 
-def test_mu_freq_dep_examples():
-    for fn in (mu_negfreq, mu_posfreq):
-        assert np.allclose(fn(1.0, [0.25, 0.25, 0.25, 0.25]), 0.0, atol=1e-15)
-    assert mu_negfreq(1.0, [0.25, 0.75])[0] == pytest.approx(0.1875)
-    assert mu_posfreq(1.0, [0.25, 0.75])[0] == pytest.approx(-0.09375)
+def test_freq_dep_examples():
+    for kind in (DriftFunction.negfreq, DriftFunction.posfreq):
+        assert np.allclose(kind(1.0, 4)([0.25, 0.25, 0.25, 0.25]), 0.0, atol=1e-15)
+    assert DriftFunction.negfreq(1.0, 2)([0.25, 0.75])[0] == pytest.approx(0.1875)
+    assert DriftFunction.posfreq(1.0, 2)([0.25, 0.75])[0] == pytest.approx(-0.09375)
 
 
-def test_mu_from_polynomial_trivial_cases():
+def test_polynomial_drift_trivial_cases():
     from lwf.bernstein import PolynomialMap
 
     x = np.array([0.2, 0.3, 0.5])
     identity = PolynomialMap([{(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}, {(0, 0, 1): 1.0}])
-    assert np.allclose(mu_from_polynomial(2.0, identity, x), 0.0)
-    assert np.allclose(mu_from_polynomial(0.0, cyclic_contest_map(), x), 0.0)
+    assert np.allclose(DriftFunction.from_polynomial(2.0, identity)(x), 0.0)
+    assert np.allclose(DriftFunction.from_polynomial(0.0, cyclic_contest_map())(x), 0.0)
 
 
 def test_polynomial_route_matches_transitive_closed_form():
     pts = random_interior_points(RngStream(3).generator(), 2, 100)
-    direct = mu_transitive(1.7, {1: 1.0}, pts)
-    poly = mu_from_polynomial(1.7, transitive_pair_map(2), pts)
+    direct = DriftFunction.transitive(1.7, {1: 1.0}, 2)(pts)
+    poly = DriftFunction.from_polynomial(1.7, transitive_pair_map(2))(pts)
     assert np.allclose(direct, poly, atol=1e-12)
 
 
 def test_polynomial_route_matches_rps_closed_form():
     pts = random_interior_points(RngStream(4).generator(), 3, 100)
-    assert np.allclose(mu_from_polynomial(0.8, cyclic_contest_map(), pts), mu_rps(0.8, pts), atol=1e-12)
+    poly = DriftFunction.from_polynomial(0.8, cyclic_contest_map())(pts)
+    assert np.allclose(poly, DriftFunction.rps(0.8)(pts), atol=1e-12)
 
 
 def test_zero_sum_and_absent_type_invariants():
@@ -112,7 +104,6 @@ def test_drift_closures_equal_the_direct_formulas_exactly():
     rng = RngStream(9).generator()
     pts3 = np.concatenate([rng.dirichlet(np.ones(3), size=200), np.eye(3), [[0.0, 0.4, 0.6]]])
     rps = 1.3 * pts3 * (np.roll(pts3, 1, axis=-1) - np.roll(pts3, -1, axis=-1))
-    assert np.array_equal(mu_rps(1.3, pts3), rps)
     assert np.array_equal(DriftFunction.rps(1.3)(pts3), rps)
 
     pts4 = rng.dirichlet(np.ones(4), size=200)
@@ -122,7 +113,6 @@ def test_drift_closures_equal_the_direct_formulas_exactly():
     for j, w in sorted(increments.items()):
         transitive += w * (cum ** (j + 1) - (cum - pts4) ** (j + 1) - pts4)
     transitive = 0.9 * transitive
-    assert np.array_equal(mu_transitive(0.9, increments, pts4), transitive)
     assert np.array_equal(DriftFunction.transitive(0.9, increments, 4)(pts4), transitive)
 
     web = [(1, 0), (2, 0), (3, 1)]
@@ -130,7 +120,6 @@ def test_drift_closures_equal_the_direct_formulas_exactly():
     for w, l in web:
         matrix[w, l] = 1.0
     food_web = 0.7 * pts4 * (pts4 @ matrix.T - pts4 @ matrix)
-    assert np.array_equal(mu_food_web(0.7, web, pts4), food_web)
     assert np.array_equal(DriftFunction.food_web(0.7, web, 4)(pts4), food_web)
 
 
@@ -139,17 +128,17 @@ def test_drift_bounds_by_x_times_one_minus_x():
     pts = rng.dirichlet(np.ones(3), size=10_000)
     kappa, increments = 1.3, {1: 0.25, 2: 0.75}
     beta = 0.25 * 1 + 0.75 * 2
-    mu = mu_transitive(kappa, increments, pts)
+    mu = DriftFunction.transitive(kappa, increments, 3)(pts)
     bound = 2.0 * kappa * beta * pts * (1.0 - pts)
     assert np.all(np.abs(mu) <= bound + 1e-12)
-    mu = mu_rps(kappa, pts)
+    mu = DriftFunction.rps(kappa)(pts)
     assert np.all(np.abs(mu) <= 2.0 * kappa * pts * (1.0 - pts) + 1e-12)
 
 
 def test_kappa_linearity():
     pts = random_interior_points(RngStream(7).generator(), 3, 10)
-    assert np.allclose(mu_rps(3.0, pts), 3.0 * mu_rps(1.0, pts))
-    assert np.allclose(mu_negfreq(2.0, pts), 2.0 * mu_negfreq(1.0, pts))
+    assert np.allclose(DriftFunction.rps(3.0)(pts), 3.0 * DriftFunction.rps(1.0)(pts))
+    assert np.allclose(DriftFunction.negfreq(2.0, 3)(pts), 2.0 * DriftFunction.negfreq(1.0, 3)(pts))
 
 
 @pytest.mark.parametrize(
