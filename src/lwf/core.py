@@ -54,7 +54,8 @@ def round_to_counts(x, N: int) -> np.ndarray:
 def _categorical(P: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One type per column of type-major weights ``(K, m)``, by inverse cdf; the weights need not sum to 1."""
     cdf = np.add.accumulate(P)
-    return np.count_nonzero(cdf < rng.random(P.shape[1]) * cdf[-1], axis=0).clip(max=P.shape[0] - 1)
+    # u < 1 rounds u * total to at most total, so the last row never counts and the draw stays below K
+    return np.add.reduce(cdf < rng.random(P.shape[1]) * cdf[-1], axis=0, dtype=np.intp)
 
 
 def random_interior_points(rng: np.random.Generator, K: int, n: int, min_coord: float = 0.02) -> np.ndarray:

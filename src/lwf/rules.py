@@ -168,6 +168,20 @@ class TransitiveWithMutationRule(ColouringRule):
         }
 
 
+def win_prob_matrix(win_probs) -> np.ndarray:
+    """Square matrix of pairwise win probabilities: entries in [0, 1], 1/2 on the diagonal and ``p + p.T = 1``."""
+    P = np.asarray(win_probs, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise ValueError("win-probability matrix must be square")
+    if np.any(P < 0) or np.any(P > 1):
+        raise ValueError("win probabilities must lie in [0, 1]")
+    if not np.allclose(np.diag(P), 0.5, atol=1e-12):
+        raise ValueError("diagonal win probabilities must equal 1/2")
+    if not np.allclose(P + P.T, 1.0, atol=1e-9):
+        raise ValueError("need p[i, j] + p[j, i] = 1")
+    return P
+
+
 class LogisticRule(ColouringRule):
     """Pairwise contests with win probabilities ``p[i, j]``.
 
@@ -178,18 +192,8 @@ class LogisticRule(ColouringRule):
     kind = "logistic"
 
     def __init__(self, win_probs):
-        win_probs = np.asarray(win_probs, dtype=float)
-        if win_probs.ndim != 2 or win_probs.shape[0] != win_probs.shape[1]:
-            raise ValueError("win-probability matrix must be square")
-        K = win_probs.shape[0]
-        super().__init__(K)
-        if np.any(win_probs < 0) or np.any(win_probs > 1):
-            raise ValueError("win probabilities must lie in [0, 1]")
-        if not np.allclose(np.diag(win_probs), 0.5, atol=1e-12):
-            raise ValueError("diagonal win probabilities must equal 1/2")
-        if not np.allclose(win_probs + win_probs.T, 1.0, atol=1e-9):
-            raise ValueError("need p[i, j] + p[j, i] = 1")
-        self.win_probs = win_probs
+        self.win_probs = win_prob_matrix(win_probs)
+        super().__init__(self.win_probs.shape[0])
 
     def distribution_batch(self, counts):
         counts = np.asarray(counts)

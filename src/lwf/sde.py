@@ -146,14 +146,16 @@ def _advance(cfg: SdeConfig, X: np.ndarray, rng: np.random.Generator) -> np.ndar
     Y /= np.add.reduce(Y, axis=1, keepdims=True)
     if cfg.jump_rate > 0.0:
         n_jumps = rng.poisson(cfg.jump_rate * cfg.dt, X.shape[0])
-        for round_ in range(1, n_jumps.max(initial=0) + 1):
-            rows = np.flatnonzero(n_jumps >= round_)
+        rows, round_ = n_jumps.nonzero()[0], 1
+        while rows.size:  # round r jumps the rows with at least r jumps, in row order
             z = cfg.size_law.sample(rng, rows.size)
             G = Y.T[:, rows]  # one gather and one scatter of contiguous type-major columns per round
             target = _categorical(G, rng)
             G *= 1.0 - z
             G[target, np.arange(rows.size)] += z
             Y.T[:, rows] = G
+            round_ += 1
+            rows = rows[n_jumps[rows] >= round_]
     return Y
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bernstein import PolynomialMap
 from .errors import build_kind
-from .rules import beats_from_labels, beats_matrix
+from .rules import beats_from_labels, beats_matrix, win_prob_matrix
 
 
 def _iter_weights(increments):
@@ -104,12 +104,22 @@ class DriftFunction:
 
         def mu(x):
             x = np.asarray(x, dtype=float)
-            cum = np.cumsum(x, axis=-1)
+            cum = np.add.accumulate(x, axis=-1)  # np.cumsum's sums, without its Python wrapper
             cum_prev = cum - x
-            out = np.zeros_like(x)
+            out = None  # the first term is the accumulator
             for j, w in items:
-                out += w * (cum ** (j + 1) - cum_prev ** (j + 1) - x)
-            return kappa * out
+                term = cum ** (j + 1)
+                term -= cum_prev ** (j + 1)
+                term -= x
+                if w != 1.0:
+                    term *= w
+                if out is None:
+                    out = term
+                else:
+                    out += term
+            if kappa != 1.0:
+                out *= kappa
+            return out
 
         return cls("transitive", K, mu, {"kappa": kappa, "increments": {str(j): w for j, w in items}})
 
@@ -117,9 +127,10 @@ class DriftFunction:
     def logistic(cls, kappa: float, win_probs) -> "DriftFunction":
         """Competitive Lotka-Volterra-like drift from pairwise win probabilities.
 
-        ``mu_i = kappa * x_i * (1 - x_i - 2 * sum_{j != i} p[j, i] * x_j)``.
+        ``mu_i = kappa * x_i * (1 - x_i - 2 * sum_{j != i} p[j, i] * x_j)``, for the
+        matrix :class:`~lwf.rules.LogisticRule` accepts.
         """
-        P = np.asarray(win_probs, dtype=float)
+        P = win_prob_matrix(win_probs)
 
         def mu(x):
             x = np.asarray(x, dtype=float)
@@ -176,7 +187,8 @@ class DriftFunction:
 
         def mu(x):
             x = np.asarray(x, dtype=float)
-            sq = (x**2).sum(axis=-1, keepdims=True) - x**2
+            x2 = x**2
+            sq = x2.sum(axis=-1, keepdims=True) - x2
             return 2.0 * kappa * x * (sq - x * (1.0 - x))
 
         return cls("neg_freq", K, mu, {"kappa": kappa})
@@ -191,9 +203,9 @@ class DriftFunction:
 
         def mu(x):
             x = np.asarray(x, dtype=float)
-            s2 = (x**2).sum(axis=-1, keepdims=True)
+            x2 = x**2
             others = 1.0 - x
-            cross = others**2 - (s2 - x**2)
+            cross = others**2 - (x2.sum(axis=-1, keepdims=True) - x2)
             return kappa * x * ((2.0 * x - 1.0) * others + cross)
 
         return cls("pos_freq", K, mu, {"kappa": kappa})
@@ -217,10 +229,8 @@ class DriftFunction:
 
 
 def _poly_config(g: PolynomialMap):
-    return [
-        [[list(map(int, m)), float(c)] for m, c in sorted(comp.items())]
-        for comp in g.components
-    ]
+    # in the map's own order, so that a clone sums its monomials as ``g`` does
+    return [[[list(map(int, m)), float(c)] for m, c in comp.items()] for comp in g.components]
 
 
 def _polynomial_from_config(p: dict, K: int) -> DriftFunction:

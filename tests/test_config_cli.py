@@ -36,10 +36,17 @@ def test_measure_config_round_trip():
     measures = (ZeroMeasure(), PointMass(0.5, 2.0), UniformLaw(1.5), BetaLaw(2.0, 3.0, 0.5),
                 FiniteAtoms([(0.2, 0.3), (0.9, 0.7)]))
     assert {measure.kind for measure in measures} == set(_MEASURE_KINDS)
+    ys = RngStream(3).generator().uniform(1e-3, 1.0, size=40)
     for measure in measures:
         clone = measure_from_config(measure.to_config())
         assert clone == measure
         assert clone.to_config() == measure.to_config()
+        for value in ("total_mass", "log_penalty"):
+            assert getattr(clone, value)() == getattr(measure, value)(), (measure.kind, value)
+        assert clone.resampling_mass_above(1e-3) == measure.resampling_mass_above(1e-3), measure.kind
+        assert np.array_equal(clone.collision_rate_vector(6), measure.collision_rate_vector(6)), measure.kind
+        if measure.has_continuous_part:
+            assert np.array_equal(clone.density(ys), measure.density(ys)), measure.kind
 
 
 def test_rule_config_round_trip():
@@ -89,8 +96,7 @@ def test_drift_config_round_trip():
         pts = rng.dirichlet(np.ones(drift.K), size=40)
         clone = drift_from_config(drift.to_config(), drift.K)
         assert clone.to_config() == drift.to_config()
-        # a polynomial's clone sums its monomials in sorted order, so its last bits may differ
-        assert np.allclose(clone(pts), drift(pts), atol=1e-12), drift.kind
+        assert np.array_equal(clone(pts), drift(pts)), drift.kind
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +649,10 @@ SCHEMA_ERRORS = [
     ("simulate-sde", _added("drift", {"kind": "polynomial", "lambda": 1.0,
                                       "monomials": [[[[1, 0], 1.0]], [[[0, 1], 1.0]]]}),
      "polynomial drift is for K=2 but model has K=3"),
+    # a logistic drift ran with any matrix; it now checks it as the logistic rule does
+    ("simulate-sde", _added("drift", {"kind": "logistic", "kappa": 1,
+                                      "matrix": [[0.5, 0.9, 0.5], [0.9, 0.5, 0.5], [0.5, 0.5, 0.5]]}),
+     "bad drift block: need p[i, j] + p[j, i] = 1"),
 ]
 
 

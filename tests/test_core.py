@@ -4,6 +4,7 @@ import pytest
 from lwf.ancestral import AncestralModel
 from lwf.core import (
     OffspringLaw,
+    _categorical,
     as_frequencies,
     make_schedule,
     random_interior_points,
@@ -117,3 +118,22 @@ def test_make_schedule_clamps_when_smaller_rho_exists():
     with pytest.warns(UserWarning):
         s = make_schedule(1000, 0.05, 0.1, 0.0, PointMass(0.9, 2.0), {2: 1.0}, b=0.2)
     assert s.clamped and s.gamma == 1.0
+
+
+class _TopUniform:
+    """A generator stub whose uniforms are all the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_categorical_top_uniform_draws_the_last_type_with_weight_and_never_k():
+    # u * total rounds to at most total, so the draw never runs past the last row; a subnormal total rounds to itself
+    rng = RngStream(15).generator()
+    K, m = 6, 400
+    weights = rng.uniform(0.1, 1.0, size=(m, K)) * rng.choice([1e-320, 1e-300, 1e-8, 1.0, 1e300], size=(m, 1))
+    last = rng.integers(0, K, size=m)  # types after it get zero weight: trailing zero columns
+    weights[np.arange(K) > last[:, None]] = 0.0
+    draws = _categorical(weights.T, _TopUniform())
+    assert draws.dtype == np.intp and draws.max() < K
+    assert np.array_equal(draws, last)

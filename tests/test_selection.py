@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from lwf.core import OffspringLaw, random_interior_points
 from lwf.discrete import DiscreteModel, empirical_drift
+from lwf.experiments import standard_drift_catalog
 from lwf.rng import RngStream
-from lwf.rules import LogisticRule, NegFreqDepRule, PartialOrderRule, PosFreqDepRule, TransitiveRule
+from lwf.rules import LogisticRule
 from lwf.selection import DriftFunction, cyclic_contest_map, transitive_pair_map
 
 
@@ -107,13 +110,20 @@ def test_drift_closures_equal_the_direct_formulas_exactly():
     assert np.array_equal(DriftFunction.rps(1.3)(pts3), rps)
 
     pts4 = rng.dirichlet(np.ones(4), size=200)
-    increments = {3: 0.75, 1: 0.25}
-    cum = np.cumsum(pts4, axis=-1)
-    transitive = np.zeros_like(pts4)
-    for j, w in sorted(increments.items()):
-        transitive += w * (cum ** (j + 1) - (cum - pts4) ** (j + 1) - pts4)
-    transitive = 0.9 * transitive
-    assert np.array_equal(DriftFunction.transitive(0.9, increments, 4)(pts4), transitive)
+    for kappa, increments, pts in ((0.9, {3: 0.75, 1: 0.25}, pts4), (1.0, {1: 1.0}, np.asfortranarray(pts3))):
+        # the second drift skips its unit weight and kappa, on a column-major block as the integrator passes it
+        cum = np.cumsum(pts, axis=-1)
+        transitive = np.zeros_like(pts)
+        for j, w in sorted(increments.items()):
+            transitive += w * (cum ** (j + 1) - (cum - pts) ** (j + 1) - pts)
+        transitive = kappa * transitive
+        assert np.array_equal(DriftFunction.transitive(kappa, increments, pts.shape[1])(pts), transitive)
+
+    negfreq = 2.0 * 1.2 * pts4 * ((pts4**2).sum(axis=-1, keepdims=True) - pts4**2 - pts4 * (1.0 - pts4))
+    assert np.array_equal(DriftFunction.negfreq(1.2, 4)(pts4), negfreq)
+    cross = (1.0 - pts4) ** 2 - ((pts4**2).sum(axis=-1, keepdims=True) - pts4**2)
+    posfreq = 1.2 * pts4 * ((2.0 * pts4 - 1.0) * (1.0 - pts4) + cross)
+    assert np.array_equal(DriftFunction.posfreq(1.2, 4)(pts4), posfreq)
 
     web = [(1, 0), (2, 0), (3, 1)]
     matrix = np.zeros((4, 4))
@@ -141,21 +151,24 @@ def test_kappa_linearity():
     assert np.allclose(DriftFunction.negfreq(2.0, 3)(pts), 2.0 * DriftFunction.negfreq(1.0, 3)(pts))
 
 
-@pytest.mark.parametrize(
-    "rule,tail,drift",
-    [
-        (TransitiveRule(3), {3: 1.0}, DriftFunction.transitive(1.0, {2: 1.0}, 3)),
-        (LogisticRule([[0.5, 0.7], [0.3, 0.5]]), {2: 1.0}, DriftFunction.logistic(1.0, [[0.5, 0.7], [0.3, 0.5]])),
-        (PartialOrderRule.rps(), {2: 1.0}, DriftFunction.rps(1.0)),
-        (NegFreqDepRule(3), {3: 1.0}, DriftFunction.negfreq(1.0, 3)),
-        (PosFreqDepRule(3), {3: 1.0}, DriftFunction.posfreq(1.0, 3)),
-    ],
-    ids=["transitive", "logistic", "rps", "neg", "pos"],
-)
-def test_closed_forms_match_exact_enumeration_drift(rule, tail, drift):
-    # the enumeration route is exact: closed forms must match to rounding
-    model = DiscreteModel(N=2, rule=rule, offspring=OffspringLaw(1.0, tail))
-    pts = random_interior_points(RngStream(8).generator(), rule.K, 10)
-    for x in pts:
+@pytest.mark.parametrize("pair", standard_drift_catalog(), ids=lambda pair: pair["name"])
+def test_closed_forms_match_exact_enumeration_drift(pair):
+    # the enumeration route is exact and independent: the rule's type law summed over every sampled multiset
+    rule, drift = pair["rule"], pair["drift"]
+    model = DiscreteModel(N=2, rule=rule, offspring=OffspringLaw(1.0, pair["tail"]))
+    for x in RngStream(14).generator().dirichlet(np.ones(rule.K), size=50):
         est = empirical_drift(model, x, 1, method="exact")
-        assert np.allclose(drift(x), est.values, atol=1e-12)
+        assert np.abs(drift(x) - drift.kappa * est.values).max() <= 1e-12, pair["name"]
+
+
+def test_logistic_drift_and_rule_accept_the_same_matrices():
+    bad = {
+        "need p[i, j] + p[j, i] = 1": [[0.5, 0.9], [0.9, 0.5]],
+        "diagonal win probabilities must equal 1/2": [[0.4, 0.6], [0.4, 0.6]],
+        "win probabilities must lie in [0, 1]": [[0.5, 1.2], [-0.2, 0.5]],
+        "win-probability matrix must be square": [[0.5, 0.5]],
+    }
+    for message, matrix in bad.items():
+        for build in (LogisticRule, lambda m: DriftFunction.logistic(1.0, m)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(matrix)
