@@ -34,7 +34,6 @@ from .measures import (
     UniformLaw,
     ZeroMeasure,
     kappa_star,
-    lambda_nk,
     lambda_nk_quadrature,
 )
 from .rng import RngStream

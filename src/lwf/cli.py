@@ -80,6 +80,12 @@ def _integer(value, minimum: int | None = None) -> int:
     return value
 
 
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
+
+
 def _list_of(item: Callable, what: str) -> Callable:
     def convert(value) -> list:
         try:
@@ -95,17 +101,17 @@ def _list_of(item: Callable, what: str) -> Callable:
 CONVERT = {
     **dict.fromkeys(
         ("alpha", "b", "kappa", "sigma", "dt", "horizon", "T", "eps_jump", "tol_ext", "max_time", "stationary_time",
-         "burn_in", "delta", "final_ks_threshold", "min_fraction", "min_coord"),
+         "delta", "final_ks_threshold", "min_fraction", "min_coord"),
         _number,
     ),
-    **dict.fromkeys(("K", "N", "n_cap", "seed", "replicates", "dual_replicates", "grid_points", "points", "samples"),
-                    _integer),
+    **dict.fromkeys(("K", "N", "n_cap", "seed", "replicates", "grid_points", "points", "samples"), _integer),
     "n0": partial(_integer, minimum=1),
     "generations": partial(_integer, minimum=0),
     "record_every": partial(_integer, minimum=1),
     **dict.fromkeys(("x0", "xs", "ts"), _list_of(_number, "numbers")),
     **dict.fromkeys(("N_grid", "n0s"), _list_of(_integer, "integers")),
     "tail": parse_tail,
+    "stationary": _boolean,
 }
 
 
@@ -138,17 +144,11 @@ def _simulate_sde(*, out, threads, x0, drift, measure, record_every=1, replicate
     )
 
 
-def _ancestral(
-    *, out, n0, horizon, increments, measure, stationary_time=None, burn_in=None, replicates=1, seed=0, **chain
-):
-    """``chain`` holds ``kappa``, ``sigma`` and ``n_cap``.
-
-    A ``stationary_time`` asks for the solved law; its value and ``burn_in``
-    sized the simulation that once estimated it, and are ignored.
-    """
+def _ancestral(*, out, n0, horizon, increments, measure, stationary=False, replicates=1, seed=0, **chain):
+    """``chain`` holds ``kappa``, ``sigma`` and ``n_cap``; ``stationary`` also writes the solved law."""
     with building("'model' or 'schedule' block"):
         model = AncestralModel(increments=increments, measure=measure, **chain)
-        law = None if stationary_time is None else stationary_law(model)
+        law = stationary_law(model) if stationary else None
     stream = RngStream(seed)
     paths = [simulate_ancestral(model, n0, horizon, stream.derive(r).generator()) for r in range(replicates)]
     write_ancestral_csv(out / "paths.csv", paths)
@@ -181,7 +181,7 @@ COMMANDS = {
         "model": ("K x0 dt horizon sigma", "eps_jump tol_ext record_every"),
     }),
     "ancestral": Command(_ancestral, ("rule", "drift"), {
-        "model": ("n0 horizon kappa sigma", "n_cap stationary_time burn_in"),
+        "model": ("n0 horizon kappa sigma", "n_cap stationary"),
         "schedule": ("tail", ""),
     }),
     "convergence": Command(xp.run_convergence, (), {
@@ -196,7 +196,7 @@ COMMANDS = {
     "duality": Command(xp.run_duality, ("rule", "drift"), {
         "model": ("kappa sigma dt", "eps_jump"),
         "schedule": ("tail", ""),
-        "experiment": ("", "xs ts n0s dual_replicates"),
+        "experiment": ("", "xs ts n0s"),
     }),
     "rps-lyapunov": Command(xp.run_rps_lyapunov, ("rule", "drift", "schedule"), {
         "model": ("kappa sigma dt", "eps_jump"),

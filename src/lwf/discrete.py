@@ -35,7 +35,6 @@ class DiscreteModel:
     offspring: OffspringLaw
     gamma: float = 0.0
     size_law: TruncatedSizeLaw | None = None
-    schedule: ScalingSchedule | None = None
 
     def __post_init__(self):
         if self.N < 2:
@@ -58,7 +57,6 @@ class DiscreteModel:
             offspring=schedule.offspring,
             gamma=schedule.gamma,
             size_law=schedule.size_law,
-            schedule=schedule,
         )
 
     @property

@@ -484,7 +484,6 @@ def run_duality(
     dt: float = 1e-3,
     eps_jump: float = 1e-3,
     replicates: int = 20000,
-    dual_replicates: int | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> ExperimentReport:
@@ -500,8 +499,7 @@ def run_duality(
     error.  A cell whose bound d exceeds ``STATIONARY_TOL`` once the
     truncation reaches ``n_cap`` (a transient chain far out) is a failing
     ``dual_moment_resolved`` metric, not a band that passes almost any
-    value.  ``dual_replicates`` is accepted and ignored: it sized the
-    Gillespie estimate of the chain side before that side was solved.
+    value.
     """
     stream = RngStream(seed)
     drift = DriftFunction.neutral(2) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, 2)

@@ -29,8 +29,9 @@ class LambdaMeasure:
     """Base class for the supported measure variants.
 
     Subclasses are immutable value objects.  Continuous variants expose a
-    density; atomic variants expose their atom list; quadrature-based
-    oracles combine both (see :func:`lambda_nk_quadrature`).
+    density and an exact sampler of their event sizes; atomic variants expose
+    their atom list; the quadrature oracle combines both (see
+    :func:`lambda_nk_quadrature`).
     """
 
     kind: str = ""
@@ -66,14 +67,14 @@ class LambdaMeasure:
     def is_zero(self) -> bool:
         return self.total_mass() == 0.0
 
-    # -- closed-form integrals ----------------------------------------------
-
-    def collision_integral(self, n: int, k: int) -> float:
-        """Closed form of ``∫ y**(k-2) (1-y)**(n-k) L(dy)``."""
+    def _sizes_above(self, eps: float, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` exact draws from the continuous part of ``L(dz)/z**2`` on ``[eps, 1]``, normalized."""
         raise NotImplementedError
 
+    # -- closed-form integrals ----------------------------------------------
+
     def collision_rate_vector(self, n: int) -> np.ndarray:
-        """Rates ``C(n,k) * lambda_nk`` for ``k = 2..n`` (stable evaluation)."""
+        """Rates ``C(n,k) * ∫ y**(k-2) (1-y)**(n-k) L(dy)`` for ``k = 2..n``, in closed form."""
         raise NotImplementedError
 
     def log_penalty(self) -> float:
@@ -84,11 +85,6 @@ class LambdaMeasure:
 
     def to_config(self) -> dict:
         raise NotImplementedError
-
-
-def _check_nk(n: int, k: int) -> None:
-    if k < 2 or k > n:
-        raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
 
 
 def _stirling_error(m) -> np.ndarray:
@@ -146,10 +142,6 @@ class ZeroMeasure(LambdaMeasure):
     def resampling_mass_above(self, lo: float) -> float:
         return 0.0
 
-    def collision_integral(self, n: int, k: int) -> float:
-        _check_nk(n, k)
-        return 0.0
-
     def collision_rate_vector(self, n: int) -> np.ndarray:
         return np.zeros(max(n - 1, 0))
 
@@ -186,10 +178,6 @@ class PointMass(LambdaMeasure):
 
     def atoms(self):
         return ((self.z, self.mass),)
-
-    def collision_integral(self, n: int, k: int) -> float:
-        _check_nk(n, k)
-        return self.mass * self.z ** (k - 2) * (1.0 - self.z) ** (n - k)
 
     def collision_rate_vector(self, n: int) -> np.ndarray:
         return _atom_collision_rates(n, self.z, self.mass / self.z**2)
@@ -233,10 +221,6 @@ class FiniteAtoms(LambdaMeasure):
 
     def atoms(self):
         return self.pairs
-
-    def collision_integral(self, n: int, k: int) -> float:
-        _check_nk(n, k)
-        return sum(w * z ** (k - 2) * (1.0 - z) ** (n - k) for z, w in self.pairs)
 
     def collision_rate_vector(self, n: int) -> np.ndarray:
         out = np.zeros(n - 1)
@@ -284,12 +268,11 @@ class UniformLaw(LambdaMeasure):
     def has_continuous_part(self) -> bool:
         return True
 
-    def collision_integral(self, n: int, k: int) -> float:
-        from scipy import special
-
-        _check_nk(n, k)
-        # ∫ y**(k-2) (1-y)**(n-k) dy = B(k-1, n-k+1)
-        return self.mass * math.exp(special.betaln(k - 1, n - k + 1))
+    def _sizes_above(self, eps, rng, size):
+        # density mass/z**2 on [eps, 1]: exact inverse CDF
+        u = rng.random(size)
+        inv_eps = 1.0 / eps
+        return 1.0 / (inv_eps - u * (inv_eps - 1.0))
 
     def collision_rate_vector(self, n: int) -> np.ndarray:
         from scipy import special
@@ -355,18 +338,47 @@ class BetaLaw(LambdaMeasure):
             out = self.mass * np.exp(
                 (self.a - 1.0) * np.log(y) + (self.b - 1.0) * np.log1p(-y) - special.betaln(self.a, self.b)
             )
-        return np.where((y > 0) & (y < 1), out, np.where((y == 0) | (y == 1), _beta_edge(self.a, self.b, y, self.mass), 0.0))
+        return np.where((y > 0) & (y < 1), out, 0.0)
 
     @property
     def has_continuous_part(self) -> bool:
         return True
 
-    def collision_integral(self, n: int, k: int) -> float:
-        from scipy import special
-
-        _check_nk(n, k)
-        # ∫ y**(k-2) (1-y)**(n-k) Beta(a,b)(dy) = B(a+k-2, b+n-k) / B(a, b)
-        return self.mass * math.exp(special.betaln(self.a + k - 2, self.b + n - k) - special.betaln(self.a, self.b))
+    def _sizes_above(self, eps, rng, size):
+        a, b = self.a, self.b
+        out = np.empty(size)
+        filled = 0
+        if a > 2.0:
+            # L(dz)/z**2 is a Beta(a-2, b) shape; rejection below eps
+            while filled < size:
+                cand = rng.beta(a - 2.0, b, size=size - filled)
+                good = cand >= eps
+                n = int(good.sum())
+                out[filled : filled + n] = cand[good]
+                filled += n
+            return out
+        # f(z) = z**(a-3) (1-z)**(b-1) on [eps, 1] by rejection from a two-piece envelope split at s:
+        # c1 z**(a-3) bounds f on [eps, s] and c2 (1-z)**(b-1) on [s, 1], since a <= 2 and z or 1-z is >= 1/2
+        p, s = a - 2.0, max(eps, 0.5)
+        log_span = math.log(s / eps)
+        grow = math.expm1(p * log_span)
+        c1, c2 = 2.0 ** max(0.0, 1.0 - b), 2.0 ** (3.0 - a)
+        head = c1 * eps**p * (grow / p if p else log_span)  # envelope mass of each piece
+        tail = c2 * (1.0 - s) ** b / b
+        p_head = head / (head + tail)
+        while filled < size:
+            pick, v, w = rng.random((3, size - filled))
+            # inverse CDFs of the pieces; log1p keeps the head stable as a -> 2
+            z_head = eps * np.exp(np.log1p(v * grow) / p if p else v * log_span)
+            u_tail = (1.0 - s) * v ** (1.0 / b)  # 1 - z
+            in_head = pick < p_head
+            z = np.where(in_head, z_head, 1.0 - u_tail)
+            # accept with probability f / envelope
+            good = w < np.where(in_head, (1.0 - z_head) ** (b - 1.0) / c1, z ** (a - 3.0) / c2)
+            n = np.count_nonzero(good)
+            out[filled : filled + n] = z[good]
+            filled += n
+        return out
 
     def collision_rate_vector(self, n: int) -> np.ndarray:
         from scipy import special
@@ -394,18 +406,6 @@ class BetaLaw(LambdaMeasure):
         return {"kind": "beta", "a": self.a, "b": self.b, "mass": self.mass}
 
 
-def _beta_edge(a, b, y, mass):
-    from scipy import special
-
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    if a == 1.0:
-        out = np.where(y == 0.0, mass * math.exp(-special.betaln(a, b)), out)
-    if b == 1.0:
-        out = np.where(y == 1.0, mass * math.exp(-special.betaln(a, b)), out)
-    return out
-
-
 def _fields_kind(cls):
     """The allowed keys and builder of a variant whose config keys are its float fields."""
     names = [f.name for f in fields(cls)]
@@ -430,24 +430,16 @@ def measure_from_config(block: dict) -> LambdaMeasure:
 # ---------------------------------------------------------------------------
 
 
-def lambda_nk(measure: LambdaMeasure, n: int, k: int) -> float:
-    """Collision intensity ``∫ y**(k-2) (1-y)**(n-k) L(dy)`` for ``2 <= k <= n``.
-
-    Closed forms are used for every built-in variant; see
-    :func:`lambda_nk_quadrature` for the independent numerical route.
-    """
-    _check_nk(n, k)
-    return measure.collision_integral(n, k)
-
-
 def lambda_nk_quadrature(measure: LambdaMeasure, n: int, k: int, rel_tol: float = 1e-10) -> float:
-    """Numerical-quadrature evaluation of :func:`lambda_nk`.
+    """Collision intensity ``∫ y**(k-2) (1-y)**(n-k) L(dy)`` for ``2 <= k <= n``, by quadrature.
 
     Atomic parts are summed directly; the continuous part is integrated with
-    adaptive quadrature.  Kept independent of the closed forms so the two
-    routes can be cross-checked.
+    adaptive quadrature.  Kept independent of the closed form
+    :meth:`LambdaMeasure.collision_rate_vector` (which is ``C(n, k)`` times
+    this) so the two routes can be cross-checked.
     """
-    _check_nk(n, k)
+    if k < 2 or k > n:
+        raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
     total = 0.0
     for z, w in measure.atoms():
         total += w * z ** (k - 2) * (1.0 - z) ** (n - k)
@@ -507,23 +499,6 @@ class TruncatedSizeLaw:
             self._atom_sizes, ws = (np.array(v) for v in zip(*self._atoms))
             self._atom_cdf = np.cumsum(ws / ws.sum())
             self._atom_cdf /= self._atom_cdf[-1]
-        self._grid = None
-        if measure.has_continuous_part and self.total_rate > self._atom_rate + 0.0:
-            self._build_grid()
-
-    def _build_grid(self) -> None:
-        # Piecewise-linear inverse CDF of the continuous part on a log-spaced
-        # grid; resolution well below any Monte Carlo noise floor used here.
-        nodes = np.exp(np.linspace(math.log(self.eps), 0.0, 8193))
-        nodes[-1] = 1.0
-        dens = self.measure.density(nodes) / nodes**2
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(nodes))])
-        if cdf[-1] <= 0:
-            self._grid = None
-            return
-        cdf /= cdf[-1]
-        keep = np.concatenate([[True], np.diff(cdf) > 0])
-        self._grid = (cdf[keep], nodes[keep])
 
     @property
     def truncated_mass(self) -> float:
@@ -539,37 +514,15 @@ class TruncatedSizeLaw:
         if self._atoms and cont_rate <= 0:
             return self._sample_atoms(rng, size)
         if not self._atoms:
-            return self._sample_continuous(rng, size)
+            return self.measure._sizes_above(self.eps, rng, size)
         pick_atom = rng.random(size) < self._atom_rate / self.total_rate
         out = np.empty(size)
         n_atom = int(pick_atom.sum())
         if n_atom:
             out[pick_atom] = self._sample_atoms(rng, n_atom)
         if n_atom < size:
-            out[~pick_atom] = self._sample_continuous(rng, size - n_atom)
+            out[~pick_atom] = self.measure._sizes_above(self.eps, rng, size - n_atom)
         return out
 
     def _sample_atoms(self, rng, size):
         return self._atom_sizes[self._atom_cdf.searchsorted(rng.random(size), side="right")]
-
-    def _sample_continuous(self, rng, size):
-        if isinstance(self.measure, UniformLaw):
-            # density mass/z**2 on [eps, 1]: exact inverse CDF
-            u = rng.random(size)
-            inv_eps = 1.0 / self.eps
-            return 1.0 / (inv_eps - u * (inv_eps - 1.0))
-        if isinstance(self.measure, BetaLaw) and self.measure.a > 2.0:
-            # L(dz)/z**2 is a Beta(a-2, b) shape; rejection below eps
-            out = np.empty(size)
-            filled = 0
-            while filled < size:
-                cand = rng.beta(self.measure.a - 2.0, self.measure.b, size=size - filled)
-                good = cand >= self.eps
-                n = int(good.sum())
-                out[filled : filled + n] = cand[good]
-                filled += n
-            return out
-        if self._grid is None:
-            raise ValueError("size law has no continuous mass above the truncation")
-        cdf, nodes = self._grid
-        return np.interp(rng.random(size), cdf, nodes)

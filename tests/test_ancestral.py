@@ -15,7 +15,7 @@ from lwf.ancestral import (
     stationary_law,
 )
 from lwf.errors import RateExplosionError
-from lwf.measures import FiniteAtoms, PointMass, UniformLaw, ZeroMeasure, lambda_nk
+from lwf.measures import FiniteAtoms, PointMass, UniformLaw, ZeroMeasure, lambda_nk_quadrature
 from lwf.rng import RngStream
 
 
@@ -49,7 +49,7 @@ def test_rates_match_collision_integrals():
     assert rates[n + 1] == pytest.approx(n * 0.5 * 0.25)
     assert rates[n + 3] == pytest.approx(n * 0.5 * 0.75)
     for k in range(2, n + 1):
-        expected = math.comb(n, k) * lambda_nk(measure, n, k)
+        expected = math.comb(n, k) * lambda_nk_quadrature(measure, n, k)
         if k == 2:
             expected += 2.0 * n * (n - 1) / 2.0
         assert rates[n - k + 1] == pytest.approx(expected)

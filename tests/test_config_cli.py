@@ -373,7 +373,7 @@ def test_csv_rows_are_the_repr_of_every_value(tmp_path):
 
 
 ANCESTRAL_PAYLOAD = {
-    "model": {"n0": 5, "horizon": 3.0, "kappa": 0.2, "sigma": 1.0, "stationary_time": 500.0, "burn_in": 50.0},
+    "model": {"n0": 5, "horizon": 3.0, "kappa": 0.2, "sigma": 1.0, "stationary": True},
     "schedule": {"tail": {"2": 1.0}},
     "experiment": {"seed": 4, "replicates": 4},
 }
@@ -391,6 +391,13 @@ def test_cli_ancestral_writes_paths_and_stationary(tmp_path):
     assert stationary["states"] == list(range(1, stationary["n_max"] + 1))
     assert abs(sum(stationary["occupation"]) - 1.0) < 1e-12
     assert stationary["resolved"] is True and stationary["truncation_error"] <= 1e-6
+    # without the flag the same paths are written and no law is solved
+    payload = json.loads(json.dumps(ANCESTRAL_PAYLOAD))
+    del payload["model"]["stationary"]
+    bare = tmp_path / "bare"
+    assert main(["ancestral", "--config", write_config(tmp_path / "b.json", payload), "--out", str(bare)]) == 0
+    assert (bare / "paths.csv").read_bytes() == (out / "paths.csv").read_bytes()
+    assert not (bare / "stationary.json").exists()
 
 
 def test_cli_ancestral_law_of_a_transient_chain_is_a_config_error(tmp_path, capsys):
@@ -488,8 +495,7 @@ EXPERIMENT_PAYLOADS = {
         "model": {"kappa": 0.5, "sigma": 1.0, "dt": 0.002},
         "schedule": {"tail": {"2": 1.0}},
         "experiment": {
-            "name": "duality", "seed": 3, "replicates": 500, "dual_replicates": 500, "xs": [0.3], "ts": [0.3],
-            "n0s": [2],
+            "name": "duality", "seed": 3, "replicates": 500, "xs": [0.3], "ts": [0.3], "n0s": [2],
         },
     },
     "rps-lyapunov": {
@@ -570,8 +576,8 @@ SCHEMA_ERRORS = [
     ("simulate-discrete", _missing("schedule", "alpha"), "block 'schedule' is missing required keys: ['alpha']"),
     ("simulate-discrete", _added("drift", NEUTRAL), "blocks ['drift'] are not used by 'simulate-discrete'"),
     ("simulate-discrete", _named("duality"), "experiment.name is 'duality' but the subcommand is 'simulate-discrete'"),
-    ("ancestral", _unknown("model"), "unknown keys in 'model' block: ['typo'] (allowed: ['burn_in', 'horizon', "
-     "'kappa', 'n0', 'n_cap', 'sigma', 'stationary_time'])"),
+    ("ancestral", _unknown("model"), "unknown keys in 'model' block: ['typo'] (allowed: ['horizon', 'kappa', 'n0', "
+     "'n_cap', 'sigma', 'stationary'])"),
     ("ancestral", _missing("model", "kappa"), "block 'model' is missing required keys: ['kappa']"),
     ("ancestral", _added("drift", NEUTRAL), "blocks ['drift'] are not used by 'ancestral'"),
     ("ancestral", _named("duality"), "experiment.name is 'duality' but the subcommand is 'ancestral'"),
@@ -653,6 +659,13 @@ SCHEMA_ERRORS = [
     ("simulate-sde", _added("drift", {"kind": "logistic", "kappa": 1,
                                       "matrix": [[0.5, 0.9, 0.5], [0.9, 0.5, 0.5], [0.5, 0.5, 0.5]]}),
      "bad drift block: need p[i, j] + p[j, i] = 1"),
+    # keys that sized the Gillespie estimates of the chain's laws, which are solved now
+    ("ancestral", lambda p: p["model"].update(burn_in=50.0, stationary_time=500.0),
+     "unknown keys in 'model' block: ['burn_in', 'stationary_time'] (allowed: ['horizon', 'kappa', 'n0', 'n_cap', "
+     "'sigma', 'stationary'])"),
+    ("duality", lambda p: p["experiment"].update(dual_replicates=500),
+     "unknown keys in 'experiment' block: ['dual_replicates'] (allowed: ['n0s', 'name', 'replicates', 'seed', 'ts', "
+     "'xs'])"),
 ]
 
 
@@ -704,6 +717,8 @@ MALFORMED = [
     # a lineage count the chain cannot start from exited 1 with a traceback
     ("duality", lambda p: p["experiment"].update(n0s=[0]),
      "invalid duality cell n0=0,t=0.3,x=0.3: initial state must lie in [1, n_cap = 2048], got 0"),
+    ("ancestral", lambda p: p["model"].update(stationary=1),
+     "invalid 'model' block: stationary must be true or false, got 1"),
 ]
 
 

@@ -12,7 +12,6 @@ from lwf.measures import (
     UniformLaw,
     ZeroMeasure,
     kappa_star,
-    lambda_nk,
     lambda_nk_quadrature,
 )
 from lwf.rng import RngStream
@@ -33,6 +32,11 @@ def test_total_mass_examples():
     assert FiniteAtoms([(0.2, 0.3), (0.9, 0.7)]).total_mass() == pytest.approx(1.0)
 
 
+def lambda_nk(measure, n, k):
+    """``∫ y**(k-2) (1-y)**(n-k) L(dy)`` from the closed-form rate vector the dual chain runs."""
+    return measure.collision_rate_vector(n)[k - 2] / math.comb(n, k)
+
+
 def test_lambda_nk_examples():
     assert lambda_nk(PointMass(1.0, 1.0), 3, 3) == 1.0
     assert lambda_nk(PointMass(1.0, 1.0), 3, 2) == 0.0
@@ -42,9 +46,9 @@ def test_lambda_nk_examples():
 
 def test_lambda_nk_rejects_bad_indices():
     with pytest.raises(ValueError):
-        lambda_nk(UniformLaw(), 4, 1)
+        lambda_nk_quadrature(UniformLaw(), 4, 1)
     with pytest.raises(ValueError):
-        lambda_nk(UniformLaw(), 4, 5)
+        lambda_nk_quadrature(UniformLaw(), 4, 5)
 
 
 @pytest.mark.parametrize("measure", ALL_VARIANTS, ids=lambda m: f"{m.kind}")
@@ -68,7 +72,7 @@ def test_collision_rate_vector_matches_direct_combination():
     for measure in ALL_VARIANTS:
         for n in (2, 5, 11):
             rates = measure.collision_rate_vector(n)
-            direct = [math.comb(n, k) * lambda_nk(measure, n, k) for k in range(2, n + 1)]
+            direct = [math.comb(n, k) * lambda_nk_quadrature(measure, n, k) for k in range(2, n + 1)]
             assert np.allclose(rates, direct, rtol=1e-10, atol=1e-14)
 
 
@@ -199,8 +203,17 @@ def test_point_mass_validation():
 
 @pytest.mark.parametrize(
     "measure",
-    [PointMass(0.4, 2.0), FiniteAtoms([(0.2, 0.3), (0.9, 0.7)]), UniformLaw(1.0), BetaLaw(3.5, 2.0), BetaLaw(1.5, 1.0)],
-    ids=lambda m: f"{m.kind}-{getattr(m, 'a', '')}",
+    [
+        PointMass(0.4, 2.0),
+        FiniteAtoms([(0.2, 0.3), (0.9, 0.7)]),
+        UniformLaw(1.0),
+        BetaLaw(3.5, 2.0),
+        BetaLaw(1.5, 1.0),
+        BetaLaw(1.0, 0.5),
+        BetaLaw(0.5, 0.5),
+        BetaLaw(2.0, 3.0),
+    ],
+    ids=["point_mass-", "finite_atoms-", "uniform-", "beta-3.5", "beta-1.5", "beta-1-0.5", "beta-0.5-0.5", "beta-2-3"],
 )
 def test_truncated_size_law_samples_match_cdf(measure):
     eps = 0.1
@@ -214,7 +227,18 @@ def test_truncated_size_law_samples_match_cdf(measure):
     for q in (0.2, 0.35, 0.6, 0.85):
         expected = (law.total_rate - measure.resampling_mass_above(q + 1e-9)) / law.total_rate
         observed = float((draws <= q).mean())
-        assert observed == pytest.approx(expected, abs=4.5 * 0.5 / math.sqrt(draws.size) + 5e-3)
+        assert observed == pytest.approx(expected, abs=4.5 * 0.5 / math.sqrt(draws.size))
+
+
+def test_beta_size_law_tail_near_one_is_exact():
+    # Beta(1, 0.5) piles its mass against z = 1, where an approximate inverse CDF is sparsest
+    measure, eps, q = BetaLaw(1.0, 0.5), 1e-3, 0.999
+    law = TruncatedSizeLaw(measure, eps)
+    draws = law.sample(RngStream(29).generator(), 10**7)
+    assert draws.min() >= eps and draws.max() <= 1.0
+    p = measure.resampling_mass_above(q) / law.total_rate
+    observed = float((draws > q).mean())
+    assert abs(observed - p) <= 4.0 * math.sqrt(p * (1.0 - p) / draws.size), (observed, p)
 
 
 def test_truncated_size_law_total_rate_and_diagnostic():
@@ -260,8 +284,44 @@ def test_atom_sampler_draws_what_generator_choice_draws(measure, size):
             want = np.empty(size)
             pick = ref.random(size) < sum(w) / law.total_rate
             want[pick] = zs[ref.choice(len(zs), int(pick.sum()), p=w / w.sum())]
-            want[~pick] = law._sample_continuous(ref, size - int(pick.sum()))
+            want[~pick] = measure._sizes_above(law.eps, ref, size - int(pick.sum()))
         else:
             want = zs[ref.choice(len(zs), size, p=w / w.sum())]
         assert got.tobytes() == want.tobytes()
+        assert _state(rng) == _state(ref)
+
+
+def _uniform_sizes(measure, eps, rng, size):
+    """The exact inverse CDF of ``1/z**2`` on ``[eps, 1]``."""
+    u = rng.random(size)
+    inv_eps = 1.0 / eps
+    return 1.0 / (inv_eps - u * (inv_eps - 1.0))
+
+
+def _beta_above_2_sizes(measure, eps, rng, size):
+    """Beta(a - 2, b) draws, each batch keeping those at or above ``eps``."""
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        cand = rng.beta(measure.a - 2.0, measure.b, size=size - filled)
+        good = cand >= eps
+        n = int(good.sum())
+        out[filled : filled + n] = cand[good]
+        filled += n
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 3, 500])
+@pytest.mark.parametrize(
+    "measure,oracle",
+    [(UniformLaw(1.5), _uniform_sizes), (BetaLaw(3.5, 2.0), _beta_above_2_sizes),
+     (BetaLaw(2.5, 0.5, 0.7), _beta_above_2_sizes)],
+    ids=["uniform", "beta-3.5-2", "beta-2.5-0.5"],
+)
+def test_uniform_and_beta_above_2_sizes_keep_their_formulas(measure, oracle, size):
+    # these draws are kept byte for byte: same sizes, same state of the stream afterwards
+    law = TruncatedSizeLaw(measure, 0.05)
+    rng, ref = RngStream(31).generator(), RngStream(31).generator()
+    for _ in range(3):
+        assert law.sample(rng, size).tobytes() == oracle(measure, 0.05, ref, size).tobytes()
         assert _state(rng) == _state(ref)
