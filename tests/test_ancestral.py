@@ -9,13 +9,15 @@ from lwf.ancestral import (
     N_START,
     STATIONARY_TOL,
     AncestralModel,
+    _generator,
+    _solve_stationary,
     dual_moment,
     fixation_probabilities,
     simulate_ancestral,
     stationary_law,
 )
 from lwf.errors import RateExplosionError
-from lwf.measures import FiniteAtoms, PointMass, UniformLaw, ZeroMeasure, lambda_nk_quadrature
+from lwf.measures import BetaLaw, FiniteAtoms, PointMass, UniformLaw, ZeroMeasure, lambda_nk_quadrature
 from lwf.rng import RngStream
 
 
@@ -156,6 +158,74 @@ def test_stationary_pure_death_concentrates_at_one():
     assert np.all(law.change <= 1e-12)
 
 
+def _dense_reference(model, n):
+    """LU solve of ``nu Q = 0`` on the same truncated generator, the last balance row replaced by ones."""
+    A = _generator(model, n)[0].T.copy()
+    A[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    return np.linalg.solve(A, b)
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [
+        (AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0)), 512),
+        (AncestralModel(kappa=2.5, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0)), 2048),
+        (AncestralModel(kappa=0.8, sigma=0.0, increments={1: 0.5, 3: 0.5}, measure=PointMass(0.5, 1.0)), 512),
+        (AncestralModel(kappa=1.5, sigma=0.7, increments={1: 1.0}, measure=BetaLaw(2.0, 3.0, 1.0)), 256),
+        (AncestralModel(kappa=0.7, sigma=0.0, increments={2: 1.0}, measure=FiniteAtoms([(1.0, 0.5), (0.3, 2.0)])),
+         256),
+    ],
+    ids=["point-mass", "kappa-2.5-n-2048", "increments-up-to-3", "sigma-and-beta", "finite-atoms"],
+)
+def test_state_reduction_matches_the_dense_solve_and_balances_every_state(model, n):
+    nu = _solve_stationary(model, n)
+    assert np.all(nu >= 0.0) and nu.sum() == pytest.approx(1.0, abs=1e-14)
+    # the LU is accurate to rounding in norm only: relative in the bulk, absolute (even negative) in the far tail
+    reference = _dense_reference(model, n)
+    bulk = reference > 1e-3
+    assert np.all(np.abs(nu - reference)[bulk] <= 1e-12 * reference[bulk])
+    assert np.all(np.abs(nu - reference) <= 1e-15)
+    # every state's inflow equals its outflow to relative rounding, down to the smallest represented mass
+    Q = _generator(model, n)[0]
+    outflow = -np.diag(Q) * nu
+    np.fill_diagonal(Q, 0.0)
+    inflow = nu @ Q
+    held = nu > 1e-290
+    assert held.sum() >= n // 2
+    assert np.all(np.abs(inflow - outflow)[held] <= 1e-12 * outflow[held])
+
+
+def test_the_stationary_law_calls_no_lapack_solve(monkeypatch):
+    import scipy.linalg
+
+    model = AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
+    law = stationary_law(model)
+    prediction = fixation_probabilities(model, [0.2, 0.3, 0.5])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stationary law reached a dense LAPACK solve")
+
+    for module, name in [(np.linalg, "solve"), (scipy.linalg, "solve"), (scipy.linalg, "lu_factor")]:
+        monkeypatch.setattr(module, name, refuse)
+    fresh = AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
+    again = stationary_law(fresh)
+    assert np.array_equal(again.occupation, law.occupation) and np.array_equal(again.change, law.change)
+    repeat = fixation_probabilities(fresh, [0.2, 0.3, 0.5])
+    assert np.array_equal(repeat.probs, prediction.probs) and np.array_equal(repeat.stderr, prediction.stderr)
+
+
+def test_a_chain_that_never_moves_has_no_unique_stationary_law():
+    model = AncestralModel(kappa=0.0, sigma=0.0, increments={1: 1.0}, measure=ZeroMeasure())
+    with pytest.raises(ValueError, match=r"never moves \(kappa = 0, sigma = 0, Lambda = 0\).*not unique"):
+        stationary_law(model)
+    # one source of motion is enough: the count falls to 1 and stays there
+    for moving in (AncestralModel(kappa=0.0, sigma=0.5, increments={1: 1.0}),
+                   AncestralModel(kappa=0.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))):
+        assert stationary_law(moving).occupation[0] == pytest.approx(1.0, abs=1e-12)
+
+
 def _occupation_fractions(model, paths, burn_in, horizon, n_max):
     """Time each path spends in states 1..n_max after burn_in, as fractions: (paths, n_max)."""
     out = np.zeros((len(paths), n_max))
@@ -168,7 +238,7 @@ def _occupation_fractions(model, paths, burn_in, horizon, n_max):
     return out / (horizon - burn_in)
 
 
-def test_stationary_matches_truncated_linear_solve():
+def test_stationary_matches_the_occupation_times_of_gillespie_paths():
     # occupation times of simulated paths against the law solved on the truncated state space
     model = AncestralModel(kappa=0.8, sigma=0.0, increments={1: 0.5, 2: 0.5}, measure=PointMass(0.5, 1.0))
     law = stationary_law(model)

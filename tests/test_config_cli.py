@@ -412,6 +412,17 @@ def test_cli_ancestral_law_of_a_transient_chain_is_a_config_error(tmp_path, caps
     assert meta["error"]["class"] == "ConfigError" and not (out / "stationary.json").exists()
 
 
+def test_cli_ancestral_law_of_a_chain_that_never_moves_is_a_config_error(tmp_path, capsys):
+    payload = json.loads(json.dumps(ANCESTRAL_PAYLOAD))
+    payload["model"].update({"kappa": 0.0, "sigma": 0.0})
+    out = tmp_path / "run"
+    assert main(["ancestral", "--config", write_config(tmp_path / "c.json", payload), "--out", str(out)]) == 2
+    assert "the lineage count never moves (kappa = 0, sigma = 0, Lambda = 0)" in capsys.readouterr().err
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["error"]["class"] == "ConfigError" and "not unique" in meta["error"]["message"]
+    assert not (out / "stationary.json").exists()
+
+
 @pytest.mark.parametrize("kappa", [2.5, 2.7])
 def test_cli_fixation_near_the_threshold_exits_1_with_an_unresolved_law(tmp_path, kappa):
     payload = {
