@@ -17,9 +17,8 @@ simplex (clamp negatives, renormalize) whose bias near the boundary is
 dominated by the Euler error; jump steps are convex combinations and preserve
 the simplex exactly.
 
-The integrator never forms the ``(K, K)`` factor: it applies ``zeta(x)`` to the
-Gaussian increment in O(K) per replicate from the same suffix sums, on column-major
-states; :func:`zeta` builds the full matrix and is the reference for that product.
+The integrator never forms the ``(K, K)`` factor: it applies ``zeta(x)`` to the noise in O(K) per replicate, as one
+fused product over the stacked weights of :func:`_factor`, on column-major states; :func:`zeta` is its reference.
 """
 
 from __future__ import annotations
@@ -36,18 +35,17 @@ from .measures import LambdaMeasure, TruncatedSizeLaw, ZeroMeasure
 _TINY = 1e-14
 
 
-def _factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and column weights of :func:`zeta` for type-major ``x`` of shape ``(K, ...)``; the last ones are 0."""
-    S = np.empty(x.shape)
-    np.add.accumulate(x[::-1], out=S[::-1])  # suffix sums S_j = x_j + ... + x_(K-1)
+def _factor(x: np.ndarray) -> np.ndarray:
+    """Weights of :func:`zeta`, diagonal then column, stacked ``(2, K, ...)`` for type-major ``x``; last rows 0."""
+    S = x.copy()  # suffix sums S_j = x_j + ... + x_(K-1), by rows: add.accumulate loops over K once per replicate
+    for j in range(len(S) - 2, -1, -1):
+        S[j] += S[j + 1]
     S, S_next, head = S[:-1], S[1:], x[:-1]
     denom = S * S_next
-    diag, col = np.zeros(x.shape), np.zeros(x.shape)
-    np.divide(head * S_next, S, out=diag[:-1], where=S > _TINY)
-    np.divide(head, denom, out=col[:-1], where=denom > _TINY)
-    for v in (diag[:-1], col[:-1]):
-        np.sqrt(np.maximum(v, 0.0, out=v), out=v)
-    return diag, col
+    F = np.zeros((2,) + x.shape)
+    np.divide(head * S_next, S, out=F[0, :-1], where=S > _TINY)
+    np.divide(head, denom, out=F[1, :-1], where=denom > _TINY)
+    return np.sqrt(F, out=F)  # coordinates >= +0 give radicands >= +0: no clamp
 
 
 def zeta(x) -> np.ndarray:
@@ -59,13 +57,11 @@ def zeta(x) -> np.ndarray:
         zeta[i, i] = sqrt(x_i * S_(i+1) / S_i)
         zeta[i, j] = -x_i * sqrt(x_j / (S_j * S_(j+1)))      for i > j
 
-    Entries whose denominators vanish are set to zero, which is the limit of
-    the formula on the simplex (the numerators vanish at least as fast).
-    Batch aware: ``x`` may have shape ``(..., K)``.
+    Entries whose denominators vanish are set to zero, which is the limit of the formula on the simplex (the
+    numerators vanish at least as fast).  Batch aware: ``x`` may have shape ``(..., K)``.
 
-    The integrator never builds this matrix: :func:`_apply_zeta` applies the
-    same factor to the noise in O(K).  ``zeta`` is the reference that the
-    factorization criterion and the tests check it against.
+    The integrator never builds this matrix: :func:`_apply_zeta` applies the weights of :func:`_factor`, which
+    it shares, to the noise in O(K).  ``zeta`` is the reference that the factorization criterion checks.
     """
     x = np.asarray(x, dtype=float)
     K = x.shape[-1]
@@ -77,11 +73,13 @@ def zeta(x) -> np.ndarray:
 
 
 def _apply_zeta(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """``zeta(x) @ xi`` per row in O(K): ``diag * xi - x * (col * xi summed over j < i)``, on type-major views."""
-    x, xi = x.T, xi.T
-    diag, col = _factor(x)
-    out = diag * xi
-    out[1:] -= x[1:] * np.add.accumulate(col[:-1] * xi[:-1])
+    """``zeta(x) @ xi`` per row in O(K): ``diag * xi - x * (col * xi summed over j < i)``, as a fresh array."""
+    x, F = x.T, _factor(x.T)
+    F *= xi.T  # both weights times the noise, in one multiply; the rest runs in place
+    out, acc = F[0], F[1, :-1]
+    for j in range(1, len(acc)):  # its prefix sums, by rows
+        acc[j] += acc[j - 1]
+    out[1:] -= np.multiply(acc, x[1:], out=acc)
     return out.T
 
 
@@ -138,9 +136,11 @@ class SdeConfig:
 
 def _advance(cfg: SdeConfig, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One Euler step plus the jumps binned into it, for active rows; returns them column-major."""
-    Y = np.add(X, cfg.dt * np.asarray(cfg.drift(X), dtype=float), out=np.empty(X.shape[::-1]).T)
+    Y = np.multiply(cfg.drift(X), cfg.dt, out=np.empty(X.shape[::-1]).T, dtype=float)  # a shared result stays as it was
+    Y += X
     if cfg.sigma > 0.0:
-        Y += math.sqrt(cfg.sigma * cfg.dt) * _apply_zeta(X, rng.standard_normal(X.shape))
+        noise = _apply_zeta(X, rng.standard_normal(X.shape))
+        Y += np.multiply(noise, math.sqrt(cfg.sigma * cfg.dt), out=noise)
     # project onto the simplex; rows that already sum to 1 divide by 1 exactly
     np.maximum(Y, 0.0, out=Y)
     Y /= np.add.reduce(Y, axis=1, keepdims=True)
@@ -253,13 +253,14 @@ class BatchSde:
 def simulate_sde(cfg: SdeConfig, x0, replicates: int, times, rng: np.random.Generator) -> tuple[np.ndarray, BatchSde]:
     """Integrate a batch of replicates, recording the block at each of ``times``.
 
-    Returns the states, shape ``(len(times), replicates, K)``, and the batch,
-    run on to the horizon or until every replicate is fixed, whose boundary
-    events (winners, extinction and fixation times, clamps) cover that run.
-    A record after every replicate fixed repeats the vertices.
+    Returns the states, shape ``(len(times), replicates, K)``, and the batch, run on to the horizon or until every
+    replicate is fixed, whose boundary events (winners, extinction and fixation times, clamps) cover that run.
+    A record after every replicate fixed repeats the vertices.  ``times`` must be nondecreasing and lie within the
+    run as step indices, ``0 <= round(t / dt) <= round(horizon / dt)``, so a grid's last point may round to it.
     """
-    if np.any(np.diff(times) < 0):
-        raise ValueError("record times must be nondecreasing")
+    steps = np.rint(np.divide(times, cfg.dt))
+    if np.any(np.diff(times) < 0) or np.any((steps < 0) | (steps > round(cfg.horizon / cfg.dt))):
+        raise ValueError(f"record times must be nondecreasing and lie within the run, [0, horizon = {cfg.horizon}]")
     batch = BatchSde(cfg, x0, replicates, rng)
     states = np.empty((len(times), batch.R, cfg.K))
     for j, t in enumerate(times):

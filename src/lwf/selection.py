@@ -33,6 +33,11 @@ def _iter_weights(increments):
     return items
 
 
+def _scaled(c: float, a: np.ndarray) -> np.ndarray:
+    """``c * a``, with no array multiply when ``c`` is 1 (``1.0 * a`` is ``a`` bit for bit)."""
+    return a if c == 1.0 else c * a
+
+
 # Standard simplex-preserving polynomial maps used with the Bernstein route.
 
 
@@ -111,15 +116,9 @@ class DriftFunction:
                 term = cum ** (j + 1)
                 term -= cum_prev ** (j + 1)
                 term -= x
-                if w != 1.0:
-                    term *= w
-                if out is None:
-                    out = term
-                else:
-                    out += term
-            if kappa != 1.0:
-                out *= kappa
-            return out
+                term = _scaled(w, term)
+                out = term if out is None else np.add(out, term, out=out)
+            return _scaled(kappa, out)
 
         return cls("transitive", K, mu, {"kappa": kappa, "increments": {str(j): w for j, w in items}})
 
@@ -135,7 +134,7 @@ class DriftFunction:
         def mu(x):
             x = np.asarray(x, dtype=float)
             losses = x @ P - 0.5 * x  # sum_{j != i} p[j, i] x_j
-            return kappa * x * (1.0 - x - 2.0 * losses)
+            return _scaled(kappa, x) * (1.0 - x - 2.0 * losses)
 
         return cls("logistic", P.shape[0], mu, {"kappa": kappa, "matrix": P.tolist()})
 
@@ -155,7 +154,7 @@ class DriftFunction:
             np.subtract(x[..., 2], x[..., 1], out=gap[..., 0])
             np.subtract(x[..., 0], x[..., 2], out=gap[..., 1])
             np.subtract(x[..., 1], x[..., 0], out=gap[..., 2])
-            return kappa * x * gap
+            return np.multiply(gap, _scaled(kappa, x), out=gap)
 
         return cls("rps", 3, mu, {"kappa": kappa})
 
@@ -174,7 +173,7 @@ class DriftFunction:
             x = np.asarray(x, dtype=float)
             prey = x @ matrix.T
             predators = x @ matrix
-            return kappa * x * (prey - predators)
+            return _scaled(kappa, x) * (prey - predators)
 
         return cls("food_web", K, mu, {"kappa": kappa, "beats": [[w + 1, l + 1] for w, l in pairs]})
 
@@ -206,7 +205,7 @@ class DriftFunction:
             x2 = x**2
             others = 1.0 - x
             cross = others**2 - (x2.sum(axis=-1, keepdims=True) - x2)
-            return kappa * x * ((2.0 * x - 1.0) * others + cross)
+            return _scaled(kappa, x) * ((2.0 * x - 1.0) * others + cross)
 
         return cls("pos_freq", K, mu, {"kappa": kappa})
 
@@ -216,7 +215,7 @@ class DriftFunction:
 
         def mu(x):
             x = np.asarray(x, dtype=float)
-            return lam * (np.asarray(g(x), dtype=float) - x)
+            return _scaled(lam, np.asarray(g(x), dtype=float) - x)
 
         return cls("polynomial", g.K, mu, {"lambda": lam, "degree": g.degree, "monomials": _poly_config(g)})
 

@@ -8,8 +8,31 @@ from lwf.bernstein import PolynomialMap
 from lwf.core import random_interior_points
 from lwf.measures import FiniteAtoms, PointMass, ZeroMeasure
 from lwf.rng import RngStream
-from lwf.sde import BatchSde, SdeConfig, _advance, _apply_zeta, simulate_sde, zeta
+from lwf.sde import _TINY, BatchSde, SdeConfig, _advance, _apply_zeta, _factor, simulate_sde, zeta
 from lwf.selection import DriftFunction
+
+
+def _factor_reference(x):
+    """``zeta``'s weights in two zero-filled buffers, each clamped before its square root: the oracle for ``_factor``."""
+    S = np.empty(x.shape)
+    np.add.accumulate(x[::-1], out=S[::-1])
+    S, S_next, head = S[:-1], S[1:], x[:-1]
+    denom = S * S_next
+    diag, col = np.zeros(x.shape), np.zeros(x.shape)
+    np.divide(head * S_next, S, out=diag[:-1], where=S > _TINY)
+    np.divide(head, denom, out=col[:-1], where=denom > _TINY)
+    for v in (diag[:-1], col[:-1]):
+        np.sqrt(np.maximum(v, 0.0, out=v), out=v)
+    return diag, col
+
+
+def _apply_zeta_reference(x, xi):
+    """``zeta(x) @ xi`` per row, each product in its own temporary: the oracle for ``_apply_zeta``."""
+    x, xi = x.T, xi.T
+    diag, col = _factor_reference(x)
+    out = diag * xi
+    out[1:] -= x[1:] * np.add.accumulate(col[:-1] * xi[:-1])
+    return out.T
 
 
 def sigma_matrix(x):
@@ -56,6 +79,20 @@ def test_zeta_factorization_random_and_near_boundary():
         direct = np.einsum("rij,rj->ri", zeta(edge), xi)
         assert np.abs(_apply_zeta(edge, xi) - direct).max() < 1e-14
 
+        # the fused product gives the reference's bytes, factor and product alike
+        assert _factor(edge.T).tobytes() == np.array(_factor_reference(edge.T)).tobytes()
+        assert _apply_zeta(edge, xi).tobytes() == _apply_zeta_reference(edge, xi).tobytes()
+        # with -0.0 coordinates only the sign of some zeros differs, since the reference clamps -0.0 to +0.0 ...
+        signed = np.where(edge == 0.0, -0.0, edge)
+        fused, reference = _apply_zeta(signed, xi), _apply_zeta_reference(signed, xi)
+        assert np.array_equal(fused, reference) and fused.tobytes() != reference.tobytes()
+        # ... and the projection maps every zero to +0.0, so a step gives the reference's bytes
+        cfg = SdeConfig(K=K, drift=DriftFunction.negfreq(1.5, K), sigma=1.0, measure=ZeroMeasure(), dt=5e-3, horizon=1.0)
+        for block in (edge, signed):
+            step = _advance(cfg, np.asfortranarray(block), RngStream(70).generator())
+            want, _ = _advance_row_major(cfg, block.copy(), RngStream(70).generator())
+            assert np.ascontiguousarray(step).tobytes() == want.tobytes()
+
 
 @pytest.mark.parametrize("K", [2, 3, 6])
 def test_advance_gives_the_same_bytes_on_a_row_major_and_a_column_major_block(K):
@@ -80,7 +117,7 @@ def _advance_row_major(cfg, X, rng):
     """``_advance`` on a row-major block, each jump round on gathered rows: its oracle. Returns the rounds run."""
     Y = X + cfg.dt * np.asarray(cfg.drift(X), dtype=float)
     if cfg.sigma > 0.0:
-        Y += math.sqrt(cfg.sigma * cfg.dt) * _apply_zeta(X, rng.standard_normal(X.shape))
+        Y += math.sqrt(cfg.sigma * cfg.dt) * _apply_zeta_reference(X, rng.standard_normal(X.shape))
     np.maximum(Y, 0.0, out=Y)
     Y /= np.add.reduce(Y, axis=1, keepdims=True)
     n_jumps = rng.poisson(cfg.jump_rate * cfg.dt, X.shape[0])
@@ -113,6 +150,19 @@ def test_jump_rounds_give_the_same_bytes_as_the_row_major_formulation(K):
             assert np.ascontiguousarray(Y).tobytes() == want.tobytes()
             assert rng.random() == ref.random()
             X = Y
+
+
+def test_a_drift_returning_one_cached_array_is_never_scaled_in_place():
+    # any callable may serve as the drift, and its result may be shared: the step must leave it as it was
+    X = np.array([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]])
+    mu = np.array([[0.5, -0.25, -0.25], [-0.25, 0.5, -0.25]])  # dyadic and zero-sum: X + dt * mu is exact, rows sum to 1
+    cached = mu.copy()
+    cfg = SdeConfig(K=3, drift=lambda x: cached, sigma=0.0, measure=ZeroMeasure(), dt=0.125, horizon=1.0)
+    rng = RngStream(19).generator()
+    for _ in range(3):
+        Y = _advance(cfg, np.asfortranarray(X), rng)
+        assert np.ascontiguousarray(Y).tobytes() == (X + 0.125 * mu).tobytes()
+        assert cached.tobytes() == mu.tobytes()
 
 
 def test_frozen_dynamics_identity():
@@ -184,6 +234,18 @@ def test_simulate_sde_rejects_record_times_that_go_back():
     cfg = SdeConfig(K=2, drift=None, sigma=1.0, measure=ZeroMeasure(), dt=1e-2, horizon=1.0)
     with pytest.raises(ValueError, match="nondecreasing"):
         simulate_sde(cfg, [0.5, 0.5], 2, [0.5, 0.2], RngStream(3).generator())
+
+
+def test_simulate_sde_rejects_record_times_outside_the_run():
+    cfg = SdeConfig(K=2, drift=None, sigma=1.0, measure=ZeroMeasure(), dt=0.1, horizon=0.3)
+    for times in ([0.1, 5.0], [0.4], [-1.0, 0.2], [-0.1]):
+        with pytest.raises(ValueError, match="within the run"):
+            simulate_sde(cfg, [0.5, 0.5], 4, times, RngStream(3).generator())
+    # times are compared as step indices: 3 * 0.1 rounds to the last step, though it exceeds the horizon 0.3
+    times = np.arange(4) * cfg.dt
+    assert times[-1] > cfg.horizon
+    states, batch = simulate_sde(cfg, [0.5, 0.5], 4, times, RngStream(3).generator())
+    assert states.shape == (4, 4, 2) and batch.steps <= 3
 
 
 def test_cyclic_relabelling_symmetry():

@@ -103,34 +103,42 @@ def test_zero_sum_and_absent_type_invariants():
 
 
 def test_drift_closures_equal_the_direct_formulas_exactly():
-    # the closures build their constants once; the values must not change by a bit
+    # each closure against its docstring formula, evaluated in the order written, bit for bit: at kappa = 1
+    # the closures skip the unit factor, and the integrator passes them column-major blocks
     rng = RngStream(9).generator()
     pts3 = np.concatenate([rng.dirichlet(np.ones(3), size=200), np.eye(3), [[0.0, 0.4, 0.6]]])
-    rps = 1.3 * pts3 * (np.roll(pts3, 1, axis=-1) - np.roll(pts3, -1, axis=-1))
-    assert np.array_equal(DriftFunction.rps(1.3)(pts3), rps)
-
-    pts4 = rng.dirichlet(np.ones(4), size=200)
-    for kappa, increments, pts in ((0.9, {3: 0.75, 1: 0.25}, pts4), (1.0, {1: 1.0}, np.asfortranarray(pts3))):
-        # the second drift skips its unit weight and kappa, on a column-major block as the integrator passes it
-        cum = np.cumsum(pts, axis=-1)
-        transitive = np.zeros_like(pts)
-        for j, w in sorted(increments.items()):
-            transitive += w * (cum ** (j + 1) - (cum - pts) ** (j + 1) - pts)
-        transitive = kappa * transitive
-        assert np.array_equal(DriftFunction.transitive(kappa, increments, pts.shape[1])(pts), transitive)
-
-    negfreq = 2.0 * 1.2 * pts4 * ((pts4**2).sum(axis=-1, keepdims=True) - pts4**2 - pts4 * (1.0 - pts4))
-    assert np.array_equal(DriftFunction.negfreq(1.2, 4)(pts4), negfreq)
-    cross = (1.0 - pts4) ** 2 - ((pts4**2).sum(axis=-1, keepdims=True) - pts4**2)
-    posfreq = 1.2 * pts4 * ((2.0 * pts4 - 1.0) * (1.0 - pts4) + cross)
-    assert np.array_equal(DriftFunction.posfreq(1.2, 4)(pts4), posfreq)
-
+    pts4 = np.concatenate([rng.dirichlet(np.ones(4), size=200), np.eye(4), [[0.0, 0.3, 0.0, 0.7]]])
+    P = np.array([[0.5, 0.7, 0.2], [0.3, 0.5, 0.6], [0.8, 0.4, 0.5]])
     web = [(1, 0), (2, 0), (3, 1)]
     matrix = np.zeros((4, 4))
     for w, l in web:
         matrix[w, l] = 1.0
-    food_web = 0.7 * pts4 * (pts4 @ matrix.T - pts4 @ matrix)
-    assert np.array_equal(DriftFunction.food_web(0.7, web, 4)(pts4), food_web)
+    g = transitive_pair_map(3)
+
+    def transitive(kappa, increments, x):
+        cum = np.cumsum(x, axis=-1)
+        terms = [w * (cum ** (j + 1) - (cum - x) ** (j + 1) - x) for j, w in sorted(increments.items())]
+        return kappa * sum(terms[1:], terms[0])
+
+    for kappa in (1.0, 1.7):
+        for x3, x4 in ((pts3, pts4), (np.asfortranarray(pts3), np.asfortranarray(pts4))):
+            sq = (x4**2).sum(axis=-1, keepdims=True) - x4**2
+            cases = [
+                (DriftFunction.rps(kappa), x3, kappa * x3 * (np.roll(x3, 1, axis=-1) - np.roll(x3, -1, axis=-1))),
+                (DriftFunction.transitive(kappa, {1: 1.0}, 3), x3, transitive(kappa, {1: 1.0}, x3)),
+                (DriftFunction.transitive(kappa, {3: 0.75, 1: 0.25}, 4), x4, transitive(kappa, {3: 0.75, 1: 0.25}, x4)),
+                (DriftFunction.logistic(kappa, P), x3, kappa * x3 * (1.0 - x3 - 2.0 * (x3 @ P - 0.5 * x3))),
+                (DriftFunction.food_web(kappa, web, 4), x4, kappa * x4 * (x4 @ matrix.T - x4 @ matrix)),
+                (DriftFunction.negfreq(kappa, 4), x4, 2.0 * kappa * x4 * (sq - x4 * (1.0 - x4))),
+                (
+                    DriftFunction.posfreq(kappa, 4),
+                    x4,
+                    kappa * x4 * ((2.0 * x4 - 1.0) * (1.0 - x4) + ((1.0 - x4) ** 2 - sq)),
+                ),
+                (DriftFunction.from_polynomial(kappa, g), x3, kappa * (g(x3) - x3)),
+            ]
+            for drift, x, want in cases:
+                assert drift(x).tobytes() == want.tobytes(), (drift.kind, kappa)
 
 
 def test_drift_bounds_by_x_times_one_minus_x():
