@@ -3,10 +3,10 @@
 One generation of N offspring works at the frequency level without ever
 materializing individuals: parents are drawn uniformly with replacement, so
 the types of sampled potential parents are iid categorical at the current
-frequencies.  Offspring are grouped by sample size (the counts are jointly
-multinomial), and within a group each offspring's type follows the exact
-averaged law of the colouring rule, so the whole generation reduces to a
-handful of multinomial draws.  This is a reformulation of the
+frequencies.  Each offspring draws its sample size, parents and type on its
+own, so a generation is one multinomial draw at the mixture over sample sizes
+of the rule's exact averaged type laws; only a size without an exact law is
+drawn one offspring at a time.  This is a reformulation of the
 individual-based definition, not an approximation.
 
 Extreme reproductive generations replace the rule: one uniformly chosen
@@ -43,11 +43,12 @@ class DiscreteModel:
             raise ValueError(f"event probability must lie in [0, 1], got {self.gamma}")
         if self.gamma > 0.0 and self.size_law is None:
             raise ValueError("a size law is required when extreme events can occur")
-        # sample-size classes, singleton class first: sizes, probabilities, and whether a size enumerates
-        ks = (1,) + tuple(k for k, _ in self.offspring.tail)
-        ps = np.array([1.0 - self.offspring.rho] + [self.offspring.rho * p for _, p in self.offspring.tail])
-        enumerable = tuple(k <= DEFAULT_K_MAX and self.rule.supports_enumeration(k) for k in ks)
-        object.__setattr__(self, "_classes", (ks, ps, enumerable))
+        # an ordinary generation pools the sample sizes with an exact type law and splits off each other size
+        sizes = [(1, 1.0 - self.offspring.rho)] + [(k, self.offspring.rho * p) for k, p in self.offspring.tail]
+        split = [(k, p) for k, p in sizes if p > 0 and not self.rule.has_exact_law(k)]
+        mass = sum(p for k, p in sizes if self.rule.has_exact_law(k))
+        pooled = tuple((k, p / mass) for k, p in sizes if p > 0 and self.rule.has_exact_law(k))
+        object.__setattr__(self, "_draw", (pooled, tuple(split), mass))
 
     @classmethod
     def from_schedule(cls, schedule: ScalingSchedule, rule: ColouringRule) -> "DiscreteModel":
@@ -58,10 +59,6 @@ class DiscreteModel:
             gamma=schedule.gamma,
             size_law=schedule.size_law,
         )
-
-    @property
-    def K(self) -> int:
-        return self.rule.K
 
 
 def step_generation_batch(model: DiscreteModel, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -87,25 +84,19 @@ def step_generation_batch(model: DiscreteModel, X: np.ndarray, rng: np.random.Ge
 
 
 def _ordinary_counts(model: DiscreteModel, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Offspring type counts of a generation without an extreme event, for every row of ``X``."""
-    m, N = X.shape[0], model.N
-    ks, ps, enumerable = model._classes
-    per_class = rng.multinomial(N, ps, size=m)  # the tail is never empty: at least two classes
-    counts = np.zeros(X.shape, dtype=np.int64)
-    for k, n_k, exact in zip(ks, per_class.T, enumerable):
-        busy = n_k > 0
-        n_busy = np.count_nonzero(busy)
-        if not n_busy:
-            continue
-        sub = slice(None) if n_busy == m else np.flatnonzero(busy)
-        if k == 1:
-            law = X[sub]
-        elif exact:
-            law = model.rule.type_law_batch(k, X[sub])
-        else:
-            counts[sub] += _per_individual(model.rule, k, X[sub], n_k[sub], rng)
-            continue
-        counts[sub] += rng.multinomial(n_k[sub], law)
+    """Offspring type counts of a generation without an extreme event, for every row of ``X``.
+
+    The offspring of sizes with an exact type law are one multinomial draw at the mixture of those laws.  Where
+    a size has none, each row draws one split of its N offspring between the pooled sizes and each such size,
+    then the pooled draw, then :func:`_per_individual` for each such size in tail order.
+    """
+    pooled, split, mass = model._draw
+    n = rng.multinomial(model.N, [mass] + [p for _, p in split], size=X.shape[0]).T if split else [model.N]
+    law = sum(w * (X if k == 1 else model.rule.type_law_batch(k, X)) for k, w in pooled)
+    # the weights' float sum can exceed 1 by an ulp, and so can the law at a vertex: multinomial refuses that
+    counts = rng.multinomial(n[0], np.minimum(law, 1.0)) if pooled else np.zeros(X.shape, dtype=np.int64)
+    for (k, _), n_k in zip(split, n[1:]):
+        counts += _per_individual(model.rule, k, X, n_k, rng)
     return counts
 
 
@@ -128,12 +119,11 @@ def step_unabsorbed(model: DiscreteModel, X: np.ndarray, rng: np.random.Generato
 
 
 def _per_individual(rule: ColouringRule, k: int, X: np.ndarray, n_k: np.ndarray, rng) -> np.ndarray:
-    """Fallback when enumeration over multisets of size k is too large."""
-    out = np.zeros((X.shape[0], X.shape[1]), dtype=np.int64)
-    for r in range(X.shape[0]):
+    """Type counts of ``n_k[r]`` offspring of size-k samples in each row r, drawn one offspring at a time."""
+    out = np.zeros(X.shape, dtype=np.int64)
+    for r in np.flatnonzero(n_k):
         samples = rng.multinomial(k, X[r], size=int(n_k[r]))
-        probs = rule.distribution_batch(samples)
-        types = _categorical(probs.T, rng)
+        types = _categorical(rule.distribution_batch(samples).T, rng)
         out[r] = np.bincount(types, minlength=X.shape[1])
     return out
 
@@ -204,7 +194,8 @@ def empirical_drift(
     sample drew a type's rare winning compositions.
 
     ``method="exact"`` instead enumerates every multiset (zero stderr),
-    available while the tail sizes stay enumerable.
+    available while the tail sizes stay enumerable; it never takes a rule's
+    closed-form type law, so it stays an independent check of one.
     """
     x = as_frequencies(x)
     tail_ks = np.array([k for k, _ in model.offspring.tail])
@@ -213,7 +204,7 @@ def empirical_drift(
     if method == "exact":
         drift = -x.copy()
         for k, p in model.offspring.tail:
-            drift += p * model.rule.type_law(k, x)
+            drift += p * ColouringRule.type_law_batch(model.rule, k, x[None, :])[0]
         return DriftEstimate(drift, np.zeros_like(x), 0, True)
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")

@@ -35,6 +35,7 @@ class ColouringRule:
 
     kind: str = ""
     mutation_free: bool = True
+    closed_form: bool = False  # type_law_batch is a closed form at every sample size
 
     def __init__(self, K: int):
         if K < 2:
@@ -76,11 +77,8 @@ class ColouringRule:
             self._tables[k] = table
         return table
 
-    def type_law(self, k: int, x) -> np.ndarray:
-        """Exact offspring-type law when k parents are sampled at frequencies x."""
-        return self.type_law_batch(k, np.asarray(x, dtype=float)[None, :])[0]
-
     def type_law_batch(self, k: int, X: np.ndarray) -> np.ndarray:
+        """Exact offspring-type law of k parents sampled at each row of frequencies ``X``, here by enumeration."""
         table = self._table(k)
         law = composition_pmf(self.K, k, X) @ table
         return law / law.sum(axis=1, keepdims=True)
@@ -88,6 +86,10 @@ class ColouringRule:
     def supports_enumeration(self, k: int) -> bool:
         # the multinomial coefficients sum to K**k, so all are finite floats while K**k < 2**1024
         return comb(self.K + k - 1, k) <= _ENUM_LIMIT and k * log2(self.K) < 1024
+
+    def has_exact_law(self, k: int) -> bool:
+        """Whether the engines take ``type_law_batch(k, .)`` as exact: a closed form, or a small enumeration."""
+        return self.closed_form or (k <= DEFAULT_K_MAX and self.supports_enumeration(k))
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -97,6 +99,7 @@ class NeutralRule(ColouringRule):
     """Pick one of the sampled parents uniformly: no selection at all."""
 
     kind = "neutral"
+    closed_form = True
 
     def distribution_batch(self, counts):
         counts = np.asarray(counts, dtype=float)
@@ -118,10 +121,21 @@ class TransitiveRule(ColouringRule):
     """The highest-labelled type in the sample wins."""
 
     kind = "transitive"
+    closed_form = True
 
     def distribution_batch(self, counts):
         counts = np.asarray(counts)
         return _onehot_rows(_highest_present(counts), self.K)
+
+    def type_law_batch(self, k, X):
+        # The highest of k iid types is i w.p. c_i**k - c_{i-1}**k, c the cumulative frequencies.  With u_i the mass
+        # above type i, exp(k log1p(-u_i)) keeps c_i**k accurate near 1, and an absent type repeats its successor's u.
+        u = np.zeros(X.shape)
+        np.add.accumulate(X[:, :0:-1], axis=1, out=u[:, -2::-1])
+        with np.errstate(divide="ignore"):  # u_i = 1 below the first present type: log1p(-1) = -inf
+            law = np.exp(k * np.log1p(u / -(u[:, :1] + X[:, :1])))
+        law[:, 1:] -= law[:, :-1]
+        return law
 
     def to_config(self):
         return {"kind": "transitive"}

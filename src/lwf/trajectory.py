@@ -15,15 +15,14 @@ def write_trajectories_csv(path, times, states) -> None:
     from 0 across the blocks.  Times are generation indices for the
     finite-population chain and real times for the limit process.
     """
-    times = np.asarray(times, dtype=float)
-    K = states[0].shape[2]
+    # the bytes of csv.writer, which writes a Python float as its repr, the shortest string that reads back exactly
+    times = [f"{t!r}," for t in np.asarray(times, dtype=float).tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x_{i + 1}" for i in range(K)] + ["replicate"])
+        fh.write(",".join(["t"] + [f"x_{i + 1}" for i in range(states[0].shape[2])] + ["replicate"]) + "\r\n")
         replicates = (block[:, r] for block in states for r in range(block.shape[1]))
         for rep, recorded in enumerate(replicates):
-            # csv writes a Python float as its repr, the shortest string that reads back exactly
-            writer.writerows(row + [rep] for row in np.column_stack((times, recorded)).tolist())
+            end = f",{rep}\r\n"
+            fh.writelines(t + ",".join(map(repr, row)) + end for t, row in zip(times, recorded.tolist()))
 
 
 def write_ancestral_csv(path, paths) -> None:

@@ -372,6 +372,26 @@ def test_csv_rows_are_the_repr_of_every_value(tmp_path):
     assert lines[1] == "0.0,0.30000000000000004,5e-324,0.7,0"
 
 
+def test_trajectories_csv_bytes_equal_the_csv_module(tmp_path):
+    import csv
+
+    from lwf.trajectory import write_trajectories_csv
+
+    rng = RngStream(5).generator()
+    blocks = [rng.dirichlet(np.ones(3), size=(4, 3)), rng.dirichlet(np.ones(3), size=(4, 2))]  # two batches
+    blocks[0][0, 0], blocks[0][1, 2], blocks[1][3, 1] = [0.0, 1.0, 0.0], [5e-324, 1e-17, 1.0], [1.0, 0.0, 0.0]
+    times = [0, 0.001, 0.1 + 0.2, 3]
+    write_trajectories_csv(tmp_path / "fast.csv", times, blocks)
+    with open(tmp_path / "csv.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x_1", "x_2", "x_3", "replicate"])
+        replicates = [block[:, r] for block in blocks for r in range(block.shape[1])]
+        for rep, recorded in enumerate(replicates):
+            writer.writerows([float(t), *map(float, state), rep] for t, state in zip(times, recorded))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+    assert b",5e-324,1e-17," in (tmp_path / "fast.csv").read_bytes()
+
+
 ANCESTRAL_PAYLOAD = {
     "model": {"n0": 5, "horizon": 3.0, "kappa": 0.2, "sigma": 1.0, "stationary": True},
     "schedule": {"tail": {"2": 1.0}},

@@ -49,8 +49,8 @@ def test_random_interior_points_stay_interior():
 def test_offspring_law_basic():
     q = OffspringLaw(0.1, {4: 0.5, 2: 0.5})
     assert q.tail == ((2, 0.5), (4, 0.5))
-    # the discrete engine draws sample sizes at P(1) = 1 - rho and P(k) = rho * tail[k]
-    ks, ps, _ = DiscreteModel(N=2, rule=NeutralRule(2), offspring=q)._classes
+    # the discrete engine mixes the sample sizes' type laws at P(1) = 1 - rho and P(k) = rho * tail[k]
+    ks, ps = zip(*DiscreteModel(N=2, rule=NeutralRule(2), offspring=q)._draw[0])
     assert ks == (1, 2, 4)
     assert ps == pytest.approx([0.9, 0.05, 0.05])
     # the dual chain branches by k - 1 extra parents, with mean beta

@@ -16,7 +16,7 @@ from lwf.discrete import (
 )
 from lwf.measures import FiniteAtoms, PointMass, TruncatedSizeLaw, ZeroMeasure
 from lwf.rng import RngStream
-from lwf.rules import DEFAULT_K_MAX, NegFreqDepRule, NeutralRule, PartialOrderRule, TransitiveRule
+from lwf.rules import NegFreqDepRule, NeutralRule, PartialOrderRule, TransitiveRule
 from lwf.selection import DriftFunction
 
 
@@ -112,7 +112,12 @@ def _categorical_rows(P, rng):
 
 
 def _reference_step(model, X, rng, kinds):
-    """The gather-and-broadcast generation step: the oracle of the engine's whole-block paths."""
+    """The gather-and-broadcast generation step: the oracle of the engine's whole-block paths.
+
+    Ordinary rows draw the split between the pooled sizes with an exact law and
+    each other size, then one draw at the pooled law, then each other size one
+    offspring at a time.
+    """
     R, K = X.shape
     N = model.N
     counts = np.zeros((R, K), dtype=np.int64)
@@ -122,26 +127,25 @@ def _reference_step(model, X, rng, kinds):
     if ordinary.any():
         rows = np.flatnonzero(ordinary)
         Xo = X[rows]
-        ks = np.array([1] + [k for k, _ in model.offspring.tail])
-        ps = np.array([1.0 - model.offspring.rho] + [model.offspring.rho * p for _, p in model.offspring.tail])
-        per_class = rng.multinomial(N, np.broadcast_to(ps, (rows.size, ps.size)))
-        for c, k in enumerate(ks):
-            n_k = per_class[:, c]
-            sub = np.flatnonzero(n_k > 0)
-            if not sub.size:
-                continue
-            if k == 1:
-                law = Xo[sub]
-            elif k <= DEFAULT_K_MAX and model.rule.supports_enumeration(k):
-                law = model.rule.type_law_batch(k, Xo[sub])
-            else:
+        rho = model.offspring.rho
+        sizes = [(1, 1.0 - rho)] + [(k, rho * p) for k, p in model.offspring.tail]
+        exact = [(k, p) for k, p in sizes if model.rule.has_exact_law(k)]
+        other = [(k, p) for k, p in sizes if not model.rule.has_exact_law(k)]
+        mass = sum(p for _, p in exact)
+        if other:
+            split_ps = np.array([mass] + [p for _, p in other])
+            n = rng.multinomial(N, np.broadcast_to(split_ps, (rows.size, split_ps.size)))
+        else:
+            n = np.full((rows.size, 1), N)
+        law = np.minimum(sum(p / mass * (Xo if k == 1 else model.rule.type_law_batch(k, Xo)) for k, p in exact), 1.0)
+        sub = np.flatnonzero(n[:, 0] > 0)
+        counts[rows[sub]] += rng.multinomial(n[sub, 0], law[sub])
+        for c, (k, _) in enumerate(other, start=1):
+            for r in np.flatnonzero(n[:, c] > 0):
                 kinds.add("per_individual")
-                for r in sub:
-                    samples = rng.multinomial(k, Xo[r], size=int(n_k[r]))
-                    types = _categorical_rows(model.rule.distribution_batch(samples), rng)
-                    counts[rows[r]] += np.bincount(types, minlength=K)
-                continue
-            counts[rows[sub]] += rng.multinomial(n_k[sub], law)
+                samples = rng.multinomial(k, Xo[r], size=int(n[r, c]))
+                types = _categorical_rows(model.rule.distribution_batch(samples), rng)
+                counts[rows[r]] += np.bincount(types, minlength=K)
     if extreme.any():
         rows = np.flatnonzero(extreme)
         Xe = X[rows]
@@ -160,10 +164,11 @@ def _stream_state(rng):
 @pytest.mark.parametrize("rho", [0.05, 0.6])
 @pytest.mark.parametrize("gamma, expected", [(0.0, {"none"}), (0.02, {"none", "some"}), (0.3, {"some"}), (1.0, {"all"})])
 def test_generation_step_matches_the_gather_and_broadcast_formulation(rho, gamma, expected):
-    # size 20 is beyond enumeration; at rho = 0.05 a class is busy in some rows only
+    # rps has no closed form and size 20 is beyond DEFAULT_K_MAX, so it is drawn per individual;
+    # at rho = 0.05 it is busy in some rows only
     model = DiscreteModel(
         N=30,
-        rule=TransitiveRule(3),
+        rule=PartialOrderRule.rps(),
         offspring=OffspringLaw(rho, {2: 0.5, 20: 0.5}),
         gamma=gamma,
         size_law=TruncatedSizeLaw(FiniteAtoms([(0.2, 1.0), (0.6, 0.5)]), 0.1),
@@ -214,6 +219,28 @@ def test_one_generation_distribution_matches_enumeration():
     assert tv < 0.01
 
 
+def test_one_generation_count_law_mixes_the_sample_sizes():
+    # N = 4, K = 2, sizes 1, 2, 3 w.p. 1/2, 1/4, 1/4, ordered contest: brute-force every offspring's
+    # sample size and parents jointly (14**4 outcomes) to get the exact law of the type-1 count.
+    N, x = 4, np.array([0.75, 0.25])
+    offspring = [(1, 0.5), (2, 0.25), (3, 0.25)]
+    outcomes = [  # (probability, type) of one offspring: its sample size and parent types, the highest wins
+        (q * np.prod(x[list(parents)]), max(parents))
+        for k, q in offspring
+        for parents in itertools.product(range(2), repeat=k)
+    ]
+    exact = np.zeros(N + 1)
+    for joint in itertools.product(outcomes, repeat=N):
+        exact[sum(t == 0 for _, t in joint)] += np.prod([q for q, _ in joint])
+    assert exact.sum() == pytest.approx(1.0, abs=1e-12)
+
+    model = DiscreteModel(N=N, rule=TransitiveRule(2), offspring=OffspringLaw(0.5, {2: 0.5, 3: 0.5}))
+    finals = step_generation_batch(model, np.tile(x, (1_000_000, 1)), RngStream(22).generator())
+    counts = np.round(finals[:, 0] * N).astype(int)
+    empirical = np.bincount(counts, minlength=N + 1) / counts.size
+    assert 0.5 * np.abs(empirical - exact).sum() < 0.01
+
+
 def test_mutation_rule_escapes_vertices():
     from lwf.rules import TransitiveWithMutationRule
 
@@ -225,17 +252,23 @@ def test_mutation_rule_escapes_vertices():
 
 
 def test_per_individual_fallback_matches_exact_law(monkeypatch):
-    # force the per-individual sampling path and check the one-step mean
+    # without enumeration rps has no exact law at size 2: check that the per-individual path runs, and its one-step mean
+    import lwf.discrete as discrete_mod
     import lwf.rules as rules_mod
 
+    x = np.array([0.5, 0.25, 0.25])
+    p = x + DriftFunction.rps(1.0)(x)  # the law of one offspring of two potential parents
     monkeypatch.setattr(rules_mod, "_ENUM_LIMIT", 1)
-    model = DiscreteModel(N=100, rule=TransitiveRule(2), offspring=OffspringLaw(1.0, {2: 1.0}))
-    assert not model.rule.supports_enumeration(2)
+    calls = []
+    per_individual = discrete_mod._per_individual
+    monkeypatch.setattr(discrete_mod, "_per_individual", lambda *args: calls.append(args[1]) or per_individual(*args))
+    model = DiscreteModel(N=100, rule=PartialOrderRule.rps(), offspring=OffspringLaw(1.0, {2: 1.0}))
+    assert not model.rule.has_exact_law(2)
     rng = RngStream(21).generator()
-    finals = step_generation_batch(model, np.tile([0.5, 0.5], (3000, 1)), rng)
-    p1 = 0.25  # both potential parents must be type 1
-    se = math.sqrt(p1 * (1 - p1) / model.N / 3000)
-    assert abs(finals[:, 0].mean() - p1) <= 4.5 * se
+    finals = step_generation_batch(model, np.tile(x, (3000, 1)), rng)
+    assert calls == [2]
+    se = np.sqrt(p * (1 - p) / model.N / 3000)
+    assert np.all(np.abs(finals.mean(axis=0) - p) <= 4.5 * se)
 
 
 def test_simulate_discrete_trivia():

@@ -4,10 +4,12 @@ import pytest
 from lwf.bernstein import PolynomialMap, bernstein_table
 from lwf.combinat import composition_pmf, compositions
 from lwf.core import OffspringLaw
-from lwf.discrete import DiscreteModel, empirical_drift
+from lwf.discrete import DiscreteModel, _per_individual, empirical_drift
 from lwf.rng import RngStream
 from lwf.rules import (
+    DEFAULT_K_MAX,
     BernsteinRule,
+    ColouringRule,
     LogisticRule,
     NegFreqDepRule,
     NeutralRule,
@@ -110,7 +112,7 @@ def test_mutation_rule_leaves_a_one_parent_offspring_unmutated():
     kernel = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])
     rule = TransitiveWithMutationRule(3, 0.5, kernel)
     x = np.array([0.2, 0.3, 0.5])
-    assert np.array_equal(rule.type_law(1, x), x)
+    assert np.array_equal(rule.type_law_batch(1, x[None, :])[0], x)
     assert np.array_equal(rule.distribution_batch(np.eye(3, dtype=np.int64)), np.eye(3))
     # samples of two or more parents: highest label wins, then mutates with probability 0.5
     for k in (2, 3, 5):
@@ -162,6 +164,35 @@ def offspring_type_law(rule, offspring, x, samples=1, rng=None):
     model = DiscreteModel(N=2, rule=rule, offspring=offspring)
     est = empirical_drift(model, x, samples, rng, method="exact" if rng is None else "mc")
     return x + offspring.rho * est.values, offspring.rho * est.stderr, est.exact
+
+
+@pytest.mark.parametrize("K", range(2, 7))
+def test_transitive_closed_form_matches_the_enumeration(K):
+    rule = TransitiveRule(K)
+    rng = RngStream(40 + K).generator()
+    pts = np.vstack([rng.dirichlet(np.ones(K), size=30), rng.dirichlet(np.full(K, 0.2), size=30)])
+    faces = pts.copy()  # boundary states: the first, the last or every other type absent
+    faces[0::3, 0] = faces[1::3, -1] = faces[2::3, 1::2] = 0.0
+    X = np.vstack([pts, faces / faces.sum(axis=1, keepdims=True), np.eye(K)])
+    for k in range(2, DEFAULT_K_MAX + 1):
+        law = rule.type_law_batch(k, X)
+        assert np.abs(law - ColouringRule.type_law_batch(rule, k, X)).max() <= 1e-15, k
+        assert np.array_equal(law[-K:], np.eye(K))  # a vertex maps to itself
+        assert np.all(law[X == 0.0] == 0.0)  # an absent type stays absent, exactly
+    assert rule.has_exact_law(2000) and NeutralRule(K).has_exact_law(2000)
+    assert not PartialOrderRule.rps().has_exact_law(DEFAULT_K_MAX + 1)
+
+
+def test_transitive_closed_form_matches_individual_draws_beyond_enumeration():
+    # k = 2000 is beyond any enumeration: compare with offspring drawn one at a time
+    rule, k = TransitiveRule(3), 2000
+    x = np.array([0.9995, 0.0003, 0.0002])  # the highest type among 2000 parents is type 1 w.p. 0.9995**2000 = 0.37
+    law = rule.type_law_batch(k, x[None, :])[0]
+    assert np.all(law > 0.25)
+    rows, n = 20, 1000
+    counts = _per_individual(rule, k, np.tile(x, (rows, 1)), np.full(rows, n), RngStream(45).generator())
+    se = np.sqrt(law * (1 - law) / (rows * n))
+    assert np.all(np.abs(counts.sum(axis=0) / (rows * n) - law) <= 4.5 * se)
 
 
 def test_offspring_type_law_neutral_is_identity():
@@ -253,13 +284,13 @@ def test_bernstein_rule_type_law_matches_map():
     rule = bernstein_rule(g)
     pts = RngStream(14).generator().dirichlet(np.ones(3), size=20)
     for x in pts:
-        assert np.allclose(rule.type_law(rule.degree, x), g(x), atol=1e-12)
+        assert np.allclose(rule.type_law_batch(rule.degree, x[None, :])[0], g(x), atol=1e-12)
 
 
 def test_bernstein_rule_pairs_with_samples_of_one_or_n_parents():
     # a Bernstein rule of degree n is paired with samples of one parent or of n
     rule = bernstein_rule(cyclic_contest_map())
-    ks, ps, _ = DiscreteModel(N=2, rule=rule, offspring=OffspringLaw(0.25, {rule.degree: 1.0}))._classes
+    ks, ps = zip(*DiscreteModel(N=2, rule=rule, offspring=OffspringLaw(0.25, {rule.degree: 1.0}))._draw[0])
     assert ks == (1, 2)
     assert ps == pytest.approx([0.75, 0.25])
 
