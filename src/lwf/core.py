@@ -132,10 +132,8 @@ class ScalingSchedule:
     b: float | None
     rho: float
     gamma: float
-    event_mass: float          # ∫_{z >= N**-alpha} L(dz)/z**2
-    truncation: float          # N**-alpha
     clamped: bool
-    size_law: TruncatedSizeLaw | None = field(repr=False, default=None)
+    size_law: TruncatedSizeLaw = field(repr=False)
 
 
 def make_schedule(
@@ -177,13 +175,11 @@ def make_schedule(
             raise ScheduleError(f"need 2*alpha < b < 1, got b={b} with alpha={alpha}")
         rho = N ** (-b)
 
-    truncation = N ** (-alpha)
-    size_law = TruncatedSizeLaw(measure, truncation)
-    event_mass = size_law.total_rate
-    gamma = event_mass * rho / kappa
+    size_law = TruncatedSizeLaw(measure, N ** (-alpha))
+    gamma = size_law.total_rate * rho / kappa
     clamped = False
     if gamma > 1.0:
-        if event_mass / (N * kappa) > 1.0 or sigma > 0:
+        if size_law.total_rate / (N * kappa) > 1.0 or sigma > 0:
             raise ScheduleError(
                 f"event probability {gamma:.3g} > 1 at the smallest admissible rho: N too small for this measure"
             )
@@ -205,8 +201,6 @@ def make_schedule(
         b=None if sigma > 0 else float(b),
         rho=float(rho),
         gamma=float(gamma),
-        event_mass=float(event_mass),
-        truncation=float(truncation),
         clamped=clamped,
-        size_law=size_law if event_mass > 0 else None,
+        size_law=size_law,
     )

@@ -108,11 +108,12 @@ def step_unabsorbed(model: DiscreteModel, X: np.ndarray, rng: np.random.Generato
     row is absorbed.
     """
     if model.rule.mutation_free:
-        active = ~np.any(X == 1.0, axis=1)
-        if not active.any():
+        absorbed = np.logical_or.reduce(X == 1.0, axis=1)
+        n_absorbed = np.count_nonzero(absorbed)
+        if n_absorbed == X.shape[0]:
             return False
-        if not active.all():
-            X[active] = step_generation_batch(model, X[active], rng)
+        if n_absorbed:
+            X[~absorbed] = step_generation_batch(model, X[~absorbed], rng)
             return True
     X[:] = step_generation_batch(model, X, rng)
     return True
@@ -156,13 +157,12 @@ class DriftEstimate:
 
     ``compositions`` counts the multi-indices the Monte Carlo path drew
     composition counts over; it is 0 where every size took the per-sample
-    path, and on the exact path.
+    path.
     """
 
     values: np.ndarray
     stderr: np.ndarray
     samples: int
-    exact: bool
     compositions: int = 0
 
 
@@ -170,9 +170,7 @@ def empirical_drift(
     model: DiscreteModel,
     x,
     replicates: int,
-    rng: np.random.Generator | None = None,
-    *,
-    method: str = "mc",
+    rng: np.random.Generator,
 ) -> DriftEstimate:
     """Estimate the drift of the non-extreme dynamics, rescaled by ``rho``.
 
@@ -192,26 +190,12 @@ def empirical_drift(
     per-sample variance ``sum_k p_k pmf_k @ table_k**2 - (sum_k p_k pmf_k @
     table_k)**2``.  Otherwise it is the sample's, which reads 0 where no
     sample drew a type's rare winning compositions.
-
-    ``method="exact"`` instead enumerates every multiset (zero stderr),
-    available while the tail sizes stay enumerable; it never takes a rule's
-    closed-form type law, so it stays an independent check of one.
     """
     x = as_frequencies(x)
     tail_ks = np.array([k for k, _ in model.offspring.tail])
     tail_ps = np.array([p for _, p in model.offspring.tail])
-
-    if method == "exact":
-        drift = -x.copy()
-        for k, p in model.offspring.tail:
-            drift += p * ColouringRule.type_law_batch(model.rule, k, x[None, :])[0]
-        return DriftEstimate(drift, np.zeros_like(x), 0, True)
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    if rng is None:
-        raise ValueError("the Monte Carlo path needs an rng")
 
     if tail_ks.size == 1:
         per_k = np.array([replicates])
@@ -238,4 +222,4 @@ def empirical_drift(
         first += weights @ table
         second += weights @ table**2
     stderr = np.sqrt(np.maximum(second - first**2, 0.0) / replicates)
-    return DriftEstimate(total / replicates - x, stderr, replicates, False, drawn_over)
+    return DriftEstimate(total / replicates - x, stderr, replicates, drawn_over)

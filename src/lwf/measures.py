@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -29,9 +30,9 @@ class LambdaMeasure:
     """Base class for the supported measure variants.
 
     Subclasses are immutable value objects.  Continuous variants expose a
-    density and an exact sampler of their event sizes; atomic variants expose
-    their atom list; the quadrature oracle combines both (see
-    :func:`lambda_nk_quadrature`).
+    density and an exact sampler of their event sizes; atomic variants
+    (:class:`AtomicMeasure`) expose their atom list and derive the rest from
+    it; the quadrature oracle combines both (see :func:`lambda_nk_quadrature`).
     """
 
     kind: str = ""
@@ -68,8 +69,12 @@ class LambdaMeasure:
         return self.total_mass() == 0.0
 
     def _sizes_above(self, eps: float, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` exact draws from the continuous part of ``L(dz)/z**2`` on ``[eps, 1]``, normalized."""
+        """``size`` exact draws from ``L(dz)/z**2`` on ``[eps, 1]``, normalized."""
         raise NotImplementedError
+
+    def _size_draw(self, eps: float):
+        """The draw ``(rng, size) -> sizes`` of :class:`TruncatedSizeLaw` at ``eps``, built once per law."""
+        return partial(self._sizes_above, eps)
 
     # -- closed-form integrals ----------------------------------------------
 
@@ -127,33 +132,49 @@ def _atom_collision_rates(n: int, z: float, weight_over_z2: float) -> np.ndarray
     return weight_over_z2 * pmf
 
 
+class AtomicMeasure(LambdaMeasure):
+    """A measure with no density: every quantity is a sum over :meth:`atoms`."""
+
+    def total_mass(self) -> float:
+        return sum((w for _, w in self.atoms()), 0.0)
+
+    def mass_above(self, lo: float) -> float:
+        return sum((w for z, w in self.atoms() if z >= lo), 0.0)
+
+    def resampling_mass_above(self, lo: float) -> float:
+        return sum((w / z**2 for z, w in self.atoms() if z >= lo), 0.0)
+
+    def collision_rate_vector(self, n: int) -> np.ndarray:
+        out = np.zeros(max(n - 1, 0))
+        for z, w in self.atoms():
+            out += _atom_collision_rates(n, z, w / z**2)
+        return out
+
+    def log_penalty(self) -> float:
+        if any(z == 1.0 for z, _ in self.atoms()):
+            return math.inf
+        return sum((w * (-math.log1p(-z)) / z**2 for z, w in self.atoms()), 0.0)
+
+    def _size_draw(self, eps):
+        # sizes and the cumulative weights exactly as Generator.choice(p=w / w.sum()) builds them
+        sizes, ws = (np.array(v) for v in zip(*((z, w / z**2) for z, w in self.atoms() if z >= eps)))
+        cdf = np.cumsum(ws / ws.sum())
+        cdf /= cdf[-1]
+        return lambda rng, size: sizes[cdf.searchsorted(rng.random(size), side="right")]
+
+
 @dataclass(frozen=True)
-class ZeroMeasure(LambdaMeasure):
+class ZeroMeasure(AtomicMeasure):
     """The empty measure: no extreme events, no multiple mergers."""
 
     kind = "zero"
-
-    def total_mass(self) -> float:
-        return 0.0
-
-    def mass_above(self, lo: float) -> float:
-        return 0.0
-
-    def resampling_mass_above(self, lo: float) -> float:
-        return 0.0
-
-    def collision_rate_vector(self, n: int) -> np.ndarray:
-        return np.zeros(max(n - 1, 0))
-
-    def log_penalty(self) -> float:
-        return 0.0
 
     def to_config(self) -> dict:
         return {"kind": "zero"}
 
 
 @dataclass(frozen=True)
-class PointMass(LambdaMeasure):
+class PointMass(AtomicMeasure):
     """``mass`` concentrated at a single size ``z`` in (0, 1]."""
 
     z: float
@@ -167,32 +188,15 @@ class PointMass(LambdaMeasure):
         if self.mass <= 0:
             raise ValueError("mass must be positive")
 
-    def total_mass(self) -> float:
-        return self.mass
-
-    def mass_above(self, lo: float) -> float:
-        return self.mass if self.z >= lo else 0.0
-
-    def resampling_mass_above(self, lo: float) -> float:
-        return self.mass / self.z**2 if self.z >= lo else 0.0
-
     def atoms(self):
         return ((self.z, self.mass),)
-
-    def collision_rate_vector(self, n: int) -> np.ndarray:
-        return _atom_collision_rates(n, self.z, self.mass / self.z**2)
-
-    def log_penalty(self) -> float:
-        if self.z == 1.0:
-            return math.inf
-        return self.mass * (-math.log1p(-self.z)) / self.z**2
 
     def to_config(self) -> dict:
         return {"kind": "point_mass", "z": self.z, "mass": self.mass}
 
 
 @dataclass(frozen=True)
-class FiniteAtoms(LambdaMeasure):
+class FiniteAtoms(AtomicMeasure):
     """Finitely many atoms ``(z_i, w_i)`` with ``z_i`` in (0, 1]."""
 
     pairs: tuple[tuple[float, float], ...]
@@ -210,28 +214,8 @@ class FiniteAtoms(LambdaMeasure):
                 raise ValueError("atom weights must be positive")
         object.__setattr__(self, "pairs", pairs)
 
-    def total_mass(self) -> float:
-        return sum(w for _, w in self.pairs)
-
-    def mass_above(self, lo: float) -> float:
-        return sum(w for z, w in self.pairs if z >= lo)
-
-    def resampling_mass_above(self, lo: float) -> float:
-        return sum(w / z**2 for z, w in self.pairs if z >= lo)
-
     def atoms(self):
         return self.pairs
-
-    def collision_rate_vector(self, n: int) -> np.ndarray:
-        out = np.zeros(n - 1)
-        for z, w in self.pairs:
-            out += _atom_collision_rates(n, z, w / z**2)
-        return out
-
-    def log_penalty(self) -> float:
-        if any(z == 1.0 for z, _ in self.pairs):
-            return math.inf
-        return sum(w * (-math.log1p(-z)) / z**2 for z, w in self.pairs)
 
     def to_config(self) -> dict:
         return {"kind": "finite_atoms", "atoms": [[z, w] for z, w in self.pairs]}
@@ -492,13 +476,7 @@ class TruncatedSizeLaw:
         self.measure = measure
         self.eps = float(eps)
         self.total_rate = measure.resampling_mass_above(self.eps)
-        self._atoms = tuple((z, w / z**2) for z, w in measure.atoms() if z >= self.eps)
-        self._atom_rate = sum(w for _, w in self._atoms)
-        if self._atoms:
-            # sizes and the cumulative weights exactly as Generator.choice(p=w / w.sum()) builds them
-            self._atom_sizes, ws = (np.array(v) for v in zip(*self._atoms))
-            self._atom_cdf = np.cumsum(ws / ws.sum())
-            self._atom_cdf /= self._atom_cdf[-1]
+        self._draw = measure._size_draw(self.eps) if self.total_rate > 0 else None
 
     @property
     def truncated_mass(self) -> float:
@@ -506,23 +484,8 @@ class TruncatedSizeLaw:
         return self.measure.total_mass() - self.measure.mass_above(self.eps)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.total_rate <= 0:
+        if self._draw is None:
             raise ValueError("cannot sample from an empty size law")
         if size == 0:
             return np.empty(0)
-        cont_rate = self.total_rate - self._atom_rate
-        if self._atoms and cont_rate <= 0:
-            return self._sample_atoms(rng, size)
-        if not self._atoms:
-            return self.measure._sizes_above(self.eps, rng, size)
-        pick_atom = rng.random(size) < self._atom_rate / self.total_rate
-        out = np.empty(size)
-        n_atom = int(pick_atom.sum())
-        if n_atom:
-            out[pick_atom] = self._sample_atoms(rng, n_atom)
-        if n_atom < size:
-            out[~pick_atom] = self.measure._sizes_above(self.eps, rng, size - n_atom)
-        return out
-
-    def _sample_atoms(self, rng, size):
-        return self._atom_sizes[self._atom_cdf.searchsorted(rng.random(size), side="right")]
+        return self._draw(rng, size)

@@ -141,7 +141,7 @@ class TransitiveRule(ColouringRule):
         return {"kind": "transitive"}
 
 
-class TransitiveWithMutationRule(ColouringRule):
+class TransitiveWithMutationRule(TransitiveRule):
     """Highest label wins, then the offspring mutates with some probability.
 
     ``kernel[i, j]`` is the probability that a type-i winner yields a type-j
@@ -166,6 +166,11 @@ class TransitiveWithMutationRule(ColouringRule):
         self.mutation_prob = float(mutation_prob)
         self.kernel = kernel
         self.mutation_free = mutation_prob == 0.0
+        self._mutate = (1.0 - self.mutation_prob) * np.eye(K) + self.mutation_prob * kernel  # row w: a type-w winner
+
+    def type_law_batch(self, k, X):
+        # the winner's law T_k, then one mutation step for samples of two or more parents; T_1 is X itself
+        return np.array(X, dtype=float) if k == 1 else super().type_law_batch(k, X) @ self._mutate
 
     def distribution_batch(self, counts):
         counts = np.asarray(counts)
@@ -337,13 +342,20 @@ class BernsteinRule(ColouringRule):
         Z = compositions(K, self.degree)
         if table.shape[0] != Z.shape[0]:
             raise ValueError(f"table must have one row per multi-index ({Z.shape[0]}), got {table.shape[0]}")
-        rows = table.sum(axis=1)
+        bad = np.flatnonzero((table < -1e-9) | (table > 1.0 + 1e-9))
+        if bad.size:
+            row, col = np.unravel_index(bad[0], table.shape)
+            raise ValueError(
+                f"Bernstein coefficient for output {col + 1} at multi-index {tuple(int(v) for v in Z[row])} is "
+                f"{float(table[row, col])!r}, outside [0, 1]: the map does not preserve the simplex"
+            )
+        self.table = np.clip(table, 0.0, 1.0)
+        self.table.flags.writeable = False
+        rows = self.table.sum(axis=1)
         bad = np.flatnonzero(np.abs(rows - 1.0) > 1e-9)
         if bad.size:
             z = tuple(int(v) for v in Z[bad[0]])
-            raise ValueError(f"coefficient row for multi-index {z} sums to {rows[bad[0]]!r}, expected 1")
-        self.table = np.clip(table, 0.0, 1.0)
-        self.table.flags.writeable = False
+            raise ValueError(f"coefficient row for multi-index {z} sums to {float(rows[bad[0]])!r}, expected 1")
         # encode count rows as integers for vectorized table lookup
         self._powers = (self.degree + 1) ** np.arange(K, dtype=np.int64)
         codes = np.asarray(Z) @ self._powers
@@ -379,32 +391,15 @@ class BernsteinRule(ColouringRule):
         return {"kind": "bernstein", "degree": self.degree, "table": entries}
 
 
-def bernstein_rule(g, *, degree: int | None = None, tol: float = 1e-9) -> BernsteinRule:
+def bernstein_rule(g, *, degree: int | None = None) -> BernsteinRule:
     """Build the colouring rule realizing a simplex-preserving polynomial map.
 
     ``g`` is a :class:`~lwf.bernstein.PolynomialMap`, or a pair
-    ``(degree, table)`` giving Bernstein coefficients directly.  The map
-    must send the simplex face into itself: every Bernstein coefficient must
-    land in [0, 1] (the offending multi-index is reported otherwise) and
-    each coefficient row must sum to 1.
+    ``(degree, table)`` giving Bernstein coefficients directly; the table is
+    validated as :class:`BernsteinRule` does.
     """
-    if isinstance(g, PolynomialMap):
-        n, table = bernstein_table(g, degree)
-        K = g.K
-    else:
-        n, table = g
-        table = np.asarray(table, dtype=float)
-        K = table.shape[1]
-    Z = compositions(K, n)
-    bad = np.flatnonzero((table < -tol) | (table > 1.0 + tol))
-    if bad.size:
-        row, col = np.unravel_index(bad[0], table.shape)
-        z = tuple(int(v) for v in Z[row])
-        raise ValueError(
-            f"Bernstein coefficient for output {col + 1} at multi-index {z} is "
-            f"{table[row, col]!r}, outside [0, 1]: the map does not preserve the simplex"
-        )
-    return BernsteinRule(n, np.clip(table, 0.0, 1.0))
+    n, table = bernstein_table(g, degree) if isinstance(g, PolynomialMap) else g
+    return BernsteinRule(n, table)
 
 
 def beats_from_labels(pairs) -> list[tuple[int, int]]:

@@ -102,8 +102,7 @@ class SdeConfig:
     horizon: float
     eps_jump: float = 1e-3
     tol_ext: float = 0.0
-    jump_rate: float = field(init=False)
-    size_law: TruncatedSizeLaw | None = field(init=False, default=None, repr=False)
+    size_law: TruncatedSizeLaw = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.K < 2:
@@ -122,16 +121,13 @@ class SdeConfig:
             self.drift = lambda x: np.zeros_like(np.asarray(x, dtype=float))
         if self.measure is None:
             self.measure = ZeroMeasure()
-        size_law = TruncatedSizeLaw(self.measure, self.eps_jump)
-        self.jump_rate = size_law.total_rate
-        if self.jump_rate > 0.0:
-            self.size_law = size_law
-            if self.dt * self.jump_rate > 0.1:
-                warnings.warn(
-                    f"dt * jump rate = {self.dt * self.jump_rate:.3g} > 0.1: "
-                    "multiple jumps will often share a step",
-                    stacklevel=2,
-                )
+        self.size_law = TruncatedSizeLaw(self.measure, self.eps_jump)
+        if self.dt * self.size_law.total_rate > 0.1:
+            warnings.warn(
+                f"dt * jump rate = {self.dt * self.size_law.total_rate:.3g} > 0.1: "
+                "multiple jumps will often share a step",
+                stacklevel=2,
+            )
 
 
 def _advance(cfg: SdeConfig, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -144,8 +140,8 @@ def _advance(cfg: SdeConfig, X: np.ndarray, rng: np.random.Generator) -> np.ndar
     # project onto the simplex; rows that already sum to 1 divide by 1 exactly
     np.maximum(Y, 0.0, out=Y)
     Y /= np.add.reduce(Y, axis=1, keepdims=True)
-    if cfg.jump_rate > 0.0:
-        n_jumps = rng.poisson(cfg.jump_rate * cfg.dt, X.shape[0])
+    if cfg.size_law.total_rate > 0.0:
+        n_jumps = rng.poisson(cfg.size_law.total_rate * cfg.dt, X.shape[0])
         rows, round_ = n_jumps.nonzero()[0], 1
         while rows.size:  # round r jumps the rows with at least r jumps, in row order
             z = cfg.size_law.sample(rng, rows.size)

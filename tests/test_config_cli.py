@@ -351,7 +351,7 @@ def test_building_the_beta_sde_config_of_the_benchmark_loads_no_quadrature():
         f"cfg = json.load(open({str(config)!r})); m = cfg['model']; "
         "c = SdeConfig(K=m['K'], drift=parse_drift(cfg, m['K']), measure=parse_measure(cfg), dt=m['dt'], "
         "horizon=m['horizon'], sigma=m['sigma']); "
-        "print(c.measure.to_config()['kind'], c.measure.a, c.jump_rate > 0, 'scipy.integrate' in sys.modules)"
+        "print(c.measure.to_config()['kind'], c.measure.a, c.size_law.total_rate > 0, 'scipy.integrate' in sys.modules)"
     )
     assert _fresh_process_stdout(code).split() == ["beta", "2.0", "True", "False"]
 

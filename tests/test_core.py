@@ -75,14 +75,14 @@ def test_make_schedule_no_events():
     s = make_schedule(10**4, 0.25, 1.0, 1.0, ZeroMeasure(), {2: 1.0})
     assert s.rho == pytest.approx(1e-4)
     assert s.gamma == 0.0
-    assert s.size_law is None
+    assert s.size_law.total_rate == 0.0
 
 
 def test_make_schedule_point_mass_example():
     s = make_schedule(10**4, 0.25, 1.0, 1.0, PointMass(0.5, 1.0), {2: 1.0})
     assert s.rho == pytest.approx(1e-4)
-    assert s.truncation == pytest.approx(0.1)
-    assert s.event_mass == pytest.approx(4.0)  # 1 / 0.5**2, atom above the cutoff
+    assert s.size_law.eps == pytest.approx(0.1)
+    assert s.size_law.total_rate == pytest.approx(4.0)  # 1 / 0.5**2, atom above the cutoff
     assert s.gamma == pytest.approx(4e-4)
     assert not s.clamped
 

@@ -16,7 +16,7 @@ from lwf.discrete import (
 )
 from lwf.measures import FiniteAtoms, PointMass, TruncatedSizeLaw, ZeroMeasure
 from lwf.rng import RngStream
-from lwf.rules import NegFreqDepRule, NeutralRule, PartialOrderRule, TransitiveRule
+from lwf.rules import ColouringRule, NegFreqDepRule, NeutralRule, PartialOrderRule, TransitiveRule
 from lwf.selection import DriftFunction
 
 
@@ -251,6 +251,21 @@ def test_mutation_rule_escapes_vertices():
     assert states[1:, 0, 1].max() > 0.0
 
 
+def test_a_mutation_generation_above_the_enumeration_limit_draws_no_individual(monkeypatch):
+    import lwf.discrete as discrete_mod
+    from lwf.rules import TransitiveWithMutationRule
+
+    def per_individual(*args):
+        raise AssertionError("per-individual draw")
+
+    monkeypatch.setattr(discrete_mod, "_per_individual", per_individual)
+    rule = TransitiveWithMutationRule(3, 0.2, np.full((3, 3), 1.0 / 3.0))
+    model = DiscreteModel(N=1000, rule=rule, offspring=OffspringLaw(0.2, {20: 1.0}))
+    assert model._draw[1] == ()  # nothing split off the pooled draw
+    X = step_generation_batch(model, np.tile([0.2, 0.3, 0.5], (5, 1)), RngStream(23).generator())
+    assert np.allclose(X.sum(axis=1), 1.0)
+
+
 def test_per_individual_fallback_matches_exact_law(monkeypatch):
     # without enumeration rps has no exact law at size 2: check that the per-individual path runs, and its one-step mean
     import lwf.discrete as discrete_mod
@@ -402,7 +417,8 @@ def test_empirical_drift_standard_error_mixes_the_sample_sizes_exactly():
         second += w * (pmf / pmf.sum()) @ table**2
     assert np.allclose(est.stderr, np.sqrt((second - first**2) / n), rtol=1e-12, atol=0.0)
     # the exact mean is the type law
-    assert np.allclose(first - x, empirical_drift(model, x, 1, method="exact").values, rtol=0.0, atol=1e-15)
+    law = sum(w * ColouringRule.type_law_batch(model.rule, k, x[None, :])[0] for k, w in model.offspring.tail)
+    assert np.allclose(first, law, rtol=0.0, atol=1e-15)
 
 
 def test_empirical_drift_on_the_boundary_leaves_the_absent_type_alone():
@@ -421,7 +437,7 @@ def test_empirical_drift_beyond_enumeration_takes_the_per_sample_path():
     assert not model.rule.supports_enumeration(200)
     x = np.array([0.001, 0.994, 0.005])  # type 3 is absent from a sample of 200 w.p. 0.37
     est = empirical_drift(model, x, 20_000, RngStream(17).generator())
-    assert est.compositions == 0 and not est.exact
+    assert est.compositions == 0
     assert np.all(est.stderr[1:] > 0.0)
     mu = DriftFunction.transitive(1.0, {199: 1.0}, 3)(x)
     assert np.all(np.abs(est.values - mu) <= 4.0 * est.stderr + 1e-9)
@@ -432,20 +448,23 @@ def test_exact_drift_refuses_a_sample_size_whose_coefficients_overflow():
     model = DiscreteModel(N=2, rule=TransitiveRule(2), offspring=OffspringLaw(1.0, {2000: 1.0}))
     assert model.rule.supports_enumeration(500) and not model.rule.supports_enumeration(2000)
     with pytest.raises(ValueError, match="size 2000"):
-        empirical_drift(model, [0.5, 0.5], 1, method="exact")
+        ColouringRule.type_law_batch(model.rule, 2000, np.array([[0.5, 0.5]]))
     est = empirical_drift(model, [0.5, 0.5], 200, RngStream(18).generator())
     assert est.compositions == 0 and np.allclose(est.values, [-0.5, 0.5], atol=1e-12)
 
 
 def test_empirical_drift_exact_path():
+    # the enumeration of every multiset, which no rule's closed form reaches, against the closed-form drifts
+    def enumerated_drift(model, x):
+        x = np.asarray(x, dtype=float)
+        return sum(p * ColouringRule.type_law_batch(model.rule, k, x[None, :])[0] for k, p in model.offspring.tail) - x
+
     model = DiscreteModel(N=2, rule=NeutralRule(3), offspring=OffspringLaw(1.0, {2: 0.5, 3: 0.5}))
-    est = empirical_drift(model, [0.2, 0.3, 0.5], 1, method="exact")
-    assert est.exact and np.allclose(est.values, 0.0, atol=1e-12)
+    assert np.allclose(enumerated_drift(model, [0.2, 0.3, 0.5]), 0.0, atol=1e-12)
 
     model = DiscreteModel(N=2, rule=TransitiveRule(3), offspring=OffspringLaw(1.0, {3: 1.0}))
     x = [0.2, 0.3, 0.5]
-    est = empirical_drift(model, x, 1, method="exact")
-    assert np.allclose(est.values, DriftFunction.transitive(1.0, {2: 1.0}, 3)(x), atol=1e-12)
+    assert np.allclose(enumerated_drift(model, x), DriftFunction.transitive(1.0, {2: 1.0}, 3)(x), atol=1e-12)
 
 
 def test_neutral_fixation_probability_matches_initial_frequency():

@@ -256,21 +256,11 @@ def _state(rng):
     return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
 
 
-class _AtomsOnUniform(UniformLaw):
-    """Uniform density plus two atoms: a law with both an atomic and a continuous part."""
-
-    def atoms(self):
-        return ((0.3, 0.5), (0.8, 1.0))
-
-    def resampling_mass_above(self, lo):
-        return super().resampling_mass_above(lo) + sum(w / z**2 for z, w in self.atoms() if z >= lo)
-
-
 @pytest.mark.parametrize("size", [1, 3, 500])
 @pytest.mark.parametrize(
     "measure",
-    [PointMass(0.4, 2.0), FiniteAtoms([(0.2, 0.3), (0.5, 1.0), (0.9, 0.7)]), _AtomsOnUniform(1.0)],
-    ids=["point_mass", "three_atoms", "atoms_on_uniform"],
+    [PointMass(0.4, 2.0), FiniteAtoms([(0.2, 0.3), (0.5, 1.0), (0.9, 0.7)])],
+    ids=["point_mass", "three_atoms"],
 )
 def test_atom_sampler_draws_what_generator_choice_draws(measure, size):
     # the sampler inlines Generator.choice(p=...): same sizes, same state of the stream afterwards
@@ -280,15 +270,36 @@ def test_atom_sampler_draws_what_generator_choice_draws(measure, size):
     rng, ref = RngStream(23).generator(), RngStream(23).generator()
     for _ in range(3):
         got = law.sample(rng, size)
-        if measure.has_continuous_part:
-            want = np.empty(size)
-            pick = ref.random(size) < sum(w) / law.total_rate
-            want[pick] = zs[ref.choice(len(zs), int(pick.sum()), p=w / w.sum())]
-            want[~pick] = measure._sizes_above(law.eps, ref, size - int(pick.sum()))
-        else:
-            want = zs[ref.choice(len(zs), size, p=w / w.sum())]
+        want = zs[ref.choice(len(zs), size, p=w / w.sum())]
         assert got.tobytes() == want.tobytes()
         assert _state(rng) == _state(ref)
+
+
+@pytest.mark.parametrize("z, mass", [(0.4, 2.0), (0.05, 0.3), (1.0, 1.0)])
+def test_a_point_mass_is_a_one_atom_measure_bit_for_bit(z, mass):
+    point, atoms = PointMass(z, mass), FiniteAtoms([(z, mass)])
+    for n in (2, 64, 2048):
+        assert point.collision_rate_vector(n).tobytes() == atoms.collision_rate_vector(n).tobytes()
+    assert point.log_penalty() == atoms.log_penalty()
+    for eps in (0.01, 0.1, 0.5):
+        assert point.resampling_mass_above(eps) == atoms.resampling_mass_above(eps)
+        laws = TruncatedSizeLaw(point, eps), TruncatedSizeLaw(atoms, eps)
+        assert laws[0].total_rate == laws[1].total_rate
+        if laws[0].total_rate > 0:
+            rng, ref = RngStream(31).generator(), RngStream(31).generator()
+            for size in (1, 7, 300):
+                assert laws[0].sample(rng, size).tobytes() == laws[1].sample(ref, size).tobytes()
+                assert _state(rng) == _state(ref)
+
+
+def test_every_zero_measure_quantity_is_the_float_zero():
+    zero = ZeroMeasure()
+    values = [zero.total_mass(), zero.mass_above(0.0), zero.resampling_mass_above(0.1), zero.log_penalty()]
+    assert all(type(v) is float and v == 0.0 for v in values), values
+    assert TruncatedSizeLaw(zero, 0.1).total_rate == 0.0 and TruncatedSizeLaw(zero, 0.1).truncated_mass == 0.0
+    for n in (2, 64):
+        rates = zero.collision_rate_vector(n)
+        assert rates.dtype == float and rates.shape == (n - 1,) and not rates.any()
 
 
 def _uniform_sizes(measure, eps, rng, size):

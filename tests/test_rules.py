@@ -160,10 +160,15 @@ def test_distribution_batch_matches_single():
 
 
 def offspring_type_law(rule, offspring, x, samples=1, rng=None):
-    """Law of one offspring's type, ``p(x) = x + rho * drift``, with the drift's stderr scaled alike."""
-    model = DiscreteModel(N=2, rule=rule, offspring=offspring)
-    est = empirical_drift(model, x, samples, rng, method="exact" if rng is None else "mc")
-    return x + offspring.rho * est.values, offspring.rho * est.stderr, est.exact
+    """Law of one offspring's type, ``p(x) = x + rho * drift``, with the drift's stderr scaled alike.
+
+    Without an rng the drift is the enumeration of every multiset (zero stderr), never a rule's closed form.
+    """
+    if rng is None:
+        law = sum(p * ColouringRule.type_law_batch(rule, k, x[None, :])[0] for k, p in offspring.tail)
+        return x + offspring.rho * (law - x), np.zeros_like(x)
+    est = empirical_drift(DiscreteModel(N=2, rule=rule, offspring=offspring), x, samples, rng)
+    return x + offspring.rho * est.values, offspring.rho * est.stderr
 
 
 @pytest.mark.parametrize("K", range(2, 7))
@@ -183,6 +188,17 @@ def test_transitive_closed_form_matches_the_enumeration(K):
     assert not PartialOrderRule.rps().has_exact_law(DEFAULT_K_MAX + 1)
 
 
+@pytest.mark.parametrize("k", [2, 5, 12, 20])
+def test_mutation_closed_form_matches_the_enumeration(k):
+    kernel = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])
+    rule = TransitiveWithMutationRule(3, 0.3, kernel)
+    rng = RngStream(46).generator()
+    X = np.vstack([rng.dirichlet(np.ones(3), size=30), rng.dirichlet(np.full(3, 0.2), size=30), np.eye(3)])
+    law = rule.type_law_batch(k, X)
+    assert np.abs(law - ColouringRule.type_law_batch(rule, k, X)).max() <= 1e-12
+    assert rule.has_exact_law(2000)
+
+
 def test_transitive_closed_form_matches_individual_draws_beyond_enumeration():
     # k = 2000 is beyond any enumeration: compare with offspring drawn one at a time
     rule, k = TransitiveRule(3), 2000
@@ -198,8 +214,7 @@ def test_transitive_closed_form_matches_individual_draws_beyond_enumeration():
 def test_offspring_type_law_neutral_is_identity():
     q = OffspringLaw(0.3, {2: 0.5, 3: 0.5})
     x = np.array([0.2, 0.3, 0.5])
-    probs, _, exact = offspring_type_law(NeutralRule(3), q, x)
-    assert exact
+    probs, _ = offspring_type_law(NeutralRule(3), q, x)
     assert np.allclose(probs, x, atol=1e-12)
 
 
@@ -207,7 +222,7 @@ def test_offspring_type_law_transitive_pair():
     # p_1 = (1 - rho) x_1 + rho x_1^2 = 0.5 - 0.25 rho at x = (1/2, 1/2)
     for rho in (0.0, 0.2, 1.0):
         q = OffspringLaw(rho, {2: 1.0})
-        probs, _, _ = offspring_type_law(TransitiveRule(2), q, np.array([0.5, 0.5]))
+        probs, _ = offspring_type_law(TransitiveRule(2), q, np.array([0.5, 0.5]))
         assert probs[0] == pytest.approx(0.5 - 0.25 * rho, abs=1e-12)
 
 
@@ -224,8 +239,7 @@ def test_offspring_type_law_monomorphic():
 def test_offspring_type_law_monte_carlo_branch():
     q = OffspringLaw(1.0, {40: 1.0})  # beyond the enumeration cutoff
     x = np.array([0.6, 0.4])
-    probs, stderr, exact = offspring_type_law(TransitiveRule(2), q, x, 20_000, RngStream(11).generator())
-    assert not exact
+    probs, stderr = offspring_type_law(TransitiveRule(2), q, x, 20_000, RngStream(11).generator())
     exact_p1 = 0.6**40
     assert abs(probs[0] - exact_p1) <= 4.5 * max(stderr[0], 1e-6)
 
@@ -262,6 +276,14 @@ def test_bernstein_rejects_out_of_range_coefficient():
     with pytest.raises(ValueError) as err:
         bernstein_rule(bad)
     assert "multi-index" in str(err.value)
+
+
+def test_bernstein_rule_built_directly_rejects_a_row_that_sums_to_one_outside_the_range():
+    # (-0.5, 1.5) sums to 1, so only the range check sees it: clipped, it would be the different row (0, 1)
+    with pytest.raises(ValueError, match=r"output 1 at multi-index \(1, 1\) is -0.5, outside \[0, 1\]"):
+        BernsteinRule(2, np.array([[1.0, 0.0], [-0.5, 1.5], [0.0, 1.0]]))
+    rule = BernsteinRule(2, np.array([[1.0, 0.0], [-1e-12, 1.0 + 1e-12], [0.0, 1.0]]))  # rounding noise is clipped
+    assert np.array_equal(rule.table[1], [0.0, 1.0])
 
 
 def test_bernstein_round_trip_evaluation():

@@ -120,7 +120,7 @@ def _advance_row_major(cfg, X, rng):
         Y += math.sqrt(cfg.sigma * cfg.dt) * _apply_zeta_reference(X, rng.standard_normal(X.shape))
     np.maximum(Y, 0.0, out=Y)
     Y /= np.add.reduce(Y, axis=1, keepdims=True)
-    n_jumps = rng.poisson(cfg.jump_rate * cfg.dt, X.shape[0])
+    n_jumps = rng.poisson(cfg.size_law.total_rate * cfg.dt, X.shape[0])
     for round_ in range(1, n_jumps.max(initial=0) + 1):
         rows = np.flatnonzero(n_jumps >= round_)
         z = cfg.size_law.sample(rng, rows.size)
