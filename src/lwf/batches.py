@@ -1,10 +1,11 @@
 """Fixed-width replicate batches on per-batch random streams.
 
-Replicates are split into batches of ``BATCH`` rows whatever the thread
-count.  Batch ``b`` of a lane draws from ``stream.derive(lane, b)`` alone and
-results come back in batch order, so every output reproduces byte-for-byte on
-any number of threads.  The lanes keep the streams of the different kinds of
-work apart.
+The engines :func:`~lwf.sde.simulate_sde` and
+:func:`~lwf.discrete.simulate_discrete` split their replicates here, into
+batches of ``BATCH`` rows whatever the thread count.  Batch ``b`` of a lane
+draws from ``stream.derive(lane, b)`` alone and writes only its own rows of
+the engine's output, so every output reproduces byte-for-byte on any number
+of threads.  The lanes keep the streams of the different kinds of work apart.
 """
 
 from __future__ import annotations
@@ -27,13 +28,9 @@ def pmap(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def map_batches(fn, replicates: int, stream: RngStream, lane: int, threads: int) -> list:
-    """``fn(width, rng)`` for every batch of ``replicates``, in batch order."""
-    full, rest = divmod(replicates, BATCH)
-    widths = [BATCH] * full + ([rest] if rest else [])
+def map_batches(fn, replicates: int, stream: RngStream, lane: int, threads: int) -> None:
+    """``fn(rows, rng)`` for every batch of ``replicates``: ``rows`` is its slice of them, ``rng`` its generator."""
+    def run(b):
+        fn(slice(b * BATCH, min((b + 1) * BATCH, replicates)), stream.derive(lane, b).generator())
 
-    def run(item):
-        index, width = item
-        return fn(width, stream.derive(lane, index).generator())
-
-    return pmap(run, list(enumerate(widths)), threads)
+    pmap(run, range(-(-replicates // BATCH)), threads)

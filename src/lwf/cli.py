@@ -14,8 +14,9 @@ required and optional keys of each block it reads.  A key is converted by
 dual chain's branching law); a key left out takes the default of the
 function's signature.
 
-Simulation subcommands draw their replicates in fixed-width batches, one
-random stream per batch, so their output does not depend on ``--threads``.
+Simulation subcommands hand the seed's stream and ``--threads`` to the
+engines, which draw their replicates in fixed-width batches, one random
+stream per batch, so their output does not depend on ``--threads``.
 
 Exit codes: 0 all assertions pass, 1 an experiment assertion failed (or an
 unexpected error, re-raised), 2 configuration error.  ``meta.json`` is
@@ -38,7 +39,6 @@ import numpy as np
 
 from . import experiments as xp
 from .ancestral import AncestralModel, simulate_ancestral, stationary_law
-from .batches import LANE_DISCRETE, LANE_SDE, map_batches
 from .config import (
     ConfigError,
     building,
@@ -115,12 +115,6 @@ CONVERT = {
 }
 
 
-def _write_trajectories(out: Path, times, simulate, replicates: int, seed: int, lane: int, threads: int) -> None:
-    """Write the blocks ``simulate(width, rng)`` records at ``times``, one per batch, in batch order."""
-    blocks = map_batches(simulate, replicates, RngStream(seed), lane, threads)
-    write_trajectories_csv(out / "trajectories.csv", times, blocks)
-
-
 def _simulate_discrete(
     *, out, threads, x0, rule, measure, N, tail, generations, record_every=1, replicates=1, seed=0, **knobs
 ):
@@ -128,10 +122,8 @@ def _simulate_discrete(
     with building("'schedule' block"):
         model = DiscreteModel.from_schedule(make_schedule(N, measure=measure, tail=tail, **knobs), rule)
     records = range(0, generations + 1, record_every)
-    _write_trajectories(
-        out, records, lambda width, rng: simulate_discrete(model, x0, width, records, rng),
-        replicates, seed, LANE_DISCRETE, threads,
-    )
+    states = simulate_discrete(model, x0, replicates, records, RngStream(seed), threads)
+    write_trajectories_csv(out / "trajectories.csv", records, states)
 
 
 def _simulate_sde(*, out, threads, x0, drift, measure, record_every=1, replicates=1, seed=0, **sde):
@@ -139,9 +131,8 @@ def _simulate_sde(*, out, threads, x0, drift, measure, record_every=1, replicate
     with building("'model' block"):
         cfg = SdeConfig(K=x0.size, drift=drift, measure=measure, **sde)
     times = np.arange(0, int(round(cfg.horizon / cfg.dt)) + 1, record_every) * cfg.dt
-    _write_trajectories(
-        out, times, lambda width, rng: simulate_sde(cfg, x0, width, times, rng)[0], replicates, seed, LANE_SDE, threads
-    )
+    states = simulate_sde(cfg, x0, replicates, times, RngStream(seed), threads)[0]
+    write_trajectories_csv(out / "trajectories.csv", times, states)
 
 
 def _ancestral(*, out, n0, horizon, increments, measure, stationary=False, replicates=1, seed=0, **chain):

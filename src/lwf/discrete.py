@@ -20,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import composition_pmf, compositions
+from .batches import LANE_DISCRETE, map_batches
+from .combinat import composition_pmf
 from .core import OffspringLaw, ScalingSchedule, _categorical, as_frequencies, round_to_counts
 from .measures import TruncatedSizeLaw
-from .rules import ColouringRule, DEFAULT_K_MAX
+from .rng import RngStream
+from .rules import ColouringRule
 
 
 @dataclass(frozen=True)
@@ -129,25 +131,31 @@ def _per_individual(rule: ColouringRule, k: int, X: np.ndarray, n_k: np.ndarray,
     return out
 
 
-def simulate_discrete(model: DiscreteModel, x0, replicates: int, records, rng: np.random.Generator) -> np.ndarray:
-    """Run a batch of replicates and record the block at each generation of ``records``.
+def simulate_discrete(
+    model: DiscreteModel, x0, replicates: int, records, stream: RngStream, threads: int = 1
+) -> np.ndarray:
+    """Run ``replicates`` replicates in batches on ``threads`` threads, recording them at each of ``records``.
 
-    The initial state is apportioned to the 1/N lattice by largest
-    remainders.  Absorbed rows (see :func:`step_unabsorbed`) stop drawing and
-    repeat their state in the remaining records.  Generations after the last
-    record are not run.  Returns the states, shape ``(len(records),
-    replicates, K)``.
+    Batch b steps its rows on ``stream.derive(LANE_DISCRETE, b)`` and writes them into the states, shape
+    ``(len(records), replicates, K)``, which are returned.  The initial state is apportioned to the 1/N lattice
+    by largest remainders.  Absorbed rows (see :func:`step_unabsorbed`) stop drawing and repeat their state in
+    the remaining records.  Generations after the last record are not run.
     """
     if replicates < 1 or np.any(np.diff(records, prepend=0) < 0):
         raise ValueError("need replicates >= 1 and nondecreasing records >= 0")
-    X = np.tile(round_to_counts(x0, model.N) / float(model.N), (replicates, 1))
-    states = np.empty((len(records),) + X.shape)
-    generation, moving = 0, True
-    for j, g in enumerate(records):
-        while moving and generation < g:
-            moving = step_unabsorbed(model, X, rng)
-            generation += 1
-        states[j] = X
+    start = round_to_counts(x0, model.N) / float(model.N)
+    states = np.empty((len(records), replicates, start.size))
+
+    def run(rows, rng):
+        X = np.tile(start, (rows.stop - rows.start, 1))
+        generation, moving = 0, True
+        for j, g in enumerate(records):
+            while moving and generation < g:
+                moving = step_unabsorbed(model, X, rng)
+                generation += 1
+            states[j, rows] = X
+
+    map_batches(run, replicates, stream, LANE_DISCRETE, threads)
     return states
 
 
@@ -162,38 +170,34 @@ class DriftEstimate:
 
     values: np.ndarray
     stderr: np.ndarray
-    samples: int
     compositions: int = 0
 
 
-def empirical_drift(
-    model: DiscreteModel,
-    x,
-    replicates: int,
-    rng: np.random.Generator,
-) -> DriftEstimate:
+def empirical_drift(rule: ColouringRule, tail, x, replicates: int, rng: np.random.Generator) -> DriftEstimate:
     """Estimate the drift of the non-extreme dynamics, rescaled by ``rho``.
 
     Estimates ``(p(x) - x) / rho`` where ``p`` is the one-offspring type
-    law.  The singleton part of the offspring law contributes ``x`` exactly
-    and cancels, so only samples of two or more parents are simulated: a
-    sample size is drawn from the tail, parent types from multinomial(k, x),
-    and the rule's conditional type distribution (not a sampled type) is
-    averaged, which is unbiased with strictly smaller variance.
+    law of ``rule`` and ``tail`` the law ``{k: p}`` of the sample sizes
+    above 1, as :class:`~lwf.core.OffspringLaw` takes it.  The singleton
+    part of the offspring law contributes ``x`` exactly and cancels, so only
+    samples of two or more parents are simulated: a sample size is drawn
+    from the tail, parent types from multinomial(k, x), and the rule's
+    conditional type distribution (not a sampled type) is averaged, which
+    is unbiased with strictly smaller variance.
 
     A sampled multiset is one of the C(K+k-1, k) compositions of k, so for
-    an enumerable size the ``n_k`` samples reduce to one multinomial draw of
-    composition counts ``m`` at the multinomial(k, x) pmf, and the sum over
-    samples to ``m @ table`` on the rule's outputs at the compositions: the
-    same law at O(compositions) cost.  Larger sizes draw and evaluate every
-    sample.  When every size is enumerable the standard error is exact: the
+    an enumerable size (:meth:`~lwf.rules.ColouringRule.enumerable`) the
+    ``n_k`` samples reduce to one multinomial draw of composition counts
+    ``m`` at the multinomial(k, x) pmf, and the sum over samples to ``m @
+    table`` on the rule's cached outputs at the compositions: the same law
+    at O(compositions) cost.  Larger sizes draw and evaluate every sample.
+    When every size is enumerable the standard error is exact: the
     per-sample variance ``sum_k p_k pmf_k @ table_k**2 - (sum_k p_k pmf_k @
     table_k)**2``.  Otherwise it is the sample's, which reads 0 where no
     sample drew a type's rare winning compositions.
     """
     x = as_frequencies(x)
-    tail_ks = np.array([k for k, _ in model.offspring.tail])
-    tail_ps = np.array([p for _, p in model.offspring.tail])
+    tail_ks, tail_ps = map(np.array, zip(*OffspringLaw(1.0, tail).tail))
     if replicates < 1:
         raise ValueError("need at least one replicate")
 
@@ -201,25 +205,24 @@ def empirical_drift(
         per_k = np.array([replicates])
     else:
         per_k = rng.multinomial(replicates, tail_ps)
-    exact_se = all(k <= DEFAULT_K_MAX and model.rule.supports_enumeration(k) for k in tail_ks)
+    exact_se = all(rule.enumerable(k) for k in tail_ks)
     total, first, second = np.zeros((3, x.size))  # the sum, and one sample's first two moments
     drawn_over = 0
     for k, p, n_k in zip(tail_ks, tail_ps, per_k):
         if n_k == 0 and not exact_se:
             continue
-        if k <= DEFAULT_K_MAX and model.rule.supports_enumeration(k):
-            samples = compositions(x.size, k)
+        if rule.enumerable(k):
             pmf = composition_pmf(x.size, k, x)
             pmf = pmf / pmf.sum()
             m = rng.multinomial(n_k, pmf)
-            drawn_over += len(samples)
+            table = rule._table(k)
+            drawn_over += len(table)
         else:
-            samples = rng.multinomial(int(k), x, size=int(n_k))
             m = np.ones(int(n_k))
-        table = model.rule.distribution_batch(samples)
+            table = rule.distribution_batch(rng.multinomial(int(k), x, size=int(n_k)))
         total += m @ table
         weights = p * pmf if exact_se else m / replicates  # the composition law, or the sample's
         first += weights @ table
         second += weights @ table**2
     stderr = np.sqrt(np.maximum(second - first**2, 0.0) / replicates)
-    return DriftEstimate(total / replicates - x, stderr, replicates, drawn_over)
+    return DriftEstimate(total / replicates - x, stderr, drawn_over)

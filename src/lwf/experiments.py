@@ -1,10 +1,11 @@
 """Statistical experiment harness.
 
 Every experiment is a pure function of its parameters and a seed: reports
-reproduce byte-for-byte, including across thread counts, because replicates
-are split into fixed-width batches with stream ids derived from the batch
-index alone and results are merged in batch order.  Wall-clock time is
-therefore kept out of reports (the CLI writes it to a sidecar file).
+reproduce byte-for-byte, including across thread counts, because each hands
+its stream and thread count to the engines, whose fixed-width batches draw
+from streams derived from the batch index alone and write their own rows
+(:mod:`lwf.batches`).  Wall-clock time is therefore kept out of reports (the
+CLI writes it to a sidecar file).
 
 Statistical thresholds (4-standard-error bands, 99% confidence levels, KS
 noise bands) are harness choices and are labelled as such in every metric;
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ancestral import STATIONARY_TOL, AncestralModel, dual_moment, fixation_probabilities
-from .batches import LANE_DISCRETE, LANE_DRIFT, LANE_POINTS, LANE_SDE, map_batches, pmap
+from .batches import LANE_DRIFT, LANE_POINTS, pmap
 from .config import building
-from .core import OffspringLaw, as_frequencies, make_schedule, random_interior_points
+from .core import as_frequencies, make_schedule, random_interior_points
 from .discrete import DiscreteModel, empirical_drift, simulate_discrete
 from .errors import ConfigError
 from .measures import LambdaMeasure, ZeroMeasure
@@ -107,33 +108,6 @@ def _jsonable(value):
 
 
 # ---------------------------------------------------------------------------
-# Shared replicate drivers
-# ---------------------------------------------------------------------------
-
-
-def _sde_batches(cfg: SdeConfig, x0, replicates: int, stream: RngStream, threads: int, times=()):
-    """:func:`~lwf.sde.simulate_sde` over the batches of ``replicates``, merged in batch order.
-
-    Returns the states at ``times``, shape ``(len(times), replicates, K)``, the winners (-1 while unfixed) and
-    the extinction times.
-    """
-    runs = map_batches(lambda width, rng: simulate_sde(cfg, x0, width, times, rng), replicates, stream, LANE_SDE,
-                       threads)
-    states = np.concatenate([block for block, _ in runs], axis=1)
-    winners = np.concatenate([batch.winner for _, batch in runs])
-    extinction_times = np.concatenate([batch.extinction_time for _, batch in runs])
-    return states, winners, extinction_times
-
-
-def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic."""
-    grid = np.sort(np.concatenate([a, b]))
-    cdf_a = np.searchsorted(np.sort(a), grid, side="right") / a.size
-    cdf_b = np.searchsorted(np.sort(b), grid, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())
-
-
-# ---------------------------------------------------------------------------
 # Drift oracle
 # ---------------------------------------------------------------------------
 
@@ -194,8 +168,6 @@ def run_drift_oracle(
         rule: ColouringRule = pair["rule"]
         drift: DriftFunction = pair["drift"]
         scale = drift.kappa or 1.0
-        offspring = OffspringLaw(1.0, pair["tail"])
-        model = DiscreteModel(N=2, rule=rule, offspring=offspring)
         xs = random_interior_points(
             stream.derive(LANE_POINTS, p_idx).generator(), rule.K, points, min_coord
         )
@@ -203,7 +175,7 @@ def run_drift_oracle(
         def check(args):
             j, x = args
             rng = stream.derive(LANE_DRIFT, p_idx, j).generator()
-            est = empirical_drift(model, x, samples, rng)
+            est = empirical_drift(rule, pair["tail"], x, samples, rng)
             dev = np.abs(drift(x) - scale * est.values)
             tol = FOUR_SE * scale * est.stderr + 1e-9
             return (dev / tol).max(), est.compositions
@@ -238,6 +210,14 @@ def run_drift_oracle(
 # ---------------------------------------------------------------------------
 
 
+def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic."""
+    grid = np.sort(np.concatenate([a, b]))
+    cdf_a = np.searchsorted(np.sort(a), grid, side="right") / a.size
+    cdf_b = np.searchsorted(np.sort(b), grid, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
 def run_convergence(
     *,
     rule: ColouringRule,
@@ -270,7 +250,7 @@ def run_convergence(
     stream = RngStream(seed)
     with building("SdeConfig value"):
         cfg = SdeConfig(K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump)
-    sde_final = _sde_batches(cfg, x0, replicates, stream.derive(0), threads, [T])[0][0]
+    sde_final = simulate_sde(cfg, x0, replicates, [T], stream.derive(0), threads)[0][0]
 
     ks_by_N = []
     generations_by_N = []
@@ -280,10 +260,7 @@ def run_convergence(
         with building("DiscreteModel.from_schedule value"):
             model = DiscreteModel.from_schedule(schedule, rule)
         generations = int(math.floor(kappa * T / schedule.rho))
-        finals = np.concatenate(map_batches(
-            lambda width, rng: simulate_discrete(model, x0, width, [generations], rng)[0],
-            replicates, stream.derive(1 + idx), LANE_DISCRETE, threads,
-        ))
+        finals = simulate_discrete(model, x0, replicates, [generations], stream.derive(1 + idx), threads)[0]
         ks_by_N.append([_ks_distance(finals[:, i], sde_final[:, i]) for i in range(x0.size)])
         generations_by_N.append(generations)
 
@@ -363,15 +340,15 @@ def run_fixation(
     """
     x0 = as_frequencies(x0)
     stream = RngStream(seed)
-    drift = DriftFunction.neutral(x0.size) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, x0.size)
     with building("SdeConfig value"):
+        drift = DriftFunction.neutral(x0.size) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, x0.size)
         cfg = SdeConfig(
             K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=max_time, eps_jump=eps_jump,
             tol_ext=tol_ext,
         )
     with building("AncestralModel value"):
-        dual = AncestralModel(kappa, sigma, increments if kappa > 0 else {1: 1.0}, measure)
-    _, winners, _ = _sde_batches(cfg, x0, replicates, stream, threads)
+        dual = AncestralModel(kappa, sigma, increments, measure)
+    winners = simulate_sde(cfg, x0, replicates, (), stream, threads)[1].winner
     unfixed = int(np.count_nonzero(winners < 0))
     counts = np.bincount(winners[winners >= 0], minlength=x0.size)
     empirical = counts / replicates
@@ -502,15 +479,15 @@ def run_duality(
     value.
     """
     stream = RngStream(seed)
-    drift = DriftFunction.neutral(2) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, 2)
     with building("AncestralModel value"):
-        dual = AncestralModel(kappa, sigma, increments if kappa > 0 else {1: 1.0}, measure)
+        dual = AncestralModel(kappa, sigma, increments, measure)
     with building("SdeConfig value"):
+        drift = DriftFunction.neutral(2) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, 2)
         cfg = SdeConfig(K=2, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=max(ts), eps_jump=eps_jump)
     grid = sorted(set(ts))  # the integrator records forward in time, whatever order the cells come in
     metrics = []
     for x_idx, x in enumerate(xs):
-        snaps = _sde_batches(cfg, [x, 1.0 - x], replicates, stream.derive(10 + x_idx), threads, grid)[0]
+        snaps = simulate_sde(cfg, [x, 1.0 - x], replicates, grid, stream.derive(10 + x_idx), threads)[0]
         for t in ts:
             weak = snaps[grid.index(t)][:, 0]
             for n0 in n0s:
@@ -629,7 +606,7 @@ def run_rps_lyapunov(
 
     # a zero coordinate stays zero under the mutation-free drift, so a replicate out at one time is out after it
     values = np.full((replicates, len(times)), np.nan)
-    for j, snapshot in enumerate(_sde_batches(cfg, x0, replicates, stream, threads, times)[0]):
+    for j, snapshot in enumerate(simulate_sde(cfg, x0, replicates, times, stream, threads)[0]):
         inside = (snapshot > 0.0).all(axis=1)
         values[inside, j] = np.log(snapshot[inside]).sum(axis=1)
     excluded = np.isnan(values).sum(axis=0)
@@ -722,7 +699,8 @@ def run_successive_extinction(
         cfg = SdeConfig(
             K=x0.size, drift=drift, sigma=sigma, measure=ZeroMeasure(), dt=dt, horizon=max_time, tol_ext=tol_ext
         )
-    _, winners, ext_times = _sde_batches(cfg, x0, replicates, stream, threads)
+    events = simulate_sde(cfg, x0, replicates, (), stream, threads)[1]
+    winners, ext_times = events.winner, events.extinction_time
     unfixed = int(np.count_nonzero(winners < 0))
 
     losses = np.sort(ext_times, axis=1)[:, : x0.size - 1]  # winner's slot is NaN, sorted last

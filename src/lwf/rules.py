@@ -87,9 +87,13 @@ class ColouringRule:
         # the multinomial coefficients sum to K**k, so all are finite floats while K**k < 2**1024
         return comb(self.K + k - 1, k) <= _ENUM_LIMIT and k * log2(self.K) < 1024
 
+    def enumerable(self, k: int) -> bool:
+        """Whether the engines enumerate the samples of size k: at most ``DEFAULT_K_MAX`` parents, few multi-indices."""
+        return k <= DEFAULT_K_MAX and self.supports_enumeration(k)
+
     def has_exact_law(self, k: int) -> bool:
-        """Whether the engines take ``type_law_batch(k, .)`` as exact: a closed form, or a small enumeration."""
-        return self.closed_form or (k <= DEFAULT_K_MAX and self.supports_enumeration(k))
+        """Whether the engines take ``type_law_batch(k, .)`` as exact: a closed form, or an enumeration."""
+        return self.closed_form or self.enumerable(k)
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -391,15 +395,9 @@ class BernsteinRule(ColouringRule):
         return {"kind": "bernstein", "degree": self.degree, "table": entries}
 
 
-def bernstein_rule(g, *, degree: int | None = None) -> BernsteinRule:
-    """Build the colouring rule realizing a simplex-preserving polynomial map.
-
-    ``g`` is a :class:`~lwf.bernstein.PolynomialMap`, or a pair
-    ``(degree, table)`` giving Bernstein coefficients directly; the table is
-    validated as :class:`BernsteinRule` does.
-    """
-    n, table = bernstein_table(g, degree) if isinstance(g, PolynomialMap) else g
-    return BernsteinRule(n, table)
+def bernstein_rule(g: PolynomialMap, *, degree: int | None = None) -> BernsteinRule:
+    """Build the colouring rule realizing a simplex-preserving polynomial map, at ``degree`` or its own."""
+    return BernsteinRule(*bernstein_table(g, degree))
 
 
 def beats_from_labels(pairs) -> list[tuple[int, int]]:
@@ -423,7 +421,7 @@ def _bernstein_from_config(params: dict, K: int) -> BernsteinRule:
         table[idx[key]] = row
     if len(seen) != len(idx):
         raise ConfigError(f"Bernstein table must cover all {len(idx)} multi-indices, got {len(seen)}")
-    return bernstein_rule((degree, table))
+    return BernsteinRule(degree, table)
 
 
 # each kind's allowed keys and its builder from those keys and K

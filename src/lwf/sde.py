@@ -29,8 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .batches import LANE_SDE, map_batches
 from .core import _categorical, as_frequencies
 from .measures import LambdaMeasure, TruncatedSizeLaw, ZeroMeasure
+from .rng import RngStream
 
 _TINY = 1e-14
 
@@ -246,21 +248,43 @@ class BatchSde:
         return self._rows.size
 
 
-def simulate_sde(cfg: SdeConfig, x0, replicates: int, times, rng: np.random.Generator) -> tuple[np.ndarray, BatchSde]:
-    """Integrate a batch of replicates, recording the block at each of ``times``.
+@dataclass(frozen=True)
+class BoundaryEvents:
+    """Per-replicate boundary events of a run, as :class:`BatchSde` records them."""
 
-    Returns the states, shape ``(len(times), replicates, K)``, and the batch, run on to the horizon or until every
-    replicate is fixed, whose boundary events (winners, extinction and fixation times, clamps) cover that run.
-    A record after every replicate fixed repeats the vertices.  ``times`` must be nondecreasing and lie within the
-    run as step indices, ``0 <= round(t / dt) <= round(horizon / dt)``, so a grid's last point may round to it.
+    winner: np.ndarray  # the fixed type, -1 while unfixed
+    extinction_time: np.ndarray  # (R, K): when each coordinate hit zero, NaN if it never did
+    fixation_time: np.ndarray  # NaN while unfixed
+    clamp_fired: np.ndarray
+
+
+def simulate_sde(
+    cfg: SdeConfig, x0, replicates: int, times, stream: RngStream, threads: int = 1
+) -> tuple[np.ndarray, BoundaryEvents]:
+    """Integrate ``replicates`` replicates in batches on ``threads`` threads, recording them at each of ``times``.
+
+    Batch b is one :class:`BatchSde` on ``stream.derive(LANE_SDE, b)``, run on to the horizon or until every
+    replicate is fixed.  It writes its rows of the states, shape ``(len(times), replicates, K)``, and of the
+    :class:`BoundaryEvents` of that run; returns both.  A record after a replicate fixed repeats its vertex.
+    ``times`` must be nondecreasing and lie within the run as step indices, ``0 <= round(t / dt) <=
+    round(horizon / dt)``, so a grid's last point may round to it.
     """
     steps = np.rint(np.divide(times, cfg.dt))
     if np.any(np.diff(times) < 0) or np.any((steps < 0) | (steps > round(cfg.horizon / cfg.dt))):
         raise ValueError(f"record times must be nondecreasing and lie within the run, [0, horizon = {cfg.horizon}]")
-    batch = BatchSde(cfg, x0, replicates, rng)
-    states = np.empty((len(times), batch.R, cfg.K))
-    for j, t in enumerate(times):
-        batch.run_until(t)
-        states[j] = batch.X
-    batch.run_until(cfg.horizon)
-    return states, batch
+    states = np.empty((len(times), replicates, cfg.K))
+    events = BoundaryEvents(
+        np.empty(replicates, np.int64), np.empty((replicates, cfg.K)), np.empty(replicates), np.empty(replicates, bool)
+    )
+
+    def run(rows, rng):
+        batch = BatchSde(cfg, x0, rows.stop - rows.start, rng)
+        for j, t in enumerate(times):
+            batch.run_until(t)
+            states[j, rows] = batch.X
+        batch.run_until(cfg.horizon)
+        for name, column in vars(events).items():
+            column[rows] = getattr(batch, name)
+
+    map_batches(run, replicates, stream, LANE_SDE, threads)
+    return states, events

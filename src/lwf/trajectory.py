@@ -10,19 +10,17 @@ import numpy as np
 def write_trajectories_csv(path, times, states) -> None:
     """Write ``t,x_1,...,x_K,replicate`` rows, one replicate after another.
 
-    ``states`` is a sequence of recorded blocks, each of shape ``(len(times),
-    R_b, K)`` and holding consecutive replicates; replicates are numbered
-    from 0 across the blocks.  Times are generation indices for the
-    finite-population chain and real times for the limit process.
+    ``states`` holds the recorded replicates, shape ``(len(times), R, K)``,
+    numbered from 0.  Times are generation indices for the finite-population
+    chain and real times for the limit process.
     """
     # the bytes of csv.writer, which writes a Python float as its repr, the shortest string that reads back exactly
     times = [f"{t!r}," for t in np.asarray(times, dtype=float).tolist()]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(["t"] + [f"x_{i + 1}" for i in range(states[0].shape[2])] + ["replicate"]) + "\r\n")
-        replicates = (block[:, r] for block in states for r in range(block.shape[1]))
-        for rep, recorded in enumerate(replicates):
+        fh.write(",".join(["t"] + [f"x_{i + 1}" for i in range(states.shape[2])] + ["replicate"]) + "\r\n")
+        for rep in range(states.shape[1]):
             end = f",{rep}\r\n"
-            fh.writelines(t + ",".join(map(repr, row)) + end for t, row in zip(times, recorded.tolist()))
+            fh.writelines(t + ",".join(map(repr, row)) + end for t, row in zip(times, states[:, rep].tolist()))
 
 
 def write_ancestral_csv(path, paths) -> None:

@@ -361,9 +361,8 @@ def test_csv_rows_are_the_repr_of_every_value(tmp_path):
 
     states = np.array([[0.1 + 0.2, 5e-324, 0.7 - 5e-324], [1e-300, 1.0, 0.0], [1.0 / 3.0, 2.0 / 3.0, 0.0]])
     times = [0, 1e-7, 3]
-    blocks = [states[:, None], np.stack([states[::-1], states], axis=1)]  # one replicate, then two more
     path = tmp_path / "t.csv"
-    write_trajectories_csv(path, times, blocks)
+    write_trajectories_csv(path, times, np.stack([states, states[::-1], states], axis=1))  # three replicates
     lines = ["t,x_1,x_2,x_3,replicate"]  # the per-value formatting the writer must reproduce
     for rep, path_states in enumerate([states, states[::-1], states]):
         for t, state in zip(times, path_states):
@@ -378,16 +377,15 @@ def test_trajectories_csv_bytes_equal_the_csv_module(tmp_path):
     from lwf.trajectory import write_trajectories_csv
 
     rng = RngStream(5).generator()
-    blocks = [rng.dirichlet(np.ones(3), size=(4, 3)), rng.dirichlet(np.ones(3), size=(4, 2))]  # two batches
-    blocks[0][0, 0], blocks[0][1, 2], blocks[1][3, 1] = [0.0, 1.0, 0.0], [5e-324, 1e-17, 1.0], [1.0, 0.0, 0.0]
+    states = rng.dirichlet(np.ones(3), size=(4, 5))  # 4 records of 5 replicates
+    states[0, 0], states[1, 2], states[3, 4] = [0.0, 1.0, 0.0], [5e-324, 1e-17, 1.0], [1.0, 0.0, 0.0]
     times = [0, 0.001, 0.1 + 0.2, 3]
-    write_trajectories_csv(tmp_path / "fast.csv", times, blocks)
+    write_trajectories_csv(tmp_path / "fast.csv", times, states)
     with open(tmp_path / "csv.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "x_1", "x_2", "x_3", "replicate"])
-        replicates = [block[:, r] for block in blocks for r in range(block.shape[1])]
-        for rep, recorded in enumerate(replicates):
-            writer.writerows([float(t), *map(float, state), rep] for t, state in zip(times, recorded))
+        for rep in range(states.shape[1]):
+            writer.writerows([float(t), *map(float, state), rep] for t, state in zip(times, states[:, rep]))
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
     assert b",5e-324,1e-17," in (tmp_path / "fast.csv").read_bytes()
 
@@ -460,6 +458,24 @@ def test_cli_fixation_near_the_threshold_exits_1_with_an_unresolved_law(tmp_path
     law = next(m for m in report["metrics"] if m["name"] == "stationary_law_resolved")
     assert law["passed"] is False and law["details"]["regime"] == "unresolved"
     assert "stationary_time" not in report["parameters"]
+
+
+@pytest.mark.parametrize("subcommand", ["fixation", "duality"])
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_cli_a_one_parent_tail_is_a_config_error_at_every_kappa(tmp_path, subcommand, kappa):
+    # a tail of one potential parent is no branching law; at kappa > 0 it exited 1 with a traceback
+    payload = {
+        "model": {"kappa": kappa, "sigma": 1.0, "dt": 0.01},
+        "schedule": {"tail": {"1": 1.0}},
+        "experiment": {"replicates": 4},
+    }
+    if subcommand == "fixation":
+        payload["model"]["x0"] = [0.5, 0.5]
+    out = tmp_path / "run"
+    assert main([subcommand, "--config", write_config(tmp_path / "c.json", payload), "--out", str(out)]) == 2
+    error = json.loads((out / "meta.json").read_text())["error"]
+    assert error["class"] == "ConfigError" and "got 0" in error["message"]
+    assert not (out / "report.json").exists()
 
 
 EXTINCTION_PAYLOAD = {

@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from lwf.combinat import composition_index, composition_pmf, compositions
 from lwf.core import OffspringLaw, make_schedule, round_to_counts
+from lwf.batches import BATCH, LANE_DISCRETE
 from lwf.discrete import (
     DiscreteModel,
     empirical_drift,
@@ -246,7 +248,7 @@ def test_mutation_rule_escapes_vertices():
 
     rule = TransitiveWithMutationRule(2, 0.2, [[0.0, 1.0], [1.0, 0.0]])
     model = DiscreteModel(N=100, rule=rule, offspring=OffspringLaw(0.5, {2: 1.0}))
-    states = simulate_discrete(model, [1.0, 0.0], 1, range(31), RngStream(20).generator())
+    states = simulate_discrete(model, [1.0, 0.0], 1, range(31), RngStream(20))
     # no absorption short-circuit: mutation keeps reintroducing type 2
     assert states[1:, 0, 1].max() > 0.0
 
@@ -288,22 +290,21 @@ def test_per_individual_fallback_matches_exact_law(monkeypatch):
 
 def test_simulate_discrete_trivia():
     model = neutral_model(N=20)
-    rng = RngStream(8).generator()
-    states = simulate_discrete(model, [0.5, 0.5], 1, [0], rng)
+    stream = RngStream(8)
+    states = simulate_discrete(model, [0.5, 0.5], 1, [0], stream)
     assert states.shape == (1, 1, 2) and np.allclose(states[0, 0], [0.5, 0.5])
 
-    states = simulate_discrete(model, [1.0, 0.0], 3, range(0, 56, 10), rng)
+    states = simulate_discrete(model, [1.0, 0.0], 3, range(0, 56, 10), stream)
     assert states.shape == (6, 3, 2) and np.all(states[:, :, 0] == 1.0)
 
     for bad in ((0, [0, 5]), (1, [-1, 5]), (1, [0, 5, 3])):
         with pytest.raises(ValueError):
-            simulate_discrete(model, [0.5, 0.5], *bad, rng)
+            simulate_discrete(model, [0.5, 0.5], *bad, stream)
 
 
-def _records_of_stepping_through(model, x0, R, generations, record_every, seed):
-    """Step a batch by hand, absorbed rows of mutation-free rules held fixed."""
+def _records_of_stepping_through(model, x0, R, generations, record_every, rng):
+    """Step a batch by hand on ``rng``, absorbed rows of mutation-free rules held fixed."""
     X = np.tile(round_to_counts(x0, model.N) / model.N, (R, 1))
-    rng = RngStream(seed).generator()
     records = [X.copy()]
     for g in range(1, generations + 1):
         moving = ~np.any(X == 1.0, axis=1) if model.rule.mutation_free else np.ones(R, dtype=bool)
@@ -325,8 +326,9 @@ def test_simulate_discrete_records_the_batch_stepped_by_hand():
     R, generations, record_every = 8, 100, 3  # 3 does not divide 100
     for model, x0 in ((absorbing, [0.5, 0.5]), (mutating, [1.0, 0.0])):
         records = range(0, generations + 1, record_every)
-        states = simulate_discrete(model, x0, R, records, RngStream(13).generator())
-        expected = _records_of_stepping_through(model, x0, R, generations, record_every, 13)
+        states = simulate_discrete(model, x0, R, records, RngStream(13))
+        rng = RngStream(13).derive(LANE_DISCRETE, 0).generator()
+        expected = _records_of_stepping_through(model, x0, R, generations, record_every, rng)
         assert np.array_equal(states, expected)
         fixed = (expected == 1.0).any(axis=2)
         if model is absorbing:
@@ -336,11 +338,14 @@ def test_simulate_discrete_records_the_batch_stepped_by_hand():
             assert not fixed[1:].all()  # the mutation rule leaves the vertex it started at
 
 
-def test_simulate_discrete_stops_at_the_last_record():
+def test_simulate_discrete_stops_at_the_last_record(monkeypatch):
     # one record at generation 7, as the convergence experiment asks for its final states
     model = neutral_model(N=50, K=3)
-    rng, ref = RngStream(14).generator(), RngStream(14).generator()
-    (final,) = simulate_discrete(model, [0.2, 0.3, 0.5], 9, [7], rng)
+    handed, generator = [], RngStream.generator  # the generator the engine steps its one batch on
+    monkeypatch.setattr(RngStream, "generator", lambda self: handed.append(generator(self)) or handed[-1])
+    (final,) = simulate_discrete(model, [0.2, 0.3, 0.5], 9, [7], RngStream(14))
+    (rng,) = handed
+    ref = generator(RngStream(14).derive(LANE_DISCRETE, 0))
     X = np.tile([0.2, 0.3, 0.5], (9, 1))
     for _ in range(7):
         step_unabsorbed(model, X, ref)
@@ -348,9 +353,28 @@ def test_simulate_discrete_stops_at_the_last_record():
     assert _stream_state(rng) == _stream_state(ref)
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_simulate_discrete_is_its_batches_stepped_by_hand_side_by_side(threads):
+    # 2 * BATCH + 7 replicates: two full batches and a partial one, each on its own stream
+    model = DiscreteModel(N=40, rule=TransitiveRule(3), offspring=OffspringLaw(0.5, {2: 1.0}))
+    x0, R, records = [0.2, 0.3, 0.5], 2 * BATCH + 7, range(0, 31, 4)
+    stream = RngStream(24)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that the batches interleave their writes
+    try:
+        states = simulate_discrete(model, x0, R, records, stream, threads)
+    finally:
+        sys.setswitchinterval(interval)
+    blocks = [
+        _records_of_stepping_through(model, x0, width, 30, 4, stream.derive(LANE_DISCRETE, b).generator())
+        for b, width in enumerate((BATCH, BATCH, 7))
+    ]
+    assert states.tobytes() == np.concatenate(blocks, axis=1).tobytes()
+
+
 def test_simulate_discrete_rounds_initial_state():
     model = neutral_model(N=10, K=3)
-    states = simulate_discrete(model, [0.21, 0.33, 0.46], 1, [0], RngStream(9).generator())
+    states = simulate_discrete(model, [0.21, 0.33, 0.46], 1, [0], RngStream(9))
     assert np.allclose(states[0, 0], [0.2, 0.3, 0.5])
 
 
@@ -366,13 +390,11 @@ def test_neutral_martingale_over_generations():
 
 def test_empirical_drift_matches_closed_forms():
     rng = RngStream(11).generator()
-    model = DiscreteModel(N=2, rule=TransitiveRule(2), offspring=OffspringLaw(1.0, {2: 1.0}))
-    est = empirical_drift(model, [0.5, 0.5], 200_000, rng)
+    est = empirical_drift(TransitiveRule(2), {2: 1.0}, [0.5, 0.5], 200_000, rng)
     assert abs(est.values[0] - (-0.25)) <= 4.5 * est.stderr[0] + 1e-9
 
-    rps = DiscreteModel(N=2, rule=PartialOrderRule.rps(), offspring=OffspringLaw(1.0, {2: 1.0}))
     x = np.array([0.5, 0.25, 0.25])
-    est = empirical_drift(rps, x, 200_000, rng)
+    est = empirical_drift(PartialOrderRule.rps(), {2: 1.0}, x, 200_000, rng)
     assert np.all(np.abs(est.values - DriftFunction.rps(1.0)(x)) <= 4.5 * est.stderr + 1e-9)
 
 
@@ -390,14 +412,14 @@ def test_composition_count_sums_equal_the_per_sample_sums():
 
 
 def test_empirical_drift_draws_one_count_vector_over_the_compositions():
-    model = DiscreteModel(N=2, rule=NegFreqDepRule(3), offspring=OffspringLaw(1.0, {3: 1.0}))
+    rule = NegFreqDepRule(3)
     x, n = np.array([0.2, 0.3, 0.5]), 10**6
-    est = empirical_drift(model, x, n, RngStream(15).generator())
+    est = empirical_drift(rule, {3: 1.0}, x, n, RngStream(15).generator())
     assert est.compositions == len(compositions(3, 3)) == 10
 
     pmf = composition_pmf(3, 3, x)
     m = RngStream(15).generator().multinomial(n, pmf / pmf.sum())
-    table = model.rule.distribution_batch(np.asarray(compositions(3, 3)))
+    table = rule.distribution_batch(np.asarray(compositions(3, 3)))
     mean = m @ table / n
     assert np.allclose(est.values, mean - x, rtol=0.0, atol=1e-15)
     # the standard error is exact: the per-sample variance under the composition law, over n
@@ -406,26 +428,25 @@ def test_empirical_drift_draws_one_count_vector_over_the_compositions():
 
 
 def test_empirical_drift_standard_error_mixes_the_sample_sizes_exactly():
-    model = DiscreteModel(N=2, rule=TransitiveRule(3), offspring=OffspringLaw(1.0, {2: 0.25, 3: 0.75}))
+    rule, tail = TransitiveRule(3), {2: 0.25, 3: 0.75}
     x, n = np.array([0.1, 0.3, 0.6]), 5000
-    est = empirical_drift(model, x, n, RngStream(19).generator())
+    est = empirical_drift(rule, tail, x, n, RngStream(19).generator())
     first, second = np.zeros(3), np.zeros(3)
     for k, w in ((2, 0.25), (3, 0.75)):
         pmf = composition_pmf(3, k, x)
-        table = model.rule.distribution_batch(np.asarray(compositions(3, k)))
+        table = rule.distribution_batch(np.asarray(compositions(3, k)))
         first += w * (pmf / pmf.sum()) @ table
         second += w * (pmf / pmf.sum()) @ table**2
     assert np.allclose(est.stderr, np.sqrt((second - first**2) / n), rtol=1e-12, atol=0.0)
     # the exact mean is the type law
-    law = sum(w * ColouringRule.type_law_batch(model.rule, k, x[None, :])[0] for k, w in model.offspring.tail)
+    law = sum(w * ColouringRule.type_law_batch(rule, k, x[None, :])[0] for k, w in tail.items())
     assert np.allclose(first, law, rtol=0.0, atol=1e-15)
 
 
 def test_empirical_drift_on_the_boundary_leaves_the_absent_type_alone():
     # x_3 = 0: 0**0 = 1 keeps the pmf on the compositions without type 3
-    model = DiscreteModel(N=2, rule=PartialOrderRule.rps(), offspring=OffspringLaw(1.0, {2: 1.0}))
     x = np.array([0.6, 0.4, 0.0])
-    est = empirical_drift(model, x, 200_000, RngStream(16).generator())
+    est = empirical_drift(PartialOrderRule.rps(), {2: 1.0}, x, 200_000, RngStream(16).generator())
     assert np.all(np.isfinite(est.values)) and np.all(np.isfinite(est.stderr))
     assert est.values[2] == 0.0 and est.stderr[2] == 0.0
     assert np.all(np.abs(est.values - DriftFunction.rps(1.0)(x)) <= 4.0 * est.stderr + 1e-9)
@@ -433,10 +454,10 @@ def test_empirical_drift_on_the_boundary_leaves_the_absent_type_alone():
 
 def test_empirical_drift_beyond_enumeration_takes_the_per_sample_path():
     # C(202, 2) = 20301 multi-indices: over the enumeration limit
-    model = DiscreteModel(N=2, rule=TransitiveRule(3), offspring=OffspringLaw(1.0, {200: 1.0}))
-    assert not model.rule.supports_enumeration(200)
+    rule = TransitiveRule(3)
+    assert not rule.supports_enumeration(200)
     x = np.array([0.001, 0.994, 0.005])  # type 3 is absent from a sample of 200 w.p. 0.37
-    est = empirical_drift(model, x, 20_000, RngStream(17).generator())
+    est = empirical_drift(rule, {200: 1.0}, x, 20_000, RngStream(17).generator())
     assert est.compositions == 0
     assert np.all(est.stderr[1:] > 0.0)
     mu = DriftFunction.transitive(1.0, {199: 1.0}, 3)(x)
@@ -445,11 +466,11 @@ def test_empirical_drift_beyond_enumeration_takes_the_per_sample_path():
 
 def test_exact_drift_refuses_a_sample_size_whose_coefficients_overflow():
     # 2001 multi-indices are few enough, but C(2000, 1000) ~ 1e600 is no float
-    model = DiscreteModel(N=2, rule=TransitiveRule(2), offspring=OffspringLaw(1.0, {2000: 1.0}))
-    assert model.rule.supports_enumeration(500) and not model.rule.supports_enumeration(2000)
+    rule = TransitiveRule(2)
+    assert rule.supports_enumeration(500) and not rule.supports_enumeration(2000)
     with pytest.raises(ValueError, match="size 2000"):
-        ColouringRule.type_law_batch(model.rule, 2000, np.array([[0.5, 0.5]]))
-    est = empirical_drift(model, [0.5, 0.5], 200, RngStream(18).generator())
+        ColouringRule.type_law_batch(rule, 2000, np.array([[0.5, 0.5]]))
+    est = empirical_drift(rule, {2000: 1.0}, [0.5, 0.5], 200, RngStream(18).generator())
     assert est.compositions == 0 and np.allclose(est.values, [-0.5, 0.5], atol=1e-12)
 
 

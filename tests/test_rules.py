@@ -167,7 +167,7 @@ def offspring_type_law(rule, offspring, x, samples=1, rng=None):
     if rng is None:
         law = sum(p * ColouringRule.type_law_batch(rule, k, x[None, :])[0] for k, p in offspring.tail)
         return x + offspring.rho * (law - x), np.zeros_like(x)
-    est = empirical_drift(DiscreteModel(N=2, rule=rule, offspring=offspring), x, samples, rng)
+    est = empirical_drift(rule, dict(offspring.tail), x, samples, rng)
     return x + offspring.rho * est.values, offspring.rho * est.stderr
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lwf.batches import BATCH, LANE_SDE
 from lwf.bernstein import PolynomialMap
 from lwf.core import random_interior_points
 from lwf.measures import FiniteAtoms, PointMass, ZeroMeasure
@@ -217,7 +218,7 @@ def test_every_recorded_state_is_on_the_simplex():
         dt=1e-3,
         horizon=1.0,
     )
-    states, _ = simulate_sde(cfg, [0.5, 0.25, 0.25], 4, np.arange(0, 1001, 10) * cfg.dt, RngStream(5).generator())
+    states, _ = simulate_sde(cfg, [0.5, 0.25, 0.25], 4, np.arange(0, 1001, 10) * cfg.dt, RngStream(5))
     assert states.shape == (101, 4, 3)
     assert states.min() >= 0.0
     assert np.allclose(states.sum(axis=2), 1.0, atol=1e-12)
@@ -225,27 +226,30 @@ def test_every_recorded_state_is_on_the_simplex():
 
 def test_vertex_start_stays_fixed():
     cfg = SdeConfig(K=3, drift=DriftFunction.rps(1.0), sigma=1.0, measure=PointMass(0.5, 1.0), dt=1e-3, horizon=0.2)
-    states, batch = simulate_sde(cfg, [0.0, 1.0, 0.0], 2, np.arange(201) * cfg.dt, RngStream(6).generator())
+    states, events = simulate_sde(cfg, [0.0, 1.0, 0.0], 2, np.arange(201) * cfg.dt, RngStream(6))
     assert states.shape == (201, 2, 3) and np.all(states[:, :, 1] == 1.0)
-    assert np.all(batch.winner == 1) and np.all(batch.fixation_time == 0.0)
+    assert np.all(events.winner == 1) and np.all(events.fixation_time == 0.0)
 
 
 def test_simulate_sde_rejects_record_times_that_go_back():
     cfg = SdeConfig(K=2, drift=None, sigma=1.0, measure=ZeroMeasure(), dt=1e-2, horizon=1.0)
     with pytest.raises(ValueError, match="nondecreasing"):
-        simulate_sde(cfg, [0.5, 0.5], 2, [0.5, 0.2], RngStream(3).generator())
+        simulate_sde(cfg, [0.5, 0.5], 2, [0.5, 0.2], RngStream(3))
 
 
 def test_simulate_sde_rejects_record_times_outside_the_run():
     cfg = SdeConfig(K=2, drift=None, sigma=1.0, measure=ZeroMeasure(), dt=0.1, horizon=0.3)
     for times in ([0.1, 5.0], [0.4], [-1.0, 0.2], [-0.1]):
         with pytest.raises(ValueError, match="within the run"):
-            simulate_sde(cfg, [0.5, 0.5], 4, times, RngStream(3).generator())
+            simulate_sde(cfg, [0.5, 0.5], 4, times, RngStream(3))
     # times are compared as step indices: 3 * 0.1 rounds to the last step, though it exceeds the horizon 0.3
     times = np.arange(4) * cfg.dt
     assert times[-1] > cfg.horizon
-    states, batch = simulate_sde(cfg, [0.5, 0.5], 4, times, RngStream(3).generator())
+    states, events = simulate_sde(cfg, [0.5, 0.5], 4, times, RngStream(3))
+    batch = BatchSde(cfg, [0.5, 0.5], 4, RngStream(3).derive(LANE_SDE, 0).generator())
+    batch.run_until(cfg.horizon)  # the run that simulate_sde records
     assert states.shape == (4, 4, 2) and batch.steps <= 3
+    assert np.array_equal(states[-1], batch.X) and np.array_equal(events.winner, batch.winner)
 
 
 def test_cyclic_relabelling_symmetry():
@@ -254,8 +258,8 @@ def test_cyclic_relabelling_symmetry():
     # the integrator treats coordinates symmetrically up to the noise basis.
     cfg = SdeConfig(K=3, drift=DriftFunction.rps(1.0), sigma=0.0, measure=ZeroMeasure(), dt=1e-3, horizon=1.0)
     times = np.arange(0, 1001, 100) * cfg.dt
-    base, _ = simulate_sde(cfg, [0.5, 0.25, 0.25], 1, times, RngStream(7).generator())
-    rolled, _ = simulate_sde(cfg, [0.25, 0.5, 0.25], 1, times, RngStream(7).generator())
+    base, _ = simulate_sde(cfg, [0.5, 0.25, 0.25], 1, times, RngStream(7))
+    rolled, _ = simulate_sde(cfg, [0.25, 0.5, 0.25], 1, times, RngStream(7))
     assert np.allclose(np.roll(base, 1, axis=2), rolled, atol=1e-12)
     assert np.allclose(base.sum(axis=2), 1.0, atol=1e-12)
 
@@ -278,14 +282,12 @@ def test_simulate_sde_stops_at_fixation_with_the_records_of_stepping_through():
         K=3, drift=DriftFunction.rps(1.0), sigma=1.0, measure=PointMass(0.5, 1.0), dt=1e-3, horizon=5.0, tol_ext=1e-6
     )
     R, record_every = 6, 7  # 7 does not divide the 5000 steps
-    recorded, run = simulate_sde(
-        cfg, [0.2, 0.3, 0.5], R, np.arange(0, 5001, record_every) * cfg.dt, RngStream(11).generator()
-    )
+    recorded, run = simulate_sde(cfg, [0.2, 0.3, 0.5], R, np.arange(0, 5001, record_every) * cfg.dt, RngStream(11))
     fixed = run.fixation_time[run.winner >= 0]
     assert np.unique(fixed).size >= 3  # rows fix at different steps ...
     assert fixed.min() < cfg.horizon - 1.0  # ... and some sit absorbed for long stretches
 
-    batch = BatchSde(cfg, [0.2, 0.3, 0.5], R, RngStream(11).generator())
+    batch = BatchSde(cfg, [0.2, 0.3, 0.5], R, RngStream(11).derive(LANE_SDE, 0).generator())
     states = [batch.X.copy()]
     for s in range(1, int(round(cfg.horizon / cfg.dt)) + 1):
         batch.step()
@@ -296,6 +298,32 @@ def test_simulate_sde_stops_at_fixation_with_the_records_of_stepping_through():
     assert np.array_equal(run.fixation_time, batch.fixation_time, equal_nan=True)
     assert np.array_equal(run.winner, batch.winner)
     assert np.array_equal(run.clamp_fired, batch.clamp_fired)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_simulate_sde_is_its_batches_run_side_by_side(threads):
+    # 2 * BATCH + 7 replicates: two full batches and a partial one, each a BatchSde on its own stream
+    cfg = SdeConfig(
+        K=3, drift=DriftFunction.rps(1.0), sigma=1.0, measure=PointMass(0.5, 1.0), dt=1e-2, horizon=1.5, tol_ext=1e-4
+    )
+    x0, R, times = [0.2, 0.3, 0.5], 2 * BATCH + 7, np.arange(0, 151, 30) * cfg.dt
+    stream = RngStream(12)
+    states, events = simulate_sde(cfg, x0, R, times, stream, threads)
+    blocks, batches = [], []
+    for b, width in enumerate((BATCH, BATCH, 7)):
+        batch = BatchSde(cfg, x0, width, stream.derive(LANE_SDE, b).generator())
+        block = []
+        for t in times:
+            batch.run_until(t)
+            block.append(batch.X.copy())
+        batch.run_until(cfg.horizon)
+        blocks.append(np.array(block))
+        batches.append(batch)
+    assert states.tobytes() == np.concatenate(blocks, axis=1).tobytes()
+    for name in ("winner", "extinction_time", "fixation_time", "clamp_fired"):
+        expected = np.concatenate([getattr(batch, name) for batch in batches])
+        assert getattr(events, name).tobytes() == expected.tobytes()
+    assert (events.winner >= 0).any() and (events.winner < 0).any() and events.clamp_fired.any()
 
 
 def _check_bookkeeping_per_step(cfg, x0, R, seed, n_steps):
