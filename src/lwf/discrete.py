@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batches import LANE_DISCRETE, map_batches
-from .combinat import composition_pmf
+from .combinat import composition_pmf, compositions
 from .core import OffspringLaw, ScalingSchedule, _categorical, as_frequencies, round_to_counts
 from .measures import TruncatedSizeLaw
 from .rng import RngStream
@@ -189,8 +189,8 @@ def empirical_drift(rule: ColouringRule, tail, x, replicates: int, rng: np.rando
     an enumerable size (:meth:`~lwf.rules.ColouringRule.enumerable`) the
     ``n_k`` samples reduce to one multinomial draw of composition counts
     ``m`` at the multinomial(k, x) pmf, and the sum over samples to ``m @
-    table`` on the rule's cached outputs at the compositions: the same law
-    at O(compositions) cost.  Larger sizes draw and evaluate every sample.
+    table`` on the rule's outputs at the compositions: the same law at
+    O(compositions) cost.  Larger sizes draw and evaluate every sample.
     When every size is enumerable the standard error is exact: the
     per-sample variance ``sum_k p_k pmf_k @ table_k**2 - (sum_k p_k pmf_k @
     table_k)**2``.  Otherwise it is the sample's, which reads 0 where no
@@ -215,7 +215,7 @@ def empirical_drift(rule: ColouringRule, tail, x, replicates: int, rng: np.rando
             pmf = composition_pmf(x.size, k, x)
             pmf = pmf / pmf.sum()
             m = rng.multinomial(n_k, pmf)
-            table = rule._table(k)
+            table = rule.distribution_batch(compositions(x.size, k))
             drawn_over += len(table)
         else:
             m = np.ones(int(n_k))

@@ -395,9 +395,9 @@ class BernsteinRule(ColouringRule):
         return {"kind": "bernstein", "degree": self.degree, "table": entries}
 
 
-def bernstein_rule(g: PolynomialMap, *, degree: int | None = None) -> BernsteinRule:
-    """Build the colouring rule realizing a simplex-preserving polynomial map, at ``degree`` or its own."""
-    return BernsteinRule(*bernstein_table(g, degree))
+def bernstein_rule(g: PolynomialMap) -> BernsteinRule:
+    """Build the colouring rule realizing a simplex-preserving polynomial map, at its own degree."""
+    return BernsteinRule(*bernstein_table(g))
 
 
 def beats_from_labels(pairs) -> list[tuple[int, int]]:
