@@ -35,12 +35,13 @@ import numpy as np
 
 from .core import as_frequencies
 from .errors import RateExplosionError
-from .measures import LambdaMeasure, ZeroMeasure, kappa_star as _kappa_star
+from .measures import LambdaMeasure, ZeroMeasure, collision_pairs, kappa_star as _kappa_star
 
 STATE_GUARD = 10**7
 N_START = 64  # first truncation level of the stationary and transient solves
 N_CAP = 2048  # default and largest ceiling of the solves: the dense generator takes 8 * n_max**2 bytes, 32 MB
 STATIONARY_TOL = 1e-6
+TABLE_BLOCK = 1 << 16  # most (n, k) pairs in one evaluation of the collision formula while tabulating
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,10 @@ class AncestralModel:
         object.__setattr__(self, "increments", tuple(items))
         object.__setattr__(self, "measure", measure if measure is not None else ZeroMeasure())
         object.__setattr__(self, "n_cap", int(n_cap))
-        object.__setattr__(self, "_rate_cache", {})
+        # the increments and their rates per lineage, kappa * w_j
+        object.__setattr__(self, "_branching", (np.array([j for j, _ in items], dtype=np.int64),
+                                                float(kappa) * np.array([w for _, w in items], dtype=float)))
+        object.__setattr__(self, "_collisions", {})  # state n -> its collision rates, a row of the table
         object.__setattr__(self, "_jump_cache", {})
 
     @property
@@ -92,15 +96,44 @@ class AncestralModel:
         return self.kappa == 0.0 or self.sigma > 0.0 or self.kappa < self.kappa_star
 
     def rates(self, n: int):
-        """``(targets, rates)`` out of state n, zero rates dropped; the targets are rebuilt, the rates cached."""
-        if n not in self._rate_cache:
-            rates = _all_rates(self, n)
-            self._rate_cache[n] = (rates > 0.0, rates[rates > 0.0])
-        keep, rates = self._rate_cache[n]
-        # a fixed order: branching, pair coalescence, collisions k = 2..n landing on n - k + 1
-        up = n + np.array([j for j, _ in self.increments], dtype=np.int64)
-        targets = np.concatenate([up, [n - 1], np.arange(n - 1, 0, -1)]) if n >= 2 else up
-        return targets[keep], rates
+        """``(targets, rates)`` out of state n, zero rates dropped.
+
+        A fixed order: branching, pair coalescence, collisions k = 2..n landing
+        on n - k + 1.  The collision rates are the state's row of the table
+        (:meth:`_tabulate`), or a one-row block for a state above it.
+        """
+        if n < 1:
+            raise ValueError(f"state must be >= 1, got {n}")
+        js, per_lineage = self._branching
+        targets, rates = n + js, per_lineage * n
+        if n >= 2:
+            collisions = self._collisions.get(n)
+            if collisions is None:
+                collisions = self.measure.collision_rate_vector(n)
+            targets = np.concatenate([targets, [n - 1], np.arange(n - 1, 0, -1)])
+            rates = np.concatenate([rates, [self.sigma * n * (n - 1) / 2.0], collisions])
+        keep = rates > 0.0
+        return targets[keep], rates[keep]
+
+    def _tabulate(self, n_max: int) -> None:
+        """Tabulate the collision rates of every state up to ``n_max``.
+
+        The new rows are computed in blocks of at most ``TABLE_BLOCK`` pairs
+        into one array (8 bytes per pair, 16 MB for states up to 2048), and
+        each state keeps a view of its row.
+        """
+        states = np.arange(len(self._collisions) + 1, n_max + 1)
+        if not states.size:
+            return
+        ends = np.cumsum(states - 1)
+        table = np.empty(ends[-1])
+        rows = max(TABLE_BLOCK // n_max, 1)
+        for first in range(0, states.size, rows):
+            block = states[first : first + rows]
+            start = ends[first] - (block[0] - 1)
+            table[start : ends[first + block.size - 1]] = self.measure.collision_rates(*collision_pairs(block))
+        for n, end in zip(states.tolist(), ends.tolist()):
+            self._collisions[n] = table[end - (n - 1) : end]
 
     def jumps(self, n: int):
         """Cached ``(targets, cumulative, total)`` rates out of state n, kept only for states a path visits."""
@@ -109,16 +142,6 @@ class AncestralModel:
             cum = np.cumsum(rates)
             self._jump_cache[n] = (targets, cum, float(cum[-1]) if rates.size else 0.0)
         return self._jump_cache[n]
-
-
-def _all_rates(model: AncestralModel, n: int) -> np.ndarray:
-    """Rates of every move out of state n, zeros included, in the order of :meth:`AncestralModel.rates`."""
-    if n < 1:
-        raise ValueError(f"state must be >= 1, got {n}")
-    up = model.kappa * np.array([w for _, w in model.increments], dtype=float) * n
-    if n < 2:
-        return up
-    return np.concatenate([up, [model.sigma * n * (n - 1) / 2.0], model.measure.collision_rate_vector(n)])
 
 
 def simulate_ancestral(
@@ -156,6 +179,7 @@ def simulate_ancestral(
 
 def _generator(model: AncestralModel, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense generator on states 1..n_max, its diagonal from the kept moves alone, and each state's rate above n_max."""
+    model._tabulate(n_max)
     Q = np.zeros((n_max, n_max))
     above = np.zeros(n_max)
     for n in range(1, n_max + 1):

@@ -79,12 +79,20 @@ def parse_drift(cfg: dict, K: int):
 
 
 def parse_tail(tail) -> dict[int, float]:
+    """``schedule.tail``: sample sizes of at least 2, each with a nonnegative weight."""
     if not isinstance(tail, dict) or not tail:
         raise ConfigError("schedule block needs a nonempty 'tail' mapping of sample sizes to weights")
-    try:
-        out = {int(k): float(v) for k, v in tail.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad tail mapping: {exc}") from exc
+    out = {}
+    for key, value in tail.items():
+        try:
+            k, w = int(key), float(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad tail mapping: {exc}") from exc
+        if k < 2:
+            raise ConfigError(f"invalid 'schedule' block: schedule.tail key {key!r} must be a sample size >= 2")
+        if w < 0:
+            raise ConfigError(f"invalid 'schedule' block: schedule.tail key {key!r} has a negative weight, {w}")
+        out[k] = w
     return out
 
 

@@ -23,7 +23,7 @@ from .errors import build_kind
 
 # scipy.special and scipy.integrate are imported inside the functions that use
 # them: loading either here would roughly double the time and memory that
-# `import lwf` takes, and most models never evaluate a special function.
+# `import lwf` takes, and only Beta laws and the quadrature oracle need them.
 
 
 class LambdaMeasure:
@@ -78,9 +78,14 @@ class LambdaMeasure:
 
     # -- closed-form integrals ----------------------------------------------
 
-    def collision_rate_vector(self, n: int) -> np.ndarray:
-        """Rates ``C(n,k) * ∫ y**(k-2) (1-y)**(n-k) L(dy)`` for ``k = 2..n``, in closed form."""
+    def collision_rates(self, n: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Rates ``C(n,k) * ∫ y**(k-2) (1-y)**(n-k) L(dy)`` in closed form, elementwise over integer arrays
+        of states ``n`` and merger sizes ``2 <= k <= n`` of one shape (a block, see :func:`collision_pairs`)."""
         raise NotImplementedError
+
+    def collision_rate_vector(self, n: int) -> np.ndarray:
+        """The rates of state n for ``k = 2..n``: the one-row block of :meth:`collision_rates`."""
+        return self.collision_rates(*collision_pairs(np.array([n])))
 
     def log_penalty(self) -> float:
         """``∫ |log(1-y)| L(dy) / y**2``; ``inf`` when divergent."""
@@ -92,43 +97,55 @@ class LambdaMeasure:
         raise NotImplementedError
 
 
+def collision_pairs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The block of integer states ``states``: flat arrays ``(n, k)`` holding every ``2 <= k <= n``, row after row."""
+    sizes = np.maximum(states - 1, 0)
+    n = np.repeat(states, sizes)
+    k = np.arange(n.size) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 2
+    return n, k
+
+
+# log(m!) - (m + 1/2) log(m) + m - log(2 pi) / 2 for m = 0..15, rounded from 50-digit values (Loader 2000 tabulates
+# the same numbers): the plain difference would cancel terms near log(15!) ~ 28 down to values near 0.006.
+_STIRLING_TABLE = np.array([
+    math.inf,
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093, 0.016644691189821193,
+    0.013876128823070748, 0.01189670994589177, 0.010411265261972096, 0.009255462182712733, 0.00833056343336287,
+    0.007573675487951841, 0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+
+
 def _stirling_error(m) -> np.ndarray:
-    """``log(m!) - (m + 1/2) log(m) + m - log(2 pi) / 2`` for m >= 1 (inf at m = 0).
+    """``log(m!) - (m + 1/2) log(m) + m - log(2 pi) / 2`` for integers m >= 0 (inf at m = 0).
 
-    The asymptotic series from m = 16 on: the plain difference would cancel
-    terms as large as log(2048!) ~ 1.4e4 and lose most of its digits.
+    The table below 16, the asymptotic series from m = 16 on, where the plain
+    difference would cancel terms as large as log(2048!) ~ 1.4e4.
     """
-    from scipy import special
-
-    m = np.asarray(m, dtype=float)
+    m = np.asarray(m)
     small = m < 16
     big = np.where(small, 16.0, m)
     inv2 = 1.0 / (big * big)
     series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv2 / 1188) * inv2) * inv2) * inv2) / big
-    low = np.where(small, m, 1.0)
-    direct = special.gammaln(low + 1.0) - (low + 0.5) * np.log(low) + low - 0.5 * math.log(2.0 * math.pi)
-    return np.where(small, direct, series)
+    return np.where(small, _STIRLING_TABLE[np.where(small, m, 0)], series)
 
 
-def _atom_collision_rates(n: int, z: float, weight_over_z2: float) -> np.ndarray:
-    """``weight_over_z2 * P(Binomial(n, z) = k)`` for k = 2..n.
+def _atom_collision_rates(n, z: float, weight_over_z2: float, k=None) -> np.ndarray:
+    """``weight_over_z2 * P(Binomial(n, z) = k)`` over a block ``(n, k)``, or for ``k = 2..n`` of one state n.
 
     Loader's saddle-point form, Stirling errors plus ``k log(k / (n z))``
     terms: no two large logarithms cancel, so it stays within 1e-12 of the
-    exact value up to n = 2048, where a plain ``gammaln`` difference is off
+    exact value up to n = 2048, where a plain log-gamma difference is off
     by 5e-12.
     """
-    from scipy import special
-
-    ks = np.arange(2, n + 1, dtype=float)
-    rest = n - ks
+    if k is None:
+        n, k = collision_pairs(np.array([n]))
+    errors = _stirling_error(np.arange(np.max(n, initial=0) + 1))  # each m once, looked up per pair
+    rest = n - k
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = (
-            _stirling_error(n) - _stirling_error(ks) - _stirling_error(rest)
-            - special.xlogy(ks, ks / (n * z)) - special.xlogy(rest, rest / (n * (1.0 - z)))
-        )
-        pmf = np.exp(log_p) * np.sqrt(n / (2.0 * math.pi * ks * rest))
-    pmf[-1] = z**n  # k = n, where the form above reads inf * 0
+        log_p = errors[n] - errors[k] - errors[rest] - k * np.log(k / (n * z)) - rest * np.log(rest / (n * (1.0 - z)))
+        pmf = np.exp(log_p) * np.sqrt(n / (2.0 * math.pi * k * rest))
+    top = rest == 0
+    pmf[top] = z ** n[top]  # k = n, where the form above reads inf * 0
     return weight_over_z2 * pmf
 
 
@@ -144,10 +161,10 @@ class AtomicMeasure(LambdaMeasure):
     def resampling_mass_above(self, lo: float) -> float:
         return sum((w / z**2 for z, w in self.atoms() if z >= lo), 0.0)
 
-    def collision_rate_vector(self, n: int) -> np.ndarray:
-        out = np.zeros(max(n - 1, 0))
+    def collision_rates(self, n, k):
+        out = np.zeros(k.shape)
         for z, w in self.atoms():
-            out += _atom_collision_rates(n, z, w / z**2)
+            out += _atom_collision_rates(n, z, w / z**2, k)
         return out
 
     def log_penalty(self) -> float:
@@ -258,12 +275,9 @@ class UniformLaw(LambdaMeasure):
         inv_eps = 1.0 / eps
         return 1.0 / (inv_eps - u * (inv_eps - 1.0))
 
-    def collision_rate_vector(self, n: int) -> np.ndarray:
-        from scipy import special
-
-        ks = np.arange(2, n + 1)
-        logc = special.gammaln(n + 1) - special.gammaln(ks + 1) - special.gammaln(n - ks + 1)
-        return self.mass * np.exp(logc + special.betaln(ks - 1, n - ks + 1))
+    def collision_rates(self, n, k):
+        # C(n, k) B(k - 1, n - k + 1) = n / (k (k - 1))
+        return self.mass * n / (k * (k - 1))
 
     def log_penalty(self) -> float:
         # |log(1-y)|/y**2 ~ 1/y near zero, so the integral diverges at 0.
@@ -364,12 +378,11 @@ class BetaLaw(LambdaMeasure):
             filled += n
         return out
 
-    def collision_rate_vector(self, n: int) -> np.ndarray:
+    def collision_rates(self, n, k):
         from scipy import special
 
-        ks = np.arange(2, n + 1)
-        logc = special.gammaln(n + 1) - special.gammaln(ks + 1) - special.gammaln(n - ks + 1)
-        return self.mass * np.exp(logc + special.betaln(self.a + ks - 2, self.b + n - ks) - special.betaln(self.a, self.b))
+        logc = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
+        return self.mass * np.exp(logc + special.betaln(self.a + k - 2, self.b + n - k) - special.betaln(self.a, self.b))
 
     def log_penalty(self) -> float:
         # Integrand ~ y**(a-2) near zero: integrable only for a > 1.
@@ -419,7 +432,7 @@ def lambda_nk_quadrature(measure: LambdaMeasure, n: int, k: int, rel_tol: float 
 
     Atomic parts are summed directly; the continuous part is integrated with
     adaptive quadrature.  Kept independent of the closed form
-    :meth:`LambdaMeasure.collision_rate_vector` (which is ``C(n, k)`` times
+    :meth:`LambdaMeasure.collision_rates` (which is ``C(n, k)`` times
     this) so the two routes can be cross-checked.
     """
     if k < 2 or k > n:

@@ -109,7 +109,10 @@ class DriftFunction:
 
         def mu(x):
             x = np.asarray(x, dtype=float)
-            cum = np.add.accumulate(x, axis=-1)  # np.cumsum's sums, without its Python wrapper
+            # np.cumsum's sums by K - 1 additions of type slices: on a column-major block each is one contiguous row
+            cum = x.copy(order="K")
+            for i in range(1, x.shape[-1]):
+                cum[..., i] += cum[..., i - 1]
             cum_prev = cum - x
             out = None  # the first term is the accumulator
             for j, w in items:

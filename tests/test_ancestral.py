@@ -126,11 +126,28 @@ def test_rates_equal_the_per_move_construction_exactly():
             assert cum.tolist() == np.cumsum(want_rates).tolist() and total == (cum[-1] if rates.size else 0.0)
 
 
+@pytest.mark.parametrize(
+    "measure",
+    [PointMass(0.5, 1.0), PointMass(1.0, 2.0), FiniteAtoms([(0.3, 0.5), (0.8, 1.0)]), UniformLaw(1.5),
+     BetaLaw(2.0, 3.0, 1.0), ZeroMeasure()],
+    ids=lambda m: m.kind,
+)
+def test_table_rows_are_the_one_row_blocks_bit_for_bit(monkeypatch, measure):
+    # small blocks, so that rows come from several blocks and from two truncation levels
+    monkeypatch.setattr(lwf.ancestral, "TABLE_BLOCK", 1000)
+    model = AncestralModel(kappa=1.0, sigma=0.5, increments={1: 1.0}, measure=measure)
+    model._tabulate(64)
+    model._tabulate(300)
+    assert sorted(model._collisions) == list(range(1, 301))
+    for n in range(1, 301):
+        assert model._collisions[n].tobytes() == measure.collision_rate_vector(n).tobytes(), n
+
+
 def test_stationary_solve_caches_no_cumulative_rates():
-    # only the Gillespie sampler draws moves; the solve reads targets and rates
+    # only the Gillespie sampler draws moves; the solve reads targets and rates from the collision table
     model = AncestralModel(kappa=2.5, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0), n_cap=256)
     law = stationary_law(model)
-    assert law.n_max == 256 and len(model._rate_cache) == 256
+    assert law.n_max == 256 and len(model._collisions) == 256
     assert not model._jump_cache
     simulate_ancestral(model, 3, 1.0, RngStream(4).generator())
     assert 0 < len(model._jump_cache) < 256

@@ -317,6 +317,29 @@ def test_extinction_and_drift_oracle_runs_load_no_scipy_module():
     assert _fresh_process_stdout(code).split() == ["successive-extinction", "drift-oracle", "[]"]
 
 
+def test_point_mass_fixation_and_stationary_runs_load_no_scipy_module(tmp_path):
+    # the dual chain's atom and uniform rates need no special function: only Beta laws load scipy.special
+    point_mass = {"lambda": {"kind": "point_mass", "z": 0.5, "mass": 1.0}, "schedule": {"tail": {"2": 1.0}}}
+    fixation = write_config(tmp_path / "fixation.json", {
+        "model": {"x0": [0.3, 0.7], "kappa": 1.0, "sigma": 0.0, "dt": 5e-3},
+        "experiment": {"seed": 1, "replicates": 4}, **point_mass,
+    })
+    ancestral = write_config(tmp_path / "ancestral.json", {
+        "model": {"n0": 10, "horizon": 5.0, "kappa": 1.0, "sigma": 0.0, "stationary": True}, **point_mass,
+    })
+    code = (
+        "import sys; from lwf.cli import main; from lwf.experiments import run_fixation; "
+        "from lwf.measures import PointMass; "
+        "r = run_fixation(kappa=1.0, increments={1: 1.0}, sigma=0.0, measure=PointMass(0.5, 1.0), "
+        "x0=[0.3, 0.7], dt=5e-3, replicates=4, seed=1); "
+        f"codes = [main(['fixation', '--config', {fixation!r}, '--out', {str(tmp_path / 'f')!r}]), "
+        f"main(['ancestral', '--config', {ancestral!r}, '--out', {str(tmp_path / 'a')!r}])]; "
+        f"print(r.metrics[-1].details['regime'], *codes, {_SCIPY_LOADED})"
+    )
+    assert _fresh_process_stdout(code).split() == ["recurrent", "0", "0", "[]"]
+    assert json.loads((tmp_path / "a" / "stationary.json").read_text())["resolved"] is True
+
+
 def test_a_beta_fixation_report_has_the_same_bytes_at_one_and_two_threads():
     # two 500-wide batches, so two threads really split the work; each run starts with scipy unloaded
     code = (
@@ -475,7 +498,22 @@ def test_cli_a_one_parent_tail_is_a_config_error_at_every_kappa(tmp_path, subcom
     assert main([subcommand, "--config", write_config(tmp_path / "c.json", payload), "--out", str(out)]) == 2
     error = json.loads((out / "meta.json").read_text())["error"]
     assert error["class"] == "ConfigError"
+    # the block, the key as written and the rule it breaks, not the dual chain's increment 0
+    assert error["message"] == "invalid 'schedule' block: schedule.tail key '1' must be a sample size >= 2"
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [({"0": 1.0}, "schedule.tail key '0' must be a sample size >= 2"),
+     ({"2": 1.0, "3": -0.5}, "schedule.tail key '3' has a negative weight, -0.5")],
+)
+def test_parse_tail_names_the_offending_key(tail, message):
+    from lwf.config import parse_tail
+
+    with pytest.raises(ConfigError) as info:
+        parse_tail(tail)
+    assert str(info.value) == f"invalid 'schedule' block: {message}"
 
 
 EXTINCTION_PAYLOAD = {

@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from lwf.measures import (
     TruncatedSizeLaw,
     UniformLaw,
     ZeroMeasure,
+    collision_pairs,
     kappa_star,
     lambda_nk_quadrature,
 )
@@ -88,6 +91,60 @@ def test_atom_collision_rates_match_the_binomial_pmf():
             normal = want > 1e-300  # below that the reference itself keeps few digits
             assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal]), (n, z)
             assert np.all(got[~normal] <= 1e-290), (n, z)
+
+
+def _stirling_error_reference(m: int) -> Decimal:
+    """``log(m!) - (m + 1/2) log(m) + m - log(2 pi) / 2`` in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def arctan_inv(x):  # arctan(1/x) by its Taylor series
+            total = term = Decimal(1) / x
+            k = 1
+            while True:
+                term /= -x * x
+                if total + term / (2 * k + 1) == total:
+                    return total
+                total += term / (2 * k + 1)
+                k += 1
+
+        pi = 16 * arctan_inv(5) - 4 * arctan_inv(239)  # Machin's formula
+        d = Decimal(m)
+        log_factorial = sum((Decimal(i).ln() for i in range(2, m + 1)), Decimal(0))
+        return log_factorial - (d + Decimal("0.5")) * d.ln() + d - (2 * pi).ln() / 2
+
+
+def test_stirling_error_table_is_exact_and_meets_the_series_at_16():
+    from lwf.measures import _stirling_error
+
+    assert _stirling_error(0) == math.inf
+    for m in range(1, 16):
+        want = _stirling_error_reference(m)
+        assert abs(Decimal(float(_stirling_error(m))) - want) <= Decimal(math.ulp(float(want))), m
+    # from 16 on the truncated series is within its first omitted term, 691 / (360360 m**11), plus rounding
+    for m in range(16, 25):
+        want = _stirling_error_reference(m)
+        bound = Decimal(691) / (360360 * Decimal(m) ** 11) + 4 * Decimal(math.ulp(float(want)))
+        assert abs(Decimal(float(_stirling_error(m))) - want) <= bound, m
+
+
+def test_uniform_rates_are_the_closed_form_n_over_k_k_minus_1():
+    measure = UniformLaw(1.5)
+    for n in (20, 60):
+        rates = measure.collision_rate_vector(n)
+        for k in (2, 3, n // 2, n - 1, n):
+            assert rates[k - 2] == pytest.approx(math.comb(n, k) * lambda_nk_quadrature(measure, n, k), rel=1e-9)
+    for n in (2, 300, 2048):
+        rates = measure.collision_rate_vector(n)
+        for k in range(2, n + 1, 7):
+            exact = Fraction(3, 2) * Fraction(n, k * (k - 1))
+            assert abs(Fraction(float(rates[k - 2])) - exact) <= 2 * Fraction(math.ulp(float(exact))), (n, k)
+
+
+def test_collision_pairs_lay_out_each_state_row_after_row():
+    n, k = collision_pairs(np.array([1, 2, 3, 5]))
+    assert n.tolist() == [2, 3, 3, 5, 5, 5, 5]
+    assert k.tolist() == [2, 2, 3, 2, 3, 4, 5]
 
 
 def test_kappa_star_examples():
