@@ -119,21 +119,19 @@ class AncestralModel:
         """Tabulate the collision rates of every state up to ``n_max``.
 
         The new rows are computed in blocks of at most ``TABLE_BLOCK`` pairs
-        into one array (8 bytes per pair, 16 MB for states up to 2048), and
-        each state keeps a view of its row.
+        and written one after another into one array (8 bytes per pair, 16 MB
+        for states up to 2048), which is split into a view per state.  One
+        array rather than one per block: kept blocks between the freed
+        temporaries of the next would leave the heap fragmented.
         """
         states = np.arange(len(self._collisions) + 1, n_max + 1)
-        if not states.size:
-            return
-        ends = np.cumsum(states - 1)
-        table = np.empty(ends[-1])
+        table, filled = np.empty(int(np.sum(states - 1))), 0
         rows = max(TABLE_BLOCK // n_max, 1)
         for first in range(0, states.size, rows):
-            block = states[first : first + rows]
-            start = ends[first] - (block[0] - 1)
-            table[start : ends[first + block.size - 1]] = self.measure.collision_rates(*collision_pairs(block))
-        for n, end in zip(states.tolist(), ends.tolist()):
-            self._collisions[n] = table[end - (n - 1) : end]
+            rates = self.measure.collision_rates(*collision_pairs(states[first : first + rows]))
+            table[filled : filled + rates.size] = rates
+            filled += rates.size
+        self._collisions.update(zip(states.tolist(), np.split(table, np.cumsum(states - 1)[:-1])))
 
     def jumps(self, n: int):
         """Cached ``(targets, cumulative, total)`` rates out of state n, kept only for states a path visits."""
