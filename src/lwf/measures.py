@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -287,6 +287,12 @@ class UniformLaw(LambdaMeasure):
         return {"kind": "uniform", "mass": self.mass}
 
 
+@cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """30 Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(30)
+
+
 @dataclass(frozen=True)
 class BetaLaw(LambdaMeasure):
     """Beta(a, b) density scaled to total ``mass``."""
@@ -314,19 +320,29 @@ class BetaLaw(LambdaMeasure):
     def resampling_mass_above(self, lo: float) -> float:
         if lo >= 1.0:
             return 0.0
-        from scipy import special
-
         if self.a > 2.0:
+            from scipy import special
+
             scale = math.exp(special.betaln(self.a - 2.0, self.b) - special.betaln(self.a, self.b))
             tail = 1.0 - float(special.betainc(self.a - 2.0, self.b, lo)) if lo > 0 else 1.0
             return self.mass * scale * tail
         if lo <= 0.0:
             return math.inf
-        # ∫_lo^1 y**(a-3) (1-y)**(b-1) dy with u = 1 - y: u**b / b * 2F1(3-a, b; b+1; u) at u = 1 - lo
-        u = 1.0 - lo
-        return self.mass * math.exp(-special.betaln(self.a, self.b)) * u**self.b / self.b * float(
-            special.hyp2f1(3.0 - self.a, self.b, self.b + 1.0, u)
-        )
+        # ∫_lo^1 y**(a-3) (1-y)**(b-1) dy as sums of positive terms (the hypergeometric closed form is degenerate at
+        # integer a, where scipy's hyp2f1 is wrong).  Up to y = 1/2, Gauss-Legendre panels of length <= 1 in t = log y,
+        # where y**(a-2) (1-y)**(b-1) dt is smooth; beyond, the binomial series in v = 1 - y,
+        # sum_k (3-a)_k / k! * v**(b+k) / (b+k) at v = min(1 - lo, 1/2), whose 80th term is below 1e-20 of the sum.
+        a, b = self.a, self.b
+        span = max(math.log(0.5 / lo), 0.0)
+        panels = math.ceil(span)
+        h = span / max(panels, 1)
+        nodes, weights = _legendre_rule()
+        t = math.log(lo) + h * (np.arange(panels)[:, None] + (nodes + 1.0) / 2.0)
+        head = h / 2.0 * np.sum(np.exp((a - 2.0) * t + (b - 1.0) * np.log1p(-np.exp(t))) @ weights)
+        k = np.arange(80.0)
+        coef = np.cumprod(np.append(1.0, (3.0 - a + k[:-1]) / k[1:]))  # (3-a)_k / k!
+        tail = np.sum(coef * min(1.0 - lo, 0.5) ** (b + k) / (b + k))
+        return self.mass * float(head + tail) * math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
 
     def density(self, y):
         from scipy import special
@@ -489,6 +505,8 @@ class TruncatedSizeLaw:
         self.measure = measure
         self.eps = float(eps)
         self.total_rate = measure.resampling_mass_above(self.eps)
+        if not 0.0 <= self.total_rate < math.inf:  # a numerical fault, not a bad input: no ValueError
+            raise FloatingPointError(f"{measure!r} has event rate {self.total_rate!r} above eps = {self.eps!r}")
         self._draw = measure._size_draw(self.eps) if self.total_rate > 0 else None
 
     @property

@@ -3,9 +3,8 @@
 The process combines three parts:
 
 * a drift ``mu(x)`` per unit time,
-* a diffusion ``sqrt(sigma) * zeta(x) dB`` whose lower-triangular factor
-  reproduces the multinomial-resampling covariance
-  ``Sigma_ij(x) = x_i (1_{i=j} - x_j)``,
+* a diffusion with the multinomial-resampling covariance
+  ``sigma * Sigma(x)``, ``Sigma_ij(x) = x_i (1_{i=j} - x_j)``,
 * jumps ``x -> (1-z) x + z e_i`` at rate ``x_i L(dz)/z**2``, one parent of
   type i replacing a fraction z of the population.
 
@@ -17,8 +16,9 @@ simplex (clamp negatives, renormalize) whose bias near the boundary is
 dominated by the Euler error; jump steps are convex combinations and preserve
 the simplex exactly.
 
-The integrator never forms the ``(K, K)`` factor: it applies ``zeta(x)`` to the noise in O(K) per replicate, as one
-fused product over the stacked weights of :func:`_factor`, on column-major states; :func:`zeta` is its reference.
+An Euler step's law depends on a root of ``Sigma`` only through its product with its transpose, so the noise
+comes from ``B(x) = diag(sqrt(x)) - x sqrt(x)^T`` (``B B^T = Sigma`` on the face), which treats every type alike and
+costs O(K) per replicate with no division; :func:`zeta`, the paper's triangular factor, is the checked reference.
 """
 
 from __future__ import annotations
@@ -37,19 +37,6 @@ from .rng import RngStream
 _TINY = 1e-14
 
 
-def _factor(x: np.ndarray) -> np.ndarray:
-    """Weights of :func:`zeta`, diagonal then column, stacked ``(2, K, ...)`` for type-major ``x``; last rows 0."""
-    S = x.copy()  # suffix sums S_j = x_j + ... + x_(K-1), by rows: add.accumulate loops over K once per replicate
-    for j in range(len(S) - 2, -1, -1):
-        S[j] += S[j + 1]
-    S, S_next, head = S[:-1], S[1:], x[:-1]
-    denom = S * S_next
-    F = np.zeros((2,) + x.shape)
-    np.divide(head * S_next, S, out=F[0, :-1], where=S > _TINY)
-    np.divide(head, denom, out=F[1, :-1], where=denom > _TINY)
-    return np.sqrt(F, out=F)  # coordinates >= +0 give radicands >= +0: no clamp
-
-
 def zeta(x) -> np.ndarray:
     """Lower-triangular square root of the resampling covariance.
 
@@ -60,29 +47,36 @@ def zeta(x) -> np.ndarray:
         zeta[i, j] = -x_i * sqrt(x_j / (S_j * S_(j+1)))      for i > j
 
     Entries whose denominators vanish are set to zero, which is the limit of the formula on the simplex (the
-    numerators vanish at least as fast).  Batch aware: ``x`` may have shape ``(..., K)``.
-
-    The integrator never builds this matrix: :func:`_apply_zeta` applies the weights of :func:`_factor`, which
-    it shares, to the noise in O(K).  ``zeta`` is the reference that the factorization criterion checks.
+    numerators vanish at least as fast).  Batch aware: ``x`` may have shape ``(..., K)``.  The integrator does not
+    use it (see the module docstring).
     """
     x = np.asarray(x, dtype=float)
     K = x.shape[-1]
-    diag, col = (v.T for v in _factor(x.T))
-    out = np.where(np.tri(K, K, -1, dtype=bool), -x[..., :, None] * col[..., None, :], 0.0)
+    S = np.flip(np.cumsum(np.flip(x, -1), axis=-1), -1)
+    S, S_next, head = S[..., :-1], S[..., 1:], x[..., :-1]
+    denom = S * S_next
+    diag, col = np.zeros(x.shape), np.zeros(x.shape)
+    np.divide(head * S_next, S, out=diag[..., :-1], where=S > _TINY)
+    np.divide(head, denom, out=col[..., :-1], where=denom > _TINY)
+    out = np.where(np.tri(K, K, -1, dtype=bool), -x[..., :, None] * np.sqrt(col)[..., None, :], 0.0)
     idx = np.arange(K)
-    out[..., idx, idx] = diag
+    out[..., idx, idx] = np.sqrt(diag)
     return out
 
 
-def _apply_zeta(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """``zeta(x) @ xi`` per row in O(K): ``diag * xi - x * (col * xi summed over j < i)``, as a fresh array."""
-    x, F = x.T, _factor(x.T)
-    F *= xi.T  # both weights times the noise, in one multiply; the rest runs in place
-    out, acc = F[0], F[1, :-1]
-    for j in range(1, len(acc)):  # its prefix sums, by rows
-        acc[j] += acc[j - 1]
-    out[1:] -= np.multiply(acc, x[1:], out=acc)
-    return out.T
+def _diffusion(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """``B(x) @ xi`` for type-major ``x`` and ``xi``, ``B(x) = diag(sqrt(x)) - x sqrt(x)^T``, as a fresh array.
+
+    ``v = sqrt(x) * xi`` less ``x`` times the sum of ``v`` over types, taken by row additions in type order,
+    which give the same bytes on either memory layout.  A zero coordinate and a vertex get exactly zero noise.
+    """
+    v = np.sqrt(x)
+    v *= xi
+    total = v[0] + v[1]
+    for row in v[2:]:
+        total += row
+    v -= x * total
+    return v
 
 
 @dataclass
@@ -137,8 +131,8 @@ def _advance(cfg: SdeConfig, X: np.ndarray, rng: np.random.Generator) -> np.ndar
     Y = np.multiply(cfg.drift(X), cfg.dt, out=np.empty(X.shape[::-1]).T, dtype=float)  # a shared result stays as it was
     Y += X
     if cfg.sigma > 0.0:
-        noise = _apply_zeta(X, rng.standard_normal(X.shape))
-        Y += np.multiply(noise, math.sqrt(cfg.sigma * cfg.dt), out=noise)
+        noise = _diffusion(X.T, rng.standard_normal(X.shape).T)
+        Y += np.multiply(noise, math.sqrt(cfg.sigma * cfg.dt), out=noise).T
     # project onto the simplex; rows that already sum to 1 divide by 1 exactly
     np.maximum(Y, 0.0, out=Y)
     Y /= np.add.reduce(Y, axis=1, keepdims=True)

@@ -367,7 +367,7 @@ def test_special_functions_first_loaded_on_worker_threads_give_the_serial_values
 
 
 def test_building_the_beta_sde_config_of_the_benchmark_loads_no_quadrature():
-    # Beta(2, 3) has a <= 2, whose event rate above eps_jump is a hypergeometric closed form
+    # Beta(2, 3) has a <= 2, whose event rate above eps_jump is a Gauss-Legendre sum and a positive series
     config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "simulate-sde.json"
     code = (
         "import json, sys; from lwf.config import parse_drift, parse_measure; from lwf.sde import SdeConfig; "
@@ -377,6 +377,16 @@ def test_building_the_beta_sde_config_of_the_benchmark_loads_no_quadrature():
         "print(c.measure.to_config()['kind'], c.measure.a, c.size_law.total_rate > 0, 'scipy.integrate' in sys.modules)"
     )
     assert _fresh_process_stdout(code).split() == ["beta", "2.0", "True", "False"]
+
+
+def test_simulate_sde_on_the_benchmark_beta_config_loads_no_scipy_module(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "simulate-sde.json"
+    code = (
+        "import sys; from lwf.cli import main; "
+        f"code = main(['simulate-sde', '--config', {str(config)!r}, '--replicates', '2', '--out', {str(tmp_path)!r}]); "
+        f"print(code, {_SCIPY_LOADED})"
+    )
+    assert _fresh_process_stdout(code).split() == ["0", "[]"]
 
 
 def test_csv_rows_are_the_repr_of_every_value(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -222,8 +223,13 @@ def _beta_event_rate_quadrature(measure, lo):
     return measure.mass * val / math.exp(betaln(measure.a, measure.b))
 
 
-@pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
-@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize(
+    "a,b",
+    [(a, b) for a in (0.5, 1.0, 1.5, 2.0) for b in (0.5, 1.0, 3.0)]
+    # integer a: the hypergeometric closed form is degenerate there, and scipy's hyp2f1 gave -72.4 for
+    # Beta(2, 1.3) above 1e-3 (true 19.4), inf for Beta(1, 1.3) and +64% for Beta(2, 7.3)
+    + [(a, b) for a in (1.0, 2.0) for b in (1.3, 1.8, 3.4, 7.3, 7.8)],
+)
 def test_beta_event_rate_for_a_up_to_2_is_the_closed_form_not_a_quadrature(monkeypatch, a, b):
     import scipy.integrate
 
@@ -307,6 +313,19 @@ def test_truncated_size_law_total_rate_and_diagnostic():
     assert below.truncated_mass == pytest.approx(1.0)
     with pytest.raises(ValueError):
         below.sample(RngStream(0).generator(), 3)
+
+
+@pytest.mark.parametrize("rate", [-72.36, math.inf, math.nan])
+def test_truncated_size_law_refuses_a_rate_that_is_not_a_finite_nonnegative_number(rate):
+    @dataclass(frozen=True)
+    class Faulty(PointMass):
+        def resampling_mass_above(self, lo):
+            return rate
+
+    # a numerical fault, which the CLI must not report as a configuration error (a ValueError)
+    with pytest.raises(FloatingPointError, match=r"Faulty\(z=0\.5, mass=1\.0\) has event rate .* above eps = 0\.001") as err:
+        TruncatedSizeLaw(Faulty(0.5), 1e-3)
+    assert not isinstance(err.value, ValueError)
 
 
 def _state(rng):

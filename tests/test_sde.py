@@ -9,31 +9,23 @@ from lwf.bernstein import PolynomialMap
 from lwf.core import random_interior_points
 from lwf.measures import FiniteAtoms, PointMass, ZeroMeasure
 from lwf.rng import RngStream
-from lwf.sde import _TINY, BatchSde, SdeConfig, _advance, _apply_zeta, _factor, simulate_sde, zeta
+from lwf.sde import BatchSde, SdeConfig, _advance, _diffusion, simulate_sde, zeta
 from lwf.selection import DriftFunction
 
 
-def _factor_reference(x):
-    """``zeta``'s weights in two zero-filled buffers, each clamped before its square root: the oracle for ``_factor``."""
-    S = np.empty(x.shape)
-    np.add.accumulate(x[::-1], out=S[::-1])
-    S, S_next, head = S[:-1], S[1:], x[:-1]
-    denom = S * S_next
-    diag, col = np.zeros(x.shape), np.zeros(x.shape)
-    np.divide(head * S_next, S, out=diag[:-1], where=S > _TINY)
-    np.divide(head, denom, out=col[:-1], where=denom > _TINY)
-    for v in (diag[:-1], col[:-1]):
-        np.sqrt(np.maximum(v, 0.0, out=v), out=v)
-    return diag, col
-
-
-def _apply_zeta_reference(x, xi):
-    """``zeta(x) @ xi`` per row, each product in its own temporary: the oracle for ``_apply_zeta``."""
+def _diffusion_reference(x, xi):
+    """``B(x) @ xi`` per row, ``B(x) = diag(sqrt(x)) - x sqrt(x)^T``, each product in its own temporary and the
+    square root of a clamped state: the oracle for ``_diffusion``."""
     x, xi = x.T, xi.T
-    diag, col = _factor_reference(x)
-    out = diag * xi
-    out[1:] -= x[1:] * np.add.accumulate(col[:-1] * xi[:-1])
-    return out.T
+    v = np.sqrt(np.maximum(x, 0.0)) * xi
+    total = sum(v[1:], v[0])  # in type order
+    return (v - x * total).T
+
+
+def root_matrix(x):
+    """The root ``diag(sqrt(x)) - x sqrt(x)^T`` per row of ``x``, as full ``(K, K)`` matrices."""
+    s = np.sqrt(x)
+    return s[..., :, None] * np.eye(x.shape[-1]) - x[..., :, None] * s[..., None, :]
 
 
 def sigma_matrix(x):
@@ -68,7 +60,7 @@ def test_zeta_factorization_random_and_near_boundary():
         target = squeezed[:, :, None] * (np.eye(K) - squeezed[:, None, :])
         assert np.abs(outer - target).max() < 1e-8
 
-        # the integrator applies the same factor in O(K); add exact vertices,
+        # the integrator draws its noise through the root diag(sqrt x) - x sqrt(x)^T in O(K); add exact vertices,
         # zero coordinates and coordinates of 1e-15
         zeros, tiny = pts[:200].copy(), pts[200:400].copy()
         hit = np.arange(200) % K
@@ -77,15 +69,16 @@ def test_zeta_factorization_random_and_near_boundary():
         edge = np.concatenate([squeezed, np.eye(K), zeros, tiny])
         edge /= edge.sum(axis=1, keepdims=True)
         xi = noise_rng.standard_normal(edge.shape)
-        direct = np.einsum("rij,rj->ri", zeta(edge), xi)
-        assert np.abs(_apply_zeta(edge, xi) - direct).max() < 1e-14
+        direct = np.einsum("rij,rj->ri", root_matrix(edge), xi)
+        assert np.abs(_diffusion(edge.T, xi.T).T - direct).max() < 1e-14
 
-        # the fused product gives the reference's bytes, factor and product alike
-        assert _factor(edge.T).tobytes() == np.array(_factor_reference(edge.T)).tobytes()
-        assert _apply_zeta(edge, xi).tobytes() == _apply_zeta_reference(edge, xi).tobytes()
+        # the noise has the reference's bytes, on a type-major block of either layout
+        fused = _diffusion(edge.T, xi.T)
+        assert fused.tobytes() == _diffusion(np.ascontiguousarray(edge.T), np.ascontiguousarray(xi.T)).tobytes()
+        assert fused.T.tobytes() == _diffusion_reference(edge, xi).tobytes()
         # with -0.0 coordinates only the sign of some zeros differs, since the reference clamps -0.0 to +0.0 ...
         signed = np.where(edge == 0.0, -0.0, edge)
-        fused, reference = _apply_zeta(signed, xi), _apply_zeta_reference(signed, xi)
+        fused, reference = _diffusion(signed.T, xi.T).T, _diffusion_reference(signed, xi)
         assert np.array_equal(fused, reference) and fused.tobytes() != reference.tobytes()
         # ... and the projection maps every zero to +0.0, so a step gives the reference's bytes
         cfg = SdeConfig(K=K, drift=DriftFunction.negfreq(1.5, K), sigma=1.0, measure=ZeroMeasure(), dt=5e-3, horizon=1.0)
@@ -93,6 +86,53 @@ def test_zeta_factorization_random_and_near_boundary():
             step = _advance(cfg, np.asfortranarray(block), RngStream(70).generator())
             want, _ = _advance_row_major(cfg, block.copy(), RngStream(70).generator())
             assert np.ascontiguousarray(step).tobytes() == want.tobytes()
+
+
+def _root_columns(x):
+    """``B(x)`` per row of ``x``, read off ``_diffusion`` column by column, shape ``(R, K, K)``."""
+    K = x.shape[-1]
+    return np.stack([_diffusion(x.T, np.broadcast_to(np.eye(K)[:, [j]], x.T.shape)).T for j in range(K)], axis=-1)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+def test_the_noise_root_factorizes_the_resampling_covariance(K):
+    # criterion 01's points, near-boundary states included: its stream draws them for K = 2, 3, ... in turn
+    rng = RngStream(101).generator()
+    for k in range(2, K + 1):
+        pts = rng.dirichlet(np.ones(k), size=10_000)
+    pts[:K] = np.eye(K) * (1.0 - 1e-8 * (K - 1)) + 1e-8 * (1.0 - np.eye(K))
+    B = _root_columns(pts)
+    outer = np.einsum("rij,rkj->rik", B, B)
+    target = pts[:, :, None] * (np.eye(K) - pts[:, None, :])
+    assert np.abs(outer - target).max() < 1e-8
+
+
+@pytest.mark.parametrize("K", [2, 3, 6])
+def test_the_noise_is_exactly_zero_at_zero_coordinates_and_vertices(K):
+    pts = RngStream(80 + K).generator().dirichlet(np.ones(K), size=300)
+    hit = np.arange(200) % K
+    pts[np.arange(200), hit] = 0.0
+    if K > 2:  # two zeros in a row
+        pts[np.arange(100), (hit[:100] + 1) % K] = 0.0
+    pts[200:200 + K] = np.eye(K)
+    pts /= pts.sum(axis=1, keepdims=True)
+    xi = RngStream(90).generator().standard_normal(pts.shape)
+    noise = _diffusion(pts.T, xi.T).T
+    assert np.all(noise[pts == 0.0] == 0.0)
+    assert np.all(noise[200:200 + K] == 0.0)
+    assert np.all(noise[250:] != 0.0)  # interior states
+
+
+@pytest.mark.parametrize("K", [2, 3, 6, 12])
+def test_the_noise_sums_to_zero_over_types(K):
+    # on the face sum(B(x) xi) = (1 - sum(x)) sum(sqrt(x) xi): zero up to rounding
+    pts = RngStream(100 + K).generator().dirichlet(np.full(K, 0.5), size=5000)
+    pts[:100, 0] = 1e-15
+    pts /= pts.sum(axis=1, keepdims=True)
+    xi = RngStream(110).generator().standard_normal(pts.shape)
+    noise = _diffusion(pts.T, xi.T).T
+    scale = np.abs(np.sqrt(pts) * xi).sum(axis=1)
+    assert np.all(np.abs(noise.sum(axis=1)) <= 1e-15 * scale)
 
 
 @pytest.mark.parametrize("K", [2, 3, 6])
@@ -118,7 +158,7 @@ def _advance_row_major(cfg, X, rng):
     """``_advance`` on a row-major block, each jump round on gathered rows: its oracle. Returns the rounds run."""
     Y = X + cfg.dt * np.asarray(cfg.drift(X), dtype=float)
     if cfg.sigma > 0.0:
-        Y += math.sqrt(cfg.sigma * cfg.dt) * _apply_zeta_reference(X, rng.standard_normal(X.shape))
+        Y += math.sqrt(cfg.sigma * cfg.dt) * _diffusion_reference(X, rng.standard_normal(X.shape))
     np.maximum(Y, 0.0, out=Y)
     Y /= np.add.reduce(Y, axis=1, keepdims=True)
     n_jumps = rng.poisson(cfg.size_law.total_rate * cfg.dt, X.shape[0])
