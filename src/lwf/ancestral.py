@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_frequencies
+from .core import as_frequencies, integer_law
 from .errors import RateExplosionError
 from .measures import LambdaMeasure, ZeroMeasure, collision_pairs, kappa_star as _kappa_star
 
@@ -59,19 +59,10 @@ class AncestralModel:
             raise ValueError("kappa and sigma must be nonnegative")
         if not 2 * N_START <= n_cap <= N_CAP:
             raise ValueError(f"n_cap must lie in [{2 * N_START}, {N_CAP}], got {n_cap}")
-        items = sorted((int(j), float(w)) for j, w in increments.items())
-        if any(w < 0 for _, w in items):
-            raise ValueError(f"increment weights must be nonnegative, got {dict(items)}")
-        items = [(j, w) for j, w in items if w > 0.0]
-        if items and items[0][0] < 1:
-            raise ValueError(f"branching increments must be >= 1, got {items[0][0]}")
-        if items and abs(sum(w for _, w in items) - 1.0) > 1e-9:
-            raise ValueError("increment weights must sum to 1")
-        if not items and kappa > 0:
-            raise ValueError("kappa > 0 needs a branching increment law")
+        items = integer_law(increments, 1, "increments") if increments or kappa > 0 else ()  # kappa = 0 needs no law
         object.__setattr__(self, "kappa", float(kappa))
         object.__setattr__(self, "sigma", float(sigma))
-        object.__setattr__(self, "increments", tuple(items))
+        object.__setattr__(self, "increments", items)
         object.__setattr__(self, "measure", measure if measure is not None else ZeroMeasure())
         object.__setattr__(self, "n_cap", int(n_cap))
         # the increments and their rates per lineage, kappa * w_j

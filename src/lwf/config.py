@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 
+from .core import integer_law
 from .errors import ConfigError
 from .measures import ZeroMeasure, measure_from_config
 from .rules import rule_from_config
@@ -79,21 +80,10 @@ def parse_drift(cfg: dict, K: int):
 
 
 def parse_tail(tail) -> dict[int, float]:
-    """``schedule.tail``: sample sizes of at least 2, each with a nonnegative weight."""
-    if not isinstance(tail, dict) or not tail:
-        raise ConfigError("schedule block needs a nonempty 'tail' mapping of sample sizes to weights")
-    out = {}
-    for key, value in tail.items():
-        try:
-            k, w = int(key), float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad tail mapping: {exc}") from exc
-        if k < 2:
-            raise ConfigError(f"invalid 'schedule' block: schedule.tail key {key!r} must be a sample size >= 2")
-        if w < 0:
-            raise ConfigError(f"invalid 'schedule' block: schedule.tail key {key!r} has a negative weight, {w}")
-        out[k] = w
-    return out
+    """``schedule.tail`` under :func:`~lwf.core.integer_law`: its weights as written, keyed by sample size."""
+    with building("'schedule' block"):
+        integer_law(tail, 2, "schedule.tail")
+    return {int(k): float(w) for k, w in tail.items()}
 
 
 @contextmanager

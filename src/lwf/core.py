@@ -6,7 +6,10 @@ The state of every process in this package is a point on the face
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +78,44 @@ def random_interior_points(rng: np.random.Generator, K: int, n: int, min_coord: 
 # Offspring law
 # ---------------------------------------------------------------------------
 
+_KEYS = {2: ("a", "sample size"), 1: ("an", "extra-parent count")}  # by floor: the article and the noun
+
+
+def integer_law(law, floor: int, name: str) -> tuple[tuple[int, float], ...]:
+    """The one rule for the law of a sample size k (``floor`` 2) or of its k - 1 extra parents (``floor`` 1).
+
+    Every key of the mapping ``law``, zero-weight ones too, is an integer (or
+    its decimal string) >= ``floor``, every weight a nonnegative number, and
+    the positive weights sum to 1 within 1e-9.  Returns those in key order,
+    divided by their sum.  A ValueError names ``name``, the key as written
+    and the rule it breaks.
+    """
+    article, noun = _KEYS[floor]
+    if not isinstance(law, Mapping):
+        raise ValueError(f"{name} must map {noun}s to weights, got {law!r}")
+    weights = {}
+    for key, value in law.items():
+        try:
+            k = int(key) if isinstance(key, str) else operator.index(key)
+        except (TypeError, ValueError):
+            k = floor - 1
+        if k < floor:
+            raise ValueError(f"{name} key {key!r} must be {article} {noun} >= {floor}")
+        if k in weights:
+            raise ValueError(f"{name} key {key!r} repeats the key {k}")
+        try:
+            weights[k] = w = float(value)
+        except (TypeError, ValueError, OverflowError):
+            w = math.nan
+        if not w >= 0:
+            raise ValueError(f"{name} key {key!r} has a negative weight, {w}" if w < 0
+                             else f"{name} key {key!r} has a weight that is not a number, {value!r}")
+    items = sorted((k, w) for k, w in weights.items() if w > 0)
+    total = sum(w for _, w in items)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{name} weights must sum to 1, got {total}")
+    return tuple((k, w / total) for k, w in items)
+
 
 @dataclass(frozen=True)
 class OffspringLaw:
@@ -91,20 +132,8 @@ class OffspringLaw:
     def __init__(self, rho: float, tail):
         if not 0.0 <= rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {rho}")
-        items = sorted((int(k), float(p)) for k, p in tail.items())
-        if any(p < 0 for _, p in items):
-            raise ValueError(f"tail weights must be nonnegative, got {dict(items)}")
-        items = [(k, p) for k, p in items if p > 0.0]
-        if not items:
-            raise ValueError("tail must give positive weight to some k >= 2")
-        if items[0][0] < 2:
-            raise ValueError(f"tail sample sizes must be >= 2, got {items[0][0]}")
-        total = sum(p for _, p in items)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"tail weights must sum to 1, got {total}")
-        items = [(k, p / total) for k, p in items]
         object.__setattr__(self, "rho", float(rho))
-        object.__setattr__(self, "tail", tuple(items))
+        object.__setattr__(self, "tail", integer_law(tail, 2, "tail"))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .batches import LANE_DISCRETE, map_batches
 from .combinat import composition_pmf, compositions
-from .core import OffspringLaw, ScalingSchedule, _categorical, as_frequencies, round_to_counts
+from .core import OffspringLaw, ScalingSchedule, _categorical, as_frequencies, integer_law, round_to_counts
 from .measures import TruncatedSizeLaw
 from .rng import RngStream
 from .rules import ColouringRule
@@ -178,7 +178,7 @@ def empirical_drift(rule: ColouringRule, tail, x, replicates: int, rng: np.rando
 
     Estimates ``(p(x) - x) / rho`` where ``p`` is the one-offspring type
     law of ``rule`` and ``tail`` the law ``{k: p}`` of the sample sizes
-    above 1, as :class:`~lwf.core.OffspringLaw` takes it.  The singleton
+    above 1, under :func:`~lwf.core.integer_law`.  The singleton
     part of the offspring law contributes ``x`` exactly and cancels, so only
     samples of two or more parents are simulated: a sample size is drawn
     from the tail, parent types from multinomial(k, x), and the rule's
@@ -197,7 +197,7 @@ def empirical_drift(rule: ColouringRule, tail, x, replicates: int, rng: np.rando
     sample drew a type's rare winning compositions.
     """
     x = as_frequencies(x)
-    tail_ks, tail_ps = map(np.array, zip(*OffspringLaw(1.0, tail).tail))
+    tail_ks, tail_ps = map(np.array, zip(*integer_law(tail, 2, "tail")))
     if replicates < 1:
         raise ValueError("need at least one replicate")
 

@@ -163,25 +163,23 @@ def run_drift_oracle(
     if pairs is None:
         pairs = standard_drift_catalog()
     stream = RngStream(seed)
+    xs = [random_interior_points(stream.derive(LANE_POINTS, p_idx).generator(), pair["rule"].K, points, min_coord)
+          for p_idx, pair in enumerate(pairs)]
+
+    def check(cell):
+        p_idx, j = cell
+        pair, x = pairs[p_idx], xs[p_idx][j]
+        scale = pair["drift"].kappa or 1.0
+        est = empirical_drift(pair["rule"], pair["tail"], x, samples, stream.derive(LANE_DRIFT, p_idx, j).generator())
+        dev = np.abs(pair["drift"](x) - scale * est.values)
+        return (dev / (FOUR_SE * scale * est.stderr + 1e-9)).max(), est.compositions
+
+    # every (pair, point) on one pool
+    results = pmap(check, [(p_idx, j) for p_idx in range(len(pairs)) for j in range(points)], threads)
     metrics = []
     for p_idx, pair in enumerate(pairs):
-        rule: ColouringRule = pair["rule"]
-        drift: DriftFunction = pair["drift"]
-        scale = drift.kappa or 1.0
-        xs = random_interior_points(
-            stream.derive(LANE_POINTS, p_idx).generator(), rule.K, points, min_coord
-        )
-
-        def check(args):
-            j, x = args
-            rng = stream.derive(LANE_DRIFT, p_idx, j).generator()
-            est = empirical_drift(rule, pair["tail"], x, samples, rng)
-            dev = np.abs(drift(x) - scale * est.values)
-            tol = FOUR_SE * scale * est.stderr + 1e-9
-            return (dev / tol).max(), est.compositions
-
-        results = pmap(check, list(enumerate(xs)), threads)
-        worst = float(max(ratio for ratio, _ in results))
+        ratios, compositions = zip(*results[p_idx * points : (p_idx + 1) * points])
+        worst = float(max(ratios))
         metrics.append(
             Metric(
                 name=f"drift_match:{pair['name']}",
@@ -191,7 +189,7 @@ def run_drift_oracle(
                 provenance="harness",
                 passed=worst <= 1.0,
                 details={"points": int(points), "samples_per_point": int(samples),
-                         "compositions": max(c for _, c in results),
+                         "compositions": max(compositions),
                          "size_trend": "not applicable: rule has no population-size dependence"},
             )
         )
@@ -306,6 +304,14 @@ def run_convergence(
 # ---------------------------------------------------------------------------
 
 
+def _dual_pair(kappa, increments, sigma, measure, *, K, **sde) -> tuple[SdeConfig, AncestralModel]:
+    """The ordered-contest SdeConfig on K types and its dual chain, built in one order: one error per bad value."""
+    with building("model value"):
+        drift = DriftFunction.neutral(K) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, K)
+        cfg = SdeConfig(K=K, drift=drift, sigma=sigma, measure=measure, **sde)
+        return cfg, AncestralModel(kappa, sigma, increments, measure)
+
+
 def run_fixation(
     *,
     kappa: float,
@@ -340,14 +346,9 @@ def run_fixation(
     """
     x0 = as_frequencies(x0)
     stream = RngStream(seed)
-    with building("SdeConfig value"):
-        drift = DriftFunction.neutral(x0.size) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, x0.size)
-        cfg = SdeConfig(
-            K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=max_time, eps_jump=eps_jump,
-            tol_ext=tol_ext,
-        )
-    with building("AncestralModel value"):
-        dual = AncestralModel(kappa, sigma, increments, measure)
+    cfg, dual = _dual_pair(
+        kappa, increments, sigma, measure, K=x0.size, dt=dt, horizon=max_time, eps_jump=eps_jump, tol_ext=tol_ext
+    )
     winners = simulate_sde(cfg, x0, replicates, (), stream, threads)[1].winner
     unfixed = int(np.count_nonzero(winners < 0))
     counts = np.bincount(winners[winners >= 0], minlength=x0.size)
@@ -479,11 +480,7 @@ def run_duality(
     value.
     """
     stream = RngStream(seed)
-    with building("AncestralModel value"):
-        dual = AncestralModel(kappa, sigma, increments, measure)
-    with building("SdeConfig value"):
-        drift = DriftFunction.neutral(2) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, 2)
-        cfg = SdeConfig(K=2, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=max(ts), eps_jump=eps_jump)
+    cfg, dual = _dual_pair(kappa, increments, sigma, measure, K=2, dt=dt, horizon=max(ts), eps_jump=eps_jump)
     grid = sorted(set(ts))  # the integrator records forward in time, whatever order the cells come in
     metrics = []
     for x_idx, x in enumerate(xs):

@@ -324,7 +324,8 @@ class BetaLaw(LambdaMeasure):
             from scipy import special
 
             scale = math.exp(special.betaln(self.a - 2.0, self.b) - special.betaln(self.a, self.b))
-            tail = 1.0 - float(special.betainc(self.a - 2.0, self.b, lo)) if lo > 0 else 1.0
+            # I_{1-lo}(b, a-2) is 1 - I_lo(a-2, b) without the cancellation as lo -> 1
+            tail = float(special.betainc(self.b, self.a - 2.0, 1.0 - lo)) if lo > 0 else 1.0
             return self.mass * scale * tail
         if lo <= 0.0:
             return math.inf

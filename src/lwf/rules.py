@@ -56,10 +56,14 @@ class ColouringRule:
     def _check_counts(self, counts: np.ndarray) -> np.ndarray:
         if counts.ndim != 1 or counts.size != self.K:
             raise ValueError(f"counts must have length {self.K}, got shape {counts.shape}")
-        if np.any(counts < 0) or not np.issubdtype(counts.dtype, np.integer):
+        if not np.issubdtype(counts.dtype, np.integer):
+            whole = np.isfinite(counts) & (counts == np.floor(counts))
+            if not whole.all():
+                i = int(np.argmin(whole))
+                raise ValueError(f"counts must be whole numbers, got counts[{i}] = {counts[i]}")
             counts = counts.astype(np.int64)
-            if np.any(counts < 0):
-                raise ValueError("counts must be nonnegative integers")
+        if np.any(counts < 0):
+            raise ValueError("counts must be nonnegative integers")
         if counts.sum() < 1:
             raise ValueError("sample must contain at least one potential parent")
         return counts

@@ -13,24 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .bernstein import PolynomialMap
+from .core import integer_law
 from .errors import build_kind
 from .rules import beats_from_labels, beats_matrix, win_prob_matrix
-
-
-def _iter_weights(increments):
-    if not isinstance(increments, dict):
-        raise ValueError(f"'increments' must map extra-parent counts to weights, got {increments!r}")
-    items = sorted((int(j), float(w)) for j, w in increments.items())
-    total = 0.0
-    for j, w in items:
-        if j < 1:
-            raise ValueError(f"increment weights are indexed from 1, got {j}")
-        if w < 0:
-            raise ValueError("increment weights must be nonnegative")
-        total += w
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"increment weights must sum to 1, got {total}")
-    return items
 
 
 def _scaled(c: float, a: np.ndarray) -> np.ndarray:
@@ -105,7 +90,7 @@ class DriftFunction:
         (sample size ``j + 1``).  With cumulative frequencies ``c_i``:
         ``mu_i = kappa * sum_j w_j * (c_i**(j+1) - c_(i-1)**(j+1) - x_i)``.
         """
-        items = _iter_weights(increments)
+        items = integer_law(increments, 1, "increments")
 
         def mu(x):
             x = np.asarray(x, dtype=float)

@@ -3,6 +3,7 @@ import copy
 import csv
 import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -516,7 +517,13 @@ def test_cli_a_one_parent_tail_is_a_config_error_at_every_kappa(tmp_path, subcom
 @pytest.mark.parametrize(
     "tail, message",
     [({"0": 1.0}, "schedule.tail key '0' must be a sample size >= 2"),
-     ({"2": 1.0, "3": -0.5}, "schedule.tail key '3' has a negative weight, -0.5")],
+     ({"2": 1.0, "3": -0.5}, "schedule.tail key '3' has a negative weight, -0.5"),
+     ({"2.5": 1.0}, "schedule.tail key '2.5' must be a sample size >= 2"),
+     ({"2": 0.5, "02": 0.5}, "schedule.tail key '02' repeats the key 2"),
+     ({"2": "abc"}, "schedule.tail key '2' has a weight that is not a number, 'abc'"),
+     ({"2": float("nan")}, "schedule.tail key '2' has a weight that is not a number, nan"),
+     ({"2": 0.5, "3": 0.3}, "schedule.tail weights must sum to 1, got 0.8"),
+     ([2, 3], "schedule.tail must map sample sizes to weights, got [2, 3]")],
 )
 def test_parse_tail_names_the_offending_key(tail, message):
     from lwf.config import parse_tail
@@ -524,6 +531,102 @@ def test_parse_tail_names_the_offending_key(tail, message):
     with pytest.raises(ConfigError) as info:
         parse_tail(tail)
     assert str(info.value) == f"invalid 'schedule' block: {message}"
+
+
+# Each law as a tail of sample sizes; the Python entry points take it shifted by one, as the dual chain's
+# increments.  Every entry point must refuse a bad law for one cause (the pattern), and give an accepted law the
+# same normalised weights.
+ONE_RULE_LAWS = {
+    "list": ([2, 3], r"must map (sample sizes|extra-parent counts) to weights, got \[[12], [23]\]$"),
+    "key-below-floor": ({1: 0.5, 2: 0.5}, r"key '?[01]'? must be (a sample size >= 2|an extra-parent count >= 1)$"),
+    "negative-weight": ({2: 1.5, 3: -0.5}, r"key '?[23]'? has a negative weight, -0.5$"),
+    "zero-weight-bad-key": ({1: 0.0, 2: 1.0}, r"key '?[01]'? must be (a sample size >= 2|an extra-parent count >= 1)$"),
+    "weights-sum-to-half": ({2: 0.25, 3: 0.25}, r"weights must sum to 1, got 0.5$"),
+    "weights-sum-to-1+5e-10": ({2: 0.5, 3: 0.5 + 5e-10}, None),
+}
+
+
+def _shifted(tail):
+    return [k - 1 for k in tail] if isinstance(tail, list) else {k - 1: w for k, w in tail.items()}
+
+
+def _one_rule_entry_points(tmp_path, law, seen):
+    """Each entry point, as a function of nothing that returns the normalised tail it built (or raises)."""
+    from lwf.ancestral import AncestralModel
+    from lwf.core import OffspringLaw
+    from lwf.experiments import run_duality, run_fixation
+
+    increments = _shifted(law)
+    tail_json = law if isinstance(law, list) else {str(k): w for k, w in law.items()}
+    runs = {
+        "fixation": (run_fixation, {"x0": [0.5, 0.5]}, {}),
+        "duality": (run_duality, {}, {"xs": (0.3,), "ts": (0.1,), "n0s": (2,)}),
+    }
+
+    def experiment(name):
+        run, model, cells = runs[name]
+        run(kappa=1.0, increments=increments, sigma=1.0, measure=ZeroMeasure(), dt=0.01, replicates=4, **model, **cells)
+        return seen.pop()
+
+    def command(name):
+        _, model, cells = runs[name]
+        payload = {"model": {"kappa": 1.0, "sigma": 1.0, "dt": 0.01, **model}, "schedule": {"tail": tail_json},
+                   "experiment": {"replicates": 4, **{k: list(v) for k, v in cells.items()}}}
+        out = tmp_path / f"cli-{name}"
+        code = main([name, "--config", write_config(tmp_path / f"{name}.json", payload), "--out", str(out)])
+        error = json.loads((out / "meta.json").read_text())["error"]
+        if code == 2:
+            assert error["class"] == "ConfigError"
+            raise ConfigError(error["message"])
+        assert code in (0, 1) and error is None  # 4 replicates may fail a band; the law was accepted
+        return seen.pop()
+
+    return {
+        "OffspringLaw": lambda: OffspringLaw(0.5, law).tail,
+        "AncestralModel": lambda: tuple((j + 1, w) for j, w in AncestralModel(1.0, 0.0, increments).increments),
+        "DriftFunction.transitive": lambda: tuple(
+            (int(j) + 1, w) for j, w in DriftFunction.transitive(1.0, increments, 2).params["increments"].items()
+        ),
+        "run_fixation": lambda: experiment("fixation"),
+        "run_duality": lambda: experiment("duality"),
+        "cli fixation": lambda: command("fixation"),
+        "cli duality": lambda: command("duality"),
+    }
+
+
+@pytest.mark.parametrize("name", list(ONE_RULE_LAWS))
+def test_one_sample_size_law_rule_at_every_entry_point(tmp_path, monkeypatch, name):
+    from lwf import experiments
+
+    law, cause = ONE_RULE_LAWS[name]
+    seen = []  # the normalised tails of the drift and of the dual chain that each experiment ran
+
+    def recording(*args, **kwargs):
+        cfg, dual = pair(*args, **kwargs)
+        drift_tail = tuple((int(j) + 1, w) for j, w in cfg.drift.params["increments"].items())
+        assert drift_tail == tuple((j + 1, w) for j, w in dual.increments)
+        seen.append(drift_tail)
+        return cfg, dual
+
+    pair = experiments._dual_pair
+    monkeypatch.setattr(experiments, "_dual_pair", recording)
+    entry_points = _one_rule_entry_points(tmp_path, law, seen)
+    if cause is None:
+        total = sum(law.values())
+        want = tuple((k, w / total) for k, w in sorted(law.items()))
+        assert {entry: build() for entry, build in entry_points.items()} == dict.fromkeys(entry_points, want)
+        return
+    messages = {}
+    for entry, build in entry_points.items():
+        error = ConfigError if entry.startswith(("run_", "cli ")) else ValueError
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and re.search(cause, str(info.value)), (entry, str(info.value))
+        messages[entry] = str(info.value)
+    # one cause, in the same words from both experiments
+    assert messages["run_fixation"] == messages["run_duality"]
+    assert messages["cli fixation"] == messages["cli duality"]
+    assert not seen
 
 
 EXTINCTION_PAYLOAD = {
@@ -736,7 +839,7 @@ SCHEMA_ERRORS = [
      "bad lambda block: could not convert string to float: 'abc'"),
     # the three drift rows exited 1 with a traceback or ran a wrong drift; the rule block refuses the same beats pair
     ("simulate-sde", _added("drift", {"kind": "transitive", "kappa": 1, "increments": [1, 2]}),
-     "bad drift block: 'increments' must map extra-parent counts to weights, got [1, 2]"),
+     "bad drift block: increments must map extra-parent counts to weights, got [1, 2]"),
     ("simulate-sde", _added("drift", {"kind": "food_web", "kappa": 1, "beats": [[0, 1]]}),
      "bad drift block: bad beats pair (0, 1): need two distinct type labels from 1 to 3"),
     ("simulate-discrete", _added("rule", {"kind": "partial_order", "beats": [[0, 1]]}),

@@ -66,7 +66,7 @@ def test_offspring_law_basic():
 
 
 def test_offspring_law_rejects_a_negative_weight_before_dropping_zeros():
-    with pytest.raises(ValueError, match="tail weights must be nonnegative"):
+    with pytest.raises(ValueError, match="^tail key 3 has a negative weight, -0.5$"):
         OffspringLaw(0.5, {2: 1.0, 3: -0.5})
     assert OffspringLaw(0.5, {2: 1.0, 3: 0.0}).tail == ((2, 1.0),)
 

@@ -244,6 +244,30 @@ def test_beta_event_rate_for_a_up_to_2_is_the_closed_form_not_a_quadrature(monke
     assert [measure.resampling_mass_above(lo) for lo in cutoffs] == pytest.approx(oracle, rel=1e-12)
 
 
+def _beta_event_rate_exact(a: int, b: int, mass: float, lo: float) -> Fraction:
+    """``∫_[lo,1] Beta(a, b)(dy) / y**2`` in exact arithmetic, for integers a >= 3 and b >= 1.
+
+    It is ``mass * B(a-2, b) / B(a, b) * I_(1-lo)(b, a-2)``, and the regularised
+    incomplete beta at integer shapes p, q is the binomial tail P(Bin(p+q-1, x) >= p).
+    """
+    p, q = b, a - 2
+    x = 1 - Fraction(lo)
+    tail = sum(math.comb(p + q - 1, j) * x**j * (1 - x) ** (p + q - 1 - j) for j in range(p, p + q))
+    beta = lambda s, t: Fraction(math.factorial(s - 1) * math.factorial(t - 1), math.factorial(s + t - 1))
+    return Fraction(mass) * beta(a - 2, b) / beta(a, b) * tail
+
+
+@pytest.mark.parametrize(
+    "a,b,lo",
+    # near lo = 1, 1 - I_lo(a-2, b) cancelled: Beta(3, 20) above 0.9 was 0.0 (no jumps at all, true 2.31e-18),
+    # Beta(10, 20) above 0.9 was 0.71% off
+    [(3, 20, 0.9), (10, 20, 0.9), (3, 3, 0.999999), (5, 1, 0.999), (4, 3, 0.5), (12, 7, 0.01), (3, 2, 1e-3)],
+)
+def test_beta_event_rate_for_a_above_2_keeps_its_relative_accuracy_near_one(a, b, lo):
+    exact = _beta_event_rate_exact(a, b, 1.3, lo)
+    assert BetaLaw(float(a), float(b), 1.3).resampling_mass_above(lo) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
 def test_kappa_star_rejects_bad_beta():
     with pytest.raises(ValueError):
         kappa_star(PointMass(0.5), 0.0)

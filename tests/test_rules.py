@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,17 @@ ALL_RULES = [
 
 def test_transitive_picks_highest_type():
     assert np.array_equal(TransitiveRule(3).distribution(counts_of([1, 3, 2], 3)), [0, 0, 1])
+
+
+def test_counts_that_are_not_whole_numbers_are_refused_not_truncated():
+    # [1.5, 0, 0.7] was cast to [1, 0, 0], which dropped type 3 and returned [1, 0, 0]
+    for counts, entry in (([1.5, 0, 0.7], "counts[0] = 1.5"), ([1.0, 0.0, 0.7], "counts[2] = 0.7"),
+                          ([1.0, np.nan, 1.0], "counts[1] = nan")):
+        with pytest.raises(ValueError, match=rf"^counts must be whole numbers, got {re.escape(entry)}$"):
+            TransitiveRule(3).distribution(counts)
+    assert np.array_equal(TransitiveRule(3).distribution([1.0, 0.0, 2.0]), [0, 0, 1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        TransitiveRule(3).distribution([-1, 2, 0])
 
 
 def test_singleton_is_the_parent_for_mutation_free_rules():
