@@ -104,10 +104,10 @@ CONVERT = {
          "delta", "final_ks_threshold", "min_fraction", "min_coord"),
         _number,
     ),
-    **dict.fromkeys(("K", "N", "n_cap", "seed", "replicates", "grid_points", "points", "samples"), _integer),
-    "n0": partial(_integer, minimum=1),
+    **dict.fromkeys(("K", "N", "n_cap", "seed", "replicates"), _integer),
+    **dict.fromkeys(("n0", "record_every", "points", "samples"), partial(_integer, minimum=1)),
     "generations": partial(_integer, minimum=0),
-    "record_every": partial(_integer, minimum=1),
+    "grid_points": partial(_integer, minimum=2),
     **dict.fromkeys(("x0", "xs", "ts"), _list_of(_number, "numbers")),
     **dict.fromkeys(("N_grid", "n0s"), _list_of(_integer, "integers")),
     "tail": parse_tail,

@@ -917,6 +917,19 @@ MALFORMED = [
      "invalid duality cell n0=0,t=0.3,x=0.3: initial state must lie in [1, n_cap = 2048], got 0"),
     ("ancestral", lambda p: p["model"].update(stationary=1),
      "invalid 'model' block: stationary must be true or false, got 1"),
+    # out-of-domain experiment values exited 1: a ValueError traceback, a start outside the simplex, a NaN slope
+    ("drift-oracle", lambda p: p["experiment"].update(points=0),
+     "invalid 'experiment' block: points must be >= 1, got 0"),
+    ("drift-oracle", lambda p: p["experiment"].update(points=-1),
+     "invalid 'experiment' block: points must be >= 1, got -1"),
+    ("drift-oracle", lambda p: p["experiment"].update(samples=0),
+     "invalid 'experiment' block: samples must be >= 1, got 0"),
+    ("rps-lyapunov", lambda p: p["experiment"].update(delta=0.5),
+     "rps-lyapunov runs need |delta| < 1/3 for an interior start, got delta = 0.5"),
+    ("rps-lyapunov", lambda p: p["experiment"].update(grid_points=0),
+     "invalid 'experiment' block: grid_points must be >= 2, got 0"),
+    ("rps-lyapunov", lambda p: p["experiment"].update(grid_points=1),
+     "invalid 'experiment' block: grid_points must be >= 2, got 1"),
 ]
 
 

@@ -1,8 +1,11 @@
+import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from lwf import cli
 from lwf.errors import ConfigError
 from lwf.experiments import (
     run_convergence,
@@ -71,6 +74,51 @@ def test_reports_are_deterministic_across_reruns_and_threads(name, factory):
     threaded = report_bytes(factory(3))
     assert first == again
     assert first == threaded
+
+
+@pytest.mark.parametrize("name,factory", SMALL_RUNS, ids=[n for n, _ in SMALL_RUNS])
+def test_parameters_record_every_argument_of_the_run(name, factory):
+    # every knob of the signature is in the record, defaults included; a new one cannot be left out
+    report = factory(1)
+    names = set(inspect.signature(cli.COMMANDS[name].run).parameters)
+    expected = {"lambda" if n == "measure" else n for n in names - {"seed", "replicates", "threads", "stationary_time"}}
+    assert set(report.parameters) == expected
+    assert report.experiment == name and report.seed == 5
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_duality(
+            kappa=0.5, increments={1: 0.5, "2": 0.5}, sigma=1.0, measure=ZeroMeasure(), xs=(0.3,), ts=(0.3,),
+            n0s=(2,), dt=5e-3, replicates=100, seed=5,
+        ),
+        lambda: run_fixation(
+            kappa=0.5, increments={1: 0.5, "2": 0.5}, sigma=1.0, measure=ZeroMeasure(), x0=[0.3, 0.7],
+            dt=5e-3, replicates=100, seed=5,
+        ),
+    ],
+    ids=["duality", "fixation"],
+)
+def test_a_law_with_mixed_key_types_is_recorded_after_the_run(run):
+    # the record sorted the law's keys and raised TypeError once the whole simulation had run
+    report = run()
+    assert report.passed, [(m.name, m.value) for m in report.metrics]
+    assert report.to_dict()["parameters"]["increments"] == {"1": 0.5, "2": 0.5}
+
+
+def test_lyapunov_groups_with_no_survivor_are_dropped_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_rps_lyapunov(sigma=1.0, measure=ZeroMeasure(), delta=0.05, T=0.5, dt=5e-3, replicates=50, seed=3)
+    details = report.metrics[0].details
+    assert details["dropped_batches"] == 6 and report.passed
+    assert all(np.isfinite(details["mean_curve"]))
+
+
+def test_lyapunov_refuses_a_start_outside_the_simplex():
+    with pytest.raises(ConfigError, match=r"^rps-lyapunov runs need \|delta\| < 1/3 .*, got delta = -0\.4$"):
+        run_rps_lyapunov(sigma=1.0, measure=ZeroMeasure(), delta=-0.4, replicates=2)
 
 
 def test_report_structure_carries_tolerance_provenance():
