@@ -7,12 +7,12 @@
 (kept out of the report so identical seeds reproduce it byte-for-byte).
 
 ``COMMANDS`` is the single schema of the config file: one row per
-subcommand, naming the function it calls, the blocks it forbids and the
-required and optional keys of each block it reads.  A key is converted by
-``CONVERT`` and passed as the keyword of the same name (``K`` only checks
-``x0``, and ``tail`` becomes ``increments`` for a function that takes the
-dual chain's branching law); a key left out takes the default of the
-function's signature.
+subcommand, naming the function it calls and the required and optional keys
+of each block it reads.  A key is converted by ``CONVERT`` and passed as the
+keyword of the same name (``K`` only checks ``x0``, and ``tail`` becomes
+``increments`` for a function that takes the dual chain's branching law); a
+key left out takes the default of the function's signature.  A parameter in
+``KIND_BLOCKS`` takes a whole kind block; any other block is refused.
 
 Simulation subcommands hand the seed's stream and ``--threads`` to the
 engines, which draw their replicates in fixed-width batches, one random
@@ -39,22 +39,15 @@ import numpy as np
 
 from . import experiments as xp
 from .ancestral import AncestralModel, simulate_ancestral, stationary_law
-from .config import (
-    ConfigError,
-    building,
-    forbid_blocks,
-    load_config,
-    parse_drift,
-    parse_measure,
-    parse_rule,
-    parse_tail,
-    take_block,
-)
+from .config import TOP_LEVEL_BLOCKS, ConfigError, building, load_config, parse_tail, take_block
 from .core import as_frequencies, make_schedule
 from .discrete import DiscreteModel, simulate_discrete
 from .errors import LwfError
+from .measures import ZeroMeasure, measure_from_config
 from .rng import RngStream
+from .rules import rule_from_config
 from .sde import SdeConfig, simulate_sde
+from .selection import drift_from_config
 from .trajectory import write_ancestral_csv, write_trajectories_csv
 
 # A converter raises ValueError("must be ...") for a bad value; _kwargs names the block and the key.
@@ -62,14 +55,19 @@ from .trajectory import write_ancestral_csv, write_trajectories_csv
 
 def _number(value) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError("must be a number") from None
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ValueError("must be a number")
+    if not np.isfinite(number):
+        raise ValueError("must be a finite number")
+    return number
 
 
 def _integer(value, minimum: int | None = None) -> int:
     try:
-        integral = isinstance(value, int) or float(value).is_integer()
+        integral = not isinstance(value, bool) and (isinstance(value, int) or float(value).is_integer())
     except (TypeError, ValueError):
         integral = False
     if not integral:
@@ -156,48 +154,55 @@ def _ancestral(*, out, n0, horizon, increments, measure, stationary=False, repli
 
 @dataclass(frozen=True)
 class Command:
-    """A subcommand's function, its forbidden blocks, and the (required, optional) keys of each block it reads."""
+    """A subcommand's function and the (required, optional) keys of each key block it reads."""
 
     run: Callable
-    forbid: tuple[str, ...]
     blocks: dict[str, tuple[str, str]]
 
 
+# a parameter that takes a whole kind block: the block, its reader of (block, K), its value when absent (None: required)
+KIND_BLOCKS = {
+    "rule": ("rule", rule_from_config, None),
+    "drift": ("drift", drift_from_config, None),
+    "measure": ("lambda", lambda block, K: measure_from_config(block), ZeroMeasure()),
+}
+
+
 COMMANDS = {
-    "simulate-discrete": Command(_simulate_discrete, ("drift",), {
+    "simulate-discrete": Command(_simulate_discrete, {
         "model": ("K x0 N generations", "record_every"),
         "schedule": ("alpha kappa sigma tail", "b"),
     }),
-    "simulate-sde": Command(_simulate_sde, ("rule", "schedule"), {
+    "simulate-sde": Command(_simulate_sde, {
         "model": ("K x0 dt horizon sigma", "eps_jump tol_ext record_every"),
     }),
-    "ancestral": Command(_ancestral, ("rule", "drift"), {
+    "ancestral": Command(_ancestral, {
         "model": ("n0 horizon kappa sigma", "n_cap stationary"),
         "schedule": ("tail", ""),
     }),
-    "convergence": Command(xp.run_convergence, (), {
+    "convergence": Command(xp.run_convergence, {
         "model": ("K x0 T dt sigma kappa", "eps_jump"),
         "schedule": ("alpha tail", ""),
         "experiment": ("N_grid", "final_ks_threshold"),
     }),
-    "fixation": Command(xp.run_fixation, ("rule", "drift"), {
+    "fixation": Command(xp.run_fixation, {
         "model": ("x0 kappa sigma dt", "eps_jump tol_ext max_time stationary_time"),
         "schedule": ("tail", ""),
     }),
-    "duality": Command(xp.run_duality, ("rule", "drift"), {
+    "duality": Command(xp.run_duality, {
         "model": ("kappa sigma dt", "eps_jump"),
         "schedule": ("tail", ""),
         "experiment": ("", "xs ts n0s"),
     }),
-    "rps-lyapunov": Command(xp.run_rps_lyapunov, ("rule", "drift", "schedule"), {
+    "rps-lyapunov": Command(xp.run_rps_lyapunov, {
         "model": ("kappa sigma dt", "eps_jump"),
         "experiment": ("delta", "T grid_points"),
     }),
-    "successive-extinction": Command(xp.run_successive_extinction, ("rule", "schedule", "lambda"), {
+    "successive-extinction": Command(xp.run_successive_extinction, {
         "model": ("x0 sigma dt", "tol_ext max_time"),
         "experiment": ("", "min_fraction"),
     }),
-    "drift-oracle": Command(xp.run_drift_oracle, ("rule", "drift", "schedule", "lambda", "model"), {
+    "drift-oracle": Command(xp.run_drift_oracle, {
         "experiment": ("", "points samples min_coord"),
     }),
 }
@@ -208,7 +213,11 @@ def _kwargs(name: str, cfg: dict, args, out: Path) -> dict:
     command = COMMANDS[name]
     params = inspect.signature(command.run).parameters
     overridable = ("seed", "replicates") if "replicates" in params else ("seed",)
-    forbid_blocks(cfg, command.forbid, name)
+    kinds = {param: kind for param, kind in KIND_BLOCKS.items() if param in params}
+    read = {*command.blocks, "experiment", *(block for block, _, _ in kinds.values())}
+    unused = [block for block in TOP_LEVEL_BLOCKS if block in cfg and block not in read]
+    if unused:
+        raise ConfigError(f"blocks {unused} are not used by {name!r}")
     blocks = {**command.blocks}
     blocks.setdefault("experiment", ("", ""))
     taken = {}
@@ -246,10 +255,12 @@ def _kwargs(name: str, cfg: dict, args, out: Path) -> dict:
         K = kwargs["x0"].size
     if "tail" in kwargs and "increments" in params:
         kwargs["increments"] = {k - 1: p for k, p in kwargs.pop("tail").items()}
-    # whole blocks and the run's context, each passed to a function that takes it
-    supplied = {"rule": lambda: parse_rule(cfg, K), "drift": lambda: parse_drift(cfg, K),
-                "measure": lambda: parse_measure(cfg), "out": lambda: out, "threads": lambda: args.threads}
-    kwargs.update((key, supply()) for key, supply in supplied.items() if key in params)
+    for param, (block, read_kind, absent) in kinds.items():
+        if cfg.get(block) is None and absent is None:
+            raise ConfigError(f"missing required block {block!r}")
+        kwargs[param] = absent if cfg.get(block) is None else read_kind(cfg[block], K)
+    # the run's context, passed to a function that takes it
+    kwargs.update((key, value) for key, value in (("out", out), ("threads", args.threads)) if key in params)
     return kwargs
 
 

@@ -3,19 +3,17 @@
 Allowed top-level blocks are ``model``, ``rule``, ``drift``, ``lambda``,
 ``schedule`` and ``experiment``.  Which blocks (and which keys inside them)
 a given subcommand consumes is validated strictly: unknown keys are errors,
-so a typo never silently falls back to a default.
+so a typo never silently falls back to a default, and a number must be finite.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 
 from .core import integer_law
 from .errors import ConfigError
-from .measures import ZeroMeasure, measure_from_config
-from .rules import rule_from_config
-from .selection import drift_from_config
 
 TOP_LEVEL_BLOCKS = ("model", "rule", "drift", "lambda", "schedule", "experiment")
 
@@ -33,7 +31,18 @@ def load_config(path) -> dict:
     unknown = set(cfg) - set(TOP_LEVEL_BLOCKS)
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)} (allowed: {list(TOP_LEVEL_BLOCKS)})")
+    for block, value in cfg.items():
+        _refuse_non_finite(value, block)
     return cfg
+
+
+def _refuse_non_finite(value, path: str) -> None:
+    """Raise a :class:`ConfigError` naming the first ``NaN``, ``Infinity`` or overflowing number under ``value``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config value {path} must be a finite number, got {value}")
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        _refuse_non_finite(item, f"{path}.{key}" if isinstance(value, dict) else f"{path}[{key}]")
 
 
 def take_block(cfg: dict, name: str, allowed: tuple, required: tuple = (), *, optional: bool = False) -> dict:
@@ -52,31 +61,6 @@ def take_block(cfg: dict, name: str, allowed: tuple, required: tuple = (), *, op
     if missing:
         raise ConfigError(f"block {name!r} is missing required keys: {missing}")
     return block
-
-
-def forbid_blocks(cfg: dict, names: tuple, subcommand: str) -> None:
-    present = [n for n in names if n in cfg]
-    if present:
-        raise ConfigError(f"blocks {present} are not used by {subcommand!r}")
-
-
-def parse_measure(cfg: dict):
-    block = cfg.get("lambda")
-    if block is None:
-        return ZeroMeasure()
-    return measure_from_config(block)
-
-
-def parse_rule(cfg: dict, K: int):
-    if "rule" not in cfg:
-        raise ConfigError("missing required block 'rule'")
-    return rule_from_config(cfg["rule"], K)
-
-
-def parse_drift(cfg: dict, K: int):
-    if "drift" not in cfg:
-        raise ConfigError("missing required block 'drift'")
-    return drift_from_config(cfg["drift"], K)
 
 
 def parse_tail(tail) -> dict[int, float]:

@@ -17,19 +17,6 @@ class RateExplosionError(LwfError):
     """Raised when a simulated chain exceeds the hard state guard."""
 
 
-def reject_unknown(block: dict, allowed, where: str) -> None:
-    """Raise a :class:`ConfigError` naming the keys of a kind block outside ``allowed``."""
-    unknown = set(block) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where} block: {sorted(unknown)}")
-
-
-def bad_block(where: str, exc: Exception) -> ConfigError:
-    """The :class:`ConfigError` of a kind block whose value failed to convert; a ``KeyError`` is a missing key."""
-    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-    return ConfigError(f"bad {where} block: {detail}")
-
-
 def build_kind(kinds: dict, block, where: str, K: int | None = None):
     """Build the object a ``rule``, ``drift`` or ``lambda`` block names by its ``kind``.
 
@@ -44,11 +31,14 @@ def build_kind(kinds: dict, block, where: str, K: int | None = None):
         raise ConfigError(f"unknown {where} kind {kind!r} (expected one of {sorted(kinds)})")
     allowed, builder = kinds[kind]
     params = {k: v for k, v in block.items() if k != "kind"}
-    reject_unknown(params, allowed, where)
+    unknown = set(params) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where} block: {sorted(unknown)}")
     try:
         built = builder(params, K)
     except (KeyError, ValueError, TypeError) as exc:
-        raise bad_block(where, exc) from exc
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"bad {where} block: {detail}") from exc
     if K is not None and built.K != K:
         raise ConfigError(f"{kind} {where} is for K={built.K} but model has K={K}")
     return built

@@ -99,7 +99,7 @@ def _config_word(key: str, value):
     if key == "x0":
         return as_frequencies(value).tolist()
     if key == "pairs":
-        return [pair["name"] for pair in (standard_drift_catalog() if value is None else value)]
+        return [pair["name"] for pair in value]
     if hasattr(value, "to_config"):
         return value.to_config()
     if isinstance(value, Mapping):
@@ -121,6 +121,8 @@ def _experiment(run):
     def experiment(*args, **kwargs) -> ExperimentReport:
         call = signature.bind(*args, **kwargs)
         call.apply_defaults()
+        if call.arguments.get("pairs", ()) is None:  # the drift oracle's default, built once for the run and record
+            call.arguments["pairs"] = standard_drift_catalog()
         sample_sizes, metrics = run(**call.arguments)
         recorded = {k: v for k, v in call.arguments.items() if k not in _UNRECORDED}
         parameters = {"lambda" if k == "measure" else k: _config_word(k, v) for k, v in recorded.items()}
@@ -206,10 +208,10 @@ def run_drift_oracle(
     standard errors, coordinate by coordinate.  Built-in rules have no
     population-size dependence beyond the selection knob, so there is no
     vanishing finite-size gap to track and the size-trend check does not
-    apply (noted per pair).
+    apply (noted per pair).  ``pairs`` defaults to :func:`standard_drift_catalog`.
     """
-    if pairs is None:
-        pairs = standard_drift_catalog()
+    if points < 1 or samples < 1:
+        raise ConfigError(f"drift-oracle runs need points and samples >= 1, got points = {points}, samples = {samples}")
     stream = RngStream(seed)
     xs = [random_interior_points(stream.derive(LANE_POINTS, p_idx).generator(), pair["rule"].K, points, min_coord)
           for p_idx, pair in enumerate(pairs)]
@@ -543,6 +545,8 @@ def run_rps_lyapunov(
     """
     if not abs(delta) < 1.0 / 3.0:
         raise ConfigError(f"rps-lyapunov runs need |delta| < 1/3 for an interior start, got delta = {delta}")
+    if grid_points < 2:
+        raise ConfigError(f"rps-lyapunov runs need grid_points >= 2 to fit a slope, got grid_points = {grid_points}")
     x0 = np.array([1.0 / 3.0 + delta, 1.0 / 3.0, 1.0 / 3.0 - delta])
     stream = RngStream(seed)
     with building("SdeConfig value"):

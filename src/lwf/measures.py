@@ -42,8 +42,8 @@ class LambdaMeasure:
     def total_mass(self) -> float:
         raise NotImplementedError
 
-    def mass_above(self, lo: float) -> float:
-        """Measure of ``[lo, 1]``."""
+    def mass_below(self, hi: float) -> float:
+        """Measure of ``[0, hi)``."""
         raise NotImplementedError
 
     def resampling_mass_above(self, lo: float) -> float:
@@ -94,7 +94,8 @@ class LambdaMeasure:
     # -- config -------------------------------------------------------------
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        """The kind and the dataclass fields of a variant."""
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 def collision_pairs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,8 +156,8 @@ class AtomicMeasure(LambdaMeasure):
     def total_mass(self) -> float:
         return sum((w for _, w in self.atoms()), 0.0)
 
-    def mass_above(self, lo: float) -> float:
-        return sum((w for z, w in self.atoms() if z >= lo), 0.0)
+    def mass_below(self, hi: float) -> float:
+        return sum((w for z, w in self.atoms() if z < hi), 0.0)
 
     def resampling_mass_above(self, lo: float) -> float:
         return sum((w / z**2 for z, w in self.atoms() if z >= lo), 0.0)
@@ -186,9 +187,6 @@ class ZeroMeasure(AtomicMeasure):
 
     kind = "zero"
 
-    def to_config(self) -> dict:
-        return {"kind": "zero"}
-
 
 @dataclass(frozen=True)
 class PointMass(AtomicMeasure):
@@ -207,9 +205,6 @@ class PointMass(AtomicMeasure):
 
     def atoms(self):
         return ((self.z, self.mass),)
-
-    def to_config(self) -> dict:
-        return {"kind": "point_mass", "z": self.z, "mass": self.mass}
 
 
 @dataclass(frozen=True)
@@ -253,8 +248,8 @@ class UniformLaw(LambdaMeasure):
     def total_mass(self) -> float:
         return self.mass
 
-    def mass_above(self, lo: float) -> float:
-        return self.mass * max(1.0 - lo, 0.0)
+    def mass_below(self, hi: float) -> float:
+        return self.mass * min(max(hi, 0.0), 1.0)
 
     def resampling_mass_above(self, lo: float) -> float:
         if lo <= 0:
@@ -283,9 +278,6 @@ class UniformLaw(LambdaMeasure):
         # |log(1-y)|/y**2 ~ 1/y near zero, so the integral diverges at 0.
         return math.inf
 
-    def to_config(self) -> dict:
-        return {"kind": "uniform", "mass": self.mass}
-
 
 @cache
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
@@ -312,10 +304,10 @@ class BetaLaw(LambdaMeasure):
     def total_mass(self) -> float:
         return self.mass
 
-    def mass_above(self, lo: float) -> float:
+    def mass_below(self, hi: float) -> float:
         from scipy import special
 
-        return self.mass * float(special.betainc(self.a, self.b, 1.0) - special.betainc(self.a, self.b, np.clip(lo, 0.0, 1.0)))
+        return self.mass * float(special.betainc(self.a, self.b, np.clip(hi, 0.0, 1.0)))
 
     def resampling_mass_above(self, lo: float) -> float:
         if lo >= 1.0:
@@ -416,9 +408,6 @@ class BetaLaw(LambdaMeasure):
         bracket = (a + b - 2.0) * float(special.digamma(a + b - 1.0) - special.digamma(b)) - 1.0
         return self.mass * (a + b - 1.0) * bracket / ((a - 1.0) * (a - 2.0))
 
-    def to_config(self) -> dict:
-        return {"kind": "beta", "a": self.a, "b": self.b, "mass": self.mass}
-
 
 def _fields_kind(cls):
     """The allowed keys and builder of a variant whose config keys are its float fields."""
@@ -513,7 +502,7 @@ class TruncatedSizeLaw:
     @property
     def truncated_mass(self) -> float:
         """Plain mass ``L([0, eps))`` lost to the truncation (diagnostic)."""
-        return self.measure.total_mass() - self.measure.mass_above(self.eps)
+        return self.measure.mass_below(self.eps)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self._draw is None:

@@ -100,7 +100,7 @@ class ColouringRule:
         return self.closed_form or self.enumerable(k)
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind}
 
 
 class NeutralRule(ColouringRule):
@@ -116,9 +116,6 @@ class NeutralRule(ColouringRule):
     def type_law_batch(self, k, X):
         # Uniform choice among iid parents leaves the type law at X exactly.
         return np.array(X, dtype=float)
-
-    def to_config(self):
-        return {"kind": "neutral"}
 
 
 def _highest_present(counts: np.ndarray) -> np.ndarray:
@@ -144,9 +141,6 @@ class TransitiveRule(ColouringRule):
             law = np.exp(k * np.log1p(u / -(u[:, :1] + X[:, :1])))
         law[:, 1:] -= law[:, :-1]
         return law
-
-    def to_config(self):
-        return {"kind": "transitive"}
 
 
 class TransitiveWithMutationRule(TransitiveRule):
@@ -310,9 +304,6 @@ class NegFreqDepRule(ColouringRule):
         sel = (counts == rarest).astype(float)
         return sel / sel.sum(axis=1, keepdims=True)
 
-    def to_config(self):
-        return {"kind": "neg_freq"}
-
 
 class PosFreqDepRule(ColouringRule):
     """Parent chosen among those with the commonest type in the sample."""
@@ -323,9 +314,6 @@ class PosFreqDepRule(ColouringRule):
         counts = np.asarray(counts)
         sel = (counts == counts.max(axis=1, keepdims=True)).astype(float)
         return sel / sel.sum(axis=1, keepdims=True)
-
-    def to_config(self):
-        return {"kind": "pos_freq"}
 
 
 class BernsteinRule(ColouringRule):
@@ -430,16 +418,14 @@ def _bernstein_from_config(params: dict, K: int) -> BernsteinRule:
 
 # each kind's allowed keys and its builder from those keys and K
 _RULE_KINDS = {
-    "neutral": ((), lambda p, K: NeutralRule(K)),
-    "transitive": ((), lambda p, K: TransitiveRule(K)),
+    **{cls.kind: ((), lambda p, K, cls=cls: cls(K))
+       for cls in (NeutralRule, TransitiveRule, NegFreqDepRule, PosFreqDepRule)},
     "transitive_mutation": (
         ("mutation_prob", "kernel"),
         lambda p, K: TransitiveWithMutationRule(K, float(p["mutation_prob"]), p["kernel"]),
     ),
     "logistic": (("matrix",), lambda p, K: LogisticRule(p["matrix"])),
     "partial_order": (("beats",), lambda p, K: PartialOrderRule(K, beats_from_labels(p["beats"]))),
-    "neg_freq": ((), lambda p, K: NegFreqDepRule(K)),
-    "pos_freq": ((), lambda p, K: PosFreqDepRule(K)),
     "bernstein": (("degree", "table"), _bernstein_from_config),
 }
 

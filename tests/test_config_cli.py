@@ -371,10 +371,11 @@ def test_building_the_beta_sde_config_of_the_benchmark_loads_no_quadrature():
     # Beta(2, 3) has a <= 2, whose event rate above eps_jump is a Gauss-Legendre sum and a positive series
     config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "simulate-sde.json"
     code = (
-        "import json, sys; from lwf.config import parse_drift, parse_measure; from lwf.sde import SdeConfig; "
+        "import json, sys; from lwf.measures import measure_from_config; from lwf.sde import SdeConfig; "
+        "from lwf.selection import drift_from_config; "
         f"cfg = json.load(open({str(config)!r})); m = cfg['model']; "
-        "c = SdeConfig(K=m['K'], drift=parse_drift(cfg, m['K']), measure=parse_measure(cfg), dt=m['dt'], "
-        "horizon=m['horizon'], sigma=m['sigma']); "
+        "c = SdeConfig(K=m['K'], drift=drift_from_config(cfg['drift'], m['K']), "
+        "measure=measure_from_config(cfg['lambda']), dt=m['dt'], horizon=m['horizon'], sigma=m['sigma']); "
         "print(c.measure.to_config()['kind'], c.measure.a, c.size_law.total_rate > 0, 'scipy.integrate' in sys.modules)"
     )
     assert _fresh_process_stdout(code).split() == ["beta", "2.0", "True", "False"]
@@ -930,6 +931,20 @@ MALFORMED = [
      "invalid 'experiment' block: grid_points must be >= 2, got 0"),
     ("rps-lyapunov", lambda p: p["experiment"].update(grid_points=1),
      "invalid 'experiment' block: grid_points must be >= 2, got 1"),
+    # a boolean ran as 1, and a non-finite number ran (NaN noise integrated as none) or never stopped
+    ("simulate-sde", lambda p: p["model"].update(sigma=True),
+     "invalid 'model' block: sigma must be a number, got True"),
+    ("fixation", lambda p: p["experiment"].update(replicates=True),
+     "invalid 'experiment' block: replicates must be an integer, got True"),
+    ("simulate-sde", lambda p: p["model"].update(sigma=float("nan")),
+     "config value model.sigma must be a finite number, got nan"),
+    ("ancestral", lambda p: p["model"].update(horizon=float("inf")),
+     "config value model.horizon must be a finite number, got inf"),
+    ("simulate-discrete", lambda p: p["model"].update(x0=[0.2, -float("inf"), 0.5]),
+     "config value model.x0[1] must be a finite number, got -inf"),
+    ("simulate-sde", lambda p: p["drift"].update(kappa=float("nan")),
+     "config value drift.kappa must be a finite number, got nan"),
+    ("duality", lambda p: p["model"].update(dt="nan"), "invalid 'model' block: dt must be a finite number, got 'nan'"),
 ]
 
 
@@ -950,6 +965,44 @@ def test_drift_oracle_rejects_replicates_from_the_config_and_the_flag(tmp_path, 
     assert (code, err) == (2, "error: --replicates is not used by 'drift-oracle'\n")
 
 
+def test_an_overflowing_number_literal_is_refused_naming_its_path(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(PAYLOADS["simulate-sde"]).replace('"sigma": 1.0', '"sigma": 1e999'))
+    code = main(["simulate-sde", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert (code, capsys.readouterr().err) == (2, "error: config value model.sigma must be a finite number, got inf\n")
+
+
+# the top-level blocks each subcommand does not read, in the order of TOP_LEVEL_BLOCKS
+UNREAD = {
+    "simulate-discrete": ["drift"],
+    "simulate-sde": ["rule", "schedule"],
+    "ancestral": ["rule", "drift"],
+    "convergence": [],
+    "fixation": ["rule", "drift"],
+    "duality": ["rule", "drift"],
+    "rps-lyapunov": ["rule", "drift", "schedule"],
+    "successive-extinction": ["rule", "lambda", "schedule"],
+    "drift-oracle": ["model", "rule", "drift", "lambda", "schedule"],
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand,block", [(subcommand, block) for subcommand, blocks in UNREAD.items() for block in blocks]
+)
+def test_a_block_the_subcommand_does_not_read_exits_2(tmp_path, capsys, subcommand, block):
+    code, err = _exit_and_stderr(tmp_path, capsys, subcommand, _edited(subcommand, _added(block, {})))
+    assert (code, err) == (2, f"error: blocks [{block!r}] are not used by {subcommand!r}\n")
+
+
+def test_one_message_names_every_unread_block_in_order(tmp_path, capsys):
+    assert set(UNREAD) == set(cli.COMMANDS)
+    for subcommand, blocks in UNREAD.items():
+        if blocks:
+            payload = _edited(subcommand, lambda p: p.update(dict.fromkeys(blocks, {})))
+            code, err = _exit_and_stderr(tmp_path, capsys, subcommand, payload)
+            assert (code, err) == (2, f"error: blocks {blocks} are not used by {subcommand!r}\n")
+
+
 EXPERIMENT_ROWS = [name for name, command in cli.COMMANDS.items() if command.run.__module__ == "lwf.experiments"]
 
 
@@ -962,8 +1015,7 @@ def test_the_table_and_the_run_signatures_agree(subcommand):
     # K only checks x0; the rule, drift and lambda blocks are parsed whole
     reached = {"increments" if key == "tail" and "increments" in params else key for key in keys - {"K"}}
     reached |= {"seed", "replicates"} & params
-    reached |= {kwarg for block, kwarg in (("rule", "rule"), ("drift", "drift"), ("lambda", "measure"))
-                if block not in command.forbid}
+    reached |= set(cli.KIND_BLOCKS) & params
     assert reached <= params
     assert params - {"seed", "threads", "pairs"} <= reached
 

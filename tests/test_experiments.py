@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lwf import cli
+from lwf import cli, experiments
 from lwf.errors import ConfigError
 from lwf.experiments import (
     run_convergence,
@@ -119,6 +119,30 @@ def test_lyapunov_groups_with_no_survivor_are_dropped_without_a_warning():
 def test_lyapunov_refuses_a_start_outside_the_simplex():
     with pytest.raises(ConfigError, match=r"^rps-lyapunov runs need \|delta\| < 1/3 .*, got delta = -0\.4$"):
         run_rps_lyapunov(sigma=1.0, measure=ZeroMeasure(), delta=-0.4, replicates=2)
+
+
+@pytest.mark.parametrize(
+    "run,message",
+    [
+        (lambda: run_drift_oracle(points=0), r"points and samples >= 1, got points = 0, samples = 1000000$"),
+        (lambda: run_drift_oracle(points=2, samples=0), r"points and samples >= 1, got points = 2, samples = 0$"),
+        (lambda: run_rps_lyapunov(sigma=1.0, measure=ZeroMeasure(), delta=0.05, grid_points=1, replicates=2),
+         r"grid_points >= 2 to fit a slope, got grid_points = 1$"),
+    ],
+    ids=["oracle-points", "oracle-samples", "lyapunov-grid"],
+)
+def test_runs_refuse_the_values_the_cli_refuses(run, message):
+    with pytest.raises(ConfigError, match=message):
+        run()
+
+
+def test_drift_oracle_builds_the_default_catalogue_once_per_call(monkeypatch):
+    built = []
+    catalogue = experiments.standard_drift_catalog
+    monkeypatch.setattr(experiments, "standard_drift_catalog", lambda: built.append(1) or catalogue())
+    report = run_drift_oracle(points=1, samples=200, seed=1)
+    assert len(built) == 1
+    assert report.parameters["pairs"] == [pair["name"] for pair in catalogue()]
 
 
 def test_report_structure_carries_tolerance_provenance():

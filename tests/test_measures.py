@@ -392,9 +392,16 @@ def test_a_point_mass_is_a_one_atom_measure_bit_for_bit(z, mass):
                 assert _state(rng) == _state(ref)
 
 
+def test_beta_truncated_mass_is_the_lower_tail_without_cancellation():
+    # the Beta(3, 2) distribution function is 4 x**3 - 3 x**4; total mass minus the upper tail kept 5 digits here
+    eps = 1e-4
+    law = TruncatedSizeLaw(BetaLaw(3.0, 2.0, 2.5), eps)
+    assert law.truncated_mass == pytest.approx(2.5 * (4.0 * eps**3 - 3.0 * eps**4), rel=1e-12, abs=0.0)
+
+
 def test_every_zero_measure_quantity_is_the_float_zero():
     zero = ZeroMeasure()
-    values = [zero.total_mass(), zero.mass_above(0.0), zero.resampling_mass_above(0.1), zero.log_penalty()]
+    values = [zero.total_mass(), zero.mass_below(1.0), zero.resampling_mass_above(0.1), zero.log_penalty()]
     assert all(type(v) is float and v == 0.0 for v in values), values
     assert TruncatedSizeLaw(zero, 0.1).total_rate == 0.0 and TruncatedSizeLaw(zero, 0.1).truncated_mass == 0.0
     for n in (2, 64):

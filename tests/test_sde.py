@@ -511,7 +511,7 @@ def test_jump_duality_against_chain_matrix_exponential():
 def _generator_value(drift, sigma, measure, x, f_kind, i, j=None):
     """Closed-form generator action on f = x_i or f = x_i x_j."""
     mu = drift(x)
-    mass = measure.mass_above(0.0)
+    mass = measure.total_mass()
     if f_kind == "linear":
         return mu[i]  # diffusion and jumps are mean-zero for linear f
     if i == j:
