@@ -17,9 +17,7 @@ from .ancestral import (
 from .bernstein import PolynomialMap, bernstein_table
 from .core import (
     OffspringLaw,
-    ScalingSchedule,
     as_frequencies,
-    make_schedule,
     random_interior_points,
     round_to_counts,
 )

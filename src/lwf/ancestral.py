@@ -55,8 +55,8 @@ class AncestralModel:
     n_cap: int = N_CAP
 
     def __init__(self, kappa, sigma, increments, measure=None, n_cap=N_CAP):
-        if kappa < 0 or sigma < 0:
-            raise ValueError("kappa and sigma must be nonnegative")
+        if not (0.0 <= kappa < math.inf and 0.0 <= sigma < math.inf):
+            raise ValueError(f"kappa and sigma must be nonnegative and finite, got {kappa} and {sigma}")
         if not 2 * N_START <= n_cap <= N_CAP:
             raise ValueError(f"n_cap must lie in [{2 * N_START}, {N_CAP}], got {n_cap}")
         items = integer_law(increments, 1, "increments") if increments or kappa > 0 else ()  # kappa = 0 needs no law

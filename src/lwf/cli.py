@@ -40,7 +40,7 @@ import numpy as np
 from . import experiments as xp
 from .ancestral import AncestralModel, simulate_ancestral, stationary_law
 from .config import TOP_LEVEL_BLOCKS, ConfigError, building, load_config, parse_tail, take_block
-from .core import as_frequencies, make_schedule
+from .core import as_frequencies, is_number
 from .discrete import DiscreteModel, simulate_discrete
 from .errors import LwfError
 from .measures import ZeroMeasure, measure_from_config
@@ -51,6 +51,7 @@ from .selection import drift_from_config
 from .trajectory import write_ancestral_csv, write_trajectories_csv
 
 # A converter raises ValueError("must be ...") for a bad value; _kwargs names the block and the key.
+# A number is a JSON number (core.is_number): a boolean or a quoted number is refused.
 
 
 def _number(value) -> float:
@@ -58,21 +59,17 @@ def _number(value) -> float:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or isinstance(value, bool):
-        raise ValueError("must be a number")
-    if not np.isfinite(number):
+    if number is not None and not np.isfinite(number):  # a quoted "nan" is named as such
         raise ValueError("must be a finite number")
+    if number is None or not is_number(value):
+        raise ValueError("must be a number")
     return number
 
 
 def _integer(value, minimum: int | None = None) -> int:
-    try:
-        integral = not isinstance(value, bool) and (isinstance(value, int) or float(value).is_integer())
-    except (TypeError, ValueError):
-        integral = False
-    if not integral:
+    if not is_number(value) or not (isinstance(value, int) or float(value).is_integer()):
         raise ValueError("must be an integer")
-    value = int(value) if isinstance(value, int) else int(float(value))
+    value = int(value)
     if minimum is not None and value < minimum:
         raise ValueError(f"must be >= {minimum}")
     return value
@@ -118,7 +115,7 @@ def _simulate_discrete(
 ):
     """``knobs`` are the schedule's ``alpha``, ``kappa``, ``sigma`` and ``b``."""
     with building("'schedule' block"):
-        model = DiscreteModel.from_schedule(make_schedule(N, measure=measure, tail=tail, **knobs), rule)
+        model = DiscreteModel.from_schedule(rule, N, measure=measure, tail=tail, **knobs)
     records = range(0, generations + 1, record_every)
     states = simulate_discrete(model, x0, replicates, records, RngStream(seed), threads)
     write_trajectories_csv(out / "trajectories.csv", records, states)

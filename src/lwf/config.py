@@ -13,7 +13,7 @@ import math
 from contextlib import contextmanager
 
 from .core import integer_law
-from .errors import ConfigError
+from .errors import ConfigError, leaves
 
 TOP_LEVEL_BLOCKS = ("model", "rule", "drift", "lambda", "schedule", "experiment")
 
@@ -32,17 +32,10 @@ def load_config(path) -> dict:
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)} (allowed: {list(TOP_LEVEL_BLOCKS)})")
     for block, value in cfg.items():
-        _refuse_non_finite(value, block)
+        for path, leaf in leaves(value, block):  # NaN, Infinity and overflowing literals
+            if isinstance(leaf, float) and not math.isfinite(leaf):
+                raise ConfigError(f"config value {path} must be a finite number, got {leaf}")
     return cfg
-
-
-def _refuse_non_finite(value, path: str) -> None:
-    """Raise a :class:`ConfigError` naming the first ``NaN``, ``Infinity`` or overflowing number under ``value``."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"config value {path} must be a finite number, got {value}")
-    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
-    for key, item in items:
-        _refuse_non_finite(item, f"{path}.{key}" if isinstance(value, dict) else f"{path}[{key}]")
 
 
 def take_block(cfg: dict, name: str, allowed: tuple, required: tuple = (), *, optional: bool = False) -> dict:

@@ -1,4 +1,4 @@
-"""Shared domain types: frequency vectors, offspring laws, scaling schedules.
+"""Shared domain types: frequency vectors, JSON numbers, offspring laws.
 
 The state of every process in this package is a point on the face
 ``x_1 + ... + x_K = 1`` of the K-simplex: the vector of type frequencies.
@@ -7,15 +7,12 @@ The state of every process in this package is a point on the face
 from __future__ import annotations
 
 import math
+import numbers
 import operator
-import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ScheduleError
-from .measures import LambdaMeasure, TruncatedSizeLaw
 
 SIMPLEX_TOL = 1e-12
 
@@ -74,6 +71,11 @@ def random_interior_points(rng: np.random.Generator, K: int, n: int, min_coord: 
     return out
 
 
+def is_number(value) -> bool:
+    """The one rule for a number read from a config: an int or a float, not a ``bool`` or a ``str``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # Offspring law
 # ---------------------------------------------------------------------------
@@ -85,10 +87,10 @@ def integer_law(law, floor: int, name: str) -> tuple[tuple[int, float], ...]:
     """The one rule for the law of a sample size k (``floor`` 2) or of its k - 1 extra parents (``floor`` 1).
 
     Every key of the mapping ``law``, zero-weight ones too, is an integer (or
-    its decimal string) >= ``floor``, every weight a nonnegative number, and
-    the positive weights sum to 1 within 1e-9.  Returns those in key order,
-    divided by their sum.  A ValueError names ``name``, the key as written
-    and the rule it breaks.
+    its decimal string) >= ``floor``, every weight a nonnegative number
+    (:func:`is_number`), and the positive weights sum to 1 within 1e-9.
+    Returns those in key order, divided by their sum.  A ValueError names
+    ``name``, the key as written and the rule it breaks.
     """
     article, noun = _KEYS[floor]
     if not isinstance(law, Mapping):
@@ -104,8 +106,8 @@ def integer_law(law, floor: int, name: str) -> tuple[tuple[int, float], ...]:
         if k in weights:
             raise ValueError(f"{name} key {key!r} repeats the key {k}")
         try:
-            weights[k] = w = float(value)
-        except (TypeError, ValueError, OverflowError):
+            weights[k] = w = float(value) if is_number(value) else math.nan
+        except OverflowError:
             w = math.nan
         if not w >= 0:
             raise ValueError(f"{name} key {key!r} has a negative weight, {w}" if w < 0
@@ -134,102 +136,3 @@ class OffspringLaw:
             raise ValueError(f"rho must lie in [0, 1], got {rho}")
         object.__setattr__(self, "rho", float(rho))
         object.__setattr__(self, "tail", integer_law(tail, 2, "tail"))
-
-
-# ---------------------------------------------------------------------------
-# Scaling schedule
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalingSchedule:
-    """All N-dependent parameters of one finite-population model.
-
-    ``rho`` couples selection to N (``kappa/(sigma*N)`` when a diffusion part
-    is wanted, ``N**-b`` with ``2*alpha < b < 1`` otherwise), ``gamma`` is the
-    per-generation probability of an extreme reproductive event, and
-    ``size_law`` is the normalized truncation of ``L(dz)/z**2`` at
-    ``N**-alpha`` used to draw event sizes.
-    """
-
-    N: int
-    alpha: float
-    kappa: float
-    sigma: float
-    measure: LambdaMeasure
-    offspring: OffspringLaw
-    b: float | None
-    rho: float
-    gamma: float
-    clamped: bool
-    size_law: TruncatedSizeLaw = field(repr=False)
-
-
-def make_schedule(
-    N: int,
-    alpha: float,
-    kappa: float,
-    sigma: float,
-    measure: LambdaMeasure,
-    tail,
-    *,
-    b: float | None = None,
-) -> ScalingSchedule:
-    """Build the N-dependent parameters for a finite-population run.
-
-    Raises :class:`ScheduleError` when no admissible ``rho`` keeps the event
-    probability at most 1 ("N too small for this measure"); merely clamps
-    (with a flag and a warning) when the supplied exponent overshoots but a
-    larger admissible one would work.
-    """
-    if N < 2:
-        raise ScheduleError(f"population size must be >= 2, got {N}")
-    if not 0.0 < alpha < 0.5:
-        raise ScheduleError(f"alpha must lie in (0, 1/2), got {alpha}")
-    if kappa <= 0:
-        raise ScheduleError(f"kappa must be positive, got {kappa}")
-    if sigma < 0:
-        raise ScheduleError(f"sigma must be nonnegative, got {sigma}")
-
-    if sigma > 0:
-        if b is not None:
-            raise ScheduleError("exponent b only applies when sigma = 0")
-        rho = kappa / (sigma * N)
-        if rho > 1.0:
-            raise ScheduleError(f"kappa/(sigma*N) = {rho} > 1: N too small for this kappa/sigma")
-    else:
-        if b is None:
-            b = (2.0 * alpha + 1.0) / 2.0
-        if not 2.0 * alpha < b < 1.0:
-            raise ScheduleError(f"need 2*alpha < b < 1, got b={b} with alpha={alpha}")
-        rho = N ** (-b)
-
-    size_law = TruncatedSizeLaw(measure, N ** (-alpha))
-    gamma = size_law.total_rate * rho / kappa
-    clamped = False
-    if gamma > 1.0:
-        if size_law.total_rate / (N * kappa) > 1.0 or sigma > 0:
-            raise ScheduleError(
-                f"event probability {gamma:.3g} > 1 at the smallest admissible rho: N too small for this measure"
-            )
-        warnings.warn(
-            f"event probability clamped from {gamma:.3g} to 1; results will not follow the scaling regime",
-            stacklevel=2,
-        )
-        gamma = 1.0
-        clamped = True
-
-    offspring = OffspringLaw(rho, tail)
-    return ScalingSchedule(
-        N=int(N),
-        alpha=float(alpha),
-        kappa=float(kappa),
-        sigma=float(sigma),
-        measure=measure,
-        offspring=offspring,
-        b=None if sigma > 0 else float(b),
-        rho=float(rho),
-        gamma=float(gamma),
-        clamped=clamped,
-        size_law=size_law,
-    )

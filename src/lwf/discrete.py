@@ -16,14 +16,18 @@ pick uniform parents.
 
 from __future__ import annotations
 
+import math
+import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .batches import LANE_DISCRETE, map_batches
 from .combinat import composition_pmf, compositions
-from .core import OffspringLaw, ScalingSchedule, _categorical, as_frequencies, integer_law, round_to_counts
-from .measures import TruncatedSizeLaw
+from .core import OffspringLaw, _categorical, as_frequencies, integer_law, round_to_counts
+from .errors import ScheduleError
+from .measures import LambdaMeasure, TruncatedSizeLaw
 from .rng import RngStream
 from .rules import ColouringRule
 
@@ -53,14 +57,47 @@ class DiscreteModel:
         object.__setattr__(self, "_draw", (pooled, tuple(split), mass))
 
     @classmethod
-    def from_schedule(cls, schedule: ScalingSchedule, rule: ColouringRule) -> "DiscreteModel":
-        return cls(
-            N=schedule.N,
-            rule=rule,
-            offspring=schedule.offspring,
-            gamma=schedule.gamma,
-            size_law=schedule.size_law,
-        )
+    def from_schedule(cls, rule: ColouringRule, N: int, alpha: float, kappa: float, sigma: float,
+                      measure: LambdaMeasure, tail, *, b: float | None = None) -> "DiscreteModel":
+        """The model of ``N`` individuals under ``rule`` with the N-dependent parameters of the scaling limit.
+
+        ``rho`` couples selection to N (``kappa/(sigma*N)`` when a diffusion part is wanted, ``N**-b`` with
+        ``2*alpha < b < 1``, by default the midpoint, otherwise), ``gamma`` is the per-generation probability of an
+        extreme reproductive event, and ``size_law`` the normalized truncation of ``L(dz)/z**2`` at ``N**-alpha``.
+        Raises :class:`ScheduleError` when no admissible ``rho`` keeps ``gamma`` at most 1 ("N too small for this
+        measure"); merely clamps ``gamma`` to 1, with a warning, when a larger admissible ``b`` would work.
+        """
+        N = operator.index(N)
+        if N < 2:
+            raise ScheduleError(f"population size must be >= 2, got {N}")
+        if not 0.0 < alpha < 0.5:
+            raise ScheduleError(f"alpha must lie in (0, 1/2), got {alpha}")
+        if not 0.0 < kappa < math.inf:
+            raise ScheduleError(f"kappa must be positive and finite, got {kappa}")
+        if not 0.0 <= sigma < math.inf:
+            raise ScheduleError(f"sigma must be nonnegative and finite, got {sigma}")
+        if sigma > 0:
+            if b is not None:
+                raise ScheduleError("exponent b only applies when sigma = 0")
+            rho = kappa / (sigma * N)
+            if rho > 1.0:
+                raise ScheduleError(f"kappa/(sigma*N) = {rho} > 1: N too small for this kappa/sigma")
+        else:
+            if b is None:
+                b = (2.0 * alpha + 1.0) / 2.0
+            if not 2.0 * alpha < b < 1.0:
+                raise ScheduleError(f"need 2*alpha < b < 1, got b={b} with alpha={alpha}")
+            rho = N ** (-b)
+        size_law = TruncatedSizeLaw(measure, N ** (-alpha))
+        gamma = size_law.total_rate * rho / kappa
+        if gamma > 1.0:
+            if size_law.total_rate / (N * kappa) > 1.0 or sigma > 0:
+                raise ScheduleError(f"event probability {gamma:.3g} > 1 at the smallest admissible rho: "
+                                    "N too small for this measure")
+            warnings.warn(f"event probability clamped from {gamma:.3g} to 1; results will not follow the scaling "
+                          "regime", stacklevel=2)
+            gamma = 1.0
+        return cls(N, rule, OffspringLaw(rho, tail), float(gamma), size_law)
 
 
 def step_generation_batch(model: DiscreteModel, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:

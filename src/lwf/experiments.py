@@ -25,7 +25,7 @@ import numpy as np
 from .ancestral import STATIONARY_TOL, AncestralModel, dual_moment, fixation_probabilities
 from .batches import LANE_DRIFT, LANE_POINTS, pmap
 from .config import building
-from .core import as_frequencies, make_schedule, random_interior_points
+from .core import as_frequencies, random_interior_points
 from .discrete import DiscreteModel, empirical_drift, simulate_discrete
 from .errors import ConfigError
 from .measures import LambdaMeasure, ZeroMeasure
@@ -295,11 +295,9 @@ def run_convergence(
     ks_by_N = []
     generations_by_N = []
     for idx, N in enumerate(N_grid):
-        with building("make_schedule value"):
-            schedule = make_schedule(int(N), alpha, kappa, sigma, measure, tail)
         with building("DiscreteModel.from_schedule value"):
-            model = DiscreteModel.from_schedule(schedule, rule)
-        generations = int(math.floor(kappa * T / schedule.rho))
+            model = DiscreteModel.from_schedule(rule, N, alpha, kappa, sigma, measure, tail)
+        generations = int(math.floor(kappa * T / model.offspring.rho))
         finals = simulate_discrete(model, x0, replicates, [generations], stream.derive(1 + idx), threads)[0]
         ks_by_N.append([_ks_distance(finals[:, i], sde_final[:, i]) for i in range(x0.size)])
         generations_by_N.append(generations)

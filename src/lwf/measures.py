@@ -200,8 +200,8 @@ class PointMass(AtomicMeasure):
     def __post_init__(self):
         if not 0.0 < self.z <= 1.0:
             raise ValueError(f"atom must lie in (0, 1], got {self.z}")
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
     def atoms(self):
         return ((self.z, self.mass),)
@@ -222,8 +222,8 @@ class FiniteAtoms(AtomicMeasure):
         for z, w in pairs:
             if not 0.0 < z <= 1.0:
                 raise ValueError(f"atom must lie in (0, 1], got {z}")
-            if w <= 0:
-                raise ValueError("atom weights must be positive")
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"atom weights must be positive and finite, got {w}")
         object.__setattr__(self, "pairs", pairs)
 
     def atoms(self):
@@ -242,8 +242,8 @@ class UniformLaw(LambdaMeasure):
     kind = "uniform"
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
     def total_mass(self) -> float:
         return self.mass
@@ -296,10 +296,10 @@ class BetaLaw(LambdaMeasure):
     kind = "beta"
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("Beta shape parameters must be positive")
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise ValueError(f"Beta shape parameters must be positive and finite, got a={self.a}, b={self.b}")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
     def total_mass(self) -> float:
         return self.mass

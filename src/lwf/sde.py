@@ -103,16 +103,16 @@ class SdeConfig:
     def __post_init__(self):
         if self.K < 2:
             raise ValueError("need at least two types")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be >= 0 and finite, got {self.sigma}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be > 0 and finite, got {self.dt}")
+        if not 0.0 <= self.horizon < math.inf:
+            raise ValueError(f"horizon must be >= 0 and finite, got {self.horizon}")
         if not 0.0 < self.eps_jump < 1.0:
             raise ValueError("eps_jump must lie in (0, 1)")
-        if self.tol_ext < 0:
-            raise ValueError("tol_ext must be nonnegative")
+        if not 0.0 <= self.tol_ext < math.inf:
+            raise ValueError(f"tol_ext must be nonnegative and finite, got {self.tol_ext}")
         if self.drift is None:
             self.drift = lambda x: np.zeros_like(np.asarray(x, dtype=float))
         if self.measure is None:

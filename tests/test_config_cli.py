@@ -945,6 +945,27 @@ MALFORMED = [
     ("simulate-sde", lambda p: p["drift"].update(kappa=float("nan")),
      "config value drift.kappa must be a finite number, got nan"),
     ("duality", lambda p: p["model"].update(dt="nan"), "invalid 'model' block: dt must be a finite number, got 'nan'"),
+    # a boolean or a quoted number ran as a number: a config number is a JSON number, in a key block, a kind block
+    # (nested ones too) and a tail
+    ("simulate-sde", lambda p: p["model"].update(dt="0.01"), "invalid 'model' block: dt must be a number, got '0.01'"),
+    ("simulate-discrete", lambda p: p["model"].update(N="20"), "invalid 'model' block: N must be an integer, got '20'"),
+    ("simulate-sde", _added("lambda", {"kind": "point_mass", "z": 0.5, "mass": True}),
+     "bad lambda block: mass must be a number, got True"),
+    ("simulate-sde", _added("lambda", {"kind": "beta", "a": "2", "b": 3}),
+     "bad lambda block: a must be a number, got '2'"),
+    ("simulate-sde", _added("lambda", {"kind": "finite_atoms", "atoms": [[0.5, True]]}),
+     "bad lambda block: atoms[0][1] must be a number, got True"),
+    ("simulate-sde", _added("drift", {"kind": "rps", "kappa": True}),
+     "bad drift block: kappa must be a number, got True"),
+    ("simulate-sde", _added("drift", {"kind": "transitive", "kappa": 1, "increments": {"1": None}}),
+     "bad drift block: increments.1 must be a number, got None"),
+    ("simulate-discrete", _added("rule", {"kind": "transitive_mutation", "mutation_prob": True,
+                                          "kernel": np.eye(3).tolist()}),
+     "bad rule block: mutation_prob must be a number, got True"),
+    ("simulate-discrete", _added("rule", {"kind": "logistic", "matrix": [[0.5, "0.7"], [0.3, 0.5]]}),
+     "bad rule block: matrix[0][1] must be a number, got '0.7'"),
+    ("simulate-discrete", lambda p: p["schedule"].update(tail={"2": True}),
+     "invalid 'schedule' block: schedule.tail key '2' has a weight that is not a number, True"),
 ]
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,15 +8,15 @@ from lwf.core import (
     OffspringLaw,
     _categorical,
     as_frequencies,
-    make_schedule,
     random_interior_points,
     round_to_counts,
 )
 from lwf.discrete import DiscreteModel
 from lwf.errors import ScheduleError
-from lwf.measures import PointMass, ZeroMeasure
+from lwf.measures import BetaLaw, FiniteAtoms, PointMass, TruncatedSizeLaw, UniformLaw, ZeroMeasure
 from lwf.rng import RngStream
 from lwf.rules import NeutralRule
+from lwf.sde import SdeConfig
 
 
 def test_simplex_point_invariants():
@@ -71,53 +73,120 @@ def test_offspring_law_rejects_a_negative_weight_before_dropping_zeros():
     assert OffspringLaw(0.5, {2: 1.0, 3: 0.0}).tail == ((2, 1.0),)
 
 
-def test_make_schedule_no_events():
-    s = make_schedule(10**4, 0.25, 1.0, 1.0, ZeroMeasure(), {2: 1.0})
-    assert s.rho == pytest.approx(1e-4)
-    assert s.gamma == 0.0
-    assert s.size_law.total_rate == 0.0
+def test_from_schedule_no_events():
+    model = DiscreteModel.from_schedule(NeutralRule(2), 10**4, 0.25, 1.0, 1.0, ZeroMeasure(), {2: 1.0})
+    assert model.offspring.rho == pytest.approx(1e-4)
+    assert model.gamma == 0.0
+    assert model.size_law.total_rate == 0.0
 
 
-def test_make_schedule_point_mass_example():
-    s = make_schedule(10**4, 0.25, 1.0, 1.0, PointMass(0.5, 1.0), {2: 1.0})
-    assert s.rho == pytest.approx(1e-4)
-    assert s.size_law.eps == pytest.approx(0.1)
-    assert s.size_law.total_rate == pytest.approx(4.0)  # 1 / 0.5**2, atom above the cutoff
-    assert s.gamma == pytest.approx(4e-4)
-    assert not s.clamped
+def test_from_schedule_point_mass_example():
+    model = DiscreteModel.from_schedule(NeutralRule(2), 10**4, 0.25, 1.0, 1.0, PointMass(0.5, 1.0), {2: 1.0})
+    assert model.offspring.rho == pytest.approx(1e-4)
+    assert model.size_law.eps == pytest.approx(0.1)
+    assert model.size_law.total_rate == pytest.approx(4.0)  # 1 / 0.5**2, atom above the cutoff
+    assert model.gamma == pytest.approx(4e-4)
 
 
-def test_make_schedule_pure_jump_exponent_rule():
-    s = make_schedule(100, 0.25, 1.0, 0.0, ZeroMeasure(), {2: 1.0}, b=0.75)
-    assert s.rho == pytest.approx(100 ** -0.75)
+def _rho(N, **kw):
+    return DiscreteModel.from_schedule(NeutralRule(2), N, 0.25, 1.0, 0.0, ZeroMeasure(), {2: 1.0}, **kw).offspring.rho
+
+
+def test_from_schedule_pure_jump_exponent_rule():
+    assert _rho(100, b=0.75) == pytest.approx(100 ** -0.75)
     # admissibility along a growing grid: N*rho -> infinity, rho*N^(2 alpha) -> 0
     grid = [10**2, 10**3, 10**4, 10**5]
-    n_rho = [N * make_schedule(N, 0.25, 1.0, 0.0, ZeroMeasure(), {2: 1.0}, b=0.75).rho for N in grid]
-    shrink = [make_schedule(N, 0.25, 1.0, 0.0, ZeroMeasure(), {2: 1.0}, b=0.75).rho * N**0.5 for N in grid]
+    n_rho = [N * _rho(N, b=0.75) for N in grid]
+    shrink = [_rho(N, b=0.75) * N**0.5 for N in grid]
     assert all(a < b for a, b in zip(n_rho, n_rho[1:]))
     assert all(a > b for a, b in zip(shrink, shrink[1:]))
     # default exponent sits in the middle of the admissible band
-    assert make_schedule(100, 0.25, 1.0, 0.0, ZeroMeasure(), {2: 1.0}).b == pytest.approx(0.75)
+    assert _rho(100) == 100 ** -0.75
 
 
-def test_make_schedule_rejects_infeasible():
+def test_from_schedule_rejects_infeasible():
+    rule = NeutralRule(2)
     with pytest.raises(ScheduleError):
-        make_schedule(1, 0.25, 1.0, 1.0, ZeroMeasure(), {2: 1.0})
+        DiscreteModel.from_schedule(rule, 1, 0.25, 1.0, 1.0, ZeroMeasure(), {2: 1.0})
     with pytest.raises(ScheduleError):
-        make_schedule(100, 0.7, 1.0, 1.0, ZeroMeasure(), {2: 1.0})
+        DiscreteModel.from_schedule(rule, 100, 0.7, 1.0, 1.0, ZeroMeasure(), {2: 1.0})
     with pytest.raises(ScheduleError):
-        make_schedule(100, 0.25, 1.0, 0.0, ZeroMeasure(), {2: 1.0}, b=0.4)
+        DiscreteModel.from_schedule(rule, 100, 0.25, 1.0, 0.0, ZeroMeasure(), {2: 1.0}, b=0.4)
     # sigma > 0 pins rho, so an oversized event mass cannot be repaired
     with pytest.raises(ScheduleError):
-        make_schedule(10, 0.49, 0.001, 1.0, PointMass(0.9, 100.0), {2: 1.0})
+        DiscreteModel.from_schedule(rule, 10, 0.49, 0.001, 1.0, PointMass(0.9, 100.0), {2: 1.0})
 
 
-def test_make_schedule_clamps_when_smaller_rho_exists():
+def test_from_schedule_clamps_when_smaller_rho_exists():
     # sigma = 0 with an aggressive exponent: a larger admissible b would fix
-    # the overshoot, so the schedule clamps and flags instead of failing.
+    # the overshoot, so the constructor clamps and warns instead of failing.
     with pytest.warns(UserWarning):
-        s = make_schedule(1000, 0.05, 0.1, 0.0, PointMass(0.9, 2.0), {2: 1.0}, b=0.2)
-    assert s.clamped and s.gamma == 1.0
+        model = DiscreteModel.from_schedule(NeutralRule(2), 1000, 0.05, 0.1, 0.0, PointMass(0.9, 2.0), {2: 1.0}, b=0.2)
+    assert model.gamma == 1.0
+
+
+@pytest.mark.parametrize(
+    "sigma,rho", [(2.0, 0.5 / (2.0 * 1000)), (0.0, 1000 ** -0.75)], ids=["diffusion", "pure-jump-default-b"]
+)
+def test_from_schedule_equals_the_hand_built_model(sigma, rho):
+    rule, measure = NeutralRule(3), PointMass(0.5, 1.0)
+    model = DiscreteModel.from_schedule(rule, 1000, 0.25, 0.5, sigma, measure, {2: 0.5, 3: 0.5})
+    size_law = TruncatedSizeLaw(measure, 1000 ** -0.25)
+    hand = DiscreteModel(1000, rule, OffspringLaw(rho, {2: 0.5, 3: 0.5}), size_law.total_rate * rho / 0.5, size_law)
+    assert type(model.N) is int and model.N == hand.N
+    assert model.rule is hand.rule
+    assert model.offspring == hand.offspring
+    assert model.gamma == hand.gamma
+    assert (model.size_law.measure, model.size_law.eps, model.size_law.total_rate) == (
+        hand.size_law.measure, hand.size_law.eps, hand.size_law.total_rate
+    )
+
+
+def test_from_schedule_takes_an_integer_population_size():
+    with pytest.raises(TypeError):
+        DiscreteModel.from_schedule(NeutralRule(2), 100.5, 0.25, 1.0, 1.0, ZeroMeasure(), {2: 1.0})
+    assert DiscreteModel.from_schedule(NeutralRule(2), np.int64(100), 0.25, 1.0, 1.0, ZeroMeasure(), {2: 1.0}).N == 100
+
+
+def _schedule(alpha=0.25, kappa=1.0, sigma=1.0, **b):
+    return DiscreteModel.from_schedule(NeutralRule(2), 1000, alpha, kappa, sigma, ZeroMeasure(), {2: 1.0}, **b)
+
+
+def _sde(sigma=1.0, dt=0.01, horizon=1.0, eps_jump=1e-3, tol_ext=0.0):
+    return SdeConfig(K=2, drift=None, sigma=sigma, measure=None, dt=dt, horizon=horizon, eps_jump=eps_jump,
+                     tol_ext=tol_ext)
+
+
+# each constructor and parameter, built with the parameter set to a value
+DOMAINS = {
+    "from_schedule-alpha": lambda v: _schedule(alpha=v),
+    "from_schedule-kappa": lambda v: _schedule(kappa=v),
+    "from_schedule-sigma": lambda v: _schedule(sigma=v),
+    "from_schedule-b": lambda v: _schedule(alpha=0.1, sigma=0.0, b=v),
+    "SdeConfig-sigma": lambda v: _sde(sigma=v),
+    "SdeConfig-dt": lambda v: _sde(dt=v),
+    "SdeConfig-horizon": lambda v: _sde(horizon=v),
+    "SdeConfig-eps_jump": lambda v: _sde(eps_jump=v),
+    "SdeConfig-tol_ext": lambda v: _sde(tol_ext=v),
+    "AncestralModel-kappa": lambda v: AncestralModel(kappa=v, sigma=1.0, increments={1: 1.0}),
+    "AncestralModel-sigma": lambda v: AncestralModel(kappa=1.0, sigma=v, increments={1: 1.0}),
+    "PointMass-z": lambda v: PointMass(v, 1.0),
+    "PointMass-mass": lambda v: PointMass(0.5, v),
+    "FiniteAtoms-z": lambda v: FiniteAtoms([(0.5, 1.0), (v, 1.0)]),
+    "FiniteAtoms-weight": lambda v: FiniteAtoms([(0.5, 1.0), (0.25, v)]),
+    "UniformLaw-mass": lambda v: UniformLaw(v),
+    "BetaLaw-a": lambda v: BetaLaw(v, 2.0),
+    "BetaLaw-b": lambda v: BetaLaw(2.0, v),
+    "BetaLaw-mass": lambda v: BetaLaw(2.0, 2.0, v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", DOMAINS.values(), ids=DOMAINS)
+def test_model_constructors_refuse_non_finite_values(build, value):
+    build(0.4)  # the same call with a value inside every domain builds
+    with pytest.raises((ValueError, ScheduleError)):
+        build(value)
 
 
 class _TopUniform:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lwf.combinat import composition_index, composition_pmf, compositions
-from lwf.core import OffspringLaw, make_schedule, round_to_counts
+from lwf.core import OffspringLaw, round_to_counts
 from lwf.batches import BATCH, LANE_DISCRETE
 from lwf.discrete import (
     DiscreteModel,
@@ -490,8 +490,7 @@ def test_empirical_drift_exact_path():
 
 def test_neutral_fixation_probability_matches_initial_frequency():
     # sigma-coupled schedule, neutral rule: fixation probability = x0
-    schedule = make_schedule(50, 0.25, 1.0, 1.0, ZeroMeasure(), {2: 1.0})
-    model = DiscreteModel.from_schedule(schedule, NeutralRule(2))
+    model = DiscreteModel.from_schedule(NeutralRule(2), 50, 0.25, 1.0, 1.0, ZeroMeasure(), {2: 1.0})
     rng = RngStream(12).generator()
     R = 1000
     X = np.tile([0.3, 0.7], (R, 1))
