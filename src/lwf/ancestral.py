@@ -41,7 +41,7 @@ STATE_GUARD = 10**7
 N_START = 64  # first truncation level of the stationary and transient solves
 N_CAP = 2048  # default and largest ceiling of the solves: the dense generator takes 8 * n_max**2 bytes, 32 MB
 STATIONARY_TOL = 1e-6
-TABLE_BLOCK = 1 << 16  # most (n, k) pairs in one evaluation of the collision formula while tabulating
+TABLE_BLOCK = 1 << 14  # most moves in one block of states while filling the generator: about 1 MB of temporaries
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,6 @@ class AncestralModel:
         # the increments and their rates per lineage, kappa * w_j
         object.__setattr__(self, "_branching", (np.array([j for j, _ in items], dtype=np.int64),
                                                 float(kappa) * np.array([w for _, w in items], dtype=float)))
-        object.__setattr__(self, "_collisions", {})  # state n -> its collision rates, a row of the table
         object.__setattr__(self, "_jump_cache", {})
 
     @property
@@ -86,48 +85,30 @@ class AncestralModel:
         """Recurrence side of the dichotomy (kappa = 0 counts as recurrent)."""
         return self.kappa == 0.0 or self.sigma > 0.0 or self.kappa < self.kappa_star
 
-    def rates(self, n: int):
-        """``(targets, rates)`` out of state n, zero rates dropped.
+    def rates(self, states):
+        """``(sources, targets, rates)`` of the moves out of one state or an array of states, zero rates dropped.
 
-        A fixed order: branching, pair coalescence, collisions k = 2..n landing
-        on n - k + 1.  The collision rates are the state's row of the table
-        (:meth:`_tabulate`), or a one-row block for a state above it.
+        A fixed order: every branching move, then every pair coalescence, then
+        each state's collisions k = 2..n landing on n - k + 1.  For one state
+        this is the order in which the Gillespie sampler draws its moves.
         """
-        if n < 1:
-            raise ValueError(f"state must be >= 1, got {n}")
+        n = np.atleast_1d(np.asarray(states, dtype=np.int64))
+        if np.any(n < 1):
+            raise ValueError(f"state must be >= 1, got {n.min()}")
         js, per_lineage = self._branching
-        targets, rates = n + js, per_lineage * n
-        if n >= 2:
-            collisions = self._collisions.get(n)
-            if collisions is None:
-                collisions = self.measure.collision_rate_vector(n)
-            targets = np.concatenate([targets, [n - 1], np.arange(n - 1, 0, -1)])
-            rates = np.concatenate([rates, [self.sigma * n * (n - 1) / 2.0], collisions])
+        pairs = n[n >= 2]
+        merged, k = collision_pairs(n)
+        sources = np.concatenate([np.repeat(n, js.size), pairs, merged])
+        targets = np.concatenate([np.add.outer(n, js).ravel(), pairs - 1, merged - k + 1])
+        rates = np.concatenate([np.multiply.outer(n, per_lineage).ravel(), self.sigma * pairs * (pairs - 1) / 2.0,
+                                self.measure.collision_rates(merged, k)])
         keep = rates > 0.0
-        return targets[keep], rates[keep]
-
-    def _tabulate(self, n_max: int) -> None:
-        """Tabulate the collision rates of every state up to ``n_max``.
-
-        The new rows are computed in blocks of at most ``TABLE_BLOCK`` pairs
-        and written one after another into one array (8 bytes per pair, 16 MB
-        for states up to 2048), which is split into a view per state.  One
-        array rather than one per block: kept blocks between the freed
-        temporaries of the next would leave the heap fragmented.
-        """
-        states = np.arange(len(self._collisions) + 1, n_max + 1)
-        table, filled = np.empty(int(np.sum(states - 1))), 0
-        rows = max(TABLE_BLOCK // n_max, 1)
-        for first in range(0, states.size, rows):
-            rates = self.measure.collision_rates(*collision_pairs(states[first : first + rows]))
-            table[filled : filled + rates.size] = rates
-            filled += rates.size
-        self._collisions.update(zip(states.tolist(), np.split(table, np.cumsum(states - 1)[:-1])))
+        return sources[keep], targets[keep], rates[keep]
 
     def jumps(self, n: int):
         """Cached ``(targets, cumulative, total)`` rates out of state n, kept only for states a path visits."""
         if n not in self._jump_cache:
-            targets, rates = self.rates(n)
+            _, targets, rates = self.rates(n)
             cum = np.cumsum(rates)
             self._jump_cache[n] = (targets, cum, float(cum[-1]) if rates.size else 0.0)
         return self._jump_cache[n]
@@ -147,8 +128,8 @@ def simulate_ancestral(
     :class:`RateExplosionError` if the state passes ``state_guard`` (the
     transient regime grows without bound).
     """
-    if n0 < 1:
-        raise ValueError("initial state must be >= 1")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     times, states = [0.0], [int(n0)]
     t, n = 0.0, int(n0)
     while True:
@@ -167,16 +148,21 @@ def simulate_ancestral(
 
 
 def _generator(model: AncestralModel, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense generator on states 1..n_max, its diagonal from the kept moves alone, and each state's rate above n_max."""
-    model._tabulate(n_max)
-    Q = np.zeros((n_max, n_max))
-    above = np.zeros(n_max)
-    for n in range(1, n_max + 1):
-        targets, rates = model.rates(n)
-        keep = targets <= n_max
-        Q[n - 1] = np.bincount(targets[keep] - 1, rates[keep], minlength=n_max)
-        Q[n - 1, n - 1] -= rates[keep].sum()
-        above[n - 1] = rates[~keep].sum()
+    """Dense generator on states 1..n_max, its diagonal from the kept moves alone, and each state's rate above n_max.
+
+    The states go to :meth:`AncestralModel.rates` in blocks of at most
+    ``TABLE_BLOCK`` moves, and one ``np.bincount`` scatters a block into its
+    rows of ``Q`` widened by one column, which gathers every move above ``n_max``.
+    """
+    Q, above = np.empty((n_max, n_max)), np.empty(n_max)
+    rows = max(TABLE_BLOCK // (n_max + len(model.increments)), 1)  # a state has at most n_max + len(increments) moves
+    for first in range(0, n_max, rows):
+        last = min(first + rows, n_max)
+        sources, targets, rates = model.rates(np.arange(first + 1, last + 1))
+        cells = (sources - first - 1) * (n_max + 1) + np.minimum(targets, n_max + 1) - 1
+        block = np.bincount(cells, rates, minlength=(last - first) * (n_max + 1)).reshape(-1, n_max + 1)
+        Q[first:last], above[first:last] = block[:, :n_max], block[:, n_max]
+    Q[np.diag_indices(n_max)] = -Q.sum(axis=1)
     return Q, above
 
 
@@ -196,6 +182,8 @@ def dual_moment(model: AncestralModel, x: float, n0: int, t: float) -> tuple[flo
         raise ValueError("x must lie in [0, 1]")
     if not 1 <= n0 <= model.n_cap:
         raise ValueError(f"initial state must lie in [1, n_cap = {model.n_cap}], got {n0}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     n_max = max(N_START, n0)
     while True:
         Q, above = _generator(model, n_max)

@@ -136,7 +136,8 @@ def _ancestral(*, out, n0, horizon, increments, measure, stationary=False, repli
         model = AncestralModel(increments=increments, measure=measure, **chain)
         law = stationary_law(model) if stationary else None
     stream = RngStream(seed)
-    paths = [simulate_ancestral(model, n0, horizon, stream.derive(r).generator()) for r in range(replicates)]
+    with building("'model' block"):  # a horizon outside [0, inf)
+        paths = [simulate_ancestral(model, n0, horizon, stream.derive(r).generator()) for r in range(replicates)]
     write_ancestral_csv(out / "paths.csv", paths)
     if law is not None:
         payload = {

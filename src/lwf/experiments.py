@@ -458,6 +458,12 @@ def run_duality(
     ``dual_moment_resolved`` metric, not a band that passes almost any
     value.
     """
+    for x in xs:
+        if not 0.0 <= x <= 1.0:
+            raise ConfigError(f"duality runs need every x in [0, 1], got x = {x}")
+    for t in ts:
+        if not 0.0 <= t < math.inf:
+            raise ConfigError(f"duality runs need every t finite and >= 0, got t = {t}")
     stream = RngStream(seed)
     cfg, dual = _dual_pair(kappa, increments, sigma, measure, K=2, dt=dt, horizon=max(ts), eps_jump=eps_jump)
     grid = sorted(set(ts))  # the integrator records forward in time, whatever order the cells come in

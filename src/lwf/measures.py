@@ -83,10 +83,6 @@ class LambdaMeasure:
         of states ``n`` and merger sizes ``2 <= k <= n`` of one shape (a block, see :func:`collision_pairs`)."""
         raise NotImplementedError
 
-    def collision_rate_vector(self, n: int) -> np.ndarray:
-        """The rates of state n for ``k = 2..n``: the one-row block of :meth:`collision_rates`."""
-        return self.collision_rates(*collision_pairs(np.array([n])))
-
     def log_penalty(self) -> float:
         """``∫ |log(1-y)| L(dy) / y**2``; ``inf`` when divergent."""
         raise NotImplementedError
@@ -130,16 +126,14 @@ def _stirling_error(m) -> np.ndarray:
     return np.where(small, _STIRLING_TABLE[np.where(small, m, 0)], series)
 
 
-def _atom_collision_rates(n, z: float, weight_over_z2: float, k=None) -> np.ndarray:
-    """``weight_over_z2 * P(Binomial(n, z) = k)`` over a block ``(n, k)``, or for ``k = 2..n`` of one state n.
+def _atom_collision_rates(n: np.ndarray, k: np.ndarray, z: float, weight_over_z2: float) -> np.ndarray:
+    """``weight_over_z2 * P(Binomial(n, z) = k)`` over a block ``(n, k)``.
 
     Loader's saddle-point form, Stirling errors plus ``k log(k / (n z))``
     terms: no two large logarithms cancel, so it stays within 1e-12 of the
     exact value up to n = 2048, where a plain log-gamma difference is off
     by 5e-12.
     """
-    if k is None:
-        n, k = collision_pairs(np.array([n]))
     errors = _stirling_error(np.arange(np.max(n, initial=0) + 1))  # each m once, looked up per pair
     rest = n - k
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -165,7 +159,7 @@ class AtomicMeasure(LambdaMeasure):
     def collision_rates(self, n, k):
         out = np.zeros(k.shape)
         for z, w in self.atoms():
-            out += _atom_collision_rates(n, z, w / z**2, k)
+            out += _atom_collision_rates(n, k, z, w / z**2)
         return out
 
     def log_penalty(self) -> float:

@@ -10,6 +10,8 @@ absent.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bernstein import PolynomialMap
@@ -71,6 +73,8 @@ class DriftFunction:
         self.K = int(K)
         self._fn = fn
         self.params = params
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"the {kind} drift needs a finite selection strength, got {self.kappa}")
 
     def __call__(self, x) -> np.ndarray:
         return self._fn(x)
@@ -205,7 +209,7 @@ class DriftFunction:
             x = np.asarray(x, dtype=float)
             return _scaled(lam, np.asarray(g(x), dtype=float) - x)
 
-        return cls("polynomial", g.K, mu, {"lambda": lam, "degree": g.degree, "monomials": _poly_config(g)})
+        return cls("polynomial", g.K, mu, {"lambda": lam, "monomials": _poly_config(g)})
 
     @property
     def kappa(self) -> float:
@@ -240,8 +244,7 @@ _DRIFT_KINDS = {
     ),
     "neg_freq": (("kappa",), lambda p, K: DriftFunction.negfreq(float(p["kappa"]), K)),
     "pos_freq": (("kappa",), lambda p, K: DriftFunction.posfreq(float(p["kappa"]), K)),
-    # the degree is taken from the monomials
-    "polynomial": (("lambda", "monomials", "degree"), _polynomial_from_config),
+    "polynomial": (("lambda", "monomials"), _polynomial_from_config),
 }
 
 

@@ -25,6 +25,7 @@ from lwf.measures import (
     PointMass,
     UniformLaw,
     ZeroMeasure,
+    collision_pairs,
     lambda_nk_quadrature,
 )
 from lwf.rng import RngStream
@@ -71,7 +72,7 @@ def test_03_collision_integrals_closed_vs_quadrature():
     worst = 0.0
     for measure in variants:
         for n in range(2, 21):
-            rates = measure.collision_rate_vector(n)
+            rates = measure.collision_rates(*collision_pairs(np.array([n])))
             for k in range(2, n + 1):
                 closed = rates[k - 2] / math.comb(n, k)
                 quad = lambda_nk_quadrature(measure, n, k)

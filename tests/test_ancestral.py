@@ -17,13 +17,21 @@ from lwf.ancestral import (
     stationary_law,
 )
 from lwf.errors import RateExplosionError
-from lwf.measures import BetaLaw, FiniteAtoms, PointMass, UniformLaw, ZeroMeasure, lambda_nk_quadrature
+from lwf.measures import (
+    BetaLaw,
+    FiniteAtoms,
+    PointMass,
+    UniformLaw,
+    ZeroMeasure,
+    collision_pairs,
+    lambda_nk_quadrature,
+)
 from lwf.rng import RngStream
 
 
 def moves(model, n):
     """Total rate out of state n into each target state."""
-    targets, rates = model.rates(n)
+    _, targets, rates = model.rates(n)
     return {int(t): float(rates[targets == t].sum()) for t in np.unique(targets)}
 
 
@@ -103,7 +111,7 @@ def test_rates_equal_the_per_move_construction_exactly():
             if model.sigma > 0:
                 targets.append(n - 1)
                 rates.append(model.sigma * n * (n - 1) / 2.0)
-            for k_off, rate in enumerate(model.measure.collision_rate_vector(n)):
+            for k_off, rate in enumerate(model.measure.collision_rates(*collision_pairs(np.array([n])))):
                 if rate > 0.0:
                     targets.append(n - (k_off + 2) + 1)
                     rates.append(float(rate))
@@ -117,8 +125,9 @@ def test_rates_equal_the_per_move_construction_exactly():
     ]
     for model in models:
         for n in (1, 2, 3, 7, 40, 300):
-            targets, rates = model.rates(n)
+            sources, targets, rates = model.rates(n)
             want_targets, want_rates = per_move(model, n)
+            assert sources.dtype == np.int64 and sources.tolist() == [n] * len(want_targets)
             assert targets.dtype == np.int64 and targets.tolist() == want_targets
             assert rates.tolist() == want_rates
             jump_targets, cum, total = model.jumps(n)
@@ -126,28 +135,43 @@ def test_rates_equal_the_per_move_construction_exactly():
             assert cum.tolist() == np.cumsum(want_rates).tolist() and total == (cum[-1] if rates.size else 0.0)
 
 
-@pytest.mark.parametrize(
-    "measure",
-    [PointMass(0.5, 1.0), PointMass(1.0, 2.0), FiniteAtoms([(0.3, 0.5), (0.8, 1.0)]), UniformLaw(1.5),
-     BetaLaw(2.0, 3.0, 1.0), ZeroMeasure()],
-    ids=lambda m: m.kind,
-)
-def test_table_rows_are_the_one_row_blocks_bit_for_bit(monkeypatch, measure):
-    # small blocks, so that rows come from several blocks and from two truncation levels
+MEASURES = [PointMass(0.5, 1.0), PointMass(1.0, 2.0), FiniteAtoms([(0.3, 0.5), (0.8, 1.0)]), UniformLaw(1.5),
+            BetaLaw(2.0, 3.0, 1.0), BetaLaw(0.5, 0.5, 2.0), ZeroMeasure()]
+
+
+@pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.kind)
+def test_rates_of_a_block_are_the_moves_of_each_state_bit_for_bit(measure):
+    # every branching move of the block, then every pair coalescence, then each state's collisions
+    model = AncestralModel(kappa=0.9, sigma=0.5, increments={1: 0.25, 3: 0.75}, measure=measure)
+    states = np.arange(1, 301)
+    parts = {"branching": [], "pair": [], "collision": []}
+    for n in states:
+        moves = model.rates(n)
+        branching = int(np.count_nonzero(moves[1] > n))
+        pair = branching + int(n >= 2)
+        for part, cut in zip(parts, (slice(0, branching), slice(branching, pair), slice(pair, None))):
+            parts[part].append([array[cut] for array in moves])
+    want = [np.concatenate([moves[i] for part in parts.values() for moves in part]) for i in range(3)]
+    for got, expected in zip(model.rates(states), want):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.kind)
+def test_generator_blocks_do_not_move_a_bit(monkeypatch, measure):
+    # small blocks, so that each level's rows come from many calls of rates
+    model = AncestralModel(kappa=1.0, sigma=0.5, increments={1: 0.5, 2: 0.5}, measure=measure)
+    whole = [_generator(model, n_max) for n_max in (64, 300)]
     monkeypatch.setattr(lwf.ancestral, "TABLE_BLOCK", 1000)
-    model = AncestralModel(kappa=1.0, sigma=0.5, increments={1: 1.0}, measure=measure)
-    model._tabulate(64)
-    model._tabulate(300)
-    assert sorted(model._collisions) == list(range(1, 301))
-    for n in range(1, 301):
-        assert model._collisions[n].tobytes() == measure.collision_rate_vector(n).tobytes(), n
+    for n_max, (Q, above) in zip((64, 300), whole):
+        small_Q, small_above = _generator(model, n_max)
+        assert small_Q.tobytes() == Q.tobytes() and small_above.tobytes() == above.tobytes(), n_max
 
 
 def test_stationary_solve_caches_no_cumulative_rates():
-    # only the Gillespie sampler draws moves; the solve reads targets and rates from the collision table
+    # only the Gillespie sampler draws moves; the solve reads the moves of whole blocks of states
     model = AncestralModel(kappa=2.5, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0), n_cap=256)
     law = stationary_law(model)
-    assert law.n_max == 256 and len(model._collisions) == 256
+    assert law.n_max == 256
     assert not model._jump_cache
     simulate_ancestral(model, 3, 1.0, RngStream(4).generator())
     assert 0 < len(model._jump_cache) < 256
@@ -344,6 +368,17 @@ def test_dual_moment_rejects_a_start_beyond_the_ceiling():
     with pytest.raises(ValueError, match=r"initial state must lie in \[1, n_cap = 128\], got 129"):
         dual_moment(model, 0.5, 129, 1.0)
     assert dual_moment(model, 0.5, 100, 0.0) == (0.5**100, 0.0, 100)  # the solve starts at n0 above N_START
+
+
+def test_the_dual_chain_runs_forward_in_time_only():
+    # a negative time returned a NaN moment after climbing to n_cap; a NaN horizon never stopped the path
+    model = AncestralModel(kappa=1.0, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure(), n_cap=128)
+    with pytest.raises(ValueError, match=r"t must be finite and >= 0, got -1\.0"):
+        dual_moment(model, 0.5, 2, -1.0)
+    with pytest.raises(ValueError, match=r"horizon must be finite and >= 0, got -1\.0"):
+        simulate_ancestral(model, 3, -1.0, RngStream(5).generator())
+    with pytest.raises(ValueError, match=r"state must be >= 1, got 0"):
+        simulate_ancestral(model, 0, 1.0, RngStream(5).generator())
 
 
 def test_fixation_probabilities_neutral_is_initial_state():

@@ -17,7 +17,16 @@ from lwf.batches import BATCH
 from lwf.cli import main
 from lwf.config import load_config
 from lwf.errors import ConfigError
-from lwf.measures import _MEASURE_KINDS, BetaLaw, FiniteAtoms, PointMass, UniformLaw, ZeroMeasure, measure_from_config
+from lwf.measures import (
+    _MEASURE_KINDS,
+    BetaLaw,
+    FiniteAtoms,
+    PointMass,
+    UniformLaw,
+    ZeroMeasure,
+    collision_pairs,
+    measure_from_config,
+)
 from lwf.rng import RngStream
 from lwf.rules import _RULE_KINDS, bernstein_rule, rule_from_config
 from lwf.selection import _DRIFT_KINDS, DriftFunction, cyclic_contest_map, drift_from_config, transitive_pair_map
@@ -45,7 +54,8 @@ def test_measure_config_round_trip():
         for value in ("total_mass", "log_penalty"):
             assert getattr(clone, value)() == getattr(measure, value)(), (measure.kind, value)
         assert clone.resampling_mass_above(1e-3) == measure.resampling_mass_above(1e-3), measure.kind
-        assert np.array_equal(clone.collision_rate_vector(6), measure.collision_rate_vector(6)), measure.kind
+        block = collision_pairs(np.array([6]))
+        assert np.array_equal(clone.collision_rates(*block), measure.collision_rates(*block)), measure.kind
         if measure.has_continuous_part:
             assert np.array_equal(clone.density(ys), measure.density(ys)), measure.kind
 
@@ -357,9 +367,11 @@ def test_a_beta_fixation_report_has_the_same_bytes_at_one_and_two_threads():
 
 def test_special_functions_first_loaded_on_worker_threads_give_the_serial_values():
     code = (
-        "import sys; from lwf.batches import pmap; from lwf.measures import BetaLaw, PointMass, UniformLaw; "
+        "import sys; import numpy as np; from lwf.batches import pmap; "
+        "from lwf.measures import BetaLaw, PointMass, UniformLaw, collision_pairs; "
         "measures = [BetaLaw(2.5, 3.0, 1.0), UniformLaw(1.5), PointMass(0.3, 1.0), BetaLaw(0.5, 0.5, 2.0)] * 2; "
-        "rates = lambda m: m.collision_rate_vector(40).tolist() + [m.resampling_mass_above(0.1)]; "
+        "block = collision_pairs(np.array([40])); "
+        "rates = lambda m: m.collision_rates(*block).tolist() + [m.resampling_mass_above(0.1)]; "
         "assert 'scipy' not in sys.modules; "
         "threaded = pmap(rates, measures, 2); "
         "print(threaded == [rates(m) for m in measures], 'scipy.special' in sys.modules)"
@@ -865,6 +877,10 @@ SCHEMA_ERRORS = [
     ("duality", lambda p: p["experiment"].update(dual_replicates=500),
      "unknown keys in 'experiment' block: ['dual_replicates'] (allowed: ['n0s', 'name', 'replicates', 'seed', 'ts', "
      "'xs'])"),
+    # the polynomial drift's degree was accepted and ignored: the monomials give it
+    ("simulate-sde", _added("drift", {"kind": "polynomial", "lambda": 1.0, "degree": 2,
+                                      "monomials": [[[[1, 0, 0], 1.0]], [[[0, 1, 0], 1.0]], [[[0, 0, 1], 1.0]]]}),
+     "unknown keys in drift block: ['degree']"),
 ]
 
 
@@ -966,6 +982,13 @@ MALFORMED = [
      "bad rule block: matrix[0][1] must be a number, got '0.7'"),
     ("simulate-discrete", lambda p: p["schedule"].update(tail={"2": True}),
      "invalid 'schedule' block: schedule.tail key '2' has a weight that is not a number, True"),
+    # a negative time failed inside the integrator, and an x outside [0, 1] after the cells before it had run
+    ("duality", lambda p: p["experiment"].update(ts=[-0.5, 0.3]),
+     "duality runs need every t finite and >= 0, got t = -0.5"),
+    ("duality", lambda p: p["experiment"].update(xs=[0.3, 1.5]), "duality runs need every x in [0, 1], got x = 1.5"),
+    # a negative horizon ran as a path that never moves
+    ("ancestral", lambda p: p["model"].update(horizon=-1.0),
+     "invalid 'model' block: horizon must be finite and >= 0, got -1.0"),
 ]
 
 

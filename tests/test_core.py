@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lwf.ancestral import AncestralModel
+from lwf.ancestral import AncestralModel, dual_moment, simulate_ancestral
 from lwf.core import (
     OffspringLaw,
     _categorical,
@@ -17,6 +17,7 @@ from lwf.measures import BetaLaw, FiniteAtoms, PointMass, TruncatedSizeLaw, Unif
 from lwf.rng import RngStream
 from lwf.rules import NeutralRule
 from lwf.sde import SdeConfig
+from lwf.selection import DriftFunction, cyclic_contest_map
 
 
 def test_simplex_point_invariants():
@@ -152,12 +153,15 @@ def _schedule(alpha=0.25, kappa=1.0, sigma=1.0, **b):
     return DiscreteModel.from_schedule(NeutralRule(2), 1000, alpha, kappa, sigma, ZeroMeasure(), {2: 1.0}, **b)
 
 
+_CHAIN = AncestralModel(kappa=1.0, sigma=1.0, increments={1: 1.0})
+
+
 def _sde(sigma=1.0, dt=0.01, horizon=1.0, eps_jump=1e-3, tol_ext=0.0):
     return SdeConfig(K=2, drift=None, sigma=sigma, measure=None, dt=dt, horizon=horizon, eps_jump=eps_jump,
                      tol_ext=tol_ext)
 
 
-# each constructor and parameter, built with the parameter set to a value
+# each constructor or entry point and parameter, called with the parameter set to a value
 DOMAINS = {
     "from_schedule-alpha": lambda v: _schedule(alpha=v),
     "from_schedule-kappa": lambda v: _schedule(kappa=v),
@@ -178,6 +182,15 @@ DOMAINS = {
     "BetaLaw-a": lambda v: BetaLaw(v, 2.0),
     "BetaLaw-b": lambda v: BetaLaw(2.0, v),
     "BetaLaw-mass": lambda v: BetaLaw(2.0, 2.0, v),
+    "simulate_ancestral-horizon": lambda v: simulate_ancestral(_CHAIN, 3, v, RngStream(0).generator()),
+    "dual_moment-t": lambda v: dual_moment(_CHAIN, 0.5, 2, v),
+    "DriftFunction.transitive-kappa": lambda v: DriftFunction.transitive(v, {1: 1.0}, 3),
+    "DriftFunction.logistic-kappa": lambda v: DriftFunction.logistic(v, [[0.5, 0.7], [0.3, 0.5]]),
+    "DriftFunction.rps-kappa": lambda v: DriftFunction.rps(v),
+    "DriftFunction.food_web-kappa": lambda v: DriftFunction.food_web(v, [(1, 0), (2, 1)], 3),
+    "DriftFunction.negfreq-kappa": lambda v: DriftFunction.negfreq(v, 3),
+    "DriftFunction.posfreq-kappa": lambda v: DriftFunction.posfreq(v, 3),
+    "DriftFunction.from_polynomial-lambda": lambda v: DriftFunction.from_polynomial(v, cyclic_contest_map()),
 }
 
 

@@ -36,9 +36,14 @@ def test_total_mass_examples():
     assert FiniteAtoms([(0.2, 0.3), (0.9, 0.7)]).total_mass() == pytest.approx(1.0)
 
 
+def row(measure, n):
+    """The rates of state n for ``k = 2..n``: the one-row block of ``collision_rates``."""
+    return measure.collision_rates(*collision_pairs(np.array([n])))
+
+
 def lambda_nk(measure, n, k):
     """``∫ y**(k-2) (1-y)**(n-k) L(dy)`` from the closed-form rate vector the dual chain runs."""
-    return measure.collision_rate_vector(n)[k - 2] / math.comb(n, k)
+    return row(measure, n)[k - 2] / math.comb(n, k)
 
 
 def test_lambda_nk_examples():
@@ -72,10 +77,10 @@ def test_lambda_nk_monotone_in_n(measure):
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
 
-def test_collision_rate_vector_matches_direct_combination():
+def test_one_row_block_matches_direct_combination():
     for measure in ALL_VARIANTS:
         for n in (2, 5, 11):
-            rates = measure.collision_rate_vector(n)
+            rates = row(measure, n)
             direct = [math.comb(n, k) * lambda_nk_quadrature(measure, n, k) for k in range(2, n + 1)]
             assert np.allclose(rates, direct, rtol=1e-10, atol=1e-14)
 
@@ -87,7 +92,7 @@ def test_atom_collision_rates_match_the_binomial_pmf():
 
     for z in (0.01, 0.5, 1.0):
         for n in range(2, 2049):
-            got = _atom_collision_rates(n, z, 3.0) / 3.0
+            got = _atom_collision_rates(*collision_pairs(np.array([n])), z, 3.0) / 3.0
             want = binom.pmf(np.arange(2, n + 1), n, z)
             normal = want > 1e-300  # below that the reference itself keeps few digits
             assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal]), (n, z)
@@ -132,11 +137,11 @@ def test_stirling_error_table_is_exact_and_meets_the_series_at_16():
 def test_uniform_rates_are_the_closed_form_n_over_k_k_minus_1():
     measure = UniformLaw(1.5)
     for n in (20, 60):
-        rates = measure.collision_rate_vector(n)
+        rates = row(measure, n)
         for k in (2, 3, n // 2, n - 1, n):
             assert rates[k - 2] == pytest.approx(math.comb(n, k) * lambda_nk_quadrature(measure, n, k), rel=1e-9)
     for n in (2, 300, 2048):
-        rates = measure.collision_rate_vector(n)
+        rates = row(measure, n)
         for k in range(2, n + 1, 7):
             exact = Fraction(3, 2) * Fraction(n, k * (k - 1))
             assert abs(Fraction(float(rates[k - 2])) - exact) <= 2 * Fraction(math.ulp(float(exact))), (n, k)
@@ -379,7 +384,7 @@ def test_atom_sampler_draws_what_generator_choice_draws(measure, size):
 def test_a_point_mass_is_a_one_atom_measure_bit_for_bit(z, mass):
     point, atoms = PointMass(z, mass), FiniteAtoms([(z, mass)])
     for n in (2, 64, 2048):
-        assert point.collision_rate_vector(n).tobytes() == atoms.collision_rate_vector(n).tobytes()
+        assert row(point, n).tobytes() == row(atoms, n).tobytes()
     assert point.log_penalty() == atoms.log_penalty()
     for eps in (0.01, 0.1, 0.5):
         assert point.resampling_mass_above(eps) == atoms.resampling_mass_above(eps)
@@ -405,7 +410,7 @@ def test_every_zero_measure_quantity_is_the_float_zero():
     assert all(type(v) is float and v == 0.0 for v in values), values
     assert TruncatedSizeLaw(zero, 0.1).total_rate == 0.0 and TruncatedSizeLaw(zero, 0.1).truncated_mass == 0.0
     for n in (2, 64):
-        rates = zero.collision_rate_vector(n)
+        rates = row(zero, n)
         assert rates.dtype == float and rates.shape == (n - 1,) and not rates.any()
 
 
