@@ -174,23 +174,25 @@ def simulate_discrete(
     """Run ``replicates`` replicates in batches on ``threads`` threads, recording them at each of ``records``.
 
     Batch b steps its rows on ``stream.derive(LANE_DISCRETE, b)`` and writes them into the states, shape
-    ``(len(records), replicates, K)``, which are returned.  The initial state is apportioned to the 1/N lattice
-    by largest remainders.  Absorbed rows (see :func:`step_unabsorbed`) stop drawing and repeat their state in
-    the remaining records.  Generations after the last record are not run.
+    ``(len(records), replicates, K)``, which are returned; a thread steps its run of batches one after another.
+    The initial state is apportioned to the 1/N lattice by largest remainders.  Absorbed rows (see
+    :func:`step_unabsorbed`) stop drawing and repeat their state in the remaining records.  Generations after
+    the last record are not run.
     """
     if replicates < 1 or np.any(np.diff(records, prepend=0) < 0):
         raise ValueError("need replicates >= 1 and nondecreasing records >= 0")
     start = round_to_counts(x0, model.N) / float(model.N)
     states = np.empty((len(records), replicates, start.size))
 
-    def run(rows, rng):
-        X = np.tile(start, (rows.stop - rows.start, 1))
-        generation, moving = 0, True
-        for j, g in enumerate(records):
-            while moving and generation < g:
-                moving = step_unabsorbed(model, X, rng)
-                generation += 1
-            states[j, rows] = X
+    def run(groups):
+        for rows, rng in groups:
+            X = np.tile(start, (rows.stop - rows.start, 1))
+            generation, moving = 0, True
+            for j, g in enumerate(records):
+                while moving and generation < g:
+                    moving = step_unabsorbed(model, X, rng)
+                    generation += 1
+                states[j, rows] = X
 
     map_batches(run, replicates, stream, LANE_DISCRETE, threads)
     return states

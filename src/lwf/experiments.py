@@ -466,6 +466,12 @@ def run_duality(
             raise ConfigError(f"duality runs need every t finite and >= 0, got t = {t}")
     stream = RngStream(seed)
     cfg, dual = _dual_pair(kappa, increments, sigma, measure, K=2, dt=dt, horizon=max(ts), eps_jump=eps_jump)
+    for n0 in n0s if xs else ():  # named by the first cell that would solve for it, before any simulation
+        if not 1 <= n0 <= dual.n_cap:
+            raise ConfigError(
+                f"invalid duality cell n0={n0},t={ts[0]},x={xs[0]}: "
+                f"initial state must lie in [1, n_cap = {dual.n_cap}], got {n0}"
+            )
     grid = sorted(set(ts))  # the integrator records forward in time, whatever order the cells come in
     metrics = []
     for x_idx, x in enumerate(xs):

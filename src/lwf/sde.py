@@ -30,11 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batches import LANE_SDE, map_batches
-from .core import _categorical, as_frequencies
+from .core import _categorical, _type_sum, as_frequencies
 from .measures import LambdaMeasure, TruncatedSizeLaw, ZeroMeasure
 from .rng import RngStream
 
 _TINY = 1e-14
+LOCKSTEP = 20  # batches stepped as one block at most: 10,000 rows, about where a step costs least per row
 
 
 def zeta(x) -> np.ndarray:
@@ -67,15 +68,13 @@ def zeta(x) -> np.ndarray:
 def _diffusion(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """``B(x) @ xi`` for type-major ``x`` and ``xi``, ``B(x) = diag(sqrt(x)) - x sqrt(x)^T``, as a fresh array.
 
-    ``v = sqrt(x) * xi`` less ``x`` times the sum of ``v`` over types, taken by row additions in type order,
-    which give the same bytes on either memory layout.  A zero coordinate and a vertex get exactly zero noise.
+    ``v = sqrt(x) * xi`` less ``x`` times the sum of ``v`` over types, added in type order, which gives the same
+    bytes on either memory layout and in a block of any height.  A zero coordinate and a vertex get exactly zero
+    noise.
     """
     v = np.sqrt(x)
     v *= xi
-    total = v[0] + v[1]
-    for row in v[2:]:
-        total += row
-    v -= x * total
+    v -= x * _type_sum(v.T)
     return v
 
 
@@ -126,23 +125,34 @@ class SdeConfig:
             )
 
 
-def _advance(cfg: SdeConfig, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One Euler step plus the jumps binned into it, for active rows; returns them column-major."""
+def _advance(cfg: SdeConfig, X: np.ndarray, groups) -> np.ndarray:
+    """One Euler step plus the jumps binned into it, for a block of active rows; returns them column-major.
+
+    ``groups`` pairs each generator with its slice of the block's rows, in row order.  A group draws for its own
+    rows alone, in the order it would if they were the whole block: normals, then Poisson counts, then a size and
+    a target per jump round.  Every other operation treats each row on its own.
+    """
     Y = np.multiply(cfg.drift(X), cfg.dt, out=np.empty(X.shape[::-1]).T, dtype=float)  # a shared result stays as it was
     Y += X
     if cfg.sigma > 0.0:
-        noise = _diffusion(X.T, rng.standard_normal(X.shape).T)
+        xi = np.empty(X.shape)
+        for rng, rows in groups:
+            rng.standard_normal(out=xi[rows])
+        noise = _diffusion(X.T, xi.T)
         Y += np.multiply(noise, math.sqrt(cfg.sigma * cfg.dt), out=noise).T
     # project onto the simplex; rows that already sum to 1 divide by 1 exactly
     np.maximum(Y, 0.0, out=Y)
-    Y /= np.add.reduce(Y, axis=1, keepdims=True)
+    Y /= _type_sum(Y)[:, None]
     if cfg.size_law.total_rate > 0.0:
-        n_jumps = rng.poisson(cfg.size_law.total_rate * cfg.dt, X.shape[0])
+        rate = cfg.size_law.total_rate * cfg.dt
+        if len(groups) == 1:
+            n_jumps = groups[0][0].poisson(rate, X.shape[0])
+        else:
+            n_jumps = np.concatenate([rng.poisson(rate, rows.stop - rows.start) for rng, rows in groups])
         rows, round_ = n_jumps.nonzero()[0], 1
         while rows.size:  # round r jumps the rows with at least r jumps, in row order
-            z = cfg.size_law.sample(rng, rows.size)
             G = Y.T[:, rows]  # one gather and one scatter of contiguous type-major columns per round
-            target = _categorical(G, rng)
+            z, target = _sizes_and_targets(cfg.size_law, G, rows, groups)
             G *= 1.0 - z
             G[target, np.arange(rows.size)] += z
             Y.T[:, rows] = G
@@ -151,8 +161,27 @@ def _advance(cfg: SdeConfig, X: np.ndarray, rng: np.random.Generator) -> np.ndar
     return Y
 
 
+def _sizes_and_targets(law: TruncatedSizeLaw, G: np.ndarray, rows: np.ndarray, groups):
+    """A jump size, then a target type, for each of the jumping ``rows`` (``G`` their type-major states); each
+    group draws for its own rows."""
+    if len(groups) == 1:
+        return law.sample(groups[0][0], rows.size), _categorical(G, groups[0][0])
+    z, target = np.empty(rows.size), np.empty(rows.size, np.intp)
+    cuts = [0, *np.searchsorted(rows, [block.stop for _, block in groups]).tolist()]
+    for (rng, _), a, b in zip(groups, cuts, cuts[1:]):
+        if b > a:
+            z[a:b], target[a:b] = law.sample(rng, b - a), _categorical(G[:, a:b], rng)
+    return z, target
+
+
 class BatchSde:
-    """Replicates of one configuration advanced in lockstep.
+    """Replicates of one configuration advanced in lockstep, in groups that each draw from their own generator.
+
+    ``replicates`` and ``rng`` are one group's width and generator, or equal-length sequences of them; the groups
+    take consecutive rows.  A group draws what it would draw alone (see :func:`_advance`), and drift, noise,
+    projection, jumps and settling treat each row on its own, so a group's rows get the same bits whatever groups
+    share its block, provided the drift computes each row from that row alone.  A run takes as many steps as its
+    longest group.
 
     Tracks, per replicate, the time each coordinate hit zero, the fixation
     time and winning type, and whether the extinction clamp fired.  Fixed
@@ -162,22 +191,27 @@ class BatchSde:
     The replicates still active form one compact block: their states, their
     row indices and the coordinates already seen at zero, in row order, with
     states and seen flags stored column-major.  A step advances the block and
-    settles it only if a coordinate is at or below the clamp without being a
-    zero already seen, or a row is at a vertex; the block shrinks only on
-    steps where a replicate fixes.  ``X`` writes the block back into the full
+    settles the rows where a coordinate is at or below the clamp without being
+    a zero already seen, a seen zero has come back, or the row is at a vertex;
+    the block shrinks only on steps where a replicate fixes.  ``X`` writes the block back into the full
     state array when read.
 
     Vertices are treated as absorbing, which is exact for mutation-free
     drifts (drift, diffusion and jumps all vanish there).
     """
 
-    def __init__(self, cfg: SdeConfig, x0, replicates: int, rng: np.random.Generator):
+    def __init__(self, cfg: SdeConfig, x0, replicates, rng):
         self.cfg = cfg
         x0 = as_frequencies(x0)
         if x0.size != cfg.K:
             raise ValueError(f"state has {x0.size} coordinates, config says {cfg.K}")
-        self.rng = rng
-        self.R = int(replicates)
+        if isinstance(rng, np.random.Generator):
+            replicates, rng = [replicates], [rng]
+        widths, self.rngs = list(replicates), tuple(rng)
+        if len(widths) != len(self.rngs):
+            raise ValueError(f"{len(widths)} group widths for {len(self.rngs)} generators")
+        self._ends = np.cumsum(widths, dtype=np.int64)  # one past each group's last row
+        self.R = int(sum(widths))
         self._X = np.tile(x0, (self.R, 1))
         self.steps = 0
         self.extinction_time = np.tile(np.where(x0 == 0.0, 0.0, np.nan), (self.R, 1))
@@ -186,6 +220,8 @@ class BatchSde:
         self.clamp_fired = np.zeros(self.R, dtype=bool)
         self._rows = np.arange(self.R)
         self._seen = np.asfortranarray(self._X == 0.0)
+        self._limit = np.where(self._seen, 0.0, cfg.tol_ext)  # column-major, as the seen flags
+        self._regroup()
         self._settle(np.array(self._X, order="F"))
 
     @property
@@ -204,35 +240,51 @@ class BatchSde:
     def t(self) -> float:
         return self.steps * self.cfg.dt
 
+    def _regroup(self) -> None:
+        """Each group with active rows, as its generator and its slice of the block."""
+        stops = np.searchsorted(self._rows, self._ends).tolist()
+        self._groups = [(rng, slice(a, b)) for rng, a, b in zip(self.rngs, [0, *stops], stops) if b > a]
+
     def _settle(self, Y: np.ndarray) -> None:
-        """Clamp the advanced block, record its boundary events, drop fixed rows."""
+        """Clamp the advanced block, record its boundary events, drop fixed rows.
+
+        Only the rows with a coordinate due are touched: one at or below the clamp that is not a zero already
+        seen, one seen at zero that is no longer zero (a drift with mutation revives it, perhaps into the clamp's
+        range), or one at 1, a vertex.
+        """
         self._Y, tol = Y, self.cfg.tol_ext
-        # the test also catches a seen zero brought back to (0, tol] by a drift with mutation
-        if not (np.count_nonzero((Y <= tol) > (self._seen & (Y == 0.0))) or np.count_nonzero(Y == 1.0)):
+        due = np.less_equal(Y, self._limit) != self._seen  # a seen coordinate is due above 0, another at or below tol
+        due |= Y == 1.0
+        if not np.count_nonzero(due):
             return
-        small = (Y > 0.0) & (Y <= tol)
-        hit = small.any(axis=1)
-        Y[small] = 0.0
-        Y[hit] /= Y[hit].sum(axis=1, keepdims=True)
-        self.clamp_fired[self._rows[hit]] = True
-        newly_zero = (Y == 0.0) & ~self._seen
-        r, i = np.nonzero(newly_zero)
-        self.extinction_time[self._rows[r], i] = self.t
-        self._seen |= newly_zero
-        at_vertex = Y == 1.0
-        if at_vertex.any():
-            done = at_vertex.any(axis=1)
-            fixed = self._rows[done]
-            self._X[fixed] = Y[done]
-            self.winner[fixed] = Y[done].argmax(axis=1)
+        r = np.flatnonzero(np.logical_or.reduce(due, axis=1))
+        rows, S = self._rows[r], Y[r]
+        small = (S > 0.0) & (S <= tol)
+        hit = np.logical_or.reduce(small, axis=1)
+        if np.count_nonzero(hit):
+            S[small] = 0.0
+            S[hit] /= S[hit].sum(axis=1, keepdims=True)
+            self.clamp_fired[rows[hit]] = True
+        i, k = np.nonzero((S == 0.0) > self._seen[r])  # newly zero
+        self.extinction_time[rows[i], k] = self.t
+        self._seen[r[i], k], self._limit[r[i], k] = True, 0.0
+        Y[r] = S
+        done = np.logical_or.reduce(S == 1.0, axis=1)
+        if np.count_nonzero(done):
+            fixed = rows[done]
+            self._X[fixed] = S[done]
+            self.winner[fixed] = S[done].argmax(axis=1)
             self.fixation_time[fixed] = self.t
-            self._rows = self._rows[~done]
-            self._Y, self._seen = (np.compress(~done, A.T, axis=1).T for A in (Y, self._seen))
+            keep = np.ones(len(Y), dtype=bool)
+            keep[r[done]] = False
+            self._rows = self._rows[keep]
+            self._Y, self._seen, self._limit = (np.compress(keep, A.T, axis=1).T for A in (Y, self._seen, self._limit))
+            self._regroup()
 
     def step(self) -> None:
         self.steps += 1
         if self._rows.size:
-            self._settle(_advance(self.cfg, self._Y, self.rng))
+            self._settle(_advance(self.cfg, self._Y, self._groups))
 
     def run_until(self, t: float) -> int:
         """Step to time ``t``, or until every replicate is fixed; returns the unfixed count."""
@@ -257,11 +309,11 @@ def simulate_sde(
 ) -> tuple[np.ndarray, BoundaryEvents]:
     """Integrate ``replicates`` replicates in batches on ``threads`` threads, recording them at each of ``times``.
 
-    Batch b is one :class:`BatchSde` on ``stream.derive(LANE_SDE, b)``, run on to the horizon or until every
-    replicate is fixed.  It writes its rows of the states, shape ``(len(times), replicates, K)``, and of the
-    :class:`BoundaryEvents` of that run; returns both.  A record after a replicate fixed repeats its vertex.
-    ``times`` must be nondecreasing and lie within the run as step indices, ``0 <= round(t / dt) <=
-    round(horizon / dt)``, so a grid's last point may round to it.
+    Batch b draws from ``stream.derive(LANE_SDE, b)``.  A thread steps its run of batches as the groups of one
+    :class:`BatchSde`, run on to the horizon or until every replicate is fixed, and writes their rows of the
+    states, shape ``(len(times), replicates, K)``, and of the :class:`BoundaryEvents` of that run; returns both.
+    A record after a replicate fixed repeats its vertex.  ``times`` must be nondecreasing and lie within the run
+    as step indices, ``0 <= round(t / dt) <= round(horizon / dt)``, so a grid's last point may round to it.
     """
     steps = np.rint(np.divide(times, cfg.dt))
     if np.any(np.diff(times) < 0) or np.any((steps < 0) | (steps > round(cfg.horizon / cfg.dt))):
@@ -271,14 +323,16 @@ def simulate_sde(
         np.empty(replicates, np.int64), np.empty((replicates, cfg.K)), np.empty(replicates), np.empty(replicates, bool)
     )
 
-    def run(rows, rng):
-        batch = BatchSde(cfg, x0, rows.stop - rows.start, rng)
-        for j, t in enumerate(times):
-            batch.run_until(t)
-            states[j, rows] = batch.X
-        batch.run_until(cfg.horizon)
-        for name, column in vars(events).items():
-            column[rows] = getattr(batch, name)
+    def run(groups):
+        for block in (groups[first:first + LOCKSTEP] for first in range(0, len(groups), LOCKSTEP)):
+            rows = slice(block[0][0].start, block[-1][0].stop)
+            batch = BatchSde(cfg, x0, [b.stop - b.start for b, _ in block], [rng for _, rng in block])
+            for j, t in enumerate(times):
+                batch.run_until(t)
+                states[j, rows] = batch.X
+            batch.run_until(cfg.horizon)
+            for name, column in vars(events).items():
+                column[rows] = getattr(batch, name)
 
     map_batches(run, replicates, stream, LANE_SDE, threads)
     return states, events

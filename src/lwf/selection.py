@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .bernstein import PolynomialMap
-from .core import integer_law
+from .core import _type_sum, integer_law
 from .errors import build_kind
 from .rules import beats_from_labels, beats_matrix, win_prob_matrix
 
@@ -23,6 +23,15 @@ from .rules import beats_from_labels, beats_matrix, win_prob_matrix
 def _scaled(c: float, a: np.ndarray) -> np.ndarray:
     """``c * a``, with no array multiply when ``c`` is 1 (``1.0 * a`` is ``a`` bit for bit)."""
     return a if c == 1.0 else c * a
+
+
+def _mix(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``x @ M`` by additions of ``x_j M[j]`` in type order: a row's value never depends on the rows around it,
+    as a BLAS product's may."""
+    out = x[..., 0, None] * M[0]
+    for j in range(1, M.shape[0]):
+        out += x[..., j, None] * M[j]
+    return out
 
 
 # Standard simplex-preserving polynomial maps used with the Bernstein route.
@@ -122,10 +131,11 @@ class DriftFunction:
         matrix :class:`~lwf.rules.LogisticRule` accepts.
         """
         P = win_prob_matrix(win_probs)
+        beaten = P - 0.5 * np.eye(P.shape[0])  # p[j, i] off the diagonal, exactly 0 on it
 
         def mu(x):
             x = np.asarray(x, dtype=float)
-            losses = x @ P - 0.5 * x  # sum_{j != i} p[j, i] x_j
+            losses = _mix(x, beaten)  # sum_{j != i} p[j, i] x_j
             return _scaled(kappa, x) * (1.0 - x - 2.0 * losses)
 
         return cls("logistic", P.shape[0], mu, {"kappa": kappa, "matrix": P.tolist()})
@@ -160,12 +170,11 @@ class DriftFunction:
         """
         pairs = [(int(w), int(l)) for w, l in beats]
         matrix = beats_matrix(K, pairs).astype(float)
+        balance = matrix.T - matrix  # +1 from prey, -1 from predators
 
         def mu(x):
             x = np.asarray(x, dtype=float)
-            prey = x @ matrix.T
-            predators = x @ matrix
-            return _scaled(kappa, x) * (prey - predators)
+            return _scaled(kappa, x) * _mix(x, balance)  # sum over prey x_j - sum over predators x_j
 
         return cls("food_web", K, mu, {"kappa": kappa, "beats": [[w + 1, l + 1] for w, l in pairs]})
 
@@ -179,7 +188,7 @@ class DriftFunction:
         def mu(x):
             x = np.asarray(x, dtype=float)
             x2 = x**2
-            sq = x2.sum(axis=-1, keepdims=True) - x2
+            sq = _type_sum(x2)[..., None] - x2
             return 2.0 * kappa * x * (sq - x * (1.0 - x))
 
         return cls("neg_freq", K, mu, {"kappa": kappa})
@@ -196,7 +205,7 @@ class DriftFunction:
             x = np.asarray(x, dtype=float)
             x2 = x**2
             others = 1.0 - x
-            cross = others**2 - (x2.sum(axis=-1, keepdims=True) - x2)
+            cross = others**2 - (_type_sum(x2)[..., None] - x2)
             return _scaled(kappa, x) * ((2.0 * x - 1.0) * others + cross)
 
         return cls("pos_freq", K, mu, {"kappa": kappa})

@@ -192,6 +192,24 @@ def test_duality_cell_with_an_unresolved_truncation_bound_fails(monkeypatch):
     assert "n_cap = 2048" in cell.tolerance
 
 
+@pytest.mark.parametrize("n0s", [(0,), (2, 0), (1, 2049)])
+def test_duality_refuses_a_bad_start_before_any_replicate_is_simulated(monkeypatch, n0s):
+    # the check ran inside the first cell's chain solve, after every replicate of the first x had been integrated
+    def fail(*args, **kwargs):
+        raise AssertionError("simulate_sde was called")
+
+    monkeypatch.setattr(experiments, "simulate_sde", fail)
+    bad = next(n0 for n0 in n0s if not 1 <= n0 <= 2048)
+    with pytest.raises(ConfigError) as error:
+        run_duality(
+            kappa=0.5, increments={1: 1.0}, sigma=1.0, measure=ZeroMeasure(), xs=(0.3, 0.7), ts=(0.5, 0.25),
+            n0s=n0s, dt=1e-3, replicates=20_000, seed=5,
+        )
+    assert str(error.value) == (
+        f"invalid duality cell n0={bad},t=0.5,x=0.3: initial state must lie in [1, n_cap = 2048], got {bad}"
+    )
+
+
 def test_duality_cells_read_the_state_at_their_own_time_in_any_order():
     # each cell reads the integrator at its own time, also when ts is not in increasing order
     def cells(ts):

@@ -1,15 +1,17 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from lwf import batches, sde
 from lwf.batches import BATCH, LANE_SDE
 from lwf.bernstein import PolynomialMap
 from lwf.core import random_interior_points
-from lwf.measures import FiniteAtoms, PointMass, ZeroMeasure
+from lwf.measures import BetaLaw, FiniteAtoms, PointMass, ZeroMeasure
 from lwf.rng import RngStream
-from lwf.sde import BatchSde, SdeConfig, _advance, _diffusion, simulate_sde, zeta
+from lwf.sde import BatchSde, BoundaryEvents, SdeConfig, _advance, _diffusion, simulate_sde, zeta
 from lwf.selection import DriftFunction
 
 
@@ -20,6 +22,11 @@ def _diffusion_reference(x, xi):
     v = np.sqrt(np.maximum(x, 0.0)) * xi
     total = sum(v[1:], v[0])  # in type order
     return (v - x * total).T
+
+
+def _step(cfg, X, rng):
+    """``_advance`` on a block that is one group, drawing from ``rng``."""
+    return _advance(cfg, X, [(rng, slice(0, len(X)))])
 
 
 def root_matrix(x):
@@ -83,7 +90,7 @@ def test_zeta_factorization_random_and_near_boundary():
         # ... and the projection maps every zero to +0.0, so a step gives the reference's bytes
         cfg = SdeConfig(K=K, drift=DriftFunction.negfreq(1.5, K), sigma=1.0, measure=ZeroMeasure(), dt=5e-3, horizon=1.0)
         for block in (edge, signed):
-            step = _advance(cfg, np.asfortranarray(block), RngStream(70).generator())
+            step = _step(cfg, np.asfortranarray(block), RngStream(70).generator())
             want, _ = _advance_row_major(cfg, block.copy(), RngStream(70).generator())
             assert np.ascontiguousarray(step).tobytes() == want.tobytes()
 
@@ -149,8 +156,8 @@ def test_advance_gives_the_same_bytes_on_a_row_major_and_a_column_major_block(K)
     drift = DriftFunction.negfreq(1.5, K)
     for sigma, measure in ((1.0, ZeroMeasure()), (0.0, PointMass(0.5, 1.0)), (0.7, FiniteAtoms([(0.2, 0.5), (0.9, 2.0)]))):
         cfg = SdeConfig(K=K, drift=drift, sigma=sigma, measure=measure, dt=5e-3, horizon=1.0)
-        rows = _advance(cfg, pts, RngStream(50).generator())
-        again = _advance(cfg, column_major, RngStream(50).generator())
+        rows = _step(cfg, pts, RngStream(50).generator())
+        again = _step(cfg, column_major, RngStream(50).generator())
         assert np.ascontiguousarray(rows).tobytes() == np.ascontiguousarray(again).tobytes()
 
 
@@ -185,7 +192,7 @@ def test_jump_rounds_give_the_same_bytes_as_the_row_major_formulation(K):
         rng, ref = RngStream(61).generator(), RngStream(61).generator()
         X = np.asfortranarray(pts)
         for _ in range(3):
-            Y = _advance(cfg, X, rng)
+            Y = _step(cfg, X, rng)
             want, rounds = _advance_row_major(cfg, np.ascontiguousarray(X), ref)
             assert rounds >= 3
             assert np.ascontiguousarray(Y).tobytes() == want.tobytes()
@@ -201,7 +208,7 @@ def test_a_drift_returning_one_cached_array_is_never_scaled_in_place():
     cfg = SdeConfig(K=3, drift=lambda x: cached, sigma=0.0, measure=ZeroMeasure(), dt=0.125, horizon=1.0)
     rng = RngStream(19).generator()
     for _ in range(3):
-        Y = _advance(cfg, np.asfortranarray(X), rng)
+        Y = _step(cfg, np.asfortranarray(X), rng)
         assert np.ascontiguousarray(Y).tobytes() == (X + 0.125 * mu).tobytes()
         assert cached.tobytes() == mu.tobytes()
 
@@ -209,7 +216,7 @@ def test_a_drift_returning_one_cached_array_is_never_scaled_in_place():
 def test_frozen_dynamics_identity():
     cfg = SdeConfig(K=3, drift=None, sigma=0.0, measure=ZeroMeasure(), dt=0.01, horizon=1.0)
     X = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0]])
-    Y = _advance(cfg, X, RngStream(2).generator())
+    Y = _step(cfg, X, RngStream(2).generator())
     assert np.array_equal(X, Y)
 
 
@@ -219,7 +226,7 @@ def test_jump_is_exact_convex_combination():
     rng = RngStream(3).generator()
     x = np.array([0.5, 0.25, 0.25])
     single, jumped = 0, 0
-    for y in _advance(cfg, np.tile(x, (2000, 1)), rng):
+    for y in _step(cfg, np.tile(x, (2000, 1)), rng):
         if np.array_equal(y, x):
             continue
         jumped += 1
@@ -340,30 +347,91 @@ def test_simulate_sde_stops_at_fixation_with_the_records_of_stepping_through():
     assert np.array_equal(run.clamp_fired, batch.clamp_fired)
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_simulate_sde_is_its_batches_run_side_by_side(threads):
-    # 2 * BATCH + 7 replicates: two full batches and a partial one, each a BatchSde on its own stream
-    cfg = SdeConfig(
-        K=3, drift=DriftFunction.rps(1.0), sigma=1.0, measure=PointMass(0.5, 1.0), dt=1e-2, horizon=1.5, tol_ext=1e-4
-    )
-    x0, R, times = [0.2, 0.3, 0.5], 2 * BATCH + 7, np.arange(0, 151, 30) * cfg.dt
-    stream = RngStream(12)
-    states, events = simulate_sde(cfg, x0, R, times, stream, threads)
-    blocks, batches = [], []
-    for b, width in enumerate((BATCH, BATCH, 7)):
+def _lone_batches(cfg, x0, widths, stream, times):
+    """Each batch a ``BatchSde`` of its own on its own stream: the records and events ``simulate_sde`` must give."""
+    records, runs = [], []
+    for b, width in enumerate(widths):
         batch = BatchSde(cfg, x0, width, stream.derive(LANE_SDE, b).generator())
         block = []
         for t in times:
             batch.run_until(t)
             block.append(batch.X.copy())
         batch.run_until(cfg.horizon)
-        blocks.append(np.array(block))
-        batches.append(batch)
-    assert states.tobytes() == np.concatenate(blocks, axis=1).tobytes()
-    for name in ("winner", "extinction_time", "fixation_time", "clamp_fired"):
-        expected = np.concatenate([getattr(batch, name) for batch in batches])
-        assert getattr(events, name).tobytes() == expected.tobytes()
+        records.append(np.array(block))
+        runs.append(batch)
+    events = {f.name: np.concatenate([getattr(run, f.name) for run in runs]) for f in dataclasses.fields(BoundaryEvents)}
+    return np.concatenate(records, axis=1), events
+
+
+def _assert_same_bytes(got, want):
+    states, events = got
+    assert states.tobytes() == want[0].tobytes()
+    for name, column in want[1].items():
+        assert getattr(events, name).tobytes() == column.tobytes(), name
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_simulate_sde_is_its_batches_run_side_by_side(threads):
+    # 2 * BATCH + 7 replicates: two full batches and a partial one, each on its own stream; two threads step one
+    # and two of them in lockstep, four threads outnumber them
+    cfg = SdeConfig(
+        K=3, drift=DriftFunction.rps(1.0), sigma=1.0, measure=PointMass(0.5, 1.0), dt=1e-2, horizon=1.5, tol_ext=1e-4
+    )
+    x0, R, times = [0.2, 0.3, 0.5], 2 * BATCH + 7, np.arange(0, 151, 30) * cfg.dt
+    stream = RngStream(12)
+    states, events = simulate_sde(cfg, x0, R, times, stream, threads)
+    _assert_same_bytes((states, events), _lone_batches(cfg, x0, (BATCH, BATCH, 7), stream, times))
     assert (events.winner >= 0).any() and (events.winner < 0).any() and events.clamp_fired.any()
+
+
+def _win_probs(K):
+    """Win probabilities with no dyadic entry off the diagonal."""
+    P, upper = np.full((K, K), 0.5), iter([0.3, 0.7, 0.15, 0.6, 0.35, 0.9, 0.45, 0.2, 0.8, 0.55, 0.65, 0.1] * 3)
+    for i, j in zip(*np.triu_indices(K, 1)):
+        P[i, j] = next(upper)
+        P[j, i] = 1.0 - P[i, j]
+    return P
+
+
+_MUTATION = PolynomialMap([{tuple(np.eye(3, dtype=int)[j]): 0.95 * (i == j) + 0.05 / 3 for j in range(3)} for i in range(3)])
+# strong selection: at dt * kappa = 0.2 a drift that gave a row other bits in another block would show in the states
+_LOCKSTEP_DRIFTS = {
+    "neutral": (DriftFunction.neutral(3), [0.2, 0.3, 0.5]),
+    "transitive": (DriftFunction.transitive(20.0, {1: 0.5, 2: 0.5}, 3), [0.0, 0.4, 0.6]),  # an edge start
+    "rps": (DriftFunction.rps(20.0), [0.2, 0.3, 0.5]),
+    "polynomial": (DriftFunction.from_polynomial(20.0, _MUTATION), [0.0, 0.4, 0.6]),  # revives its zeros
+    **{
+        f"{kind}-{K}": (drift, np.arange(1.0, K + 1) / (K * (K + 1) / 2))
+        for K in (6, 9)
+        for kind, drift in (
+            ("logistic", DriftFunction.logistic(20.0, _win_probs(K))),
+            ("food_web", DriftFunction.food_web(20.0, [(i, (i + 1) % K) for i in range(K)] + [(0, K // 2)], K)),
+            ("neg_freq", DriftFunction.negfreq(20.0, K)),
+            ("pos_freq", DriftFunction.posfreq(20.0, K)),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_LOCKSTEP_DRIFTS))
+def test_lockstep_batches_get_the_bytes_of_lone_batches(monkeypatch, name):
+    # batches of 4 rows, six full and one of a single row: one to four threads give runs of unequal batch counts,
+    # and rows fix at different steps, so a batch is often down to one active row in a taller block, as the last
+    # is from the start; a cap of 3 batches per block splits a thread's run
+    monkeypatch.setattr(batches, "BATCH", 4)
+    drift, x0 = _LOCKSTEP_DRIFTS[name]
+    measure = PointMass(0.5, 1.0) if list(_LOCKSTEP_DRIFTS).index(name) % 2 else BetaLaw(1.0, 0.5, 0.5)
+    cfg = SdeConfig(
+        K=len(x0), drift=drift, sigma=1.0, measure=measure, dt=0.01, horizon=4.0, tol_ext=0.02, eps_jump=0.05
+    )
+    stream, times = RngStream(5), np.arange(0, 401, 40) * cfg.dt
+    want = _lone_batches(cfg, x0, [4] * 6 + [1], stream, times)
+    for threads in (1, 2, 3, 4):
+        _assert_same_bytes(simulate_sde(cfg, x0, 25, times, stream, threads), want)
+    monkeypatch.setattr(sde, "LOCKSTEP", 3)
+    _assert_same_bytes(simulate_sde(cfg, x0, 25, times, stream, 1), want)
+    winner, clamped = want[1]["winner"], want[1]["clamp_fired"]
+    assert np.unique(want[1]["fixation_time"][winner >= 0]).size > 10 and clamped.any()
 
 
 def _check_bookkeeping_per_step(cfg, x0, R, seed, n_steps):
@@ -376,13 +444,13 @@ def _check_bookkeeping_per_step(cfg, x0, R, seed, n_steps):
     while batch.steps < n_steps:
         active = batch.winner < 0
         clamped = batch.clamp_fired.copy()
-        rng = copy.deepcopy(batch.rng)
+        rng = copy.deepcopy(batch.rngs[0])
         batch.step()
         prev, X, t = X, batch.X.copy(), batch.t
         snapshots[batch.steps] = X
 
         # the active rows took one step from their observed states, in row order
-        Y = _advance(cfg, prev[active], rng)
+        Y = _step(cfg, prev[active], rng)
         small = (Y > 0.0) & (Y <= cfg.tol_ext)
         hit = small.any(axis=1)
         Y[small] = 0.0

@@ -101,9 +101,33 @@ def test_zero_sum_and_absent_type_invariants():
         assert np.allclose(drift(killed)[:, 0], 0.0, atol=1e-12), drift.kind
 
 
+@pytest.mark.parametrize("K", [3, 6, 9])
+def test_every_drift_gives_a_row_the_same_bits_in_any_block(K):
+    # the integrator steps the rows of several batches as one column-major block, whose height depends on the
+    # thread count: a row's drift must not depend on the rows around it (a BLAS product, or numpy's pairwise sum of
+    # a lone row of 8 or more terms, would make it)
+    rng = RngStream(30 + K).generator()
+    pts = np.asfortranarray(rng.dirichlet(np.ones(K), size=400))
+    P = rng.random((K, K))
+    P = np.where(np.eye(K, dtype=bool), 0.5, np.triu(P, 1) + np.tril(1.0 - P.T, -1))
+    drifts = [
+        DriftFunction.transitive(1.7, {1: 0.5, 3: 0.5}, K),
+        DriftFunction.logistic(1.7, P),
+        DriftFunction.food_web(1.7, [(i, (i + 1) % K) for i in range(K)] + [(0, K - 2)], K),
+        DriftFunction.negfreq(1.7, K),
+        DriftFunction.posfreq(1.7, K),
+    ]
+    for drift in drifts:
+        whole = drift(pts)
+        for start, stop in ((0, 1), (1, 2), (5, 7), (7, 30), (30, 400)):
+            part = drift(np.asfortranarray(pts[start:stop]))
+            assert part.tobytes() == np.ascontiguousarray(whole[start:stop]).tobytes(), (drift.kind, start, stop)
+
+
 def test_drift_closures_equal_the_direct_formulas_exactly():
     # each closure against its docstring formula, evaluated in the order written, bit for bit: at kappa = 1
-    # the closures skip the unit factor, and the integrator passes them column-major blocks
+    # the closures skip the unit factor, the integrator passes them column-major blocks, and a sum over types
+    # adds its terms in type order
     rng = RngStream(9).generator()
     pts3 = np.concatenate([rng.dirichlet(np.ones(3), size=200), np.eye(3), [[0.0, 0.4, 0.6]]])
     pts4 = np.concatenate([rng.dirichlet(np.ones(4), size=200), np.eye(4), [[0.0, 0.3, 0.0, 0.7]]])
@@ -113,6 +137,9 @@ def test_drift_closures_equal_the_direct_formulas_exactly():
     for w, l in web:
         matrix[w, l] = 1.0
     g = transitive_pair_map(3)
+
+    def in_type_order(x, M):  # x @ M, its terms x_j M[j] added in type order
+        return sum((x[..., j, None] * M[j] for j in range(1, len(M))), x[..., 0, None] * M[0])
 
     def transitive(kappa, increments, x):
         cum = np.cumsum(x, axis=-1)
@@ -126,8 +153,12 @@ def test_drift_closures_equal_the_direct_formulas_exactly():
                 (DriftFunction.rps(kappa), x3, kappa * x3 * (np.roll(x3, 1, axis=-1) - np.roll(x3, -1, axis=-1))),
                 (DriftFunction.transitive(kappa, {1: 1.0}, 3), x3, transitive(kappa, {1: 1.0}, x3)),
                 (DriftFunction.transitive(kappa, {3: 0.75, 1: 0.25}, 4), x4, transitive(kappa, {3: 0.75, 1: 0.25}, x4)),
-                (DriftFunction.logistic(kappa, P), x3, kappa * x3 * (1.0 - x3 - 2.0 * (x3 @ P - 0.5 * x3))),
-                (DriftFunction.food_web(kappa, web, 4), x4, kappa * x4 * (x4 @ matrix.T - x4 @ matrix)),
+                (
+                    DriftFunction.logistic(kappa, P),
+                    x3,
+                    kappa * x3 * (1.0 - x3 - 2.0 * in_type_order(x3, P - 0.5 * np.eye(3))),
+                ),
+                (DriftFunction.food_web(kappa, web, 4), x4, kappa * x4 * in_type_order(x4, matrix.T - matrix)),
                 (DriftFunction.negfreq(kappa, 4), x4, 2.0 * kappa * x4 * (sq - x4 * (1.0 - x4))),
                 (
                     DriftFunction.posfreq(kappa, 4),
