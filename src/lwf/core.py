@@ -52,12 +52,8 @@ def round_to_counts(x, N: int) -> np.ndarray:
 
 
 def _type_sum(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1)`` for ``K >= 2`` types, added in type order in every layout and block height.
-
-    numpy does so below 8 terms; from 8 on it sums a lone row pairwise, so the type slices are added one by one.
-    """
-    if x.shape[-1] < 8:
-        return np.add.reduce(x, axis=-1)
+    """``x.sum(axis=-1)`` for ``K >= 2`` types, added in type order, so a row's sum is the same in every memory
+    layout and in a block of any height."""
     total = x[..., 0] + x[..., 1]
     for i in range(2, x.shape[-1]):
         total += x[..., i]

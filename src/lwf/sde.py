@@ -144,34 +144,24 @@ def _advance(cfg: SdeConfig, X: np.ndarray, groups) -> np.ndarray:
     np.maximum(Y, 0.0, out=Y)
     Y /= _type_sum(Y)[:, None]
     if cfg.size_law.total_rate > 0.0:
-        rate = cfg.size_law.total_rate * cfg.dt
-        if len(groups) == 1:
-            n_jumps = groups[0][0].poisson(rate, X.shape[0])
-        else:
-            n_jumps = np.concatenate([rng.poisson(rate, rows.stop - rows.start) for rng, rows in groups])
-        rows, round_ = n_jumps.nonzero()[0], 1
-        while rows.size:  # round r jumps the rows with at least r jumps, in row order
-            G = Y.T[:, rows]  # one gather and one scatter of contiguous type-major columns per round
-            z, target = _sizes_and_targets(cfg.size_law, G, rows, groups)
-            G *= 1.0 - z
-            G[target, np.arange(rows.size)] += z
-            Y.T[:, rows] = G
-            round_ += 1
-            rows = rows[n_jumps[rows] >= round_]
+        for rng, rows in groups:
+            _jump(cfg, Y[rows], rng)
     return Y
 
 
-def _sizes_and_targets(law: TruncatedSizeLaw, G: np.ndarray, rows: np.ndarray, groups):
-    """A jump size, then a target type, for each of the jumping ``rows`` (``G`` their type-major states); each
-    group draws for its own rows."""
-    if len(groups) == 1:
-        return law.sample(groups[0][0], rows.size), _categorical(G, groups[0][0])
-    z, target = np.empty(rows.size), np.empty(rows.size, np.intp)
-    cuts = [0, *np.searchsorted(rows, [block.stop for _, block in groups]).tolist()]
-    for (rng, _), a, b in zip(groups, cuts, cuts[1:]):
-        if b > a:
-            z[a:b], target[a:b] = law.sample(rng, b - a), _categorical(G[:, a:b], rng)
-    return z, target
+def _jump(cfg: SdeConfig, Y: np.ndarray, rng: np.random.Generator) -> None:
+    """The jumps binned into one step, for one group's column-major rows ``Y``, in place."""
+    n_jumps = rng.poisson(cfg.size_law.total_rate * cfg.dt, Y.shape[0])
+    rows, round_ = n_jumps.nonzero()[0], 1
+    while rows.size:  # round r jumps the rows with at least r jumps, in row order
+        z = cfg.size_law.sample(rng, rows.size)
+        G = Y.T[:, rows]  # one gather and one scatter of contiguous type-major columns per round
+        target = _categorical(G, rng)
+        G *= 1.0 - z
+        G[target, np.arange(rows.size)] += z
+        Y.T[:, rows] = G
+        round_ += 1
+        rows = rows[n_jumps[rows] >= round_]
 
 
 class BatchSde:
@@ -190,10 +180,10 @@ class BatchSde:
 
     The replicates still active form one compact block: their states, their
     row indices and the coordinates already seen at zero, in row order, with
-    states and seen flags stored column-major.  A step advances the block and
+    states and seen zeros stored column-major.  A step advances the block and
     settles the rows where a coordinate is at or below the clamp without being
-    a zero already seen, a seen zero has come back, or the row is at a vertex;
-    the block shrinks only on steps where a replicate fixes.  ``X`` writes the block back into the full
+    a zero seen and still at zero, or the row is at a vertex; the block shrinks only on
+    steps where a replicate fixes.  ``X`` writes the block back into the full
     state array when read.
 
     Vertices are treated as absorbing, which is exact for mutation-free
@@ -219,8 +209,8 @@ class BatchSde:
         self.winner = np.full(self.R, -1, dtype=np.int64)
         self.clamp_fired = np.zeros(self.R, dtype=bool)
         self._rows = np.arange(self.R)
-        self._seen = np.asfortranarray(self._X == 0.0)
-        self._limit = np.where(self._seen, 0.0, cfg.tol_ext)  # column-major, as the seen flags
+        # 0 at a coordinate seen at zero, -1 (no state) elsewhere: ``Y == _seen_zero`` marks the seen zeros still at 0
+        self._seen_zero = np.asfortranarray(np.where(self._X == 0.0, 0.0, -1.0))
         self._regroup()
         self._settle(np.array(self._X, order="F"))
 
@@ -249,11 +239,11 @@ class BatchSde:
         """Clamp the advanced block, record its boundary events, drop fixed rows.
 
         Only the rows with a coordinate due are touched: one at or below the clamp that is not a zero already
-        seen, one seen at zero that is no longer zero (a drift with mutation revives it, perhaps into the clamp's
-        range), or one at 1, a vertex.
+        seen and still at zero (a drift with mutation may bring a seen zero back into the clamp's range), or one
+        at 1, a vertex.
         """
         self._Y, tol = Y, self.cfg.tol_ext
-        due = np.less_equal(Y, self._limit) != self._seen  # a seen coordinate is due above 0, another at or below tol
+        due = np.less_equal(Y, tol) != (Y == self._seen_zero)  # a seen zero still at zero is at or below tol
         due |= Y == 1.0
         if not np.count_nonzero(due):
             return
@@ -263,11 +253,11 @@ class BatchSde:
         hit = np.logical_or.reduce(small, axis=1)
         if np.count_nonzero(hit):
             S[small] = 0.0
-            S[hit] /= S[hit].sum(axis=1, keepdims=True)
+            S[hit] /= _type_sum(S[hit])[:, None]
             self.clamp_fired[rows[hit]] = True
-        i, k = np.nonzero((S == 0.0) > self._seen[r])  # newly zero
+        i, k = np.nonzero((S == 0.0) > (self._seen_zero[r] == 0.0))  # newly zero
         self.extinction_time[rows[i], k] = self.t
-        self._seen[r[i], k], self._limit[r[i], k] = True, 0.0
+        self._seen_zero[r[i], k] = 0.0
         Y[r] = S
         done = np.logical_or.reduce(S == 1.0, axis=1)
         if np.count_nonzero(done):
@@ -278,7 +268,7 @@ class BatchSde:
             keep = np.ones(len(Y), dtype=bool)
             keep[r[done]] = False
             self._rows = self._rows[keep]
-            self._Y, self._seen, self._limit = (np.compress(keep, A.T, axis=1).T for A in (Y, self._seen, self._limit))
+            self._Y, self._seen_zero = (np.compress(keep, A.T, axis=1).T for A in (Y, self._seen_zero))
             self._regroup()
 
     def step(self) -> None:
