@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import as_frequencies, integer_law
 from .errors import RateExplosionError
-from .measures import LambdaMeasure, ZeroMeasure, collision_pairs, kappa_star as _kappa_star
+from .measures import LambdaMeasure, collision_pairs, kappa_star as _kappa_star
 
 STATE_GUARD = 10**7
 N_START = 64  # first truncation level of the stationary and transient solves
@@ -54,7 +54,7 @@ class AncestralModel:
     measure: LambdaMeasure
     n_cap: int = N_CAP
 
-    def __init__(self, kappa, sigma, increments, measure=None, n_cap=N_CAP):
+    def __init__(self, kappa, sigma, increments, measure, n_cap=N_CAP):
         if not (0.0 <= kappa < math.inf and 0.0 <= sigma < math.inf):
             raise ValueError(f"kappa and sigma must be nonnegative and finite, got {kappa} and {sigma}")
         if not 2 * N_START <= n_cap <= N_CAP:
@@ -63,7 +63,7 @@ class AncestralModel:
         object.__setattr__(self, "kappa", float(kappa))
         object.__setattr__(self, "sigma", float(sigma))
         object.__setattr__(self, "increments", items)
-        object.__setattr__(self, "measure", measure if measure is not None else ZeroMeasure())
+        object.__setattr__(self, "measure", measure)
         object.__setattr__(self, "n_cap", int(n_cap))
         # the increments and their rates per lineage, kappa * w_j
         object.__setattr__(self, "_branching", (np.array([j for j, _ in items], dtype=np.int64),
@@ -119,13 +119,11 @@ def simulate_ancestral(
     n0: int,
     horizon: float,
     rng: np.random.Generator,
-    *,
-    state_guard: int = STATE_GUARD,
 ):
     """Gillespie path up to the horizon: ``(jump times, states)`` arrays.
 
     The initial state is recorded at time 0.  Raises
-    :class:`RateExplosionError` if the state passes ``state_guard`` (the
+    :class:`RateExplosionError` if the state passes ``STATE_GUARD`` (the
     transient regime grows without bound).
     """
     if not 0.0 <= horizon < math.inf:
@@ -140,8 +138,8 @@ def simulate_ancestral(
         if t >= horizon:
             break
         n = int(targets[np.searchsorted(cum, rng.random() * total)])
-        if n > state_guard:
-            raise RateExplosionError(f"lineage count passed {state_guard} at time {t:.4g}")
+        if n > STATE_GUARD:
+            raise RateExplosionError(f"lineage count passed {STATE_GUARD} at time {t:.4g}")
         times.append(t)
         states.append(n)
     return np.array(times), np.array(states, dtype=np.int64)

@@ -56,17 +56,15 @@ class PolynomialMap:
         return out
 
 
-def bernstein_table(poly: PolynomialMap, degree: int | None = None) -> tuple[int, np.ndarray]:
-    """Bernstein coefficients of ``poly`` on the simplex face.
+def bernstein_table(poly: PolynomialMap) -> tuple[int, np.ndarray]:
+    """Bernstein coefficients of ``poly`` on the simplex face, at the map's degree n.
 
     Each monomial of total degree d < n is elevated by distributing
     ``(x_1 + ... + x_K)**(n-d)`` over it, which leaves the map unchanged on
     the face.  Returns ``(n, table)``; ``table[row, i]`` is the coefficient
     of output i on the multi-index ``compositions(K, n)[row]``.
     """
-    n = poly.degree if degree is None else int(degree)
-    if n < poly.degree:
-        raise ValueError(f"elevation degree {n} below polynomial degree {poly.degree}")
+    n = poly.degree
     if n < 1:
         raise ValueError("Bernstein degree must be at least 1")
     K = poly.K

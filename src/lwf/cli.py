@@ -44,7 +44,7 @@ from .core import as_frequencies, is_number
 from .discrete import DiscreteModel, simulate_discrete
 from .errors import LwfError
 from .measures import ZeroMeasure, measure_from_config
-from .rng import RngStream
+from .rng import SEED_LIMIT, RngStream
 from .rules import rule_from_config
 from .sde import SdeConfig, simulate_sde
 from .selection import drift_from_config
@@ -243,6 +243,8 @@ def _kwargs(name: str, cfg: dict, args, out: Path) -> dict:
             kwargs[key] = getattr(args, key)
     if kwargs.get("replicates", 1) < 1:
         raise ConfigError(f"replicates must be >= 1, got {kwargs['replicates']}")
+    if not 0 <= kwargs.get("seed", 0) < SEED_LIMIT:
+        raise ConfigError(f"experiment.seed must lie in [0, 2**63), got {kwargs['seed']}")
 
     K = kwargs.pop("K", None)
     if "x0" in kwargs:

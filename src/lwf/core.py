@@ -17,20 +17,20 @@ import numpy as np
 SIMPLEX_TOL = 1e-12
 
 
-def as_frequencies(x, *, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def as_frequencies(x) -> np.ndarray:
     """Validate and return ``x`` as a float frequency vector.
 
-    Requires K >= 2, coordinates in [0, 1] and total 1 within ``tol``.
+    Requires K >= 2, coordinates in [0, 1] and total 1 within ``SIMPLEX_TOL``.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError(f"frequency vector must be 1-d with K >= 2, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("frequency vector has non-finite entries")
-    if arr.min() < -tol or arr.max() > 1.0 + tol:
+    if arr.min() < -SIMPLEX_TOL or arr.max() > 1.0 + SIMPLEX_TOL:
         raise ValueError(f"coordinates must lie in [0, 1], got {arr}")
     total = float(arr.sum())
-    if abs(total - 1.0) > max(tol, arr.size * 2e-16):
+    if abs(total - 1.0) > max(SIMPLEX_TOL, arr.size * 2e-16):
         raise ValueError(f"coordinates must sum to 1 (got {total!r})")
     return np.clip(arr, 0.0, 1.0)
 

@@ -240,10 +240,7 @@ def empirical_drift(rule: ColouringRule, tail, x, replicates: int, rng: np.rando
     if replicates < 1:
         raise ValueError("need at least one replicate")
 
-    if tail_ks.size == 1:
-        per_k = np.array([replicates])
-    else:
-        per_k = rng.multinomial(replicates, tail_ps)
+    per_k = rng.multinomial(replicates, tail_ps)  # one size takes every replicate and draws nothing
     exact_se = all(rule.enumerable(k) for k in tail_ks)
     total, first, second = np.zeros((3, x.size))  # the sum, and one sample's first two moments
     drawn_over = 0

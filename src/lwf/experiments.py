@@ -557,6 +557,8 @@ def run_rps_lyapunov(
         raise ConfigError(f"rps-lyapunov runs need |delta| < 1/3 for an interior start, got delta = {delta}")
     if grid_points < 2:
         raise ConfigError(f"rps-lyapunov runs need grid_points >= 2 to fit a slope, got grid_points = {grid_points}")
+    if not T > 0.0:
+        raise ConfigError(f"rps-lyapunov runs need T > 0 to fit a slope over time, got T = {T}")
     x0 = np.array([1.0 / 3.0 + delta, 1.0 / 3.0, 1.0 / 3.0 - delta])
     stream = RngStream(seed)
     with building("SdeConfig value"):

@@ -427,7 +427,7 @@ def measure_from_config(block: dict) -> LambdaMeasure:
 # ---------------------------------------------------------------------------
 
 
-def lambda_nk_quadrature(measure: LambdaMeasure, n: int, k: int, rel_tol: float = 1e-10) -> float:
+def lambda_nk_quadrature(measure: LambdaMeasure, n: int, k: int) -> float:
     """Collision intensity ``∫ y**(k-2) (1-y)**(n-k) L(dy)`` for ``2 <= k <= n``, by quadrature.
 
     Atomic parts are summed directly; the continuous part is integrated with
@@ -448,7 +448,7 @@ def lambda_nk_quadrature(measure: LambdaMeasure, n: int, k: int, rel_tol: float 
             0.0,
             1.0,
             epsabs=0.0,
-            epsrel=rel_tol * 1e-2,
+            epsrel=1e-12,
             limit=400,
         )
         total += val
@@ -501,6 +501,4 @@ class TruncatedSizeLaw:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self._draw is None:
             raise ValueError("cannot sample from an empty size law")
-        if size == 0:
-            return np.empty(0)
         return self._draw(rng, size)

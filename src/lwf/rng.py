@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+SEED_LIMIT = 1 << 63  # seeds lie in [0, 2**63)
 
 
 def _splitmix64(state: int) -> int:
@@ -37,14 +38,18 @@ class RngStream:
 
     ``derive(*path)`` splits off child streams deterministically, so an
     experiment can hand stream ``derive(lane, batch)`` to each worker and
-    obtain the same draws regardless of scheduling.
+    obtain the same draws regardless of scheduling.  ``seed`` must lie in
+    ``[0, 2**63)``; a stream id is taken modulo 2**64.
     """
 
     seed: int
     stream: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
+        seed = int(self.seed)
+        if not 0 <= seed < SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2**63), got {seed}")
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "stream", int(self.stream) & _MASK64)
 
     def derive(self, *path: int) -> "RngStream":

@@ -31,7 +31,7 @@ import numpy as np
 
 from .batches import LANE_SDE, map_batches
 from .core import _categorical, _type_sum, as_frequencies
-from .measures import LambdaMeasure, TruncatedSizeLaw, ZeroMeasure
+from .measures import LambdaMeasure, TruncatedSizeLaw
 from .rng import RngStream
 
 _TINY = 1e-14
@@ -84,9 +84,9 @@ class SdeConfig:
 
     ``drift`` is any callable mapping ``(..., K)`` states to drift vectors
     (a :class:`~lwf.selection.DriftFunction` fits).  ``tol_ext`` is the
-    extinction clamp: coordinates at or below it are set to zero with the
-    rest renormalized (0 disables everything except exact zeros produced by
-    the projection).
+    extinction clamp, in ``[0, 1/K)``: coordinates at or below it are set to
+    zero with the rest renormalized (0 disables everything except exact zeros
+    produced by the projection).
     """
 
     K: int
@@ -110,12 +110,8 @@ class SdeConfig:
             raise ValueError(f"horizon must be >= 0 and finite, got {self.horizon}")
         if not 0.0 < self.eps_jump < 1.0:
             raise ValueError("eps_jump must lie in (0, 1)")
-        if not 0.0 <= self.tol_ext < math.inf:
-            raise ValueError(f"tol_ext must be nonnegative and finite, got {self.tol_ext}")
-        if self.drift is None:
-            self.drift = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        if self.measure is None:
-            self.measure = ZeroMeasure()
+        if not 0.0 <= self.tol_ext < 1.0 / self.K:  # below 1/K the largest coordinate always survives the clamp
+            raise ValueError(f"tol_ext must lie in [0, 1/K) = [0, {1.0 / self.K:.6g}), got {self.tol_ext}")
         self.size_law = TruncatedSizeLaw(self.measure, self.eps_jump)
         if self.dt * self.size_law.total_rate > 0.1:
             warnings.warn(
@@ -167,8 +163,8 @@ def _jump(cfg: SdeConfig, Y: np.ndarray, rng: np.random.Generator) -> None:
 class BatchSde:
     """Replicates of one configuration advanced in lockstep, in groups that each draw from their own generator.
 
-    ``replicates`` and ``rng`` are one group's width and generator, or equal-length sequences of them; the groups
-    take consecutive rows.  A group draws what it would draw alone (see :func:`_advance`), and drift, noise,
+    ``replicates`` and ``rng`` are equal-length sequences of the groups' widths and generators; the groups take
+    consecutive rows.  A group draws what it would draw alone (see :func:`_advance`), and drift, noise,
     projection, jumps and settling treat each row on its own, so a group's rows get the same bits whatever groups
     share its block, provided the drift computes each row from that row alone.  A run takes as many steps as its
     longest group.
@@ -195,8 +191,6 @@ class BatchSde:
         x0 = as_frequencies(x0)
         if x0.size != cfg.K:
             raise ValueError(f"state has {x0.size} coordinates, config says {cfg.K}")
-        if isinstance(rng, np.random.Generator):
-            replicates, rng = [replicates], [rng]
         widths, self.rngs = list(replicates), tuple(rng)
         if len(widths) != len(self.rngs):
             raise ValueError(f"{len(widths)} group widths for {len(self.rngs)} generators")

@@ -10,7 +10,9 @@ absent.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -37,41 +39,25 @@ def _mix(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 # Standard simplex-preserving polynomial maps used with the Bernstein route.
 
 
+def _monomial(K: int, *types: int) -> tuple[int, ...]:
+    """Exponents of the product of ``x_t`` over ``types``."""
+    return tuple(types.count(r) for r in range(K))
+
+
 def transitive_pair_map(K: int) -> PolynomialMap:
-    """g_i = c_i**2 - c_(i-1)**2 on cumulative frequencies (pair contests)."""
-    comps = []
-    for i in range(K):
-        comp: dict[tuple[int, ...], float] = {}
-        for a in range(i + 1):
-            for b in range(i + 1):
-                key = [0] * K
-                key[a] += 1
-                key[b] += 1
-                key = tuple(key)
-                comp[key] = comp.get(key, 0.0) + 1.0
-        for a in range(i):
-            for b in range(i):
-                key = [0] * K
-                key[a] += 1
-                key[b] += 1
-                key = tuple(key)
-                comp[key] = comp.get(key, 0.0) - 1.0
-        comps.append(comp)
+    """g_i = c_i**2 - c_(i-1)**2 on cumulative frequencies (pair contests).
+
+    That is the sum of ``x_a x_b`` over the ordered pairs of types whose stronger member is i, ``max(a, b) = i``.
+    """
+    comps = [Counter() for _ in range(K)]
+    for a, b in itertools.product(range(K), repeat=2):
+        comps[max(a, b)][_monomial(K, a, b)] += 1.0
     return PolynomialMap(comps)
 
 
 def cyclic_contest_map() -> PolynomialMap:
     """g_i = x_i**2 + 2 x_i x_pred(i) for the three-type cycle."""
-    comps = []
-    for i in range(3):
-        pred = (i - 1) % 3
-        square = [0, 0, 0]
-        square[i] = 2
-        cross = [0, 0, 0]
-        cross[i] = 1
-        cross[pred] = 1
-        comps.append({tuple(square): 1.0, tuple(cross): 2.0})
-    return PolynomialMap(comps)
+    return PolynomialMap([{_monomial(3, i, i): 1.0, _monomial(3, i, (i - 1) % 3): 2.0} for i in range(3)])
 
 
 class DriftFunction:

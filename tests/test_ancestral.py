@@ -93,10 +93,11 @@ def test_kingman_absorption_time():
     assert abs(totals.mean() - expected) <= 4.0 * se
 
 
-def test_rate_explosion_guard():
+def test_rate_explosion_guard(monkeypatch):
+    monkeypatch.setattr(lwf.ancestral, "STATE_GUARD", 500)
     model = AncestralModel(kappa=50.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
     with pytest.raises(RateExplosionError):
-        simulate_ancestral(model, 1, 1e9, RngStream(3).generator(), state_guard=500)
+        simulate_ancestral(model, 1, 1e9, RngStream(3).generator())
 
 
 def test_rates_equal_the_per_move_construction_exactly():
@@ -262,7 +263,7 @@ def test_a_chain_that_never_moves_has_no_unique_stationary_law():
     with pytest.raises(ValueError, match=r"never moves \(kappa = 0, sigma = 0, Lambda = 0\).*not unique"):
         stationary_law(model)
     # one source of motion is enough: the count falls to 1 and stays there
-    for moving in (AncestralModel(kappa=0.0, sigma=0.5, increments={1: 1.0}),
+    for moving in (AncestralModel(kappa=0.0, sigma=0.5, increments={1: 1.0}, measure=ZeroMeasure()),
                    AncestralModel(kappa=0.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))):
         assert stationary_law(moving).occupation[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -421,7 +422,8 @@ def test_negative_increment_weights_are_rejected_not_dropped():
     with pytest.raises(ValueError, match="^increments key 2 has a negative weight, -0.5$"):
         AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0, 2: -0.5}, measure=ZeroMeasure())
     # a zero weight is still dropped
-    assert AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0, 2: 0.0}).increments == ((1, 1.0),)
+    model = AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0, 2: 0.0}, measure=ZeroMeasure())
+    assert model.increments == ((1, 1.0),)
 
 
 def test_model_validation():

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -596,7 +597,9 @@ def _one_rule_entry_points(tmp_path, law, seen):
 
     return {
         "OffspringLaw": lambda: OffspringLaw(0.5, law).tail,
-        "AncestralModel": lambda: tuple((j + 1, w) for j, w in AncestralModel(1.0, 0.0, increments).increments),
+        "AncestralModel": lambda: tuple(
+            (j + 1, w) for j, w in AncestralModel(1.0, 0.0, increments, ZeroMeasure()).increments
+        ),
         "DriftFunction.transitive": lambda: tuple(
             (int(j) + 1, w) for j, w in DriftFunction.transitive(1.0, increments, 2).params["increments"].items()
         ),
@@ -989,6 +992,19 @@ MALFORMED = [
     # a negative horizon ran as a path that never moves
     ("ancestral", lambda p: p["model"].update(horizon=-1.0),
      "invalid 'model' block: horizon must be finite and >= 0, got -1.0"),
+    # a clamp at or above 1/K zeroed every coordinate and wrote NaN from t = 0; T = 0 fitted a NaN slope
+    ("simulate-sde", lambda p: p["model"].update(tol_ext=1e12),
+     "invalid 'model' block: tol_ext must lie in [0, 1/K) = [0, 0.333333), got 1000000000000.0"),
+    ("fixation", lambda p: p["model"].update(tol_ext=0.5),
+     "invalid model value: tol_ext must lie in [0, 1/K) = [0, 0.5), got 0.5"),
+    ("rps-lyapunov", lambda p: p["experiment"].update(T=0),
+     "rps-lyapunov runs need T > 0 to fit a slope over time, got T = 0.0"),
+    ("rps-lyapunov", lambda p: p["experiment"].update(T=-1.0),
+     "rps-lyapunov runs need T > 0 to fit a slope over time, got T = -1.0"),
+    # the schedule's two infeasible couplings
+    ("simulate-discrete", lambda p: p["schedule"].update(b=0.75), "exponent b only applies when sigma = 0"),
+    ("simulate-discrete", lambda p: p["schedule"].update(kappa=30.0),
+     "kappa/(sigma*N) = 1.5 > 1: N too small for this kappa/sigma"),
 ]
 
 
@@ -1014,6 +1030,38 @@ def test_an_overflowing_number_literal_is_refused_naming_its_path(tmp_path, caps
     path.write_text(json.dumps(PAYLOADS["simulate-sde"]).replace('"sigma": 1.0', '"sigma": 1e999'))
     code = main(["simulate-sde", "--config", str(path), "--out", str(tmp_path / "run")])
     assert (code, capsys.readouterr().err) == (2, "error: config value model.sigma must be a finite number, got inf\n")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63])
+@pytest.mark.parametrize("subcommand", list(PAYLOADS))
+def test_a_seed_outside_the_key_range_is_refused_with_no_cast_warning(tmp_path, capsys, subcommand, seed):
+    message = f"error: experiment.seed must lie in [0, 2**63), got {seed}\n"
+    in_config = _edited(subcommand, lambda p: p.setdefault("experiment", {}).update(seed=seed))
+    for payload, flags in ((in_config, ()), (PAYLOADS[subcommand], ("--seed", str(seed)))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _exit_and_stderr(tmp_path, capsys, subcommand, payload, *flags)
+        assert (code, err, caught) == (2, message, [])
+        assert json.loads((tmp_path / "run" / "meta.json").read_text())["error"]["class"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (None, "cannot read config file: [Errno 2] No such file or directory: "),
+        ("{not json", "config file is not valid JSON: "),
+        ("[1, 2]", "config root must be a JSON object"),
+    ],
+    ids=["unreadable", "invalid-json", "list-root"],
+)
+def test_a_config_file_that_is_no_json_object_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "c.json"
+    if content is not None:
+        path.write_text(content)
+    code = main(["simulate-sde", "--config", str(path), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error: {message}")
+    assert json.loads((tmp_path / "run" / "meta.json").read_text())["error"]["class"] == "ConfigError"
 
 
 # the top-level blocks each subcommand does not read, in the order of TOP_LEVEL_BLOCKS

@@ -58,8 +58,8 @@ def test_offspring_law_basic():
     assert ps == pytest.approx([0.9, 0.05, 0.05])
     # the dual chain branches by k - 1 extra parents, with mean beta
     increments = {k - 1: p for k, p in q.tail}
-    assert AncestralModel(1.0, 0.0, increments).increments == ((1, 0.5), (3, 0.5))
-    assert AncestralModel(1.0, 0.0, increments).beta == pytest.approx(0.5 * 1 + 0.5 * 3)
+    assert AncestralModel(1.0, 0.0, increments, ZeroMeasure()).increments == ((1, 0.5), (3, 0.5))
+    assert AncestralModel(1.0, 0.0, increments, ZeroMeasure()).beta == pytest.approx(0.5 * 1 + 0.5 * 3)
     with pytest.raises(ValueError):
         OffspringLaw(1.5, {2: 1.0})
     with pytest.raises(ValueError):
@@ -153,12 +153,12 @@ def _schedule(alpha=0.25, kappa=1.0, sigma=1.0, **b):
     return DiscreteModel.from_schedule(NeutralRule(2), 1000, alpha, kappa, sigma, ZeroMeasure(), {2: 1.0}, **b)
 
 
-_CHAIN = AncestralModel(kappa=1.0, sigma=1.0, increments={1: 1.0})
+_CHAIN = AncestralModel(kappa=1.0, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure())
 
 
 def _sde(sigma=1.0, dt=0.01, horizon=1.0, eps_jump=1e-3, tol_ext=0.0):
-    return SdeConfig(K=2, drift=None, sigma=sigma, measure=None, dt=dt, horizon=horizon, eps_jump=eps_jump,
-                     tol_ext=tol_ext)
+    return SdeConfig(K=2, drift=DriftFunction.neutral(2), sigma=sigma, measure=ZeroMeasure(), dt=dt, horizon=horizon,
+                     eps_jump=eps_jump, tol_ext=tol_ext)
 
 
 # each constructor or entry point and parameter, called with the parameter set to a value
@@ -172,8 +172,8 @@ DOMAINS = {
     "SdeConfig-horizon": lambda v: _sde(horizon=v),
     "SdeConfig-eps_jump": lambda v: _sde(eps_jump=v),
     "SdeConfig-tol_ext": lambda v: _sde(tol_ext=v),
-    "AncestralModel-kappa": lambda v: AncestralModel(kappa=v, sigma=1.0, increments={1: 1.0}),
-    "AncestralModel-sigma": lambda v: AncestralModel(kappa=1.0, sigma=v, increments={1: 1.0}),
+    "AncestralModel-kappa": lambda v: AncestralModel(kappa=v, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure()),
+    "AncestralModel-sigma": lambda v: AncestralModel(kappa=1.0, sigma=v, increments={1: 1.0}, measure=ZeroMeasure()),
     "PointMass-z": lambda v: PointMass(v, 1.0),
     "PointMass-mass": lambda v: PointMass(0.5, v),
     "FiniteAtoms-z": lambda v: FiniteAtoms([(0.5, 1.0), (v, 1.0)]),

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from lwf.rng import RngStream
 
@@ -31,3 +32,11 @@ def test_derived_streams_are_independent_of_sibling_consumption():
     s.derive(1).generator().random(10_000)
     again = s.derive(0).generator().random(10)
     assert np.array_equal(first, again)
+
+
+def test_a_seed_outside_the_key_range_is_refused_and_a_stream_id_is_masked():
+    for seed in (-1, 2**63):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*63\)"):
+            RngStream(seed)
+    assert RngStream(2**63 - 1).seed == 2**63 - 1
+    assert RngStream(0, -1).stream == 2**64 - 1

@@ -308,8 +308,8 @@ def test_bernstein_round_trip_evaluation():
 
 
 def test_bernstein_degree_elevation_keeps_values():
-    g = transitive_pair_map(2)
-    n, table = bernstein_table(g, degree=4)
+    g = PolynomialMap([{(2, 0): 1.0, (1, 1): 1.0}, {(0, 1): 1.0}])  # (x1**2 + x1 x2, x2): x2 is elevated to degree 2
+    n, table = bernstein_table(g)
     pts = RngStream(13).generator().dirichlet(np.ones(2), size=50)
     assert np.allclose(composition_pmf(g.K, n, pts) @ table, g(pts), atol=1e-10)
 

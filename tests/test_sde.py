@@ -214,7 +214,7 @@ def test_a_drift_returning_one_cached_array_is_never_scaled_in_place():
 
 
 def test_frozen_dynamics_identity():
-    cfg = SdeConfig(K=3, drift=None, sigma=0.0, measure=ZeroMeasure(), dt=0.01, horizon=1.0)
+    cfg = SdeConfig(K=3, drift=DriftFunction.neutral(3), sigma=0.0, measure=ZeroMeasure(), dt=0.01, horizon=1.0)
     X = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0]])
     Y = _step(cfg, X, RngStream(2).generator())
     assert np.array_equal(X, Y)
@@ -222,7 +222,7 @@ def test_frozen_dynamics_identity():
 
 def test_jump_is_exact_convex_combination():
     # pure-jump dynamics, rate tuned so steps rarely carry two jumps
-    cfg = SdeConfig(K=3, drift=None, sigma=0.0, measure=PointMass(0.5, 1.25), dt=0.01, horizon=1.0)
+    cfg = SdeConfig(K=3, drift=DriftFunction.neutral(3), sigma=0.0, measure=PointMass(0.5, 1.25), dt=0.01, horizon=1.0)
     rng = RngStream(3).generator()
     x = np.array([0.5, 0.25, 0.25])
     single, jumped = 0, 0
@@ -241,13 +241,13 @@ def test_jump_is_exact_convex_combination():
 
 def test_dt_jump_rate_warning():
     with pytest.warns(UserWarning):
-        SdeConfig(K=2, drift=None, sigma=0.0, measure=PointMass(0.1, 10.0), dt=0.01, horizon=1.0)
+        SdeConfig(K=2, drift=DriftFunction.neutral(2), sigma=0.0, measure=PointMass(0.1, 10.0), dt=0.01, horizon=1.0)
 
 
 def test_neutral_martingale_and_variance():
     sigma, T, R = 1.0, 0.5, 20_000
-    cfg = SdeConfig(K=2, drift=None, sigma=sigma, measure=ZeroMeasure(), dt=1e-3, horizon=T)
-    batch = BatchSde(cfg, [0.3, 0.7], R, RngStream(4).generator())
+    cfg = SdeConfig(K=2, drift=DriftFunction.neutral(2), sigma=sigma, measure=ZeroMeasure(), dt=1e-3, horizon=T)
+    batch = BatchSde(cfg, [0.3, 0.7], [R], [RngStream(4).generator()])
     batch.run_until(T)
     vals = batch.X[:, 0]
     assert abs(vals.mean() - 0.3) <= 4.5 * vals.std() / math.sqrt(R)
@@ -279,13 +279,13 @@ def test_vertex_start_stays_fixed():
 
 
 def test_simulate_sde_rejects_record_times_that_go_back():
-    cfg = SdeConfig(K=2, drift=None, sigma=1.0, measure=ZeroMeasure(), dt=1e-2, horizon=1.0)
+    cfg = SdeConfig(K=2, drift=DriftFunction.neutral(2), sigma=1.0, measure=ZeroMeasure(), dt=1e-2, horizon=1.0)
     with pytest.raises(ValueError, match="nondecreasing"):
         simulate_sde(cfg, [0.5, 0.5], 2, [0.5, 0.2], RngStream(3))
 
 
 def test_simulate_sde_rejects_record_times_outside_the_run():
-    cfg = SdeConfig(K=2, drift=None, sigma=1.0, measure=ZeroMeasure(), dt=0.1, horizon=0.3)
+    cfg = SdeConfig(K=2, drift=DriftFunction.neutral(2), sigma=1.0, measure=ZeroMeasure(), dt=0.1, horizon=0.3)
     for times in ([0.1, 5.0], [0.4], [-1.0, 0.2], [-0.1]):
         with pytest.raises(ValueError, match="within the run"):
             simulate_sde(cfg, [0.5, 0.5], 4, times, RngStream(3))
@@ -293,7 +293,7 @@ def test_simulate_sde_rejects_record_times_outside_the_run():
     times = np.arange(4) * cfg.dt
     assert times[-1] > cfg.horizon
     states, events = simulate_sde(cfg, [0.5, 0.5], 4, times, RngStream(3))
-    batch = BatchSde(cfg, [0.5, 0.5], 4, RngStream(3).derive(LANE_SDE, 0).generator())
+    batch = BatchSde(cfg, [0.5, 0.5], [4], [RngStream(3).derive(LANE_SDE, 0).generator()])
     batch.run_until(cfg.horizon)  # the run that simulate_sde records
     assert states.shape == (4, 4, 2) and batch.steps <= 3
     assert np.array_equal(states[-1], batch.X) and np.array_equal(events.winner, batch.winner)
@@ -312,8 +312,10 @@ def test_cyclic_relabelling_symmetry():
 
 
 def test_extinction_clamp_records_events():
-    cfg = SdeConfig(K=3, drift=None, sigma=1.0, measure=ZeroMeasure(), dt=1e-3, horizon=100.0, tol_ext=1e-6)
-    batch = BatchSde(cfg, [0.2, 0.3, 0.5], 200, RngStream(8).generator())
+    cfg = SdeConfig(
+        K=3, drift=DriftFunction.neutral(3), sigma=1.0, measure=ZeroMeasure(), dt=1e-3, horizon=100.0, tol_ext=1e-6
+    )
+    batch = BatchSde(cfg, [0.2, 0.3, 0.5], [200], [RngStream(8).generator()])
     unfixed = batch.run_until(100.0)
     assert unfixed == 0
     assert np.all(batch.winner >= 0)
@@ -322,6 +324,17 @@ def test_extinction_clamp_records_events():
         assert np.all(np.isfinite(losses))
         assert math.isnan(batch.extinction_time[r][batch.winner[r]])
         assert batch.fixation_time[r] == pytest.approx(np.max(losses))
+
+
+@pytest.mark.parametrize("K", [2, 3, 6])
+def test_a_clamp_below_one_over_k_always_keeps_a_coordinate(K):
+    # at 1/K and above the clamp could zero every coordinate of the uniform point and divide by a zero sum
+    kwargs = dict(K=K, drift=DriftFunction.neutral(K), sigma=1.0, measure=ZeroMeasure(), dt=1e-2, horizon=0.5)
+    with pytest.raises(ValueError, match=r"tol_ext must lie in \[0, 1/K\)"):
+        SdeConfig(**kwargs, tol_ext=1.0 / K)
+    cfg = SdeConfig(**kwargs, tol_ext=np.nextafter(1.0 / K, 0.0))
+    states = simulate_sde(cfg, np.full(K, 1.0 / K), 50, [0.0, 0.5], RngStream(2))[0]
+    assert not np.isnan(states).any() and np.allclose(states.sum(axis=2), 1.0)
 
 
 def test_simulate_sde_stops_at_fixation_with_the_records_of_stepping_through():
@@ -334,7 +347,7 @@ def test_simulate_sde_stops_at_fixation_with_the_records_of_stepping_through():
     assert np.unique(fixed).size >= 3  # rows fix at different steps ...
     assert fixed.min() < cfg.horizon - 1.0  # ... and some sit absorbed for long stretches
 
-    batch = BatchSde(cfg, [0.2, 0.3, 0.5], R, RngStream(11).derive(LANE_SDE, 0).generator())
+    batch = BatchSde(cfg, [0.2, 0.3, 0.5], [R], [RngStream(11).derive(LANE_SDE, 0).generator()])
     states = [batch.X.copy()]
     for s in range(1, int(round(cfg.horizon / cfg.dt)) + 1):
         batch.step()
@@ -351,7 +364,7 @@ def _lone_batches(cfg, x0, widths, stream, times):
     """Each batch a ``BatchSde`` of its own on its own stream: the records and events ``simulate_sde`` must give."""
     records, runs = [], []
     for b, width in enumerate(widths):
-        batch = BatchSde(cfg, x0, width, stream.derive(LANE_SDE, b).generator())
+        batch = BatchSde(cfg, x0, [width], [stream.derive(LANE_SDE, b).generator()])
         block = []
         for t in times:
             batch.run_until(t)
@@ -436,7 +449,7 @@ def test_lockstep_batches_get_the_bytes_of_lone_batches(monkeypatch, name):
 
 def _check_bookkeeping_per_step(cfg, x0, R, seed, n_steps):
     """Step a batch, checking its records against the observed ``X`` after every step."""
-    batch = BatchSde(cfg, x0, R, RngStream(seed).generator())
+    batch = BatchSde(cfg, x0, [R], [RngStream(seed).generator()])
     X = batch.X.copy()
     first_zero = np.where(X == 0.0, 0.0, np.nan)
     first_vertex = np.where((X == 1.0).any(axis=1), 0.0, np.nan)
@@ -468,7 +481,7 @@ def _check_bookkeeping_per_step(cfg, x0, R, seed, n_steps):
         assert np.array_equal(batch.winner[fixed], X[fixed].argmax(axis=1))
         assert np.all(batch.winner[~fixed] == -1)
 
-    replay = BatchSde(cfg, x0, R, RngStream(seed).generator())
+    replay = BatchSde(cfg, x0, [R], [RngStream(seed).generator()])
     for steps in sorted({1, n_steps // 10, n_steps // 2, n_steps}):
         replay.run_until(steps * cfg.dt)
         assert np.array_equal(replay.X, snapshots[steps])
@@ -500,7 +513,7 @@ def test_compact_active_set_bookkeeping_matches_observed_states():
 def test_size_one_jump_fixes_on_the_step_it_fires():
     # a jump of size 1 replaces the whole population: the vertex is reached
     # in one step, and every other type dies at that same step
-    cfg = SdeConfig(K=3, drift=None, sigma=0.0, measure=PointMass(1.0, 1.0), dt=0.01, horizon=10.0)
+    cfg = SdeConfig(K=3, drift=DriftFunction.neutral(3), sigma=0.0, measure=PointMass(1.0, 1.0), dt=0.01, horizon=10.0)
     batch = _check_bookkeeping_per_step(cfg, [0.2, 0.3, 0.5], 12, 15, 400)
     fixed = batch.winner >= 0
     assert fixed.sum() >= 8 and np.all(batch.fixation_time[fixed] > 0.0)
@@ -514,7 +527,10 @@ def test_size_one_jump_fixes_on_the_step_it_fires():
 def test_clamp_onto_a_vertex_records_the_fixation_on_that_step():
     # a jump of size 0.9 leaves the other types at or below tol_ext, whose
     # clamp then lands the row on the vertex within the same step
-    cfg = SdeConfig(K=3, drift=None, sigma=0.0, measure=PointMass(0.9, 0.81), dt=0.01, horizon=10.0, tol_ext=0.05)
+    cfg = SdeConfig(
+        K=3, drift=DriftFunction.neutral(3), sigma=0.0, measure=PointMass(0.9, 0.81), dt=0.01, horizon=10.0,
+        tol_ext=0.05,
+    )
     batch = _check_bookkeeping_per_step(cfg, [0.5, 0.25, 0.25], 12, 16, 400)
     fixed = batch.winner >= 0
     assert fixed.sum() >= 8
@@ -526,7 +542,9 @@ def test_clamp_onto_a_vertex_records_the_fixation_on_that_step():
 def test_pure_jump_rows_fix_when_the_leading_coordinate_rounds_to_one():
     # without a clamp, halving jumps leave the losing type at ~1e-16, never
     # at zero: the row fixes on the step its leading coordinate reads 1.0
-    cfg = SdeConfig(K=2, drift=None, sigma=0.0, measure=PointMass(0.5, 1.0), dt=0.025, horizon=100.0)
+    cfg = SdeConfig(
+        K=2, drift=DriftFunction.neutral(2), sigma=0.0, measure=PointMass(0.5, 1.0), dt=0.025, horizon=100.0
+    )
     batch = _check_bookkeeping_per_step(cfg, [0.5, 0.5], 6, 17, 1500)
     fixed = batch.winner >= 0
     assert fixed.sum() >= 4
@@ -567,7 +585,7 @@ def test_jump_duality_against_chain_matrix_exponential():
         horizon=t,
     )
     R = 30_000
-    batch = BatchSde(cfg, [x0, 1.0 - x0], R, RngStream(21).generator())
+    batch = BatchSde(cfg, [x0, 1.0 - x0], [R], [RngStream(21).generator()])
     batch.run_until(t)
     vals = batch.X[:, 0] ** n0
     se = vals.std() / math.sqrt(R)
@@ -607,7 +625,7 @@ def test_generator_consistency(drift):
     rng_pts = RngStream(9).generator()
     pts = random_interior_points(rng_pts, 3, 3, 0.15)
     for p_idx, x in enumerate(pts):
-        batch = BatchSde(cfg, x, R, RngStream(10).derive(p_idx).generator())
+        batch = BatchSde(cfg, x, [R], [RngStream(10).derive(p_idx).generator()])
         batch.step()
         X = batch.X
         for kind, i, j in (("linear", 0, None), ("linear", 2, None), ("quad", 0, 0), ("quad", 0, 1)):
