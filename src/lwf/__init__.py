@@ -31,7 +31,6 @@ from .measures import (
     TruncatedSizeLaw,
     UniformLaw,
     ZeroMeasure,
-    kappa_star,
     lambda_nk_quadrature,
 )
 from .rng import RngStream

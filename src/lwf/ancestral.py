@@ -35,11 +35,11 @@ import numpy as np
 
 from .core import as_frequencies, integer_law
 from .errors import RateExplosionError
-from .measures import LambdaMeasure, collision_pairs, kappa_star as _kappa_star
+from .measures import LambdaMeasure, collision_pairs
 
 STATE_GUARD = 10**7
 N_START = 64  # first truncation level of the stationary and transient solves
-N_CAP = 2048  # default and largest ceiling of the solves: the dense generator takes 8 * n_max**2 bytes, 32 MB
+N_CAP = 2048  # ceiling of the solves: the dense generator takes 8 * n_max**2 bytes, 32 MB
 STATIONARY_TOL = 1e-6
 TABLE_BLOCK = 1 << 14  # most moves in one block of states while filling the generator: about 1 MB of temporaries
 
@@ -52,19 +52,15 @@ class AncestralModel:
     sigma: float
     increments: tuple[tuple[int, float], ...]
     measure: LambdaMeasure
-    n_cap: int = N_CAP
 
-    def __init__(self, kappa, sigma, increments, measure, n_cap=N_CAP):
+    def __init__(self, kappa, sigma, increments, measure):
         if not (0.0 <= kappa < math.inf and 0.0 <= sigma < math.inf):
             raise ValueError(f"kappa and sigma must be nonnegative and finite, got {kappa} and {sigma}")
-        if not 2 * N_START <= n_cap <= N_CAP:
-            raise ValueError(f"n_cap must lie in [{2 * N_START}, {N_CAP}], got {n_cap}")
         items = integer_law(increments, 1, "increments") if increments or kappa > 0 else ()  # kappa = 0 needs no law
         object.__setattr__(self, "kappa", float(kappa))
         object.__setattr__(self, "sigma", float(sigma))
         object.__setattr__(self, "increments", items)
         object.__setattr__(self, "measure", measure)
-        object.__setattr__(self, "n_cap", int(n_cap))
         # the increments and their rates per lineage, kappa * w_j
         object.__setattr__(self, "_branching", (np.array([j for j, _ in items], dtype=np.int64),
                                                 float(kappa) * np.array([w for _, w in items], dtype=float)))
@@ -77,9 +73,9 @@ class AncestralModel:
 
     @property
     def kappa_star(self) -> float:
-        if not self.increments:
-            return math.inf
-        return _kappa_star(self.measure, self.beta)
+        """Threshold ``(1/beta) ∫ |log(1-y)| L(dy) / y**2``, nonnegative by the absolute value; ``inf`` (not an error)
+        with no increments or a divergent integral: an atom at 1, a density with too much mass near 0."""
+        return self.measure.log_penalty() / self.beta if self.increments else math.inf
 
     def is_positive_recurrent(self) -> bool:
         """Recurrence side of the dichotomy (kappa = 0 counts as recurrent)."""
@@ -122,12 +118,14 @@ def simulate_ancestral(
 ):
     """Gillespie path up to the horizon: ``(jump times, states)`` arrays.
 
-    The initial state is recorded at time 0.  Raises
-    :class:`RateExplosionError` if the state passes ``STATE_GUARD`` (the
-    transient regime grows without bound).
+    The initial state, in ``[1, STATE_GUARD]``, is recorded at time 0.
+    Raises :class:`RateExplosionError` if the state passes ``STATE_GUARD``
+    (the transient regime grows without bound).
     """
     if not 0.0 <= horizon < math.inf:
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
+    if not 1 <= n0 <= STATE_GUARD:  # the moves out of n take memory of order n
+        raise ValueError(f"n0 must lie in [1, STATE_GUARD = {STATE_GUARD}], got {n0}")
     times, states = [0.0], [int(n0)]
     t, n = 0.0, int(n0)
     while True:
@@ -172,14 +170,14 @@ def dual_moment(model: AncestralModel, x: float, n0: int, t: float) -> tuple[flo
     mass that left, ``bound = 1 - (e^(Qt) 1)(n0)``, puts the exact moment in
     ``[value, value + bound]`` since ``0 <= x**n <= 1`` (the finite-state
     projection of Munsky and Khammash 2006).  ``n_max`` doubles from
-    ``max(N_START, n0)`` until ``bound <= STATIONARY_TOL`` or ``n_max = n_cap``.
+    ``max(N_START, n0)`` until ``bound <= STATIONARY_TOL`` or ``n_max = N_CAP``.
     """
     from scipy.linalg import expm
 
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
-    if not 1 <= n0 <= model.n_cap:
-        raise ValueError(f"initial state must lie in [1, n_cap = {model.n_cap}], got {n0}")
+    if not 1 <= n0 <= N_CAP:
+        raise ValueError(f"initial state must lie in [1, n_cap = {N_CAP}], got {n0}")
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     n_max = max(N_START, n0)
@@ -189,9 +187,9 @@ def dual_moment(model: AncestralModel, x: float, n0: int, t: float) -> tuple[flo
         row = expm(Q * t)[n0 - 1]
         value = float(row @ x ** np.arange(1, n_max + 1))
         bound = max(1.0 - float(row.sum()), 0.0)
-        if bound <= STATIONARY_TOL or n_max == model.n_cap:
+        if bound <= STATIONARY_TOL or n_max == N_CAP:
             return value, bound, n_max
-        n_max = min(2 * n_max, model.n_cap)
+        n_max = min(2 * n_max, N_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +237,7 @@ class StationaryLaw:
 
     ``probe`` holds the probed quantities of this law and ``change`` how far
     they moved when ``n_max`` last doubled; an unresolved law is the one at
-    the ceiling ``n_cap``.
+    the ceiling ``N_CAP``.
     """
 
     occupation: np.ndarray  # nu(n) for n = 1..n_max
@@ -257,7 +255,7 @@ def stationary_law(model: AncestralModel, points=None) -> StationaryLaw:
 
     ``n_max`` doubles from ``N_START`` until the probed quantities move by at
     most ``STATIONARY_TOL`` between ``n_max / 2`` and ``n_max``, or ``n_max`` reaches
-    the model's ``n_cap``.  The probe is the vector of pgf increments across
+    ``N_CAP``.  The probe is the vector of pgf increments across
     ``points`` (cumulative frequencies) when given, else the distribution
     function, whose change bounds that of every pgf increment by a factor 2.
     A chain that never moves (``kappa = sigma = 0`` and no collisions) has
@@ -277,13 +275,13 @@ def stationary_law(model: AncestralModel, points=None) -> StationaryLaw:
     n_max = N_START
     before = probe(_solve_stationary(model, n_max))
     while True:
-        n_max = min(2 * n_max, model.n_cap)
+        n_max = min(2 * n_max, N_CAP)
         nu = _solve_stationary(model, n_max)
         after = probe(nu)
         # A distribution function on 1..n_max/2 is 1 above it, so its first entries carry the whole change.
         change = np.abs(after[: before.size] - before)
         resolved = bool(change.max() <= STATIONARY_TOL)
-        if resolved or n_max == model.n_cap:
+        if resolved or n_max == N_CAP:
             return StationaryLaw(nu, after, change, resolved)
         before = after
 
@@ -306,7 +304,7 @@ def fixation_probabilities(model: AncestralModel, x0) -> FixationPrediction:
     increment ``phi(c_i) - phi(c_(i-1))`` of the stationary law across the
     cumulative initial frequencies, solved by :func:`stationary_law` with
     its truncation error as ``stderr``; regime ``"unresolved"`` when the
-    solve reaches ``n_cap`` first, as it does near ``kappa_star``, where the
+    solve reaches ``N_CAP`` first, as it does near ``kappa_star``, where the
     law is heavy-tailed.  Transient regime (``sigma = 0`` and ``kappa >=
     kappa_star``, decided in closed form): the highest labelled type present
     fixes surely.

@@ -99,8 +99,8 @@ CONVERT = {
          "delta", "final_ks_threshold", "min_fraction", "min_coord"),
         _number,
     ),
-    **dict.fromkeys(("K", "N", "n_cap", "seed", "replicates"), _integer),
-    **dict.fromkeys(("n0", "record_every", "points", "samples"), partial(_integer, minimum=1)),
+    **dict.fromkeys(("K", "N", "n0", "seed", "replicates"), _integer),  # simulate_ancestral checks n0
+    **dict.fromkeys(("record_every", "points", "samples"), partial(_integer, minimum=1)),
     "generations": partial(_integer, minimum=0),
     "grid_points": partial(_integer, minimum=2),
     **dict.fromkeys(("x0", "xs", "ts"), _list_of(_number, "numbers")),
@@ -131,7 +131,7 @@ def _simulate_sde(*, out, threads, x0, drift, measure, record_every=1, replicate
 
 
 def _ancestral(*, out, n0, horizon, increments, measure, stationary=False, replicates=1, seed=0, **chain):
-    """``chain`` holds ``kappa``, ``sigma`` and ``n_cap``; ``stationary`` also writes the solved law."""
+    """``chain`` holds ``kappa`` and ``sigma``; ``stationary`` also writes the solved law."""
     with building("'model' or 'schedule' block"):
         model = AncestralModel(increments=increments, measure=measure, **chain)
         law = stationary_law(model) if stationary else None
@@ -175,7 +175,7 @@ COMMANDS = {
         "model": ("K x0 dt horizon sigma", "eps_jump tol_ext record_every"),
     }),
     "ancestral": Command(_ancestral, {
-        "model": ("n0 horizon kappa sigma", "n_cap stationary"),
+        "model": ("n0 horizon kappa sigma", "stationary"),
         "schedule": ("tail", ""),
     }),
     "convergence": Command(xp.run_convergence, {

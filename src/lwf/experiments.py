@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .ancestral import STATIONARY_TOL, AncestralModel, dual_moment, fixation_probabilities
+from .ancestral import N_CAP, STATIONARY_TOL, AncestralModel, dual_moment, fixation_probabilities
 from .batches import LANE_DRIFT, LANE_POINTS, pmap
 from .config import building
 from .core import as_frequencies, random_interior_points
@@ -137,10 +137,10 @@ def _band(name: str, estimate, target, width, **metric) -> Metric:
     return Metric(name=name, value=metric.pop("value", estimate), passed=passed, **metric)
 
 
-def _unresolved(name: str, bound: float, what: str, n_cap: int, details: dict) -> Metric:
-    """A failing metric: the dual chain's truncation error ``bound`` was still above tolerance at ``n_cap``."""
+def _unresolved(name: str, bound: float, what: str, details: dict) -> Metric:
+    """A failing metric: the dual chain's truncation error ``bound`` was still above tolerance at ``N_CAP``."""
     return Metric(
-        name=name, value=bound, tolerance=f"{what} before n_max reaches n_cap = {n_cap}", passed=False, details=details
+        name=name, value=bound, tolerance=f"{what} before n_max reaches n_cap = {N_CAP}", passed=False, details=details
     )
 
 
@@ -362,7 +362,7 @@ def run_fixation(
     top-present-label indicator in the transient one (where the check is
     that the top label wins every replicate).  ``kappa = 0`` is the neutral case with the initial
     frequencies as exact prediction and a 99% binomial band.  A stationary
-    law the solve cannot resolve below ``n_cap`` (near ``kappa_star``) is a
+    law the solve cannot resolve below ``N_CAP`` (near ``kappa_star``) is a
     failing ``stationary_law_resolved`` metric, not a number.
 
     ``stationary_time`` is accepted and ignored: it set the length of the
@@ -406,7 +406,7 @@ def run_fixation(
         what = f"pgf increments move by <= {STATIONARY_TOL:g} when the truncation n_max doubles,"
         details["empirical"] = empirical.tolist()
         bound = float(np.max(prediction.stderr))
-        metrics.append(_unresolved("stationary_law_resolved", bound, what, dual.n_cap, details))
+        metrics.append(_unresolved("stationary_law_resolved", bound, what, details))
     else:
         if kappa == 0.0:
             width, tolerance = Z_99_TWO_SIDED * null_se, "within the 99% binomial CI of the exact prediction"
@@ -454,7 +454,7 @@ def run_duality(
     value is x exactly; at ``kappa = 0``, ``n0 = 2`` with no jumps the
     second moment solves ``dm/dt = sigma (x - m)``, checked at 5% relative
     error.  A cell whose bound d exceeds ``STATIONARY_TOL`` once the
-    truncation reaches ``n_cap`` (a transient chain far out) is a failing
+    truncation reaches ``N_CAP`` (a transient chain far out) is a failing
     ``dual_moment_resolved`` metric, not a band that passes almost any
     value.
     """
@@ -467,10 +467,10 @@ def run_duality(
     stream = RngStream(seed)
     cfg, dual = _dual_pair(kappa, increments, sigma, measure, K=2, dt=dt, horizon=max(ts), eps_jump=eps_jump)
     for n0 in n0s if xs else ():  # named by the first cell that would solve for it, before any simulation
-        if not 1 <= n0 <= dual.n_cap:
+        if not 1 <= n0 <= N_CAP:
             raise ConfigError(
                 f"invalid duality cell n0={n0},t={ts[0]},x={xs[0]}: "
-                f"initial state must lie in [1, n_cap = {dual.n_cap}], got {n0}"
+                f"initial state must lie in [1, n_cap = {N_CAP}], got {n0}"
             )
     grid = sorted(set(ts))  # the integrator records forward in time, whatever order the cells come in
     metrics = []
@@ -497,7 +497,7 @@ def run_duality(
                 if bound > STATIONARY_TOL:
                     what = f"killed-truncation bound d <= {STATIONARY_TOL:g}"
                     details = {"integrator": sde_mean, "chain_lower": dual_mean, "n_max": n_max}
-                    metrics.append(_unresolved(f"dual_moment_resolved:{cell}", bound, what, dual.n_cap, details))
+                    metrics.append(_unresolved(f"dual_moment_resolved:{cell}", bound, what, details))
                     continue
                 metrics.append(
                     _band(

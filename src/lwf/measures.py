@@ -455,20 +455,6 @@ def lambda_nk_quadrature(measure: LambdaMeasure, n: int, k: int) -> float:
     return total
 
 
-def kappa_star(measure: LambdaMeasure, beta: float) -> float:
-    """Selection threshold ``(1/beta) ∫ |log(1-y)| L(dy) / y**2``.
-
-    Returns ``inf`` (a usable value, not an error) when the integral
-    diverges: any atom at 1, any density with too much mass near 0.  The
-    absolute value makes the threshold nonnegative so that the recurrence
-    condition ``kappa < kappa_star`` is satisfiable; the signed integral,
-    with ``log(1-y) <= 0`` kept, is ``-kappa_star``.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    return measure.log_penalty() / beta
-
-
 # ---------------------------------------------------------------------------
 # Sampling the event-size law
 # ---------------------------------------------------------------------------

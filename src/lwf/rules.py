@@ -3,9 +3,9 @@
 A rule maps the multiset of potential-parent types (a count vector over the
 K types) to a probability distribution over the offspring's type.  All
 built-in rules are exchangeable, so counts are a sufficient statistic for
-the ordered sample.  Rules are immutable and all methods are pure; the
-``*_batch`` variants vectorize over many samples at once for the replicate
-engines.
+the ordered sample.  Rules are immutable and all methods are pure; both
+laws take batches, ``distribution_batch`` one count vector per row and
+``type_law_batch`` one frequency vector per row.
 """
 
 from __future__ import annotations
@@ -45,28 +45,8 @@ class ColouringRule:
 
     # -- sample -> type law --------------------------------------------------
 
-    def distribution(self, counts) -> np.ndarray:
-        """Distribution of the offspring type given one sampled multiset."""
-        counts = self._check_counts(np.asarray(counts))
-        return self.distribution_batch(counts[None, :])[0]
-
     def distribution_batch(self, counts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _check_counts(self, counts: np.ndarray) -> np.ndarray:
-        if counts.ndim != 1 or counts.size != self.K:
-            raise ValueError(f"counts must have length {self.K}, got shape {counts.shape}")
-        if not np.issubdtype(counts.dtype, np.integer):
-            whole = np.isfinite(counts) & (counts == np.floor(counts))
-            if not whole.all():
-                i = int(np.argmin(whole))
-                raise ValueError(f"counts must be whole numbers, got counts[{i}] = {counts[i]}")
-            counts = counts.astype(np.int64)
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative integers")
-        if counts.sum() < 1:
-            raise ValueError("sample must contain at least one potential parent")
-        return counts
 
     # -- exact averaging over multinomial samples ----------------------------
 
@@ -335,7 +315,7 @@ class BernsteinRule(ColouringRule):
         self.degree = int(degree)
         if self.degree < 1:
             raise ValueError("degree must be at least 1")
-        Z = compositions(K, self.degree)
+        self.multi_indices = Z = compositions(K, self.degree)  # the multi-index of each table row
         if table.shape[0] != Z.shape[0]:
             raise ValueError(f"table must have one row per multi-index ({Z.shape[0]}), got {table.shape[0]}")
         bad = np.flatnonzero((table < -1e-9) | (table > 1.0 + 1e-9))
@@ -382,8 +362,7 @@ class BernsteinRule(ColouringRule):
         return out
 
     def to_config(self):
-        Z = compositions(self.K, self.degree)
-        entries = [[list(map(int, z)), list(map(float, row))] for z, row in zip(Z, self.table)]
+        entries = [[list(map(int, z)), list(map(float, row))] for z, row in zip(self.multi_indices, self.table)]
         return {"kind": "bernstein", "degree": self.degree, "table": entries}
 
 

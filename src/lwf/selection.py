@@ -19,7 +19,7 @@ import numpy as np
 from .bernstein import PolynomialMap
 from .core import _type_sum, integer_law
 from .errors import build_kind
-from .rules import beats_from_labels, beats_matrix, win_prob_matrix
+from .rules import beats_from_labels, beats_matrix, bernstein_rule, win_prob_matrix
 
 
 def _scaled(c: float, a: np.ndarray) -> np.ndarray:
@@ -198,7 +198,19 @@ class DriftFunction:
 
     @classmethod
     def from_polynomial(cls, lam: float, g: PolynomialMap) -> "DriftFunction":
-        """Drift ``lam * (g(x) - x)`` for a simplex-preserving map ``g``."""
+        """Drift ``lam * (g(x) - x)`` for a map ``g`` of the simplex into itself that revives no absent type.
+
+        ``g``'s Bernstein table must pass :class:`~lwf.rules.BernsteinRule`'s checks, and output i must be 0 at
+        every multi-index with ``z_i = 0``: the integrator holds an absent type at zero, so it refuses a mutation.
+        """
+        rule = bernstein_rule(g)
+        revived = np.argwhere((rule.multi_indices == 0) & (rule.table > 0.0))
+        if revived.size:
+            row, i = revived[0]
+            z = tuple(int(v) for v in rule.multi_indices[row])
+            raise ValueError(f"Bernstein coefficient for output {i + 1} at multi-index {z} is "
+                             f"{float(rule.table[row, i])!r}, not 0: the map revives an absent type (a mutation), "
+                             "which the integrator does not follow")
 
         def mu(x):
             x = np.asarray(x, dtype=float)

@@ -168,9 +168,10 @@ def test_generator_blocks_do_not_move_a_bit(monkeypatch, measure):
         assert small_Q.tobytes() == Q.tobytes() and small_above.tobytes() == above.tobytes(), n_max
 
 
-def test_stationary_solve_caches_no_cumulative_rates():
+def test_stationary_solve_caches_no_cumulative_rates(monkeypatch):
     # only the Gillespie sampler draws moves; the solve reads the moves of whole blocks of states
-    model = AncestralModel(kappa=2.5, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0), n_cap=256)
+    monkeypatch.setattr(lwf.ancestral, "N_CAP", 256)
+    model = AncestralModel(kappa=2.5, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
     law = stationary_law(model)
     assert law.n_max == 256
     assert not model._jump_cache
@@ -183,12 +184,6 @@ def test_transience_detector_aborts_stationary_run():
     model = AncestralModel(kappa=50.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
     with pytest.raises(ValueError, match=r"kappa = 50 >= kappa\* = 2\.77"):
         stationary_law(model)
-
-
-@pytest.mark.parametrize("n_cap", [2 * N_START - 1, N_CAP + 1, 10_000])
-def test_n_cap_allows_one_doubling_and_bounds_the_dense_generator(n_cap):
-    with pytest.raises(ValueError, match=rf"n_cap must lie in \[{2 * N_START}, {N_CAP}\], got {n_cap}"):
-        AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0), n_cap=n_cap)
 
 
 def test_stationary_pure_death_concentrates_at_one():
@@ -321,17 +316,17 @@ def test_sigma_keeps_a_supercritical_chain_recurrent_and_resolved():
 
 
 @pytest.mark.parametrize("kappa", [2.5, 2.7])
-def test_near_threshold_the_solve_is_unresolved_not_transient(kappa):
+def test_near_threshold_the_solve_is_unresolved_not_transient(monkeypatch, kappa):
     model = AncestralModel(kappa=kappa, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
     assert kappa < model.kappa_star == pytest.approx(4.0 * math.log(2.0))
     assert model.is_positive_recurrent()
     pred = fixation_probabilities(model, [0.2, 0.3, 0.5])
     assert pred.regime == "unresolved"
-    assert pred.n_max == model.n_cap
+    assert pred.n_max == N_CAP
     assert pred.stderr.max() > STATIONARY_TOL
     # a lower ceiling stops there
-    low = AncestralModel(kappa=kappa, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0), n_cap=200)
-    law = stationary_law(low, [0.2, 0.5, 1.0])
+    monkeypatch.setattr(lwf.ancestral, "N_CAP", 200)
+    law = stationary_law(model, [0.2, 0.5, 1.0])
     assert (law.n_max, law.resolved) == (200, False)
 
 
@@ -355,17 +350,18 @@ def test_dual_moment_brackets_the_exact_value_at_a_small_truncation(monkeypatch)
     reference, ref_bound, ref_n_max = dual_moment(model, 0.7, 3, 1.0)
     assert ref_bound <= 1e-10 and ref_n_max == N_START
     monkeypatch.setattr(lwf.ancestral, "N_START", 8)
-    small = AncestralModel(kappa=1.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0), n_cap=16)
-    value, bound, n_max = dual_moment(small, 0.7, 3, 1.0)
+    monkeypatch.setattr(lwf.ancestral, "N_CAP", 16)
+    value, bound, n_max = dual_moment(model, 0.7, 3, 1.0)
     assert n_max == 16 and 1e-3 < bound < 3e-3
     assert value < reference <= value + bound
     # the mass that left is the bound at x = 1, where every surviving state weighs 1
-    at_one, bound_one, _ = dual_moment(small, 1.0, 3, 1.0)
+    at_one, bound_one, _ = dual_moment(model, 1.0, 3, 1.0)
     assert bound_one == bound and at_one + bound == pytest.approx(1.0, abs=1e-12)
 
 
-def test_dual_moment_rejects_a_start_beyond_the_ceiling():
-    model = AncestralModel(kappa=1.0, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure(), n_cap=128)
+def test_dual_moment_rejects_a_start_beyond_the_ceiling(monkeypatch):
+    monkeypatch.setattr(lwf.ancestral, "N_CAP", 128)
+    model = AncestralModel(kappa=1.0, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure())
     with pytest.raises(ValueError, match=r"initial state must lie in \[1, n_cap = 128\], got 129"):
         dual_moment(model, 0.5, 129, 1.0)
     assert dual_moment(model, 0.5, 100, 0.0) == (0.5**100, 0.0, 100)  # the solve starts at n0 above N_START
@@ -373,12 +369,12 @@ def test_dual_moment_rejects_a_start_beyond_the_ceiling():
 
 def test_the_dual_chain_runs_forward_in_time_only():
     # a negative time returned a NaN moment after climbing to n_cap; a NaN horizon never stopped the path
-    model = AncestralModel(kappa=1.0, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure(), n_cap=128)
+    model = AncestralModel(kappa=1.0, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure())
     with pytest.raises(ValueError, match=r"t must be finite and >= 0, got -1\.0"):
         dual_moment(model, 0.5, 2, -1.0)
     with pytest.raises(ValueError, match=r"horizon must be finite and >= 0, got -1\.0"):
         simulate_ancestral(model, 3, -1.0, RngStream(5).generator())
-    with pytest.raises(ValueError, match=r"state must be >= 1, got 0"):
+    with pytest.raises(ValueError, match=r"n0 must lie in \[1, STATE_GUARD = 10000000\], got 0"):
         simulate_ancestral(model, 0, 1.0, RngStream(5).generator())
 
 

@@ -239,7 +239,7 @@ def test_cli_simulate_bytes_reproduce_across_runs_and_threads(tmp_path, subcomma
         ("simulate-discrete", "schedule", {"tail": {"2": -1.0}}),
         ("simulate-discrete", "model", {"record_every": 0}),
         ("ancestral", "model", {"kappa": -1.0}),
-        ("ancestral", "model", {"n_cap": 10_000}),
+        ("ancestral", "model", {"n_cap": 10_000}),  # an unknown key: the solves' ceiling is the constant N_CAP
         # a negative weight next to a valid law was dropped, and the run exited 0
         ("simulate-discrete", "schedule", {"tail": {"2": 1.0, "3": -0.5}}),
         ("ancestral", "schedule", {"tail": {"2": 1.0, "3": -0.5}}),
@@ -777,6 +777,14 @@ def _named(name):
     return lambda p: p.setdefault("experiment", {}).update(name=name)
 
 
+def _two_type_polynomial(lam, x0, monomials):
+    """Make the simulate-sde payload a K = 2 run from ``x0`` with a polynomial drift."""
+    def edit(p):
+        p["model"].update(K=2, x0=x0)
+        p["drift"] = {"kind": "polynomial", "lambda": lam, "monomials": monomials}
+    return edit
+
+
 NEUTRAL = {"kind": "neutral"}
 # one schema error of each kind per subcommand, with the message the CLI has always printed for it
 SCHEMA_ERRORS = [
@@ -791,7 +799,7 @@ SCHEMA_ERRORS = [
     ("simulate-discrete", _added("drift", NEUTRAL), "blocks ['drift'] are not used by 'simulate-discrete'"),
     ("simulate-discrete", _named("duality"), "experiment.name is 'duality' but the subcommand is 'simulate-discrete'"),
     ("ancestral", _unknown("model"), "unknown keys in 'model' block: ['typo'] (allowed: ['horizon', 'kappa', 'n0', "
-     "'n_cap', 'sigma', 'stationary'])"),
+     "'sigma', 'stationary'])"),
     ("ancestral", _missing("model", "kappa"), "block 'model' is missing required keys: ['kappa']"),
     ("ancestral", _added("drift", NEUTRAL), "blocks ['drift'] are not used by 'ancestral'"),
     ("ancestral", _named("duality"), "experiment.name is 'duality' but the subcommand is 'ancestral'"),
@@ -875,8 +883,8 @@ SCHEMA_ERRORS = [
      "bad drift block: need p[i, j] + p[j, i] = 1"),
     # keys that sized the Gillespie estimates of the chain's laws, which are solved now
     ("ancestral", lambda p: p["model"].update(burn_in=50.0, stationary_time=500.0),
-     "unknown keys in 'model' block: ['burn_in', 'stationary_time'] (allowed: ['horizon', 'kappa', 'n0', 'n_cap', "
-     "'sigma', 'stationary'])"),
+     "unknown keys in 'model' block: ['burn_in', 'stationary_time'] (allowed: ['horizon', 'kappa', 'n0', 'sigma', "
+     "'stationary'])"),
     ("duality", lambda p: p["experiment"].update(dual_replicates=500),
      "unknown keys in 'experiment' block: ['dual_replicates'] (allowed: ['n0s', 'name', 'replicates', 'seed', 'ts', "
      "'xs'])"),
@@ -923,7 +931,8 @@ MALFORMED = [
      "invalid 'experiment' block: grid_points must be an integer, got None"),
     ("drift-oracle", lambda p: p["experiment"].update(points=[2]),
      "invalid 'experiment' block: points must be an integer, got [2]"),
-    ("ancestral", lambda p: p["model"].update(n0=0), "invalid 'model' block: n0 must be >= 1, got 0"),
+    ("ancestral", lambda p: p["model"].update(n0=0),
+     "invalid 'model' block: n0 must lie in [1, STATE_GUARD = 10000000], got 0"),
     ("fixation", lambda p: p["model"].update(x0=[0.5, 0.6]),
      "invalid 'model' block: coordinates must sum to 1 (got 1.1)"),
     # an empty grid crashed the convergence check and gave duality a report with no metrics that passed
@@ -1005,6 +1014,19 @@ MALFORMED = [
     ("simulate-discrete", lambda p: p["schedule"].update(b=0.75), "exponent b only applies when sigma = 0"),
     ("simulate-discrete", lambda p: p["schedule"].update(kappa=30.0),
      "kappa/(sigma*N) = 1.5 > 1: N too small for this kappa/sigma"),
+    # a polynomial drift that leaves the simplex ran renormalised every step; a mutation drift froze at a vertex
+    ("simulate-sde", _two_type_polynomial(1.0, [0.3, 0.7], [[[[1, 0], 2.0]], [[[0, 1], 1.0]]]),
+     "bad drift block: Bernstein coefficient for output 1 at multi-index (1, 0) is 2.0, outside [0, 1]: the map does "
+     "not preserve the simplex"),
+    ("simulate-sde", _two_type_polynomial(5.0, [0.0, 1.0], [[[[1, 0], 0.95], [[0, 1], 0.05]],
+                                                             [[[1, 0], 0.05], [[0, 1], 0.95]]]),
+     "bad drift block: Bernstein coefficient for output 1 at multi-index (0, 1) is 0.05, not 0: the map revives an "
+     "absent type (a mutation), which the integrator does not follow"),
+    # a lineage count of 1e12 exited 1 on an uncaught MemoryError; the ceiling of the solves is no key
+    ("ancestral", lambda p: p["model"].update(n0=1e12),
+     "invalid 'model' block: n0 must lie in [1, STATE_GUARD = 10000000], got 1000000000000"),
+    ("ancestral", lambda p: p["model"].update(n_cap=2048),
+     "unknown keys in 'model' block: ['n_cap'] (allowed: ['horizon', 'kappa', 'n0', 'sigma', 'stationary'])"),
 ]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lwf import cli, experiments
+from lwf.ancestral import N_CAP
 from lwf.errors import ConfigError
 from lwf.experiments import (
     run_convergence,
@@ -180,7 +181,7 @@ def test_duality_cell_with_an_unresolved_truncation_bound_fails(monkeypatch):
     # a transient chain far out leaves d = 0.70 at n_cap, a band that would pass almost any integrator mean
     import lwf.experiments as xp
 
-    monkeypatch.setattr(xp, "dual_moment", lambda model, x, n0, t: (0.2, 0.7, model.n_cap))
+    monkeypatch.setattr(xp, "dual_moment", lambda model, x, n0, t: (0.2, 0.7, N_CAP))
     report = run_duality(
         kappa=0.5, increments={1: 1.0}, sigma=1.0, measure=ZeroMeasure(), xs=(0.3,), ts=(0.3,),
         n0s=(2,), dt=2e-3, replicates=50, seed=5,

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lwf.ancestral import AncestralModel
 from lwf.measures import (
     BetaLaw,
     FiniteAtoms,
@@ -15,7 +16,6 @@ from lwf.measures import (
     UniformLaw,
     ZeroMeasure,
     collision_pairs,
-    kappa_star,
     lambda_nk_quadrature,
 )
 from lwf.rng import RngStream
@@ -153,18 +153,23 @@ def test_collision_pairs_lay_out_each_state_row_after_row():
     assert k.tolist() == [2, 2, 3, 2, 3, 4, 5]
 
 
+def kappa_star(measure):
+    """The threshold of the dual chain whose every lineage branches into two extra parents, beta = 2."""
+    return AncestralModel(kappa=1.0, sigma=0.0, increments={2: 1.0}, measure=measure).kappa_star
+
+
 def test_kappa_star_examples():
-    assert kappa_star(PointMass(0.5, 1.0), 1.0) == pytest.approx(4.0 * math.log(2.0), rel=1e-12)
-    assert kappa_star(ZeroMeasure(), 1.0) == 0.0
-    assert kappa_star(PointMass(1.0, 1.0), 1.0) == math.inf
-    assert -kappa_star(PointMass(0.5, 1.0), 1.0) == pytest.approx(-4.0 * math.log(2.0), rel=1e-12)
+    assert kappa_star(PointMass(0.5, 1.0)) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
+    assert kappa_star(ZeroMeasure()) == 0.0
+    assert kappa_star(PointMass(1.0, 1.0)) == math.inf
+    assert -kappa_star(PointMass(0.5, 1.0)) == pytest.approx(-2.0 * math.log(2.0), rel=1e-12)
 
 
 def test_kappa_star_divergent_variants():
     # |log(1-y)| / y**2 ~ 1/y near zero: uniform density diverges there
-    assert kappa_star(UniformLaw(1.0), 1.0) == math.inf
-    assert kappa_star(BetaLaw(0.9, 2.0), 1.0) == math.inf
-    assert kappa_star(FiniteAtoms([(0.3, 1.0), (1.0, 0.5)]), 2.0) == math.inf
+    assert kappa_star(UniformLaw(1.0)) == math.inf
+    assert kappa_star(BetaLaw(0.9, 2.0)) == math.inf
+    assert kappa_star(FiniteAtoms([(0.3, 1.0), (1.0, 0.5)])) == math.inf
 
 
 def _beta_kappa_star_closed_form(measure, beta):
@@ -183,7 +188,7 @@ def _beta_kappa_star_closed_form(measure, beta):
 
 def test_kappa_star_beta_matches_the_closed_form():
     for measure in (BetaLaw(2.5, 2.0, 1.3), BetaLaw(3.0, 1.0, 0.7)):
-        assert kappa_star(measure, 2.0) == pytest.approx(_beta_kappa_star_closed_form(measure, 2.0), rel=1e-8)
+        assert kappa_star(measure) == pytest.approx(_beta_kappa_star_closed_form(measure, 2.0), rel=1e-8)
 
 
 def _beta_log_penalty_quadrature(measure):
@@ -215,7 +220,7 @@ def _beta_log_penalty_quadrature(measure):
 def test_beta_log_penalty_closed_form_matches_quadrature(a, b):
     measure = BetaLaw(a, b, 1.3)
     assert measure.log_penalty() == pytest.approx(_beta_log_penalty_quadrature(measure), rel=1e-12)
-    assert kappa_star(measure, 2.0) == pytest.approx(measure.log_penalty() / 2.0, rel=1e-15)
+    assert kappa_star(measure) == pytest.approx(measure.log_penalty() / 2.0, rel=1e-15)
 
 
 def _beta_event_rate_quadrature(measure, lo):
@@ -271,11 +276,6 @@ def _beta_event_rate_exact(a: int, b: int, mass: float, lo: float) -> Fraction:
 def test_beta_event_rate_for_a_above_2_keeps_its_relative_accuracy_near_one(a, b, lo):
     exact = _beta_event_rate_exact(a, b, 1.3, lo)
     assert BetaLaw(float(a), float(b), 1.3).resampling_mass_above(lo) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
-
-
-def test_kappa_star_rejects_bad_beta():
-    with pytest.raises(ValueError):
-        kappa_star(PointMass(0.5), 0.0)
 
 
 def test_event_mass_nondecreasing_in_population_size():

@@ -407,12 +407,13 @@ def _win_probs(K):
 
 
 _MUTATION = PolynomialMap([{tuple(np.eye(3, dtype=int)[j]): 0.95 * (i == j) + 0.05 / 3 for j in range(3)} for i in range(3)])
+# from_polynomial refuses a mutation map; SdeConfig takes any callable drift, and this one revives absent types
 # strong selection: at dt * kappa = 0.2 a drift that gave a row other bits in another block would show in the states
 _LOCKSTEP_DRIFTS = {
     "neutral": (DriftFunction.neutral(3), [0.2, 0.3, 0.5]),
     "transitive": (DriftFunction.transitive(20.0, {1: 0.5, 2: 0.5}, 3), [0.0, 0.4, 0.6]),  # an edge start
     "rps": (DriftFunction.rps(20.0), [0.2, 0.3, 0.5]),
-    "polynomial": (DriftFunction.from_polynomial(20.0, _MUTATION), [0.0, 0.4, 0.6]),  # revives its zeros
+    "polynomial": (lambda x: 20.0 * (_MUTATION(x) - x), [0.0, 0.4, 0.6]),  # revives its zeros
     **{
         f"{kind}-{K}": (drift, np.arange(1.0, K + 1) / (K * (K + 1) / 2))
         for K in (6, 9)
@@ -559,7 +560,7 @@ def test_clamp_still_fires_on_a_type_revived_by_mutation():
         [{tuple(np.eye(K, dtype=int)[j]): (1 - m) * (i == j) + m / K for j in range(K)} for i in range(K)]
     )
     cfg = SdeConfig(
-        K=K, drift=DriftFunction.from_polynomial(0.5, mutation), sigma=1.0, measure=ZeroMeasure(), dt=1e-2,
+        K=K, drift=lambda x: 0.5 * (mutation(x) - x), sigma=1.0, measure=ZeroMeasure(), dt=1e-2,
         horizon=10.0, tol_ext=1e-3,
     )
     batch = _check_bookkeeping_per_step(cfg, [0.8, 0.15, 0.05], 10, 18, 400)

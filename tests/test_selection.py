@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from lwf.bernstein import PolynomialMap
 from lwf.core import OffspringLaw, random_interior_points
 from lwf.experiments import standard_drift_catalog
 from lwf.rng import RngStream
@@ -58,12 +59,28 @@ def test_freq_dep_examples():
 
 
 def test_polynomial_drift_trivial_cases():
-    from lwf.bernstein import PolynomialMap
-
     x = np.array([0.2, 0.3, 0.5])
     identity = PolynomialMap([{(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}, {(0, 0, 1): 1.0}])
     assert np.allclose(DriftFunction.from_polynomial(2.0, identity)(x), 0.0)
     assert np.allclose(DriftFunction.from_polynomial(0.0, cyclic_contest_map())(x), 0.0)
+
+
+@pytest.mark.parametrize(
+    "components,message",
+    [
+        ([{(1, 0): 2.0}, {(0, 1): 1.0}], "for output 1 at multi-index (1, 0) is 2.0, outside [0, 1]"),
+        ([{(1, 0): 0.5}, {(0, 1): 0.5}], "coefficient row for multi-index (0, 1) sums to 0.5, expected 1"),
+        ([{(1, 0): 0.95, (0, 1): 0.05}, {(1, 0): 0.05, (0, 1): 0.95}],
+         "for output 1 at multi-index (0, 1) is 0.05, not 0: the map revives an absent type (a mutation)"),
+        # the three-type cycle with the x_1 x_2 pairs given to type 3, which is absent from them
+        ([{(2, 0, 0): 1.0, (1, 0, 1): 2.0}, {(0, 2, 0): 1.0, (0, 1, 1): 2.0}, {(0, 0, 2): 1.0, (1, 1, 0): 2.0}],
+         "for output 3 at multi-index (1, 1, 0) is 1.0, not 0"),
+    ],
+    ids=["leaves-the-simplex", "leaves-the-face", "mutation", "mutation-degree-2"],
+)
+def test_from_polynomial_refuses_a_map_the_integrator_cannot_follow_naming_the_multi_index(components, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DriftFunction.from_polynomial(1.0, PolynomialMap(components))
 
 
 def test_polynomial_route_matches_transitive_closed_form():
