@@ -42,6 +42,7 @@ N_START = 64  # first truncation level of the stationary and transient solves
 N_CAP = 2048  # ceiling of the solves: the dense generator takes 8 * n_max**2 bytes, 32 MB
 STATIONARY_TOL = 1e-6
 TABLE_BLOCK = 1 << 14  # most moves in one block of states while filling the generator: about 1 MB of temporaries
+JUMP_CACHE_MOVES = 1 << 20  # most moves the Gillespie sampler keeps cached: 16 MB of targets and cumulative rates
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,7 @@ class AncestralModel:
         object.__setattr__(self, "_branching", (np.array([j for j, _ in items], dtype=np.int64),
                                                 float(kappa) * np.array([w for _, w in items], dtype=float)))
         object.__setattr__(self, "_jump_cache", {})
+        object.__setattr__(self, "_cached_moves", 0)
 
     @property
     def beta(self) -> float:
@@ -102,12 +104,24 @@ class AncestralModel:
         return sources[keep], targets[keep], rates[keep]
 
     def jumps(self, n: int):
-        """Cached ``(targets, cumulative, total)`` rates out of state n, kept only for states a path visits."""
-        if n not in self._jump_cache:
-            _, targets, rates = self.rates(n)
-            cum = np.cumsum(rates)
-            self._jump_cache[n] = (targets, cum, float(cum[-1]) if rates.size else 0.0)
-        return self._jump_cache[n]
+        """``(targets, cumulative, total)`` rates out of state n, cached for the states a path visits.
+
+        The moves out of n number about n, so a path from a large n0 would cache memory quadratic in n0: the cache
+        is emptied whenever it would pass ``JUMP_CACHE_MOVES`` moves.  :meth:`rates` is deterministic, so a move
+        rebuilt after that has the same bits.
+        """
+        if n in self._jump_cache:
+            return self._jump_cache[n]
+        _, targets, rates = self.rates(n)
+        cum = np.cumsum(rates)
+        moves = (targets, cum, float(cum[-1]) if rates.size else 0.0)
+        if self._cached_moves + targets.size > JUMP_CACHE_MOVES:
+            self._jump_cache.clear()
+            object.__setattr__(self, "_cached_moves", 0)
+        if targets.size <= JUMP_CACHE_MOVES:
+            self._jump_cache[n] = moves
+            object.__setattr__(self, "_cached_moves", self._cached_moves + targets.size)
+        return moves
 
 
 def simulate_ancestral(

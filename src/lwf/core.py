@@ -60,11 +60,12 @@ def _type_sum(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _categorical(P: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One type per column of type-major weights ``(K, m)``, by inverse cdf; the weights need not sum to 1."""
+def _categorical(P: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One type per column of type-major weights ``(K, m)``, by inverse cdf at that column's uniform in ``[0, 1)``;
+    the weights need not sum to 1."""
     cdf = np.add.accumulate(P)
     # u < 1 rounds u * total to at most total, so the last row never counts and the draw stays below K
-    return np.add.reduce(cdf < rng.random(P.shape[1]) * cdf[-1], axis=0, dtype=np.intp)
+    return np.add.reduce(cdf < u * cdf[-1], axis=0, dtype=np.intp)
 
 
 def random_interior_points(rng: np.random.Generator, K: int, n: int, min_coord: float = 0.02) -> np.ndarray:

@@ -114,7 +114,7 @@ def step_generation_batch(model: DiscreteModel, X: np.ndarray, rng: np.random.Ge
         counts[ordinary] = _ordinary_counts(model, X[ordinary], rng)
     rows = np.flatnonzero(extreme)
     Xe = X[rows]
-    star_type = _categorical(Xe.T, rng)
+    star_type = _categorical(Xe.T, rng.random(len(Xe)))
     block = rng.binomial(N, model.size_law.sample(rng, rows.size))
     rest = rng.multinomial(N - block, Xe)
     rest[np.arange(rows.size), star_type] += block
@@ -163,7 +163,7 @@ def _per_individual(rule: ColouringRule, k: int, X: np.ndarray, n_k: np.ndarray,
     out = np.zeros(X.shape, dtype=np.int64)
     for r in np.flatnonzero(n_k):
         samples = rng.multinomial(k, X[r], size=int(n_k[r]))
-        types = _categorical(rule.distribution_batch(samples).T, rng)
+        types = _categorical(rule.distribution_batch(samples).T, rng.random(len(samples)))
         out[r] = np.bincount(types, minlength=X.shape[1])
     return out
 

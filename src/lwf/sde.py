@@ -19,6 +19,12 @@ the simplex exactly.
 An Euler step's law depends on a root of ``Sigma`` only through its product with its transpose, so the noise
 comes from ``B(x) = diag(sqrt(x)) - x sqrt(x)^T`` (``B B^T = Sigma`` on the face), which treats every type alike and
 costs O(K) per replicate with no division; :func:`zeta`, the paper's triangular factor, is the checked reference.
+
+The jumps follow the limit process's Poisson clock: each replicate keeps the time of its next jump, and a step
+``((s-1) dt, s dt]`` applies every jump that falls in it, after the Euler part, each target drawn from the state
+before that jump.  The gaps between a replicate's jumps are Exp(1)/rate, so its jump counts per step are i.i.d.
+Poisson(rate dt); a step that ends before the block's earliest clock skips the jumps on one comparison.  The gaps,
+sizes and target uniforms are drawn ahead, ``JUMP_CHUNK`` events at a time (see :class:`_JumpEvents`).
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .rng import RngStream
 
 _TINY = 1e-14
 LOCKSTEP = 20  # batches stepped as one block at most: 10,000 rows, about where a step costs least per row
+JUMP_CHUNK = 256  # jump events a group draws at a time; a constant, so its draws depend on nothing outside the group
 
 
 def zeta(x) -> np.ndarray:
@@ -122,65 +129,101 @@ class SdeConfig:
 
 
 def _advance(cfg: SdeConfig, X: np.ndarray, groups) -> np.ndarray:
-    """One Euler step plus the jumps binned into it, for a block of active rows; returns them column-major.
+    """One Euler step for a block of active rows, projected onto the simplex; returns them column-major.
 
-    ``groups`` pairs each generator with its slice of the block's rows, in row order.  A group draws for its own
-    rows alone, in the order it would if they were the whole block: normals, then Poisson counts, then a size and
-    a target per jump round.  Every other operation treats each row on its own.
+    ``groups`` holds, for each generator, its slice of the block's rows and its jump events, in row order.  A
+    group draws normals for its own rows alone, in the order it would if they were the whole block.  Every other
+    operation treats each row on its own.  The jumps come after, from :func:`_jump`.
     """
     Y = np.multiply(cfg.drift(X), cfg.dt, out=np.empty(X.shape[::-1]).T, dtype=float)  # a shared result stays as it was
     Y += X
     if cfg.sigma > 0.0:
         xi = np.empty(X.shape)
-        for rng, rows in groups:
+        for rng, rows, _ in groups:
             rng.standard_normal(out=xi[rows])
         noise = _diffusion(X.T, xi.T)
         Y += np.multiply(noise, math.sqrt(cfg.sigma * cfg.dt), out=noise).T
     # project onto the simplex; rows that already sum to 1 divide by 1 exactly
     np.maximum(Y, 0.0, out=Y)
     Y /= _type_sum(Y)[:, None]
-    if cfg.size_law.total_rate > 0.0:
-        for rng, rows in groups:
-            _jump(cfg, Y[rows], rng)
     return Y
 
 
-def _jump(cfg: SdeConfig, Y: np.ndarray, rng: np.random.Generator) -> None:
-    """The jumps binned into one step, for one group's column-major rows ``Y``, in place."""
-    n_jumps = rng.poisson(cfg.size_law.total_rate * cfg.dt, Y.shape[0])
-    rows, round_ = n_jumps.nonzero()[0], 1
-    while rows.size:  # round r jumps the rows with at least r jumps, in row order
-        z = cfg.size_law.sample(rng, rows.size)
+class _JumpEvents:
+    """A group's jump events in the order its rows take them, drawn from its generator ``JUMP_CHUNK`` at a time.
+
+    An event is the gap, in steps, from a row's jump to its next one (Exp(1) / (rate dt)), the jump's size and
+    the uniform that draws its target.  A chunk draws its gaps, then its sizes, then its uniforms.
+    """
+
+    def __init__(self, rng: np.random.Generator, law: TruncatedSizeLaw, dt: float):
+        self.rng, self.law, self.rate_dt = rng, law, law.total_rate * dt
+        self._queue = np.empty((3, 0))
+
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` events, as rows gap, size and uniform of a ``(3, n)`` array."""
+        if self._queue.shape[1] < n:
+            rng, queue = self.rng, [self._queue]
+            for _ in range(self._queue.shape[1], n, JUMP_CHUNK):
+                gap = rng.standard_exponential(JUMP_CHUNK) / self.rate_dt
+                queue.append((gap, self.law.sample(rng, JUMP_CHUNK), rng.random(JUMP_CHUNK)))
+            self._queue = np.concatenate(queue, axis=1)
+        events, self._queue = self._queue[:, :n], self._queue[:, n:]
+        return events
+
+
+def _take(groups, rows: np.ndarray) -> np.ndarray:
+    """The next events of ``rows``, block indices in row order, each row's from its group's queue."""
+    if len(groups) == 1:
+        return groups[0][2].take(rows.size)
+    stops = np.searchsorted(rows, [group[1].stop for group in groups]).tolist()
+    parts = [events.take(b - a) for (_, _, events), a, b in zip(groups, [0, *stops], stops) if b > a]
+    return np.concatenate(parts, axis=1)
+
+
+def _jump(Y: np.ndarray, clock: np.ndarray, s: int, groups) -> float:
+    """The jumps that fall in step ``s`` for the column-major block ``Y``, in place; returns the earliest clock after.
+
+    ``clock`` holds each row's next jump time in steps, and a step takes the jumps at clocks up to ``s``.  Those
+    rows jump in rounds, each on the next event of its group: one gather, the target drawn from the state before
+    the jump, ``(1 - z) x + z e_target``, one scatter; the clock moves on by the event's gap, and a row whose clock
+    is still at most ``s`` jumps again in the next round.
+    """
+    rows = (clock <= s).nonzero()[0]
+    while rows.size:
+        gap, z, u = _take(groups, rows)
         G = Y.T[:, rows]  # one gather and one scatter of contiguous type-major columns per round
-        target = _categorical(G, rng)
+        target = _categorical(G, u)
         G *= 1.0 - z
         G[target, np.arange(rows.size)] += z
         Y.T[:, rows] = G
-        round_ += 1
-        rows = rows[n_jumps[rows] >= round_]
+        due = clock[rows] + gap
+        clock[rows] = due
+        rows = rows[due <= s]
+    return clock.min(initial=np.inf)
 
 
 class BatchSde:
     """Replicates of one configuration advanced in lockstep, in groups that each draw from their own generator.
 
     ``replicates`` and ``rng`` are equal-length sequences of the groups' widths and generators; the groups take
-    consecutive rows.  A group draws what it would draw alone (see :func:`_advance`), and drift, noise,
-    projection, jumps and settling treat each row on its own, so a group's rows get the same bits whatever groups
-    share its block, provided the drift computes each row from that row alone.  A run takes as many steps as its
-    longest group.
+    consecutive rows.  A group draws what it would draw alone: its rows' first jump clocks at construction, then
+    on each step its normals (see :func:`_advance`) and, when its queue runs short, a chunk of jump events (see
+    :func:`_jump`).  Drift, noise, projection, jumps and settling treat each row on its own, so a group's rows get
+    the same bits whatever groups share its block, provided the drift computes each row from that row alone.  A
+    run takes as many steps as its longest group.
 
     Tracks, per replicate, the time each coordinate hit zero, the fixation
     time and winning type, and whether the extinction clamp fired.  Fixed
     replicates stop consuming random numbers, so runs are reproducible for a
     given stream regardless of how far others have progressed.
 
-    The replicates still active form one compact block: their states, their
-    row indices and the coordinates already seen at zero, in row order, with
-    states and seen zeros stored column-major.  A step advances the block and
-    settles the rows where a coordinate is at or below the clamp without being
-    a zero seen and still at zero, or the row is at a vertex; the block shrinks only on
-    steps where a replicate fixes.  ``X`` writes the block back into the full
-    state array when read.
+    The replicates still active form one compact block: their states, their row indices, the coordinates already
+    seen at zero and their next jump times, in row order, with states and seen zeros stored column-major.  A step
+    advances the block, jumps it unless the step ends before the block's earliest clock, and settles the rows where
+    a coordinate is at or below the clamp without being a zero seen and still at zero, or the row is at a vertex;
+    the block shrinks only on steps where a replicate fixes.  ``X`` writes the block back into the full state array
+    when read.
 
     Vertices are treated as absorbing, which is exact for mutation-free
     drifts (drift, diffusion and jumps all vanish there).
@@ -205,6 +248,12 @@ class BatchSde:
         self._rows = np.arange(self.R)
         # 0 at a coordinate seen at zero, -1 (no state) elsewhere: ``Y == _seen_zero`` marks the seen zeros still at 0
         self._seen_zero = np.asfortranarray(np.where(self._X == 0.0, 0.0, -1.0))
+        if cfg.size_law.total_rate > 0.0:
+            self._events = tuple(_JumpEvents(rng, cfg.size_law, cfg.dt) for rng in self.rngs)
+            self._clock = np.concatenate([events.take(w)[0] for events, w in zip(self._events, widths)])
+        else:
+            self._events, self._clock = (None,) * len(widths), np.full(self.R, np.inf)
+        self._earliest = self._clock.min(initial=np.inf)  # no step before it has a jump
         self._regroup()
         self._settle(np.array(self._X, order="F"))
 
@@ -225,9 +274,10 @@ class BatchSde:
         return self.steps * self.cfg.dt
 
     def _regroup(self) -> None:
-        """Each group with active rows, as its generator and its slice of the block."""
+        """Each group with active rows, as its generator, its slice of the block and its jump events."""
         stops = np.searchsorted(self._rows, self._ends).tolist()
-        self._groups = [(rng, slice(a, b)) for rng, a, b in zip(self.rngs, [0, *stops], stops) if b > a]
+        bounds = zip(self.rngs, self._events, [0, *stops], stops)
+        self._groups = [(rng, slice(a, b), events) for rng, events, a, b in bounds if b > a]
 
     def _settle(self, Y: np.ndarray) -> None:
         """Clamp the advanced block, record its boundary events, drop fixed rows.
@@ -261,14 +311,17 @@ class BatchSde:
             self.fixation_time[fixed] = self.t
             keep = np.ones(len(Y), dtype=bool)
             keep[r[done]] = False
-            self._rows = self._rows[keep]
+            self._rows, self._clock = self._rows[keep], self._clock[keep]
             self._Y, self._seen_zero = (np.compress(keep, A.T, axis=1).T for A in (Y, self._seen_zero))
             self._regroup()
 
     def step(self) -> None:
         self.steps += 1
         if self._rows.size:
-            self._settle(_advance(self.cfg, self._Y, self._groups))
+            Y = _advance(self.cfg, self._Y, self._groups)
+            if self._earliest <= self.steps:
+                self._earliest = _jump(Y, self._clock, self.steps, self._groups)
+            self._settle(Y)
 
     def run_until(self, t: float) -> int:
         """Step to time ``t``, or until every replicate is fixed; returns the unfixed count."""

@@ -179,6 +179,29 @@ def test_stationary_solve_caches_no_cumulative_rates(monkeypatch):
     assert 0 < len(model._jump_cache) < 256
 
 
+def test_a_path_from_a_large_n0_keeps_the_move_cache_under_its_cap(monkeypatch):
+    # a path from 4,000 walks down through almost every state, about 8 million moves: uncapped, the cache held 94 MB
+    model, n0 = AncestralModel(kappa=0.2, sigma=1.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0)), 4000
+    held, jumps = [], AncestralModel.jumps
+
+    def watched(self, n):
+        moves = jumps(self, n)
+        held.append(self._cached_moves)
+        return moves
+
+    monkeypatch.setattr(AncestralModel, "jumps", watched)
+    times, states = simulate_ancestral(model, n0, 1.0, RngStream(3).generator())
+    assert states.size > 3000 and max(held) <= lwf.ancestral.JUMP_CACHE_MOVES
+    assert any(after < before for before, after in zip(held, held[1:]))  # the cache was dropped on the way
+    assert model._cached_moves == sum(targets.size for targets, _, _ in model._jump_cache.values())
+    # with no cache at all the path has the same bits
+    monkeypatch.setattr(lwf.ancestral, "JUMP_CACHE_MOVES", 0)
+    uncached = AncestralModel(kappa=0.2, sigma=1.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
+    again = simulate_ancestral(uncached, n0, 1.0, RngStream(3).generator())
+    assert not uncached._jump_cache
+    assert again[0].tobytes() == times.tobytes() and again[1].tobytes() == states.tobytes()
+
+
 def test_transience_detector_aborts_stationary_run():
     # kappa far above the threshold 4 log 2: the count grows without bound
     model = AncestralModel(kappa=50.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))

@@ -202,13 +202,6 @@ def test_model_constructors_refuse_non_finite_values(build, value):
         build(value)
 
 
-class _TopUniform:
-    """A generator stub whose uniforms are all the largest double below 1."""
-
-    def random(self, size):
-        return np.full(size, np.nextafter(1.0, 0.0))
-
-
 def test_categorical_top_uniform_draws_the_last_type_with_weight_and_never_k():
     # u * total rounds to at most total, so the draw never runs past the last row; a subnormal total rounds to itself
     rng = RngStream(15).generator()
@@ -216,6 +209,6 @@ def test_categorical_top_uniform_draws_the_last_type_with_weight_and_never_k():
     weights = rng.uniform(0.1, 1.0, size=(m, K)) * rng.choice([1e-320, 1e-300, 1e-8, 1.0, 1e300], size=(m, 1))
     last = rng.integers(0, K, size=m)  # types after it get zero weight: trailing zero columns
     weights[np.arange(K) > last[:, None]] = 0.0
-    draws = _categorical(weights.T, _TopUniform())
+    draws = _categorical(weights.T, np.full(m, np.nextafter(1.0, 0.0)))  # the largest double below 1
     assert draws.dtype == np.intp and draws.max() < K
     assert np.array_equal(draws, last)
