@@ -172,26 +172,17 @@ class _JumpEvents:
         return events
 
 
-def _take(groups, rows: np.ndarray) -> np.ndarray:
-    """The next events of ``rows``, block indices in row order, each row's from its group's queue."""
-    if len(groups) == 1:
-        return groups[0][2].take(rows.size)
-    stops = np.searchsorted(rows, [group[1].stop for group in groups]).tolist()
-    parts = [events.take(b - a) for (_, _, events), a, b in zip(groups, [0, *stops], stops) if b > a]
-    return np.concatenate(parts, axis=1)
-
-
-def _jump(Y: np.ndarray, clock: np.ndarray, s: int, groups) -> float:
-    """The jumps that fall in step ``s`` for the column-major block ``Y``, in place; returns the earliest clock after.
+def _jump(Y: np.ndarray, clock: np.ndarray, s: int, events: _JumpEvents) -> float:
+    """The jumps of one group's column-major rows ``Y`` that fall in step ``s``, in place; returns their earliest clock.
 
     ``clock`` holds each row's next jump time in steps, and a step takes the jumps at clocks up to ``s``.  Those
-    rows jump in rounds, each on the next event of its group: one gather, the target drawn from the state before
-    the jump, ``(1 - z) x + z e_target``, one scatter; the clock moves on by the event's gap, and a row whose clock
-    is still at most ``s`` jumps again in the next round.
+    rows jump in rounds, in row order, on the group's next events: one gather, the target drawn from the state
+    before the jump, ``(1 - z) x + z e_target``, one scatter; the clock moves on by the event's gap, and a row whose
+    clock is still at most ``s`` jumps again in the next round.
     """
     rows = (clock <= s).nonzero()[0]
     while rows.size:
-        gap, z, u = _take(groups, rows)
+        gap, z, u = events.take(rows.size)
         G = Y.T[:, rows]  # one gather and one scatter of contiguous type-major columns per round
         target = _categorical(G, u)
         G *= 1.0 - z
@@ -320,7 +311,8 @@ class BatchSde:
         if self._rows.size:
             Y = _advance(self.cfg, self._Y, self._groups)
             if self._earliest <= self.steps:
-                self._earliest = _jump(Y, self._clock, self.steps, self._groups)
+                s, clock = self.steps, self._clock
+                self._earliest = min(_jump(Y[rows], clock[rows], s, events) for _, rows, events in self._groups)
             self._settle(Y)
 
     def run_until(self, t: float) -> int:

@@ -36,7 +36,7 @@ def _step(cfg, X, rng):
     """The first step of a block that is one group, drawing from ``rng``: its first clocks, ``_advance``, ``_jump``."""
     groups, clock = _one_group(cfg, len(X), rng)
     Y = _advance(cfg, X, groups)
-    _jump(Y, clock, 1, groups)
+    _jump(Y, clock, 1, groups[0][2])
     return Y
 
 
@@ -227,7 +227,7 @@ def test_jump_rounds_give_the_same_bytes_as_the_row_major_formulation(K):
         X = np.asfortranarray(pts)
         for s in (1, 2, 3):
             Y = _advance(cfg, X, groups)
-            earliest = _jump(Y, clock, s, groups)
+            earliest = _jump(Y, clock, s, groups[0][2])
             want, rounds = _advance_row_major(cfg, np.ascontiguousarray(X), ref, ref_clock, s, events)
             assert rounds >= 3
             assert np.ascontiguousarray(Y).tobytes() == want.tobytes()
@@ -244,14 +244,18 @@ def test_jump_clocks_give_poisson_counts_per_row_and_step(monkeypatch):
         cfg = SdeConfig(K=3, drift=DriftFunction.neutral(3), sigma=0.0, measure=PointMass(0.2, 0.04), dt=0.5,
                         horizon=steps * 0.5)
     assert cfg.size_law.total_rate * cfg.dt == pytest.approx(lam, rel=1e-12)
-    counts, take = np.zeros((steps, R), dtype=np.int64), sde._take
-
-    def counted(groups, rows):  # one call per round: each row in it jumps once more on this step
-        counts[batch.steps - 1, rows] += 1
-        return take(groups, rows)
-
-    monkeypatch.setattr(sde, "_take", counted)
+    counts = np.zeros((steps, R), dtype=np.int64)
     batch = BatchSde(cfg, [0.2, 0.3, 0.5], [R], [RngStream(23).generator()])
+    events = batch._events[0]
+    take = events.take
+
+    def counted(n):  # one call per round, taken by the rows whose clocks are still in the step: each jumps once more
+        ringing = batch._clock <= batch.steps
+        assert np.count_nonzero(ringing) == n
+        counts[batch.steps - 1, ringing] += 1
+        return take(n)
+
+    monkeypatch.setattr(events, "take", counted)
     batch.run_until(cfg.horizon)
     assert batch.steps == steps and np.all(batch.winner < 0)  # every row stepped throughout
     # each count of jumps in a row's step within 4 SE of its Poisson(0.5) frequency, with 5 or more pooled
@@ -539,7 +543,8 @@ def _check_bookkeeping_per_step(cfg, x0, R, seed, n_steps):
 
         # the active rows took one step from their observed states and jump clocks, in row order
         Y = _advance(cfg, prev[active], groups)
-        _jump(Y, clock, batch.steps, groups)
+        for _, rows, events in groups:
+            _jump(Y[rows], clock[rows], batch.steps, events)
         small = (Y > 0.0) & (Y <= cfg.tol_ext)
         hit = small.any(axis=1)
         Y[small] = 0.0
