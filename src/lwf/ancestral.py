@@ -36,13 +36,14 @@ import numpy as np
 from .core import as_frequencies, integer_law
 from .errors import RateExplosionError
 from .measures import LambdaMeasure, collision_pairs
+from .rng import RngStream
 
 STATE_GUARD = 10**7
 N_START = 64  # first truncation level of the stationary and transient solves
 N_CAP = 2048  # ceiling of the solves: the dense generator takes 8 * n_max**2 bytes, 32 MB
 STATIONARY_TOL = 1e-6
 TABLE_BLOCK = 1 << 14  # most moves in one block of states while filling the generator: about 1 MB of temporaries
-JUMP_CACHE_MOVES = 1 << 20  # most moves the Gillespie sampler keeps cached: 16 MB of targets and cumulative rates
+JUMP_CACHE_MOVES = 1 << 20  # most moves a Gillespie run keeps cached: 16 MB of targets and cumulative rates
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,6 @@ class AncestralModel:
         # the increments and their rates per lineage, kappa * w_j
         object.__setattr__(self, "_branching", (np.array([j for j, _ in items], dtype=np.int64),
                                                 float(kappa) * np.array([w for _, w in items], dtype=float)))
-        object.__setattr__(self, "_jump_cache", {})
-        object.__setattr__(self, "_cached_moves", 0)
 
     @property
     def beta(self) -> float:
@@ -103,58 +102,52 @@ class AncestralModel:
         keep = rates > 0.0
         return sources[keep], targets[keep], rates[keep]
 
-    def jumps(self, n: int):
-        """``(targets, cumulative, total)`` rates out of state n, cached for the states a path visits.
 
-        The moves out of n number about n, so a path from a large n0 would cache memory quadratic in n0: the cache
-        is emptied whenever it would pass ``JUMP_CACHE_MOVES`` moves.  :meth:`rates` is deterministic, so a move
-        rebuilt after that has the same bits.
-        """
-        if n in self._jump_cache:
-            return self._jump_cache[n]
-        _, targets, rates = self.rates(n)
-        cum = np.cumsum(rates)
-        moves = (targets, cum, float(cum[-1]) if rates.size else 0.0)
-        if self._cached_moves + targets.size > JUMP_CACHE_MOVES:
-            self._jump_cache.clear()
-            object.__setattr__(self, "_cached_moves", 0)
-        if targets.size <= JUMP_CACHE_MOVES:
-            self._jump_cache[n] = moves
-            object.__setattr__(self, "_cached_moves", self._cached_moves + targets.size)
-        return moves
+def simulate_ancestral(model: AncestralModel, n0: int, horizon: float, replicates: int, stream: RngStream):
+    """Gillespie paths up to the horizon, replicate r drawn from ``stream.derive(r)``: ``(jump times, states)`` pairs.
 
-
-def simulate_ancestral(
-    model: AncestralModel,
-    n0: int,
-    horizon: float,
-    rng: np.random.Generator,
-):
-    """Gillespie path up to the horizon: ``(jump times, states)`` arrays.
-
-    The initial state, in ``[1, STATE_GUARD]``, is recorded at time 0.
-    Raises :class:`RateExplosionError` if the state passes ``STATE_GUARD``
-    (the transient regime grows without bound).
+    The initial state, in ``[1, STATE_GUARD]``, is recorded at time 0.  Raises :class:`RateExplosionError` if the
+    state passes ``STATE_GUARD`` (the transient regime grows without bound).  The call caches the targets and
+    cumulative rates out of the states its paths visit.  The moves out of n number about n, so a path from a large n0
+    would cache memory quadratic in n0: the cache is emptied whenever it would pass ``JUMP_CACHE_MOVES`` moves.
+    :meth:`AncestralModel.rates` is deterministic, so a move rebuilt after that has the same bits.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     if not 0.0 <= horizon < math.inf:
         raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
     if not 1 <= n0 <= STATE_GUARD:  # the moves out of n take memory of order n
         raise ValueError(f"n0 must lie in [1, STATE_GUARD = {STATE_GUARD}], got {n0}")
-    times, states = [0.0], [int(n0)]
-    t, n = 0.0, int(n0)
-    while True:
-        targets, cum, total = model.jumps(n)
-        if total <= 0.0:
-            break
-        t += rng.exponential(1.0 / total)
-        if t >= horizon:
-            break
-        n = int(targets[np.searchsorted(cum, rng.random() * total)])
-        if n > STATE_GUARD:
-            raise RateExplosionError(f"lineage count passed {STATE_GUARD} at time {t:.4g}")
-        times.append(t)
-        states.append(n)
-    return np.array(times), np.array(states, dtype=np.int64)
+    cache, cached, paths = {}, 0, []
+    for r in range(replicates):
+        rng = stream.derive(r).generator()
+        times, states = [0.0], [int(n0)]
+        t, n = 0.0, int(n0)
+        while True:
+            moves = cache.get(n)
+            if moves is None:
+                _, targets, rates = model.rates(n)
+                cum = np.cumsum(rates)
+                moves = (targets, cum, float(cum[-1]) if rates.size else 0.0)
+                if cached + targets.size > JUMP_CACHE_MOVES:
+                    cache.clear()
+                    cached = 0
+                if targets.size <= JUMP_CACHE_MOVES:
+                    cache[n] = moves
+                    cached += targets.size
+            targets, cum, total = moves
+            if total <= 0.0:
+                break
+            t += rng.exponential(1.0 / total)
+            if t >= horizon:
+                break
+            n = int(targets[np.searchsorted(cum, rng.random() * total)])
+            if n > STATE_GUARD:
+                raise RateExplosionError(f"lineage count passed {STATE_GUARD} at time {t:.4g}")
+            times.append(t)
+            states.append(n)
+        paths.append((np.array(times), np.array(states, dtype=np.int64)))
+    return paths
 
 
 def _generator(model: AncestralModel, n_max: int) -> tuple[np.ndarray, np.ndarray]:

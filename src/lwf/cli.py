@@ -135,9 +135,8 @@ def _ancestral(*, out, n0, horizon, increments, measure, stationary=False, repli
     with building("'model' or 'schedule' block"):
         model = AncestralModel(increments=increments, measure=measure, **chain)
         law = stationary_law(model) if stationary else None
-    stream = RngStream(seed)
     with building("'model' block"):  # a horizon outside [0, inf)
-        paths = [simulate_ancestral(model, n0, horizon, stream.derive(r).generator()) for r in range(replicates)]
+        paths = simulate_ancestral(model, n0, horizon, replicates, RngStream(seed))
     write_ancestral_csv(out / "paths.csv", paths)
     if law is not None:
         payload = {

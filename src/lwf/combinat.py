@@ -32,22 +32,11 @@ def compositions(K: int, n: int) -> np.ndarray:
     return out
 
 
-def multinomial_coefficient(index) -> int:
-    """Exact multinomial coefficient ``(sum index)! / prod(index_i!)``."""
-    total = int(sum(index))
-    out = 1
-    rest = total
-    for z in index:
-        out *= math.comb(rest, int(z))
-        rest -= int(z)
-    return out
-
-
 @lru_cache(maxsize=None)
 def multinomial_coefficients(K: int, n: int) -> np.ndarray:
-    """Coefficients aligned with :func:`compositions` (float array)."""
-    Z = compositions(K, n)
-    out = np.array([multinomial_coefficient(z) for z in Z], dtype=float)
+    """Exact multinomial coefficients ``n! / prod(z_i!)`` aligned with :func:`compositions` (float array)."""
+    out = np.array([math.factorial(n) // math.prod(math.factorial(int(v)) for v in z) for z in compositions(K, n)],
+                   dtype=float)
     out.flags.writeable = False
     return out
 

@@ -32,7 +32,8 @@ class LambdaMeasure:
     Subclasses are immutable value objects.  Continuous variants expose a
     density and an exact sampler of their event sizes; atomic variants
     (:class:`AtomicMeasure`) expose their atom list and derive the rest from
-    it; the quadrature oracle combines both (see :func:`lambda_nk_quadrature`).
+    it.  The quadrature oracle sums the atoms of the one and integrates the
+    density of the other (see :func:`lambda_nk_quadrature`).
     """
 
     kind: str = ""
@@ -50,23 +51,11 @@ class LambdaMeasure:
         """``∫_[lo,1] L(dz) / z**2``, the total event rate above a size cutoff."""
         raise NotImplementedError
 
-    # -- structure for quadrature / sampling --------------------------------
-
-    def atoms(self) -> tuple[tuple[float, float], ...]:
-        """Atomic part as ``((z, weight), ...)``; empty for continuous laws."""
-        return ()
-
-    def density(self, y: np.ndarray) -> np.ndarray:
-        """Density of the absolutely continuous part (zero if none)."""
-        return np.zeros_like(np.asarray(y, dtype=float))
-
-    @property
-    def has_continuous_part(self) -> bool:
-        return False
-
     @property
     def is_zero(self) -> bool:
         return self.total_mass() == 0.0
+
+    # -- sampling -----------------------------------------------------------
 
     def _sizes_above(self, eps: float, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` exact draws from ``L(dz)/z**2`` on ``[eps, 1]``, normalized."""
@@ -146,6 +135,10 @@ def _atom_collision_rates(n: np.ndarray, k: np.ndarray, z: float, weight_over_z2
 
 class AtomicMeasure(LambdaMeasure):
     """A measure with no density: every quantity is a sum over :meth:`atoms`."""
+
+    def atoms(self) -> tuple[tuple[float, float], ...]:
+        """The atoms as ``((z, weight), ...)``; none for the zero measure."""
+        return ()
 
     def total_mass(self) -> float:
         return sum((w for _, w in self.atoms()), 0.0)
@@ -254,10 +247,6 @@ class UniformLaw(LambdaMeasure):
         y = np.asarray(y, dtype=float)
         return np.full_like(y, self.mass)
 
-    @property
-    def has_continuous_part(self) -> bool:
-        return True
-
     def _sizes_above(self, eps, rng, size):
         # density mass/z**2 on [eps, 1]: exact inverse CDF
         u = rng.random(size)
@@ -340,10 +329,6 @@ class BetaLaw(LambdaMeasure):
                 (self.a - 1.0) * np.log(y) + (self.b - 1.0) * np.log1p(-y) - special.betaln(self.a, self.b)
             )
         return np.where((y > 0) & (y < 1), out, 0.0)
-
-    @property
-    def has_continuous_part(self) -> bool:
-        return True
 
     def _sizes_above(self, eps, rng, size):
         a, b = self.a, self.b
@@ -430,29 +415,19 @@ def measure_from_config(block: dict) -> LambdaMeasure:
 def lambda_nk_quadrature(measure: LambdaMeasure, n: int, k: int) -> float:
     """Collision intensity ``∫ y**(k-2) (1-y)**(n-k) L(dy)`` for ``2 <= k <= n``, by quadrature.
 
-    Atomic parts are summed directly; the continuous part is integrated with
-    adaptive quadrature.  Kept independent of the closed form
-    :meth:`LambdaMeasure.collision_rates` (which is ``C(n, k)`` times
-    this) so the two routes can be cross-checked.
+    The atoms of an :class:`AtomicMeasure` are summed directly; any other
+    measure's ``density`` is integrated with adaptive quadrature.  Kept
+    independent of the closed form :meth:`LambdaMeasure.collision_rates`
+    (which is ``C(n, k)`` times this) so the two routes can be cross-checked.
     """
     if k < 2 or k > n:
         raise ValueError(f"need 2 <= k <= n, got n={n}, k={k}")
-    total = 0.0
-    for z, w in measure.atoms():
-        total += w * z ** (k - 2) * (1.0 - z) ** (n - k)
-    if measure.has_continuous_part:
-        from scipy.integrate import quad
+    if isinstance(measure, AtomicMeasure):
+        return sum((w * z ** (k - 2) * (1.0 - z) ** (n - k) for z, w in measure.atoms()), 0.0)
+    from scipy.integrate import quad
 
-        val, _ = quad(
-            lambda y: float(measure.density(y)) * y ** (k - 2) * (1.0 - y) ** (n - k),
-            0.0,
-            1.0,
-            epsabs=0.0,
-            epsrel=1e-12,
-            limit=400,
-        )
-        total += val
-    return total
+    return quad(lambda y: float(measure.density(y)) * y ** (k - 2) * (1.0 - y) ** (n - k), 0.0, 1.0,
+                epsabs=0.0, epsrel=1e-12, limit=400)[0]
 
 
 # ---------------------------------------------------------------------------

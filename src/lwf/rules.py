@@ -16,7 +16,7 @@ import numpy as np
 
 from .bernstein import PolynomialMap, bernstein_table
 from .combinat import composition_index, composition_pmf, compositions
-from .errors import ConfigError, build_kind
+from .errors import build_kind
 
 # Exact enumeration of samples of size k over K types is used while the
 # number of multi-indices C(K+k-1, k) stays small.
@@ -385,13 +385,13 @@ def _bernstein_from_config(params: dict, K: int) -> BernsteinRule:
     for z, row in params["table"]:
         key = tuple(int(v) for v in z)
         if key not in idx:
-            raise ConfigError(f"multi-index {key} is not a degree-{degree} index over {K} types")
+            raise ValueError(f"multi-index {key} is not a degree-{degree} index over {K} types")
         if key in seen:
-            raise ConfigError(f"duplicate multi-index {key} in Bernstein table")
+            raise ValueError(f"duplicate multi-index {key} in Bernstein table")
         seen.add(key)
         table[idx[key]] = row
     if len(seen) != len(idx):
-        raise ConfigError(f"Bernstein table must cover all {len(idx)} multi-indices, got {len(seen)}")
+        raise ValueError(f"Bernstein table must cover all {len(idx)} multi-indices, got {len(seen)}")
     return BernsteinRule(degree, table)
 
 

@@ -344,6 +344,8 @@ def simulate_sde(
     A record after a replicate fixed repeats its vertex.  ``times`` must be nondecreasing and lie within the run
     as step indices, ``0 <= round(t / dt) <= round(horizon / dt)``, so a grid's last point may round to it.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     steps = np.rint(np.divide(times, cfg.dt))
     if np.any(np.diff(times) < 0) or np.any((steps < 0) | (steps > round(cfg.horizon / cfg.dt))):
         raise ValueError(f"record times must be nondecreasing and lie within the run, [0, horizon = {cfg.horizon}]")

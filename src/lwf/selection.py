@@ -72,14 +72,14 @@ class DriftFunction:
             raise ValueError(f"the {kind} drift needs a finite selection strength, got {self.kappa}")
 
     def __call__(self, x) -> np.ndarray:
-        return self._fn(x)
+        return self._fn(np.asarray(x, dtype=float))
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def neutral(cls, K: int) -> "DriftFunction":
         """No selection: the zero drift."""
-        return cls("neutral", K, lambda x: np.zeros_like(np.asarray(x, dtype=float)), {})
+        return cls("neutral", K, np.zeros_like, {})
 
     @classmethod
     def transitive(cls, kappa: float, increments, K: int) -> "DriftFunction":
@@ -92,7 +92,6 @@ class DriftFunction:
         items = integer_law(increments, 1, "increments")
 
         def mu(x):
-            x = np.asarray(x, dtype=float)
             # np.cumsum's sums by K - 1 additions of type slices: on a column-major block each is one contiguous row
             cum = x.copy(order="K")
             for i in range(1, x.shape[-1]):
@@ -120,7 +119,6 @@ class DriftFunction:
         beaten = P - 0.5 * np.eye(P.shape[0])  # p[j, i] off the diagonal, exactly 0 on it
 
         def mu(x):
-            x = np.asarray(x, dtype=float)
             losses = _mix(x, beaten)  # sum_{j != i} p[j, i] x_j
             return _scaled(kappa, x) * (1.0 - x - 2.0 * losses)
 
@@ -135,7 +133,6 @@ class DriftFunction:
         """
 
         def mu(x):
-            x = np.asarray(x, dtype=float)
             if x.shape[-1] != 3:
                 raise ValueError("the cyclic contest drift is defined for K = 3")
             gap = np.empty_like(x)  # x_pred(i) - x_succ(i) from column slices, with no fancy-index copy of the block
@@ -159,7 +156,6 @@ class DriftFunction:
         balance = matrix.T - matrix  # +1 from prey, -1 from predators
 
         def mu(x):
-            x = np.asarray(x, dtype=float)
             return _scaled(kappa, x) * _mix(x, balance)  # sum over prey x_j - sum over predators x_j
 
         return cls("food_web", K, mu, {"kappa": kappa, "beats": [[w + 1, l + 1] for w, l in pairs]})
@@ -172,7 +168,6 @@ class DriftFunction:
         """
 
         def mu(x):
-            x = np.asarray(x, dtype=float)
             x2 = x**2
             sq = _type_sum(x2)[..., None] - x2
             return 2.0 * kappa * x * (sq - x * (1.0 - x))
@@ -188,7 +183,6 @@ class DriftFunction:
         """
 
         def mu(x):
-            x = np.asarray(x, dtype=float)
             x2 = x**2
             others = 1.0 - x
             cross = others**2 - (_type_sum(x2)[..., None] - x2)
@@ -213,7 +207,6 @@ class DriftFunction:
                              "which the integrator does not follow")
 
         def mu(x):
-            x = np.asarray(x, dtype=float)
             return _scaled(lam, np.asarray(g(x), dtype=float) - x)
 
         return cls("polynomial", g.K, mu, {"lambda": lam, "monomials": _poly_config(g)})

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,8 +73,7 @@ def test_branching_rate_scales_with_lineage_count():
 
 def test_pure_death_paths_are_nonincreasing():
     model = AncestralModel(kappa=0.0, sigma=1.0, increments={1: 1.0}, measure=PointMass(0.4, 1.0))
-    for r in range(50):
-        _, states = simulate_ancestral(model, 12, 1e9, RngStream(1).derive(r).generator())
+    for _, states in simulate_ancestral(model, 12, 1e9, 50, RngStream(1)):
         assert np.all(np.diff(states) < 0)
         assert states[-1] == 1
 
@@ -81,11 +81,9 @@ def test_pure_death_paths_are_nonincreasing():
 def test_kingman_absorption_time():
     # sum of Exp(C(j,2)) waits: mean 2 (1 - 1/n0)
     model = AncestralModel(kappa=0.0, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure())
-    rng = RngStream(2).generator()
     n0, R = 10, 10_000
     totals = np.empty(R)
-    for r in range(R):
-        times, states = simulate_ancestral(model, n0, 1e9, rng)
+    for r, (times, states) in enumerate(simulate_ancestral(model, n0, 1e9, R, RngStream(2))):
         assert states[-1] == 1
         totals[r] = times[-1]
     expected = 2.0 * (1.0 - 1.0 / n0)
@@ -97,7 +95,7 @@ def test_rate_explosion_guard(monkeypatch):
     monkeypatch.setattr(lwf.ancestral, "STATE_GUARD", 500)
     model = AncestralModel(kappa=50.0, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
     with pytest.raises(RateExplosionError):
-        simulate_ancestral(model, 1, 1e9, RngStream(3).generator())
+        simulate_ancestral(model, 1, 1e9, 1, RngStream(3))
 
 
 def test_rates_equal_the_per_move_construction_exactly():
@@ -131,9 +129,6 @@ def test_rates_equal_the_per_move_construction_exactly():
             assert sources.dtype == np.int64 and sources.tolist() == [n] * len(want_targets)
             assert targets.dtype == np.int64 and targets.tolist() == want_targets
             assert rates.tolist() == want_rates
-            jump_targets, cum, total = model.jumps(n)
-            assert jump_targets.tolist() == want_targets
-            assert cum.tolist() == np.cumsum(want_rates).tolist() and total == (cum[-1] if rates.size else 0.0)
 
 
 MEASURES = [PointMass(0.5, 1.0), PointMass(1.0, 2.0), FiniteAtoms([(0.3, 0.5), (0.8, 1.0)]), UniformLaw(1.5),
@@ -168,37 +163,19 @@ def test_generator_blocks_do_not_move_a_bit(monkeypatch, measure):
         assert small_Q.tobytes() == Q.tobytes() and small_above.tobytes() == above.tobytes(), n_max
 
 
-def test_stationary_solve_caches_no_cumulative_rates(monkeypatch):
-    # only the Gillespie sampler draws moves; the solve reads the moves of whole blocks of states
-    monkeypatch.setattr(lwf.ancestral, "N_CAP", 256)
-    model = AncestralModel(kappa=2.5, sigma=0.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
-    law = stationary_law(model)
-    assert law.n_max == 256
-    assert not model._jump_cache
-    simulate_ancestral(model, 3, 1.0, RngStream(4).generator())
-    assert 0 < len(model._jump_cache) < 256
-
-
-def test_a_path_from_a_large_n0_keeps_the_move_cache_under_its_cap(monkeypatch):
-    # a path from 4,000 walks down through almost every state, about 8 million moves: uncapped, the cache held 94 MB
+def test_a_path_from_a_large_n0_keeps_the_call_local_move_cache_under_its_cap(monkeypatch):
+    # a path from 4,000 walks down through almost every state, about 8 million moves: uncapped, the cache held 95 MB
     model, n0 = AncestralModel(kappa=0.2, sigma=1.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0)), 4000
-    held, jumps = [], AncestralModel.jumps
-
-    def watched(self, n):
-        moves = jumps(self, n)
-        held.append(self._cached_moves)
-        return moves
-
-    monkeypatch.setattr(AncestralModel, "jumps", watched)
-    times, states = simulate_ancestral(model, n0, 1.0, RngStream(3).generator())
-    assert states.size > 3000 and max(held) <= lwf.ancestral.JUMP_CACHE_MOVES
-    assert any(after < before for before, after in zip(held, held[1:]))  # the cache was dropped on the way
-    assert model._cached_moves == sum(targets.size for targets, _, _ in model._jump_cache.values())
+    tracemalloc.start()
+    try:
+        [(times, states)] = simulate_ancestral(model, n0, 1.0, 1, RngStream(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.size > 3000 and peak < 32 * 2**20
     # with no cache at all the path has the same bits
     monkeypatch.setattr(lwf.ancestral, "JUMP_CACHE_MOVES", 0)
-    uncached = AncestralModel(kappa=0.2, sigma=1.0, increments={1: 1.0}, measure=PointMass(0.5, 1.0))
-    again = simulate_ancestral(uncached, n0, 1.0, RngStream(3).generator())
-    assert not uncached._jump_cache
+    [again] = simulate_ancestral(model, n0, 1.0, 1, RngStream(3))
     assert again[0].tobytes() == times.tobytes() and again[1].tobytes() == states.tobytes()
 
 
@@ -304,7 +281,7 @@ def test_stationary_matches_the_occupation_times_of_gillespie_paths():
     law = stationary_law(model)
     assert law.resolved
     horizon, burn_in, R = 400.0, 20.0, 40
-    paths = [simulate_ancestral(model, 1, horizon, RngStream(6).derive(r).generator()) for r in range(R)]
+    paths = simulate_ancestral(model, 1, horizon, R, RngStream(6))
     occ = _occupation_fractions(model, paths, burn_in, horizon, law.n_max)
     mean, se = occ.mean(axis=0), occ.std(axis=0, ddof=1) / math.sqrt(R)
     checked = mean > 1e-3
@@ -361,8 +338,7 @@ def test_dual_moment_matches_matrix_exponential():
     ]
     for model, x, n0, t, seed in cases:
         value, bound, _ = dual_moment(model, x, n0, t)
-        rng = RngStream(seed).generator()
-        vals = np.array([x ** simulate_ancestral(model, n0, t, rng)[1][-1] for _ in range(40_000)])
+        vals = np.array([x ** states[-1] for _, states in simulate_ancestral(model, n0, t, 40_000, RngStream(seed))])
         se = vals.std() / math.sqrt(vals.size)
         assert abs(vals.mean() - value) <= 4.0 * se + bound
 
@@ -396,9 +372,11 @@ def test_the_dual_chain_runs_forward_in_time_only():
     with pytest.raises(ValueError, match=r"t must be finite and >= 0, got -1\.0"):
         dual_moment(model, 0.5, 2, -1.0)
     with pytest.raises(ValueError, match=r"horizon must be finite and >= 0, got -1\.0"):
-        simulate_ancestral(model, 3, -1.0, RngStream(5).generator())
+        simulate_ancestral(model, 3, -1.0, 1, RngStream(5))
     with pytest.raises(ValueError, match=r"n0 must lie in \[1, STATE_GUARD = 10000000\], got 0"):
-        simulate_ancestral(model, 0, 1.0, RngStream(5).generator())
+        simulate_ancestral(model, 0, 1.0, 1, RngStream(5))
+    with pytest.raises(ValueError, match=r"^replicates must be >= 1, got 0$"):  # as the other two engines
+        simulate_ancestral(model, 3, 1.0, 0, RngStream(5))
 
 
 def test_fixation_probabilities_neutral_is_initial_state():

@@ -20,6 +20,7 @@ from lwf.config import load_config
 from lwf.errors import ConfigError
 from lwf.measures import (
     _MEASURE_KINDS,
+    AtomicMeasure,
     BetaLaw,
     FiniteAtoms,
     PointMass,
@@ -57,7 +58,7 @@ def test_measure_config_round_trip():
         assert clone.resampling_mass_above(1e-3) == measure.resampling_mass_above(1e-3), measure.kind
         block = collision_pairs(np.array([6]))
         assert np.array_equal(clone.collision_rates(*block), measure.collision_rates(*block)), measure.kind
-        if measure.has_continuous_part:
+        if not isinstance(measure, AtomicMeasure):
             assert np.array_equal(clone.density(ys), measure.density(ys)), measure.kind
 
 
@@ -892,6 +893,28 @@ SCHEMA_ERRORS = [
     ("simulate-sde", _added("drift", {"kind": "polynomial", "lambda": 1.0, "degree": 2,
                                       "monomials": [[[[1, 0, 0], 1.0]], [[[0, 1, 0], 1.0]], [[[0, 0, 1], 1.0]]]}),
      "unknown keys in drift block: ['degree']"),
+    # refusals no other row reaches: K against x0, the two kind blocks a simulation needs, a kind block's kind
+    ("simulate-sde", lambda p: p["model"].update(x0=[0.4, 0.6]), "x0 has 2 coordinates but K = 3"),
+    ("simulate-discrete", lambda p: p.pop("rule"), "missing required block 'rule'"),
+    ("simulate-sde", lambda p: p.pop("drift"), "missing required block 'drift'"),
+    ("simulate-discrete", _added("rule", {"degree": 2}), "rule block must be a mapping with a 'kind' key"),
+    # a Bernstein table names every multi-index of its degree once, with the prefix of every other rule error
+    ("simulate-discrete", _added("rule", {"kind": "bernstein", "degree": 2, "table": [[[1, 0, 0], [1, 0, 0]]]}),
+     "bad rule block: multi-index (1, 0, 0) is not a degree-2 index over 3 types"),
+    ("simulate-discrete", _added("rule", {"kind": "bernstein", "degree": 2,
+                                          "table": [[[2, 0, 0], [1, 0, 0]], [[2, 0, 0], [1, 0, 0]]]}),
+     "bad rule block: duplicate multi-index (2, 0, 0) in Bernstein table"),
+    ("simulate-discrete", _added("rule", {"kind": "bernstein", "degree": 2, "table": [[[2, 0, 0], [1, 0, 0]]]}),
+     "bad rule block: Bernstein table must cover all 6 multi-indices, got 1"),
+    ("simulate-discrete", _added("rule", {"kind": "transitive_mutation", "mutation_prob": 1.5,
+                                          "kernel": np.eye(3).tolist()}),
+     "bad rule block: mutation probability must lie in [0, 1], got 1.5"),
+    ("simulate-discrete", _added("rule", {"kind": "transitive_mutation", "mutation_prob": 0.1,
+                                          "kernel": np.eye(2).tolist()}),
+     "bad rule block: kernel must be 3x3"),
+    ("simulate-discrete", _added("rule", {"kind": "transitive_mutation", "mutation_prob": 0.1,
+                                          "kernel": np.full((3, 3), 0.5).tolist()}),
+     "bad rule block: kernel rows must be probability vectors"),
 ]
 
 
@@ -1027,6 +1050,9 @@ MALFORMED = [
      "invalid 'model' block: n0 must lie in [1, STATE_GUARD = 10000000], got 1000000000000"),
     ("ancestral", lambda p: p["model"].update(n_cap=2048),
      "unknown keys in 'model' block: ['n_cap'] (allowed: ['horizon', 'kappa', 'n0', 'sigma', 'stationary'])"),
+    # an unordered grid passed ks_nonincreasing
+    ("convergence", lambda p: p["experiment"].update(N_grid=[100, 50, 100]),
+     "convergence runs need a strictly increasing N_grid, got N_grid = [100, 50, 100]"),
 ]
 
 

@@ -182,7 +182,7 @@ DOMAINS = {
     "BetaLaw-a": lambda v: BetaLaw(v, 2.0),
     "BetaLaw-b": lambda v: BetaLaw(2.0, v),
     "BetaLaw-mass": lambda v: BetaLaw(2.0, 2.0, v),
-    "simulate_ancestral-horizon": lambda v: simulate_ancestral(_CHAIN, 3, v, RngStream(0).generator()),
+    "simulate_ancestral-horizon": lambda v: simulate_ancestral(_CHAIN, 3, v, 1, RngStream(0)),
     "dual_moment-t": lambda v: dual_moment(_CHAIN, 0.5, 2, v),
     "DriftFunction.transitive-kappa": lambda v: DriftFunction.transitive(v, {1: 1.0}, 3),
     "DriftFunction.logistic-kappa": lambda v: DriftFunction.logistic(v, [[0.5, 0.7], [0.3, 0.5]]),

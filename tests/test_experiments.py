@@ -18,6 +18,7 @@ from lwf.experiments import (
 )
 from lwf.measures import PointMass, ZeroMeasure
 from lwf.rules import NeutralRule
+from lwf.sde import BatchSde
 from lwf.selection import DriftFunction
 
 
@@ -135,6 +136,37 @@ def test_lyapunov_refuses_a_start_outside_the_simplex():
 def test_runs_refuse_the_values_the_cli_refuses(run, message):
     with pytest.raises(ConfigError, match=message):
         run()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_fixation(kappa=0.0, increments={1: 1.0}, sigma=1.0, measure=ZeroMeasure(), x0=[0.3, 0.7],
+                             dt=2e-3, replicates=0),
+        lambda: run_successive_extinction(drift=DriftFunction.neutral(3), sigma=1.0, x0=[0.3, 0.3, 0.4], dt=1e-3,
+                                          replicates=0),
+        lambda: run_rps_lyapunov(sigma=0.4, measure=ZeroMeasure(), delta=0.05, T=1.0, dt=2e-3, replicates=0),
+        lambda: run_duality(kappa=0.5, increments={1: 1.0}, sigma=1.0, measure=ZeroMeasure(), xs=(0.3,), ts=(0.3,),
+                            n0s=(1, 2), dt=2e-3, replicates=0),
+    ],
+    ids=["fixation", "successive-extinction", "rps-lyapunov", "duality"],
+)
+def test_runs_refuse_zero_replicates_before_any_step(monkeypatch, run):
+    # with no replicate, fixation reported a NaN vector, extinction divided by zero and the other two NaN metrics
+    def fail(self):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(BatchSde, "step", fail)
+    with pytest.raises(ValueError, match=r"^replicates must be >= 1, got 0$"):
+        run()
+
+
+def test_convergence_refuses_a_grid_that_is_not_strictly_increasing():
+    # an unordered grid passed ks_nonincreasing, though a distance falling as N grows cannot be read off it
+    with pytest.raises(ConfigError, match=r"^convergence runs need a strictly increasing N_grid, got N_grid = "
+                                          r"\[100, 50, 100\]$"):
+        run_convergence(rule=NeutralRule(2), drift=DriftFunction.neutral(2), measure=ZeroMeasure(), tail={2: 1.0},
+                        x0=[0.5, 0.5], T=0.1, N_grid=(100, 50, 100), dt=5e-3, replicates=10)
 
 
 def test_drift_oracle_builds_the_default_catalogue_once_per_call(monkeypatch):
