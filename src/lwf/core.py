@@ -69,7 +69,12 @@ def _categorical(P: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def random_interior_points(rng: np.random.Generator, K: int, n: int, min_coord: float = 0.02) -> np.ndarray:
-    """Uniform simplex points conditioned away from the boundary."""
+    """Uniform simplex points conditioned away from the boundary: every coordinate at least ``min_coord``.
+
+    A draw is kept with probability ``(1 - K * min_coord)**(K - 1)``, so ``min_coord`` must lie in [0, 1/K).
+    """
+    if not 0 <= min_coord < 1 / K:
+        raise ValueError(f"min_coord must lie in [0, 1/K) = [0, {1 / K:g}), got {min_coord}")
     out = np.empty((n, K))
     filled = 0
     while filled < n:

@@ -200,20 +200,20 @@ def simulate_discrete(
 
 @dataclass(frozen=True)
 class DriftEstimate:
-    """Estimate of the per-unit-selection drift at one state.
+    """Estimate of the per-unit-selection drift at a block of states, one row per state.
 
-    ``compositions`` counts the multi-indices the Monte Carlo path drew
-    composition counts over; it is 0 where every size took the per-sample
-    path.
+    ``compositions`` counts, per state, the multi-indices the Monte Carlo
+    path drew composition counts over; it is 0 where every size took the
+    per-sample path.
     """
 
     values: np.ndarray
     stderr: np.ndarray
-    compositions: int = 0
+    compositions: np.ndarray
 
 
-def empirical_drift(rule: ColouringRule, tail, x, replicates: int, rng: np.random.Generator) -> DriftEstimate:
-    """Estimate the drift of the non-extreme dynamics, rescaled by ``rho``.
+def empirical_drift(rule: ColouringRule, tail, xs, replicates: int, rngs) -> DriftEstimate:
+    """Estimate the drift of the non-extreme dynamics, rescaled by ``rho``, at each row of ``xs``.
 
     Estimates ``(p(x) - x) / rho`` where ``p`` is the one-offspring type
     law of ``rule`` and ``tail`` the law ``{k: p}`` of the sample sizes
@@ -223,6 +223,11 @@ def empirical_drift(rule: ColouringRule, tail, x, replicates: int, rng: np.rando
     from the tail, parent types from multinomial(k, x), and the rule's
     conditional type distribution (not a sampled type) is averaged, which
     is unbiased with strictly smaller variance.
+
+    ``xs`` is a block ``(P, K)`` of states and ``rngs`` holds one generator
+    per state; each state draws from its own alone, as a one-row block
+    would.  The tail, the rule's outputs at the compositions and the
+    composition pmfs are computed once for the block.
 
     A sampled multiset is one of the C(K+k-1, k) compositions of k, so for
     an enumerable size (:meth:`~lwf.rules.ColouringRule.enumerable`) the
@@ -235,30 +240,42 @@ def empirical_drift(rule: ColouringRule, tail, x, replicates: int, rng: np.rando
     table_k)**2``.  Otherwise it is the sample's, which reads 0 where no
     sample drew a type's rare winning compositions.
     """
-    x = as_frequencies(x)
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or len(rngs) != len(xs):
+        raise ValueError(f"need a (P, K) block of states and one generator per state, got shape {xs.shape} "
+                         f"and {len(rngs)} generators")
+    xs = np.array([as_frequencies(x) for x in xs]).reshape(xs.shape)
     tail_ks, tail_ps = map(np.array, zip(*integer_law(tail, 2, "tail")))
     if replicates < 1:
         raise ValueError("need at least one replicate")
 
-    per_k = rng.multinomial(replicates, tail_ps)  # one size takes every replicate and draws nothing
+    K = xs.shape[1]
     exact_se = all(rule.enumerable(k) for k in tail_ks)
-    total, first, second = np.zeros((3, x.size))  # the sum, and one sample's first two moments
-    drawn_over = 0
-    for k, p, n_k in zip(tail_ks, tail_ps, per_k):
-        if n_k == 0 and not exact_se:
-            continue
+    enumerated = {}  # size -> (the pmf of each state at its compositions, the rule's outputs there)
+    for k in tail_ks:
         if rule.enumerable(k):
-            pmf = composition_pmf(x.size, k, x)
-            pmf = pmf / pmf.sum()
-            m = rng.multinomial(n_k, pmf)
-            table = rule.distribution_batch(compositions(x.size, k))
-            drawn_over += len(table)
-        else:
-            m = np.ones(int(n_k))
-            table = rule.distribution_batch(rng.multinomial(int(k), x, size=int(n_k)))
-        total += m @ table
-        weights = p * pmf if exact_se else m / replicates  # the composition law, or the sample's
-        first += weights @ table
-        second += weights @ table**2
-    stderr = np.sqrt(np.maximum(second - first**2, 0.0) / replicates)
-    return DriftEstimate(total / replicates - x, stderr, drawn_over)
+            pmf = composition_pmf(K, k, xs)
+            enumerated[k] = (pmf / pmf.sum(axis=1, keepdims=True), rule.distribution_batch(compositions(K, k)))
+    values, stderr = np.empty((2, *xs.shape))
+    drawn_over = np.zeros(len(xs), dtype=np.int64)
+    for i, (x, rng) in enumerate(zip(xs, rngs)):
+        per_k = rng.multinomial(replicates, tail_ps)  # one size takes every replicate and draws nothing
+        total, first, second = np.zeros((3, K))  # the sum, and one sample's first two moments
+        for k, p, n_k in zip(tail_ks, tail_ps, per_k):
+            if n_k == 0 and not exact_se:
+                continue
+            if k in enumerated:
+                pmfs, table = enumerated[k]
+                pmf = pmfs[i]
+                m = rng.multinomial(n_k, pmf)
+                drawn_over[i] += len(table)
+            else:
+                m = np.ones(int(n_k))
+                table = rule.distribution_batch(rng.multinomial(int(k), x, size=int(n_k)))
+            total += m @ table
+            weights = p * pmf if exact_se else m / replicates  # the composition law, or the sample's
+            first += weights @ table
+            second += weights @ table**2
+        values[i] = total / replicates - x
+        stderr[i] = np.sqrt(np.maximum(second - first**2, 0.0) / replicates)
+    return DriftEstimate(values, stderr, drawn_over)

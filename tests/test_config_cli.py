@@ -1053,6 +1053,13 @@ MALFORMED = [
     # an unordered grid passed ks_nonincreasing
     ("convergence", lambda p: p["experiment"].update(N_grid=[100, 50, 100]),
      "convergence runs need a strictly increasing N_grid, got N_grid = [100, 50, 100]"),
+    # a margin at or above 1/K of some pair never ended, and a negative one ran without a word
+    ("drift-oracle", lambda p: p["experiment"].update(min_coord=0.3),
+     "experiment.min_coord must lie in [0, 1/K) = [0, 0.25) for the pairs' largest K = 4, got 0.3"),
+    ("drift-oracle", lambda p: p["experiment"].update(min_coord=0.25),
+     "experiment.min_coord must lie in [0, 1/K) = [0, 0.25) for the pairs' largest K = 4, got 0.25"),
+    ("drift-oracle", lambda p: p["experiment"].update(min_coord=-0.5),
+     "experiment.min_coord must lie in [0, 1/K) = [0, 0.25) for the pairs' largest K = 4, got -0.5"),
 ]
 
 

@@ -49,6 +49,13 @@ def test_random_interior_points_stay_interior():
     assert np.allclose(pts.sum(axis=1), 1.0)
 
 
+@pytest.mark.parametrize("min_coord", [0.25, 0.3, -0.5])
+def test_random_interior_points_refuse_a_margin_outside_its_domain(min_coord):
+    # at 1/K or above no draw is ever kept, and the rejection loop never ended
+    with pytest.raises(ValueError, match=rf"^min_coord must lie in \[0, 1/K\) = \[0, 0.25\), got {min_coord}$"):
+        random_interior_points(RngStream(1).generator(), 4, 3, min_coord)
+
+
 def test_offspring_law_basic():
     q = OffspringLaw(0.1, {4: 0.5, 2: 0.5})
     assert q.tail == ((2, 0.5), (4, 0.5))

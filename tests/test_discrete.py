@@ -390,12 +390,12 @@ def test_neutral_martingale_over_generations():
 
 def test_empirical_drift_matches_closed_forms():
     rng = RngStream(11).generator()
-    est = empirical_drift(TransitiveRule(2), {2: 1.0}, [0.5, 0.5], 200_000, rng)
-    assert abs(est.values[0] - (-0.25)) <= 4.5 * est.stderr[0] + 1e-9
+    est = empirical_drift(TransitiveRule(2), {2: 1.0}, [[0.5, 0.5]], 200_000, [rng])
+    assert abs(est.values[0, 0] - (-0.25)) <= 4.5 * est.stderr[0, 0] + 1e-9
 
     x = np.array([0.5, 0.25, 0.25])
-    est = empirical_drift(PartialOrderRule.rps(), {2: 1.0}, x, 200_000, rng)
-    assert np.all(np.abs(est.values - DriftFunction.rps(1.0)(x)) <= 4.5 * est.stderr + 1e-9)
+    est = empirical_drift(PartialOrderRule.rps(), {2: 1.0}, [x], 200_000, [rng])
+    assert np.all(np.abs(est.values[0] - DriftFunction.rps(1.0)(x)) <= 4.5 * est.stderr[0] + 1e-9)
 
 
 def test_composition_count_sums_equal_the_per_sample_sums():
@@ -414,30 +414,30 @@ def test_composition_count_sums_equal_the_per_sample_sums():
 def test_empirical_drift_draws_one_count_vector_over_the_compositions():
     rule = NegFreqDepRule(3)
     x, n = np.array([0.2, 0.3, 0.5]), 10**6
-    est = empirical_drift(rule, {3: 1.0}, x, n, RngStream(15).generator())
-    assert est.compositions == len(compositions(3, 3)) == 10
+    est = empirical_drift(rule, {3: 1.0}, [x], n, [RngStream(15).generator()])
+    assert est.compositions[0] == len(compositions(3, 3)) == 10
 
     pmf = composition_pmf(3, 3, x)
     m = RngStream(15).generator().multinomial(n, pmf / pmf.sum())
     table = rule.distribution_batch(np.asarray(compositions(3, 3)))
     mean = m @ table / n
-    assert np.allclose(est.values, mean - x, rtol=0.0, atol=1e-15)
+    assert np.allclose(est.values[0], mean - x, rtol=0.0, atol=1e-15)
     # the standard error is exact: the per-sample variance under the composition law, over n
     p = pmf / pmf.sum()
-    assert np.allclose(est.stderr, np.sqrt((p @ table**2 - (p @ table) ** 2) / n), rtol=1e-12, atol=0.0)
+    assert np.allclose(est.stderr[0], np.sqrt((p @ table**2 - (p @ table) ** 2) / n), rtol=1e-12, atol=0.0)
 
 
 def test_empirical_drift_standard_error_mixes_the_sample_sizes_exactly():
     rule, tail = TransitiveRule(3), {2: 0.25, 3: 0.75}
     x, n = np.array([0.1, 0.3, 0.6]), 5000
-    est = empirical_drift(rule, tail, x, n, RngStream(19).generator())
+    est = empirical_drift(rule, tail, [x], n, [RngStream(19).generator()])
     first, second = np.zeros(3), np.zeros(3)
     for k, w in ((2, 0.25), (3, 0.75)):
         pmf = composition_pmf(3, k, x)
         table = rule.distribution_batch(np.asarray(compositions(3, k)))
         first += w * (pmf / pmf.sum()) @ table
         second += w * (pmf / pmf.sum()) @ table**2
-    assert np.allclose(est.stderr, np.sqrt((second - first**2) / n), rtol=1e-12, atol=0.0)
+    assert np.allclose(est.stderr[0], np.sqrt((second - first**2) / n), rtol=1e-12, atol=0.0)
     # the exact mean is the type law
     law = sum(w * ColouringRule.type_law_batch(rule, k, x[None, :])[0] for k, w in tail.items())
     assert np.allclose(first, law, rtol=0.0, atol=1e-15)
@@ -446,10 +446,10 @@ def test_empirical_drift_standard_error_mixes_the_sample_sizes_exactly():
 def test_empirical_drift_on_the_boundary_leaves_the_absent_type_alone():
     # x_3 = 0: 0**0 = 1 keeps the pmf on the compositions without type 3
     x = np.array([0.6, 0.4, 0.0])
-    est = empirical_drift(PartialOrderRule.rps(), {2: 1.0}, x, 200_000, RngStream(16).generator())
+    est = empirical_drift(PartialOrderRule.rps(), {2: 1.0}, [x], 200_000, [RngStream(16).generator()])
     assert np.all(np.isfinite(est.values)) and np.all(np.isfinite(est.stderr))
-    assert est.values[2] == 0.0 and est.stderr[2] == 0.0
-    assert np.all(np.abs(est.values - DriftFunction.rps(1.0)(x)) <= 4.0 * est.stderr + 1e-9)
+    assert est.values[0, 2] == 0.0 and est.stderr[0, 2] == 0.0
+    assert np.all(np.abs(est.values[0] - DriftFunction.rps(1.0)(x)) <= 4.0 * est.stderr[0] + 1e-9)
 
 
 def test_empirical_drift_beyond_enumeration_takes_the_per_sample_path():
@@ -457,11 +457,70 @@ def test_empirical_drift_beyond_enumeration_takes_the_per_sample_path():
     rule = TransitiveRule(3)
     assert not rule.supports_enumeration(200)
     x = np.array([0.001, 0.994, 0.005])  # type 3 is absent from a sample of 200 w.p. 0.37
-    est = empirical_drift(rule, {200: 1.0}, x, 20_000, RngStream(17).generator())
-    assert est.compositions == 0
-    assert np.all(est.stderr[1:] > 0.0)
+    est = empirical_drift(rule, {200: 1.0}, [x], 20_000, [RngStream(17).generator()])
+    assert est.compositions[0] == 0
+    assert np.all(est.stderr[0, 1:] > 0.0)
     mu = DriftFunction.transitive(1.0, {199: 1.0}, 3)(x)
-    assert np.all(np.abs(est.values - mu) <= 4.0 * est.stderr + 1e-9)
+    assert np.all(np.abs(est.values[0] - mu) <= 4.0 * est.stderr[0] + 1e-9)
+
+
+def _one_state_drift(rule, tail, x, replicates, rng):
+    """``empirical_drift`` as it was before it took a block of states: values, stderr and compositions at one."""
+    tail_ks, tail_ps = map(np.array, zip(*sorted(tail.items())))
+    per_k = rng.multinomial(replicates, tail_ps)
+    exact_se = all(rule.enumerable(k) for k in tail_ks)
+    total, first, second = np.zeros((3, x.size))
+    drawn_over = 0
+    for k, p, n_k in zip(tail_ks, tail_ps, per_k):
+        if n_k == 0 and not exact_se:
+            continue
+        if rule.enumerable(k):
+            pmf = composition_pmf(x.size, k, x)
+            pmf = pmf / pmf.sum()
+            m = rng.multinomial(n_k, pmf)
+            table = rule.distribution_batch(compositions(x.size, k))
+            drawn_over += len(table)
+        else:
+            m = np.ones(int(n_k))
+            table = rule.distribution_batch(rng.multinomial(int(k), x, size=int(n_k)))
+        total += m @ table
+        weights = p * pmf if exact_se else m / replicates
+        first += weights @ table
+        second += weights @ table**2
+    return total / replicates - x, np.sqrt(np.maximum(second - first**2, 0.0) / replicates), drawn_over
+
+
+@pytest.mark.parametrize(
+    "rule,tail,replicates",
+    [
+        (TransitiveRule(3), {2: 0.25, 3: 0.75}, 5000),  # every size enumerated: the exact standard error
+        (PartialOrderRule.rps(), {2: 0.5, 20: 0.5}, 7),  # 20 is beyond enumeration: the sample's; few replicates
+        (TransitiveRule(3), {200: 1.0}, 300),  # the per-sample path alone
+        (NegFreqDepRule(3), {12: 1.0}, 10**5),  # K = 3, k = 12: 91 compositions
+    ],
+    ids=["exact-se", "mixed", "per-sample", "k12"],
+)
+def test_empirical_drift_on_a_block_equals_one_call_per_state(rule, tail, replicates):
+    # each state draws from its own generator alone, so a block of states reproduces each one-state call bit for
+    # bit, and each one-state call the estimator as it was before it took a block
+    xs = np.vstack([RngStream(20).generator().dirichlet(np.ones(3), size=5), [0.6, 0.4, 0.0]])  # and a face
+    est = empirical_drift(rule, tail, xs, replicates, [RngStream(21).derive(j).generator() for j in range(len(xs))])
+    assert est.values.shape == est.stderr.shape == xs.shape and est.compositions.shape == (len(xs),)
+    for j, x in enumerate(xs):
+        one = empirical_drift(rule, tail, [x], replicates, [RngStream(21).derive(j).generator()])
+        values, stderr, drawn_over = _one_state_drift(rule, tail, x, replicates, RngStream(21).derive(j).generator())
+        for block, row in ((est, j), (one, 0)):
+            assert np.array_equal(block.values[row], values) and np.array_equal(block.stderr[row], stderr)
+            assert block.compositions[row] == drawn_over
+    if 12 in tail:
+        assert est.compositions.tolist() == [91] * len(xs)
+
+
+def test_empirical_drift_refuses_a_generator_count_other_than_the_states():
+    with pytest.raises(ValueError, match=r"one generator per state, got shape \(2, 3\) and 1 generators$"):
+        empirical_drift(TransitiveRule(3), {2: 1.0}, [[0.2, 0.3, 0.5]] * 2, 10, [RngStream(1).generator()])
+    with pytest.raises(ValueError, match=r"got shape \(3,\) and 3 generators$"):
+        empirical_drift(TransitiveRule(3), {2: 1.0}, [0.2, 0.3, 0.5], 10, [RngStream(1).generator()] * 3)
 
 
 def test_exact_drift_refuses_a_sample_size_whose_coefficients_overflow():
@@ -470,8 +529,8 @@ def test_exact_drift_refuses_a_sample_size_whose_coefficients_overflow():
     assert rule.supports_enumeration(500) and not rule.supports_enumeration(2000)
     with pytest.raises(ValueError, match="size 2000"):
         ColouringRule.type_law_batch(rule, 2000, np.array([[0.5, 0.5]]))
-    est = empirical_drift(rule, {2000: 1.0}, [0.5, 0.5], 200, RngStream(18).generator())
-    assert est.compositions == 0 and np.allclose(est.values, [-0.5, 0.5], atol=1e-12)
+    est = empirical_drift(rule, {2000: 1.0}, [[0.5, 0.5]], 200, [RngStream(18).generator()])
+    assert est.compositions[0] == 0 and np.allclose(est.values[0], [-0.5, 0.5], atol=1e-12)
 
 
 def test_empirical_drift_exact_path():

@@ -7,6 +7,9 @@ import pytest
 
 from lwf import cli, experiments
 from lwf.ancestral import N_CAP
+from lwf.batches import LANE_DRIFT, LANE_POINTS, pmap
+from lwf.core import random_interior_points
+from lwf.discrete import empirical_drift
 from lwf.errors import ConfigError
 from lwf.experiments import (
     run_convergence,
@@ -17,6 +20,7 @@ from lwf.experiments import (
     run_successive_extinction,
 )
 from lwf.measures import PointMass, ZeroMeasure
+from lwf.rng import RngStream
 from lwf.rules import NeutralRule
 from lwf.sde import BatchSde
 from lwf.selection import DriftFunction
@@ -176,6 +180,68 @@ def test_drift_oracle_builds_the_default_catalogue_once_per_call(monkeypatch):
     report = run_drift_oracle(points=1, samples=200, seed=1)
     assert len(built) == 1
     assert report.parameters["pairs"] == [pair["name"] for pair in catalogue()]
+
+
+def _per_cell_drift_oracle(*, pairs=None, points=25, samples=10**6, min_coord=0.05, seed=0, threads=1):
+    """The drift oracle as it ran before a pair's points shared one call: one task and one state per cell."""
+    stream = RngStream(seed)
+    xs = [random_interior_points(stream.derive(LANE_POINTS, p_idx).generator(), pair["rule"].K, points, min_coord)
+          for p_idx, pair in enumerate(pairs)]
+
+    def check(cell):
+        p_idx, j = cell
+        pair, x = pairs[p_idx], xs[p_idx][j]
+        scale = pair["drift"].kappa or 1.0
+        est = empirical_drift(pair["rule"], pair["tail"], [x], samples,
+                              [stream.derive(LANE_DRIFT, p_idx, j).generator()])
+        dev = np.abs(pair["drift"](x) - scale * est.values[0])
+        return (dev / (experiments.FOUR_SE * scale * est.stderr[0] + 1e-9)).max(), est.compositions[0]
+
+    results = pmap(check, [(p_idx, j) for p_idx in range(len(pairs)) for j in range(points)], threads)
+    metrics = []
+    for p_idx, pair in enumerate(pairs):
+        ratios, compositions = zip(*results[p_idx * points : (p_idx + 1) * points])
+        worst = float(max(ratios))
+        metrics.append(
+            experiments.Metric(
+                name=f"drift_match:{pair['name']}",
+                value=worst,
+                tolerance=f"max |closed-form - simulated| / (4 SE + 1e-9) <= 1 over {points} interior points",
+                passed=worst <= 1.0,
+                details={"points": int(points), "samples_per_point": int(samples),
+                         "compositions": max(compositions),
+                         "size_trend": "not applicable: rule has no population-size dependence"},
+            )
+        )
+    return {"one_generation_samples": int(samples) * int(points) * len(pairs)}, metrics
+
+
+_per_cell_drift_oracle.__name__ = "run_drift_oracle"  # the experiment's name, which its report carries
+_per_cell_drift_oracle = experiments._experiment(_per_cell_drift_oracle)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_drift_oracle_on_one_task_per_pair_matches_the_per_cell_oracle(threads):
+    # 8 pairs split 3/3/2 over three threads; the closed form is evaluated once on a pair's block of points
+    new = run_drift_oracle(points=3, samples=20_000, seed=7, threads=threads)
+    reference = _per_cell_drift_oracle(points=3, samples=20_000, seed=7, threads=threads)
+    assert report_bytes(new) == report_bytes(reference)
+
+
+@pytest.mark.parametrize("min_coord", [0.25, 0.3, -0.5])
+def test_drift_oracle_refuses_a_margin_outside_its_domain_before_any_draw(monkeypatch, min_coord):
+    # 0.25 = 1/K for the four-type food web: no point was ever kept and the run never ended
+    def fail(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(experiments, "random_interior_points", fail)
+    with pytest.raises(ConfigError, match=r"^experiment\.min_coord must lie in \[0, 1/K\) = \[0, 0\.25\) for the "
+                                          rf"pairs' largest K = 4, got {min_coord}$"):
+        run_drift_oracle(points=2, samples=10, min_coord=min_coord)
+    # a catalogue of three-type pairs admits a margin up to 1/3
+    three = [pair for pair in experiments.standard_drift_catalog() if pair["rule"].K == 3][:1]
+    monkeypatch.undo()
+    assert run_drift_oracle(pairs=three, points=1, samples=10, min_coord=0.3).metrics[0].details["points"] == 1
 
 
 def test_report_structure_carries_tolerance_provenance():

@@ -172,8 +172,8 @@ def offspring_type_law(rule, offspring, x, samples=1, rng=None):
     if rng is None:
         law = sum(p * ColouringRule.type_law_batch(rule, k, x[None, :])[0] for k, p in offspring.tail)
         return x + offspring.rho * (law - x), np.zeros_like(x)
-    est = empirical_drift(rule, dict(offspring.tail), x, samples, rng)
-    return x + offspring.rho * est.values, offspring.rho * est.stderr
+    est = empirical_drift(rule, dict(offspring.tail), [x], samples, [rng])
+    return x + offspring.rho * est.values[0], offspring.rho * est.stderr[0]
 
 
 @pytest.mark.parametrize("K", range(2, 7))
