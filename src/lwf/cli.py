@@ -11,7 +11,7 @@ subcommand, naming the function it calls and the required and optional keys
 of each block it reads.  A key is converted by ``CONVERT`` and passed as the
 keyword of the same name (``K`` only checks ``x0``, and ``tail`` becomes
 ``increments`` for a function that takes the dual chain's branching law); a
-key left out takes the default of the function's signature.  A parameter in
+key is optional exactly when that function has a default.  A parameter in
 ``KIND_BLOCKS`` takes a whole kind block; any other block is refused.
 
 Simulation subcommands hand the seed's stream and ``--threads`` to the
@@ -95,8 +95,8 @@ def _list_of(item: Callable, what: str) -> Callable:
 
 CONVERT = {
     **dict.fromkeys(
-        ("alpha", "b", "kappa", "sigma", "dt", "horizon", "T", "eps_jump", "tol_ext", "max_time", "stationary_time",
-         "delta", "final_ks_threshold", "min_fraction", "min_coord"),
+        ("alpha", "b", "kappa", "sigma", "dt", "horizon", "T", "eps_jump", "tol_ext", "max_time", "delta",
+         "final_ks_threshold", "min_fraction", "min_coord"),
         _number,
     ),
     **dict.fromkeys(("K", "N", "n0", "seed", "replicates"), _integer),  # simulate_ancestral checks n0
@@ -167,23 +167,23 @@ KIND_BLOCKS = {
 
 COMMANDS = {
     "simulate-discrete": Command(_simulate_discrete, {
-        "model": ("K x0 N generations", "record_every"),
+        "model": ("x0 N generations", "K record_every"),
         "schedule": ("alpha kappa sigma tail", "b"),
     }),
     "simulate-sde": Command(_simulate_sde, {
-        "model": ("K x0 dt horizon sigma", "eps_jump tol_ext record_every"),
+        "model": ("x0 dt horizon sigma", "K eps_jump tol_ext record_every"),
     }),
     "ancestral": Command(_ancestral, {
         "model": ("n0 horizon kappa sigma", "stationary"),
         "schedule": ("tail", ""),
     }),
     "convergence": Command(xp.run_convergence, {
-        "model": ("K x0 T dt sigma kappa", "eps_jump"),
+        "model": ("x0 T dt sigma kappa", "K eps_jump"),
         "schedule": ("alpha tail", ""),
         "experiment": ("N_grid", "final_ks_threshold"),
     }),
     "fixation": Command(xp.run_fixation, {
-        "model": ("x0 kappa sigma dt", "eps_jump tol_ext max_time stationary_time"),
+        "model": ("x0 kappa sigma dt", "eps_jump tol_ext max_time"),
         "schedule": ("tail", ""),
     }),
     "duality": Command(xp.run_duality, {

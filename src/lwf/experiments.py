@@ -96,8 +96,6 @@ _UNRECORDED = frozenset(("seed", "replicates", "threads", "stationary_time"))
 
 def _config_word(key: str, value):
     """One argument of a run as the config file writes it."""
-    if key == "x0":
-        return as_frequencies(value).tolist()
     if key == "pairs":
         return [pair["name"] for pair in value]
     if hasattr(value, "to_config"):
@@ -110,9 +108,9 @@ def _config_word(key: str, value):
 def _experiment(run):
     """Make ``run_<name>``, which returns ``(sample_sizes, metrics)``, the experiment ``<name>``.
 
-    The call, bound to ``run``'s signature with every default filled in,
-    gives the report's ``seed`` and its ``parameters`` (``measure`` under
-    ``lambda``), less the arguments in ``_UNRECORDED``.
+    The call, bound to ``run``'s signature with every default filled in and
+    ``x0`` made frequencies once, runs ``run`` and gives the report's ``seed``
+    and its ``parameters`` (``measure`` under ``lambda``), less ``_UNRECORDED``.
     """
     name = run.__name__.removeprefix("run_").replace("_", "-")
     signature = inspect.signature(run)
@@ -123,6 +121,8 @@ def _experiment(run):
         call.apply_defaults()
         if call.arguments.get("pairs", ()) is None:  # the drift oracle's default, built once for the run and record
             call.arguments["pairs"] = standard_drift_catalog()
+        if "x0" in call.arguments:
+            call.arguments["x0"] = as_frequencies(call.arguments["x0"])
         sample_sizes, metrics = run(**call.arguments)
         recorded = {k: v for k, v in call.arguments.items() if k not in _UNRECORDED}
         parameters = {"lambda" if k == "measure" else k: _config_word(k, v) for k, v in recorded.items()}
@@ -265,13 +265,13 @@ def run_convergence(
     drift: DriftFunction,
     measure: LambdaMeasure,
     tail: dict,
-    alpha: float = 0.25,
-    kappa: float = 1.0,
-    sigma: float = 1.0,
+    alpha: float,
+    kappa: float,
+    sigma: float,
     x0,
-    T: float = 0.5,
-    N_grid=(200, 800, 3200),
-    dt: float = 1e-3,
+    T: float,
+    N_grid,
+    dt: float,
     eps_jump: float = 1e-3,
     final_ks_threshold: float = 0.06,
     replicates: int = 2000,
@@ -289,7 +289,8 @@ def run_convergence(
     """
     if np.any(np.diff(N_grid) <= 0):  # a distance falling as N grows is read off an increasing grid only
         raise ConfigError(f"convergence runs need a strictly increasing N_grid, got N_grid = {list(N_grid)}")
-    x0 = as_frequencies(x0)
+    if not final_ks_threshold > 0:  # a KS distance of 0 needs two equal samples
+        raise ConfigError(f"experiment.final_ks_threshold must be > 0, got {final_ks_threshold}")
     stream = RngStream(seed)
     with building("SdeConfig value"):
         cfg = SdeConfig(K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump)
@@ -346,7 +347,7 @@ def run_fixation(
     sigma: float,
     measure: LambdaMeasure,
     x0,
-    dt: float = 1e-3,
+    dt: float,
     eps_jump: float = 1e-3,
     tol_ext: float = 1e-8,
     max_time: float = 500.0,
@@ -368,10 +369,9 @@ def run_fixation(
     law the solve cannot resolve below ``N_CAP`` (near ``kappa_star``) is a
     failing ``stationary_law_resolved`` metric, not a number.
 
-    ``stationary_time`` is accepted and ignored: it set the length of the
-    simulation that estimated the stationary law before the law was solved.
+    ``stationary_time`` is ignored and no config takes it; it stays for perfbench's fixation workload until ROADMAP
+    item 1 deletes it (it sized the simulation that estimated the stationary law before the law was solved).
     """
-    x0 = as_frequencies(x0)
     stream = RngStream(seed)
     cfg, dual = _dual_pair(
         kappa, increments, sigma, measure, K=x0.size, dt=dt, horizon=max_time, eps_jump=eps_jump, tol_ext=tol_ext
@@ -441,7 +441,7 @@ def run_duality(
     xs=(0.3, 0.7),
     ts=(0.5, 1.0),
     n0s=(1, 2, 3),
-    dt: float = 1e-3,
+    dt: float,
     eps_jump: float = 1e-3,
     replicates: int = 20000,
     seed: int = 0,
@@ -534,13 +534,13 @@ def run_duality(
 @_experiment
 def run_rps_lyapunov(
     *,
-    kappa: float = 1.0,
+    kappa: float,
     sigma: float,
     measure: LambdaMeasure,
     delta: float,
     T: float = 2.0,
     grid_points: int = 8,
-    dt: float = 1e-3,
+    dt: float,
     eps_jump: float = 1e-3,
     replicates: int = 2000,
     seed: int = 0,
@@ -632,7 +632,7 @@ def run_successive_extinction(
     drift: DriftFunction,
     sigma: float,
     x0,
-    dt: float = 1e-4,
+    dt: float,
     tol_ext: float = 1e-6,
     max_time: float = 200.0,
     min_fraction: float = 0.99,
@@ -649,7 +649,6 @@ def run_successive_extinction(
     """
     if sigma <= 0:
         raise ConfigError("successive-extinction runs need sigma > 0")
-    x0 = as_frequencies(x0)
     stream = RngStream(seed)
     with building("SdeConfig value"):
         cfg = SdeConfig(

@@ -115,6 +115,8 @@ class SdeConfig:
             raise ValueError(f"dt must be > 0 and finite, got {self.dt}")
         if not 0.0 <= self.horizon < math.inf:
             raise ValueError(f"horizon must be >= 0 and finite, got {self.horizon}")
+        if 0.0 < self.horizon < self.dt:  # a run would end before its first step; a horizon of 0 takes none
+            raise ValueError(f"dt must be at most the horizon, got dt = {self.dt} and horizon = {self.horizon}")
         if not 0.0 < self.eps_jump < 1.0:
             raise ValueError("eps_jump must lie in (0, 1)")
         if not 0.0 <= self.tol_ext < 1.0 / self.K:  # below 1/K the largest coordinate always survives the clamp

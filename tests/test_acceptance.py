@@ -266,7 +266,8 @@ def test_10_determinism_byte_for_byte():
         "drift-oracle": lambda threads: run_drift_oracle(points=2, samples=4000, seed=113, threads=threads),
         "convergence": lambda threads: run_convergence(
             rule=NeutralRule(2), drift=DriftFunction.neutral(2), measure=ZeroMeasure(), tail={2: 1.0},
-            x0=[0.5, 0.5], T=0.1, N_grid=(50, 100), dt=5e-3, replicates=120, seed=113, threads=threads,
+            alpha=0.25, kappa=1.0, sigma=1.0, x0=[0.5, 0.5], T=0.1, N_grid=(50, 100), dt=5e-3, replicates=120,
+            seed=113, threads=threads,
         ),
         "fixation": lambda threads: run_fixation(
             kappa=0.0, increments={1: 1.0}, sigma=1.0, measure=ZeroMeasure(), x0=[0.3, 0.7],
@@ -277,7 +278,7 @@ def test_10_determinism_byte_for_byte():
             n0s=(1,), dt=2e-3, replicates=600, seed=113, threads=threads,
         ),
         "rps-lyapunov": lambda threads: run_rps_lyapunov(
-            sigma=0.4, measure=ZeroMeasure(), delta=0.05, T=0.5, dt=2e-3, replicates=600,
+            kappa=1.0, sigma=0.4, measure=ZeroMeasure(), delta=0.05, T=0.5, dt=2e-3, replicates=600,
             seed=113, threads=threads,
         ),
         "successive-extinction": lambda threads: run_successive_extinction(

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import lwf.ancestral
 from lwf.ancestral import (
@@ -406,6 +407,62 @@ def test_fixation_probabilities_recurrent_sums_to_one():
     assert np.all(pred.probs >= 0.0)
     # ordered contests penalize low labels
     assert pred.probs[0] < 0.2 and pred.probs[2] > 0.5
+
+
+# closed forms with Kingman noise and no Lambda-events: (kappa, sigma) pairs, and starts for K = 2, 3 and 4
+KINGMAN_CHAINS = [(0.5, 1.0), (1.0, 0.5), (3.0, 1.0), (5.0, 1.0), (1.0, 2.0)]
+STARTS = [[0.3, 0.7], [0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4], [0.4, 0.0, 0.35, 0.25]]
+
+
+def _scale_function(c, kappa, sigma, increments):
+    """``u(c)``: the integral of ``s'`` over [0, c] by its integral over [0, 1], with ``s'`` the scale density
+    ``exp((2 kappa / sigma) sum_k w_k sum_(j <= k) y**j / j)`` of a cumulative level."""
+    def density(y):
+        return math.exp(2.0 * kappa / sigma * sum(w * sum(y**j / j for j in range(1, k + 1))
+                                                  for k, w in increments.items()))
+
+    def integral(upper):
+        return quad(density, 0.0, upper, epsabs=0.0, epsrel=1e-13)[0]
+
+    return integral(min(c, 1.0)) / integral(1.0)
+
+
+@pytest.mark.parametrize("increments", [{1: 1.0}, {1: 0.5, 2: 0.5}, {3: 1.0}, {1: 0.2, 4: 0.8}],
+                         ids=["pairs", "mixed", "quadruples", "mixed-quintuples"])
+def test_fixation_with_kingman_noise_follows_the_scale_function_of_each_cumulative_level(increments):
+    # the i weakest types' total C is a two-type diffusion with drift -kappa sum_k w_k (C - C**(k+1)) and variance
+    # sigma C (1 - C), so they take over with chance u(C): type i fixes with chance u(C_i) - u(C_(i-1))
+    for kappa, sigma in KINGMAN_CHAINS:
+        model = AncestralModel(kappa=kappa, sigma=sigma, increments=increments, measure=ZeroMeasure())
+        for x in STARTS:
+            pred = fixation_probabilities(model, x)
+            u = [_scale_function(c, kappa, sigma, increments) for c in np.cumsum(x)]
+            assert pred.regime == "recurrent"
+            assert np.abs(pred.probs - np.diff(u, prepend=0.0)).max() <= 1e-12, (kappa, sigma, x)
+
+
+def test_fixation_with_pairwise_contests_and_kingman_noise_is_kimuras_formula():
+    # u(c) = (exp(theta c) - 1) / (exp(theta) - 1), theta = 2 kappa / sigma (Kimura 1962)
+    for kappa, sigma in KINGMAN_CHAINS:
+        theta = 2.0 * kappa / sigma
+        model = AncestralModel(kappa=kappa, sigma=sigma, increments={1: 1.0}, measure=ZeroMeasure())
+        for x in STARTS:
+            u = np.expm1(theta * np.cumsum(x)) / math.expm1(theta)
+            assert np.abs(fixation_probabilities(model, x).probs - np.diff(u, prepend=0.0)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kappa,sigma", [(0.5, 1.0), (1.0, 0.25), (4.0, 0.5), (2.0, 1.0)])
+def test_stationary_law_with_pairwise_contests_is_a_poisson_law_conditioned_on_one_lineage_at_least(kappa, sigma):
+    # detailed balance, nu(n) n kappa = nu(n + 1) sigma (n + 1) n / 2, gives Poisson(2 kappa / sigma) given n >= 1
+    law = stationary_law(AncestralModel(kappa=kappa, sigma=sigma, increments={1: 1.0}, measure=ZeroMeasure()))
+    theta = 2.0 * kappa / sigma
+    n = np.arange(1, law.n_max + 1)
+    log_gamma = np.array([math.lgamma(k + 1.0) for k in n])
+    poisson = np.exp(n * math.log(theta) - theta - log_gamma - math.log(-math.expm1(-theta)))
+    assert law.resolved
+    assert np.abs(law.occupation - poisson).max() <= 1e-12
+    above = poisson > 1e-300
+    assert np.abs(law.occupation[above] / poisson[above] - 1.0).max() <= 1e-12
 
 
 def test_sigma_keeps_the_chain_recurrent_even_with_zero_threshold():

@@ -14,9 +14,11 @@ import pytest
 
 import lwf
 from lwf import cli
+from lwf.ancestral import AncestralModel
 from lwf.batches import BATCH
 from lwf.cli import main
 from lwf.config import load_config
+from lwf.discrete import DiscreteModel
 from lwf.errors import ConfigError
 from lwf.measures import (
     _MEASURE_KINDS,
@@ -32,6 +34,7 @@ from lwf.measures import (
 from lwf.rng import RngStream
 from lwf.rules import _RULE_KINDS, bernstein_rule, rule_from_config
 from lwf.selection import _DRIFT_KINDS, DriftFunction, cyclic_contest_map, drift_from_config, transitive_pair_map
+from lwf.sde import SdeConfig
 
 
 def write_config(path, payload):
@@ -493,8 +496,7 @@ def test_cli_ancestral_law_of_a_chain_that_never_moves_is_a_config_error(tmp_pat
 @pytest.mark.parametrize("kappa", [2.5, 2.7])
 def test_cli_fixation_near_the_threshold_exits_1_with_an_unresolved_law(tmp_path, kappa):
     payload = {
-        "model": {"x0": [0.2, 0.3, 0.5], "kappa": kappa, "sigma": 0.0, "dt": 0.002, "tol_ext": 1e-8,
-                  "stationary_time": 2e5},
+        "model": {"x0": [0.2, 0.3, 0.5], "kappa": kappa, "sigma": 0.0, "dt": 0.002, "tol_ext": 1e-8},
         "lambda": {"kind": "point_mass", "z": 0.5, "mass": 1.0},
         "schedule": {"tail": {"2": 1.0}},
         "experiment": {"name": "fixation", "seed": 7, "replicates": 10},
@@ -506,7 +508,6 @@ def test_cli_fixation_near_the_threshold_exits_1_with_an_unresolved_law(tmp_path
     report = json.loads((out / "report.json").read_text())
     law = next(m for m in report["metrics"] if m["name"] == "stationary_law_resolved")
     assert law["passed"] is False and law["details"]["regime"] == "unresolved"
-    assert "stationary_time" not in report["parameters"]
 
 
 @pytest.mark.parametrize("subcommand", ["fixation", "duality"])
@@ -809,7 +810,7 @@ SCHEMA_ERRORS = [
     ("convergence", _missing("experiment", "N_grid"), "block 'experiment' is missing required keys: ['N_grid']"),
     ("convergence", _named("duality"), "experiment.name is 'duality' but the subcommand is 'convergence'"),
     ("fixation", _unknown("model"), "unknown keys in 'model' block: ['typo'] (allowed: ['dt', 'eps_jump', 'kappa', "
-     "'max_time', 'sigma', 'stationary_time', 'tol_ext', 'x0'])"),
+     "'max_time', 'sigma', 'tol_ext', 'x0'])"),
     ("fixation", _missing("model", "dt"), "block 'model' is missing required keys: ['dt']"),
     ("fixation", _added("rule", NEUTRAL), "blocks ['rule'] are not used by 'fixation'"),
     ("fixation", _named("duality"), "experiment.name is 'duality' but the subcommand is 'fixation'"),
@@ -915,6 +916,10 @@ SCHEMA_ERRORS = [
     ("simulate-discrete", _added("rule", {"kind": "transitive_mutation", "mutation_prob": 0.1,
                                           "kernel": np.full((3, 3), 0.5).tolist()}),
      "bad rule block: kernel rows must be probability vectors"),
+    # the length of the simulation that estimated the stationary law, which is solved now, was accepted and ignored
+    ("fixation", lambda p: p["model"].update(stationary_time=2e5),
+     "unknown keys in 'model' block: ['stationary_time'] (allowed: ['dt', 'eps_jump', 'kappa', 'max_time', 'sigma', "
+     "'tol_ext', 'x0'])"),
 ]
 
 
@@ -1060,6 +1065,16 @@ MALFORMED = [
      "experiment.min_coord must lie in [0, 1/K) = [0, 0.25) for the pairs' largest K = 4, got 0.25"),
     ("drift-oracle", lambda p: p["experiment"].update(min_coord=-0.5),
      "experiment.min_coord must lie in [0, 1/K) = [0, 0.25) for the pairs' largest K = 4, got -0.5"),
+    # a step longer than the run wrote the start state alone, and an experiment with it failed its report; a KS
+    # threshold at or below 0 could never pass
+    ("simulate-sde", lambda p: p["model"].update(dt=1e12),
+     "invalid 'model' block: dt must be at most the horizon, got dt = 1000000000000.0 and horizon = 0.04"),
+    ("rps-lyapunov", lambda p: p["model"].update(dt=1e12),
+     "invalid SdeConfig value: dt must be at most the horizon, got dt = 1000000000000.0 and horizon = 1.0"),
+    ("convergence", lambda p: p["experiment"].update(final_ks_threshold=0),
+     "experiment.final_ks_threshold must be > 0, got 0.0"),
+    ("convergence", lambda p: p["experiment"].update(final_ks_threshold=-1),
+     "experiment.final_ks_threshold must be > 0, got -1.0"),
 ]
 
 
@@ -1164,7 +1179,44 @@ def test_the_table_and_the_run_signatures_agree(subcommand):
     reached |= {"seed", "replicates"} & params
     reached |= set(cli.KIND_BLOCKS) & params
     assert reached <= params
-    assert params - {"seed", "threads", "pairs"} <= reached
+    # no config names stationary_time: the run ignores it, and only the Python API still passes it
+    assert params - {"seed", "threads", "pairs", "stationary_time"} <= reached
+    _assert_required_exactly_without_a_default(subcommand, inspect.signature(command.run).parameters)
+
+
+def _assert_required_exactly_without_a_default(subcommand, params):
+    """Every key of the row but K, read as the parameter it reaches, is required iff that parameter has no default."""
+    for required, optional in cli.COMMANDS[subcommand].blocks.values():
+        for key in f"{required} {optional}".split():
+            if key != "K":
+                param = params["increments" if key == "tail" and "increments" in params else key]
+                assert (key in required.split()) == (param.default is inspect.Parameter.empty), (subcommand, key)
+
+
+# the constructor that takes the keys a simulate subcommand's signature does not name
+CONSTRUCTORS = {
+    "simulate-discrete": DiscreteModel.from_schedule, "simulate-sde": SdeConfig, "ancestral": AncestralModel,
+}
+
+
+@pytest.mark.parametrize("subcommand", list(CONSTRUCTORS))
+def test_a_simulate_row_requires_exactly_the_keys_without_a_default(subcommand):
+    assert set(CONSTRUCTORS) == set(cli.COMMANDS) - set(EXPERIMENT_ROWS)
+    params = {**inspect.signature(CONSTRUCTORS[subcommand]).parameters,
+              **inspect.signature(cli.COMMANDS[subcommand].run).parameters}
+    _assert_required_exactly_without_a_default(subcommand, params)
+
+
+@pytest.mark.parametrize("subcommand", ["simulate-sde", "simulate-discrete", "convergence"])
+def test_a_model_block_without_K_writes_the_same_bytes(tmp_path, subcommand):
+    # x0 fixes K, which a config had to restate
+    written = "report.json" if subcommand == "convergence" else "trajectories.csv"
+    outs = []
+    for name, edit in (("with", lambda p: None), ("without", _missing("model", "K"))):
+        cfg = write_config(tmp_path / f"{name}.json", _edited(subcommand, edit))
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        outs.append((tmp_path / name / written).read_bytes())
+    assert outs[0] == outs[1]
 
 
 def _literals(source: str) -> list:

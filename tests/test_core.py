@@ -177,6 +177,7 @@ DOMAINS = {
     "SdeConfig-sigma": lambda v: _sde(sigma=v),
     "SdeConfig-dt": lambda v: _sde(dt=v),
     "SdeConfig-horizon": lambda v: _sde(horizon=v),
+    "SdeConfig-dt-equal-to-horizon": lambda v: _sde(dt=v, horizon=v),
     "SdeConfig-eps_jump": lambda v: _sde(eps_jump=v),
     "SdeConfig-tol_ext": lambda v: _sde(tol_ext=v),
     "AncestralModel-kappa": lambda v: AncestralModel(kappa=v, sigma=1.0, increments={1: 1.0}, measure=ZeroMeasure()),
@@ -207,6 +208,14 @@ def test_model_constructors_refuse_non_finite_values(build, value):
     build(0.4)  # the same call with a value inside every domain builds
     with pytest.raises((ValueError, ScheduleError)):
         build(value)
+
+
+def test_sde_config_refuses_a_step_longer_than_a_positive_horizon():
+    # such a run ended before its first step and wrote its start state alone
+    with pytest.raises(ValueError, match=r"^dt must be at most the horizon, got dt = 2\.0 and horizon = 1\.0$"):
+        _sde(dt=2.0)
+    assert _sde(dt=1e12, horizon=0.0).horizon == 0.0  # a horizon of 0 takes no step
+    assert _sde(dt=0.5, horizon=0.5).dt == 0.5
 
 
 def test_categorical_top_uniform_draws_the_last_type_with_weight_and_never_k():

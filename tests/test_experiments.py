@@ -39,7 +39,8 @@ SMALL_RUNS = [
         "convergence",
         lambda threads: run_convergence(
             rule=NeutralRule(2), drift=DriftFunction.neutral(2), measure=ZeroMeasure(), tail={2: 1.0},
-            x0=[0.5, 0.5], T=0.1, N_grid=(50, 100), dt=5e-3, replicates=200, seed=5, threads=threads,
+            alpha=0.25, kappa=1.0, sigma=1.0, x0=[0.5, 0.5], T=0.1, N_grid=(50, 100), dt=5e-3, replicates=200, seed=5,
+            threads=threads,
         ),
     ),
     (
@@ -59,7 +60,7 @@ SMALL_RUNS = [
     (
         "rps-lyapunov",
         lambda threads: run_rps_lyapunov(
-            sigma=0.4, measure=ZeroMeasure(), delta=0.05, T=1.0, dt=2e-3, replicates=600,
+            kappa=1.0, sigma=0.4, measure=ZeroMeasure(), delta=0.05, T=1.0, dt=2e-3, replicates=600,
             seed=5, threads=threads,
         ),
     ),
@@ -92,6 +93,17 @@ def test_parameters_record_every_argument_of_the_run(name, factory):
     assert report.experiment == name and report.seed == 5
 
 
+def test_the_start_is_made_frequencies_once_and_recorded_as_the_run_used_it(monkeypatch):
+    # the run and its record each made their own copy of x0
+    made = []
+    as_frequencies = experiments.as_frequencies
+    monkeypatch.setattr(experiments, "as_frequencies", lambda x: made.append(x) or as_frequencies(x))
+    x0 = (-5e-13, 0.3, 0.7 + 5e-13)  # a coordinate within SIMPLEX_TOL below 0 is clipped to 0
+    report = run_successive_extinction(drift=DriftFunction.neutral(3), sigma=1.0, x0=x0, dt=1e-3, replicates=8, seed=5)
+    assert made == [x0]
+    assert report.to_dict()["parameters"]["x0"] == [0.0, 0.3, 0.7 + 5e-13]
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -116,7 +128,9 @@ def test_a_law_with_mixed_key_types_is_recorded_after_the_run(run):
 def test_lyapunov_groups_with_no_survivor_are_dropped_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = run_rps_lyapunov(sigma=1.0, measure=ZeroMeasure(), delta=0.05, T=0.5, dt=5e-3, replicates=50, seed=3)
+        report = run_rps_lyapunov(
+            kappa=1.0, sigma=1.0, measure=ZeroMeasure(), delta=0.05, T=0.5, dt=5e-3, replicates=50, seed=3
+        )
     details = report.metrics[0].details
     assert details["dropped_batches"] == 6 and report.passed
     assert all(np.isfinite(details["mean_curve"]))
@@ -124,7 +138,7 @@ def test_lyapunov_groups_with_no_survivor_are_dropped_without_a_warning():
 
 def test_lyapunov_refuses_a_start_outside_the_simplex():
     with pytest.raises(ConfigError, match=r"^rps-lyapunov runs need \|delta\| < 1/3 .*, got delta = -0\.4$"):
-        run_rps_lyapunov(sigma=1.0, measure=ZeroMeasure(), delta=-0.4, replicates=2)
+        run_rps_lyapunov(kappa=1.0, sigma=1.0, measure=ZeroMeasure(), delta=-0.4, dt=1e-3, replicates=2)
 
 
 @pytest.mark.parametrize(
@@ -132,7 +146,8 @@ def test_lyapunov_refuses_a_start_outside_the_simplex():
     [
         (lambda: run_drift_oracle(points=0), r"points and samples >= 1, got points = 0, samples = 1000000$"),
         (lambda: run_drift_oracle(points=2, samples=0), r"points and samples >= 1, got points = 2, samples = 0$"),
-        (lambda: run_rps_lyapunov(sigma=1.0, measure=ZeroMeasure(), delta=0.05, grid_points=1, replicates=2),
+        (lambda: run_rps_lyapunov(kappa=1.0, sigma=1.0, measure=ZeroMeasure(), delta=0.05, grid_points=1, dt=1e-3,
+                                  replicates=2),
          r"grid_points >= 2 to fit a slope, got grid_points = 1$"),
     ],
     ids=["oracle-points", "oracle-samples", "lyapunov-grid"],
@@ -149,7 +164,8 @@ def test_runs_refuse_the_values_the_cli_refuses(run, message):
                              dt=2e-3, replicates=0),
         lambda: run_successive_extinction(drift=DriftFunction.neutral(3), sigma=1.0, x0=[0.3, 0.3, 0.4], dt=1e-3,
                                           replicates=0),
-        lambda: run_rps_lyapunov(sigma=0.4, measure=ZeroMeasure(), delta=0.05, T=1.0, dt=2e-3, replicates=0),
+        lambda: run_rps_lyapunov(kappa=1.0, sigma=0.4, measure=ZeroMeasure(), delta=0.05, T=1.0, dt=2e-3,
+                                 replicates=0),
         lambda: run_duality(kappa=0.5, increments={1: 1.0}, sigma=1.0, measure=ZeroMeasure(), xs=(0.3,), ts=(0.3,),
                             n0s=(1, 2), dt=2e-3, replicates=0),
     ],
@@ -170,7 +186,8 @@ def test_convergence_refuses_a_grid_that_is_not_strictly_increasing():
     with pytest.raises(ConfigError, match=r"^convergence runs need a strictly increasing N_grid, got N_grid = "
                                           r"\[100, 50, 100\]$"):
         run_convergence(rule=NeutralRule(2), drift=DriftFunction.neutral(2), measure=ZeroMeasure(), tail={2: 1.0},
-                        x0=[0.5, 0.5], T=0.1, N_grid=(100, 50, 100), dt=5e-3, replicates=10)
+                        alpha=0.25, kappa=1.0, sigma=1.0, x0=[0.5, 0.5], T=0.1, N_grid=(100, 50, 100), dt=5e-3,
+                        replicates=10)
 
 
 def test_drift_oracle_builds_the_default_catalogue_once_per_call(monkeypatch):
@@ -351,7 +368,7 @@ def test_convergence_at_time_zero_has_zero_distance():
     # exactly representable start on every lattice in the grid
     report = run_convergence(
         rule=NeutralRule(2), drift=DriftFunction.neutral(2), measure=ZeroMeasure(), tail={2: 1.0},
-        x0=[0.5, 0.5], T=0.0, N_grid=(50, 100), dt=1e-3, replicates=100, seed=2,
+        alpha=0.25, kappa=1.0, sigma=1.0, x0=[0.5, 0.5], T=0.0, N_grid=(50, 100), dt=1e-3, replicates=100, seed=2,
     )
     ks = np.array(report.metrics[0].value)
     assert np.all(ks == 0.0)
@@ -437,10 +454,11 @@ def test_fixation_near_the_threshold_reports_an_unresolved_law():
     "run",
     [
         lambda: run_successive_extinction(drift=DriftFunction.neutral(3), sigma=1.0, x0=[0.3, 0.3, 0.4], dt=0.0),
-        lambda: run_fixation(kappa=1.0, increments={1: 1.0}, sigma=-1.0, measure=ZeroMeasure(), x0=[0.5, 0.5]),
+        lambda: run_fixation(kappa=1.0, increments={1: 1.0}, sigma=-1.0, measure=ZeroMeasure(), x0=[0.5, 0.5],
+                             dt=1e-3),
         lambda: run_convergence(
             rule=NeutralRule(2), drift=DriftFunction.neutral(2), measure=ZeroMeasure(), tail={2: 2.0},
-            x0=[0.5, 0.5], T=0.1, N_grid=(50,), dt=5e-3, replicates=10,
+            alpha=0.25, kappa=1.0, sigma=1.0, x0=[0.5, 0.5], T=0.1, N_grid=(50,), dt=5e-3, replicates=10,
         ),
     ],
     ids=["sde-dt", "dual-sigma", "schedule-tail"],
@@ -451,7 +469,8 @@ def test_rejected_model_values_are_config_errors(run):
 
 
 def test_lyapunov_flat_case_is_exactly_flat():
-    report = run_rps_lyapunov(sigma=0.0, measure=ZeroMeasure(), delta=0.0, T=1.0, dt=2e-3, replicates=8, seed=3)
+    report = run_rps_lyapunov(kappa=1.0, sigma=0.0, measure=ZeroMeasure(), delta=0.0, T=1.0, dt=2e-3, replicates=8,
+                              seed=3)
     metric = report.metrics[0]
     assert metric.value == 0.0
     assert report.passed
