@@ -292,7 +292,7 @@ def run_convergence(
     if not final_ks_threshold > 0:  # a KS distance of 0 needs two equal samples
         raise ConfigError(f"experiment.final_ks_threshold must be > 0, got {final_ks_threshold}")
     stream = RngStream(seed)
-    with building("SdeConfig value"):
+    with building("model value (horizon = T)"):
         cfg = SdeConfig(K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump)
     sde_final = simulate_sde(cfg, x0, replicates, [T], stream.derive(0), threads)[0][0]
 
@@ -331,11 +331,12 @@ def run_convergence(
 # ---------------------------------------------------------------------------
 
 
-def _dual_pair(kappa, increments, sigma, measure, *, K, **sde) -> tuple[SdeConfig, AncestralModel]:
+def _dual_pair(kappa, increments, sigma, measure, key, horizon, *, K, **sde) -> tuple[SdeConfig, AncestralModel]:
     """The ordered-contest SdeConfig on K types and its dual chain, built in one order: one error per bad value."""
     with building("model value"):
         drift = DriftFunction.neutral(K) if kappa == 0.0 else DriftFunction.transitive(kappa, increments, K)
-        cfg = SdeConfig(K=K, drift=drift, sigma=sigma, measure=measure, **sde)
+        with building(f"model value (horizon = {key})"):  # key: the experiment key that set the horizon
+            cfg = SdeConfig(K=K, drift=drift, sigma=sigma, measure=measure, horizon=horizon, **sde)
         return cfg, AncestralModel(kappa, sigma, increments, measure)
 
 
@@ -374,7 +375,7 @@ def run_fixation(
     """
     stream = RngStream(seed)
     cfg, dual = _dual_pair(
-        kappa, increments, sigma, measure, K=x0.size, dt=dt, horizon=max_time, eps_jump=eps_jump, tol_ext=tol_ext
+        kappa, increments, sigma, measure, "max_time", max_time, K=x0.size, dt=dt, eps_jump=eps_jump, tol_ext=tol_ext
     )
     winners = simulate_sde(cfg, x0, replicates, (), stream, threads)[1].winner
     counts = np.bincount(winners[winners >= 0], minlength=x0.size)
@@ -468,7 +469,7 @@ def run_duality(
         if not 0.0 <= t < math.inf:
             raise ConfigError(f"duality runs need every t finite and >= 0, got t = {t}")
     stream = RngStream(seed)
-    cfg, dual = _dual_pair(kappa, increments, sigma, measure, K=2, dt=dt, horizon=max(ts), eps_jump=eps_jump)
+    cfg, dual = _dual_pair(kappa, increments, sigma, measure, "max(ts)", max(ts), K=2, dt=dt, eps_jump=eps_jump)
     for n0 in n0s if xs else ():  # named by the first cell that would solve for it, before any simulation
         if not 1 <= n0 <= N_CAP:
             raise ConfigError(
@@ -563,7 +564,7 @@ def run_rps_lyapunov(
         raise ConfigError(f"rps-lyapunov runs need T > 0 to fit a slope over time, got T = {T}")
     x0 = np.array([1.0 / 3.0 + delta, 1.0 / 3.0, 1.0 / 3.0 - delta])
     stream = RngStream(seed)
-    with building("SdeConfig value"):
+    with building("model value (horizon = T)"):
         cfg = SdeConfig(
             K=3, drift=DriftFunction.rps(kappa), sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump
         )
@@ -650,7 +651,7 @@ def run_successive_extinction(
     if sigma <= 0:
         raise ConfigError("successive-extinction runs need sigma > 0")
     stream = RngStream(seed)
-    with building("SdeConfig value"):
+    with building("model value (horizon = max_time)"):
         cfg = SdeConfig(
             K=x0.size, drift=drift, sigma=sigma, measure=ZeroMeasure(), dt=dt, horizon=max_time, tol_ext=tol_ext
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -57,13 +57,9 @@ class LambdaMeasure:
 
     # -- sampling -----------------------------------------------------------
 
-    def _sizes_above(self, eps: float, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` exact draws from ``L(dz)/z**2`` on ``[eps, 1]``, normalized."""
-        raise NotImplementedError
-
     def _size_draw(self, eps: float):
-        """The draw ``(rng, size) -> sizes`` of :class:`TruncatedSizeLaw` at ``eps``, built once per law."""
-        return partial(self._sizes_above, eps)
+        """The draw ``(rng, size) -> sizes`` from ``L(dz)/z**2`` on ``[eps, 1]``, normalized, built once per law."""
+        raise NotImplementedError
 
     # -- closed-form integrals ----------------------------------------------
 
@@ -247,11 +243,11 @@ class UniformLaw(LambdaMeasure):
         y = np.asarray(y, dtype=float)
         return np.full_like(y, self.mass)
 
-    def _sizes_above(self, eps, rng, size):
+    def _size_draw(self, eps):
         # density mass/z**2 on [eps, 1]: exact inverse CDF
-        u = rng.random(size)
         inv_eps = 1.0 / eps
-        return 1.0 / (inv_eps - u * (inv_eps - 1.0))
+        span = inv_eps - 1.0
+        return lambda rng, size: 1.0 / (inv_eps - rng.random(size) * span)
 
     def collision_rates(self, n, k):
         # C(n, k) B(k - 1, n - k + 1) = n / (k (k - 1))
@@ -330,41 +326,44 @@ class BetaLaw(LambdaMeasure):
             )
         return np.where((y > 0) & (y < 1), out, 0.0)
 
-    def _sizes_above(self, eps, rng, size):
+    def _size_draw(self, eps):
         a, b = self.a, self.b
-        out = np.empty(size)
-        filled = 0
         if a > 2.0:
             # L(dz)/z**2 is a Beta(a-2, b) shape; rejection below eps
+            def accepted(rng, n):
+                cand = rng.beta(a - 2.0, b, size=n)
+                return cand[cand >= eps]
+        else:
+            # f(z) = z**(a-3) (1-z)**(b-1) on [eps, 1] by rejection from a two-piece envelope split at s:
+            # c1 z**(a-3) bounds f on [eps, s] and c2 (1-z)**(b-1) on [s, 1], since a <= 2 and z or 1-z is >= 1/2
+            p, s = a - 2.0, max(eps, 0.5)
+            log_span = math.log(s / eps)
+            grow = math.expm1(p * log_span)
+            c1, c2 = 2.0 ** max(0.0, 1.0 - b), 2.0 ** (3.0 - a)
+            head = c1 * eps**p * (grow / p if p else log_span)  # envelope mass of each piece
+            tail = c2 * (1.0 - s) ** b / b
+            p_head = head / (head + tail)
+
+            def accepted(rng, n):
+                pick, v, w = rng.random((3, n))
+                # inverse CDFs of the pieces; log1p keeps the head stable as a -> 2
+                z_head = eps * np.exp(np.log1p(v * grow) / p if p else v * log_span)
+                u_tail = (1.0 - s) * v ** (1.0 / b)  # 1 - z
+                in_head = pick < p_head
+                z = np.where(in_head, z_head, 1.0 - u_tail)
+                # accept with probability f / envelope
+                return z[w < np.where(in_head, (1.0 - z_head) ** (b - 1.0) / c1, z ** (a - 3.0) / c2)]
+
+        def draw(rng, size):
+            out = np.empty(size)
+            filled = 0
             while filled < size:
-                cand = rng.beta(a - 2.0, b, size=size - filled)
-                good = cand >= eps
-                n = int(good.sum())
-                out[filled : filled + n] = cand[good]
-                filled += n
+                z = accepted(rng, size - filled)
+                out[filled : filled + z.size] = z
+                filled += z.size
             return out
-        # f(z) = z**(a-3) (1-z)**(b-1) on [eps, 1] by rejection from a two-piece envelope split at s:
-        # c1 z**(a-3) bounds f on [eps, s] and c2 (1-z)**(b-1) on [s, 1], since a <= 2 and z or 1-z is >= 1/2
-        p, s = a - 2.0, max(eps, 0.5)
-        log_span = math.log(s / eps)
-        grow = math.expm1(p * log_span)
-        c1, c2 = 2.0 ** max(0.0, 1.0 - b), 2.0 ** (3.0 - a)
-        head = c1 * eps**p * (grow / p if p else log_span)  # envelope mass of each piece
-        tail = c2 * (1.0 - s) ** b / b
-        p_head = head / (head + tail)
-        while filled < size:
-            pick, v, w = rng.random((3, size - filled))
-            # inverse CDFs of the pieces; log1p keeps the head stable as a -> 2
-            z_head = eps * np.exp(np.log1p(v * grow) / p if p else v * log_span)
-            u_tail = (1.0 - s) * v ** (1.0 / b)  # 1 - z
-            in_head = pick < p_head
-            z = np.where(in_head, z_head, 1.0 - u_tail)
-            # accept with probability f / envelope
-            good = w < np.where(in_head, (1.0 - z_head) ** (b - 1.0) / c1, z ** (a - 3.0) / c2)
-            n = np.count_nonzero(good)
-            out[filled : filled + n] = z[good]
-            filled += n
-        return out
+
+        return draw
 
     def collision_rates(self, n, k):
         from scipy import special

@@ -19,8 +19,7 @@ SEED_LIMIT = 1 << 63  # seeds lie in [0, 2**63)
 
 def _splitmix64(state: int) -> int:
     # Finalizer from the splitmix64 generator; good 64-bit avalanche mixing.
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
+    z = (state + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)

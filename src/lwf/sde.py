@@ -254,8 +254,8 @@ class BatchSde:
     def X(self) -> np.ndarray:
         """States of all replicates, shape ``(R, K)``, as of the last step.
 
-        A read-only snapshot: the next ``step`` does not update it, so read
-        ``X`` again after stepping.
+        A read-only view of the full state array, not a copy: a row that fixes in a later ``step`` is written
+        into it then, and the active rows are written when ``X`` is read again.  Copy it to keep the states.
         """
         self._X[self._rows] = self._Y
         snapshot = self._X.view()

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from lwf.ancestral import AncestralModel, dual_moment, simulate_ancestral
+from lwf.bernstein import PolynomialMap, bernstein_table
+from lwf.combinat import compositions
 from lwf.core import (
     OffspringLaw,
     _categorical,
     as_frequencies,
+    integer_law,
     random_interior_points,
     round_to_counts,
 )
-from lwf.discrete import DiscreteModel
+from lwf.discrete import DiscreteModel, empirical_drift
 from lwf.errors import ScheduleError
 from lwf.measures import BetaLaw, FiniteAtoms, PointMass, TruncatedSizeLaw, UniformLaw, ZeroMeasure
 from lwf.rng import RngStream
-from lwf.rules import NeutralRule
-from lwf.sde import SdeConfig
+from lwf.rules import BernsteinRule, NeutralRule
+from lwf.sde import BatchSde, SdeConfig
 from lwf.selection import DriftFunction, cyclic_contest_map
 
 
@@ -216,6 +219,64 @@ def test_sde_config_refuses_a_step_longer_than_a_positive_horizon():
         _sde(dt=2.0)
     assert _sde(dt=1e12, horizon=0.0).horizon == 0.0  # a horizon of 0 takes no step
     assert _sde(dt=0.5, horizon=0.5).dt == 0.5
+
+
+_BERNSTEIN_TABLE = [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]  # degree 2 on K = 2: one row per multi-index
+
+# checks and branches at the edge of each domain that no run reaches: the call and its message or value
+EDGES = {
+    "SdeConfig-K": (lambda: SdeConfig(K=1, drift=DriftFunction.neutral(2), sigma=1.0, measure=ZeroMeasure(), dt=0.01,
+                                      horizon=1.0), ValueError("need at least two types")),
+    "BatchSde-x0": (lambda: BatchSde(_sde(), [0.2, 0.3, 0.5], [1], [RngStream(0).generator()]),
+                    ValueError("state has 3 coordinates, config says 2")),
+    "BatchSde-groups": (lambda: BatchSde(_sde(), [0.5, 0.5], [1, 1], [RngStream(0).generator()]),
+                        ValueError("2 group widths for 1 generators")),
+    "DiscreteModel-N": (lambda: DiscreteModel(1, NeutralRule(2), OffspringLaw(0.5, {2: 1.0})),
+                        ValueError("population size must be >= 2, got 1")),
+    "DiscreteModel-gamma": (lambda: DiscreteModel(10, NeutralRule(2), OffspringLaw(0.5, {2: 1.0}), 1.5),
+                            ValueError("event probability must lie in [0, 1], got 1.5")),
+    "DiscreteModel-size_law": (lambda: DiscreteModel(10, NeutralRule(2), OffspringLaw(0.5, {2: 1.0}), 0.5),
+                               ValueError("a size law is required when extreme events can occur")),
+    "empirical_drift-replicates": (
+        lambda: empirical_drift(NeutralRule(2), {2: 1.0}, [[0.5, 0.5]], 0, [RngStream(0).generator()]),
+        ValueError("need at least one replicate")),
+    "AncestralModel.rates-state": (lambda: _CHAIN.rates(0), ValueError("state must be >= 1, got 0")),
+    "dual_moment-x": (lambda: dual_moment(_CHAIN, 1.5, 2, 0.1), ValueError("x must lie in [0, 1]")),
+    "TruncatedSizeLaw-eps": (lambda: TruncatedSizeLaw(UniformLaw(1.0), 0.0),
+                             ValueError("truncation threshold must lie in (0, 1]")),
+    "UniformLaw-truncated_mass": (lambda: TruncatedSizeLaw(UniformLaw(2.0), 0.25).truncated_mass, 0.5),
+    "UniformLaw.resampling_mass_above-0": (lambda: UniformLaw(2.0).resampling_mass_above(0.0), math.inf),
+    "BetaLaw.resampling_mass_above-above-1": (lambda: BetaLaw(2.0, 3.0).resampling_mass_above(1.5), 0.0),
+    "BetaLaw.resampling_mass_above-0": (lambda: BetaLaw(2.0, 3.0).resampling_mass_above(0.0), math.inf),
+    "ColouringRule-K": (lambda: NeutralRule(1), ValueError("need at least two types, got K=1")),
+    "BernsteinRule-1d": (lambda: BernsteinRule(2, [0.5, 0.5]), ValueError("table must be 2-d")),
+    "BernsteinRule-degree": (lambda: BernsteinRule(0, [[0.5, 0.5]]), ValueError("degree must be at least 1")),
+    "BernsteinRule-rows": (lambda: BernsteinRule(2, _BERNSTEIN_TABLE[:2]),
+                           ValueError("table must have one row per multi-index (3), got 2")),
+    "BernsteinRule-sample": (lambda: BernsteinRule(2, _BERNSTEIN_TABLE).distribution_batch([[2, 1]]),
+                             ValueError("Bernstein rule of degree 2 got a sample of size 3")),
+    "PolynomialMap-empty": (lambda: PolynomialMap([]), ValueError("need at least one component")),
+    "PolynomialMap-ragged": (lambda: PolynomialMap([{(1,): 1.0}, {(0, 1): 1.0}]),
+                             ValueError("exponent (1,) has length 1, expected 2")),
+    "PolynomialMap-negative": (lambda: PolynomialMap([{(2, -1): 1.0}, {(0, 1): 1.0}]),
+                               ValueError("negative exponent in (2, -1)")),
+    "bernstein_table-degree-0": (lambda: bernstein_table(PolynomialMap([{(0, 0): 0.5}, {(0, 0): 0.5}])),
+                                 ValueError("Bernstein degree must be at least 1")),
+    "compositions-K": (lambda: compositions(0, 2), ValueError("need K >= 1 and n >= 0, got K=0, n=2")),
+    "compositions-n": (lambda: compositions(2, -1), ValueError("need K >= 1 and n >= 0, got K=2, n=-1")),
+    "integer_law-overflow": (lambda: integer_law({2: 10**400}, 2, "tail"),
+                             ValueError(f"tail key 2 has a weight that is not a number, {10**400!r}")),
+}
+
+
+@pytest.mark.parametrize("call, expected", EDGES.values(), ids=EDGES)
+def test_each_edge_gives_its_message_or_value(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (type(expected), str(expected))
+    else:
+        assert call() == expected
 
 
 def test_categorical_top_uniform_draws_the_last_type_with_weight_and_never_k():

@@ -464,7 +464,7 @@ def test_fixation_near_the_threshold_reports_an_unresolved_law():
     ids=["sde-dt", "dual-sigma", "schedule-tail"],
 )
 def test_rejected_model_values_are_config_errors(run):
-    with pytest.raises(ConfigError, match="invalid .* value: .*(dt|sigma|tail)"):
+    with pytest.raises(ConfigError, match=r"invalid .* value( \(horizon = \S+\))?: .*(dt|sigma|tail)"):
         run()
 
 
