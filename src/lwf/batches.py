@@ -23,7 +23,9 @@ LANE_DRIFT = 5  # lane 4 is free: the dual moment draws nothing, and the drift o
 
 def _runs(items, threads: int) -> list:
     """``items`` cut into at most ``threads`` contiguous, nonempty runs in order, their lengths one apart at most."""
-    parts = min(max(threads, 1), len(items))
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    parts = min(threads, len(items))
     cuts = [len(items) * i // parts for i in range(parts + 1)] if parts else []
     return [items[a:b] for a, b in zip(cuts, cuts[1:])]
 

@@ -7,16 +7,20 @@
 (kept out of the report so identical seeds reproduce it byte-for-byte).
 
 ``COMMANDS`` is the single schema of the config file: one row per
-subcommand, naming the function it calls and the required and optional keys
-of each block it reads.  A key is converted by ``CONVERT`` and passed as the
-keyword of the same name (``K`` only checks ``x0``, and ``tail`` becomes
-``increments`` for a function that takes the dual chain's branching law); a
-key is optional exactly when that function has a default.  A parameter in
-``KIND_BLOCKS`` takes a whole kind block; any other block is refused.
+subcommand, naming the function it calls and the keys of each block it
+reads.  A key is converted by ``CONVERT`` and passed as the keyword of the
+same name (``K`` only checks ``x0``, and ``tail`` becomes ``increments`` for
+a function that takes the dual chain's branching law).  Requiredness is read
+off that function's signature: a key is required exactly when the parameter
+it reaches is named and has no default, so ``K`` and the keys a ``**``
+catch-all takes are optional, and a block may be absent exactly when none of
+its keys is required.  The simulation functions name every key they
+require.  A parameter in ``KIND_BLOCKS`` takes a whole kind block; any other
+block is refused.
 
-Simulation subcommands hand the seed's stream and ``--threads`` to the
-engines, which draw their replicates in fixed-width batches, one random
-stream per batch, so their output does not depend on ``--threads``.
+Simulation subcommands hand the seed's stream and ``--threads`` (at least 1)
+to the engines, which draw their replicates in fixed-width batches, one
+random stream per batch, so their output does not depend on ``--threads``.
 
 Exit codes: 0 all assertions pass, 1 an experiment assertion failed (or an
 unexpected error, re-raised), 2 configuration error.  ``meta.json`` is
@@ -110,30 +114,29 @@ CONVERT = {
 }
 
 
-def _simulate_discrete(
-    *, out, threads, x0, rule, measure, N, tail, generations, record_every=1, replicates=1, seed=0, **knobs
-):
-    """``knobs`` are the schedule's ``alpha``, ``kappa``, ``sigma`` and ``b``."""
+def _simulate_discrete(*, out, threads, x0, rule, measure, N, alpha, kappa, sigma, tail, generations, record_every=1,
+                       replicates=1, seed=0, **knobs):
+    """``knobs`` holds the schedule's optional ``b``."""
     with building("'schedule' block"):
-        model = DiscreteModel.from_schedule(rule, N, measure=measure, tail=tail, **knobs)
+        model = DiscreteModel.from_schedule(rule, N, alpha, kappa, sigma, measure, tail, **knobs)
     records = range(0, generations + 1, record_every)
     states = simulate_discrete(model, x0, replicates, records, RngStream(seed), threads)
     write_trajectories_csv(out / "trajectories.csv", records, states)
 
 
-def _simulate_sde(*, out, threads, x0, drift, measure, record_every=1, replicates=1, seed=0, **sde):
-    """``sde`` holds the remaining :class:`SdeConfig` fields."""
+def _simulate_sde(*, out, threads, x0, drift, measure, dt, horizon, sigma, record_every=1, replicates=1, seed=0, **sde):
+    """``sde`` holds the optional :class:`SdeConfig` fields ``eps_jump`` and ``tol_ext``."""
     with building("'model' block"):
-        cfg = SdeConfig(K=x0.size, drift=drift, measure=measure, **sde)
+        cfg = SdeConfig(K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=horizon, **sde)
     times = np.arange(0, int(round(cfg.horizon / cfg.dt)) + 1, record_every) * cfg.dt
     states = simulate_sde(cfg, x0, replicates, times, RngStream(seed), threads)[0]
     write_trajectories_csv(out / "trajectories.csv", times, states)
 
 
-def _ancestral(*, out, n0, horizon, increments, measure, stationary=False, replicates=1, seed=0, **chain):
-    """``chain`` holds ``kappa`` and ``sigma``; ``stationary`` also writes the solved law."""
+def _ancestral(*, out, n0, horizon, increments, measure, kappa, sigma, stationary=False, replicates=1, seed=0):
+    """``stationary`` also writes the solved law."""
     with building("'model' or 'schedule' block"):
-        model = AncestralModel(increments=increments, measure=measure, **chain)
+        model = AncestralModel(kappa, sigma, increments, measure)
         law = stationary_law(model) if stationary else None
     with building("'model' block"):  # a horizon outside [0, inf)
         paths = simulate_ancestral(model, n0, horizon, replicates, RngStream(seed))
@@ -151,10 +154,10 @@ def _ancestral(*, out, n0, horizon, increments, measure, stationary=False, repli
 
 @dataclass(frozen=True)
 class Command:
-    """A subcommand's function and the (required, optional) keys of each key block it reads."""
+    """A subcommand's function and the keys of each key block it reads, required ones first."""
 
     run: Callable
-    blocks: dict[str, tuple[str, str]]
+    blocks: dict[str, str]
 
 
 # a parameter that takes a whole kind block: the block, its reader of (block, K), its value when absent (None: required)
@@ -167,40 +170,40 @@ KIND_BLOCKS = {
 
 COMMANDS = {
     "simulate-discrete": Command(_simulate_discrete, {
-        "model": ("x0 N generations", "K record_every"),
-        "schedule": ("alpha kappa sigma tail", "b"),
+        "model": "x0 N generations K record_every",
+        "schedule": "alpha kappa sigma tail b",
     }),
     "simulate-sde": Command(_simulate_sde, {
-        "model": ("x0 dt horizon sigma", "K eps_jump tol_ext record_every"),
+        "model": "x0 dt horizon sigma K eps_jump tol_ext record_every",
     }),
     "ancestral": Command(_ancestral, {
-        "model": ("n0 horizon kappa sigma", "stationary"),
-        "schedule": ("tail", ""),
+        "model": "n0 horizon kappa sigma stationary",
+        "schedule": "tail",
     }),
     "convergence": Command(xp.run_convergence, {
-        "model": ("x0 T dt sigma kappa", "K eps_jump"),
-        "schedule": ("alpha tail", ""),
-        "experiment": ("N_grid", "final_ks_threshold"),
+        "model": "x0 T dt sigma kappa K eps_jump",
+        "schedule": "alpha tail",
+        "experiment": "N_grid final_ks_threshold",
     }),
     "fixation": Command(xp.run_fixation, {
-        "model": ("x0 kappa sigma dt", "eps_jump tol_ext max_time"),
-        "schedule": ("tail", ""),
+        "model": "x0 kappa sigma dt eps_jump tol_ext max_time",
+        "schedule": "tail",
     }),
     "duality": Command(xp.run_duality, {
-        "model": ("kappa sigma dt", "eps_jump"),
-        "schedule": ("tail", ""),
-        "experiment": ("", "xs ts n0s"),
+        "model": "kappa sigma dt eps_jump",
+        "schedule": "tail",
+        "experiment": "xs ts n0s",
     }),
     "rps-lyapunov": Command(xp.run_rps_lyapunov, {
-        "model": ("kappa sigma dt", "eps_jump"),
-        "experiment": ("delta", "T grid_points"),
+        "model": "kappa sigma dt eps_jump",
+        "experiment": "delta T grid_points",
     }),
     "successive-extinction": Command(xp.run_successive_extinction, {
-        "model": ("x0 sigma dt", "tol_ext max_time"),
-        "experiment": ("", "min_fraction"),
+        "model": "x0 sigma dt tol_ext max_time",
+        "experiment": "min_fraction",
     }),
     "drift-oracle": Command(xp.run_drift_oracle, {
-        "experiment": ("", "points samples min_coord"),
+        "experiment": "points samples min_coord",
     }),
 }
 
@@ -215,13 +218,13 @@ def _kwargs(name: str, cfg: dict, args, out: Path) -> dict:
     unused = [block for block in TOP_LEVEL_BLOCKS if block in cfg and block not in read]
     if unused:
         raise ConfigError(f"blocks {unused} are not used by {name!r}")
-    blocks = {**command.blocks}
-    blocks.setdefault("experiment", ("", ""))
+    reach = {"tail": "increments"} if "increments" in params else {}  # the parameter a key reaches, if not its own
+    # a key is required exactly when it reaches a named parameter with no default (K reaches none)
+    needed = {p for p, param in params.items() if param.default is param.empty and param.kind != param.VAR_KEYWORD}
     taken = {}
-    for block, (required, optional) in blocks.items():
-        allowed = required.split() + optional.split() + (["name", *overridable] if block == "experiment" else [])
-        optional_block = block == "experiment" and not required
-        taken[block] = take_block(cfg, block, tuple(allowed), tuple(required.split()), optional=optional_block)
+    for block, keys in {**command.blocks, "experiment": command.blocks.get("experiment", "")}.items():
+        allowed = keys.split() + (["name", *overridable] if block == "experiment" else [])
+        taken[block] = take_block(cfg, block, tuple(allowed), tuple(k for k in allowed if reach.get(k, k) in needed))
     given = taken["experiment"].get("name")
     if given is not None and given != name:
         raise ConfigError(f"experiment.name is {given!r} but the subcommand is {name!r}")
@@ -232,7 +235,7 @@ def _kwargs(name: str, cfg: dict, args, out: Path) -> dict:
             if key == "name":
                 continue
             try:
-                kwargs[key] = CONVERT[key](value)
+                kwargs[reach.get(key, key)] = CONVERT[key](value)
             except ValueError as exc:
                 raise ConfigError(f"invalid {block!r} block: {key} {exc}, got {value!r}") from None
     for key in ("seed", "replicates"):
@@ -244,6 +247,8 @@ def _kwargs(name: str, cfg: dict, args, out: Path) -> dict:
         raise ConfigError(f"replicates must be >= 1, got {kwargs['replicates']}")
     if not 0 <= kwargs.get("seed", 0) < SEED_LIMIT:
         raise ConfigError(f"experiment.seed must lie in [0, 2**63), got {kwargs['seed']}")
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
 
     K = kwargs.pop("K", None)
     if "x0" in kwargs:
@@ -252,8 +257,8 @@ def _kwargs(name: str, cfg: dict, args, out: Path) -> dict:
         with building("'model' block"):
             kwargs["x0"] = as_frequencies(kwargs["x0"])
         K = kwargs["x0"].size
-    if "tail" in kwargs and "increments" in params:
-        kwargs["increments"] = {k - 1: p for k, p in kwargs.pop("tail").items()}
+    if "increments" in kwargs:  # the tail's sample sizes k as the dual chain's branching increments k - 1
+        kwargs["increments"] = {k - 1: p for k, p in kwargs["increments"].items()}
     for param, (block, read_kind, absent) in kinds.items():
         if cfg.get(block) is None and absent is None:
             raise ConfigError(f"missing required block {block!r}")

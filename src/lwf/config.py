@@ -38,11 +38,11 @@ def load_config(path) -> dict:
     return cfg
 
 
-def take_block(cfg: dict, name: str, allowed: tuple, required: tuple = (), *, optional: bool = False) -> dict:
-    """Fetch one block, rejecting unknown keys and missing required ones."""
+def take_block(cfg: dict, name: str, allowed: tuple, required: tuple = ()) -> dict:
+    """Fetch one block, rejecting unknown keys and missing required ones; it may be absent if none is required."""
     block = cfg.get(name)
     if block is None:
-        if optional:
+        if not required:
             return {}
         raise ConfigError(f"missing required block {name!r}")
     if not isinstance(block, dict):

@@ -373,6 +373,8 @@ def run_fixation(
     ``stationary_time`` is ignored and no config takes it; it stays for perfbench's fixation workload until ROADMAP
     item 1 deletes it (it sized the simulation that estimated the stationary law before the law was solved).
     """
+    if not max_time > 0.0:
+        raise ConfigError(f"model.max_time must be > 0, got {max_time}")
     stream = RngStream(seed)
     cfg, dual = _dual_pair(
         kappa, increments, sigma, measure, "max_time", max_time, K=x0.size, dt=dt, eps_jump=eps_jump, tol_ext=tol_ext
@@ -460,7 +462,8 @@ def run_duality(
     error.  A cell whose bound d exceeds ``STATIONARY_TOL`` once the
     truncation reaches ``N_CAP`` (a transient chain far out) is a failing
     ``dual_moment_resolved`` metric, not a band that passes almost any
-    value.
+    value.  Every t must be a whole number of steps ``dt``, the times at
+    which the integrator records.
     """
     for x in xs:
         if not 0.0 <= x <= 1.0:
@@ -470,6 +473,10 @@ def run_duality(
             raise ConfigError(f"duality runs need every t finite and >= 0, got t = {t}")
     stream = RngStream(seed)
     cfg, dual = _dual_pair(kappa, increments, sigma, measure, "max(ts)", max(ts), K=2, dt=dt, eps_jump=eps_jump)
+    for t in ts:  # the integrator records at step round(t / dt), the chain's moment is taken at t itself
+        if not math.isclose(t / dt, round(t / dt), rel_tol=1e-9):
+            raise ConfigError(f"duality runs need every t in experiment.ts to be a whole number of steps dt = {dt}, "
+                              f"got t = {t}")
     for n0 in n0s if xs else ():  # named by the first cell that would solve for it, before any simulation
         if not 1 <= n0 <= N_CAP:
             raise ConfigError(
@@ -551,9 +558,10 @@ def run_rps_lyapunov(
 
     With any noise present (``sigma > 0`` or a nonzero event measure) the
     log-product must trend downward: the fitted slope of the batch-mean
-    curves must be negative at one-sided 99% confidence.  With no noise the
-    dynamics are deterministic and the curve must be flat from the
-    symmetric start.  Replicates that touch the boundary stop contributing
+    curves must be negative at one-sided 99% confidence, which takes two
+    batch slopes or more (with fewer the check fails and ``stderr`` is
+    None).  With no noise the dynamics are deterministic and the curve must
+    be flat from the symmetric start.  Replicates that touch the boundary stop contributing
     (log 0 is the asserted limit, not a numerical error) and are counted.
     """
     if not abs(delta) < 1.0 / 3.0:
@@ -593,15 +601,15 @@ def run_rps_lyapunov(
     slopes = np.array(slopes)
     dropped_batches = groups - slopes.size
     slope = float(slopes.mean()) if slopes.size else math.nan
-    slope_se = float(slopes.std(ddof=1) / math.sqrt(slopes.size)) if slopes.size > 1 else 0.0
+    slope_se = float(slopes.std(ddof=1) / math.sqrt(slopes.size)) if slopes.size > 1 else None  # one has no spread
 
     with np.errstate(invalid="ignore"):  # np.nanmean's sum and count, NaN where no replicate survives, with no warning
         mean_curve = (np.nansum(values, axis=0) / (replicates - excluded)).tolist()
     if noisy:
-        passed = slope + Z_99_ONE_SIDED * slope_se < 0.0
+        passed = slope_se is not None and slope + Z_99_ONE_SIDED * slope_se < 0.0
         tolerance = "slope of E[log prod X] negative at one-sided 99% confidence"
     else:
-        passed = abs(slope) <= 1e-9 and slope_se <= 1e-12
+        passed = abs(slope) <= 1e-9 and (slope_se or 0.0) <= 1e-12
         tolerance = "deterministic symmetric dynamics: |slope| <= 1e-9"
     metrics = [
         Metric(
@@ -650,6 +658,10 @@ def run_successive_extinction(
     """
     if sigma <= 0:
         raise ConfigError("successive-extinction runs need sigma > 0")
+    if not max_time > 0.0:
+        raise ConfigError(f"model.max_time must be > 0, got {max_time}")
+    if not 0.0 < min_fraction <= 1.0:
+        raise ConfigError(f"experiment.min_fraction must lie in (0, 1], got {min_fraction}")
     stream = RngStream(seed)
     with building("model value (horizon = max_time)"):
         cfg = SdeConfig(

@@ -58,3 +58,11 @@ def test_map_batches_with_no_replicates_calls_nothing():
     map_batches(calls.append, 0, RngStream(1), LANE_SDE, 3)
     assert calls == []
     assert np.array(pmap(abs, [], 3)).size == 0
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_a_thread_count_below_one_is_refused(threads):
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        pmap(abs, [1, 2], threads)
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        map_batches(print, 2, RngStream(1), LANE_SDE, threads)

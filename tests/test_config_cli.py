@@ -14,11 +14,9 @@ import pytest
 
 import lwf
 from lwf import cli
-from lwf.ancestral import AncestralModel
 from lwf.batches import BATCH
 from lwf.cli import main
 from lwf.config import load_config
-from lwf.discrete import DiscreteModel
 from lwf.errors import ConfigError
 from lwf.measures import (
     _MEASURE_KINDS,
@@ -34,7 +32,6 @@ from lwf.measures import (
 from lwf.rng import RngStream
 from lwf.rules import _RULE_KINDS, bernstein_rule, rule_from_config
 from lwf.selection import _DRIFT_KINDS, DriftFunction, cyclic_contest_map, drift_from_config, transitive_pair_map
-from lwf.sde import SdeConfig
 
 
 def write_config(path, payload):
@@ -680,13 +677,21 @@ def test_cli_experiment_report_and_exit_codes(tmp_path):
     assert (out / "meta.json").exists()
     assert "wall_clock_seconds" not in report
 
-    # impossible threshold: assertions fail -> exit 1
-    bad = dict(payload)
-    bad["experiment"] = {"name": "successive-extinction", "seed": 6, "replicates": 60, "min_fraction": 1.01}
+    # a horizon too short for every replicate to fix: assertions fail -> exit 1
+    bad = json.loads(json.dumps(payload))
+    bad["model"]["max_time"] = 0.05
     cfg = write_config(tmp_path / "bad.json", bad)
     assert main(["successive-extinction", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
     meta = json.loads((tmp_path / "bad" / "meta.json").read_text())
     assert (meta["exit_code"], meta["error"]) == (1, None)
+
+    # an impossible threshold is refused before the run -> config error
+    impossible = dict(payload)
+    impossible["experiment"] = {"name": "successive-extinction", "seed": 6, "replicates": 60, "min_fraction": 1.01}
+    cfg = write_config(tmp_path / "impossible.json", impossible)
+    assert main(["successive-extinction", "--config", cfg, "--out", str(tmp_path / "impossible")]) == 2
+    meta = json.loads((tmp_path / "impossible" / "meta.json").read_text())
+    assert meta["exit_code"] == 2 and meta["error"]["class"] == "ConfigError"
 
     # wrong experiment name for the subcommand -> config error
     wrong = dict(payload)
@@ -1113,6 +1118,19 @@ MALFORMED = [
     # the lambda block of the discrete chain is read by the same parser as the integrator's
     ("simulate-discrete", _added("lambda", {"kind": "point_mass", "z": 0.5, "mass": True}),
      "bad lambda block: mass must be a number, got True"),
+    # a time between two steps was compared with the integrator's state at the nearest step
+    ("duality", lambda p: (p["model"].update(dt=0.1), p["experiment"].update(ts=[0.25])),
+     "duality runs need every t in experiment.ts to be a whole number of steps dt = 0.1, got t = 0.25"),
+    # a fraction outside (0, 1] passed at any run or failed at every one; a run of no time failed all_replicates_fixed
+    ("successive-extinction", lambda p: p["experiment"].update(min_fraction=-1),
+     "experiment.min_fraction must lie in (0, 1], got -1.0"),
+    ("successive-extinction", lambda p: p["experiment"].update(min_fraction=0),
+     "experiment.min_fraction must lie in (0, 1], got 0.0"),
+    ("successive-extinction", lambda p: p["experiment"].update(min_fraction=2.0),
+     "experiment.min_fraction must lie in (0, 1], got 2.0"),
+    ("successive-extinction", lambda p: p["model"].update(max_time=0), "model.max_time must be > 0, got 0.0"),
+    ("fixation", lambda p: p["model"].update(max_time=0), "model.max_time must be > 0, got 0.0"),
+    ("fixation", lambda p: p["model"].update(max_time=-1), "model.max_time must be > 0, got -1.0"),
 ]
 
 
@@ -1151,6 +1169,15 @@ def test_a_seed_outside_the_key_range_is_refused_with_no_cast_warning(tmp_path, 
             code, err = _exit_and_stderr(tmp_path, capsys, subcommand, payload, *flags)
         assert (code, err, caught) == (2, message, [])
         assert json.loads((tmp_path / "run" / "meta.json").read_text())["error"]["class"] == "ConfigError"
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_a_thread_count_below_one_exits_2_naming_the_flag(tmp_path, capsys, threads):
+    code, err = _exit_and_stderr(tmp_path, capsys, "simulate-sde", PAYLOADS["simulate-sde"], "--threads", threads)
+    assert (code, err) == (2, f"error: --threads must be >= 1, got {threads}\n")
+    meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+    assert (meta["threads"], meta["error"]["class"]) == (int(threads), "ConfigError")
+    assert not (tmp_path / "run" / "trajectories.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -1210,7 +1237,7 @@ EXPERIMENT_ROWS = [name for name, command in cli.COMMANDS.items() if command.run
 def test_the_table_and_the_run_signatures_agree(subcommand):
     command = cli.COMMANDS[subcommand]
     params = set(inspect.signature(command.run).parameters)
-    keys = {key for required, optional in command.blocks.values() for key in f"{required} {optional}".split()}
+    keys = {key for row in command.blocks.values() for key in row.split()}
     assert keys <= set(cli.CONVERT)
     # K only checks x0; the rule, drift and lambda blocks are parsed whole
     reached = {"increments" if key == "tail" and "increments" in params else key for key in keys - {"K"}}
@@ -1219,30 +1246,32 @@ def test_the_table_and_the_run_signatures_agree(subcommand):
     assert reached <= params
     # no config names stationary_time: the run ignores it, and only the Python API still passes it
     assert params - {"seed", "threads", "pairs", "stationary_time"} <= reached
-    _assert_required_exactly_without_a_default(subcommand, inspect.signature(command.run).parameters)
 
 
-def _assert_required_exactly_without_a_default(subcommand, params):
-    """Every key of the row but K, read as the parameter it reaches, is required iff that parameter has no default."""
-    for required, optional in cli.COMMANDS[subcommand].blocks.values():
-        for key in f"{required} {optional}".split():
-            if key != "K":
-                param = params["increments" if key == "tail" and "increments" in params else key]
-                assert (key in required.split()) == (param.default is inspect.Parameter.empty), (subcommand, key)
-
-
-# the constructor that takes the keys a simulate subcommand's signature does not name
-CONSTRUCTORS = {
-    "simulate-discrete": DiscreteModel.from_schedule, "simulate-sde": SdeConfig, "ancestral": AncestralModel,
+# each subcommand's required keys per block, the plain keys of README's config table; drift-oracle requires none
+REQUIRED = {
+    "simulate-discrete": {"model": "x0 N generations", "schedule": "alpha kappa sigma tail"},
+    "simulate-sde": {"model": "x0 dt horizon sigma"},
+    "ancestral": {"model": "n0 horizon kappa sigma", "schedule": "tail"},
+    "convergence": {"model": "x0 T dt sigma kappa", "schedule": "alpha tail", "experiment": "N_grid"},
+    "fixation": {"model": "x0 kappa sigma dt", "schedule": "tail"},
+    "duality": {"model": "kappa sigma dt", "schedule": "tail"},
+    "rps-lyapunov": {"model": "kappa sigma dt", "experiment": "delta"},
+    "successive-extinction": {"model": "x0 sigma dt"},
 }
 
 
-@pytest.mark.parametrize("subcommand", list(CONSTRUCTORS))
-def test_a_simulate_row_requires_exactly_the_keys_without_a_default(subcommand):
-    assert set(CONSTRUCTORS) == set(cli.COMMANDS) - set(EXPERIMENT_ROWS)
-    params = {**inspect.signature(CONSTRUCTORS[subcommand]).parameters,
-              **inspect.signature(cli.COMMANDS[subcommand].run).parameters}
-    _assert_required_exactly_without_a_default(subcommand, params)
+@pytest.mark.parametrize("subcommand", list(cli.COMMANDS))
+def test_a_config_without_a_key_is_refused_exactly_when_the_key_is_required(subcommand):
+    args, refused = cli.build_parser().parse_args([subcommand, "--config", ""]), {}
+    for block in ("model", "schedule", "experiment"):
+        for key in PAYLOADS[subcommand].get(block, {}):
+            try:
+                cli._kwargs(subcommand, _edited(subcommand, _missing(block, key)), args, Path("."))
+            except ConfigError as exc:
+                refused[block, key] = str(exc)
+    required = [(block, key) for block, keys in REQUIRED.get(subcommand, {}).items() for key in keys.split()]
+    assert refused == {(b, k): f"block {b!r} is missing required keys: [{k!r}]" for b, k in required}
 
 
 @pytest.mark.parametrize("subcommand", ["simulate-sde", "simulate-discrete", "convergence"])

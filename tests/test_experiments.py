@@ -136,6 +136,15 @@ def test_lyapunov_groups_with_no_survivor_are_dropped_without_a_warning():
     assert all(np.isfinite(details["mean_curve"]))
 
 
+@pytest.mark.parametrize("seed", [2, 4, 5])
+def test_lyapunov_claims_no_confidence_from_one_batch_slope(seed):
+    # one replicate is one batch: its negative slope passed with a standard error of 0
+    report = run_rps_lyapunov(kappa=1.0, sigma=1e-3, measure=ZeroMeasure(), delta=0.1, dt=1e-2, replicates=1, seed=seed)
+    metric = report.metrics[0]
+    assert metric.value < 0.0 and metric.stderr is None
+    assert not report.passed
+
+
 def test_lyapunov_refuses_a_start_outside_the_simplex():
     with pytest.raises(ConfigError, match=r"^rps-lyapunov runs need \|delta\| < 1/3 .*, got delta = -0\.4$"):
         run_rps_lyapunov(kappa=1.0, sigma=1.0, measure=ZeroMeasure(), delta=-0.4, dt=1e-3, replicates=2)
