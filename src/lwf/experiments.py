@@ -212,7 +212,9 @@ def run_drift_oracle(
     """
     if points < 1 or samples < 1:
         raise ConfigError(f"drift-oracle runs need points and samples >= 1, got points = {points}, samples = {samples}")
-    k_max = max((pair["rule"].K for pair in pairs), default=2)
+    if not pairs:
+        raise ConfigError("drift-oracle runs need at least one pair, got pairs = []")
+    k_max = max(pair["rule"].K for pair in pairs)
     if not 0 <= min_coord < 1 / k_max:  # from 1/K up no drawn point is ever kept, and the draw never ends
         raise ConfigError(f"experiment.min_coord must lie in [0, 1/K) = [0, {1 / k_max:g}) for the pairs' largest "
                           f"K = {k_max}, got {min_coord}")
@@ -287,6 +289,8 @@ def run_convergence(
     within twice the KS sampling noise, and the largest-N distance must fall
     below the configured threshold.
     """
+    if not len(N_grid):
+        raise ConfigError("convergence runs need a nonempty experiment.N_grid, got N_grid = []")
     if np.any(np.diff(N_grid) <= 0):  # a distance falling as N grows is read off an increasing grid only
         raise ConfigError(f"convergence runs need a strictly increasing N_grid, got N_grid = {list(N_grid)}")
     if not final_ks_threshold > 0:  # a KS distance of 0 needs two equal samples
@@ -465,6 +469,9 @@ def run_duality(
     value.  Every t must be a whole number of steps ``dt``, the times at
     which the integrator records.
     """
+    for key, values in (("xs", xs), ("ts", ts), ("n0s", n0s)):
+        if not len(values):
+            raise ConfigError(f"duality runs need a nonempty experiment.{key}, got {key} = []")
     for x in xs:
         if not 0.0 <= x <= 1.0:
             raise ConfigError(f"duality runs need every x in [0, 1], got x = {x}")
@@ -477,7 +484,7 @@ def run_duality(
         if not math.isclose(t / dt, round(t / dt), rel_tol=1e-9):
             raise ConfigError(f"duality runs need every t in experiment.ts to be a whole number of steps dt = {dt}, "
                               f"got t = {t}")
-    for n0 in n0s if xs else ():  # named by the first cell that would solve for it, before any simulation
+    for n0 in n0s:  # named by the first cell that would solve for it, before any simulation
         if not 1 <= n0 <= N_CAP:
             raise ConfigError(
                 f"invalid duality cell n0={n0},t={ts[0]},x={xs[0]}: "

@@ -23,8 +23,10 @@ costs O(K) per replicate with no division; :func:`zeta`, the paper's triangular 
 The jumps follow the limit process's Poisson clock: each replicate keeps the time of its next jump, and a step
 ``((s-1) dt, s dt]`` applies every jump that falls in it, after the Euler part, each target drawn from the state
 before that jump.  The gaps between a replicate's jumps are Exp(1)/rate, so its jump counts per step are i.i.d.
-Poisson(rate dt); a step that ends before the block's earliest clock skips the jumps on one comparison.  The gaps,
-sizes and target uniforms are drawn ahead, ``JUMP_CHUNK`` events at a time (see :class:`_JumpEvents`).
+Poisson(rate dt); a step that ends before the block's earliest clock skips the jumps on one comparison.  A step
+that jumps runs one path for the whole block, in rounds that every group with rows due shares (see :func:`_jump`),
+each group taking its events from its own queue in row order.  The gaps, sizes and target uniforms are drawn ahead,
+``JUMP_CHUNK`` events at a time, by each group from its own generator (see :class:`_JumpEvents`).
 """
 
 from __future__ import annotations
@@ -174,17 +176,20 @@ class _JumpEvents:
         return events
 
 
-def _jump(Y: np.ndarray, clock: np.ndarray, s: int, events: _JumpEvents) -> float:
-    """The jumps of one group's column-major rows ``Y`` that fall in step ``s``, in place; returns their earliest clock.
+def _jump(Y: np.ndarray, clock: np.ndarray, s: int, groups) -> float:
+    """The jumps of the column-major block ``Y`` that fall in step ``s``, in place; returns its earliest clock.
 
     ``clock`` holds each row's next jump time in steps, and a step takes the jumps at clocks up to ``s``.  Those
-    rows jump in rounds, in row order, on the group's next events: one gather, the target drawn from the state
-    before the jump, ``(1 - z) x + z e_target``, one scatter; the clock moves on by the event's gap, and a row whose
-    clock is still at most ``s`` jumps again in the next round.
+    rows jump in rounds shared by the block's ``groups`` (as :func:`_advance` takes them): in each, a group's rows
+    take its next events in row order, then one gather, the target drawn from the state before the jump,
+    ``(1 - z) x + z e_target``, one scatter; the clock moves on by the event's gap, and a row whose clock is still
+    at most ``s`` jumps again in the next round.
     """
-    rows = (clock <= s).nonzero()[0]
+    rows, stops = (clock <= s).nonzero()[0], [group.stop for _, group, _ in groups]
     while rows.size:
-        gap, z, u = events.take(rows.size)
+        ends = rows.searchsorted(stops).tolist()  # one past each group's last row due
+        taken = [events.take(b - a) for (_, _, events), a, b in zip(groups, [0, *ends], ends) if b > a]
+        gap, z, u = taken[0] if len(taken) == 1 else np.concatenate(taken, axis=1)
         G = Y.T[:, rows]  # one gather and one scatter of contiguous type-major columns per round
         target = _categorical(G, u)
         G *= 1.0 - z
@@ -313,8 +318,7 @@ class BatchSde:
         if self._rows.size:
             Y = _advance(self.cfg, self._Y, self._groups)
             if self._earliest <= self.steps:
-                s, clock = self.steps, self._clock
-                self._earliest = min(_jump(Y[rows], clock[rows], s, events) for _, rows, events in self._groups)
+                self._earliest = _jump(Y, self._clock, self.steps, self._groups)
             self._settle(Y)
 
     def run_until(self, t: float) -> int:

@@ -158,10 +158,24 @@ def test_lyapunov_refuses_a_start_outside_the_simplex():
         (lambda: run_rps_lyapunov(kappa=1.0, sigma=1.0, measure=ZeroMeasure(), delta=0.05, grid_points=1, dt=1e-3,
                                   replicates=2),
          r"grid_points >= 2 to fit a slope, got grid_points = 1$"),
+        # with nothing to check, a run passed on no metric or failed on an error that named no key
+        (lambda: run_drift_oracle(pairs=[], points=2, samples=100, seed=1), r"at least one pair, got pairs = \[\]$"),
+        *[(lambda key=key: run_duality(kappa=0.5, increments={1: 1.0}, sigma=1.0, measure=ZeroMeasure(), dt=2e-3,
+                                       replicates=10, **{key: ()}),
+           rf"duality runs need a nonempty experiment.{key}, got {key} = \[\]$") for key in ("xs", "ts", "n0s")],
+        (lambda: run_convergence(rule=NeutralRule(2), drift=DriftFunction.neutral(2), measure=ZeroMeasure(),
+                                 tail={2: 1.0}, alpha=0.25, kappa=1.0, sigma=1.0, x0=[0.5, 0.5], T=0.1, N_grid=(),
+                                 dt=5e-3, replicates=10),
+         r"convergence runs need a nonempty experiment.N_grid, got N_grid = \[\]$"),
     ],
-    ids=["oracle-points", "oracle-samples", "lyapunov-grid"],
+    ids=["oracle-points", "oracle-samples", "lyapunov-grid", "oracle-pairs", "duality-xs", "duality-ts", "duality-n0s",
+         "convergence-N_grid"],
 )
-def test_runs_refuse_the_values_the_cli_refuses(run, message):
+def test_runs_refuse_the_values_the_cli_refuses(monkeypatch, run, message):
+    def fail(self):
+        raise AssertionError("a stream was drawn from")
+
+    monkeypatch.setattr(RngStream, "generator", fail)
     with pytest.raises(ConfigError, match=message):
         run()
 

@@ -36,7 +36,7 @@ def _step(cfg, X, rng):
     """The first step of a block that is one group, drawing from ``rng``: its first clocks, ``_advance``, ``_jump``."""
     groups, clock = _one_group(cfg, len(X), rng)
     Y = _advance(cfg, X, groups)
-    _jump(Y, clock, 1, groups[0][2])
+    _jump(Y, clock, 1, groups)
     return Y
 
 
@@ -227,7 +227,7 @@ def test_jump_rounds_give_the_same_bytes_as_the_row_major_formulation(K):
         X = np.asfortranarray(pts)
         for s in (1, 2, 3):
             Y = _advance(cfg, X, groups)
-            earliest = _jump(Y, clock, s, groups[0][2])
+            earliest = _jump(Y, clock, s, groups)
             want, rounds = _advance_row_major(cfg, np.ascontiguousarray(X), ref, ref_clock, s, events)
             assert rounds >= 3
             assert np.ascontiguousarray(Y).tobytes() == want.tobytes()
@@ -526,6 +526,26 @@ def test_lockstep_batches_get_the_bytes_of_lone_batches(monkeypatch, name):
         _assert_same_bytes(simulate_sde(cfg, x0, 25, times, stream, threads), want)
 
 
+def test_a_jump_step_runs_each_round_once_for_the_whole_block(monkeypatch):
+    # ten groups of five rows at three jumps per row and step: every group has rows due on the first step, and a
+    # round draws the targets of all of them in one call, not one per group
+    with pytest.warns(UserWarning, match="multiple jumps"):
+        cfg = SdeConfig(K=3, drift=DriftFunction.neutral(3), sigma=0.0, measure=PointMass(0.5, 1.0), dt=0.75,
+                        horizon=0.75)
+    batch = BatchSde(cfg, [0.2, 0.3, 0.5], [5] * 10, [RngStream(70, g).generator() for g in range(10)])
+    taken, draws = [[] for _ in batch._events], []  # per group, the events of each take; per round, the rows drawn
+    for mine, events in zip(taken, batch._events):
+        monkeypatch.setattr(events, "take", lambda n, mine=mine, take=events.take: mine.append(n) or take(n))
+    categorical = sde._categorical
+    monkeypatch.setattr(sde, "_categorical", lambda G, u: draws.append(G.shape[1]) or categorical(G, u))
+    due = np.count_nonzero(batch._clock <= 1)
+    batch.step()
+    takes = list(map(len, taken))
+    assert min(takes) >= 1 and draws[0] == due == sum(n for mine in taken for n in mine[:1])
+    # a group with rows due in a round had rows due in every round before it, so the rounds are its most takes
+    assert len(draws) == max(takes) < sum(takes)
+
+
 def _check_bookkeeping_per_step(cfg, x0, R, seed, n_steps):
     """Step a batch, checking its records against the observed ``X`` after every step."""
     batch = BatchSde(cfg, x0, [R], [RngStream(seed).generator()])
@@ -543,8 +563,7 @@ def _check_bookkeeping_per_step(cfg, x0, R, seed, n_steps):
 
         # the active rows took one step from their observed states and jump clocks, in row order
         Y = _advance(cfg, prev[active], groups)
-        for _, rows, events in groups:
-            _jump(Y[rows], clock[rows], batch.steps, events)
+        _jump(Y, clock, batch.steps, groups)
         small = (Y > 0.0) & (Y <= cfg.tol_ext)
         hit = small.any(axis=1)
         Y[small] = 0.0
