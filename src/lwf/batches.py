@@ -6,14 +6,15 @@ batches of ``BATCH`` rows whatever the thread count.  Batch ``b`` of a lane
 draws from ``stream.derive(lane, b)`` alone and writes only its own rows of
 the engine's output, so every output reproduces byte-for-byte on any number
 of threads.  The lanes keep the streams of the different kinds of work apart.
-A call gets one pool task per thread, a contiguous run of the items.  The pool is kept for the process: made by
-the first call that needs threads, replaced by a larger one when a call needs more, and dropped in a forked child,
-which inherits the pool but none of its threads.
+A call gets one pool task per thread, a contiguous run of the items.  One pool serves the process: the first call
+that needs threads makes it, it starts a thread only when no idle one can take a task, so it never waits on busy
+ones, and a forked child, which inherits it without its threads, drops it.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -34,32 +35,27 @@ def _runs(items, threads: int) -> list:
     return [items[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-_pool, _workers, _pool_lock = None, 0, threading.Lock()
+_pool, _pool_lock = None, threading.Lock()
 
 
 def _drop_pool() -> None:
-    global _pool, _workers, _pool_lock
-    _pool, _workers, _pool_lock = None, 0, threading.Lock()  # another thread may have held the lock at the fork
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()  # another thread may have held the lock at the fork
 
 
 os.register_at_fork(after_in_child=_drop_pool)
 
 
 def pmap(fn, items, threads: int) -> list:
-    """``[fn(item) for item in items]``, each of up to ``threads`` threads calling ``fn`` on one run of the items.
-
-    A call from inside a pool task runs its items in turn: the pool's threads would wait on each other.
-    """
-    global _pool, _workers
+    """``[fn(item) for item in items]``, each of up to ``threads`` threads calling ``fn`` on one run of the items."""
+    global _pool
     runs = _runs(items, threads)
-    if len(runs) <= 1 or threading.current_thread().name.startswith("lwf-pmap"):
+    if len(runs) <= 1:
         return [fn(item) for item in items]
-    with _pool_lock:  # the tasks go in before another call may replace the pool; a replaced pool ends its tasks
-        if _workers < len(runs):
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            _pool, _workers = ThreadPoolExecutor(len(runs), thread_name_prefix="lwf-pmap"), len(runs)
-        tasks = [_pool.submit(lambda run: [fn(item) for item in run], run) for run in runs]
+    with _pool_lock:  # two first calls at once make one pool
+        if _pool is None:
+            _pool = ThreadPoolExecutor(sys.maxsize, thread_name_prefix="lwf-pmap")  # a bound that never binds
+    tasks = [_pool.submit(lambda run: [fn(item) for item in run], run) for run in runs]
     wait(tasks)  # a task that raises leaves none of the others running on past the call
     return [out for task in tasks for out in task.result()]
 

@@ -21,6 +21,8 @@ block is refused.
 Simulation subcommands hand the seed's stream and ``--threads`` (at least 1)
 to the engines, which draw their replicates in fixed-width batches, one
 random stream per batch, so their output does not depend on ``--threads``.
+A flag the subcommand's function has no parameter for is refused:
+``--replicates``, or a ``--threads`` other than 1.
 
 Exit codes: 0 all assertions pass, 1 an experiment assertion failed (or an
 unexpected error, re-raised), 2 configuration error.  ``meta.json`` is
@@ -50,7 +52,7 @@ from .errors import LwfError
 from .measures import ZeroMeasure, measure_from_config
 from .rng import SEED_LIMIT, RngStream
 from .rules import rule_from_config
-from .sde import SdeConfig, simulate_sde
+from .sde import SdeConfig, is_whole_steps, simulate_sde
 from .selection import drift_from_config
 from .trajectory import write_ancestral_csv, write_trajectories_csv
 
@@ -128,6 +130,8 @@ def _simulate_sde(*, out, threads, x0, drift, measure, dt, horizon, sigma, recor
     """``sde`` holds the optional :class:`SdeConfig` fields ``eps_jump`` and ``tol_ext``."""
     with building("'model' block"):
         cfg = SdeConfig(K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=horizon, **sde)
+    if not is_whole_steps(horizon, dt):  # the last record would fall past the horizon
+        raise ConfigError(f"model.horizon must be a whole number of steps dt = {dt}, got horizon = {horizon}")
     times = np.arange(0, int(round(cfg.horizon / cfg.dt)) + 1, record_every) * cfg.dt
     states = simulate_sde(cfg, x0, replicates, times, RngStream(seed), threads)[0]
     write_trajectories_csv(out / "trajectories.csv", times, states)
@@ -249,6 +253,8 @@ def _kwargs(name: str, cfg: dict, args, out: Path) -> dict:
         raise ConfigError(f"experiment.seed must lie in [0, 2**63), got {kwargs['seed']}")
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    if args.threads != 1 and "threads" not in params:
+        raise ConfigError(f"--threads is not used by {name!r}")
 
     K = kwargs.pop("K", None)
     if "x0" in kwargs:

@@ -33,7 +33,7 @@ from .rng import RngStream
 from .rules import (
     ColouringRule, bernstein_rule, LogisticRule, NegFreqDepRule, PartialOrderRule, PosFreqDepRule, TransitiveRule
 )
-from .sde import SdeConfig, simulate_sde
+from .sde import SdeConfig, is_whole_steps, simulate_sde
 from .selection import DriftFunction, cyclic_contest_map, transitive_pair_map
 
 Z_99_TWO_SIDED = 2.5758293035489004
@@ -287,7 +287,7 @@ def run_convergence(
     coordinate, to the integrator's marginal at time T via the two-sample
     Kolmogorov-Smirnov distance.  The distances must be nonincreasing in N
     within twice the KS sampling noise, and the largest-N distance must fall
-    below the configured threshold.
+    below the configured threshold.  T must be a whole number of steps ``dt``.
     """
     if not len(N_grid):
         raise ConfigError("convergence runs need a nonempty experiment.N_grid, got N_grid = []")
@@ -298,6 +298,8 @@ def run_convergence(
     stream = RngStream(seed)
     with building("model value (horizon = T)"):
         cfg = SdeConfig(K=x0.size, drift=drift, sigma=sigma, measure=measure, dt=dt, horizon=T, eps_jump=eps_jump)
+    if not is_whole_steps(T, dt):  # the integrator would record at the nearest step, the chain run to T itself
+        raise ConfigError(f"model.T must be a whole number of steps dt = {dt}, got T = {T}")
     sde_final = simulate_sde(cfg, x0, replicates, [T], stream.derive(0), threads)[0][0]
 
     ks_by_N = []
@@ -466,12 +468,14 @@ def run_duality(
     error.  A cell whose bound d exceeds ``STATIONARY_TOL`` once the
     truncation reaches ``N_CAP`` (a transient chain far out) is a failing
     ``dual_moment_resolved`` metric, not a band that passes almost any
-    value.  Every t must be a whole number of steps ``dt``, the times at
-    which the integrator records.
+    value.  The xs, ts and n0s must each be distinct, and every t a whole
+    number of steps ``dt``, the times at which the integrator records.
     """
     for key, values in (("xs", xs), ("ts", ts), ("n0s", n0s)):
         if not len(values):
             raise ConfigError(f"duality runs need a nonempty experiment.{key}, got {key} = []")
+        if len(set(values)) < len(values):  # a repeated cell wrote two metrics of one name
+            raise ConfigError(f"duality runs need distinct values in experiment.{key}, got {key} = {list(values)}")
     for x in xs:
         if not 0.0 <= x <= 1.0:
             raise ConfigError(f"duality runs need every x in [0, 1], got x = {x}")
@@ -481,7 +485,7 @@ def run_duality(
     stream = RngStream(seed)
     cfg, dual = _dual_pair(kappa, increments, sigma, measure, "max(ts)", max(ts), K=2, dt=dt, eps_jump=eps_jump)
     for t in ts:  # the integrator records at step round(t / dt), the chain's moment is taken at t itself
-        if not math.isclose(t / dt, round(t / dt), rel_tol=1e-9):
+        if not is_whole_steps(t, dt):
             raise ConfigError(f"duality runs need every t in experiment.ts to be a whole number of steps dt = {dt}, "
                               f"got t = {t}")
     for n0 in n0s:  # named by the first cell that would solve for it, before any simulation
@@ -490,7 +494,7 @@ def run_duality(
                 f"invalid duality cell n0={n0},t={ts[0]},x={xs[0]}: "
                 f"initial state must lie in [1, n_cap = {N_CAP}], got {n0}"
             )
-    grid = sorted(set(ts))  # the integrator records forward in time, whatever order the cells come in
+    grid = sorted(ts)  # the integrator records forward in time, whatever order the cells come in
     metrics = []
     for x_idx, x in enumerate(xs):
         snaps = simulate_sde(cfg, [x, 1.0 - x], replicates, grid, stream.derive(10 + x_idx), threads)[0]

@@ -87,6 +87,11 @@ def _diffusion(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return v
 
 
+def is_whole_steps(t: float, dt: float) -> bool:
+    """Whether ``t`` is a whole number of steps ``dt``, to a relative 1e-9: the times at which a run records exactly."""
+    return math.isclose(t / dt, round(t / dt), rel_tol=1e-9)
+
+
 @dataclass
 class SdeConfig:
     """Parameters of one integration run.

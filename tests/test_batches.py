@@ -39,23 +39,22 @@ def test_pmap_returns_results_in_item_order_calling_each_item_once(monkeypatch, 
         assert min(map(len, tasks)) >= max(map(len, tasks)) - 1 >= 0
 
 
-def test_a_pool_grown_for_three_threads_serves_a_later_call_on_two(monkeypatch):
+def test_calls_on_two_three_and_two_threads_share_one_pool(monkeypatch):
+    # a call that asks for more threads than the pool has started gets new ones, not a new pool
     monkeypatch.setattr(batches, "_pool", None)
-    monkeypatch.setattr(batches, "_workers", 0)
     items, want = list(range(11)), [i * i for i in range(11)]
     assert pmap(lambda i: i * i, items, 2) == want
     first = batches._pool
+    assert first is not None
     assert pmap(lambda i: i * i, items, 3) == want
-    grown = batches._pool
-    assert grown is not first and batches._workers == 3
+    assert batches._pool is first
     assert pmap(lambda i: i * i, items, 2) == want
-    assert batches._pool is grown
+    assert batches._pool is first
 
 
-def test_a_call_from_inside_a_pool_task_runs_its_items_in_turn(monkeypatch):
-    # on a pool of two threads, both busy with the outer runs, inner runs queued on the pool would wait forever
+def test_a_call_from_inside_a_pool_task_gets_threads_of_its_own(monkeypatch):
+    # both outer runs hold a thread while they wait on their inner runs, so the pool starts new threads for those
     monkeypatch.setattr(batches, "_pool", None)
-    monkeypatch.setattr(batches, "_workers", 0)
     results = []
 
     def nested():
@@ -68,7 +67,7 @@ def test_a_call_from_inside_a_pool_task_runs_its_items_in_turn(monkeypatch):
 
 
 def test_callers_on_many_threads_share_the_pool_and_each_get_their_own_results(monkeypatch):
-    # six callers grow a fresh pool step by step while the others' tasks still run on the pools it replaces
+    # six callers share a fresh pool, each asking for more threads in turn while the others' tasks still run
     counts, interval = (2, 3, 5, 8), sys.getswitchinterval()
 
     def caller(c):
@@ -79,7 +78,6 @@ def test_callers_on_many_threads_share_the_pool_and_each_get_their_own_results(m
     try:
         for _ in range(5):
             monkeypatch.setattr(batches, "_pool", None)
-            monkeypatch.setattr(batches, "_workers", 0)
             results, callers = {}, [threading.Thread(target=caller, args=(c,)) for c in range(6)]
             for thread in callers:
                 thread.start()
@@ -87,7 +85,6 @@ def test_callers_on_many_threads_share_the_pool_and_each_get_their_own_results(m
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in callers)
             assert results == {(c, threads): [(c, i * i) for i in range(20)] for c in range(6) for threads in counts}
-            assert batches._workers == 8
     finally:
         sys.setswitchinterval(interval)
 

@@ -1131,6 +1131,19 @@ MALFORMED = [
     ("successive-extinction", lambda p: p["model"].update(max_time=0), "model.max_time must be > 0, got 0.0"),
     ("fixation", lambda p: p["model"].update(max_time=0), "model.max_time must be > 0, got 0.0"),
     ("fixation", lambda p: p["model"].update(max_time=-1), "model.max_time must be > 0, got -1.0"),
+    # a repeated cell wrote two metrics of one name
+    ("duality", lambda p: p["experiment"].update(xs=[0.3, 0.3]),
+     "duality runs need distinct values in experiment.xs, got xs = [0.3, 0.3]"),
+    ("duality", lambda p: p["experiment"].update(ts=[0.3, 0.3]),
+     "duality runs need distinct values in experiment.ts, got ts = [0.3, 0.3]"),
+    ("duality", lambda p: p["experiment"].update(n0s=[2, 1, 2]),
+     "duality runs need distinct values in experiment.n0s, got n0s = [2, 1, 2]"),
+    # a horizon between two steps wrote a last row past it; a T between two steps compared the integrator at the
+    # nearest step with the chain at T
+    ("simulate-sde", lambda p: p["model"].update(horizon=0.045),
+     "model.horizon must be a whole number of steps dt = 0.01, got horizon = 0.045"),
+    ("convergence", lambda p: p["model"].update(T=0.25, dt=0.1),
+     "model.T must be a whole number of steps dt = 0.1, got T = 0.25"),
 ]
 
 
@@ -1149,6 +1162,17 @@ def test_drift_oracle_rejects_replicates_from_the_config_and_the_flag(tmp_path, 
     assert code == 2 and err.startswith("error: unknown keys in 'experiment' block: ['replicates']")
     code, err = _exit_and_stderr(tmp_path, capsys, "drift-oracle", PAYLOADS["drift-oracle"], "--replicates", "3")
     assert (code, err) == (2, "error: --replicates is not used by 'drift-oracle'\n")
+
+
+def test_ancestral_refuses_threads_it_would_not_use(tmp_path, capsys):
+    # nothing in a lineage-count run is threaded: --threads 3 wrote the bytes of --threads 1 and recorded 3
+    code, err = _exit_and_stderr(tmp_path, capsys, "ancestral", PAYLOADS["ancestral"], "--threads", "3")
+    assert (code, err) == (2, "error: --threads is not used by 'ancestral'\n")
+    meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+    assert meta["error"] == {"class": "ConfigError", "message": "--threads is not used by 'ancestral'"}
+    assert not (tmp_path / "run" / "paths.csv").exists()
+    code, _ = _exit_and_stderr(tmp_path, capsys, "ancestral", PAYLOADS["ancestral"], "--threads", "1")
+    assert code == 0 and (tmp_path / "run" / "paths.csv").exists()
 
 
 def test_an_overflowing_number_literal_is_refused_naming_its_path(tmp_path, capsys):

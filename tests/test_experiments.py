@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import warnings
 
 import numpy as np
@@ -163,13 +164,22 @@ def test_lyapunov_refuses_a_start_outside_the_simplex():
         *[(lambda key=key: run_duality(kappa=0.5, increments={1: 1.0}, sigma=1.0, measure=ZeroMeasure(), dt=2e-3,
                                        replicates=10, **{key: ()}),
            rf"duality runs need a nonempty experiment.{key}, got {key} = \[\]$") for key in ("xs", "ts", "n0s")],
+        # a repeated x wrote two metrics of one name with different values, a repeated t or n0 the same one twice
+        *[(lambda key=key, values=values: run_duality(kappa=0.5, increments={1: 1.0}, sigma=1.0, measure=ZeroMeasure(),
+                                                      dt=2e-3, replicates=10, **{key: values}),
+           rf"duality runs need distinct values in experiment.{key}, got {key} = {re.escape(str(list(values)))}$")
+          for key, values in (("xs", (0.3, 0.3)), ("ts", (0.5, 0.3, 0.5)), ("n0s", (2, 2)))],
         (lambda: run_convergence(rule=NeutralRule(2), drift=DriftFunction.neutral(2), measure=ZeroMeasure(),
                                  tail={2: 1.0}, alpha=0.25, kappa=1.0, sigma=1.0, x0=[0.5, 0.5], T=0.1, N_grid=(),
                                  dt=5e-3, replicates=10),
          r"convergence runs need a nonempty experiment.N_grid, got N_grid = \[\]$"),
+        (lambda: run_convergence(rule=NeutralRule(2), drift=DriftFunction.neutral(2), measure=ZeroMeasure(),
+                                 tail={2: 1.0}, alpha=0.25, kappa=1.0, sigma=1.0, x0=[0.5, 0.5], T=0.25, N_grid=(50,),
+                                 dt=0.1, replicates=10),
+         r"model.T must be a whole number of steps dt = 0.1, got T = 0.25$"),
     ],
     ids=["oracle-points", "oracle-samples", "lyapunov-grid", "oracle-pairs", "duality-xs", "duality-ts", "duality-n0s",
-         "convergence-N_grid"],
+         "duality-repeated-xs", "duality-repeated-ts", "duality-repeated-n0s", "convergence-N_grid", "convergence-T"],
 )
 def test_runs_refuse_the_values_the_cli_refuses(monkeypatch, run, message):
     def fail(self):
